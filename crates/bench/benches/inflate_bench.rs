@@ -1,11 +1,15 @@
 //! Equation (3) inflation benches: the PD² fixed point, the M-search of
-//! `pd2_processors_required`, and the quantum-size sweep (ablation E11).
+//! `pd2_processors_required` and the per-set `D(T)` draws that feed it, and
+//! the quantum-size sweep (ablation E11).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use overhead::{inflate_pd2, pd2_processors_required, OverheadParams};
 use pfair_bench::phys_pairs;
 use pfair_model::PhysTask;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
+use workload::CacheDelayDist;
 
 fn fixed_point(c: &mut Criterion) {
     let params = OverheadParams::paper2003();
@@ -28,6 +32,17 @@ fn processors_required(c: &mut Criterion) {
             b.iter(|| black_box(pd2_processors_required(tasks, &params, &d, 4 * n as u32)));
         });
     }
+    group.finish();
+}
+
+fn cache_delay(c: &mut Criterion) {
+    // One Fig. 3 set's worth of delays: one rate solve, then 250 draws.
+    let dist = CacheDelayDist::paper2003();
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut group = c.benchmark_group("cache_delay_sample_n");
+    group.bench_with_input(BenchmarkId::from_parameter(250), &250usize, |b, &n| {
+        b.iter(|| black_box(dist.sample_n(&mut rng, n)));
+    });
     group.finish();
 }
 
@@ -67,6 +82,6 @@ fn quick_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick_config();
-    targets = fixed_point, processors_required, quantum_sweep
+    targets = fixed_point, processors_required, cache_delay, quantum_sweep
 }
 criterion_main!(benches);

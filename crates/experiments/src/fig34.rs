@@ -170,12 +170,12 @@ fn run_one_set(
     {
         let mut gen = TaskSetGenerator::new(n, total_util, seed ^ ((s as u64) << 20));
         let set = gen.generate();
-        let tasks = set.tasks.clone();
+        let tasks = &set.tasks[..];
         let d = dist.sample_n(&mut rng, n);
         let u_raw: f64 = set.total_utilization();
 
         // --- PD² ---
-        match pd2_processors_required(&tasks, params, &d, (4 * n) as u32) {
+        match pd2_processors_required(tasks, params, &d, (4 * n) as u32) {
             Ok(m_pd2) => {
                 let mut u_infl = 0.0;
                 for (t, &dd) in tasks.iter().zip(&d) {
@@ -197,7 +197,7 @@ fn run_one_set(
         }
 
         // --- EDF-FF (decreasing periods, overhead-aware) ---
-        let acc = EdfOverheadAware::new(&tasks, &d, *params);
+        let acc = EdfOverheadAware::new(tasks, &d, *params);
         let keys = |i: usize| (tasks[i].utilization(), tasks[i].period_us);
         match partition_unbounded_with_obs(
             n,
@@ -277,6 +277,32 @@ mod tests {
         }
         // PD²'s overhead loss exceeds EDF's (quantum rounding dominates).
         assert!(p.pfair_loss.mean() > p.edf_loss.mean());
+    }
+
+    #[test]
+    fn point_means_are_pinned_bit_for_bit() {
+        let p = run_point(
+            50,
+            10.0,
+            20,
+            1,
+            &OverheadParams::paper2003(),
+            CacheDelayDist::paper2003(),
+        );
+        // Recorded at the commit before the per-set λ solve and the
+        // S_PD²-keyed inflation pass landed: those are bit-exact rewrites,
+        // and this catches drift without the benchmark's golden file.
+        assert_eq!((p.pd2_failures, p.edf_failures, p.worker_panics), (0, 0, 0));
+        for (name, w, bits) in [
+            ("pd2_procs", &p.pd2_procs, 0x4026_cccc_cccc_cccd_u64), // 11.4
+            ("edf_procs", &p.edf_procs, 0x4026_0000_0000_0000),     // 11
+            ("pfair_loss", &p.pfair_loss, 0x3fb5_6e22_9d88_73ca),   // 0.08371…
+            ("edf_loss", &p.edf_loss, 0x3f75_4642_0c7e_6bf8),       // 0.005194…
+            ("ff_loss", &p.ff_loss, 0x0000_0000_0000_0000),         // 0
+        ] {
+            assert_eq!(w.count(), 20, "{name}");
+            assert_eq!(w.mean().to_bits(), bits, "{name} mean {}", w.mean());
+        }
     }
 
     #[test]

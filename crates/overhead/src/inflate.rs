@@ -93,12 +93,38 @@ pub fn inflate_pd2(
     n: usize,
     d_us: f64,
 ) -> Result<InflatedPd2, InflateError> {
+    let fp = pd2_fixed_point(task, params, params.sched.pd2_us(m, n), d_us)?;
+    Ok(InflatedPd2 {
+        exec_us: fp.exec_us,
+        quanta: fp.quanta,
+        period_quanta: fp.period_quanta,
+        weight: Rat::new(fp.quanta as i128, fp.period_quanta as i128),
+        iterations: fp.iterations,
+    })
+}
+
+/// Where Equation (3)'s PD² case settles for one task: [`InflatedPd2`]
+/// without the reduced weight, which the M-search does not need.
+struct Pd2FixedPoint {
+    exec_us: f64,
+    quanta: u64,
+    period_quanta: u64,
+    iterations: u32,
+}
+
+/// The fixed-point iteration behind [`inflate_pd2`], at scheduling cost
+/// `s_us = S_PD²(M, N)` — the only way `M` and `N` enter the inflation.
+fn pd2_fixed_point(
+    task: PhysTask,
+    params: &OverheadParams,
+    s_us: f64,
+    d_us: f64,
+) -> Result<Pd2FixedPoint, InflateError> {
     let q = params.quantum_us;
     if q == 0 || task.period_us % q != 0 {
         return Err(InflateError::PeriodNotQuantumMultiple);
     }
     let p_quanta = task.period_us / q;
-    let s = params.sched.pd2_us(m, n);
     let c = params.ctx_switch_us;
     let e = task.wcet_us as f64;
 
@@ -106,7 +132,7 @@ pub fn inflate_pd2(
         // Preemption count: min(E − 1, P − E); E > P is overload, handled
         // by the caller via the quanta bound check.
         let preemptions = (quanta - 1).min(p_quanta.saturating_sub(quanta)) as f64;
-        e + quanta as f64 * s + c + preemptions * (c + d_us)
+        e + quanta as f64 * s_us + c + preemptions * (c + d_us)
     };
 
     // Fixed-point iteration on E = ⌈e'/q⌉. E only ever needs to grow or
@@ -124,24 +150,14 @@ pub fn inflate_pd2(
         }
         let e_prime = cost(quanta);
         let implied = (e_prime.ceil() as u64).div_ceil(q).max(1);
-        if implied == quanta {
-            return Ok(InflatedPd2 {
+        // implied < quanta: cost() is non-monotone in E only through the
+        // preemption term, which can *shrink* as E grows past P/2;
+        // accepting the larger span is the conservative fixed point.
+        if implied <= quanta {
+            return Ok(Pd2FixedPoint {
                 exec_us: e_prime,
                 quanta,
                 period_quanta: p_quanta,
-                weight: Rat::new(quanta as i128, p_quanta as i128),
-                iterations,
-            });
-        }
-        if implied < quanta {
-            // cost() is non-monotone in E only through the preemption term,
-            // which can *shrink* as E grows past P/2; accepting the larger
-            // span is the conservative fixed point.
-            return Ok(InflatedPd2 {
-                exec_us: cost(quanta),
-                quanta,
-                period_quanta: p_quanta,
-                weight: Rat::new(quanta as i128, p_quanta as i128),
                 iterations,
             });
         }
@@ -152,13 +168,43 @@ pub fn inflate_pd2(
     }
 }
 
+/// One inflation pass over the whole set at scheduling cost `s_us`: the
+/// summed PD² weights, or the first task's failure.
+fn pd2_weight_sum(
+    tasks: &[PhysTask],
+    params: &OverheadParams,
+    d_us: &[f64],
+    s_us: f64,
+) -> Result<pfair_model::WeightSum, InflateError> {
+    // WeightSum degrades gracefully where an exact rational sum of many
+    // unrelated-denominator weights would overflow.
+    let mut total = pfair_model::WeightSum::new();
+    for (t, &d) in tasks.iter().zip(d_us) {
+        let fp = pd2_fixed_point(*t, params, s_us, d)?;
+        total.add(
+            pfair_model::Weight::new(fp.quanta, fp.period_quanta)
+                .expect("0 < E ≤ P guaranteed by the fixed point"),
+        );
+    }
+    Ok(total)
+}
+
 /// Minimum processors PD² needs for a task set under Equation (3),
 /// including the `M`-dependence of `S_PD²` (more processors → costlier
 /// invocations → heavier inflation): the smallest `M` with
 /// `Σ weight'(T; M) ≤ M`. `d_us[i]` is `D(Tᵢ)`.
 ///
-/// Returns `Err` if any task is individually unschedulable or no
-/// `M ≤ max_m` suffices.
+/// `M` enters the inflation only through `S_PD²(M, N)`, so the tasks are
+/// re-inflated only when that value differs from the previous candidate's;
+/// otherwise the previous pass's sum is tested against the new `M`.
+/// [`crate::SchedCostModel::pd2_us`] saturates at `M = 16`, which is what
+/// makes a single pass suffice for every larger machine.
+///
+/// Returns `Err` if a task is individually unschedulable — the
+/// [`InflateError::Overload`] of the first such task at the last `M`
+/// tried, with its inflated cost — or if every task fits but no
+/// `M ≤ max_m` holds their sum, which is `Overload { inflated_us: 0.0 }`
+/// (no single task's cost is at fault).
 pub fn pd2_processors_required(
     tasks: &[PhysTask],
     params: &OverheadParams,
@@ -171,31 +217,27 @@ pub fn pd2_processors_required(
         return Ok(0);
     }
     let raw: f64 = tasks.iter().map(PhysTask::utilization).sum();
-    let mut m = (raw.ceil() as u32).max(1);
-    while m <= max_m {
-        // WeightSum degrades gracefully where an exact rational sum of many
-        // unrelated-denominator weights would overflow.
-        let mut total = pfair_model::WeightSum::new();
-        let mut overloaded = false;
-        for (t, &d) in tasks.iter().zip(d_us) {
-            match inflate_pd2(*t, params, m, n, d) {
-                Ok(inf) => total.add(
-                    pfair_model::Weight::new(inf.quanta, inf.period_quanta)
-                        .expect("0 < E ≤ P guaranteed by inflate_pd2"),
-                ),
-                Err(InflateError::Overload { .. }) => {
-                    overloaded = true;
-                    break;
-                }
+    let no_capacity = InflateError::Overload { inflated_us: 0.0 };
+    // The last inflation pass and the S_PD² (as bits) it ran at; with no
+    // pass run, no machine up to `max_m` was even a candidate.
+    let mut pass = Err(no_capacity);
+    let mut pass_s_bits = None;
+    for m in (raw.ceil() as u32).max(1)..=max_m {
+        let s_us = params.sched.pd2_us(m, n);
+        if pass_s_bits != Some(s_us.to_bits()) {
+            pass = match pd2_weight_sum(tasks, params, d_us, s_us) {
+                pass @ (Ok(_) | Err(InflateError::Overload { .. })) => pass,
                 Err(e) => return Err(e),
-            }
+            };
+            pass_s_bits = Some(s_us.to_bits());
         }
-        if !overloaded && total.at_most(m) {
+        if matches!(pass, Ok(total) if total.at_most(m)) {
             return Ok(m);
         }
-        m += 1;
     }
-    Err(InflateError::Overload { inflated_us: 0.0 })
+    // An overloaded task's own error, else every task fit and their sum
+    // did not.
+    pass.and(Err(no_capacity))
 }
 
 #[cfg(test)]
@@ -313,7 +355,106 @@ mod tests {
         assert_eq!(pd2_processors_required(&[], &params(), &[], 4), Ok(0));
     }
 
+    #[test]
+    fn processors_required_reports_the_overloaded_tasks_cost() {
+        // 999 µs of work per 1 ms period cannot absorb any inflation.
+        let tasks = [PhysTask::new(2_000, 20_000), PhysTask::new(999, 1_000)];
+        let ds = [33.3, 90.0];
+        let at_max = inflate_pd2(tasks[1], &params(), 8, 2, ds[1]).unwrap_err();
+        assert!(matches!(at_max, InflateError::Overload { inflated_us } if inflated_us > 1_000.0));
+        assert_eq!(
+            pd2_processors_required(&tasks, &params(), &ds, 8),
+            Err(at_max)
+        );
+    }
+
+    #[test]
+    fn processors_required_reports_zero_cost_when_only_capacity_is_short() {
+        // Every task fits on its own; their sum (≈ 20) does not fit 8.
+        let tasks: Vec<PhysTask> = (0..40).map(|_| PhysTask::new(10_000, 20_000)).collect();
+        assert_eq!(
+            pd2_processors_required(&tasks, &params(), &[33.3; 40], 8),
+            Err(InflateError::Overload { inflated_us: 0.0 })
+        );
+    }
+
+    /// The M-search as it stood before the S_PD²-keyed pass: every task
+    /// re-inflated at every candidate M. The error value follows the
+    /// current contract (the last pass's task-level overload, else 0.0).
+    fn naive_processors_required(
+        tasks: &[PhysTask],
+        params: &OverheadParams,
+        d_us: &[f64],
+        max_m: u32,
+    ) -> Result<u32, InflateError> {
+        let n = tasks.len();
+        if n == 0 {
+            return Ok(0);
+        }
+        let raw: f64 = tasks.iter().map(PhysTask::utilization).sum();
+        let mut m = (raw.ceil() as u32).max(1);
+        let mut overload = None;
+        while m <= max_m {
+            let mut total = pfair_model::WeightSum::new();
+            overload = None;
+            for (t, &d) in tasks.iter().zip(d_us) {
+                match inflate_pd2(*t, params, m, n, d) {
+                    Ok(inf) => {
+                        total.add(pfair_model::Weight::new(inf.quanta, inf.period_quanta).unwrap())
+                    }
+                    Err(e @ InflateError::Overload { .. }) => {
+                        overload = Some(e);
+                        break;
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            if overload.is_none() && total.at_most(m) {
+                return Ok(m);
+            }
+            m += 1;
+        }
+        Err(overload.unwrap_or(InflateError::Overload { inflated_us: 0.0 }))
+    }
+
     proptest! {
+        /// One inflation pass per distinct S_PD² gives the result of a pass
+        /// per candidate M: under the paper's model with raw utilisation on
+        /// both sides of the M = 16 saturation, under a constant model,
+        /// with an individually overloaded task in the set, with a
+        /// misaligned period, and with `max_m` cutting the search short.
+        #[test]
+        fn prop_processors_required_matches_naive_search(
+            raw in prop::collection::vec((1u64..40, 0.01f64..0.95, 0.0f64..100.0), 1..70),
+            constant_model in 0u8..2,
+            odd_task in 0u8..6,
+            max_m in 1u32..90,
+        ) {
+            let mut tasks: Vec<PhysTask> = raw
+                .iter()
+                .map(|&(period_q, u, _)| {
+                    let period = period_q * 1_000;
+                    PhysTask::new(((u * period as f64) as u64).max(1), period)
+                })
+                .collect();
+            let mut ds: Vec<f64> = raw.iter().map(|r| r.2).collect();
+            match odd_task {
+                0 => tasks.push(PhysTask::new(999, 1_000)),
+                1 => tasks.insert(0, PhysTask::new(2_999, 3_000)),
+                2 => tasks.push(PhysTask::new(100, 1_500)),
+                _ => {}
+            }
+            ds.resize(tasks.len(), 50.0);
+            let mut p = params();
+            if constant_model == 1 {
+                p.sched = SchedCostModel::Constant { edf_us: 1.0, pd2_us: 6.0 };
+            }
+            prop_assert_eq!(
+                pd2_processors_required(&tasks, &p, &ds, max_m),
+                naive_processors_required(&tasks, &p, &ds, max_m)
+            );
+        }
+
         /// Inflation is monotone: never below the raw cost, and the weight
         /// never below the quantized raw weight.
         #[test]

@@ -42,25 +42,32 @@ impl CacheDelayDist {
         }
     }
 
-    /// Samples one delay.
+    /// Samples one delay. Each call solves the truncated-exponential rate
+    /// afresh; draw many delays through [`CacheDelayDist::sample_n`].
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        match *self {
-            CacheDelayDist::Constant(v) => v,
-            CacheDelayDist::Uniform { lo, hi } => rng.gen_range(lo..=hi),
-            CacheDelayDist::TruncExp { mean, max } => {
-                let lambda = solve_trunc_exp_rate(mean, max);
-                // Inverse-CDF sampling of Exp(λ) truncated to [0, max]:
-                // F(x) = (1 − e^{−λx})/(1 − e^{−λ·max}).
-                let u: f64 = rng.gen_range(0.0..1.0);
-                let z = 1.0 - u * (1.0 - (-lambda * max).exp());
-                (-z.ln() / lambda).clamp(0.0, max)
-            }
-        }
+        self.sampler().draw(rng)
     }
 
-    /// Samples `n` delays.
+    /// Samples `n` delays: the same values as `n` successive
+    /// [`CacheDelayDist::sample`] calls, with the rate solved once.
     pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.sample(rng)).collect()
+        let sampler = self.sampler();
+        (0..n).map(|_| sampler.draw(rng)).collect()
+    }
+
+    fn sampler(&self) -> Sampler {
+        match *self {
+            CacheDelayDist::Constant(v) => Sampler::Constant(v),
+            CacheDelayDist::Uniform { lo, hi } => Sampler::Uniform { lo, hi },
+            CacheDelayDist::TruncExp { mean, max } => {
+                let lambda = solve_trunc_exp_rate(mean, max);
+                Sampler::TruncExp {
+                    lambda,
+                    mass: 1.0 - (-lambda * max).exp(),
+                    max,
+                }
+            }
+        }
     }
 
     /// The distribution's exact mean (µs).
@@ -69,6 +76,31 @@ impl CacheDelayDist {
             CacheDelayDist::Constant(v) => v,
             CacheDelayDist::Uniform { lo, hi } => (lo + hi) / 2.0,
             CacheDelayDist::TruncExp { mean, .. } => mean,
+        }
+    }
+}
+
+/// A [`CacheDelayDist`] with everything a draw does not change worked
+/// out: for the truncated exponential, the rate λ and `1 − e^{−λ·max}`.
+#[derive(Debug, Clone, Copy)]
+enum Sampler {
+    Constant(f64),
+    Uniform { lo: f64, hi: f64 },
+    TruncExp { lambda: f64, mass: f64, max: f64 },
+}
+
+impl Sampler {
+    fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        match *self {
+            Sampler::Constant(v) => v,
+            Sampler::Uniform { lo, hi } => rng.gen_range(lo..=hi),
+            Sampler::TruncExp { lambda, mass, max } => {
+                // Inverse-CDF sampling of Exp(λ) truncated to [0, max]:
+                // F(x) = (1 − e^{−λx})/(1 − e^{−λ·max}).
+                let u: f64 = rng.gen_range(0.0..1.0);
+                let z = 1.0 - u * mass;
+                (-z.ln() / lambda).clamp(0.0, max)
+            }
         }
     }
 }
@@ -92,11 +124,18 @@ fn solve_trunc_exp_rate(mean: f64, max: f64) -> f64 {
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
         // trunc_exp_mean is decreasing in λ.
-        if trunc_exp_mean(mid, max) > mean {
-            lo = mid;
+        let next = if trunc_exp_mean(mid, max) > mean {
+            (mid, hi)
         } else {
-            hi = mid;
+            (lo, mid)
+        };
+        // A step is a function of (lo, hi) alone, so one that changes
+        // neither is what every remaining step would repeat: the interval
+        // has narrowed to adjacent floats (68 steps for the paper's rate).
+        if next == (lo, hi) {
+            break;
         }
+        (lo, hi) = next;
     }
     0.5 * (lo + hi)
 }
@@ -104,8 +143,69 @@ fn solve_trunc_exp_rate(mean: f64, max: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// The bisection as it stood before the early exit: always 200 steps.
+    fn solve_200_steps(mean: f64, max: f64) -> f64 {
+        let (mut lo, mut hi) = (1e-9, 1e3);
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if trunc_exp_mean(mid, max) > mean {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    #[test]
+    fn sample_n_equals_successive_samples_bit_for_bit() {
+        for d in [
+            CacheDelayDist::Constant(7.0),
+            CacheDelayDist::Uniform { lo: 10.0, hi: 20.0 },
+            CacheDelayDist::paper2003(),
+            CacheDelayDist::TruncExp {
+                mean: 2.0,
+                max: 40.0,
+            },
+        ] {
+            let mut batch_rng = StdRng::seed_from_u64(11);
+            let mut single_rng = StdRng::seed_from_u64(11);
+            let batch = d.sample_n(&mut batch_rng, 300);
+            let singles: Vec<f64> = (0..300).map(|_| d.sample(&mut single_rng)).collect();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&batch), bits(&singles), "{d:?}");
+            // Both left the generator in the same state.
+            assert_eq!(batch_rng.next_u64(), single_rng.next_u64(), "{d:?}");
+        }
+    }
+
+    #[test]
+    fn early_exit_solves_the_paper_rate_to_the_same_bits() {
+        assert_eq!(
+            solve_trunc_exp_rate(33.3, 100.0).to_bits(),
+            solve_200_steps(33.3, 100.0).to_bits()
+        );
+    }
+
+    proptest! {
+        /// Stopping at the first step that moves neither bound returns
+        /// exactly what running all 200 steps did.
+        #[test]
+        fn prop_early_exit_matches_200_steps(
+            max in 0.5f64..10_000.0,
+            frac in 0.001f64..0.499,
+        ) {
+            let mean = frac * max;
+            prop_assert_eq!(
+                solve_trunc_exp_rate(mean, max).to_bits(),
+                solve_200_steps(mean, max).to_bits()
+            );
+        }
+    }
 
     #[test]
     fn trunc_exp_rate_solves_paper_mean() {
