@@ -19,7 +19,8 @@
 //!   tasks, rebuild exact [`SubtaskTag`]s with the rational-arithmetic
 //!   formulas of [`crate::subtask`], and fully sort with the exact
 //!   comparator. Gated behind the `slow-reference` feature (always on in
-//!   tests); CI diffs its schedules against the fast core byte for byte.
+//!   tests) — without it neither the core nor `CoreKind::Reference`
+//!   exists; CI diffs its schedules against the fast core byte for byte.
 //!
 //! The scheduler is deliberately *mechanism only*: it says **which** tasks
 //! run in a slot. Processor assignment (affinity, preemption and migration
@@ -90,7 +91,9 @@ pub enum CoreKind {
     EventDriven,
     /// The slow oracle: per-slot scan of all tasks with exact rational
     /// tags and the exact comparator. Only available in tests or with the
-    /// `slow-reference` feature enabled; `tick` panics otherwise.
+    /// `slow-reference` feature enabled; the variant does not exist
+    /// otherwise.
+    #[cfg(any(test, feature = "slow-reference"))]
     Reference,
 }
 
@@ -1019,12 +1022,8 @@ impl<D: DelayModel> PfairScheduler<D> {
 
         match self.cfg.core {
             CoreKind::EventDriven => self.tick_event(now, out),
-            CoreKind::Reference => {
-                #[cfg(any(test, feature = "slow-reference"))]
-                self.tick_reference(now, out);
-                #[cfg(not(any(test, feature = "slow-reference")))]
-                panic!("CoreKind::Reference requires the `slow-reference` feature");
-            }
+            #[cfg(any(test, feature = "slow-reference"))]
+            CoreKind::Reference => self.tick_reference(now, out),
         }
     }
 

@@ -121,15 +121,6 @@ pub struct RunReport {
     pub snapshot: obs::Snapshot,
 }
 
-impl RunReport {
-    /// The default set's report, if it was still live at shutdown.
-    pub fn default_set(&self) -> Option<&SetReport> {
-        self.sets
-            .iter()
-            .find(|s| s.name == crate::proto::DEFAULT_SET && !s.dropped)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Transport abstraction: Unix-domain and TCP share everything above the
 // accept/connect calls.

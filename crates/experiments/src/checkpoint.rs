@@ -2,13 +2,13 @@
 //!
 //! Long figure sweeps die to OOM kills, power loss, and pathological task
 //! sets. This module owns the durable half of the story — the checkpoint
-//! file formats and the [`CheckpointSink`] persistence trait — while
+//! file format and the [`CheckpointSink`] persistence trait — while
 //! [`crate::driver::SweepDriver`] owns execution (sharded workers,
 //! retries, batched saves, resume replay, worker processes).
 //!
-//! # Format v3: a sharded checkpoint directory
+//! # The format: a sharded checkpoint directory
 //!
-//! A v3 checkpoint is a one-line header file at `<path>` plus a shard
+//! A checkpoint is a one-line header file at `<path>` plus a shard
 //! directory `<path>.d/` holding one append-only JSONL log per writer:
 //!
 //! ```text
@@ -52,24 +52,12 @@
 //! is replaced with a warning.
 //!
 //! Durability: appends fsync the shard; whole-file rewrites (healing,
-//! compaction, migration) write a temp file, fsync it, rename it over the
-//! target, and then **fsync the parent directory** so the rename itself
-//! survives a crash.
+//! compaction) write a temp file, fsync it, rename it over the target,
+//! and then **fsync the parent directory** so the rename itself survives
+//! a crash.
 //!
-//! # Legacy formats and migration
-//!
-//! * **v2** — a single append-only JSONL log at `<path>` (same record
-//!   schema, no shards); still written by [`LogSink`], kept for tooling
-//!   and migration tests.
-//! * **v1** — one pretty-printed JSON document rewritten whole at every
-//!   save.
-//!
-//! Opening either legacy format through the sharded reader still works:
-//! the records are served read-only and the checkpoint is rewritten as v3
-//! (header file + migration shard) at the first save — no manual
-//! intervention. An interrupted migration (legacy file plus a shard
-//! directory) is also readable: legacy records merge first, shards after,
-//! so the later migration shard wins ties.
+//! Files left by pre-v3 builds (v2 single-file log, v1 JSON document) have
+//! no reader: they are refused ([`CheckpointError::Unsupported`]), untouched.
 //!
 //! The row payload is deliberately `Vec<String>` — exactly what the
 //! binaries feed their [`stats::Table`]s — so a resumed run reproduces
@@ -89,7 +77,7 @@ pub struct CheckpointPoint {
     pub row: Vec<String>,
 }
 
-/// The v2 log's first line: format version and sweep identity.
+/// A header line: format version and sweep identity.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct LogHeader {
     v: i64,
@@ -97,104 +85,69 @@ struct LogHeader {
     config: String,
 }
 
-/// The legacy single-file log format version (still readable, and still
-/// written by [`LogSink`] for migration tooling).
-const V2: i64 = 2;
-
 /// The sharded checkpoint format version written by this build.
 const V3: i64 = 3;
 
 /// Default minimum number of dead (superseded) records before a save
-/// compacts the log. See [`LogSink::set_compaction_min_dead`].
+/// compacts the set. See [`ShardSink::set_compaction_min_dead`].
 pub const COMPACTION_MIN_DEAD: usize = 64;
-
-/// A parsed checkpoint snapshot: which binary, which flags, which points
-/// are done.
-///
-/// This is the *read* API (tests, tooling, and the v1 format's document
-/// shape); live persistence goes through [`CheckpointSink`]. `completed`
-/// preserves file order, duplicates included — [`CheckpointState::lookup`]
-/// resolves duplicate keys last-write-wins.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CheckpointState {
-    /// Binary that wrote the checkpoint (`fig3`, `fig4`, …).
-    pub binary: String,
-    /// Fingerprint of the sweep-shaping flags.
-    pub config: String,
-    /// Completed points, in completion order (parallel runs complete
-    /// points out of sweep order; resume looks points up by key, so the
-    /// order carries no meaning).
-    pub completed: Vec<CheckpointPoint>,
-}
-
-impl CheckpointState {
-    /// Loads the checkpoint at `path` if it exists — validating that it
-    /// belongs to this `binary` and `config` — or starts a fresh one.
-    /// Reads both the v2 log and the legacy v1 document.
-    ///
-    /// `config` should fingerprint every flag that shapes the sweep
-    /// (task count, sets, points, seed) and nothing presentational or
-    /// performance-only (`--threads` and `--batch` deliberately excluded:
-    /// a sweep interrupted at one thread count may resume at another).
-    pub fn open(path: Option<&Path>, binary: &str, config: &str) -> Result<Self, CheckpointError> {
-        let parsed = open_parsed(path, binary, config)?;
-        Ok(CheckpointState {
-            binary: binary.to_string(),
-            config: config.to_string(),
-            completed: parsed.records,
-        })
-    }
-
-    /// The completed row for `key`, if this checkpoint holds one.
-    ///
-    /// Duplicate keys resolve **last-write-wins**: the latest record for a
-    /// key supersedes earlier ones, so a re-run that recomputed a point
-    /// serves the recomputed row, not the stale one.
-    pub fn lookup(&self, key: &str) -> Option<&[String]> {
-        self.completed
-            .iter()
-            .rev()
-            .find(|p| p.key == key)
-            .map(|p| p.row.as_slice())
-    }
-
-    /// Writes `self` at `path` in the **legacy v1 format** (one pretty
-    /// JSON document), atomically and durably.
-    ///
-    /// Kept so tests and tooling can exercise the v1→v2 migration path;
-    /// live sweeps write the v2 log via [`LogSink`].
-    pub fn write_v1(&self, path: &Path) -> Result<(), CheckpointError> {
-        let text =
-            serde_json::to_string_pretty(self).map_err(|e| CheckpointError::Io(e.to_string()))?;
-        write_and_swap(path, text.as_bytes())
-    }
-}
 
 /// Why a checkpoint file could not be used.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
     /// The file exists but is not a parseable checkpoint.
     Corrupt(String),
-    /// The file was written by a different binary or different flags.
+    /// The checkpoint was written by a different binary or different flags.
     Mismatch {
-        /// `binary`/`config` found in the file.
+        /// The checkpoint's `<path>` (its shards live in `<path>.d/`).
+        path: PathBuf,
+        /// `binary`/`config` found in the header file or a shard.
         found: (String, String),
         /// `binary`/`config` of the current invocation.
         expected: (String, String),
     },
+    /// `<path>` holds another format version — in practice the v2 log or
+    /// the v1 JSON document of a pre-v3 build. It is left as found.
+    Unsupported {
+        /// The checkpoint's `<path>`.
+        path: PathBuf,
+        /// The format found there, e.g. `"v2"`.
+        format: String,
+    },
     /// The checkpoint could not be read or written.
     Io(String),
+}
+
+/// What clears a refused checkpoint: the header file *and* the shard
+/// directory — shards carry the identity too, so deleting `<path>` alone
+/// leaves the next run refused from `<path>.d/`.
+fn delete_advice(path: &Path) -> String {
+    format!("delete {path:?} and {:?} to start over", shard_dir(path))
 }
 
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CheckpointError::Corrupt(e) => write!(f, "corrupt checkpoint: {e}"),
-            CheckpointError::Mismatch { found, expected } => write!(
+            CheckpointError::Mismatch {
+                path,
+                found,
+                expected,
+            } => write!(
                 f,
                 "checkpoint belongs to `{} {}` but this run is `{} {}`; \
-                 delete the file or rerun with the original flags",
-                found.0, found.1, expected.0, expected.1
+                 rerun with the original flags, or {}",
+                found.0,
+                found.1,
+                expected.0,
+                expected.1,
+                delete_advice(path)
+            ),
+            CheckpointError::Unsupported { path, format } => write!(
+                f,
+                "checkpoint {path:?} is in format {format}, but this build reads only \
+                 v{V3}; finish the sweep with the build that wrote it, or {}",
+                delete_advice(path)
             ),
             CheckpointError::Io(e) => write!(f, "checkpoint I/O: {e}"),
         }
@@ -206,8 +159,8 @@ impl std::error::Error for CheckpointError {}
 /// Where completed sweep points go: the driver's persistence seam.
 ///
 /// [`SweepDriver`](crate::driver::SweepDriver) talks to its checkpoint
-/// exclusively through this trait — [`LogSink`] is the durable v2 log,
-/// [`NullSink`] the no-op used when `--checkpoint` is absent.
+/// exclusively through this trait — [`ShardSink`] is the durable sharded
+/// log, [`NullSink`] the no-op used when `--checkpoint` is absent.
 pub trait CheckpointSink {
     /// The checkpointed row for `key` (last-write-wins), if any. O(1).
     fn lookup(&self, key: &str) -> Option<&[String]>;
@@ -246,156 +199,6 @@ impl CheckpointSink for NullSink {
 
     fn is_persistent(&self) -> bool {
         false
-    }
-}
-
-/// The durable v2 sink: an append-only JSONL log with a keyed in-memory
-/// index. See the module docs for the format and its guarantees.
-#[derive(Debug)]
-pub struct LogSink {
-    path: PathBuf,
-    binary: String,
-    config: String,
-    /// Live records, in first-completion order (stable across
-    /// compactions). `index` maps key → slot here.
-    live: Vec<CheckpointPoint>,
-    index: HashMap<String, usize>,
-    /// Record lines currently in the on-disk file (live + dead).
-    disk_records: usize,
-    /// True iff the on-disk file is a clean v2 log safe to append to.
-    /// False for a fresh (not yet created) log, a v1 file awaiting
-    /// migration, or a log whose tail was torn — in each case the next
-    /// save rewrites the whole file instead of appending.
-    appendable: bool,
-    compaction_min_dead: usize,
-    bytes_written: u64,
-}
-
-impl LogSink {
-    /// Opens (or prepares to create) the checkpoint log at `path`,
-    /// validating that an existing file belongs to this `binary` and
-    /// `config`. Accepts both the v2 log and the legacy v1 document —
-    /// a v1 file is served read-only and rewritten as v2 at the first
-    /// save.
-    pub fn open(path: PathBuf, binary: &str, config: &str) -> Result<Self, CheckpointError> {
-        let parsed = open_parsed(Some(&path), binary, config)?;
-        let mut sink = LogSink {
-            path,
-            binary: binary.to_string(),
-            config: config.to_string(),
-            live: Vec::new(),
-            index: HashMap::new(),
-            disk_records: parsed.records.len(),
-            appendable: parsed.appendable,
-            compaction_min_dead: COMPACTION_MIN_DEAD,
-            bytes_written: 0,
-        };
-        for point in parsed.records {
-            sink.upsert(point);
-        }
-        Ok(sink)
-    }
-
-    /// Live (non-superseded) points in the log.
-    pub fn live_points(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Record lines in the on-disk file, superseded ones included.
-    pub fn disk_records(&self) -> usize {
-        self.disk_records
-    }
-
-    /// Overrides the compaction threshold (default
-    /// [`COMPACTION_MIN_DEAD`]): a save compacts once dead records
-    /// exceed `max(live, min_dead)`.
-    pub fn set_compaction_min_dead(&mut self, min_dead: usize) {
-        self.compaction_min_dead = min_dead;
-    }
-
-    /// Inserts into the live set, superseding any earlier row for the
-    /// same key in place (so compaction preserves first-completion
-    /// order).
-    fn upsert(&mut self, point: CheckpointPoint) {
-        match self.index.get(&point.key) {
-            Some(&slot) => self.live[slot] = point,
-            None => {
-                self.index.insert(point.key.clone(), self.live.len());
-                self.live.push(point);
-            }
-        }
-    }
-
-    /// Rewrites the log as header + live records and atomically swaps it
-    /// over `path` (temp file + fsync + rename + parent-directory fsync).
-    fn compact(&mut self) -> Result<(), CheckpointError> {
-        let header = LogHeader {
-            v: V2,
-            binary: self.binary.clone(),
-            config: self.config.clone(),
-        };
-        let mut text =
-            serde_json::to_string(&header).map_err(|e| CheckpointError::Io(e.to_string()))?;
-        text.push('\n');
-        for point in &self.live {
-            text.push_str(
-                &serde_json::to_string(point).map_err(|e| CheckpointError::Io(e.to_string()))?,
-            );
-            text.push('\n');
-        }
-        write_and_swap(&self.path, text.as_bytes())?;
-        self.bytes_written += text.len() as u64;
-        self.disk_records = self.live.len();
-        self.appendable = true;
-        Ok(())
-    }
-}
-
-impl CheckpointSink for LogSink {
-    fn lookup(&self, key: &str) -> Option<&[String]> {
-        self.index
-            .get(key)
-            .map(|&slot| self.live[slot].row.as_slice())
-    }
-
-    fn append_batch(&mut self, batch: &[CheckpointPoint]) -> Result<(), CheckpointError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        for point in batch {
-            self.upsert(point.clone());
-        }
-        let after_append = self.disk_records + batch.len();
-        let dead = after_append - self.live.len();
-        if !self.appendable || dead > self.live.len().max(self.compaction_min_dead) {
-            // First save of a fresh/v1/torn log, or the dead-record
-            // threshold tripped: rewrite-and-swap instead of appending.
-            return self.compact();
-        }
-        let mut text = String::new();
-        for point in batch {
-            text.push_str(
-                &serde_json::to_string(point).map_err(|e| CheckpointError::Io(e.to_string()))?,
-            );
-            text.push('\n');
-        }
-        let mut file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| CheckpointError::Io(format!("{:?}: {e}", self.path)))?;
-        file.write_all(text.as_bytes())
-            .map_err(|e| CheckpointError::Io(format!("{:?}: {e}", self.path)))?;
-        // Flush to stable storage before reporting the batch saved — a
-        // crash must never lose points the driver believes are durable.
-        file.sync_all()
-            .map_err(|e| CheckpointError::Io(format!("{:?}: {e}", self.path)))?;
-        self.bytes_written += text.len() as u64;
-        self.disk_records = after_append;
-        Ok(())
-    }
-
-    fn bytes_written(&self) -> u64 {
-        self.bytes_written
     }
 }
 
@@ -477,73 +280,6 @@ struct ParsedShard {
     /// True iff the shard had a valid header, no dropped lines, and a
     /// trailing newline — i.e. needs no healing.
     clean: bool,
-}
-
-/// Parses one shard file: header validation, point/lease split, torn-line
-/// accounting. A missing or empty shard parses as empty-and-unclean (the
-/// residue of a writer killed between `create_new` and its header write).
-fn parse_shard(path: &Path, binary: &str, config: &str) -> Result<ParsedShard, CheckpointError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(CheckpointError::Io(format!("{path:?}: {e}"))),
-    };
-    let mut shard = ParsedShard {
-        points: Vec::new(),
-        last_lease: None,
-        dropped: 0,
-        clean: false,
-    };
-    if text.trim().is_empty() {
-        return Ok(shard);
-    }
-    let mut lines = text.lines();
-    let header_ok = match lines.next().map(serde_json::from_str::<LogHeader>) {
-        Some(Ok(header)) => {
-            if header.v != V3 {
-                return Err(CheckpointError::Corrupt(format!(
-                    "{path:?}: unsupported shard version {}",
-                    header.v
-                )));
-            }
-            if header.binary != binary || header.config != config {
-                return Err(CheckpointError::Mismatch {
-                    found: (header.binary, header.config),
-                    expected: (binary.to_string(), config.to_string()),
-                });
-            }
-            true
-        }
-        // A torn header (writer killed mid-create): nothing recoverable,
-        // but not fatal — healing rewrites the shard empty.
-        _ => {
-            shard.dropped += 1;
-            false
-        }
-    };
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        if let Ok(point) = serde_json::from_str::<CheckpointPoint>(line) {
-            shard.points.push(point);
-        } else if let Ok(l) = serde_json::from_str::<LeaseLine>(line) {
-            shard.last_lease = Some(l.lease);
-        } else {
-            shard.dropped += 1;
-        }
-    }
-    shard.clean = header_ok && shard.dropped == 0 && text.ends_with('\n');
-    Ok(shard)
-}
-
-/// Live view of one shard for the supervisor: committed point count and
-/// the newest lease. Tolerates a concurrent append tearing the last line.
-pub fn scan_shard(path: &Path, binary: &str, config: &str) -> (usize, Option<Lease>) {
-    match parse_shard(path, binary, config) {
-        Ok(s) => (s.points.len(), s.last_lease),
-        Err(_) => (0, None),
-    }
 }
 
 /// The serialized one-line v3 header for `binary`/`config`; `shard`
@@ -705,8 +441,8 @@ pub enum OpenMode {
     ReadOnly,
 }
 
-/// The merged view of a v3 sharded checkpoint (plus transparent legacy
-/// v1/v2 reads): one keyed last-write-wins index over every shard.
+/// The merged view of a sharded checkpoint: one keyed last-write-wins
+/// index over every shard.
 #[derive(Debug)]
 pub struct ShardSet {
     path: PathBuf,
@@ -716,13 +452,10 @@ pub struct ShardSet {
     /// Live records, in first-completion order; `index` maps key → slot.
     live: Vec<CheckpointPoint>,
     index: HashMap<String, usize>,
-    /// Point records on disk across all shards (live + dead). Legacy
-    /// records count once migrated, not before.
+    /// Point records on disk across all shards (live + dead).
     disk_records: usize,
     /// Highest shard id on disk (or reserved); the next writer gets +1.
     next_shard_id: u64,
-    /// Records served from a legacy v1/v2 file awaiting migration.
-    legacy: Option<Vec<CheckpointPoint>>,
     /// True once `<path>` is a v3 header and `<path>.d/` exists.
     created: bool,
     heal_events: u64,
@@ -730,16 +463,71 @@ pub struct ShardSet {
     _lock: Option<DirLock>,
 }
 
+/// The shape of a v1 checkpoint (one JSON document holding every row),
+/// recognised only so the refusal can name it.
+#[derive(Deserialize)]
+struct V1Document {
+    #[allow(dead_code)]
+    completed: Vec<CheckpointPoint>,
+}
+
+/// Errors unless `header` carries this run's identity. `path` is the
+/// checkpoint's `<path>`, whichever of its files the header came from.
+fn check_identity(
+    path: &Path,
+    header: LogHeader,
+    binary: &str,
+    config: &str,
+) -> Result<(), CheckpointError> {
+    if header.binary != binary || header.config != config {
+        return Err(CheckpointError::Mismatch {
+            path: path.to_path_buf(),
+            found: (header.binary, header.config),
+            expected: (binary.to_string(), config.to_string()),
+        });
+    }
+    Ok(())
+}
+
+/// Validates the `<path>` file, writing nothing: absent or empty
+/// (a crash before the first save) → `false`, fresh; a v3 header with this
+/// run's identity → `true`; anything else is refused.
+fn read_header_file(path: &Path, binary: &str, config: &str) -> Result<bool, CheckpointError> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
+        Err(e) => return Err(CheckpointError::Io(format!("{path:?}: {e}"))),
+    };
+    if text.trim().is_empty() {
+        return Ok(false);
+    }
+    let unsupported = |format: String| CheckpointError::Unsupported {
+        path: path.to_path_buf(),
+        format,
+    };
+    match serde_json::from_str::<LogHeader>(text.lines().next().unwrap_or_default()) {
+        Ok(header) if header.v == V3 => check_identity(path, header, binary, config).map(|()| true),
+        Ok(header) => Err(unsupported(format!("v{}", header.v))),
+        Err(_) if serde_json::from_str::<V1Document>(&text).is_ok() => {
+            Err(unsupported("v1".to_string()))
+        }
+        Err(e) => Err(CheckpointError::Corrupt(format!("{path:?}: {e}"))),
+    }
+}
+
 impl ShardSet {
-    /// Opens the checkpoint at `path` — v3 shard set, legacy v2 log, or
-    /// legacy v1 document — validating identity. Missing files parse as
-    /// a fresh, empty set.
+    /// Opens the checkpoint at `path`, validating identity. A missing or
+    /// empty `<path>` is a fresh, empty set; a pre-v3 file is refused
+    /// ([`CheckpointError::Unsupported`]).
     pub fn open(
         path: PathBuf,
         binary: &str,
         config: &str,
         mode: OpenMode,
     ) -> Result<Self, CheckpointError> {
+        // Header first, lock second: taking the lock creates `<path>.d/`,
+        // and a refused open must leave the directory as it found it.
+        let created = read_header_file(&path, binary, config)?;
         let dir = shard_dir(&path);
         let lock = match mode {
             OpenMode::Exclusive => Some(DirLock::acquire(&dir)?),
@@ -754,66 +542,94 @@ impl ShardSet {
             index: HashMap::new(),
             disk_records: 0,
             next_shard_id: 0,
-            legacy: None,
-            created: false,
+            created,
             heal_events: 0,
             bytes_written: 0,
             _lock: lock,
         };
-
-        // The `<path>` file: a v3 header, a legacy v1/v2 checkpoint, or
-        // absent. Legacy records merge first so later shards win ties
-        // (the order an interrupted migration wrote them in).
-        match std::fs::read_to_string(&set.path) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(CheckpointError::Io(format!("{:?}: {e}", set.path))),
-            Ok(text) if text.trim().is_empty() => {}
-            Ok(text) => {
-                let first = text.lines().next().unwrap_or_default();
-                let v3 = matches!(
-                    serde_json::from_str::<LogHeader>(first),
-                    Ok(LogHeader { v: V3, .. })
-                );
-                if v3 {
-                    let header: LogHeader = serde_json::from_str(first)
-                        .map_err(|e| CheckpointError::Corrupt(format!("{:?}: {e}", set.path)))?;
-                    if header.binary != binary || header.config != config {
-                        return Err(CheckpointError::Mismatch {
-                            found: (header.binary, header.config),
-                            expected: (binary.to_string(), config.to_string()),
-                        });
-                    }
-                    set.created = true;
-                } else {
-                    let parsed = open_parsed(Some(&set.path), binary, config)?;
-                    if mode == OpenMode::Exclusive && !parsed.appendable {
-                        // Eager torn-tail healing for a legacy v2 log:
-                        // rewrite it clean once instead of re-warning on
-                        // every open until migration happens to save.
-                        set.heal_legacy_v2(&parsed.records)?;
-                    }
-                    set.legacy = Some(parsed.records.clone());
-                    for point in parsed.records {
-                        set.upsert(point);
-                    }
-                }
-            }
-        }
-
-        // The shards, in id order (the LWW merge order).
-        for id in list_shards(&set.dir)? {
-            set.next_shard_id = set.next_shard_id.max(id + 1);
-            let file = shard_file(&set.dir, id);
-            let shard = parse_shard(&file, binary, config)?;
-            if !shard.clean && mode == OpenMode::Exclusive {
-                set.heal_shard(id, &shard)?;
-            }
-            set.disk_records += shard.points.len();
-            for point in shard.points {
-                set.upsert(point);
-            }
-        }
+        set.merge_shards(mode)?;
         Ok(set)
+    }
+
+    /// Folds every shard on disk into the index, in id order (the LWW
+    /// merge order), healing unclean shards when `mode` is exclusive.
+    fn merge_shards(&mut self, mode: OpenMode) -> Result<(), CheckpointError> {
+        for id in list_shards(&self.dir)? {
+            self.next_shard_id = self.next_shard_id.max(id + 1);
+            let shard = self.parse_shard(id)?;
+            if !shard.clean && mode == OpenMode::Exclusive {
+                self.heal_shard(id, &shard)?;
+            }
+            self.disk_records += shard.points.len();
+            for point in shard.points {
+                self.upsert(point);
+            }
+        }
+        Ok(())
+    }
+
+    /// Parses shard `id`: header validation, point/lease split, torn-line
+    /// accounting. A missing or empty shard parses as empty-and-unclean (the
+    /// residue of a writer killed between `create_new` and its header write).
+    fn parse_shard(&self, id: u64) -> Result<ParsedShard, CheckpointError> {
+        let path = shard_file(&self.dir, id);
+        let text = match std::fs::read_to_string(&path) {
+            Ok(t) => t,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+            Err(e) => return Err(CheckpointError::Io(format!("{path:?}: {e}"))),
+        };
+        let mut shard = ParsedShard {
+            points: Vec::new(),
+            last_lease: None,
+            dropped: 0,
+            clean: false,
+        };
+        if text.trim().is_empty() {
+            return Ok(shard);
+        }
+        let mut lines = text.lines();
+        let header_ok = match lines.next().map(serde_json::from_str::<LogHeader>) {
+            Some(Ok(header)) => {
+                if header.v != V3 {
+                    return Err(CheckpointError::Corrupt(format!(
+                        "{path:?}: unsupported shard version {}",
+                        header.v
+                    )));
+                }
+                check_identity(&self.path, header, &self.binary, &self.config)?;
+                true
+            }
+            // A torn header (writer killed mid-create): nothing recoverable,
+            // but not fatal — healing rewrites the shard empty.
+            _ => {
+                shard.dropped += 1;
+                false
+            }
+        };
+        for line in lines {
+            if line.trim().is_empty() {
+                continue;
+            }
+            if let Ok(point) = serde_json::from_str::<CheckpointPoint>(line) {
+                shard.points.push(point);
+            } else if let Ok(l) = serde_json::from_str::<LeaseLine>(line) {
+                shard.last_lease = Some(l.lease);
+            } else {
+                shard.dropped += 1;
+            }
+        }
+        shard.clean = header_ok && shard.dropped == 0 && text.ends_with('\n');
+        Ok(shard)
+    }
+
+    /// Live view of shard `id` for the supervisor: committed point count
+    /// and the newest lease. Tolerates a concurrent append tearing the
+    /// last line.
+    pub fn scan_shard(&self, id: u64) -> (usize, Option<Lease>) {
+        match self.parse_shard(id) {
+            Ok(s) => (s.points.len(), s.last_lease),
+            Err(_) => (0, None),
+        }
     }
 
     /// Rewrites shard `id` as header + its parsed point records (torn
@@ -827,42 +643,8 @@ impl ShardSet {
             shard.dropped
         );
         let mut text = v3_header_line(&self.binary, &self.config, Some(id))?;
-        for point in &shard.points {
-            text.push_str(
-                &serde_json::to_string(point).map_err(|e| CheckpointError::Io(e.to_string()))?,
-            );
-            text.push('\n');
-        }
+        push_records(&mut text, &shard.points)?;
         write_and_swap(&file, text.as_bytes())?;
-        self.bytes_written += text.len() as u64;
-        self.heal_events += 1;
-        Ok(())
-    }
-
-    /// Rewrites a torn legacy v2 log in place as a clean v2 log (still
-    /// legacy — migration to v3 happens at the first save), warning once.
-    fn heal_legacy_v2(&mut self, records: &[CheckpointPoint]) -> Result<(), CheckpointError> {
-        eprintln!(
-            "warning: checkpoint {:?}: torn tail; healed in place \
-             ({} record(s) recovered)",
-            self.path,
-            records.len()
-        );
-        let header = LogHeader {
-            v: V2,
-            binary: self.binary.clone(),
-            config: self.config.clone(),
-        };
-        let mut text =
-            serde_json::to_string(&header).map_err(|e| CheckpointError::Io(e.to_string()))?;
-        text.push('\n');
-        for point in records {
-            text.push_str(
-                &serde_json::to_string(point).map_err(|e| CheckpointError::Io(e.to_string()))?,
-            );
-            text.push('\n');
-        }
-        write_and_swap(&self.path, text.as_bytes())?;
         self.bytes_written += text.len() as u64;
         self.heal_events += 1;
         Ok(())
@@ -915,32 +697,14 @@ impl ShardSet {
         id
     }
 
-    /// Makes the on-disk v3 skeleton exist: the shard directory, the
-    /// `<path>` header file, and — when the set was opened from a legacy
-    /// v1/v2 checkpoint — a migration shard holding every legacy record.
-    /// Idempotent; the migration shard is written durably *before* the
-    /// header replaces the legacy file, so a crash mid-migration loses
-    /// nothing (reopen merges legacy + shards).
+    /// Makes the on-disk skeleton exist: the shard directory and the
+    /// `<path>` header file. Idempotent.
     pub fn ensure_created(&mut self) -> Result<(), CheckpointError> {
         if self.created {
             return Ok(());
         }
         std::fs::create_dir_all(&self.dir)
             .map_err(|e| CheckpointError::Io(format!("{:?}: {e}", self.dir)))?;
-        if let Some(records) = self.legacy.take() {
-            let id = self.reserve_shard_id();
-            let mut text = v3_header_line(&self.binary, &self.config, Some(id))?;
-            for point in &records {
-                text.push_str(
-                    &serde_json::to_string(point)
-                        .map_err(|e| CheckpointError::Io(e.to_string()))?,
-                );
-                text.push('\n');
-            }
-            write_and_swap(&shard_file(&self.dir, id), text.as_bytes())?;
-            self.bytes_written += text.len() as u64;
-            self.disk_records += records.len();
-        }
         let header = v3_header_line(&self.binary, &self.config, None)?;
         write_and_swap(&self.path, header.as_bytes())?;
         self.bytes_written += header.len() as u64;
@@ -957,12 +721,7 @@ impl ShardSet {
         let old: Vec<u64> = list_shards(&self.dir)?;
         let id = self.reserve_shard_id();
         let mut text = v3_header_line(&self.binary, &self.config, Some(id))?;
-        for point in &self.live {
-            text.push_str(
-                &serde_json::to_string(point).map_err(|e| CheckpointError::Io(e.to_string()))?,
-            );
-            text.push('\n');
-        }
+        push_records(&mut text, &self.live)?;
         let file = shard_file(&self.dir, id);
         write_and_swap(&file, text.as_bytes())?;
         self.bytes_written += text.len() as u64;
@@ -977,30 +736,12 @@ impl ShardSet {
     /// Re-scans the shard directory, folding in records written by other
     /// processes since open (coordinator's end-of-run merge). Exclusive
     /// semantics: torn shards left by killed workers are healed. The
-    /// in-memory index is rebuilt from disk plus any unmigrated legacy
-    /// records.
+    /// in-memory index is rebuilt from disk.
     pub fn reload(&mut self) -> Result<(), CheckpointError> {
         self.live.clear();
         self.index.clear();
         self.disk_records = 0;
-        if let Some(records) = self.legacy.clone() {
-            for point in records {
-                self.upsert(point);
-            }
-        }
-        for id in list_shards(&self.dir)? {
-            self.next_shard_id = self.next_shard_id.max(id + 1);
-            let file = shard_file(&self.dir, id);
-            let shard = parse_shard(&file, &self.binary, &self.config)?;
-            if !shard.clean {
-                self.heal_shard(id, &shard)?;
-            }
-            self.disk_records += shard.points.len();
-            for point in shard.points {
-                self.upsert(point);
-            }
-        }
-        Ok(())
+        self.merge_shards(OpenMode::Exclusive)
     }
 }
 
@@ -1057,12 +798,7 @@ impl ShardWriter {
     /// Durably appends a batch of completed points.
     pub fn append_points(&mut self, batch: &[CheckpointPoint]) -> Result<(), CheckpointError> {
         let mut text = String::new();
-        for point in batch {
-            text.push_str(
-                &serde_json::to_string(point).map_err(|e| CheckpointError::Io(e.to_string()))?,
-            );
-            text.push('\n');
-        }
+        push_records(&mut text, batch)?;
         self.append_raw(&text)
     }
 
@@ -1088,7 +824,7 @@ impl ShardWriter {
     }
 }
 
-/// The durable v3 sink: a [`ShardSet`] (exclusive open — locked, healed)
+/// The durable sink: a [`ShardSet`] (exclusive open — locked, healed)
 /// plus this process's own [`ShardWriter`], created lazily at the first
 /// save. The default sink behind `--checkpoint`.
 #[derive(Debug)]
@@ -1100,23 +836,13 @@ pub struct ShardSink {
 
 impl ShardSink {
     /// Opens (or prepares to create) the sharded checkpoint at `path`
-    /// exclusively, validating identity and healing torn shards. Legacy
-    /// v1/v2 checkpoints are served read-only and migrated at the first
-    /// save.
+    /// exclusively, validating identity and healing torn shards.
     pub fn open(path: PathBuf, binary: &str, config: &str) -> Result<Self, CheckpointError> {
         Ok(ShardSink {
             set: ShardSet::open(path, binary, config, OpenMode::Exclusive)?,
             writer: None,
             compaction_min_dead: COMPACTION_MIN_DEAD,
         })
-    }
-
-    /// The underlying merged set (coordinator-side range bookkeeping).
-    pub fn set_mut(&mut self) -> &mut ShardSet {
-        // A reload or compaction invalidates this process's append
-        // position assumptions only if the writer's file was removed;
-        // compaction goes through `compact_now`, which resets it.
-        &mut self.set
     }
 
     /// Read access to the merged set.
@@ -1129,20 +855,6 @@ impl ShardSink {
     /// exceed `max(live, min_dead)`.
     pub fn set_compaction_min_dead(&mut self, min_dead: usize) {
         self.compaction_min_dead = min_dead;
-    }
-
-    /// Compacts the set into one shard if dead records exceed the
-    /// threshold (no-op otherwise). Safe only with no other writers.
-    pub fn compact_if_needed(&mut self) -> Result<(), CheckpointError> {
-        let dead = self
-            .set
-            .disk_records()
-            .saturating_sub(self.set.live_points());
-        if dead > self.set.live_points().max(self.compaction_min_dead) {
-            self.set.compact()?;
-            self.writer = None; // the old shard file is gone
-        }
-        Ok(())
     }
 }
 
@@ -1158,10 +870,10 @@ impl CheckpointSink for ShardSink {
         for point in batch {
             self.set.upsert(point.clone());
         }
-        // Unmigrated legacy records are in `live` but not `disk_records`
-        // yet, so the subtraction must saturate.
+        // Every live record is on disk or in this batch, so `after`
+        // cannot be smaller than the live count.
         let after = self.set.disk_records + batch.len();
-        let dead = after.saturating_sub(self.set.live_points());
+        let dead = after - self.set.live_points();
         if dead > self.set.live_points().max(self.compaction_min_dead) {
             // The batch is already upserted into `live`, so compaction
             // persists it along with everything else.
@@ -1192,112 +904,15 @@ impl CheckpointSink for ShardSink {
     }
 }
 
-/// A checkpoint file parsed into records, however it was encoded.
-struct ParsedCheckpoint {
-    /// Records in file order, duplicate keys preserved.
-    records: Vec<CheckpointPoint>,
-    /// True iff the file is a clean v2 log that plain appends may extend.
-    appendable: bool,
-}
-
-/// Reads and validates the checkpoint at `path` (either format). A
-/// missing path/file — or an empty file, the residue of a crash before
-/// the first save — parses as an empty, fresh checkpoint.
-fn open_parsed(
-    path: Option<&Path>,
-    binary: &str,
-    config: &str,
-) -> Result<ParsedCheckpoint, CheckpointError> {
-    let fresh = ParsedCheckpoint {
-        records: Vec::new(),
-        appendable: false,
-    };
-    let Some(path) = path else {
-        return Ok(fresh);
-    };
-    if !path.exists() {
-        return Ok(fresh);
-    }
-    let text =
-        std::fs::read_to_string(path).map_err(|e| CheckpointError::Io(format!("{path:?}: {e}")))?;
-    if text.trim().is_empty() {
-        eprintln!(
-            "warning: checkpoint {path:?} is empty (crash before the first save?); starting fresh"
+/// Appends `points` to `text`, one JSON record per line.
+fn push_records(text: &mut String, points: &[CheckpointPoint]) -> Result<(), CheckpointError> {
+    for point in points {
+        text.push_str(
+            &serde_json::to_string(point).map_err(|e| CheckpointError::Io(e.to_string()))?,
         );
-        return Ok(fresh);
+        text.push('\n');
     }
-    let check_identity = |found_binary: &str, found_config: &str| {
-        if found_binary != binary || found_config != config {
-            return Err(CheckpointError::Mismatch {
-                found: (found_binary.to_string(), found_config.to_string()),
-                expected: (binary.to_string(), config.to_string()),
-            });
-        }
-        Ok(())
-    };
-    let first_line = text.lines().next().unwrap_or_default();
-    if let Ok(header) = serde_json::from_str::<LogHeader>(first_line) {
-        if header.v == V3 {
-            // v3 header: the records live in the shard directory. Served
-            // read-only here (tests and tooling); live sweeps go through
-            // [`ShardSet`]/[`ShardSink`], which lock and heal.
-            check_identity(&header.binary, &header.config)?;
-            let dir = shard_dir(path);
-            let mut records = Vec::new();
-            for id in list_shards(&dir)? {
-                let shard = parse_shard(&shard_file(&dir, id), binary, config)?;
-                records.extend(shard.points);
-            }
-            return Ok(ParsedCheckpoint {
-                records,
-                appendable: false,
-            });
-        }
-        // v2 log: one record per line after the header.
-        if header.v != V2 {
-            return Err(CheckpointError::Corrupt(format!(
-                "{path:?}: unsupported checkpoint version {}",
-                header.v
-            )));
-        }
-        check_identity(&header.binary, &header.config)?;
-        let mut records = Vec::new();
-        let mut dropped = 0usize;
-        for line in text.lines().skip(1) {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<CheckpointPoint>(line) {
-                Ok(point) => records.push(point),
-                Err(_) => dropped += 1,
-            }
-        }
-        if dropped > 0 {
-            eprintln!(
-                "warning: checkpoint {path:?}: dropped {dropped} unparseable record line(s) \
-                 (torn tail write?); {} record(s) recovered",
-                records.len()
-            );
-        }
-        // A torn tail may lack its newline; appending to it would merge
-        // bytes into the next record. Only a clean log is appendable —
-        // anything else is rewritten whole at the next save.
-        let appendable = dropped == 0 && text.ends_with('\n');
-        Ok(ParsedCheckpoint {
-            records,
-            appendable,
-        })
-    } else {
-        // Legacy v1: the whole file is one pretty-printed JSON document.
-        // Served read-only; the first save rewrites it as a v2 log.
-        let state = serde_json::from_str::<CheckpointState>(&text)
-            .map_err(|e| CheckpointError::Corrupt(format!("{path:?}: {e}")))?;
-        check_identity(&state.binary, &state.config)?;
-        Ok(ParsedCheckpoint {
-            records: state.completed,
-            appendable: false,
-        })
-    }
+    Ok(())
 }
 
 /// Atomically and durably replaces `path` with `bytes`: temp file +
@@ -1349,10 +964,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 mod tests {
     use super::*;
 
-    fn temp_path(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("pfair-ckpt-{}-{tag}.json", std::process::id()))
-    }
-
     fn point(key: &str, val: &str) -> CheckpointPoint {
         CheckpointPoint {
             key: key.to_string(),
@@ -1360,263 +971,8 @@ mod tests {
         }
     }
 
-    fn state(binary: &str, config: &str, keys: &[&str]) -> CheckpointState {
-        CheckpointState {
-            binary: binary.into(),
-            config: config.into(),
-            completed: keys.iter().map(|k| point(k, "1.00")).collect(),
-        }
-    }
-
-    #[test]
-    fn log_round_trips_through_append_and_reopen() {
-        let path = temp_path("roundtrip");
-        let _ = std::fs::remove_file(&path);
-        // No file yet: open starts fresh.
-        let fresh = CheckpointState::open(Some(&path), "figX", "n=5").unwrap();
-        assert!(fresh.completed.is_empty());
-
-        let mut sink = LogSink::open(path.clone(), "figX", "n=5").unwrap();
-        assert_eq!(sink.lookup("U=1"), None);
-        sink.append_batch(&[point("U=1", "1.00"), point("U=2", "1.00")])
-            .unwrap();
-        sink.append_batch(&[point("U=3", "2.00")]).unwrap();
-
-        // Reopen through both the sink and the snapshot reader.
-        let back = LogSink::open(path.clone(), "figX", "n=5").unwrap();
-        assert_eq!(back.live_points(), 3);
-        assert_eq!(back.lookup("U=2"), Some(&["U=2".into(), "1.00".into()][..]));
-        assert_eq!(back.lookup("U=9"), None);
-        let snap = CheckpointState::open(Some(&path), "figX", "n=5").unwrap();
-        assert_eq!(snap.completed.len(), 3);
-        assert_eq!(snap.lookup("U=3"), Some(&["U=3".into(), "2.00".into()][..]));
-
-        // The file is a v2 log: header line then one record per line.
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("{\"v\":2,"), "{text}");
-        assert_eq!(text.lines().count(), 1 + 3);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn appends_grow_the_file_linearly_not_quadratically() {
-        let path = temp_path("linear");
-        let _ = std::fs::remove_file(&path);
-        let mut sink = LogSink::open(path.clone(), "figX", "n=5").unwrap();
-        let n = 200usize;
-        for i in 0..n {
-            sink.append_batch(&[point(&format!("U={i}"), "1.00")])
-                .unwrap();
-        }
-        // Whole-file rewrites would have written ~n²/2 records; the log
-        // writes each record once (plus one header).
-        let per_record = serde_json::to_string(&point("U=199", "1.00"))
-            .unwrap()
-            .len()
-            + 1;
-        assert!(
-            (sink.bytes_written() as usize) < 2 * n * per_record,
-            "save I/O must be O(n): wrote {} bytes for {n} records of ~{per_record}B",
-            sink.bytes_written()
-        );
-        assert_eq!(sink.disk_records(), n);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn duplicate_keys_resolve_last_write_wins() {
-        let path = temp_path("lww");
-        let _ = std::fs::remove_file(&path);
-        let mut sink = LogSink::open(path.clone(), "figX", "n=5").unwrap();
-        sink.append_batch(&[point("U=1", "stale"), point("U=2", "ok")])
-            .unwrap();
-        sink.append_batch(&[point("U=1", "recomputed")]).unwrap();
-        assert_eq!(
-            sink.lookup("U=1"),
-            Some(&["U=1".into(), "recomputed".into()][..])
-        );
-
-        // …after reopening the log…
-        let back = LogSink::open(path.clone(), "figX", "n=5").unwrap();
-        assert_eq!(
-            back.lookup("U=1"),
-            Some(&["U=1".into(), "recomputed".into()][..])
-        );
-        assert_eq!(back.live_points(), 2);
-        assert_eq!(back.disk_records(), 3, "the stale record is still on disk");
-
-        // …and through the snapshot reader, which keeps duplicates but
-        // resolves lookups the same way.
-        let snap = CheckpointState::open(Some(&path), "figX", "n=5").unwrap();
-        assert_eq!(snap.completed.len(), 3);
-        assert_eq!(
-            snap.lookup("U=1"),
-            Some(&["U=1".into(), "recomputed".into()][..])
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn torn_tail_record_is_dropped_and_next_save_heals_the_log() {
-        let path = temp_path("torntail");
-        let _ = std::fs::remove_file(&path);
-        let mut sink = LogSink::open(path.clone(), "figX", "n=5").unwrap();
-        sink.append_batch(&[point("U=1", "1.00"), point("U=2", "1.00")])
-            .unwrap();
-        // Simulate a crash mid-append: a record missing its tail.
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("{\"key\":\"U=3\",\"ro");
-        std::fs::write(&path, &text).unwrap();
-
-        let mut back = LogSink::open(path.clone(), "figX", "n=5").unwrap();
-        assert_eq!(
-            back.live_points(),
-            2,
-            "intact records survive the torn tail"
-        );
-        assert_eq!(back.lookup("U=3"), None, "the torn record is dropped");
-
-        // The next save must rewrite (appending to a line with no
-        // newline would merge records); afterwards the log is clean.
-        back.append_batch(&[point("U=3", "2.00")]).unwrap();
-        let healed = LogSink::open(path.clone(), "figX", "n=5").unwrap();
-        assert_eq!(healed.live_points(), 3);
-        assert_eq!(healed.disk_records(), 3);
-        assert_eq!(
-            healed.lookup("U=3"),
-            Some(&["U=3".into(), "2.00".into()][..])
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn v1_checkpoint_is_served_and_migrated_on_first_save() {
-        let path = temp_path("migrate");
-        let _ = std::fs::remove_file(&path);
-        let v1 = state("figX", "n=5", &["U=1", "U=2"]);
-        v1.write_v1(&path).unwrap();
-        assert!(
-            std::fs::read_to_string(&path).unwrap().starts_with("{\n"),
-            "precondition: the v1 file is a pretty-printed document"
-        );
-
-        // v1 rows are served through both read paths…
-        let snap = CheckpointState::open(Some(&path), "figX", "n=5").unwrap();
-        assert_eq!(snap, v1);
-        let mut sink = LogSink::open(path.clone(), "figX", "n=5").unwrap();
-        assert_eq!(sink.live_points(), 2);
-        assert_eq!(sink.lookup("U=1"), Some(&["U=1".into(), "1.00".into()][..]));
-
-        // …and the first save rewrites the file as a v2 log carrying
-        // both the old rows and the new one.
-        sink.append_batch(&[point("U=3", "2.00")]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("{\"v\":2,"), "{text}");
-        assert_eq!(text.lines().count(), 1 + 3);
-        let back = LogSink::open(path, "figX", "n=5").unwrap();
-        assert_eq!(back.live_points(), 3);
-    }
-
-    #[test]
-    fn compaction_reclaims_dead_records_and_preserves_live_rows() {
-        let path = temp_path("compact");
-        let _ = std::fs::remove_file(&path);
-        let mut sink = LogSink::open(path.clone(), "figX", "n=5").unwrap();
-        sink.set_compaction_min_dead(4);
-        sink.append_batch(&[point("U=1", "v0"), point("U=2", "v0")])
-            .unwrap();
-        // Supersede U=1 repeatedly: dead records pile up until they
-        // exceed max(live, min_dead) — the fifth supersession's save
-        // compacts the log down to the two live records.
-        for gen in 1..=5 {
-            sink.append_batch(&[point("U=1", &format!("v{gen}"))])
-                .unwrap();
-        }
-        assert_eq!(sink.live_points(), 2);
-        assert_eq!(
-            sink.disk_records(),
-            2,
-            "compaction must reclaim dead records"
-        );
-        assert_eq!(sink.lookup("U=1"), Some(&["U=1".into(), "v5".into()][..]));
-        assert_eq!(sink.lookup("U=2"), Some(&["U=2".into(), "v0".into()][..]));
-
-        // On disk too: the compacted log holds exactly the live records.
-        let back = LogSink::open(path.clone(), "figX", "n=5").unwrap();
-        assert_eq!(back.disk_records(), back.live_points());
-        assert_eq!(back.lookup("U=1"), Some(&["U=1".into(), "v5".into()][..]));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn temp_file_name_appends_to_the_full_file_name() {
-        let path = temp_path("appendtmp"); // …appendtmp.json
-        let _ = std::fs::remove_file(&path);
-        let sibling = path.with_extension("tmp");
-        // The sibling is what `with_extension("tmp")` naming would clobber
-        // (exactly what a same-stem `.csv` checkpoint's temp file is).
-        std::fs::write(&sibling, "precious").unwrap();
-        let mut sink = LogSink::open(path.clone(), "figX", "n=5").unwrap();
-        sink.append_batch(&[point("U=1", "1.00")]).unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&sibling).unwrap(),
-            "precious",
-            "temp naming must not collide with same-stem files"
-        );
-        let mut tmp_name = path.as_os_str().to_os_string();
-        tmp_name.push(".tmp");
-        assert!(
-            !PathBuf::from(tmp_name).exists(),
-            "temp file must be renamed away"
-        );
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&sibling);
-    }
-
-    #[test]
-    fn mismatched_config_is_rejected_in_both_formats() {
-        let path = temp_path("mismatch");
-        let _ = std::fs::remove_file(&path);
-        // v2 log written under one identity…
-        let mut sink = LogSink::open(path.clone(), "figX", "n=5").unwrap();
-        sink.append_batch(&[point("U=1", "1.00")]).unwrap();
-        let err = CheckpointState::open(Some(&path), "figX", "n=6").unwrap_err();
-        assert!(matches!(err, CheckpointError::Mismatch { .. }));
-        let err = LogSink::open(path.clone(), "figY", "n=5").unwrap_err();
-        assert!(matches!(err, CheckpointError::Mismatch { .. }));
-
-        // …and a v1 document likewise.
-        state("figX", "n=5", &["U=1"]).write_v1(&path).unwrap();
-        let err = CheckpointState::open(Some(&path), "figX", "n=6").unwrap_err();
-        assert!(matches!(err, CheckpointError::Mismatch { .. }));
-        let err = LogSink::open(path.clone(), "figY", "n=5").unwrap_err();
-        assert!(matches!(err, CheckpointError::Mismatch { .. }));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn corrupt_and_empty_files_are_handled() {
-        let path = temp_path("corrupt");
-        std::fs::write(&path, "not json at all {").unwrap();
-        let err = CheckpointState::open(Some(&path), "figX", "n=5").unwrap_err();
-        assert!(matches!(err, CheckpointError::Corrupt(_)));
-        assert!(matches!(
-            LogSink::open(path.clone(), "figX", "n=5").unwrap_err(),
-            CheckpointError::Corrupt(_)
-        ));
-
-        // An empty file is the residue of a crash before the first save:
-        // fresh start, not an error.
-        std::fs::write(&path, "").unwrap();
-        let sink = LogSink::open(path.clone(), "figX", "n=5").unwrap();
-        assert_eq!(sink.live_points(), 0);
-        let _ = std::fs::remove_file(&path);
-    }
-
     #[test]
     fn checkpointing_is_optional() {
-        let s = CheckpointState::open(None, "figX", "").unwrap();
-        assert!(s.completed.is_empty());
         let mut null = NullSink;
         assert!(!null.is_persistent());
         null.append_batch(&[point("U=1", "1.00")]).unwrap();
@@ -1624,14 +980,12 @@ mod tests {
         assert_eq!(null.bytes_written(), 0);
     }
 
-    // ---- v3 (sharded) -------------------------------------------------
-
-    /// A fresh v3 path for `tag`, with any residue from a previous test
-    /// run removed.
+    /// A fresh checkpoint path for `tag`, with any residue from a
+    /// previous test run removed.
     fn temp_v3(tag: &str) -> PathBuf {
-        let path = temp_path(tag);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir_all(shard_dir(&path));
+        let path =
+            std::env::temp_dir().join(format!("pfair-ckpt-{}-{tag}.json", std::process::id()));
+        cleanup_v3(&path);
         path
     }
 
@@ -1656,20 +1010,115 @@ mod tests {
         assert!(header.starts_with("{\"v\":3,"), "{header}");
         assert_eq!(list_shards(&shard_dir(&path)).unwrap(), vec![0]);
 
-        // Reopen through the sink, the set, and the snapshot reader.
+        // Reopen through the sink and through a read-only set.
         let back = ShardSink::open(path.clone(), "figX", "n=5").unwrap();
         assert_eq!(back.set().live_points(), 3);
         assert_eq!(back.lookup("U=2"), Some(&["U=2".into(), "1.00".into()][..]));
-        let snap = CheckpointState::open(Some(&path), "figX", "n=5").unwrap();
-        assert_eq!(snap.completed.len(), 3);
+        let snap = ShardSet::open(path.clone(), "figX", "n=5", OpenMode::ReadOnly).unwrap();
+        assert_eq!(snap.live_points(), 3);
         assert_eq!(snap.lookup("U=3"), Some(&["U=3".into(), "2.00".into()][..]));
+        cleanup_v3(&path);
+    }
 
-        // Identity mismatches are rejected exactly like v2.
-        drop(back);
-        assert!(matches!(
-            ShardSink::open(path.clone(), "figX", "n=6").unwrap_err(),
-            CheckpointError::Mismatch { .. }
-        ));
+    #[test]
+    fn temp_file_name_appends_to_the_full_file_name() {
+        let path = temp_v3("appendtmp"); // …appendtmp.json
+        let sibling = path.with_extension("tmp");
+        // The sibling is what `with_extension("tmp")` naming would clobber
+        // (exactly what a same-stem `.csv` checkpoint's temp file is).
+        std::fs::write(&sibling, "precious").unwrap();
+        let mut sink = ShardSink::open(path.clone(), "figX", "n=5").unwrap();
+        sink.append_batch(&[point("U=1", "1.00")]).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&sibling).unwrap(),
+            "precious",
+            "temp naming must not collide with same-stem files"
+        );
+        let mut tmp_name = path.as_os_str().to_os_string();
+        tmp_name.push(".tmp");
+        assert!(
+            !PathBuf::from(tmp_name).exists(),
+            "temp file must be renamed away"
+        );
+        cleanup_v3(&path);
+        let _ = std::fs::remove_file(&sibling);
+    }
+
+    /// Writes `text` at `path`, requires an exclusive open to fail, and
+    /// checks the refusal touched nothing: same bytes, no `<path>.d/`.
+    fn refused_untouched(path: &Path, text: &str) -> CheckpointError {
+        std::fs::write(path, text).unwrap();
+        let err = ShardSink::open(path.to_path_buf(), "figX", "n=5").unwrap_err();
+        assert_eq!(std::fs::read_to_string(path).unwrap(), text, "{err}");
+        assert!(!shard_dir(path).exists(), "refusal left debris: {err}");
+        err
+    }
+
+    #[test]
+    fn mismatch_is_refused_without_debris_and_its_advice_clears_it() {
+        let path = temp_v3("v3-mismatch");
+        // A header written under another identity, no shards yet.
+        for (binary, config) in [("figX", "n=6"), ("figY", "n=5")] {
+            let err = refused_untouched(&path, &v3_header_line(binary, config, None).unwrap());
+            assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err}");
+        }
+        // With records on disk the shards carry the identity too: deleting
+        // only `<path>` is refused again, from `<path>.d/`…
+        std::fs::remove_file(&path).unwrap();
+        let mut sink = ShardSink::open(path.clone(), "figX", "n=6").unwrap();
+        sink.append_batch(&[point("U=1", "1.00")]).unwrap();
+        drop(sink);
+        for header_deleted in [false, true] {
+            if header_deleted {
+                std::fs::remove_file(&path).unwrap();
+            }
+            let err = ShardSink::open(path.clone(), "figX", "n=5").unwrap_err();
+            assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err}");
+            // …so the message names both things to delete.
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("{path:?}")), "{msg}");
+            assert!(msg.contains(&format!("{:?}", shard_dir(&path))), "{msg}");
+        }
+        std::fs::remove_dir_all(shard_dir(&path)).unwrap();
+        ShardSink::open(path.clone(), "figX", "n=5").unwrap();
+        cleanup_v3(&path);
+    }
+
+    #[test]
+    fn corrupt_and_empty_files_are_handled() {
+        let path = temp_v3("corrupt");
+        let err = refused_untouched(&path, "not json at all {");
+        assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
+
+        // An empty file is the residue of a crash before the first save:
+        // fresh start, not an error.
+        std::fs::write(&path, "").unwrap();
+        let sink = ShardSink::open(path.clone(), "figX", "n=5").unwrap();
+        assert_eq!(sink.set().live_points(), 0);
+        drop(sink);
+        cleanup_v3(&path);
+    }
+
+    #[test]
+    fn old_formats_are_refused_by_name_and_left_untouched() {
+        let path = temp_v3("oldformat");
+        let v2 = "{\"v\":2,\"binary\":\"figX\",\"config\":\"n=5\"}\n\
+                  {\"key\":\"U=1\",\"row\":[\"U=1\",\"1.00\"]}\n";
+        let v1 = "{\n  \"binary\": \"figX\",\n  \"config\": \"n=5\",\n  \"completed\": [\n    \
+                  {\n      \"key\": \"U=1\",\n      \"row\": [\n        \"U=1\",\n        \"1.00\"\n      ]\n    }\n  ]\n}";
+        for (text, name) in [(v2, "v2"), (v1, "v1")] {
+            let err = refused_untouched(&path, text);
+            assert!(
+                matches!(&err, CheckpointError::Unsupported { format, .. } if format == name),
+                "{err}"
+            );
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("format {name}")), "{msg}");
+            assert!(msg.contains(&format!("{:?}", shard_dir(&path))), "{msg}");
+        }
+        // A read-only open (a worker process) refuses it the same way.
+        let err = ShardSet::open(path.clone(), "figX", "n=5", OpenMode::ReadOnly).unwrap_err();
+        assert!(matches!(err, CheckpointError::Unsupported { .. }), "{err}");
         cleanup_v3(&path);
     }
 
@@ -1748,7 +1197,7 @@ mod tests {
         w.append_lease(&mk(1_000)).unwrap();
         w.append_points(&[point("U=1", "1.00")]).unwrap();
         w.append_lease(&mk(2_000)).unwrap();
-        let (points, lease) = scan_shard(w.path(), "figX", "n=5");
+        let (points, lease) = set.scan_shard(id);
         assert_eq!(points, 1);
         assert_eq!(lease, Some(mk(2_000)), "the renewal supersedes the claim");
         // Leases are scheduler metadata, not data: the merged set ignores
@@ -1848,73 +1297,6 @@ mod tests {
         let rest = &body[body.rfind(')').unwrap() + 1..];
         assert_eq!(rest.split_whitespace().nth(19), Some("999"));
         std::fs::remove_file(&fake).ok();
-    }
-
-    #[test]
-    fn v2_log_migrates_to_v3_at_first_save() {
-        let path = temp_v3("v3-from-v2");
-        {
-            let mut v2 = LogSink::open(path.clone(), "figX", "n=5").unwrap();
-            v2.append_batch(&[point("U=1", "1.00"), point("U=2", "1.00")])
-                .unwrap();
-        }
-        // Opening the v2 log with the sharded reader serves it read-only…
-        let mut sink = ShardSink::open(path.clone(), "figX", "n=5").unwrap();
-        assert_eq!(sink.set().live_points(), 2);
-        assert!(std::fs::read_to_string(&path)
-            .unwrap()
-            .starts_with("{\"v\":2,"));
-
-        // …and the first save migrates: header file + migration shard +
-        // the new append shard.
-        sink.append_batch(&[point("U=3", "2.00")]).unwrap();
-        assert!(std::fs::read_to_string(&path)
-            .unwrap()
-            .starts_with("{\"v\":3,"));
-        drop(sink);
-        let back = ShardSet::open(path.clone(), "figX", "n=5", OpenMode::Exclusive).unwrap();
-        assert_eq!(back.live_points(), 3);
-        assert_eq!(back.lookup("U=1"), Some(&["U=1".into(), "1.00".into()][..]));
-        cleanup_v3(&path);
-    }
-
-    #[test]
-    fn v1_document_migrates_to_v3_at_first_save() {
-        let path = temp_v3("v3-from-v1");
-        state("figX", "n=5", &["U=1", "U=2"])
-            .write_v1(&path)
-            .unwrap();
-        let mut sink = ShardSink::open(path.clone(), "figX", "n=5").unwrap();
-        assert_eq!(sink.lookup("U=2"), Some(&["U=2".into(), "1.00".into()][..]));
-        sink.append_batch(&[point("U=3", "2.00")]).unwrap();
-        assert!(std::fs::read_to_string(&path)
-            .unwrap()
-            .starts_with("{\"v\":3,"));
-        drop(sink);
-        let snap = CheckpointState::open(Some(&path), "figX", "n=5").unwrap();
-        assert_eq!(snap.completed.len(), 3);
-        cleanup_v3(&path);
-    }
-
-    #[test]
-    fn interrupted_migration_merges_legacy_then_shards() {
-        let path = temp_v3("v3-interrupted");
-        // The crash window: the migration shard was written durably but
-        // the v3 header did not yet replace the legacy file.
-        state("figX", "n=5", &["U=1"]).write_v1(&path).unwrap();
-        let dir = shard_dir(&path);
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut w = ShardWriter::create(&dir, 0, "figX", "n=5").unwrap();
-        w.append_points(&[point("U=1", "recomputed"), point("U=2", "2.00")])
-            .unwrap();
-        let set = ShardSet::open(path.clone(), "figX", "n=5", OpenMode::Exclusive).unwrap();
-        assert_eq!(set.live_points(), 2);
-        assert_eq!(
-            set.lookup("U=1"),
-            Some(&["U=1".into(), "recomputed".into()][..]),
-            "the shard (written later) must win over the legacy record"
-        );
-        cleanup_v3(&path);
     }
 
     #[test]

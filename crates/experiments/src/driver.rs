@@ -319,13 +319,6 @@ impl SweepDriver {
         })
     }
 
-    /// Sets whether a resume prints one `restored` line per replayed
-    /// point even past [`RESTORED_LINES_MAX`].
-    pub fn with_verbose(mut self, verbose: bool) -> Self {
-        self.verbose = verbose;
-        self
-    }
-
     /// Runs the sweep: one call per binary, all points at once.
     ///
     /// `keys[i]` is the stable identity of point `i` (checkpoint lookup
@@ -572,7 +565,7 @@ impl SweepDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::CheckpointState;
+    use crate::checkpoint::{OpenMode, ShardSet};
     use std::sync::atomic::AtomicU64;
 
     fn driver(path: Option<PathBuf>, threads: usize, retries: u64) -> SweepDriver {
@@ -745,8 +738,8 @@ mod tests {
             SweepDriver::with_parts(Some(path.clone()), "figT", "n=5".into(), 3, 5, 0, 0).unwrap();
         d.run(&keys(7), &obs::Recorder::disabled(), |i, _| row_for(i));
         assert!(d.checkpoint_bytes_written() > 0);
-        let saved = CheckpointState::open(Some(&path), "figT", "n=5").unwrap();
-        assert_eq!(saved.completed.len(), 7);
+        let saved = ShardSet::open(path.clone(), "figT", "n=5", OpenMode::ReadOnly).unwrap();
+        assert_eq!(saved.live_points(), 7);
         for i in 0..7 {
             assert_eq!(saved.lookup(&format!("K={i}")), Some(&row_for(i)[..]));
         }

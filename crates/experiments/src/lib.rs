@@ -47,8 +47,7 @@ pub mod tournament;
 
 pub use args::Args;
 pub use checkpoint::{
-    CheckpointPoint, CheckpointSink, CheckpointState, Lease, LogSink, NullSink, ShardSet,
-    ShardSink, ShardWriter,
+    CheckpointPoint, CheckpointSink, Lease, NullSink, ShardSet, ShardSink, ShardWriter,
 };
 pub use driver::SweepDriver;
 pub use metrics::{recorder, write_metrics};

@@ -2,10 +2,10 @@
 //! `--procs N`.
 //!
 //! One process — the **coordinator** — owns the sweep. It opens the
-//! sharded checkpoint exclusively (directory lock, torn-shard healing,
-//! legacy migration), splits the pending points into contiguous ranges,
-//! and spawns up to `--procs` **worker** processes: re-executions of the
-//! same binary with the same flags plus three internal ones
+//! sharded checkpoint exclusively (directory lock, torn-shard healing),
+//! splits the pending points into contiguous ranges, and spawns up to
+//! `--procs` **worker** processes: re-executions of the same binary
+//! with the same flags plus three internal ones
 //! (`--_worker-shard <id> --_range-start <a> --_range-len <n>`). Each
 //! worker
 //!
@@ -48,8 +48,8 @@ use std::time::{Duration, Instant};
 
 use crate::args::Args;
 use crate::checkpoint::{
-    now_ms, scan_shard, shard_file, CheckpointError, CheckpointPoint, CheckpointSink, Lease,
-    OpenMode, ShardSet, ShardWriter, COMPACTION_MIN_DEAD,
+    now_ms, shard_file, CheckpointError, CheckpointPoint, CheckpointSink, Lease, OpenMode,
+    ShardSet, ShardWriter, COMPACTION_MIN_DEAD,
 };
 use crate::driver::{SweepDriver, RESTORED_LINES_MAX};
 
@@ -418,8 +418,8 @@ pub(crate) fn run_coordinator(
         Ok(s) => s,
         Err(e) => fatal(&d.binary, &e),
     };
-    // Make the v3 skeleton (header, directory, legacy migration shard)
-    // exist before any worker opens the set read-only.
+    // Make the v3 skeleton (header, directory) exist before any worker
+    // opens the set read-only.
     if let Err(e) = set.ensure_created() {
         fatal(&d.binary, &e);
     }
@@ -507,9 +507,7 @@ pub(crate) fn run_coordinator(
             if let Some(chaos) = chaos_pending {
                 let committed: u64 = spawned_shards
                     .iter()
-                    .map(|&id| {
-                        scan_shard(&shard_file(set.dir(), id), &d.binary, &d.config).0 as u64
-                    })
+                    .map(|&id| set.scan_shard(id).0 as u64)
                     .sum();
                 if committed >= chaos.kill_after {
                     // Victim: the *still-running* worker with the most
@@ -524,8 +522,7 @@ pub(crate) fn run_coordinator(
                         if !matches!(w.child.try_wait(), Ok(None)) {
                             continue;
                         }
-                        let points =
-                            scan_shard(&shard_file(set.dir(), w.shard), &d.binary, &d.config).0;
+                        let points = set.scan_shard(w.shard).0;
                         if victim_pos.map_or(true, |(_, best)| points > best) {
                             victim_pos = Some((pos, points));
                         }
@@ -599,8 +596,7 @@ pub(crate) fn run_coordinator(
                         // the coordinator's monotonic clock — never by
                         // comparing the lease's wall-clock stamp, which
                         // an NTP step can invalidate wholesale.
-                        let (_, lease) =
-                            scan_shard(&shard_file(set.dir(), worker.shard), &d.binary, &d.config);
+                        let (_, lease) = set.scan_shard(worker.shard);
                         let expired = match lease {
                             Some(l) => leases.expired(worker.shard, l.deadline_ms, Instant::now()),
                             None => worker.spawned.elapsed().as_millis() as u64 > 2 * d.lease_ms,

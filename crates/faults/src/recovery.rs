@@ -159,13 +159,6 @@ impl RecoveryController {
         self.draining
     }
 
-    /// True once the watchdog has ever tripped: ERfair eligibility stays
-    /// on for the rest of the run (see the module docs for why it is
-    /// never reverted).
-    pub fn erfair_engaged(&self) -> bool {
-        self.engaged
-    }
-
     /// Applies the policy for slot `t`. [`MultiSim::step`] calls this
     /// through the [`RecoveryHook`] impl once the controller is installed
     /// via [`MultiSim::set_recovery_hook`]; it can also be driven

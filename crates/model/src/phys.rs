@@ -124,12 +124,6 @@ impl PhysTask {
         let period_q = self.period_us / quantum_us;
         Task::new(exec_q, period_q).map_err(QuantumError::Invalid)
     }
-
-    /// The quantum-rounded utilization `⌈wcet/q⌉ / (period/q)` — the
-    /// utilization PD² actually "sees". Always ≥ [`Self::utilization`].
-    pub fn quantized_utilization(&self, quantum_us: u64) -> Result<Rat, QuantumError> {
-        self.to_quantum_task(quantum_us).map(|t| t.utilization())
-    }
 }
 
 impl fmt::Display for PhysTask {

@@ -124,16 +124,6 @@ impl Rat {
         }
     }
 
-    /// Truthy when strictly negative.
-    pub fn is_negative(self) -> bool {
-        self.num < 0
-    }
-
-    /// Truthy when exactly zero.
-    pub fn is_zero(self) -> bool {
-        self.num == 0
-    }
-
     /// Lossy conversion for reporting/statistics only (never used by the
     /// scheduling core).
     pub fn to_f64(self) -> f64 {

@@ -71,11 +71,6 @@ impl Task {
     pub fn is_heavy(&self) -> bool {
         self.weight().is_heavy()
     }
-
-    /// Number of subtasks per job (= execution cost in quanta).
-    pub fn subtasks_per_job(&self) -> u64 {
-        self.exec
-    }
 }
 
 impl fmt::Display for Task {

@@ -138,14 +138,14 @@ pub fn partition<A: Acceptance>(
     max_procs: u32,
     keys: impl Fn(usize) -> (f64, u64),
 ) -> Option<PartitionResult> {
-    partition_observed(
+    partition_with_obs(
         n,
         acc,
         heuristic,
         order,
         max_procs,
         keys,
-        &obs::Recorder::disabled(),
+        &PartitionObs::new(&obs::Recorder::disabled()),
     )
 }
 
@@ -172,31 +172,6 @@ impl PartitionObs {
             bins_opened: rec.counter("partition.bins_opened"),
         }
     }
-}
-
-/// [`partition`] with instrumentation landing in `rec` (see
-/// [`PartitionObs`] for the instruments). Registers the counters on every
-/// call; hot loops should hold a [`PartitionObs`] and call
-/// [`partition_with_obs`] instead.
-#[allow(clippy::too_many_arguments)]
-pub fn partition_observed<A: Acceptance>(
-    n: usize,
-    acc: &A,
-    heuristic: Heuristic,
-    order: SortOrder,
-    max_procs: u32,
-    keys: impl Fn(usize) -> (f64, u64),
-    rec: &obs::Recorder,
-) -> Option<PartitionResult> {
-    partition_with_obs(
-        n,
-        acc,
-        heuristic,
-        order,
-        max_procs,
-        keys,
-        &PartitionObs::new(rec),
-    )
 }
 
 /// [`partition`] counting its work through a caller-held
@@ -291,19 +266,6 @@ pub fn partition_unbounded<A: Acceptance>(
     keys: impl Fn(usize) -> (f64, u64),
 ) -> Option<PartitionResult> {
     partition(n, acc, heuristic, order, u32::MAX, keys)
-}
-
-/// [`partition_unbounded`] with instrumentation (see
-/// [`partition_observed`]).
-pub fn partition_unbounded_observed<A: Acceptance>(
-    n: usize,
-    acc: &A,
-    heuristic: Heuristic,
-    order: SortOrder,
-    keys: impl Fn(usize) -> (f64, u64),
-    rec: &obs::Recorder,
-) -> Option<PartitionResult> {
-    partition_observed(n, acc, heuristic, order, u32::MAX, keys, rec)
 }
 
 /// [`partition_unbounded`] counting its work through a caller-held

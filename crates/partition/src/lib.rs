@@ -25,7 +25,6 @@ pub mod heuristics;
 pub use accept::{Acceptance, EdfOverheadAware, EdfUtilization, RmExact, RmLiuLayland};
 pub use bounds::{lopez_bound, lopez_schedulable, worst_case_achievable_utilization};
 pub use heuristics::{
-    partition, partition_observed, partition_unbounded, partition_unbounded_observed,
-    partition_unbounded_with_obs, partition_with_obs, Heuristic, PartitionObs, PartitionResult,
-    SortOrder, PACKING_SCHEMES,
+    partition, partition_unbounded, partition_unbounded_with_obs, partition_with_obs, Heuristic,
+    PartitionObs, PartitionResult, SortOrder, PACKING_SCHEMES,
 };

@@ -552,11 +552,6 @@ impl<D: DelayModel> MultiSim<D> {
         self
     }
 
-    /// Whether a fault hook is installed.
-    pub fn has_fault_hook(&self) -> bool {
-        self.hook.is_some()
-    }
-
     /// Installs a recovery hook, invoked at the top of every subsequent
     /// [`Self::step`] (see [`RecoveryHook`]). Replaces any previous hook.
     pub fn set_recovery_hook(&mut self, hook: Box<dyn RecoveryHook<D>>) -> &mut Self {
@@ -684,13 +679,6 @@ impl<D: DelayModel> MultiSim<D> {
     /// overload signal for a lag watchdog). 0 without a hook.
     pub fn current_max_app_lag(&self) -> f64 {
         self.last_max_lag
-    }
-
-    /// Application lag of one task at the current time (with a hook).
-    pub fn app_lag(&self, id: TaskId) -> f64 {
-        let a = &self.app[id.index()];
-        let elapsed = self.now.saturating_sub(a.origin) as f64;
-        a.weight_f * elapsed - a.useful_total as f64
     }
 
     /// Closes out the fault accounting at the end of a run: counts every

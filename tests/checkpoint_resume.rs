@@ -5,11 +5,11 @@
 //!
 //! Exercises the full binary surface via `CARGO_BIN_EXE_fig3`: exit code 3
 //! on the simulated crash, "restored from checkpoint" progress lines on
-//! resume, exit code 2 on config mismatch. Also covers the v3 sharded
-//! format at scale (a 10⁴-point synthetic sweep must write O(n)
-//! checkpoint bytes) and the transparent v1→v3 migration.
+//! resume, exit code 2 on config mismatch and on a pre-v3 checkpoint
+//! file. Also covers the sharded format at scale (a 10⁴-point synthetic
+//! sweep must write O(n) checkpoint bytes).
 
-use experiments::{CheckpointState, SweepDriver};
+use experiments::SweepDriver;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -76,19 +76,36 @@ fn killed_sweep_resumes_to_identical_output() {
     );
     assert_eq!(String::from_utf8(resumed.stdout).unwrap(), expected);
 
-    // A checkpoint written under one configuration is refused by another.
-    let mismatched = Command::new(env!("CARGO_BIN_EXE_fig3"))
-        .args([
-            "--tasks", "9", "--sets", "2", "--points", "3", "--seed", "3",
-        ])
-        .args(["--checkpoint", ck_str])
-        .output()
-        .expect("failed to spawn fig3");
-    assert_eq!(
-        mismatched.status.code(),
-        Some(2),
+    // A checkpoint written under one configuration is refused by another,
+    // and the refusal names what to delete: the header file alone is not
+    // enough, because the shards carry the identity too.
+    let other_config = || {
+        Command::new(env!("CARGO_BIN_EXE_fig3"))
+            .args([
+                "--tasks", "9", "--sets", "2", "--points", "3", "--seed", "3",
+            ])
+            .args(["--checkpoint", ck_str])
+            .output()
+            .expect("failed to spawn fig3")
+    };
+    let dir = experiments::checkpoint::shard_dir(&ck);
+    for header_deleted in [false, true] {
+        if header_deleted {
+            std::fs::remove_file(&ck).unwrap();
+        }
+        let mismatched = other_config();
+        let stderr = String::from_utf8_lossy(&mismatched.stderr);
+        assert_eq!(mismatched.status.code(), Some(2), "stderr: {stderr}");
+        assert!(stderr.contains(&format!("{ck:?}")), "{stderr}");
+        assert!(stderr.contains(&format!("{dir:?}")), "{stderr}");
+    }
+    // Following the printed advice clears the error.
+    std::fs::remove_dir_all(&dir).unwrap();
+    let fresh = other_config();
+    assert!(
+        fresh.status.success(),
         "stderr: {}",
-        String::from_utf8_lossy(&mismatched.stderr)
+        String::from_utf8_lossy(&fresh.stderr)
     );
 
     cleanup(&ck);
@@ -160,69 +177,29 @@ fn parallel_sweep_is_deterministic_and_resumes_across_thread_counts() {
     cleanup(&ck);
 }
 
-/// The `binary`/`config` identity the `ARGS` invocation of fig3 writes
-/// into its checkpoints (mirrors fig3's fingerprint format).
-const FIG3_CONFIG: &str = "tasks=8 sets=2 points=3 seed=3";
-
 #[test]
-fn v1_checkpoint_resumes_transparently_and_migrates_to_v3() {
-    let ck = temp_path("v1migrate");
+fn old_format_checkpoint_is_refused_with_exit_2_and_left_untouched() {
+    let ck = temp_path("oldformat");
     cleanup(&ck);
-    let ck_str = ck.to_str().unwrap();
+    // What a pre-v3 build left behind: a single-file v2 log.
+    let v2 = "{\"v\":2,\"binary\":\"fig3\",\"config\":\"tasks=8 sets=2 points=3 seed=3\"}\n";
+    std::fs::write(&ck, v2).unwrap();
 
-    // Reference: the same sweep, uninterrupted and uncheckpointed.
-    let reference = fig3(&[]);
-    assert!(reference.status.success());
-    let expected = String::from_utf8(reference.stdout).unwrap();
-
-    // Crash a checkpointed run, then rewrite its checkpoint in the
-    // legacy v1 format — exactly the file a pre-v2 build left behind
-    // (shard directory removed: a pre-v3 build had none).
-    let crashed = fig3(&["--checkpoint", ck_str, "--fail-after", "1"]);
-    assert_eq!(crashed.status.code(), Some(3));
-    let snap = CheckpointState::open(Some(&ck), "fig3", FIG3_CONFIG)
-        .expect("crashed checkpoint must be readable");
-    assert!(!snap.completed.is_empty());
-    snap.write_v1(&ck).unwrap();
-    let _ = std::fs::remove_dir_all(experiments::checkpoint::shard_dir(&ck));
-    assert!(
-        std::fs::read_to_string(&ck).unwrap().starts_with("{\n"),
-        "precondition: the checkpoint is now a v1 pretty-JSON document"
-    );
-
-    // Resume on the v1 file: no manual intervention, byte-identical
-    // output, and the checkpoint is rewritten as a v3 shard set by the
-    // first save.
-    let resumed = fig3(&["--checkpoint", ck_str]);
-    assert!(
-        resumed.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&resumed.stderr)
-    );
-    assert_eq!(String::from_utf8(resumed.stdout).unwrap(), expected);
-    let migrated = std::fs::read_to_string(&ck).unwrap();
-    assert!(
-        migrated.starts_with("{\"v\":3,"),
-        "resume must migrate the checkpoint to the v3 shard set: {migrated}"
-    );
-
-    // A second resume serves every point from the migrated shard set.
-    let replayed = fig3(&["--checkpoint", ck_str]);
-    assert!(replayed.status.success());
-    assert_eq!(String::from_utf8(replayed.stdout).unwrap(), expected);
-    let stderr = String::from_utf8_lossy(&replayed.stderr);
-    assert!(
-        stderr.contains("restored 3/3 points from checkpoint"),
-        "{stderr}"
-    );
+    let refused = fig3(&["--checkpoint", ck.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert_eq!(refused.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("format v2"), "{stderr}");
+    assert!(refused.stdout.is_empty(), "a refused run prints no table");
+    assert_eq!(std::fs::read_to_string(&ck).unwrap(), v2);
+    assert!(!experiments::checkpoint::shard_dir(&ck).exists());
 
     cleanup(&ck);
 }
 
 /// A ≥10⁴-point sweep through the driver API: resume must still be
 /// byte-identical, and total checkpoint I/O must stay O(n) — each point's
-/// record persisted a bounded number of times, never the v1 behaviour of
-/// rewriting all n rows at every batch (O(n²) bytes).
+/// record persisted a bounded number of times, never all n rows
+/// rewritten at every batch (O(n²) bytes).
 #[test]
 fn large_sweep_writes_linear_checkpoint_bytes_and_resumes_identically() {
     const N: usize = 10_000;
@@ -265,9 +242,9 @@ fn large_sweep_writes_linear_checkpoint_bytes_and_resumes_identically() {
     assert_eq!(second.fresh_points(), (N / 2) as u64);
 
     // O(n) save I/O, asserted on bytes (not timing): every record is
-    // ~45 bytes, so a generous linear bound is 200 B/point. The v1
-    // whole-file rewrite would have written ~N²/(2·batch) records
-    // (~3.5 GB here); the log writes each record once (~450 KB).
+    // ~45 bytes, so a generous linear bound is 200 B/point. A
+    // whole-file rewrite per batch would have written ~N²/(2·batch)
+    // records (~3.5 GB here); the log writes each record once (~450 KB).
     let total_bytes = first_bytes + second.checkpoint_bytes_written();
     assert!(
         total_bytes < (N as u64) * 200,
