@@ -70,6 +70,34 @@ fn scheduler_tick_counters_balance() {
     );
 }
 
+/// Heap work per tick is what an algorithmic regression in the tick moves
+/// first, and unlike a wall-clock gate it is identical on every machine:
+/// 500 periodic tasks at total weight ≈ 7.6 on M = 8 for 10,000 slots,
+/// the shape of the benchmark's `engine_pd2` (`sched.heap_ops_per_tick`).
+/// A change to the ready queue or the tick that is meant to keep the
+/// schedule must keep these counts, recorded at commit 7481d75.
+#[test]
+fn scheduler_heap_work_is_pinned() {
+    let set = TaskSet::from_pairs((0..500u64).map(|i| {
+        let e = 1 + i % 4;
+        (e, e * (50 + i % 37))
+    }))
+    .unwrap();
+    assert!(set.feasible_on(8));
+    let rec = obs::Recorder::enabled();
+    let mut sim = MultiSim::new(&set, SchedConfig::pd2(8));
+    sim.set_recorder(&rec);
+    let metrics = sim.run(10_000);
+    assert_eq!(metrics.allocated_quanta, 76_023);
+
+    let snap = rec.snapshot();
+    assert_eq!(snap.counter("sched.ticks"), Some(10_000));
+    assert_eq!(snap.counter("sched.releases_drained"), Some(76_032));
+    assert_eq!(snap.counter("sched.heap_pushes"), Some(76_032));
+    assert_eq!(snap.counter("sched.heap_pops"), Some(76_023));
+    assert_eq!(snap.counter("sched.stale_skipped"), Some(0));
+}
+
 #[test]
 fn exported_snapshot_round_trips_through_json() {
     let set = ts(&[(1, 2), (1, 3), (2, 7)]);
