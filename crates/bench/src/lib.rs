@@ -20,6 +20,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod queue;
 pub mod report;
 
 pub use report::{check_regressions, fold_obs_histogram, prefix_matches, BenchRecord, BenchReport};

@@ -1,13 +1,14 @@
-//! Ready-queue implementations for the scheduler.
+//! The three ready-queue structures of ablation E20.
 //!
 //! The paper measured its schedulers with binary-heap ready queues ("We
 //! used binary heaps to implement the priority queues of both schedulers",
 //! §4) — which makes the reported overheads a property of that data
-//! structure as much as of the algorithm. [`MinQueue`] makes the choice
-//! explicit and swappable so the Fig. 2-style benches can ablate it:
+//! structure as much as of the algorithm. `PfairScheduler` holds that
+//! binary heap directly; [`MinQueue`] puts it beside the two alternatives
+//! so the `queue_ablation` bench can time all three on identical traffic:
 //!
 //! * [`QueueKind::BinaryHeap`] — `O(log n)` push/pop, the paper's choice
-//!   and the default.
+//!   and the scheduler's.
 //! * [`QueueKind::SortedVec`] — `O(n)` insertion, `O(1)` pop; wins for the
 //!   small queues of lightly-loaded systems.
 //! * [`QueueKind::LinearScan`] — `O(1)` push, `O(n)` pop; the naive
@@ -16,7 +17,7 @@
 //! All three pop elements in exactly the same (total) order, asserted by
 //! property tests.
 
-/// Which ready-queue implementation the scheduler uses.
+/// Which backing structure a [`MinQueue`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QueueKind {
     /// Binary min-heap (the paper's configuration).

@@ -42,14 +42,12 @@
 pub mod key;
 pub mod lag;
 pub mod priority;
-pub mod queue;
 pub mod recovery;
 pub mod sched;
 pub mod subtask;
 pub mod supertask;
 
 pub use priority::{Policy, SubtaskTag};
-pub use queue::{MinQueue, QueueKind};
 pub use recovery::{plan_shedding, LagWatchdog};
 pub use sched::{
     CoreKind, DelayModel, EarlyRelease, JoinError, LeaveError, MapDelays, Miss, NoDelay,

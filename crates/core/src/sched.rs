@@ -61,7 +61,6 @@
 
 use crate::key;
 use crate::priority::{compare_with_id_order, Policy, SubtaskTag};
-use crate::queue::{MinQueue, QueueKind};
 use crate::subtask::{self, SubtaskIndex};
 use pfair_model::{Rat, Slot, Task, TaskId, TaskSet, Weight, WeightSum};
 use std::cmp::Reverse;
@@ -540,8 +539,6 @@ pub struct SchedConfig {
     /// Residual tie order (default: lower task id first). The Fig. 5
     /// reproduction uses both orders.
     pub higher_id_first: bool,
-    /// Ready-queue implementation (default: binary heap, as in the paper).
-    pub queue: QueueKind,
     /// Which scheduling core drives `tick` (default: event-driven).
     pub core: CoreKind,
     /// Recycle the ids of departed tasks on `join` (default `false`:
@@ -559,16 +556,9 @@ impl SchedConfig {
             policy: Policy::Pd2,
             early_release: EarlyRelease::None,
             higher_id_first: false,
-            queue: QueueKind::BinaryHeap,
             core: CoreKind::EventDriven,
             reuse_ids: false,
         }
-    }
-
-    /// Same but with a different ready-queue implementation.
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
-        self
     }
 
     /// Same but with a different policy.
@@ -653,8 +643,9 @@ pub struct PfairScheduler<D: DelayModel = NoDelay> {
     /// Future releases, indexed by slot (event-driven core only).
     calendar: ReleaseCalendar,
     /// Eligible subtasks ordered by packed priority key (event-driven core
-    /// only).
-    ready: MinQueue<ReadyEntry>,
+    /// only). A binary min-heap, the structure the paper measured (§4);
+    /// `pfair-bench`'s `queue_ablation` times the alternatives.
+    ready: BinaryHeap<Reverse<ReadyEntry>>,
     /// Eligible subtasks whose priority fields do not fit the packed key
     /// (`(id, gen)` pairs): kept out of the heap and merged in with the
     /// exact comparator at pop time. Empty in any realistically-sized
@@ -709,7 +700,7 @@ impl<D: DelayModel> PfairScheduler<D> {
             tasks: Vec::with_capacity(capacity),
             cold: Vec::with_capacity(capacity),
             calendar: ReleaseCalendar::new(),
-            ready: MinQueue::new(cfg.queue),
+            ready: BinaryHeap::new(),
             exact_ready: Vec::new(),
             tie_scratch: Vec::new(),
             free_ids: Vec::new(),
@@ -1070,7 +1061,7 @@ impl<D: DelayModel> PfairScheduler<D> {
                 }
                 continue;
             }
-            let Some(entry) = self.ready.pop() else {
+            let Some(Reverse(entry)) = self.ready.pop() else {
                 break;
             };
             counts.pops += 1;
@@ -1079,7 +1070,7 @@ impl<D: DelayModel> PfairScheduler<D> {
                 counts.stale += 1;
                 continue; // departed (and possibly recycled) incarnation
             }
-            if residual_ties && self.ready.peek().is_some_and(|e| e.key == entry.key) {
+            if residual_ties && self.ready.peek().is_some_and(|e| e.0.key == entry.key) {
                 self.commit_tie_batch(entry, now, out, &mut counts);
                 continue;
             }
@@ -1155,7 +1146,7 @@ impl<D: DelayModel> PfairScheduler<D> {
         if key == key::SENTINEL {
             self.exact_ready.push((id, gen));
         } else {
-            self.ready.push(ReadyEntry { key, id, gen });
+            self.ready.push(Reverse(ReadyEntry { key, id, gen }));
         }
     }
 
@@ -1172,11 +1163,11 @@ impl<D: DelayModel> PfairScheduler<D> {
         let mut batch = std::mem::take(&mut self.tie_scratch);
         batch.clear();
         batch.push(first);
-        while let Some(e) = self.ready.peek() {
+        while let Some(Reverse(e)) = self.ready.peek() {
             if e.key != first.key {
                 break;
             }
-            batch.push(self.ready.pop().expect("peeked entry exists"));
+            batch.push(self.ready.pop().expect("peeked entry exists").0);
             counts.pops += 1;
         }
         // Prune stale entries, then order the live ones exactly.
@@ -1197,7 +1188,7 @@ impl<D: DelayModel> PfairScheduler<D> {
             if out.len() < m {
                 self.commit(tag, now, out);
             } else {
-                self.ready.push(entry);
+                self.ready.push(Reverse(entry));
                 counts.pushes += 1;
             }
         }
@@ -1243,7 +1234,7 @@ impl<D: DelayModel> PfairScheduler<D> {
         let residual_ties = matches!(pol, Policy::Pf | Policy::Pd);
         let mut batch = std::mem::take(&mut self.tie_scratch);
         batch.clear();
-        while let Some(&entry) = self.ready.peek() {
+        while let Some(&Reverse(entry)) = self.ready.peek() {
             let st = &self.tasks[entry.id as usize];
             if !st.active || st.generation != entry.gen {
                 self.ready.pop();
@@ -1256,7 +1247,7 @@ impl<D: DelayModel> PfairScheduler<D> {
                     break;
                 }
             }
-            batch.push(self.ready.pop().expect("peeked entry exists"));
+            batch.push(self.ready.pop().expect("peeked entry exists").0);
         }
         let mut heap_best: Option<(usize, SubtaskTag)> = None;
         for (i, e) in batch.iter().enumerate() {
@@ -1280,7 +1271,7 @@ impl<D: DelayModel> PfairScheduler<D> {
         counts.pops += 1;
         if side_wins {
             for e in batch.drain(..) {
-                self.ready.push(e);
+                self.ready.push(Reverse(e));
             }
             let (i, tag) = best.expect("side_wins implies a side candidate");
             self.exact_ready.swap_remove(i);
@@ -1289,7 +1280,7 @@ impl<D: DelayModel> PfairScheduler<D> {
             let (keep, tag) = heap_best.expect("heap side non-empty");
             for (i, e) in batch.drain(..).enumerate() {
                 if i != keep {
-                    self.ready.push(e);
+                    self.ready.push(Reverse(e));
                 }
             }
             self.commit(tag, now, out);
@@ -1784,27 +1775,6 @@ mod tests {
         assert!(ReweightError::WrongSlot
             .to_string()
             .contains("current slot"));
-    }
-
-    /// The ready-queue implementation is behaviour-invariant: identical
-    /// schedules under all three backings (the comparator is a total
-    /// order, so pop order is fully determined).
-    #[test]
-    fn queue_kinds_produce_identical_schedules() {
-        use crate::queue::QueueKind;
-        let set = ts(&[(8, 11), (1, 3), (2, 5), (5, 7), (3, 4)]);
-        let m = set.min_processors();
-        let mut reference: Option<Vec<Vec<TaskId>>> = None;
-        for kind in QueueKind::ALL {
-            let cfg = SchedConfig::pd2(m).with_queue(kind);
-            let mut sched = PfairScheduler::new(&set, cfg);
-            let schedule = sched.run(500);
-            assert!(sched.misses().is_empty(), "{}", kind.name());
-            match &reference {
-                None => reference = Some(schedule),
-                Some(r) => assert_eq!(&schedule, r, "{} diverged", kind.name()),
-            }
-        }
     }
 
     /// The slow reference core and the event-driven core produce identical
