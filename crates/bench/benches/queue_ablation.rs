@@ -10,52 +10,25 @@
 //! total, so all three structures see the same pushes and pops in the same
 //! order.
 //!
-//! Expected shape: sorted-vec wins for small N (cache-friendly, O(1) pop),
-//! the heap wins as N grows, linear scan degrades fastest — i.e. the
-//! paper's absolute overhead numbers are partly a data-structure choice,
-//! while the growth-with-N claim is robust across all three.
+//! Expected shape: all three grow with N, so the paper's growth-with-N
+//! claim does not hang on the heap. At 90 % load a released subtask is
+//! served long before N of them pile up, so the queue stays short: heap
+//! and sorted-vec sit close together and only the linear scan falls
+//! behind as N grows (EXPERIMENTS.md, E20).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pfair_bench::quantum_workload;
 use pfair_bench::queue::{MinQueue, QueueKind};
-use pfair_model::TaskSet;
+use pfair_core::subtask::{self, SubtaskIndex};
+use pfair_model::{TaskSet, Weight};
 use std::hint::black_box;
 
 const PROCESSORS: usize = 4;
 
-/// One task's window recurrence, advanced without a division per subtask:
-/// `r(Tᵢ₊₁) = ⌊i·p/e⌋` and `d(Tᵢ) = ⌈i·p/e⌉`.
-struct Windows {
-    exec: u64,
-    /// `p / e` and `p % e`: what one more subtask adds to `i·p/e`.
-    quot: u64,
-    rem: u64,
-    /// `⌊i·p/e⌋` and `i·p mod e` for the pending subtask `i`.
-    floor: u64,
-    frac: u64,
-}
-
-impl Windows {
-    /// Moves on to the next subtask and returns its pseudo-release.
-    fn advance(&mut self) -> u64 {
-        let release = self.floor;
-        self.floor += self.quot;
-        self.frac += self.rem;
-        if self.frac >= self.exec {
-            self.frac -= self.exec;
-            self.floor += 1;
-        }
-        release
-    }
-
-    fn deadline(&self) -> u64 {
-        self.floor + u64::from(self.frac != 0)
-    }
-}
-
 /// The queue under test plus the state that feeds it.
 struct Traffic {
-    tasks: Vec<Windows>,
+    /// Each task's weight and pending subtask.
+    tasks: Vec<(Weight, SubtaskIndex)>,
     /// Tasks whose pending subtask is released in slot `t`, at index
     /// `t & (len − 1)`; `len` exceeds the longest window.
     releases: Vec<Vec<u32>>,
@@ -66,21 +39,12 @@ struct Traffic {
 
 impl Traffic {
     fn new(set: &TaskSet, kind: QueueKind) -> Self {
-        let mut tasks: Vec<Windows> = set
-            .iter()
-            .map(|(_, t)| Windows {
-                exec: t.exec,
-                quot: t.period / t.exec,
-                rem: t.period % t.exec,
-                floor: 0,
-                frac: 0,
-            })
-            .collect();
-        let longest = tasks.iter().map(|t| t.quot).max().unwrap_or(0) + 2;
-        let mut releases = vec![Vec::new(); (longest as usize).next_power_of_two()];
-        for (id, t) in tasks.iter_mut().enumerate() {
-            releases[t.advance() as usize].push(id as u32);
-        }
+        let tasks: Vec<(Weight, SubtaskIndex)> = set.iter().map(|(_, t)| (t.weight(), 1)).collect();
+        // A served task's next release is at most ⌈p/e⌉ slots ahead.
+        let longest = tasks.iter().map(|&(w, _)| subtask::window_len(w, 1)).max();
+        let mut releases =
+            vec![Vec::new(); (longest.unwrap_or(0) as usize + 1).next_power_of_two()];
+        releases[0] = (0..tasks.len() as u32).collect();
         Traffic {
             tasks,
             releases,
@@ -94,7 +58,8 @@ impl Traffic {
         let mask = self.releases.len() as u64 - 1;
         let mut due = std::mem::take(&mut self.releases[(self.now & mask) as usize]);
         for id in due.drain(..) {
-            self.ready.push((self.tasks[id as usize].deadline(), id));
+            let (w, i) = self.tasks[id as usize];
+            self.ready.push((subtask::deadline(w, i), id));
         }
         self.releases[(self.now & mask) as usize] = due; // keep its capacity
 
@@ -103,7 +68,10 @@ impl Traffic {
             let Some((_, id)) = self.ready.pop() else {
                 break;
             };
-            let release = self.tasks[id as usize].advance().max(self.now + 1);
+            let (w, i) = &mut self.tasks[id as usize];
+            *i += 1;
+            let release = subtask::release(*w, *i).max(self.now + 1);
+            debug_assert!(release - self.now <= mask, "release beyond the wheel");
             self.releases[(release & mask) as usize].push(id);
             served += 1;
         }

@@ -1,18 +1,18 @@
 //! # pfair-bench
 //!
-//! Criterion benchmarks for the Pfair reproduction. One bench target per
-//! measured artifact:
+//! Criterion benches for the ablations DESIGN.md names, one target each.
+//! They compare alternatives against each other on one machine; what a
+//! change costs or gains end to end is measured by the repository
+//! benchmark (`benchmark/`, `BENCHMARK.json`), not here.
 //!
-//! * `sched_overhead` — Fig. 2: per-invocation cost of the PD² and EDF
-//!   schedulers across task and processor counts.
-//! * `priority_cmp` — the comparator ablation: PD²'s O(1) tie-breaks vs.
-//!   PF's recursive b-bit chain vs. bare EPDF.
-//! * `partition_bench` — bin-packing heuristics at paper scale, plain and
-//!   overhead-aware.
-//! * `inflate_bench` — Equation (3) fixed-point inflation and the
-//!   quantum-size sweep.
-//! * `engine_bench` — full-engine slot throughput (dispatch + accounting)
-//!   and the global-EDF baseline.
+//! * `sched_overhead` (E3/E4) — Fig. 2: per-invocation cost of the PD² and
+//!   EDF schedulers across task and processor counts.
+//! * `priority_cmp` (E12) — the comparator ablation: PD²'s O(1) tie-breaks
+//!   vs. PF's recursive b-bit chain vs. bare EPDF.
+//! * `quantum_sweep` (E11) — the PD² overhead analysis re-run per quantum
+//!   size.
+//! * `queue_ablation` (E20) — binary heap vs. sorted vector vs. linear
+//!   scan as the ready queue ([`queue`]).
 //!
 //! Shared deterministic workload builders live here so every bench sees
 //! identical inputs.
@@ -21,9 +21,6 @@
 #![forbid(unsafe_code)]
 
 pub mod queue;
-pub mod report;
-
-pub use report::{check_regressions, fold_obs_histogram, prefix_matches, BenchRecord, BenchReport};
 
 use pfair_model::{Task, TaskSet};
 use rand::rngs::StdRng;
@@ -48,7 +45,7 @@ pub fn quantum_workload(n: usize, m: u32, seed: u64) -> TaskSet {
 }
 
 /// Deterministic `(exec, period)` µs pairs with total utilization `target`
-/// (for the EDF event simulator and the partitioning benches).
+/// (for the EDF event simulator).
 pub fn phys_pairs(n: usize, target: f64, seed: u64) -> Vec<(u64, u64)> {
     let mut gen = workload::TaskSetGenerator::new(n, target, seed);
     gen.generate()

@@ -141,8 +141,7 @@ pub trait FaultHook {
 /// implementation.
 ///
 /// The hook is temporarily removed from the simulator while it runs (so it
-/// can borrow the simulator mutably); [`MultiSim::has_recovery_hook`]
-/// reports `false` during the call.
+/// can borrow the simulator mutably).
 pub trait RecoveryHook<D: DelayModel> {
     /// Applies the recovery policy at the boundary of slot `t` — the only
     /// point where `join`/`leave`/`set_processors`/`set_early_release` are
@@ -563,12 +562,6 @@ impl<D: DelayModel> MultiSim<D> {
     /// back out through [`RecoveryHook::into_any`] after a run.
     pub fn take_recovery_hook(&mut self) -> Option<Box<dyn RecoveryHook<D>>> {
         self.recovery.take()
-    }
-
-    /// Whether a recovery hook is installed (`false` while the hook itself
-    /// is being invoked).
-    pub fn has_recovery_hook(&self) -> bool {
-        self.recovery.is_some()
     }
 
     /// Enables fault/recovery event recording: the engine records injected
