@@ -1,13 +1,62 @@
 //! Minimal command-line flag parsing (hand-rolled to keep the dependency
 //! set inside the approved list).
+//!
+//! A binary declares the flags it reads once, as a `&[Flag]` next to its
+//! `main`, and hands the list to [`Args::parse`]. Anything else on the
+//! command line — an unknown `--flag`, a stray positional, a value flag
+//! without its value — is a usage error (exit 2), so a mistyped flag can
+//! never run a sweep it does not describe. The usage line `--help` prints
+//! is built from the same list.
 
 use std::collections::HashMap;
+
+/// One flag a binary accepts.
+#[derive(Debug, Clone, Copy)]
+pub struct Flag {
+    name: &'static str,
+    /// What the usage line shows after the name; `None` for a switch.
+    placeholder: Option<&'static str>,
+}
+
+impl Flag {
+    /// `--name <placeholder>`: a flag that takes a value.
+    pub const fn value(name: &'static str, placeholder: &'static str) -> Self {
+        Flag {
+            name,
+            placeholder: Some(placeholder),
+        }
+    }
+
+    /// `--name`: a bare on/off flag.
+    pub const fn switch(name: &'static str) -> Self {
+        Flag {
+            name,
+            placeholder: None,
+        }
+    }
+}
+
+/// The one-line usage of `binary`, in declaration order.
+pub fn usage(binary: &str, flags: &[&[Flag]]) -> String {
+    let mut line = format!("usage: {binary}");
+    for f in flags.iter().copied().flatten() {
+        match f.placeholder {
+            Some(p) => line.push_str(&format!(" [--{} {p}]", f.name)),
+            None => line.push_str(&format!(" [--{}]", f.name)),
+        }
+    }
+    line
+}
 
 /// Parsed `--key value` / `--flag` arguments.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     values: HashMap<String, String>,
-    flags: Vec<String>,
+    switches: Vec<String>,
+    /// Every declared name: reading an undeclared flag is a bug in the
+    /// binary's list (it could never have been set), caught in debug
+    /// builds.
+    declared: Vec<&'static str>,
     /// The argv these were parsed from, verbatim (program name excluded).
     /// The multi-process sweep coordinator rebuilds worker command lines
     /// from this.
@@ -15,43 +64,54 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses the process arguments. `--key value` pairs become values;
-    /// bare `--flag`s (followed by another `--…` or nothing) become flags.
-    pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
+    /// Parses the process arguments against the flags `binary` declares
+    /// (its own list plus any shared ones). `--help` prints the usage
+    /// line and exits 0; a usage error prints `<binary>: <what>` and the
+    /// usage line on stderr and exits 2.
+    pub fn parse(binary: &str, flags: &[&[Flag]]) -> Self {
+        let items: Vec<String> = std::env::args().skip(1).collect();
+        if items.iter().any(|a| a == "--help") {
+            println!("{}", usage(binary, flags));
+            std::process::exit(0);
+        }
+        Self::from_args(flags, items).unwrap_or_else(|e| {
+            eprintln!("{binary}: {e}\n{}", usage(binary, flags));
+            std::process::exit(2);
+        })
     }
 
-    /// Parses from an explicit iterator (testable).
-    pub fn from_args<I, S>(iter: I) -> Self
+    /// Parses from an explicit iterator (testable): `Err` describes the
+    /// first argument no declared flag accounts for.
+    pub fn from_args<I, S>(flags: &[&[Flag]], iter: I) -> Result<Self, String>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        let items: Vec<String> = iter.into_iter().map(Into::into).collect();
+        let raw: Vec<String> = iter.into_iter().map(Into::into).collect();
         let mut args = Args {
-            raw: items.clone(),
+            declared: flags.iter().copied().flatten().map(|f| f.name).collect(),
+            raw: raw.clone(),
             ..Args::default()
         };
-        let mut i = 0;
-        while i < items.len() {
-            let item = &items[i];
-            if let Some(key) = item.strip_prefix("--") {
-                let next_is_value = items
-                    .get(i + 1)
-                    .map(|n| !n.starts_with("--"))
-                    .unwrap_or(false);
-                if next_is_value {
-                    args.values.insert(key.to_string(), items[i + 1].clone());
-                    i += 2;
-                } else {
-                    args.flags.push(key.to_string());
-                    i += 1;
-                }
-            } else {
-                i += 1; // ignore stray positional
+        let mut items = raw.into_iter().peekable();
+        while let Some(item) = items.next() {
+            let Some(name) = item.strip_prefix("--") else {
+                return Err(format!("unexpected argument '{item}'"));
+            };
+            let Some(flag) = flags.iter().copied().flatten().find(|f| f.name == name) else {
+                return Err(format!("unknown flag --{name}"));
+            };
+            match flag.placeholder {
+                None => args.switches.push(name.to_string()),
+                Some(p) => match items.next_if(|next| !next.starts_with("--")) {
+                    Some(value) => {
+                        args.values.insert(name.to_string(), value);
+                    }
+                    None => return Err(format!("--{name} needs a value ({p})")),
+                },
             }
         }
-        args
+        Ok(args)
     }
 
     /// The argv these arguments were parsed from, verbatim (program name
@@ -60,14 +120,23 @@ impl Args {
         &self.raw
     }
 
-    /// True iff `--name` was given as a bare flag.
+    /// True iff the switch `--name` was given.
     pub fn flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
+        self.check_declared(name);
+        self.switches.iter().any(|f| f == name)
     }
 
     /// The raw value of `--name`, if present.
     pub fn get(&self, name: &str) -> Option<&str> {
+        self.check_declared(name);
         self.values.get(name).map(String::as_str)
+    }
+
+    fn check_declared(&self, name: &str) {
+        debug_assert!(
+            self.declared.contains(&name),
+            "--{name} is read but not in the binary's declared flags"
+        );
     }
 
     /// Parses `--name` as `T`, with a default; a malformed value is an
@@ -101,29 +170,60 @@ impl Args {
 mod tests {
     use super::*;
 
+    const FLAGS: &[Flag] = &[
+        Flag::value("tasks", "N"),
+        Flag::value("sets", "N"),
+        Flag::value("seed", "N"),
+        Flag::switch("csv"),
+    ];
+
     #[test]
     fn parses_pairs_and_flags() {
-        let a = Args::from_args(["--tasks", "50", "--csv", "--seed", "7"]);
+        let a = Args::from_args(&[FLAGS], ["--tasks", "50", "--csv", "--seed", "7"]).unwrap();
         assert_eq!(a.get_or("tasks", 0usize), 50);
         assert_eq!(a.get_or("seed", 1u64), 7);
         assert!(a.flag("csv"));
-        assert!(!a.flag("verbose"));
         assert_eq!(a.get_or("sets", 100usize), 100);
     }
 
     #[test]
     fn trailing_flag() {
-        let a = Args::from_args(["--csv"]);
+        let a = Args::from_args(&[FLAGS], ["--csv"]).unwrap();
         assert!(a.flag("csv"));
     }
 
     #[test]
     fn bad_value_is_a_described_error() {
-        let a = Args::from_args(["--tasks", "fifty"]);
+        let a = Args::from_args(&[FLAGS], ["--tasks", "fifty"]).unwrap();
         let err = a.try_get_or("tasks", 0usize).unwrap_err();
         assert!(err.contains("--tasks"), "{err}");
         assert!(err.contains("fifty"), "{err}");
         // Well-formed and absent values still parse.
         assert_eq!(a.try_get_or("sets", 9usize), Ok(9));
+    }
+
+    #[test]
+    fn undeclared_flags_positionals_and_missing_values_are_errors() {
+        let more: &[Flag] = &[Flag::value("threads", "N")];
+        let lists = [FLAGS, more];
+        // Lists combine: a shared flag parses next to the binary's own.
+        let a = Args::from_args(&lists, ["--threads", "2", "--sets", "3"]).unwrap();
+        assert_eq!(a.get("threads"), Some("2"));
+
+        for (argv, needle) in [
+            (&["--bogus"][..], "unknown flag --bogus"),
+            (&["--set", "1000"], "unknown flag --set"),
+            (&["--sets", "5", "stray"], "unexpected argument 'stray'"),
+            (&["--csv", "stray"], "unexpected argument 'stray'"),
+            (&["--sets"], "--sets needs a value"),
+            (&["--sets", "--csv"], "--sets needs a value"),
+        ] {
+            let err = Args::from_args(&lists, argv.iter().copied()).unwrap_err();
+            assert!(err.contains(needle), "{argv:?}: {err}");
+        }
+        assert_eq!(
+            usage("figT", &lists),
+            "usage: figT [--tasks N] [--sets N] [--seed N] [--csv] [--threads N]"
+        );
     }
 }

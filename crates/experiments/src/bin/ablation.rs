@@ -15,7 +15,7 @@
 //! `--seed`, so all policies face identical task sets and the output is
 //! byte-identical for any `--threads`.
 
-use experiments::{recorder, write_metrics, Args, SweepDriver};
+use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use pfair_core::sched::SchedConfig;
 use pfair_core::Policy;
 use pfair_model::TaskSet;
@@ -50,8 +50,15 @@ fn heavy_set(rng: &mut StdRng, m: u32) -> TaskSet {
 
 const PROC_COUNTS: [u32; 5] = [2, 3, 4, 6, 8];
 
+/// The flags `ablation` reads itself; [`SWEEP_FLAGS`] adds the driver's.
+const FLAGS: &[Flag] = &[
+    Flag::value("sets", "N"),
+    Flag::value("seed", "N"),
+    Flag::switch("csv"),
+];
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("ablation", &[FLAGS, SWEEP_FLAGS]);
     let sets: usize = args.get_or("sets", 200);
     let seed: u64 = args.get_or("seed", 7);
     let rec = recorder(&args);

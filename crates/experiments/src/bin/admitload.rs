@@ -32,10 +32,24 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
-use experiments::Args;
+use experiments::{Args, Flag};
+
+/// Every flag `admitload` accepts.
+const FLAGS: &[Flag] = &[
+    Flag::value("socket", "PATH"),
+    Flag::value("tcp", "ADDR:PORT"),
+    Flag::value("set", "NAME"),
+    Flag::value("requests", "N"),
+    Flag::value("seed", "N"),
+    Flag::value("window", "N"),
+    Flag::value("max-active", "N"),
+    Flag::value("burst-rate", "X"),
+    Flag::value("burst-max", "N"),
+    Flag::value("periods", "US,US,..."),
+];
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("admitload", &[FLAGS]);
     let addr = match (args.get("socket"), args.get("tcp")) {
         (Some(path), None) => DaemonAddr::Unix(path.into()),
         (None, Some(a)) => DaemonAddr::Tcp(a.to_string()),

@@ -6,14 +6,17 @@
 //! cargo run --release -p experiments --bin dhall -- [--period 10] [--horizon 1000]
 //! ```
 
-use experiments::Args;
+use experiments::{Args, Flag};
 use pfair_core::sched::SchedConfig;
 use sched_sim::global_edf::dhall_task_set;
 use sched_sim::{GlobalEdfSim, MultiSim};
 use stats::Table;
 
+/// Every flag `dhall` accepts.
+const FLAGS: &[Flag] = &[Flag::value("period", "N"), Flag::value("horizon", "N")];
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("dhall", &[FLAGS]);
     let p: u64 = args.get_or("period", 10);
     let horizon: u64 = args.get_or("horizon", 1_000);
 

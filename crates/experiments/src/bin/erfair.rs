@@ -16,7 +16,7 @@
 //! alone, so every algorithm sees identical task sets and the output is
 //! byte-identical for any `--threads`.
 
-use experiments::{recorder, write_metrics, Args, SweepDriver};
+use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use pfair_core::sched::{EarlyRelease, SchedConfig};
 use pfair_model::{Task, TaskSet};
 use rand::rngs::StdRng;
@@ -137,8 +137,18 @@ fn pfair_row(
     ]
 }
 
+/// The flags `erfair` reads itself; [`SWEEP_FLAGS`] adds the driver's.
+const FLAGS: &[Flag] = &[
+    Flag::value("tasks", "N"),
+    Flag::value("cpus", "N"),
+    Flag::value("sets", "N"),
+    Flag::value("slots", "N"),
+    Flag::value("seed", "N"),
+    Flag::switch("csv"),
+];
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("erfair", &[FLAGS, SWEEP_FLAGS]);
     let n: usize = args.get_or("tasks", 20);
     let m: u32 = args.get_or("cpus", 4);
     let sets: usize = args.get_or("sets", 30);

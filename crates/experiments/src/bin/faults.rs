@@ -34,7 +34,7 @@
 //! byte-identical output for any thread count). Exit codes: 0 success,
 //! 2 usage/checkpoint error, 3 simulated crash (`--fail-after`).
 
-use experiments::{recorder, write_metrics, Args, SweepDriver};
+use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use faults::{run_edf, run_pd2, run_pd2_traced, FaultConfig, RecoveryPolicy};
 use stats::{Table, Welford};
 use workload::TaskSetGenerator;
@@ -81,8 +81,22 @@ fn fmt_opt(w: &Welford) -> String {
     }
 }
 
+/// The flags `faults` reads itself; [`SWEEP_FLAGS`] adds the driver's.
+const FLAGS: &[Flag] = &[
+    Flag::value("tasks", "N"),
+    Flag::value("util", "X"),
+    Flag::value("sets", "N"),
+    Flag::value("horizon", "N"),
+    Flag::value("seed", "N"),
+    Flag::value("recovery", "none|shed|catchup|full"),
+    Flag::value("trace", "FILE"),
+    Flag::value("trace-kind", "none|loss|overrun|failstop|burst"),
+    Flag::value("trace-level", "X"),
+    Flag::switch("csv"),
+];
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("faults", &[FLAGS, SWEEP_FLAGS]);
     let n: usize = args.get_or("tasks", 10);
     let util: f64 = args.get_or("util", n as f64 / 4.0);
     let sets: usize = args.get_or("sets", 20);

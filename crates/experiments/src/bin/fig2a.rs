@@ -11,11 +11,20 @@
 //! still works for smoke runs where the timings don't matter.
 
 use experiments::fig2::{measure_edf_observed, measure_pd2_observed, PAPER_TASK_COUNTS};
-use experiments::{recorder, write_metrics, Args, SweepDriver};
+use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use stats::{ci99_halfwidth, Table};
 
+/// The flags `fig2a` reads itself; [`SWEEP_FLAGS`] adds the driver's.
+const FLAGS: &[Flag] = &[
+    Flag::value("sets", "N"),
+    Flag::value("horizon", "US"),
+    Flag::value("slots", "N"),
+    Flag::value("seed", "N"),
+    Flag::switch("csv"),
+];
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("fig2a", &[FLAGS, SWEEP_FLAGS]);
     let sets: usize = args.get_or("sets", 100);
     let horizon_us: u64 = args.get_or("horizon", 1_000_000);
     let horizon_slots: u64 = args.get_or("slots", 20_000);

@@ -11,11 +11,19 @@
 //! still works for smoke runs where the timings don't matter.
 
 use experiments::fig2::{measure_pd2_observed, PAPER_PROC_COUNTS, PAPER_TASK_COUNTS};
-use experiments::{recorder, write_metrics, Args, SweepDriver};
+use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use stats::{ci99_halfwidth, Table};
 
+/// The flags `fig2b` reads itself; [`SWEEP_FLAGS`] adds the driver's.
+const FLAGS: &[Flag] = &[
+    Flag::value("sets", "N"),
+    Flag::value("slots", "N"),
+    Flag::value("seed", "N"),
+    Flag::switch("csv"),
+];
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("fig2b", &[FLAGS, SWEEP_FLAGS]);
     let sets: usize = args.get_or("sets", 50);
     let horizon_slots: u64 = args.get_or("slots", 20_000);
     let seed: u64 = args.get_or("seed", 1);

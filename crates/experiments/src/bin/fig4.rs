@@ -12,13 +12,22 @@
 //! any thread count).
 
 use experiments::fig34::{paper_utilization_sweep, run_point_observed};
-use experiments::{recorder, write_metrics, Args, SweepDriver};
+use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use overhead::OverheadParams;
 use stats::{ci99_halfwidth, Table};
 use workload::CacheDelayDist;
 
+/// The flags `fig4` reads itself; [`SWEEP_FLAGS`] adds the driver's.
+const FLAGS: &[Flag] = &[
+    Flag::value("tasks", "N"),
+    Flag::value("sets", "N"),
+    Flag::value("points", "N"),
+    Flag::value("seed", "N"),
+    Flag::switch("csv"),
+];
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("fig4", &[FLAGS, SWEEP_FLAGS]);
     let n: usize = args.get_or("tasks", 50);
     let sets: usize = args.get_or("sets", 200);
     let points: usize = args.get_or("points", 15);

@@ -5,7 +5,7 @@
 //! cargo run --release -p experiments --bin fig5 -- [--metrics-out m.json]
 //! ```
 
-use experiments::{recorder, write_metrics, Args};
+use experiments::{recorder, write_metrics, Args, METRICS_FLAGS};
 use pfair_core::sched::SchedConfig;
 use pfair_core::supertask::{run_with_supertask, Component, Supertask};
 use pfair_model::TaskSet;
@@ -33,7 +33,7 @@ fn render(schedule: &[Vec<pfair_model::TaskId>], horizon: usize) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("fig5", &[METRICS_FLAGS]);
     let rec = recorder(&args);
     let run_ns = rec.timer("fig5.run_ns");
     let normal = TaskSet::from_pairs([(1u64, 2u64), (1, 3), (1, 3), (2, 9)]).unwrap();

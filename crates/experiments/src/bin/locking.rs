@@ -17,7 +17,7 @@
 //! [`experiments::SweepDriver`], with byte-identical output for any
 //! `--threads` (the lock simulator's draws are seeded per point).
 
-use experiments::{recorder, write_metrics, Args, SweepDriver};
+use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use pfair_core::sched::SchedConfig;
 use pfair_model::TaskSet;
 use pfair_sync::{pfair_blocking_bound, CsConfig, LockSim};
@@ -26,8 +26,16 @@ use stats::Table;
 
 const CS_RANGES: [(u64, u64); 5] = [(1, 10), (5, 50), (50, 200), (200, 500), (500, 900)];
 
+/// The flags `locking` reads itself; [`SWEEP_FLAGS`] adds the driver's.
+const FLAGS: &[Flag] = &[
+    Flag::value("cpus", "N"),
+    Flag::value("slots", "N"),
+    Flag::value("seed", "N"),
+    Flag::switch("csv"),
+];
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("locking", &[FLAGS, SWEEP_FLAGS]);
     let m: u32 = args.get_or("cpus", 4);
     let slots: u64 = args.get_or("slots", 20_000);
     let seed: u64 = args.get_or("seed", 1);

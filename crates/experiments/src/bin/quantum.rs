@@ -6,12 +6,21 @@
 //! ```
 
 use experiments::quantum::{run_quantum_point, QUANTUM_SWEEP_US};
-use experiments::{recorder, write_metrics, Args, SweepDriver};
+use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use overhead::OverheadParams;
 use stats::{ci99_halfwidth, Table};
 
+/// The flags `quantum` reads itself; [`SWEEP_FLAGS`] adds the driver's.
+const FLAGS: &[Flag] = &[
+    Flag::value("tasks", "N"),
+    Flag::value("util", "X"),
+    Flag::value("sets", "N"),
+    Flag::value("seed", "N"),
+    Flag::switch("csv"),
+];
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("quantum", &[FLAGS, SWEEP_FLAGS]);
     let n: usize = args.get_or("tasks", 50);
     let util: f64 = args.get_or("util", n as f64 / 5.0);
     let sets: usize = args.get_or("sets", 100);

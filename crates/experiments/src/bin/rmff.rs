@@ -15,15 +15,24 @@
 //! task sets derive from `(seed, set index)` alone, so the output is
 //! byte-identical for any `--threads`.
 
-use experiments::{recorder, write_metrics, Args, SweepDriver};
+use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use partition::{partition, EdfUtilization, Heuristic, RmExact, RmLiuLayland, SortOrder};
 use stats::Table;
 use workload::TaskSetGenerator;
 
 const STEPS: [u32; 8] = [3, 4, 5, 6, 7, 8, 9, 10];
 
+/// The flags `rmff` reads itself; [`SWEEP_FLAGS`] adds the driver's.
+const FLAGS: &[Flag] = &[
+    Flag::value("cpus", "N"),
+    Flag::value("tasks", "N"),
+    Flag::value("sets", "N"),
+    Flag::value("seed", "N"),
+    Flag::switch("csv"),
+];
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("rmff", &[FLAGS, SWEEP_FLAGS]);
     let m: u32 = args.get_or("cpus", 8);
     let n: usize = args.get_or("tasks", 24);
     let sets: usize = args.get_or("sets", 300);

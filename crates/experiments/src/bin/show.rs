@@ -8,7 +8,7 @@
 //!     [--windows 0] [--er none|intra|full] [--trace out.json]
 //! ```
 
-use experiments::Args;
+use experiments::{Args, Flag};
 use pfair_core::sched::{EarlyRelease, SchedConfig};
 use pfair_core::Policy;
 use pfair_model::{TaskId, TaskSet};
@@ -28,8 +28,19 @@ fn parse_tasks(spec: &str) -> TaskSet {
         .collect()
 }
 
+/// Every flag `show` accepts.
+const FLAGS: &[Flag] = &[
+    Flag::value("tasks", "E/P,E/P,..."),
+    Flag::value("cpus", "N"),
+    Flag::value("slots", "N"),
+    Flag::value("policy", "pd2|pf|pd|epdf"),
+    Flag::value("windows", "TASK"),
+    Flag::value("er", "none|intra|full"),
+    Flag::value("trace", "FILE"),
+];
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("show", &[FLAGS]);
     let spec = args.get("tasks").unwrap_or("2/3,2/3,2/3").to_string();
     let tasks = parse_tasks(&spec);
     let m: u32 = args.get_or("cpus", tasks.min_processors());

@@ -35,7 +35,7 @@
 //! schema-v2 JSON [`ScheduleTrace`](sched_sim::ScheduleTrace) that
 //! `verify_trace` re-checks offline.
 
-use experiments::{recorder, write_metrics, Args, SweepDriver};
+use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use faults::{run_pd2_slack, run_pd2_slack_traced, FaultConfig, RecoveryPolicy, SlackPlan};
 use stats::{Table, Welford};
 use workload::TaskSetGenerator;
@@ -93,8 +93,23 @@ fn plan_for(strategy: &str, lag_threshold: f64) -> SlackPlan {
     }
 }
 
+/// The flags `slack` reads itself; [`SWEEP_FLAGS`] adds the driver's.
+const FLAGS: &[Flag] = &[
+    Flag::value("tasks", "N"),
+    Flag::value("util", "X"),
+    Flag::value("sets", "N"),
+    Flag::value("horizon", "N"),
+    Flag::value("seed", "N"),
+    Flag::value("recovery", "none|shed|catchup|full"),
+    Flag::value("lag-threshold", "X"),
+    Flag::value("trace", "FILE"),
+    Flag::value("trace-kind", "overrun|failstop|mixed"),
+    Flag::value("trace-strategy", "base|spare1|margin25|margin50"),
+    Flag::switch("csv"),
+];
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("slack", &[FLAGS, SWEEP_FLAGS]);
     let n: usize = args.get_or("tasks", 8);
     let util: f64 = args.get_or("util", 2.0);
     let sets: usize = args.get_or("sets", 10);

@@ -18,7 +18,7 @@
 //! index)` alone, so both algorithms see identical task sets and the
 //! output is byte-identical for any `--threads`.
 
-use experiments::{recorder, write_metrics, Args, SweepDriver};
+use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use partition::{partition_unbounded, EdfUtilization, Heuristic, SortOrder};
 use pfair_core::sched::SchedConfig;
 use sched_sim::{MultiSim, PartitionedSim};
@@ -103,8 +103,17 @@ fn pd2_row(n: usize, sets: usize, horizon_us: u64, seed: u64, mean_util: f64) ->
     ]
 }
 
+/// The flags `switches` reads itself; [`SWEEP_FLAGS`] adds the driver's.
+const FLAGS: &[Flag] = &[
+    Flag::value("tasks", "N"),
+    Flag::value("sets", "N"),
+    Flag::value("horizon", "N"),
+    Flag::value("seed", "N"),
+    Flag::switch("csv"),
+];
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("switches", &[FLAGS, SWEEP_FLAGS]);
     let n: usize = args.get_or("tasks", 20);
     let sets: usize = args.get_or("sets", 20);
     let horizon_us: u64 = args.get_or("horizon", 1_000_000);

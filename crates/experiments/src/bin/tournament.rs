@@ -33,7 +33,7 @@
 //!   normalized by `--cpus`.
 
 use experiments::tournament::{generate_set, score, Scheme};
-use experiments::{recorder, write_metrics, Args, SweepDriver};
+use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use stats::{Table, Welford};
 
 /// Normalized-utilization steps `U/M` swept for every scheme.
@@ -51,8 +51,18 @@ fn fmt_opt(w: &Welford, digits: usize) -> String {
     }
 }
 
+/// The flags `tournament` reads itself; [`SWEEP_FLAGS`] adds the driver's.
+const FLAGS: &[Flag] = &[
+    Flag::value("cpus", "N"),
+    Flag::value("tasks", "N"),
+    Flag::value("sets", "N"),
+    Flag::value("horizon", "N"),
+    Flag::value("seed", "N"),
+    Flag::switch("csv"),
+];
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("tournament", &[FLAGS, SWEEP_FLAGS]);
     let m: u32 = args.get_or("cpus", 4);
     let n: usize = args.get_or("tasks", 12);
     let sets: usize = args.get_or("sets", 40);

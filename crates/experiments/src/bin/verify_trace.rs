@@ -17,11 +17,14 @@
 //! archived schedules. Exit codes: 1 = verification failed, 2 = usage or
 //! unreadable/unparseable input.
 
-use experiments::Args;
+use experiments::{Args, Flag};
 use sched_sim::ScheduleTrace;
 
+/// Every flag `verify_trace` accepts.
+const FLAGS: &[Flag] = &[Flag::value("input", "FILE")];
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("verify_trace", &[FLAGS]);
     let Some(path) = args.get("input") else {
         eprintln!("verify_trace: --input <trace.json> is required");
         std::process::exit(2);

@@ -50,11 +50,31 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Instant;
 
-use crate::args::Args;
+use crate::args::{Args, Flag};
 use crate::checkpoint::{
     panic_message, CheckpointError, CheckpointPoint, CheckpointSink, NullSink, ShardSink,
 };
 use crate::procs::{ChaosSpec, WorkerSpec};
+
+/// The flags [`SweepDriver`] and [`crate::metrics`] read, declared once
+/// for every sweep binary to append to its own list.
+pub const SWEEP_FLAGS: &[Flag] = &[
+    Flag::value("threads", "N"),
+    Flag::value("point-retries", "N"),
+    crate::metrics::METRICS_OUT,
+    Flag::value("checkpoint", "FILE"),
+    Flag::value("batch", "N"),
+    Flag::value("fail-after", "N"),
+    Flag::switch("verbose"),
+    Flag::value("procs", "N"),
+    Flag::value("chunk", "N"),
+    Flag::value("lease-ms", "N"),
+    Flag::value("worker-retries", "N"),
+    Flag::value("chaos", "kill-after=K[,torn-tail]"),
+    Flag::value("_worker-shard", "N"),
+    Flag::value("_range-start", "N"),
+    Flag::value("_range-len", "N"),
+];
 
 /// Hard ceiling on `--threads`: beyond this the flag is a typo, not a
 /// machine (matching the args.rs convention of printed errors + exit 2,
@@ -703,14 +723,18 @@ mod tests {
         assert_eq!((d.fresh_points(), d.failed_points()), (3, 1));
     }
 
+    fn parse<const N: usize>(argv: [&str; N]) -> Args {
+        Args::from_args(&[SWEEP_FLAGS], argv).unwrap()
+    }
+
     #[test]
     fn thread_and_batch_flags_are_validated() {
-        let ok = Args::from_args(["--threads", "4", "--batch", "2"]);
+        let ok = parse(["--threads", "4", "--batch", "2"]);
         assert_eq!(SweepDriver::parse_threads(&ok, 1), Ok(4));
         assert_eq!(SweepDriver::parse_batch(&ok, 4), Ok(2));
 
         // Absent flags fall back to the given defaults.
-        let absent = Args::from_args(["--sets", "5"]);
+        let absent = parse([]);
         assert_eq!(SweepDriver::parse_threads(&absent, 3), Ok(3));
         assert_eq!(SweepDriver::parse_batch(&absent, 3), Ok(3));
         assert!(default_threads() >= 1);
@@ -721,10 +745,10 @@ mod tests {
             ["--threads", "9999"],
             ["--threads", "many"],
         ] {
-            let err = SweepDriver::parse_threads(&Args::from_args(bad), 1).unwrap_err();
+            let err = SweepDriver::parse_threads(&parse(bad), 1).unwrap_err();
             assert!(err.contains("--threads"), "{err}");
         }
-        let err = SweepDriver::parse_batch(&Args::from_args(["--batch", "0"]), 1).unwrap_err();
+        let err = SweepDriver::parse_batch(&parse(["--batch", "0"]), 1).unwrap_err();
         assert!(err.contains("--batch"), "{err}");
     }
 

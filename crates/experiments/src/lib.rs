@@ -45,9 +45,9 @@ pub mod procs;
 pub mod quantum;
 pub mod tournament;
 
-pub use args::Args;
+pub use args::{Args, Flag};
 pub use checkpoint::{
     CheckpointPoint, CheckpointSink, Lease, NullSink, ShardSet, ShardSink, ShardWriter,
 };
-pub use driver::SweepDriver;
-pub use metrics::{recorder, write_metrics};
+pub use driver::{SweepDriver, SWEEP_FLAGS};
+pub use metrics::{recorder, write_metrics, METRICS_FLAGS};

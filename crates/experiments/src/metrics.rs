@@ -6,7 +6,14 @@
 //! timer is written at exit via [`write_metrics`]. Without the flag the
 //! returned recorder is disabled and all instrumentation is no-op.
 
-use crate::Args;
+use crate::args::{Args, Flag};
+
+/// The flag this module reads.
+pub const METRICS_OUT: Flag = Flag::value("metrics-out", "FILE");
+
+/// [`METRICS_OUT`] as a list, for binaries that record metrics without
+/// a [`crate::SweepDriver`] (whose `SWEEP_FLAGS` already carry it).
+pub const METRICS_FLAGS: &[Flag] = &[METRICS_OUT];
 
 /// The recorder requested on the command line: enabled iff
 /// `--metrics-out <path>` was given.
@@ -35,15 +42,15 @@ mod tests {
 
     #[test]
     fn recorder_follows_flag() {
-        let off = Args::from_args(["--sets", "5"]);
+        let off = Args::from_args(&[METRICS_FLAGS], [""; 0]).unwrap();
         assert!(!recorder(&off).is_enabled());
-        let on = Args::from_args(["--metrics-out", "/tmp/m.json"]);
+        let on = Args::from_args(&[METRICS_FLAGS], ["--metrics-out", "/tmp/m.json"]).unwrap();
         assert!(recorder(&on).is_enabled());
     }
 
     #[test]
     fn write_is_a_no_op_without_the_flag() {
-        let args = Args::from_args(["--sets", "5"]);
+        let args = Args::from_args(&[METRICS_FLAGS], [""; 0]).unwrap();
         write_metrics(&args, &obs::Recorder::enabled());
     }
 }

@@ -727,12 +727,16 @@ fn checkpoint_disk_bytes(set: &ShardSet) -> u64 {
 mod tests {
     use super::*;
 
+    fn parse<const N: usize>(argv: [&str; N]) -> Args {
+        Args::from_args(&[crate::driver::SWEEP_FLAGS], argv).unwrap()
+    }
+
     #[test]
     fn chaos_spec_parses_and_rejects() {
-        let none = ChaosSpec::from_args(&Args::from_args(["--sets", "5"])).unwrap();
+        let none = ChaosSpec::from_args(&parse([])).unwrap();
         assert_eq!(none, None);
 
-        let plain = ChaosSpec::from_args(&Args::from_args(["--chaos", "kill-after=3"]))
+        let plain = ChaosSpec::from_args(&parse(["--chaos", "kill-after=3"]))
             .unwrap()
             .unwrap();
         assert_eq!(
@@ -743,24 +747,24 @@ mod tests {
             }
         );
 
-        let torn = ChaosSpec::from_args(&Args::from_args(["--chaos", "kill-after=1,torn-tail"]))
+        let torn = ChaosSpec::from_args(&parse(["--chaos", "kill-after=1,torn-tail"]))
             .unwrap()
             .unwrap();
         assert!(torn.torn_tail);
         assert_eq!(torn.kill_after, 1);
 
         for bad in ["torn-tail", "kill-after=0", "kill-after=x", "explode"] {
-            let err = ChaosSpec::from_args(&Args::from_args(["--chaos", bad])).unwrap_err();
+            let err = ChaosSpec::from_args(&parse(["--chaos", bad])).unwrap_err();
             assert!(err.contains("--chaos"), "{err}");
         }
     }
 
     #[test]
     fn worker_spec_requires_the_full_triple() {
-        let none = WorkerSpec::from_args(&Args::from_args(["--procs", "3"])).unwrap();
+        let none = WorkerSpec::from_args(&parse(["--procs", "3"])).unwrap();
         assert_eq!(none, None);
 
-        let full = WorkerSpec::from_args(&Args::from_args([
+        let full = WorkerSpec::from_args(&parse([
             "--_worker-shard",
             "7",
             "--_range-start",
@@ -779,7 +783,7 @@ mod tests {
             }
         );
 
-        let err = WorkerSpec::from_args(&Args::from_args(["--_worker-shard", "7"])).unwrap_err();
+        let err = WorkerSpec::from_args(&parse(["--_worker-shard", "7"])).unwrap_err();
         assert!(err.contains("_range-start"), "{err}");
     }
 

@@ -1,0 +1,95 @@
+//! Command-line contract of every `experiments` binary: a flag the binary
+//! does not declare is a usage error, never a silent no-op — a mistyped
+//! `--set 1000` must not run the default sweep and exit 0.
+//!
+//! The roster is derived from `crates/experiments/src/bin/` (as
+//! `ci/determinism-smoke.sh` derives its own), so a new binary is covered
+//! without editing this file.
+
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn run(exe: &Path, args: &[&str]) -> Output {
+    Command::new(exe)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("failed to spawn {}: {e}", exe.display()))
+}
+
+/// The `--flag` names in `text`, in a set.
+fn flag_names(text: &str) -> BTreeSet<String> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-' || c == '_'))
+        .filter_map(|word| word.strip_prefix("--"))
+        .filter(|name| !name.is_empty())
+        .map(str::to_string)
+        .collect()
+}
+
+/// The flags a binary's module doc advertises: every `--flag` inside its
+/// first ```` ```text ```` block, after `cargo run …`'s own ` -- `.
+fn documented_flags(source: &str) -> BTreeSet<String> {
+    let block: String = source
+        .lines()
+        .skip_while(|l| l.trim() != "//! ```text")
+        .skip(1)
+        .take_while(|l| l.trim() != "//! ```")
+        .collect::<Vec<_>>()
+        .join("\n");
+    flag_names(
+        block
+            .split_once(" -- ")
+            .map_or(block.as_str(), |(_cargo, rest)| rest),
+    )
+}
+
+#[test]
+fn undeclared_flags_are_usage_errors_and_docs_match_help() {
+    let bin_src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+    // Cargo builds every binary of the package next to this one.
+    let exe_dir: PathBuf = Path::new(env!("CARGO_BIN_EXE_fig3"))
+        .parent()
+        .unwrap()
+        .to_path_buf();
+    let mut roster: Vec<PathBuf> = std::fs::read_dir(&bin_src)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+        .collect();
+    roster.sort();
+    assert!(roster.len() >= 18, "roster went missing: {roster:?}");
+
+    for src_path in roster {
+        let name = src_path.file_stem().unwrap().to_str().unwrap();
+        let source = std::fs::read_to_string(&src_path).unwrap();
+        let exe = exe_dir.join(name);
+
+        let bogus = run(&exe, &["--bogus"]);
+        let stderr = String::from_utf8_lossy(&bogus.stderr);
+        assert_eq!(bogus.status.code(), Some(2), "{name} --bogus: {stderr}");
+        assert!(
+            stderr.contains(&format!("{name}: unknown flag --bogus")),
+            "{name} --bogus must name the flag: {stderr}"
+        );
+        assert!(stderr.contains("usage:"), "{name}: {stderr}");
+        assert!(bogus.stdout.is_empty(), "{name} --bogus printed a table");
+
+        let stray = run(&exe, &["stray"]);
+        assert_eq!(stray.status.code(), Some(2), "{name} stray positional");
+
+        let help = run(&exe, &["--help"]);
+        assert_eq!(help.status.code(), Some(0), "{name} --help");
+        let usage = String::from_utf8(help.stdout).unwrap();
+        assert!(usage.starts_with(&format!("usage: {name}")), "{usage}");
+        assert!(
+            documented_flags(&source).is_subset(&flag_names(&usage)),
+            "{name}: the module doc's usage block names a flag --help does not"
+        );
+
+        if source.contains("SweepDriver::") {
+            for shared in ["threads", "point-retries", "metrics-out"] {
+                assert!(usage.contains(&format!("--{shared} ")), "{name}: {usage}");
+            }
+        }
+    }
+}
