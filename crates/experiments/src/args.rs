@@ -37,7 +37,7 @@ impl Flag {
 }
 
 /// The one-line usage of `binary`, in declaration order.
-pub fn usage(binary: &str, flags: &[&[Flag]]) -> String {
+fn usage(binary: &str, flags: &[&[Flag]]) -> String {
     let mut line = format!("usage: {binary}");
     for f in flags.iter().copied().flatten() {
         match f.placeholder {
@@ -57,10 +57,6 @@ pub struct Args {
     /// binary's list (it could never have been set), caught in debug
     /// builds.
     declared: Vec<&'static str>,
-    /// The argv these were parsed from, verbatim (program name excluded).
-    /// The multi-process sweep coordinator rebuilds worker command lines
-    /// from this.
-    raw: Vec<String>,
 }
 
 impl Args {
@@ -82,18 +78,16 @@ impl Args {
 
     /// Parses from an explicit iterator (testable): `Err` describes the
     /// first argument no declared flag accounts for.
-    pub fn from_args<I, S>(flags: &[&[Flag]], iter: I) -> Result<Self, String>
+    pub(crate) fn from_args<I, S>(flags: &[&[Flag]], iter: I) -> Result<Self, String>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        let raw: Vec<String> = iter.into_iter().map(Into::into).collect();
         let mut args = Args {
             declared: flags.iter().copied().flatten().map(|f| f.name).collect(),
-            raw: raw.clone(),
             ..Args::default()
         };
-        let mut items = raw.into_iter().peekable();
+        let mut items = iter.into_iter().map(Into::into).peekable();
         while let Some(item) = items.next() {
             let Some(name) = item.strip_prefix("--") else {
                 return Err(format!("unexpected argument '{item}'"));
@@ -112,12 +106,6 @@ impl Args {
             }
         }
         Ok(args)
-    }
-
-    /// The argv these arguments were parsed from, verbatim (program name
-    /// excluded).
-    pub fn raw(&self) -> &[String] {
-        &self.raw
     }
 
     /// True iff the switch `--name` was given.
@@ -141,7 +129,11 @@ impl Args {
 
     /// Parses `--name` as `T`, with a default; a malformed value is an
     /// `Err` describing the flag, the raw text, and the parse failure.
-    pub fn try_get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String>
+    pub(crate) fn try_get_or<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        default: T,
+    ) -> Result<T, String>
     where
         T::Err: std::fmt::Display,
     {

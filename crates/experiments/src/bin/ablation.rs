@@ -7,7 +7,7 @@
 //! load-bearing.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin ablation -- [--sets 200] [--seed 7] [--threads N] [--csv] [--metrics-out m.json] [--checkpoint ck.json] [--batch N] [--procs N] [--chaos kill-after=K[,torn-tail]] [--point-retries 1] [--fail-after N] [--verbose]
+//! cargo run --release -p experiments --bin ablation -- [--sets 200] [--seed 7] [--threads N] [--point-retries 1] [--metrics-out m.json] [--csv]
 //! ```
 //!
 //! Each (M, policy) pair is one sweep point under
@@ -15,14 +15,13 @@
 //! `--seed`, so all policies face identical task sets and the output is
 //! byte-identical for any `--threads`.
 
-use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
+use experiments::{recorder, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use pfair_core::sched::SchedConfig;
 use pfair_core::Policy;
 use pfair_model::TaskSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sched_sim::MultiSim;
-use stats::Table;
 
 /// Full-utilization sets of heavy tasks (the EPDF-hard regime).
 fn heavy_set(rng: &mut StdRng, m: u32) -> TaskSet {
@@ -51,11 +50,7 @@ fn heavy_set(rng: &mut StdRng, m: u32) -> TaskSet {
 const PROC_COUNTS: [u32; 5] = [2, 3, 4, 6, 8];
 
 /// The flags `ablation` reads itself; [`SWEEP_FLAGS`] adds the driver's.
-const FLAGS: &[Flag] = &[
-    Flag::value("sets", "N"),
-    Flag::value("seed", "N"),
-    Flag::switch("csv"),
-];
+const FLAGS: &[Flag] = &[Flag::value("sets", "N"), Flag::value("seed", "N")];
 
 fn main() {
     let args = Args::parse("ablation", &[FLAGS, SWEEP_FLAGS]);
@@ -63,7 +58,7 @@ fn main() {
     let seed: u64 = args.get_or("seed", 7);
     let rec = recorder(&args);
 
-    let mut driver = SweepDriver::new(&args, "ablation", format!("sets={sets} seed={seed}"));
+    let mut driver = SweepDriver::new(&args, "ablation");
     eprintln!(
         "ablation: {sets} full-utilization heavy task sets per M, {} threads",
         driver.threads()
@@ -101,20 +96,16 @@ fn main() {
             max_tardiness.to_string(),
         ]
     });
-    let mut table = Table::new(&[
-        "M",
-        "policy",
-        "sets w/ misses",
-        "total misses",
-        "max tardiness",
-    ]);
-    for row in rows.into_iter().flatten() {
-        table.row_owned(row);
-    }
-    if args.flag("csv") {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.render());
-    }
-    write_metrics(&args, &rec);
+    driver.finish(
+        &args,
+        &rec,
+        &[
+            "M",
+            "policy",
+            "sets w/ misses",
+            "total misses",
+            "max tardiness",
+        ],
+        rows,
+    );
 }

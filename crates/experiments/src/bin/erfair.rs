@@ -8,7 +8,7 @@
 //! loads, on identical workloads.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin erfair -- [--tasks 20] [--cpus 4] [--sets 30] [--slots 5000] [--seed 1] [--threads N] [--csv] [--metrics-out m.json] [--checkpoint ck.json] [--batch N] [--procs N] [--chaos kill-after=K[,torn-tail]] [--point-retries 1] [--fail-after N] [--verbose]
+//! cargo run --release -p experiments --bin erfair -- [--tasks 20] [--cpus 4] [--sets 30] [--slots 5000] [--seed 1] [--threads N] [--point-retries 1] [--metrics-out m.json] [--csv]
 //! ```
 //!
 //! Each (load, algorithm) pair is one sweep point under
@@ -16,13 +16,13 @@
 //! alone, so every algorithm sees identical task sets and the output is
 //! byte-identical for any `--threads`.
 
-use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
+use experiments::{recorder, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use pfair_core::sched::{EarlyRelease, SchedConfig};
 use pfair_model::{Task, TaskSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sched_sim::MultiSim;
-use stats::{Table, Welford};
+use stats::Welford;
 
 fn workload(n: usize, target: f64, seed: u64) -> TaskSet {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -144,7 +144,6 @@ const FLAGS: &[Flag] = &[
     Flag::value("sets", "N"),
     Flag::value("slots", "N"),
     Flag::value("seed", "N"),
-    Flag::switch("csv"),
 ];
 
 fn main() {
@@ -156,11 +155,7 @@ fn main() {
     let seed: u64 = args.get_or("seed", 1);
     let rec = recorder(&args);
 
-    let mut driver = SweepDriver::new(
-        &args,
-        "erfair",
-        format!("tasks={n} cpus={m} sets={sets} slots={slots} seed={seed}"),
-    );
+    let mut driver = SweepDriver::new(&args, "erfair");
     eprintln!(
         "erfair: N={n}, M={m}, {sets} sets × {slots} slots, {} threads",
         driver.threads()
@@ -181,21 +176,17 @@ fn main() {
             Some(er) => pfair_row(n, m, sets, slots, seed, load, name, er),
         }
     });
-    let mut table = Table::new(&[
-        "load",
-        "mode",
-        "mean response (slots)",
-        "p99 response",
-        "idle fraction",
-        "misses",
-    ]);
-    for row in rows.into_iter().flatten() {
-        table.row_owned(row);
-    }
-    if args.flag("csv") {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.render());
-    }
-    write_metrics(&args, &rec);
+    driver.finish(
+        &args,
+        &rec,
+        &[
+            "load",
+            "mode",
+            "mean response (slots)",
+            "p99 response",
+            "idle fraction",
+            "misses",
+        ],
+        rows,
+    );
 }

@@ -5,9 +5,7 @@
 //! cargo run --release -p experiments --bin faults -- [--tasks 10] [--util 2.5] \
 //!     [--sets 20] [--horizon 2000] [--seed 1] [--recovery none|shed|catchup|full] \
 //!     [--trace ft.json] [--trace-kind failstop] [--trace-level 0.25] \
-//!     [--threads N] [--csv] [--metrics-out m.json] [--checkpoint ck.json] \
-//!     [--batch N] [--procs N] [--chaos kill-after=K[,torn-tail]] \
-//!     [--point-retries 1] [--fail-after N] [--verbose]
+//!     [--threads N] [--point-retries 1] [--metrics-out m.json] [--csv]
 //! ```
 //!
 //! Each point fixes a fault type and an intensity level, generates `--sets`
@@ -32,11 +30,12 @@
 //!
 //! Points run through [`experiments::SweepDriver`] (`--threads`,
 //! byte-identical output for any thread count). Exit codes: 0 success,
-//! 2 usage/checkpoint error, 3 simulated crash (`--fail-after`).
+//! 1 a point exhausted `--point-retries` (partial table printed),
+//! 2 usage error.
 
-use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
+use experiments::{recorder, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use faults::{run_edf, run_pd2, run_pd2_traced, FaultConfig, RecoveryPolicy};
-use stats::{Table, Welford};
+use stats::Welford;
 use workload::TaskSetGenerator;
 
 /// Fault-intensity levels swept for every fault type.
@@ -92,7 +91,6 @@ const FLAGS: &[Flag] = &[
     Flag::value("trace", "FILE"),
     Flag::value("trace-kind", "none|loss|overrun|failstop|burst"),
     Flag::value("trace-level", "X"),
-    Flag::switch("csv"),
 ];
 
 fn main() {
@@ -115,13 +113,7 @@ fn main() {
     };
     let rec = recorder(&args);
 
-    let mut driver = SweepDriver::new(
-        &args,
-        "faults",
-        format!(
-            "tasks={n} util={util} sets={sets} horizon={horizon} seed={seed} recovery={recovery}"
-        ),
-    );
+    let mut driver = SweepDriver::new(&args, "faults");
     eprintln!(
         "faults: N={n}, U={util}, {sets} sets per point, recovery={recovery}, {} threads",
         driver.threads()
@@ -226,24 +218,20 @@ fn main() {
             trips.to_string(),
         ]
     });
-    let mut table = Table::new(&[
-        "fault",
-        "level",
-        "PD2 miss",
-        "PD2 max lag",
-        "EDF miss",
-        "EDF max lag",
-        "EDF rejected",
-        "shed",
-        "catchup trips",
-    ]);
-    for row in rows.into_iter().flatten() {
-        table.row_owned(row);
-    }
-    if args.flag("csv") {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.render());
-    }
-    write_metrics(&args, &rec);
+    driver.finish(
+        &args,
+        &rec,
+        &[
+            "fault",
+            "level",
+            "PD2 miss",
+            "PD2 max lag",
+            "EDF miss",
+            "EDF max lag",
+            "EDF rejected",
+            "shed",
+            "catchup trips",
+        ],
+        rows,
+    );
 }

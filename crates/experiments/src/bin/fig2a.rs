@@ -2,7 +2,7 @@
 //! processor, as a function of task count.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin fig2a -- [--sets 100] [--horizon 1000000] [--seed 1] [--threads 1] [--csv] [--metrics-out m.json] [--checkpoint ck.json] [--batch N] [--procs N] [--chaos kill-after=K[,torn-tail]] [--point-retries 1] [--fail-after N] [--verbose]
+//! cargo run --release -p experiments --bin fig2a -- [--sets 100] [--horizon 1000000] [--slots 20000] [--seed 1] [--threads 1] [--point-retries 1] [--metrics-out m.json] [--csv]
 //! ```
 //!
 //! This binary *measures wall time*, so its points default to running
@@ -11,8 +11,8 @@
 //! still works for smoke runs where the timings don't matter.
 
 use experiments::fig2::{measure_edf_observed, measure_pd2_observed, PAPER_TASK_COUNTS};
-use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
-use stats::{ci99_halfwidth, Table};
+use experiments::{recorder, Args, Flag, SweepDriver, SWEEP_FLAGS};
+use stats::ci99_halfwidth;
 
 /// The flags `fig2a` reads itself; [`SWEEP_FLAGS`] adds the driver's.
 const FLAGS: &[Flag] = &[
@@ -20,7 +20,6 @@ const FLAGS: &[Flag] = &[
     Flag::value("horizon", "US"),
     Flag::value("slots", "N"),
     Flag::value("seed", "N"),
-    Flag::switch("csv"),
 ];
 
 fn main() {
@@ -31,11 +30,7 @@ fn main() {
     let seed: u64 = args.get_or("seed", 1);
     let rec = recorder(&args);
 
-    let mut driver = SweepDriver::serial_by_default(
-        &args,
-        "fig2a",
-        format!("sets={sets} horizon={horizon_us} slots={horizon_slots} seed={seed}"),
-    );
+    let mut driver = SweepDriver::serial_by_default(&args, "fig2a");
     eprintln!(
         "fig2a: {sets} sets per N, EDF horizon {horizon_us}µs, PD2 horizon {horizon_slots} slots, {} threads",
         driver.threads()
@@ -54,14 +49,10 @@ fn main() {
             format!("{:.3}", ci99_halfwidth(&pd2)),
         ]
     });
-    let mut table = Table::new(&["N", "EDF (µs)", "±99%", "PD2 (µs)", "±99%"]);
-    for row in rows.into_iter().flatten() {
-        table.row_owned(row);
-    }
-    if args.flag("csv") {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.render());
-    }
-    write_metrics(&args, &rec);
+    driver.finish(
+        &args,
+        &rec,
+        &["N", "EDF (µs)", "±99%", "PD2 (µs)", "±99%"],
+        rows,
+    );
 }

@@ -2,7 +2,7 @@
 //! processors, as a function of task count.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin fig2b -- [--sets 50] [--slots 20000] [--seed 1] [--threads 1] [--csv] [--metrics-out m.json] [--checkpoint ck.json] [--batch N] [--procs N] [--chaos kill-after=K[,torn-tail]] [--point-retries 1] [--fail-after N] [--verbose]
+//! cargo run --release -p experiments --bin fig2b -- [--sets 50] [--slots 20000] [--seed 1] [--threads 1] [--point-retries 1] [--metrics-out m.json] [--csv]
 //! ```
 //!
 //! This binary *measures wall time*, so its points default to running
@@ -11,15 +11,14 @@
 //! still works for smoke runs where the timings don't matter.
 
 use experiments::fig2::{measure_pd2_observed, PAPER_PROC_COUNTS, PAPER_TASK_COUNTS};
-use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
-use stats::{ci99_halfwidth, Table};
+use experiments::{recorder, Args, Flag, SweepDriver, SWEEP_FLAGS};
+use stats::ci99_halfwidth;
 
 /// The flags `fig2b` reads itself; [`SWEEP_FLAGS`] adds the driver's.
 const FLAGS: &[Flag] = &[
     Flag::value("sets", "N"),
     Flag::value("slots", "N"),
     Flag::value("seed", "N"),
-    Flag::switch("csv"),
 ];
 
 fn main() {
@@ -29,11 +28,7 @@ fn main() {
     let seed: u64 = args.get_or("seed", 1);
     let rec = recorder(&args);
 
-    let mut driver = SweepDriver::serial_by_default(
-        &args,
-        "fig2b",
-        format!("sets={sets} slots={horizon_slots} seed={seed}"),
-    );
+    let mut driver = SweepDriver::serial_by_default(&args, "fig2b");
     eprintln!(
         "fig2b: {sets} sets per point, {horizon_slots} slots each, {} threads",
         driver.threads()
@@ -44,7 +39,6 @@ fn main() {
         headers.push("±99%".to_string());
     }
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut table = Table::new(&header_refs);
 
     let keys: Vec<String> = PAPER_TASK_COUNTS.iter().map(|n| format!("N={n}")).collect();
     let rows = driver.run(&keys, &rec, |i, shard| {
@@ -58,13 +52,5 @@ fn main() {
         eprintln!("  N={n}: {}", row[1..].join(" "));
         row
     });
-    for row in rows.into_iter().flatten() {
-        table.row_owned(row);
-    }
-    if args.flag("csv") {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.render());
-    }
-    write_metrics(&args, &rec);
+    driver.finish(&args, &rec, &header_refs, rows);
 }

@@ -2,7 +2,7 @@
 //! utilization grows, with Equation (3) overhead inflation.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin fig3 -- [--tasks 50] [--sets 200] [--points 15] [--seed 1] [--threads N] [--csv] [--metrics-out m.json] [--checkpoint ck.json] [--batch N] [--procs N] [--chaos kill-after=K[,torn-tail]] [--point-retries 1] [--fail-after N] [--verbose]
+//! cargo run --release -p experiments --bin fig3 -- [--tasks 50] [--sets 200] [--points 15] [--seed 1] [--threads N] [--point-retries 1] [--metrics-out m.json] [--csv]
 //! ```
 //!
 //! The paper's Fig. 3 panels are `--tasks 50 | 100 | 250 | 500`.
@@ -16,11 +16,11 @@
 //! processor count against an actual miss-free schedule.
 
 use experiments::fig34::{paper_utilization_sweep, run_point_observed};
-use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
+use experiments::{recorder, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use overhead::OverheadParams;
 use pfair_core::sched::SchedConfig;
 use sched_sim::MultiSim;
-use stats::{ci99_halfwidth, Table};
+use stats::ci99_halfwidth;
 use workload::{CacheDelayDist, TaskSetGenerator};
 
 /// Simulates one sampled task set per point under PD² dispatch for a few
@@ -48,7 +48,6 @@ const FLAGS: &[Flag] = &[
     Flag::value("sets", "N"),
     Flag::value("points", "N"),
     Flag::value("seed", "N"),
-    Flag::switch("csv"),
 ];
 
 fn main() {
@@ -61,11 +60,7 @@ fn main() {
     let dist = CacheDelayDist::paper2003();
     let rec = recorder(&args);
 
-    let mut driver = SweepDriver::new(
-        &args,
-        "fig3",
-        format!("tasks={n} sets={sets} points={points} seed={seed}"),
-    );
+    let mut driver = SweepDriver::new(&args, "fig3");
     eprintln!(
         "fig3: N={n}, {sets} sets per point, {points} utilization points, {} threads",
         driver.threads()
@@ -94,14 +89,10 @@ fn main() {
             format!("{:.2}", ci99_halfwidth(&p.edf_procs)),
         ]
     });
-    let mut table = Table::new(&["U", "PD2 procs", "±99%", "EDF-FF procs", "±99%"]);
-    for row in rows.into_iter().flatten() {
-        table.row_owned(row);
-    }
-    if args.flag("csv") {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.render());
-    }
-    write_metrics(&args, &rec);
+    driver.finish(
+        &args,
+        &rec,
+        &["U", "PD2 procs", "±99%", "EDF-FF procs", "±99%"],
+        rows,
+    );
 }

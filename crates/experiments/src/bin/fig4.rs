@@ -3,7 +3,7 @@
 //! mean task utilization grows.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin fig4 -- [--tasks 50] [--sets 200] [--points 15] [--seed 1] [--threads N] [--csv] [--metrics-out m.json] [--checkpoint ck.json] [--batch N] [--procs N] [--chaos kill-after=K[,torn-tail]] [--point-retries 1] [--fail-after N] [--verbose]
+//! cargo run --release -p experiments --bin fig4 -- [--tasks 50] [--sets 200] [--points 15] [--seed 1] [--threads N] [--point-retries 1] [--metrics-out m.json] [--csv]
 //! ```
 //!
 //! The paper's panels are `--tasks 50` and `--tasks 100`; the x-axis is
@@ -12,9 +12,9 @@
 //! any thread count).
 
 use experiments::fig34::{paper_utilization_sweep, run_point_observed};
-use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
+use experiments::{recorder, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use overhead::OverheadParams;
-use stats::{ci99_halfwidth, Table};
+use stats::ci99_halfwidth;
 use workload::CacheDelayDist;
 
 /// The flags `fig4` reads itself; [`SWEEP_FLAGS`] adds the driver's.
@@ -23,7 +23,6 @@ const FLAGS: &[Flag] = &[
     Flag::value("sets", "N"),
     Flag::value("points", "N"),
     Flag::value("seed", "N"),
-    Flag::switch("csv"),
 ];
 
 fn main() {
@@ -36,11 +35,7 @@ fn main() {
     let dist = CacheDelayDist::paper2003();
     let rec = recorder(&args);
 
-    let mut driver = SweepDriver::new(
-        &args,
-        "fig4",
-        format!("tasks={n} sets={sets} points={points} seed={seed}"),
-    );
+    let mut driver = SweepDriver::new(&args, "fig4");
     eprintln!(
         "fig4: N={n}, {sets} sets per point, {} threads",
         driver.threads()
@@ -67,22 +62,18 @@ fn main() {
             format!("{:.4}", ci99_halfwidth(&p.ff_loss)),
         ]
     });
-    let mut table = Table::new(&[
-        "mean util",
-        "Pfair loss",
-        "±99%",
-        "EDF loss",
-        "±99%",
-        "FF loss",
-        "±99%",
-    ]);
-    for row in rows.into_iter().flatten() {
-        table.row_owned(row);
-    }
-    if args.flag("csv") {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.render());
-    }
-    write_metrics(&args, &rec);
+    driver.finish(
+        &args,
+        &rec,
+        &[
+            "mean util",
+            "Pfair loss",
+            "±99%",
+            "EDF loss",
+            "±99%",
+            "FF loss",
+            "±99%",
+        ],
+        rows,
+    );
 }

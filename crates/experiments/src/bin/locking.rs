@@ -9,7 +9,7 @@
 //! the quantum length.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin locking -- [--cpus 4] [--slots 20000] [--seed 1] [--threads N] [--csv] [--metrics-out m.json] [--checkpoint ck.json] [--batch N] [--procs N] [--chaos kill-after=K[,torn-tail]] [--point-retries 1] [--fail-after N] [--verbose]
+//! cargo run --release -p experiments --bin locking -- [--cpus 4] [--slots 20000] [--seed 1] [--threads N] [--point-retries 1] [--metrics-out m.json] [--csv]
 //! ```
 //!
 //! The PD² schedule is computed once and shared read-only by every
@@ -17,12 +17,11 @@
 //! [`experiments::SweepDriver`], with byte-identical output for any
 //! `--threads` (the lock simulator's draws are seeded per point).
 
-use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
+use experiments::{recorder, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use pfair_core::sched::SchedConfig;
 use pfair_model::TaskSet;
 use pfair_sync::{pfair_blocking_bound, CsConfig, LockSim};
 use sched_sim::MultiSim;
-use stats::Table;
 
 const CS_RANGES: [(u64, u64); 5] = [(1, 10), (5, 50), (50, 200), (200, 500), (500, 900)];
 
@@ -31,7 +30,6 @@ const FLAGS: &[Flag] = &[
     Flag::value("cpus", "N"),
     Flag::value("slots", "N"),
     Flag::value("seed", "N"),
-    Flag::switch("csv"),
 ];
 
 fn main() {
@@ -54,11 +52,7 @@ fn main() {
     sim.run(slots);
     let schedule = sim.schedule().unwrap().to_vec();
 
-    let mut driver = SweepDriver::new(
-        &args,
-        "locking",
-        format!("cpus={m} slots={slots} seed={seed}"),
-    );
+    let mut driver = SweepDriver::new(&args, "locking");
     eprintln!(
         "locking: M={m}, {} tasks, {slots} slots, 1 resource (max contention), {} threads",
         set.len(),
@@ -91,22 +85,18 @@ fn main() {
             stats.max_latency_slots.to_string(),
         ]
     });
-    let mut table = Table::new(&[
-        "CS len (µs)",
-        "completed",
-        "defer rate",
-        "mean spin (µs)",
-        "max spin (µs)",
-        "analytic bound",
-        "max latency (slots)",
-    ]);
-    for row in rows.into_iter().flatten() {
-        table.row_owned(row);
-    }
-    if args.flag("csv") {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.render());
-    }
-    write_metrics(&args, &rec);
+    driver.finish(
+        &args,
+        &rec,
+        &[
+            "CS len (µs)",
+            "completed",
+            "defer rate",
+            "mean spin (µs)",
+            "max spin (µs)",
+            "analytic bound",
+            "max latency (slots)",
+        ],
+        rows,
+    );
 }

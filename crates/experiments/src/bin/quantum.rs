@@ -2,13 +2,13 @@
 //! quantum varies, exposing the rounding-vs-overhead trade-off.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin quantum -- [--tasks 50] [--util 10] [--sets 100] [--seed 1] [--threads N] [--csv] [--metrics-out m.json] [--checkpoint ck.json] [--batch N] [--procs N] [--chaos kill-after=K[,torn-tail]] [--point-retries 1] [--fail-after N] [--verbose]
+//! cargo run --release -p experiments --bin quantum -- [--tasks 50] [--util 10] [--sets 100] [--seed 1] [--threads N] [--point-retries 1] [--metrics-out m.json] [--csv]
 //! ```
 
 use experiments::quantum::{run_quantum_point, QUANTUM_SWEEP_US};
-use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
+use experiments::{recorder, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use overhead::OverheadParams;
-use stats::{ci99_halfwidth, Table};
+use stats::ci99_halfwidth;
 
 /// The flags `quantum` reads itself; [`SWEEP_FLAGS`] adds the driver's.
 const FLAGS: &[Flag] = &[
@@ -16,7 +16,6 @@ const FLAGS: &[Flag] = &[
     Flag::value("util", "X"),
     Flag::value("sets", "N"),
     Flag::value("seed", "N"),
-    Flag::switch("csv"),
 ];
 
 fn main() {
@@ -28,11 +27,7 @@ fn main() {
     let params = OverheadParams::paper2003();
     let rec = recorder(&args);
 
-    let mut driver = SweepDriver::new(
-        &args,
-        "quantum",
-        format!("tasks={n} util={util} sets={sets} seed={seed}"),
-    );
+    let mut driver = SweepDriver::new(&args, "quantum");
     eprintln!(
         "quantum sweep: N={n}, U={util}, {sets} sets, {} threads",
         driver.threads()
@@ -47,14 +42,10 @@ fn main() {
             p.failures.to_string(),
         ]
     });
-    let mut table = Table::new(&["q (µs)", "PD2 procs", "±99%", "failures"]);
-    for row in rows.into_iter().flatten() {
-        table.row_owned(row);
-    }
-    if args.flag("csv") {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.render());
-    }
-    write_metrics(&args, &rec);
+    driver.finish(
+        &args,
+        &rec,
+        &["q (µs)", "PD2 procs", "±99%", "failures"],
+        rows,
+    );
 }

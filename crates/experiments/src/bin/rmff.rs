@@ -8,16 +8,15 @@
 //! toward 1.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin rmff -- [--cpus 8] [--tasks 24] [--sets 300] [--seed 1] [--threads N] [--csv] [--metrics-out m.json] [--checkpoint ck.json] [--batch N] [--procs N] [--chaos kill-after=K[,torn-tail]] [--point-retries 1] [--fail-after N] [--verbose]
+//! cargo run --release -p experiments --bin rmff -- [--cpus 8] [--tasks 24] [--sets 300] [--seed 1] [--threads N] [--point-retries 1] [--metrics-out m.json] [--csv]
 //! ```
 //!
 //! Each `U/M` step is one sweep point under [`experiments::SweepDriver`];
 //! task sets derive from `(seed, set index)` alone, so the output is
 //! byte-identical for any `--threads`.
 
-use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
+use experiments::{recorder, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use partition::{partition, EdfUtilization, Heuristic, RmExact, RmLiuLayland, SortOrder};
-use stats::Table;
 use workload::TaskSetGenerator;
 
 const STEPS: [u32; 8] = [3, 4, 5, 6, 7, 8, 9, 10];
@@ -28,7 +27,6 @@ const FLAGS: &[Flag] = &[
     Flag::value("tasks", "N"),
     Flag::value("sets", "N"),
     Flag::value("seed", "N"),
-    Flag::switch("csv"),
 ];
 
 fn main() {
@@ -39,11 +37,7 @@ fn main() {
     let seed: u64 = args.get_or("seed", 1);
     let rec = recorder(&args);
 
-    let mut driver = SweepDriver::new(
-        &args,
-        "rmff",
-        format!("cpus={m} tasks={n} sets={sets} seed={seed}"),
-    );
+    let mut driver = SweepDriver::new(&args, "rmff");
     eprintln!(
         "rmff: M={m}, N={n}, {sets} sets per point, {} threads",
         driver.threads()
@@ -105,21 +99,17 @@ fn main() {
             pct(accepted[4]),
         ]
     });
-    let mut table = Table::new(&[
-        "U/M",
-        "RM-FF (LL)",
-        "RM-FF (exact)",
-        "EDF-FF",
-        "EDF-FFD",
-        "PD2",
-    ]);
-    for row in rows.into_iter().flatten() {
-        table.row_owned(row);
-    }
-    if args.flag("csv") {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.render());
-    }
-    write_metrics(&args, &rec);
+    driver.finish(
+        &args,
+        &rec,
+        &[
+            "U/M",
+            "RM-FF (LL)",
+            "RM-FF (exact)",
+            "EDF-FF",
+            "EDF-FFD",
+            "PD2",
+        ],
+        rows,
+    );
 }

@@ -9,9 +9,8 @@
 //! cargo run --release -p experiments --bin slack -- [--tasks 8] [--util 2.0] \
 //!     [--sets 10] [--horizon 2000] [--seed 1] [--recovery none|shed|catchup|full] \
 //!     [--lag-threshold 1.0] [--trace st.json] [--trace-kind overrun] \
-//!     [--trace-strategy margin25] [--threads N] [--csv] [--metrics-out m.json] \
-//!     [--checkpoint ck.json] [--batch N] [--procs N] [--chaos kill-after=K[,torn-tail]] \
-//!     [--point-retries 1] [--fail-after N] [--verbose]
+//!     [--trace-strategy margin25] [--threads N] [--point-retries 1] \
+//!     [--metrics-out m.json] [--csv]
 //! ```
 //!
 //! Points are (fault kind) × (reservation strategy). Faults are injected
@@ -35,9 +34,9 @@
 //! schema-v2 JSON [`ScheduleTrace`](sched_sim::ScheduleTrace) that
 //! `verify_trace` re-checks offline.
 
-use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
+use experiments::{recorder, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use faults::{run_pd2_slack, run_pd2_slack_traced, FaultConfig, RecoveryPolicy, SlackPlan};
-use stats::{Table, Welford};
+use stats::Welford;
 use workload::TaskSetGenerator;
 
 /// Fault kinds stressed inside the window.
@@ -105,7 +104,6 @@ const FLAGS: &[Flag] = &[
     Flag::value("trace", "FILE"),
     Flag::value("trace-kind", "overrun|failstop|mixed"),
     Flag::value("trace-strategy", "base|spare1|margin25|margin50"),
-    Flag::switch("csv"),
 ];
 
 fn main() {
@@ -129,14 +127,7 @@ fn main() {
     };
     let rec = recorder(&args);
 
-    let mut driver = SweepDriver::new(
-        &args,
-        "slack",
-        format!(
-            "tasks={n} util={util} sets={sets} horizon={horizon} seed={seed} \
-             recovery={recovery} lag-threshold={lag_threshold}"
-        ),
-    );
+    let mut driver = SweepDriver::new(&args, "slack");
     eprintln!(
         "slack: N={n}, U={util}, {sets} sets per point, recovery={recovery}, {} threads",
         driver.threads()
@@ -248,16 +239,12 @@ fn main() {
         ]
     });
 
-    let mut table = Table::new(&[
-        "fault", "strategy", "procs", "degraded", "recover", "worst", "stuck", "miss", "viol",
-    ]);
-    for row in rows.into_iter().flatten() {
-        table.row_owned(row);
-    }
-    if args.flag("csv") {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.render());
-    }
-    write_metrics(&args, &rec);
+    driver.finish(
+        &args,
+        &rec,
+        &[
+            "fault", "strategy", "procs", "degraded", "recover", "worst", "stuck", "miss", "viol",
+        ],
+        rows,
+    );
 }

@@ -10,7 +10,7 @@
 //! PD² bound thanks to affinity dispatch.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin switches -- [--tasks 20] [--sets 20] [--horizon 1000000] [--seed 1] [--threads N] [--csv] [--metrics-out m.json] [--checkpoint ck.json] [--batch N] [--procs N] [--chaos kill-after=K[,torn-tail]] [--point-retries 1] [--fail-after N] [--verbose]
+//! cargo run --release -p experiments --bin switches -- [--tasks 20] [--sets 20] [--horizon 1000000] [--seed 1] [--threads N] [--point-retries 1] [--metrics-out m.json] [--csv]
 //! ```
 //!
 //! Each (mean-utilization, algorithm) pair is one sweep point under
@@ -18,11 +18,11 @@
 //! index)` alone, so both algorithms see identical task sets and the
 //! output is byte-identical for any `--threads`.
 
-use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
+use experiments::{recorder, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use partition::{partition_unbounded, EdfUtilization, Heuristic, SortOrder};
 use pfair_core::sched::SchedConfig;
 use sched_sim::{MultiSim, PartitionedSim};
-use stats::{Table, Welford};
+use stats::Welford;
 use uniproc::Discipline;
 use workload::TaskSetGenerator;
 
@@ -109,7 +109,6 @@ const FLAGS: &[Flag] = &[
     Flag::value("sets", "N"),
     Flag::value("horizon", "N"),
     Flag::value("seed", "N"),
-    Flag::switch("csv"),
 ];
 
 fn main() {
@@ -120,11 +119,7 @@ fn main() {
     let seed: u64 = args.get_or("seed", 1);
     let rec = recorder(&args);
 
-    let mut driver = SweepDriver::new(
-        &args,
-        "switches",
-        format!("tasks={n} sets={sets} horizon={horizon_us} seed={seed}"),
-    );
+    let mut driver = SweepDriver::new(&args, "switches");
     eprintln!(
         "switches: N={n}, {sets} sets, horizon {horizon_us}µs, {} threads",
         driver.threads()
@@ -145,21 +140,17 @@ fn main() {
             pd2_row(n, sets, horizon_us, seed, mean_util)
         }
     });
-    let mut table = Table::new(&[
-        "mean util",
-        "algo",
-        "preempt/job",
-        "ctxsw/job",
-        "migr/job",
-        "pd2 bound/job",
-    ]);
-    for row in rows.into_iter().flatten() {
-        table.row_owned(row);
-    }
-    if args.flag("csv") {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.render());
-    }
-    write_metrics(&args, &rec);
+    driver.finish(
+        &args,
+        &rec,
+        &[
+            "mean util",
+            "algo",
+            "preempt/job",
+            "ctxsw/job",
+            "migr/job",
+            "pd2 bound/job",
+        ],
+        rows,
+    );
 }

@@ -6,9 +6,8 @@
 //!
 //! ```text
 //! cargo run --release -p experiments --bin tournament -- [--cpus 4] [--tasks 12] \
-//!     [--sets 40] [--horizon 1440] [--seed 1] [--threads N] [--csv] \
-//!     [--metrics-out m.json] [--checkpoint ck.json] [--batch N] [--procs N] \
-//!     [--chaos kill-after=K[,torn-tail]] [--point-retries 1] [--fail-after N] [--verbose]
+//!     [--sets 40] [--horizon 1440] [--seed 1] [--threads N] [--point-retries 1] \
+//!     [--metrics-out m.json] [--csv]
 //! ```
 //!
 //! Points are (normalized utilization `U/M`) × (scheme); each point
@@ -33,8 +32,8 @@
 //!   normalized by `--cpus`.
 
 use experiments::tournament::{generate_set, score, Scheme};
-use experiments::{recorder, write_metrics, Args, Flag, SweepDriver, SWEEP_FLAGS};
-use stats::{Table, Welford};
+use experiments::{recorder, Args, Flag, SweepDriver, SWEEP_FLAGS};
+use stats::Welford;
 
 /// Normalized-utilization steps `U/M` swept for every scheme.
 const STEPS: [u32; 8] = [3, 4, 5, 6, 7, 8, 9, 10];
@@ -58,7 +57,6 @@ const FLAGS: &[Flag] = &[
     Flag::value("sets", "N"),
     Flag::value("horizon", "N"),
     Flag::value("seed", "N"),
-    Flag::switch("csv"),
 ];
 
 fn main() {
@@ -70,11 +68,7 @@ fn main() {
     let seed: u64 = args.get_or("seed", 1);
     let rec = recorder(&args);
 
-    let mut driver = SweepDriver::new(
-        &args,
-        "tournament",
-        format!("cpus={m} tasks={n} sets={sets} horizon={horizon} seed={seed}"),
-    );
+    let mut driver = SweepDriver::new(&args, "tournament");
     eprintln!(
         "tournament: M={m}, N={n}, {sets} sets per point, horizon {horizon}, {} threads",
         driver.threads()
@@ -156,24 +150,20 @@ fn main() {
         ]
     });
 
-    let mut table = Table::new(&[
-        "U/M",
-        "scheme",
-        "sched",
-        "rm_ll",
-        "rm_exact",
-        "gfb",
-        "preempt/kj",
-        "migr/kj",
-        "infl_util",
-    ]);
-    for row in rows.into_iter().flatten() {
-        table.row_owned(row);
-    }
-    if args.flag("csv") {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.render());
-    }
-    write_metrics(&args, &rec);
+    driver.finish(
+        &args,
+        &rec,
+        &[
+            "U/M",
+            "scheme",
+            "sched",
+            "rm_ll",
+            "rm_exact",
+            "gfb",
+            "preempt/kj",
+            "migr/kj",
+            "infl_util",
+        ],
+        rows,
+    );
 }

@@ -16,38 +16,32 @@
 //! | `tournament` | §3 + PAPERS.md | Multi-criteria scheduler tournament: FF/BF/WF/NF/FFD/BFD vs. PD² vs. exact global EDF |
 //! | `slack` | §6 (future work) | Slack reservation: spare processors / weight margins vs. post-fault lag recovery |
 //!
-//! All binaries accept `--sets`, `--seed`, `--csv`, and figure-specific
-//! flags (see `--help`); defaults are sized so the full suite runs in
+//! The sweep binaries accept `--seed`, `--csv` and figure-specific flags
+//! (`--help` lists them); defaults are sized so the full suite runs in
 //! minutes on a laptop, with paper-scale counts available via flags.
 //!
 //! Every sweep binary runs its points through [`driver::SweepDriver`]:
 //! points shard across `--threads N` workers (default: all cores) with
-//! output byte-identical for any thread count, and `--checkpoint <file>`
-//! persists every completed batch atomically so an interrupted run
-//! resumes where it left off; sweep points run under `catch_unwind`
-//! with `--point-retries` (see [`driver`] and [`checkpoint`]).
-//! `--procs N` adds a layer of supervised worker *processes* on top —
-//! crash-tolerant via checkpoint shards and lease heartbeats (see
-//! [`procs`]), with `--chaos` fault injection for testing. `fig5`,
-//! `dhall`, and `show` are single-shot demonstrations and intentionally
-//! have neither a pool nor checkpoint support.
+//! output byte-identical for any thread count, each point under
+//! `catch_unwind` with `--point-retries`; a sweep that still loses a
+//! point prints its partial table and exits 1 (see [`driver`]). No sweep
+//! persists anything: the longest takes seconds and `(flags, seed)`
+//! recomputes it bit for bit. `fig5`, `dhall`, and `show` are single-shot
+//! demonstrations and have no pool. Every binary declares the flags it
+//! reads ([`args::Flag`]); anything else on the command line is a usage
+//! error (exit 2), and `--help` prints the declared list.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod args;
-pub mod checkpoint;
 pub mod driver;
 pub mod fig2;
 pub mod fig34;
 pub mod metrics;
-pub mod procs;
 pub mod quantum;
 pub mod tournament;
 
 pub use args::{Args, Flag};
-pub use checkpoint::{
-    CheckpointPoint, CheckpointSink, Lease, NullSink, ShardSet, ShardSink, ShardWriter,
-};
 pub use driver::{SweepDriver, SWEEP_FLAGS};
 pub use metrics::{recorder, write_metrics, METRICS_FLAGS};

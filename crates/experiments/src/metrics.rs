@@ -9,7 +9,7 @@
 use crate::args::{Args, Flag};
 
 /// The flag this module reads.
-pub const METRICS_OUT: Flag = Flag::value("metrics-out", "FILE");
+pub(crate) const METRICS_OUT: Flag = Flag::value("metrics-out", "FILE");
 
 /// [`METRICS_OUT`] as a list, for binaries that record metrics without
 /// a [`crate::SweepDriver`] (whose `SWEEP_FLAGS` already carry it).

@@ -30,8 +30,8 @@ pub const QUANTUM_SWEEP_US: [u64; 7] = [100, 250, 500, 1_000, 2_000, 5_000, 10_0
 /// Computes one quantum-size point over `sets` random task sets of `n`
 /// tasks at the given total utilization. Every set's generator and delay
 /// draws derive from `(seed, set index)` alone, so a point's statistics
-/// are independent of which other points run (or resume) around it —
-/// the property the checkpointing harness relies on.
+/// are independent of which other points run around it, or on which
+/// worker — the property `SweepDriver`'s thread-count determinism needs.
 pub fn run_quantum_point(
     n: usize,
     total_util: f64,

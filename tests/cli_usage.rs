@@ -1,6 +1,7 @@
 //! Command-line contract of every `experiments` binary: a flag the binary
 //! does not declare is a usage error, never a silent no-op — a mistyped
-//! `--set 1000` must not run the default sweep and exit 0.
+//! `--set 1000` must not run the default sweep and exit 0, and the flags
+//! of the deleted crash-tolerance harness must refuse, not be ignored.
 //!
 //! The roster is derived from `crates/experiments/src/bin/` (as
 //! `ci/determinism-smoke.sh` derives its own), so a new binary is covered
@@ -9,6 +10,14 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+/// Flags of the deleted crash-tolerance harness: a command line that
+/// still carries one must fail loudly, not run without it and exit 0.
+const REMOVED_SWEEP_FLAGS: [&[&str]; 3] = [
+    &["--checkpoint", "x"],
+    &["--procs", "2"],
+    &["--fail-after", "1"],
+];
 
 fn run(exe: &Path, args: &[&str]) -> Output {
     Command::new(exe)
@@ -81,14 +90,25 @@ fn undeclared_flags_are_usage_errors_and_docs_match_help() {
         assert_eq!(help.status.code(), Some(0), "{name} --help");
         let usage = String::from_utf8(help.stdout).unwrap();
         assert!(usage.starts_with(&format!("usage: {name}")), "{usage}");
-        assert!(
-            documented_flags(&source).is_subset(&flag_names(&usage)),
-            "{name}: the module doc's usage block names a flag --help does not"
+        assert_eq!(
+            documented_flags(&source),
+            flag_names(&usage),
+            "{name}: the module doc's usage block and --help disagree"
         );
 
         if source.contains("SweepDriver::") {
             for shared in ["threads", "point-retries", "metrics-out"] {
                 assert!(usage.contains(&format!("--{shared} ")), "{name}: {usage}");
+            }
+            for removed in REMOVED_SWEEP_FLAGS {
+                let out = run(&exe, removed);
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(out.status.code(), Some(2), "{name} {removed:?}: {stderr}");
+                assert!(
+                    stderr.contains(&format!("unknown flag {}", removed[0])),
+                    "{name} {removed:?}: {stderr}"
+                );
+                assert!(out.stdout.is_empty(), "{name} {removed:?} printed a table");
             }
         }
     }

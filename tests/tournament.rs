@@ -1,5 +1,5 @@
-//! Tournament + slack sweep gate (CI): the scorecard must be
-//! byte-identical at any `--threads`/`--procs` combination, its CSV must
+//! Tournament + slack sweep gate (CI): the scorecard (and a `fig3` panel)
+//! must be byte-identical at any `--threads`, the scorecard's CSV must
 //! carry the documented schema, and a slack-reservation run traced under
 //! a fault storm must re-verify offline through `verify_trace`.
 //!
@@ -27,6 +27,10 @@ const TOURNAMENT: [&str; 11] = [
     "--csv",
 ];
 
+const FIG3: [&str; 9] = [
+    "--tasks", "8", "--sets", "2", "--points", "3", "--seed", "3", "--csv",
+];
+
 const SLACK: [&str; 11] = [
     "--tasks",
     "5",
@@ -44,6 +48,7 @@ const SLACK: [&str; 11] = [
 fn run(bin: &str, args: &[&str], extra: &[&str]) -> Output {
     let exe = match bin {
         "tournament" => env!("CARGO_BIN_EXE_tournament"),
+        "fig3" => env!("CARGO_BIN_EXE_fig3"),
         "slack" => env!("CARGO_BIN_EXE_slack"),
         "verify_trace" => env!("CARGO_BIN_EXE_verify_trace"),
         other => panic!("unknown binary {other}"),
@@ -71,24 +76,13 @@ fn temp_path(tag: &str) -> (PathBuf, String) {
 }
 
 #[test]
-fn tournament_is_byte_identical_across_threads_and_procs() {
-    let expected = stdout_of(&run("tournament", &TOURNAMENT, &["--threads", "1"]));
-    assert!(expected.lines().count() > 64, "scorecard missing rows");
-
-    let t4 = stdout_of(&run("tournament", &TOURNAMENT, &["--threads", "4"]));
-    assert_eq!(t4, expected, "--threads 4 must match --threads 1");
-
-    let (ck, ck_str) = temp_path("procs.json");
-    let _ = std::fs::remove_file(&ck);
-    let _ = std::fs::remove_dir_all(experiments::checkpoint::shard_dir(&ck));
-    let mp = stdout_of(&run(
-        "tournament",
-        &TOURNAMENT,
-        &["--procs", "2", "--threads", "1", "--checkpoint", &ck_str],
-    ));
-    assert_eq!(mp, expected, "--procs 2 must match --threads 1");
-    let _ = std::fs::remove_file(&ck);
-    let _ = std::fs::remove_dir_all(experiments::checkpoint::shard_dir(&ck));
+fn tournament_and_fig3_are_byte_identical_across_threads() {
+    for (bin, args, rows) in [("tournament", &TOURNAMENT[..], 64), ("fig3", &FIG3[..], 3)] {
+        let expected = stdout_of(&run(bin, args, &["--threads", "1"]));
+        assert_eq!(expected.lines().count(), 1 + rows, "{bin}: rows missing");
+        let t4 = stdout_of(&run(bin, args, &["--threads", "4"]));
+        assert_eq!(t4, expected, "{bin}: --threads 4 must match --threads 1");
+    }
 }
 
 #[test]
