@@ -37,9 +37,9 @@ impl Flag {
 }
 
 /// The one-line usage of `binary`, in declaration order.
-fn usage(binary: &str, flags: &[&[Flag]]) -> String {
+fn usage(binary: &str, flags: &[Flag]) -> String {
     let mut line = format!("usage: {binary}");
-    for f in flags.iter().copied().flatten() {
+    for f in flags {
         match f.placeholder {
             Some(p) => line.push_str(&format!(" [--{} {p}]", f.name)),
             None => line.push_str(&format!(" [--{}]", f.name)),
@@ -53,10 +53,10 @@ fn usage(binary: &str, flags: &[&[Flag]]) -> String {
 pub struct Args {
     values: HashMap<String, String>,
     switches: Vec<String>,
-    /// Every declared name: reading an undeclared flag is a bug in the
-    /// binary's list (it could never have been set), caught in debug
+    /// What the binary declared: reading a flag outside it is a bug in
+    /// the binary's list (it could never have been set), caught in debug
     /// builds.
-    declared: Vec<&'static str>,
+    declared: Vec<Flag>,
 }
 
 impl Args {
@@ -65,26 +65,27 @@ impl Args {
     /// line and exits 0; a usage error prints `<binary>: <what>` and the
     /// usage line on stderr and exits 2.
     pub fn parse(binary: &str, flags: &[&[Flag]]) -> Self {
+        let flags = flags.concat();
         let items: Vec<String> = std::env::args().skip(1).collect();
         if items.iter().any(|a| a == "--help") {
-            println!("{}", usage(binary, flags));
+            println!("{}", usage(binary, &flags));
             std::process::exit(0);
         }
-        Self::from_args(flags, items).unwrap_or_else(|e| {
-            eprintln!("{binary}: {e}\n{}", usage(binary, flags));
+        Self::from_args(&flags, items).unwrap_or_else(|e| {
+            eprintln!("{binary}: {e}\n{}", usage(binary, &flags));
             std::process::exit(2);
         })
     }
 
     /// Parses from an explicit iterator (testable): `Err` describes the
     /// first argument no declared flag accounts for.
-    pub(crate) fn from_args<I, S>(flags: &[&[Flag]], iter: I) -> Result<Self, String>
+    pub(crate) fn from_args<I, S>(flags: &[Flag], iter: I) -> Result<Self, String>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
         let mut args = Args {
-            declared: flags.iter().copied().flatten().map(|f| f.name).collect(),
+            declared: flags.to_vec(),
             ..Args::default()
         };
         let mut items = iter.into_iter().map(Into::into).peekable();
@@ -92,7 +93,7 @@ impl Args {
             let Some(name) = item.strip_prefix("--") else {
                 return Err(format!("unexpected argument '{item}'"));
             };
-            let Some(flag) = flags.iter().copied().flatten().find(|f| f.name == name) else {
+            let Some(flag) = flags.iter().find(|f| f.name == name) else {
                 return Err(format!("unknown flag --{name}"));
             };
             match flag.placeholder {
@@ -122,7 +123,7 @@ impl Args {
 
     fn check_declared(&self, name: &str) {
         debug_assert!(
-            self.declared.contains(&name),
+            self.declared.iter().any(|f| f.name == name),
             "--{name} is read but not in the binary's declared flags"
         );
     }
@@ -171,7 +172,7 @@ mod tests {
 
     #[test]
     fn parses_pairs_and_flags() {
-        let a = Args::from_args(&[FLAGS], ["--tasks", "50", "--csv", "--seed", "7"]).unwrap();
+        let a = Args::from_args(FLAGS, ["--tasks", "50", "--csv", "--seed", "7"]).unwrap();
         assert_eq!(a.get_or("tasks", 0usize), 50);
         assert_eq!(a.get_or("seed", 1u64), 7);
         assert!(a.flag("csv"));
@@ -180,13 +181,13 @@ mod tests {
 
     #[test]
     fn trailing_flag() {
-        let a = Args::from_args(&[FLAGS], ["--csv"]).unwrap();
+        let a = Args::from_args(FLAGS, ["--csv"]).unwrap();
         assert!(a.flag("csv"));
     }
 
     #[test]
     fn bad_value_is_a_described_error() {
-        let a = Args::from_args(&[FLAGS], ["--tasks", "fifty"]).unwrap();
+        let a = Args::from_args(FLAGS, ["--tasks", "fifty"]).unwrap();
         let err = a.try_get_or("tasks", 0usize).unwrap_err();
         assert!(err.contains("--tasks"), "{err}");
         assert!(err.contains("fifty"), "{err}");
@@ -196,9 +197,7 @@ mod tests {
 
     #[test]
     fn undeclared_flags_positionals_and_missing_values_are_errors() {
-        let more: &[Flag] = &[Flag::value("threads", "N")];
-        let lists = [FLAGS, more];
-        // Lists combine: a shared flag parses next to the binary's own.
+        let lists = [FLAGS, &[Flag::value("threads", "N")]].concat();
         let a = Args::from_args(&lists, ["--threads", "2", "--sets", "3"]).unwrap();
         assert_eq!(a.get("threads"), Some("2"));
 

@@ -13,7 +13,7 @@
 //! Points are (normalized utilization `U/M`) × (scheme); each point
 //! generates `--sets` task sets from `(seed, set index)` alone — every
 //! scheme scores the *same* sets, and output is byte-identical at any
-//! `--threads`/`--procs` combination. Periods snap to a
+//! `--threads`. Periods snap to a
 //! divisor-of-720-quanta grid so the exact Goossens–Yomsi global-EDF test
 //! simulates at most one 720-quantum hyperperiod per set.
 //!

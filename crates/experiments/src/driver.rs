@@ -86,8 +86,8 @@ impl SweepDriver {
         Self::from_flags(args, binary, 1)
     }
 
-    fn from_flags(args: &Args, binary: &str, default_threads: usize) -> Self {
-        let parsed = parse_threads(args, default_threads).and_then(|threads| {
+    fn from_flags(args: &Args, binary: &str, default_width: usize) -> Self {
+        let parsed = parse_threads(args, default_width).and_then(|threads| {
             let retries: u64 = args.try_get_or("point-retries", 1)?;
             Ok(Self::with_parts(binary, threads, retries))
         });
@@ -399,7 +399,7 @@ mod tests {
 
     #[test]
     fn thread_flags_are_validated() {
-        let parse = |argv: &[&str]| Args::from_args(&[SWEEP_FLAGS], argv.iter().copied()).unwrap();
+        let parse = |argv: &[&str]| Args::from_args(SWEEP_FLAGS, argv.iter().copied()).unwrap();
         assert_eq!(parse_threads(&parse(&["--threads", "4"]), 1), Ok(4));
 
         // An absent flag falls back to the given default.

@@ -42,15 +42,15 @@ mod tests {
 
     #[test]
     fn recorder_follows_flag() {
-        let off = Args::from_args(&[METRICS_FLAGS], [""; 0]).unwrap();
+        let off = Args::from_args(METRICS_FLAGS, [""; 0]).unwrap();
         assert!(!recorder(&off).is_enabled());
-        let on = Args::from_args(&[METRICS_FLAGS], ["--metrics-out", "/tmp/m.json"]).unwrap();
+        let on = Args::from_args(METRICS_FLAGS, ["--metrics-out", "/tmp/m.json"]).unwrap();
         assert!(recorder(&on).is_enabled());
     }
 
     #[test]
     fn write_is_a_no_op_without_the_flag() {
-        let args = Args::from_args(&[METRICS_FLAGS], [""; 0]).unwrap();
+        let args = Args::from_args(METRICS_FLAGS, [""; 0]).unwrap();
         write_metrics(&args, &obs::Recorder::enabled());
     }
 }

@@ -26,6 +26,20 @@ fn run(exe: &Path, args: &[&str]) -> Output {
         .unwrap_or_else(|e| panic!("failed to spawn {}: {e}", exe.display()))
 }
 
+/// `exe argv…` must exit 2 naming `argv[0]` as unknown, print the usage
+/// line, and leave stdout empty.
+fn assert_refused(name: &str, exe: &Path, argv: &[&str]) {
+    let out = run(exe, argv);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{name} {argv:?}: {stderr}");
+    assert!(
+        stderr.contains(&format!("{name}: unknown flag {}", argv[0])),
+        "{name} {argv:?} must name the flag: {stderr}"
+    );
+    assert!(stderr.contains("usage:"), "{name} {argv:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{name} {argv:?} printed a table");
+}
+
 /// The `--flag` names in `text`, in a set.
 fn flag_names(text: &str) -> BTreeSet<String> {
     text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-' || c == '_'))
@@ -73,16 +87,7 @@ fn undeclared_flags_are_usage_errors_and_docs_match_help() {
         let source = std::fs::read_to_string(&src_path).unwrap();
         let exe = exe_dir.join(name);
 
-        let bogus = run(&exe, &["--bogus"]);
-        let stderr = String::from_utf8_lossy(&bogus.stderr);
-        assert_eq!(bogus.status.code(), Some(2), "{name} --bogus: {stderr}");
-        assert!(
-            stderr.contains(&format!("{name}: unknown flag --bogus")),
-            "{name} --bogus must name the flag: {stderr}"
-        );
-        assert!(stderr.contains("usage:"), "{name}: {stderr}");
-        assert!(bogus.stdout.is_empty(), "{name} --bogus printed a table");
-
+        assert_refused(name, &exe, &["--bogus"]);
         let stray = run(&exe, &["stray"]);
         assert_eq!(stray.status.code(), Some(2), "{name} stray positional");
 
@@ -101,14 +106,7 @@ fn undeclared_flags_are_usage_errors_and_docs_match_help() {
                 assert!(usage.contains(&format!("--{shared} ")), "{name}: {usage}");
             }
             for removed in REMOVED_SWEEP_FLAGS {
-                let out = run(&exe, removed);
-                let stderr = String::from_utf8_lossy(&out.stderr);
-                assert_eq!(out.status.code(), Some(2), "{name} {removed:?}: {stderr}");
-                assert!(
-                    stderr.contains(&format!("unknown flag {}", removed[0])),
-                    "{name} {removed:?}: {stderr}"
-                );
-                assert!(out.stdout.is_empty(), "{name} {removed:?} printed a table");
+                assert_refused(name, &exe, removed);
             }
         }
     }
