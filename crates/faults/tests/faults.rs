@@ -122,3 +122,75 @@ fn catchup_reconverges_after_loss_window() {
         sim.current_max_app_lag()
     );
 }
+
+/// Pinned outcomes of the degradation runners, recorded from the code as
+/// it stood before the fault layer was folded into one job ledger: one
+/// five-task set under one mixed plan (loss + overrun + fail-stop inside a
+/// window + bursts) for PD² under every recovery policy and for EDF, and
+/// one margin-0.25 slack run. Any drift in what a fault does to a job's
+/// progress, in what recovery does about it, or in the schedule PD²
+/// produces under the plan's delays shows up here as a changed line.
+#[test]
+fn degradation_outcomes_are_pinned() {
+    let set = ts(&[(4, 8), (4, 12), (8, 20), (4, 16), (12, 28)]);
+    let m = set.min_processors();
+    let mixed = FaultConfig {
+        loss_rate: 0.1,
+        overrun_rate: 0.3,
+        overrun_max: 2,
+        fail_every: 40,
+        fail_duration: 8,
+        max_down: 1,
+        burst_rate: 0.2,
+        burst_max: 2,
+        window_start: 20,
+        window_end: 300,
+        ..FaultConfig::none(77)
+    };
+    let mut got = Vec::new();
+    for policy in [
+        RecoveryPolicy::None,
+        RecoveryPolicy::Shed,
+        RecoveryPolicy::CatchUp,
+        RecoveryPolicy::Full,
+    ] {
+        let out = faults::run_pd2(&set, m, mixed, policy, 420);
+        assert!(out.window_violation.is_none(), "{policy:?}");
+        got.push(format!(
+            "pd2 {policy:?}: {:?} {:?} {:?}",
+            out.faults, out.run, out.recovery
+        ));
+    }
+    let edf = faults::run_edf(&set, m, mixed, 420).expect("the set first-fits onto 2");
+    got.push(format!("edf: {edf:?}"));
+    let storm = FaultConfig {
+        overrun_rate: 0.5,
+        overrun_max: 2,
+        fail_every: 50,
+        fail_duration: 25,
+        max_down: 1,
+        window_end: 200,
+        ..FaultConfig::none(11)
+    };
+    let slack = faults::SlackPlan {
+        spare_procs: 0,
+        margin: 0.25,
+        lag_threshold: 1.0,
+    };
+    let out = faults::run_pd2_slack(&set, storm, RecoveryPolicy::CatchUp, 600, slack);
+    assert!(out.outcome.window_violation.is_none());
+    got.push(format!(
+        "slack: procs={} {:?} {:?} {:?} {:?}",
+        out.procs, out.outcome.faults, out.outcome.run, out.outcome.recovery, out.profile
+    ));
+    assert_eq!(got, PINNED);
+}
+
+const PINNED: [&str; 6] = [
+    "pd2 None: FaultMetrics { wasted_quanta: 42, dropped_quanta: 47, dead_proc_quanta: 56, overruns: 19, overrun_quanta: 27, jobs_completed: 123, jobs_due: 143, job_misses: 136, max_tardiness: 91, max_app_lag: 27.571428571428555 } RunMetrics { slots: 420, allocated_quanta: 735, idle_quanta: 49, preemptions: 596, migrations: 157, context_switches: 732, misses: 0 } None",
+    "pd2 Shed: FaultMetrics { wasted_quanta: 42, dropped_quanta: 0, dead_proc_quanta: 56, overruns: 20, overrun_quanta: 33, jobs_completed: 113, jobs_due: 131, job_misses: 97, max_tardiness: 60, max_app_lag: 14.333333333333329 } RunMetrics { slots: 420, allocated_quanta: 744, idle_quanta: 40, preemptions: 604, migrations: 153, context_switches: 740, misses: 0 } Some(RecoveryStats { capacity_changes: 14, shed_events: 7, tasks_shed: 14, rejoin_attempts: 14, rejoins: 14, catchup_trips: 0, catchup_slots: 0 })",
+    "pd2 CatchUp: FaultMetrics { wasted_quanta: 43, dropped_quanta: 55, dead_proc_quanta: 56, overruns: 20, overrun_quanta: 29, jobs_completed: 128, jobs_due: 143, job_misses: 136, max_tardiness: 76, max_app_lag: 20.5 } RunMetrics { slots: 420, allocated_quanta: 779, idle_quanta: 5, preemptions: 601, migrations: 162, context_switches: 734, misses: 0 } Some(RecoveryStats { capacity_changes: 0, shed_events: 0, tasks_shed: 0, rejoin_attempts: 0, rejoins: 0, catchup_trips: 1, catchup_slots: 376 })",
+    "pd2 Full: FaultMetrics { wasted_quanta: 43, dropped_quanta: 0, dead_proc_quanta: 56, overruns: 20, overrun_quanta: 33, jobs_completed: 118, jobs_due: 131, job_misses: 89, max_tardiness: 65, max_app_lag: 12.666666666666657 } RunMetrics { slots: 420, allocated_quanta: 778, idle_quanta: 6, preemptions: 580, migrations: 161, context_switches: 717, misses: 0 } Some(RecoveryStats { capacity_changes: 14, shed_events: 7, tasks_shed: 14, rejoin_attempts: 14, rejoins: 14, catchup_trips: 1, catchup_slots: 370 })",
+    "edf: FaultMetrics { wasted_quanta: 43, dropped_quanta: 0, dead_proc_quanta: 56, overruns: 21, overrun_quanta: 30, jobs_completed: 132, jobs_due: 143, job_misses: 126, max_tardiness: 47, max_app_lag: 26.0 }",
+    "slack: procs=3 FaultMetrics { wasted_quanta: 0, dropped_quanta: 67, dead_proc_quanta: 75, overruns: 39, overrun_quanta: 54, jobs_completed: 213, jobs_due: 213, job_misses: 30, max_tardiness: 14, max_app_lag: 4.0 } RunMetrics { slots: 600, allocated_quanta: 1693, idle_quanta: 32, preemptions: 884, migrations: 445, context_switches: 1038, misses: 0 } Some(RecoveryStats { capacity_changes: 0, shed_events: 0, tasks_shed: 0, rejoin_attempts: 0, rejoins: 0, catchup_trips: 1, catchup_slots: 22 }) RecoveryProfile { degraded_slots: 26, episodes: 2, longest_episode: 25, first_degraded: Some(63), last_recovery: Some(91), degraded_at_end: false }",
+];
