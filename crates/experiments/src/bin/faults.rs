@@ -34,7 +34,7 @@
 //! 2 usage error.
 
 use experiments::{recorder, Args, Flag, SweepDriver, SWEEP_FLAGS};
-use faults::{run_edf, run_pd2, run_pd2_traced, FaultConfig, RecoveryPolicy};
+use faults::{run_edf, run_pd2, FaultConfig, RecoveryPolicy, SlackPlan};
 use stats::Welford;
 use workload::TaskSetGenerator;
 
@@ -112,6 +112,9 @@ fn main() {
         }
     };
     let rec = recorder(&args);
+    // The sets run as declared, on their minimum processor count; the
+    // lag-threshold profile is `slack`'s subject and not reported here.
+    let bare = SlackPlan::none(f64::INFINITY);
 
     let mut driver = SweepDriver::new(&args, "faults");
     eprintln!(
@@ -134,9 +137,9 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        let m = tasks.min_processors();
         let cfg = config_for(&kind, level, seed);
-        let (out, trace) = run_pd2_traced(&tasks, m, cfg, policy, horizon);
+        let out = run_pd2(&tasks, cfg, policy, horizon, bare, true);
+        let trace = out.trace.expect("a trace was asked for");
         if let Some(v) = out.window_violation {
             rec.counter("faults.window_violations").incr();
             eprintln!("faults: Pfair window violation in the traced run: {v:?}");
@@ -177,9 +180,8 @@ fn main() {
             let Ok(tasks) = gen.generate().to_quantum_tasks(1_000) else {
                 continue;
             };
-            let m = tasks.min_processors();
             let cfg = config_for(kind, level, set_seed);
-            let out = run_pd2(&tasks, m, cfg, policy, horizon);
+            let out = run_pd2(&tasks, cfg, policy, horizon, bare, false);
             pd2_miss.push(out.faults.miss_ratio());
             pd2_lag = pd2_lag.max(out.faults.max_app_lag);
             if let Some(r) = out.recovery {
@@ -190,7 +192,7 @@ fn main() {
                 violations.incr();
                 eprintln!("faults: Pfair window violation: {v:?}");
             }
-            match run_edf(&tasks, m, cfg, horizon) {
+            match run_edf(&tasks, out.procs, cfg, horizon) {
                 Some(fm) => {
                     edf_miss.push(fm.miss_ratio());
                     edf_lag = edf_lag.max(fm.max_app_lag);

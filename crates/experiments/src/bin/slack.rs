@@ -35,7 +35,7 @@
 //! `verify_trace` re-checks offline.
 
 use experiments::{recorder, Args, Flag, SweepDriver, SWEEP_FLAGS};
-use faults::{run_pd2_slack, run_pd2_slack_traced, FaultConfig, RecoveryPolicy, SlackPlan};
+use faults::{run_pd2, FaultConfig, RecoveryPolicy, SlackPlan};
 use stats::Welford;
 use workload::TaskSetGenerator;
 
@@ -154,8 +154,9 @@ fn main() {
         };
         let cfg = config_for(&kind, seed, horizon);
         let plan = plan_for(&strategy, lag_threshold);
-        let (out, trace) = run_pd2_slack_traced(&tasks, cfg, policy, horizon, plan);
-        if let Some(v) = out.outcome.window_violation {
+        let out = run_pd2(&tasks, cfg, policy, horizon, plan, true);
+        let trace = out.trace.expect("a trace was asked for");
+        if let Some(v) = out.window_violation {
             rec.counter("slack.window_violations").incr();
             eprintln!("slack: Pfair window violation in the traced run: {v:?}");
         }
@@ -195,7 +196,7 @@ fn main() {
                 continue;
             };
             let cfg = config_for(kind, set_seed, horizon);
-            let out = run_pd2_slack(&tasks, cfg, policy, horizon, plan);
+            let out = run_pd2(&tasks, cfg, policy, horizon, plan, false);
             procs.push(out.procs as f64);
             degraded.push(out.profile.degraded_slots as f64);
             if out.profile.episodes > 0 {
@@ -203,8 +204,8 @@ fn main() {
             }
             worst = worst.max(out.profile.longest_episode);
             stuck += out.profile.degraded_at_end as usize;
-            miss.push(out.outcome.faults.miss_ratio());
-            if let Some(v) = out.outcome.window_violation {
+            miss.push(out.faults.miss_ratio());
+            if let Some(v) = out.window_violation {
                 viol += 1;
                 violations.incr();
                 eprintln!("slack: Pfair window violation: {v:?}");

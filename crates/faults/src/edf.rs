@@ -14,13 +14,13 @@
 //! expose (a global Pfair scheduler just loses one quantum's worth of
 //! capacity).
 //!
-//! Metrics are reported as [`sched_sim::FaultMetrics`] with the same
-//! finalization semantics (`jobs_due` counts deadlines up to the horizon),
-//! so rows from both simulators land in one table.
+//! Job progress is scored by the same [`sched_sim::JobLedger`] the PD²
+//! simulator feeds — one rule for what a useful quantum, a late job and a
+//! due job are — so rows from both simulators land in one table.
 
 use partition::{partition, EdfUtilization, Heuristic, SortOrder};
 use pfair_model::{Slot, TaskId, TaskSet};
-use sched_sim::{FaultHook, FaultMetrics, SlotFaults};
+use sched_sim::{FaultHook, FaultMetrics, JobLedger, SlotFaults};
 
 use crate::plan::FaultPlan;
 
@@ -44,30 +44,14 @@ impl std::fmt::Display for PartitionError {
 
 impl std::error::Error for PartitionError {}
 
-/// Per-task job-progress state (mirrors the PD² simulator's application
-/// layer field-for-field, so the two report comparable numbers).
-#[derive(Debug, Clone)]
-struct EdfTask {
-    exec: u64,
-    period: u64,
-    weight: f64,
-    job: u64,
-    done: u64,
-    needed: u64,
-    overrun_applied: bool,
-    useful_total: u64,
-    arrival: Slot,
-}
-
 /// Quantum-granularity partitioned EDF driven by a [`FaultPlan`].
 #[derive(Debug)]
 pub struct QuantumEdfSim {
-    tasks: Vec<EdfTask>,
+    ledger: JobLedger,
     /// Tasks of each processor (first-fit groups).
-    groups: Vec<Vec<usize>>,
+    groups: Vec<Vec<TaskId>>,
     m: u32,
     plan: FaultPlan,
-    metrics: FaultMetrics,
     now: Slot,
     /// Scratch: the plan's directives for the current slot.
     scratch: SlotFaults,
@@ -78,7 +62,7 @@ impl QuantumEdfSim {
     /// utilization) and prepares the simulator. Fails if the set does not
     /// fit — callers should report that as an admission loss rather than
     /// a crash.
-    pub fn new(tasks: &TaskSet, m: u32, plan: FaultPlan) -> Result<Self, PartitionError> {
+    pub fn new(tasks: &TaskSet, m: u32, mut plan: FaultPlan) -> Result<Self, PartitionError> {
         let pairs: Vec<(u64, u64)> = tasks.iter().map(|(_, t)| (t.exec, t.period)).collect();
         let acc = EdfUtilization::new(&pairs);
         let result = partition(
@@ -94,43 +78,19 @@ impl QuantumEdfSim {
         )
         .ok_or(PartitionError { processors: m })?;
         let mut groups = vec![Vec::new(); m as usize];
-        for (task, &proc) in result.assignment.iter().enumerate() {
-            groups[proc as usize].push(task);
+        let mut ledger = JobLedger::default();
+        for ((id, t), &proc) in tasks.iter().zip(&result.assignment) {
+            groups[proc as usize].push(id);
+            ledger.push(t.exec, t.period, 0, &mut plan);
         }
-        let state = tasks
-            .iter()
-            .map(|(id, t)| EdfTask {
-                exec: t.exec,
-                period: t.period,
-                weight: t.exec as f64 / t.period as f64,
-                job: 0,
-                done: 0,
-                needed: t.exec,
-                overrun_applied: false,
-                useful_total: 0,
-                arrival: plan.cumulative_delay(id, 0),
-            })
-            .collect();
         Ok(QuantumEdfSim {
-            tasks: state,
+            ledger,
             groups,
             m,
             plan,
-            metrics: FaultMetrics::default(),
             now: 0,
             scratch: SlotFaults::default(),
         })
-    }
-
-    /// The first-fit assignment (processor → task indices).
-    pub fn groups(&self) -> &[Vec<usize>] {
-        &self.groups
-    }
-
-    /// Absolute deadline of `job` of task `i` under the plan's bursts.
-    fn deadline(&self, i: usize, job: u64) -> Slot {
-        let t = &self.tasks[i];
-        (job + 1) * t.period + self.plan.cumulative_delay(TaskId(i as u32), job)
     }
 
     /// Simulates one slot across all processors.
@@ -141,99 +101,36 @@ impl QuantumEdfSim {
         self.plan.slot_faults(t, self.m, &mut self.scratch);
         for p in 0..self.m {
             if self.scratch.down.contains(&p) {
-                self.metrics.dead_proc_quanta += 1;
+                self.ledger.metrics.dead_proc_quanta += 1;
                 continue;
             }
-            // EDF among this processor's ready tasks (arrived, work left).
+            // EDF among this processor's tasks whose current job has
+            // arrived (a job in the ledger always has work left).
             let pick = self.groups[p as usize]
                 .iter()
                 .copied()
-                .filter(|&i| {
-                    let st = &self.tasks[i];
-                    st.arrival <= t && st.done < st.needed
-                })
-                .min_by_key(|&i| (self.deadline(i, self.tasks[i].job), i));
-            let Some(i) = pick else {
+                .filter(|&id| self.ledger.arrival(id) <= t)
+                .min_by_key(|&id| (self.ledger.deadline(id), id));
+            let Some(id) = pick else {
                 continue;
             };
             if self.scratch.wasted.contains(&p) {
-                self.metrics.wasted_quanta += 1;
+                self.ledger.metrics.wasted_quanta += 1;
                 continue;
             }
-            self.advance(i, t);
+            self.ledger.useful_quantum(id, t, &mut self.plan);
         }
-        // Per-slot maximum application lag, as in the PD² simulator.
-        let mut max_lag: f64 = 0.0;
-        for st in &self.tasks {
-            let lag = st.weight * (t + 1) as f64 - st.useful_total as f64;
-            max_lag = max_lag.max(lag);
-        }
-        self.metrics.max_app_lag = self.metrics.max_app_lag.max(max_lag);
+        self.ledger.close_slot(t, |_| true);
     }
 
-    /// One useful quantum for task `i` in slot `t`.
-    fn advance(&mut self, i: usize, t: Slot) {
-        let id = TaskId(i as u32);
-        let (job, hit_exec) = {
-            let st = &mut self.tasks[i];
-            st.done += 1;
-            st.useful_total += 1;
-            (st.job, st.done == st.needed && !st.overrun_applied)
-        };
-        if hit_exec {
-            let extra = self.plan.overrun(id, job);
-            let st = &mut self.tasks[i];
-            st.overrun_applied = true;
-            if extra > 0 {
-                st.needed += extra;
-                self.metrics.overruns += 1;
-                self.metrics.overrun_quanta += extra;
-            }
-        }
-        let st = &self.tasks[i];
-        if st.done >= st.needed {
-            let deadline = self.deadline(i, job);
-            self.metrics.jobs_completed += 1;
-            if t + 1 > deadline {
-                self.metrics.job_misses += 1;
-                self.metrics.max_tardiness = self.metrics.max_tardiness.max(t + 1 - deadline);
-            }
-            let st = &mut self.tasks[i];
-            st.job += 1;
-            st.done = 0;
-            st.needed = st.exec;
-            st.overrun_applied = false;
-            st.arrival = st.job * st.period + self.plan.cumulative_delay(id, st.job);
-        }
-    }
-
-    /// Runs `horizon` slots and finalizes (counts every deadline at or
-    /// before the horizon toward `jobs_due`, charging unfinished due jobs
-    /// as misses — identical to the PD² simulator's finalization).
+    /// Runs `horizon` slots and finalizes the ledger (every deadline at or
+    /// before the horizon counts toward `jobs_due`; unfinished due jobs
+    /// are misses).
     pub fn run(&mut self, horizon: Slot) -> FaultMetrics {
         while self.now < horizon {
             self.step();
         }
-        for (i, st) in self.tasks.iter().enumerate() {
-            let mut due = 0u64;
-            let mut j = 0u64;
-            loop {
-                let d = (j + 1) * st.period + self.plan.cumulative_delay(TaskId(i as u32), j);
-                if d > horizon {
-                    break;
-                }
-                due += 1;
-                j += 1;
-            }
-            self.metrics.jobs_due += due;
-            self.metrics.job_misses += due.saturating_sub(st.job);
-        }
-        self.metrics
-    }
-
-    /// Metrics so far (not finalized).
-    pub fn metrics(&self) -> FaultMetrics {
-        self.metrics
+        self.ledger.finalize(horizon, &mut self.plan)
     }
 }
 
@@ -282,26 +179,5 @@ mod tests {
             fin.jobs_completed >= 18,
             "survivor keeps meeting deadlines: {fin:?}"
         );
-    }
-
-    #[test]
-    fn same_plan_draws_match_pd2_hook_draws() {
-        // The EDF sim must see the identical adversary: spot-check that
-        // its internal plan clone agrees with a fresh hook on overruns.
-        let cfg = FaultConfig {
-            overrun_rate: 0.5,
-            overrun_max: 3,
-            ..FaultConfig::none(21)
-        };
-        let mut a = FaultPlan::new(cfg);
-        let mut b = FaultPlan::new(cfg);
-        let mut sf = SlotFaults::default();
-        a.slot_faults(0, 2, &mut sf);
-        b.slot_faults(0, 2, &mut sf);
-        for task in 0..3u32 {
-            for job in 0..10 {
-                assert_eq!(a.overrun(TaskId(task), job), b.overrun(TaskId(task), job));
-            }
-        }
     }
 }

@@ -15,17 +15,19 @@
 //!   [`plan_shedding`](pfair_core::plan_shedding) and
 //!   [`LagWatchdog`](pfair_core::LagWatchdog).
 //! * [`edf`] — [`QuantumEdfSim`]: partitioned EDF (first-fit decreasing)
-//!   under the *same* fault plan, for PD²-vs-EDF degradation tables.
-//! * [`runner`] — [`run_pd2`] / [`run_pd2_traced`] / [`run_edf`]:
-//!   one-call degradation runs returning comparable
-//!   [`FaultMetrics`](sched_sim::FaultMetrics), every PD² run verified
-//!   against its event-adjusted Pfair windows (and, traced, re-verifiable
-//!   offline from the captured
-//!   [`ScheduleTrace`](sched_sim::ScheduleTrace)). [`run_pd2_slack`]
-//!   adds the slack-reservation experiment: spare processors or a weight
-//!   margin ([`SlackPlan`]) buy headroom against structural overruns,
-//!   and the [`RecoveryProfile`] reports how fast application lag
-//!   re-converges once a fault window closes.
+//!   under the *same* fault plan, scored by the same
+//!   [`JobLedger`](sched_sim::JobLedger), for PD²-vs-EDF degradation
+//!   tables.
+//! * [`runner`] — [`run_pd2`] / [`run_edf`]: one-call degradation runs
+//!   returning comparable [`FaultMetrics`](sched_sim::FaultMetrics).
+//!   [`run_pd2`] is the loop that owns recovery (it calls the controller
+//!   at every slot boundary), verifies every run against its
+//!   event-adjusted Pfair windows and, asked for a trace, captures a
+//!   [`ScheduleTrace`](sched_sim::ScheduleTrace) that re-verifies
+//!   offline. Its [`SlackPlan`] argument is the slack-reservation
+//!   experiment: spare processors or a weight margin buy headroom against
+//!   structural overruns, and the [`RecoveryProfile`] reports how fast
+//!   application lag re-converges once a fault window closes.
 //!
 //! Determinism contract: every fault decision is a hash of the seed and
 //! the decision's coordinates, never of simulation history. Two
@@ -45,8 +47,7 @@ pub mod runner;
 
 pub use edf::{PartitionError, QuantumEdfSim};
 pub use plan::{FaultConfig, FaultPlan, PlanDelays};
-pub use recovery::{run_with_recovery, RecoveryController, RecoveryPolicy, RecoveryStats};
+pub use recovery::{RecoveryController, RecoveryPolicy, RecoveryStats};
 pub use runner::{
-    inflate_declared, run_edf, run_pd2, run_pd2_slack, run_pd2_slack_traced, run_pd2_traced,
-    DegradationOutcome, RecoveryProfile, SlackOutcome, SlackPlan,
+    inflate_declared, run_edf, run_pd2, DegradationOutcome, RecoveryProfile, SlackPlan,
 };

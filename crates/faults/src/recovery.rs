@@ -1,12 +1,12 @@
 //! Overload recovery driven by a [`FaultPlan`].
 //!
-//! The [`RecoveryController`] is a [`RecoveryHook`]: installed via
-//! [`MultiSim::set_recovery_hook`], it runs at the top of every
+//! The loop that drives a [`MultiSim`] calls
+//! [`RecoveryController::before_slot`] ahead of every
 //! [`MultiSim::step`] — the slot boundary, where `join`/`leave`/capacity
-//! changes are legal. Once per slot it recomputes the plan's fail-stop
-//! capacity (clones of a plan agree on every draw, so its view matches
-//! what the simulator will experience) and applies the configured
-//! [`RecoveryPolicy`]:
+//! changes are legal ([`run_pd2`](crate::run_pd2) is that loop). Once per
+//! slot the controller recomputes the plan's fail-stop capacity (clones of
+//! a plan agree on every draw, so its view matches what the simulator
+//! will experience) and applies the configured [`RecoveryPolicy`]:
 //!
 //! * **capacity tracking** —
 //!   [`set_processors`](pfair_core::PfairScheduler::set_processors)
@@ -39,7 +39,7 @@
 
 use pfair_core::{plan_shedding, DelayModel, EarlyRelease, JoinError, LagWatchdog};
 use pfair_model::{Slot, Task, TaskId};
-use sched_sim::{MultiSim, RecoveryHook, TraceEvent};
+use sched_sim::{MultiSim, TraceEvent};
 
 use crate::plan::FaultPlan;
 
@@ -159,11 +159,9 @@ impl RecoveryController {
         self.draining
     }
 
-    /// Applies the policy for slot `t`. [`MultiSim::step`] calls this
-    /// through the [`RecoveryHook`] impl once the controller is installed
-    /// via [`MultiSim::set_recovery_hook`]; it can also be driven
-    /// externally, *before* the `step` of each slot (`join`/`leave` are
-    /// only legal at the scheduler's current slot).
+    /// Applies the policy for slot `t`. Call it *before* the `step` of
+    /// each slot (`join`/`leave` are only legal at the scheduler's
+    /// current slot).
     pub fn before_slot<D: DelayModel>(&mut self, sim: &mut MultiSim<D>, t: Slot) {
         if self.policy == RecoveryPolicy::None {
             return;
@@ -271,35 +269,4 @@ impl RecoveryController {
             }
         }
     }
-}
-
-impl<D: DelayModel> RecoveryHook<D> for RecoveryController {
-    fn before_slot(&mut self, sim: &mut MultiSim<D>, t: Slot) {
-        RecoveryController::before_slot(self, sim, t);
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
-}
-
-/// Runs `sim` from slot 0 to `horizon` under `ctl` installed as the
-/// simulator's [`RecoveryHook`], returning the finalized fault metrics and
-/// the controller (with its accumulated [`RecoveryStats`]). The simulator
-/// must be freshly constructed (slot 0) and already carry its fault hook.
-pub fn run_with_recovery<D: DelayModel>(
-    sim: &mut MultiSim<D>,
-    ctl: RecoveryController,
-    horizon: Slot,
-) -> (sched_sim::FaultMetrics, RecoveryController) {
-    sim.set_recovery_hook(Box::new(ctl));
-    sim.run(horizon);
-    let fin = sim.finalize_faults();
-    let ctl = *sim
-        .take_recovery_hook()
-        .expect("the hook installed above is still in place")
-        .into_any()
-        .downcast::<RecoveryController>()
-        .expect("the installed hook is a RecoveryController");
-    (fin, ctl)
 }

@@ -2,28 +2,27 @@
 //! policy, a horizon — out come comparable PD² and partitioned-EDF
 //! fault metrics for the experiments layer.
 //!
-//! Every PD² run is window-verified, whatever the policy: the runner
+//! Every PD² run is window-verified, whatever the policy: [`run_pd2`]
 //! feeds the scheduler's per-slot decisions through an
 //! [`IncrementalWindowCheck`] primed with the same fault/recovery events
 //! the simulator records ([`FaultPlan::burst_events`] up front, the
 //! [`RecoveryController`]'s shed/rejoin/catch-up events as they happen),
 //! so the checker tracks the IS window shifts, departures, and ERfair
 //! relaxations instead of going blind the moment a run is perturbed.
-//! [`run_pd2_traced`] additionally captures a [`ScheduleTrace`] whose
+//! Asked for a trace, it additionally captures a [`ScheduleTrace`] whose
 //! `events` field lets `verify_trace` repeat the same check offline.
 
-use pfair_core::{DelayModel, PfairScheduler, SchedConfig};
+use pfair_core::{PfairScheduler, SchedConfig};
 use pfair_model::{Slot, TaskSet};
 use sched_sim::{
-    FaultMetrics, IncrementalWindowCheck, MultiSim, RunMetrics, ScheduleTrace, TraceEvent,
-    WindowViolation,
+    FaultMetrics, IncrementalWindowCheck, MultiSim, RunMetrics, ScheduleTrace, WindowViolation,
 };
 
 use crate::edf::QuantumEdfSim;
 use crate::plan::{FaultConfig, FaultPlan};
 use crate::recovery::{RecoveryController, RecoveryPolicy, RecoveryStats};
 
-/// Everything one simulated degradation run produces.
+/// Everything one simulated PD² degradation run produces.
 #[derive(Debug, Clone)]
 pub struct DegradationOutcome {
     /// Fault/miss metrics (finalized over the horizon).
@@ -37,6 +36,15 @@ pub struct DegradationOutcome {
     /// windows — so `None` always means "verified clean", never
     /// "not checkable".
     pub window_violation: Option<WindowViolation>,
+    /// Processors the [`SlackPlan`] actually ran on.
+    pub procs: u32,
+    /// Total *declared* (inflated) utilization handed to the scheduler.
+    pub declared_util: f64,
+    /// The lag-threshold recovery profile.
+    pub profile: RecoveryProfile,
+    /// The declared-set schedule with its fault/recovery events, for
+    /// offline re-verification via `verify_trace` (`Some` iff asked for).
+    pub trace: Option<ScheduleTrace>,
 }
 
 /// Reservation strategy for the slack-reservation experiment (ROADMAP
@@ -101,178 +109,6 @@ impl RecoveryProfile {
     }
 }
 
-/// Everything a slack-reservation run produces.
-#[derive(Debug, Clone)]
-pub struct SlackOutcome {
-    /// The underlying degradation run (metrics, recovery, verification).
-    pub outcome: DegradationOutcome,
-    /// Processors the strategy actually ran on.
-    pub procs: u32,
-    /// Total *declared* (inflated) utilization handed to the scheduler.
-    pub declared_util: f64,
-    /// The lag-threshold recovery profile.
-    pub profile: RecoveryProfile,
-}
-
-/// What [`drive`] hands back before policy-independent packaging.
-struct RawRun {
-    faults: FaultMetrics,
-    run: RunMetrics,
-    stats: RecoveryStats,
-    violation: Option<WindowViolation>,
-    trace: Option<ScheduleTrace>,
-    profile: RecoveryProfile,
-}
-
-fn drive<D: DelayModel>(
-    tasks: &TaskSet,
-    mut sim: MultiSim<D>,
-    ctl: RecoveryController,
-    bursts: Vec<TraceEvent>,
-    horizon: Slot,
-    want_trace: bool,
-    lag_threshold: Option<f64>,
-) -> RawRun {
-    sim.record_events();
-    if want_trace {
-        sim.record_schedule();
-        // The trace carries the job-keyed burst record so the offline
-        // verifier can reconstruct the same shifted windows.
-        for ev in &bursts {
-            sim.push_event(*ev);
-        }
-    }
-    let mut check = IncrementalWindowCheck::new(tasks);
-    for ev in &bursts {
-        check.apply_event(ev);
-    }
-    sim.set_recovery_hook(Box::new(ctl));
-    let mut violation = None;
-    let mut profile = RecoveryProfile::default();
-    let mut in_episode = false;
-    let mut episode_len = 0u64;
-    // Events recorded so far (the bursts pushed above) are already
-    // applied; only drain what each step appends.
-    let mut seen = sim.events().len();
-    for t in 0..horizon {
-        sim.step();
-        // Recovery events (shed / rejoin / catch-up) recorded during the
-        // step's slot boundary must reach the checker before that slot's
-        // picks are judged.
-        for ev in &sim.events()[seen..] {
-            check.apply_event(ev);
-        }
-        seen = sim.events().len();
-        if let Err(v) = check.observe_slot(sim.last_chosen()) {
-            violation.get_or_insert(v);
-        }
-        if let Some(thr) = lag_threshold {
-            if sim.current_max_app_lag() > thr {
-                profile.degraded_slots += 1;
-                if !in_episode {
-                    in_episode = true;
-                    episode_len = 0;
-                    profile.episodes += 1;
-                    profile.first_degraded.get_or_insert(t);
-                }
-                episode_len += 1;
-                profile.longest_episode = profile.longest_episode.max(episode_len);
-            } else if in_episode {
-                in_episode = false;
-                profile.last_recovery = Some(t);
-            }
-        }
-    }
-    profile.degraded_at_end = in_episode;
-    let faults = sim.finalize_faults();
-    let run = sim.metrics();
-    let trace = want_trace
-        .then(|| ScheduleTrace::capture(tasks, &sim).expect("recording was enabled above"));
-    let ctl = *sim
-        .take_recovery_hook()
-        .expect("the hook installed above is still in place")
-        .into_any()
-        .downcast::<RecoveryController>()
-        .expect("the installed hook is a RecoveryController");
-    RawRun {
-        faults,
-        run,
-        stats: ctl.stats(),
-        violation,
-        trace,
-        profile,
-    }
-}
-
-fn run_pd2_inner(
-    tasks: &TaskSet,
-    m: u32,
-    cfg: FaultConfig,
-    policy: RecoveryPolicy,
-    horizon: Slot,
-    want_trace: bool,
-) -> (DegradationOutcome, Option<ScheduleTrace>) {
-    let plan = FaultPlan::new(cfg);
-    let sched_cfg = SchedConfig::pd2(m);
-    let bursts = plan.burst_events(tasks, horizon);
-    let ctl = RecoveryController::new(plan.clone(), tasks, m, policy);
-    let raw = if cfg.burst_rate > 0.0 {
-        // Bursts reach the scheduler as IS delays *and* the application
-        // layer as shifted arrivals/deadlines, from the same draws.
-        let sched = PfairScheduler::with_delays(tasks, sched_cfg, plan.delays(tasks));
-        let mut sim = MultiSim::with_scheduler(tasks, sched);
-        sim.set_fault_hook(Box::new(plan));
-        drive(tasks, sim, ctl, bursts, horizon, want_trace, None)
-    } else {
-        let mut sim = MultiSim::new(tasks, sched_cfg);
-        sim.set_fault_hook(Box::new(plan));
-        drive(tasks, sim, ctl, bursts, horizon, want_trace, None)
-    };
-    (
-        DegradationOutcome {
-            faults: raw.faults,
-            run: raw.run,
-            recovery: (policy != RecoveryPolicy::None).then_some(raw.stats),
-            window_violation: raw.violation,
-        },
-        raw.trace,
-    )
-}
-
-/// Runs PD² over `tasks` on `m` processors for `horizon` slots under the
-/// plan drawn from `cfg`, with `policy` recovery.
-///
-/// Faults never corrupt the *scheduler* (they only steal useful work from
-/// the dispatched quanta), so the recorded decisions are always fed
-/// through an [`IncrementalWindowCheck`]. Runs that perturb the schedule
-/// — arrival bursts (IS windows shift), shedding (departures), rejoins
-/// (fresh shifted windows), ER catch-up (relaxed releases) — are checked
-/// against their event-adjusted windows; any reported violation is a
-/// simulator or recovery bug, not a fault effect.
-pub fn run_pd2(
-    tasks: &TaskSet,
-    m: u32,
-    cfg: FaultConfig,
-    policy: RecoveryPolicy,
-    horizon: Slot,
-) -> DegradationOutcome {
-    run_pd2_inner(tasks, m, cfg, policy, horizon, false).0
-}
-
-/// [`run_pd2`] that additionally captures a [`ScheduleTrace`] carrying
-/// the run's fault/recovery events, so the same verification can be
-/// repeated offline (`verify_trace`) or archived.
-pub fn run_pd2_traced(
-    tasks: &TaskSet,
-    m: u32,
-    cfg: FaultConfig,
-    policy: RecoveryPolicy,
-    horizon: Slot,
-) -> (DegradationOutcome, ScheduleTrace) {
-    let (out, trace) = run_pd2_inner(tasks, m, cfg, policy, horizon, true);
-    (out, trace.expect("inner run records a trace when asked"))
-}
-
 /// The inflated *declared* task set a [`SlackPlan`] margin buys: each
 /// cost becomes `ceil(e·(1+margin))`, capped at the period (weights stay
 /// ≤ 1). `margin = 0` returns the set unchanged.
@@ -288,94 +124,111 @@ pub fn inflate_declared(tasks: &TaskSet, margin: f64) -> TaskSet {
     TaskSet::from_pairs(pairs).expect("inflation caps each cost at its period")
 }
 
-fn run_pd2_slack_inner(
+/// Runs PD² for `horizon` slots over the reservation `slack` buys for
+/// `tasks` — the margin-inflated set on its minimum processor count plus
+/// the spares; [`SlackPlan::none`] is the set as declared — under the plan
+/// drawn from `cfg`, with `policy` recovery applied at every slot
+/// boundary, while the application layer demands only the true costs.
+///
+/// Faults never corrupt the *scheduler* (they only steal useful work from
+/// the dispatched quanta), so the recorded decisions are always fed
+/// through an [`IncrementalWindowCheck`] against the *declared* set's
+/// windows (the reservation is what the scheduler must serve fairly).
+/// Runs that perturb the schedule — arrival bursts (IS windows shift),
+/// shedding (departures), rejoins (fresh shifted windows), ER catch-up
+/// (relaxed releases) — are checked against their event-adjusted windows;
+/// any reported violation is a simulator or recovery bug, not a fault
+/// effect.
+///
+/// The returned [`RecoveryProfile`] says how long application lag sat
+/// above [`SlackPlan::lag_threshold`] — with a fault window
+/// ([`FaultConfig::window_start`]/[`window_end`](FaultConfig::window_end))
+/// that closes before the horizon, the profile measures post-fault
+/// recovery time directly. With `want_trace` the outcome also carries the
+/// run's [`ScheduleTrace`].
+pub fn run_pd2(
     tasks: &TaskSet,
     cfg: FaultConfig,
     policy: RecoveryPolicy,
     horizon: Slot,
     slack: SlackPlan,
     want_trace: bool,
-) -> (SlackOutcome, Option<ScheduleTrace>) {
+) -> DegradationOutcome {
     let declared = inflate_declared(tasks, slack.margin);
     let m = declared.min_processors() + slack.spare_procs;
     let plan = FaultPlan::new(cfg);
-    let sched_cfg = SchedConfig::pd2(m);
     let bursts = plan.burst_events(&declared, horizon);
-    let ctl = RecoveryController::new(plan.clone(), &declared, m, policy);
-    let thr = Some(slack.lag_threshold);
+    let mut ctl = RecoveryController::new(plan.clone(), &declared, m, policy);
+    // Bursts reach the scheduler as IS delays *and* the application layer
+    // as shifted arrivals/deadlines, from the same draws (at a zero burst
+    // rate the delay model delays nothing).
+    let sched = PfairScheduler::with_delays(&declared, SchedConfig::pd2(m), plan.delays(&declared));
+    let mut sim = MultiSim::with_scheduler(&declared, sched);
     // The scheduler serves the *declared* (inflated) set — windows,
     // weights, and verification all follow the reservation — while the
-    // app layer is pointed back at the true per-job demand, so the
-    // surplus quanta are the slack the faults have to eat through.
-    fn point_back<D: DelayModel>(sim: &mut MultiSim<D>, declared: &TaskSet, actual: &TaskSet) {
-        for ((id, d), (_, a)) in declared.iter().zip(actual.iter()) {
-            if d.exec != a.exec {
-                sim.set_app_demand(id, a.exec);
-            }
+    // ledger is pointed back at the true per-job demand, so the surplus
+    // quanta are the slack the faults have to eat through.
+    let ledger = sim.set_fault_hook(Box::new(plan));
+    for (id, actual) in tasks.iter() {
+        ledger.set_demand(id, actual.exec);
+    }
+    sim.record_events();
+    if want_trace {
+        sim.record_schedule();
+        // The trace carries the job-keyed burst record so the offline
+        // verifier can reconstruct the same shifted windows.
+        for ev in &bursts {
+            sim.push_event(*ev);
         }
     }
-    let raw = if cfg.burst_rate > 0.0 {
-        let sched = PfairScheduler::with_delays(&declared, sched_cfg, plan.delays(&declared));
-        let mut sim = MultiSim::with_scheduler(&declared, sched);
-        sim.set_fault_hook(Box::new(plan));
-        point_back(&mut sim, &declared, tasks);
-        drive(&declared, sim, ctl, bursts, horizon, want_trace, thr)
-    } else {
-        let mut sim = MultiSim::new(&declared, sched_cfg);
-        sim.set_fault_hook(Box::new(plan));
-        point_back(&mut sim, &declared, tasks);
-        drive(&declared, sim, ctl, bursts, horizon, want_trace, thr)
-    };
-    let trace = raw.trace;
-    (
-        SlackOutcome {
-            outcome: DegradationOutcome {
-                faults: raw.faults,
-                run: raw.run,
-                recovery: (policy != RecoveryPolicy::None).then_some(raw.stats),
-                window_violation: raw.violation,
-            },
-            procs: m,
-            declared_util: declared.total_utilization().to_f64(),
-            profile: raw.profile,
-        },
-        trace,
-    )
-}
-
-/// Runs the slack-reservation experiment: PD² over the margin-inflated
-/// (and/or spare-processor-backed) reservation of `tasks`, faults drawn
-/// from `cfg`, while the application layer demands only the true costs.
-/// The returned [`RecoveryProfile`] says how long application lag sat
-/// above [`SlackPlan::lag_threshold`] — with a fault window
-/// ([`FaultConfig::window_start`]/[`window_end`](FaultConfig::window_end))
-/// that closes before the horizon, the profile measures post-fault
-/// recovery time directly.
-///
-/// The run is window-verified against the *declared* set's Pfair windows
-/// (the reservation is what the scheduler must serve fairly).
-pub fn run_pd2_slack(
-    tasks: &TaskSet,
-    cfg: FaultConfig,
-    policy: RecoveryPolicy,
-    horizon: Slot,
-    slack: SlackPlan,
-) -> SlackOutcome {
-    run_pd2_slack_inner(tasks, cfg, policy, horizon, slack, false).0
-}
-
-/// [`run_pd2_slack`] that additionally captures a [`ScheduleTrace`] of
-/// the declared-set schedule (fault/recovery events included) for offline
-/// re-verification via `verify_trace`.
-pub fn run_pd2_slack_traced(
-    tasks: &TaskSet,
-    cfg: FaultConfig,
-    policy: RecoveryPolicy,
-    horizon: Slot,
-    slack: SlackPlan,
-) -> (SlackOutcome, ScheduleTrace) {
-    let (out, trace) = run_pd2_slack_inner(tasks, cfg, policy, horizon, slack, true);
-    (out, trace.expect("inner run records a trace when asked"))
+    let mut check = IncrementalWindowCheck::new(&declared);
+    for ev in &bursts {
+        check.apply_event(ev);
+    }
+    let mut window_violation = None;
+    let mut profile = RecoveryProfile::default();
+    let mut episode_len = 0u64;
+    // Events recorded so far (the bursts pushed above) are already
+    // applied; only drain what each slot appends.
+    let mut seen = sim.events().len();
+    for t in 0..horizon {
+        ctl.before_slot(&mut sim, t);
+        sim.step();
+        // Recovery events (shed / rejoin / catch-up) recorded at the slot
+        // boundary must reach the checker before that slot's picks are
+        // judged.
+        for ev in &sim.events()[seen..] {
+            check.apply_event(ev);
+        }
+        seen = sim.events().len();
+        if let Err(v) = check.observe_slot(sim.last_chosen()) {
+            window_violation.get_or_insert(v);
+        }
+        if sim.current_max_app_lag() > slack.lag_threshold {
+            profile.degraded_slots += 1;
+            if episode_len == 0 {
+                profile.episodes += 1;
+                profile.first_degraded.get_or_insert(t);
+            }
+            episode_len += 1;
+            profile.longest_episode = profile.longest_episode.max(episode_len);
+        } else if episode_len > 0 {
+            episode_len = 0;
+            profile.last_recovery = Some(t);
+        }
+    }
+    profile.degraded_at_end = episode_len > 0;
+    DegradationOutcome {
+        faults: sim.finalize_faults(),
+        run: sim.metrics(),
+        recovery: (policy != RecoveryPolicy::None).then_some(ctl.stats()),
+        window_violation,
+        procs: m,
+        declared_util: declared.total_utilization().to_f64(),
+        profile,
+        trace: want_trace
+            .then(|| ScheduleTrace::capture(&declared, &sim).expect("recording was enabled above")),
+    }
 }
 
 /// Runs partitioned EDF (first-fit decreasing) under the same plan.
@@ -390,14 +243,25 @@ pub fn run_edf(tasks: &TaskSet, m: u32, cfg: FaultConfig, horizon: Slot) -> Opti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sched_sim::TraceEvent;
 
     fn tasks() -> TaskSet {
         TaskSet::from_pairs([(1u64, 2u64), (1, 3), (2, 5), (1, 4), (3, 7)]).unwrap()
     }
 
+    /// The set as declared, on its minimum processor count, no trace.
+    fn run_bare(
+        tasks: &TaskSet,
+        cfg: FaultConfig,
+        policy: RecoveryPolicy,
+        horizon: Slot,
+    ) -> DegradationOutcome {
+        run_pd2(tasks, cfg, policy, horizon, SlackPlan::none(1.0), false)
+    }
+
     #[test]
     fn fault_free_run_is_clean_and_verified() {
-        let out = run_pd2(&tasks(), 2, FaultConfig::none(0), RecoveryPolicy::None, 420);
+        let out = run_bare(&tasks(), FaultConfig::none(0), RecoveryPolicy::None, 420);
         assert_eq!(out.faults.job_misses, 0, "{:?}", out.faults);
         assert!(out.window_violation.is_none());
         assert!(out.recovery.is_none());
@@ -410,7 +274,7 @@ mod tests {
             loss_rate: 0.3,
             ..FaultConfig::none(42)
         };
-        let out = run_pd2(&tasks(), 2, cfg, RecoveryPolicy::None, 420);
+        let out = run_bare(&tasks(), cfg, RecoveryPolicy::None, 420);
         assert!(out.faults.wasted_quanta > 0);
         assert!(out.faults.job_misses > 0, "{:?}", out.faults);
         // The *scheduler's* decisions remain a valid Pfair schedule.
@@ -422,7 +286,7 @@ mod tests {
         let heavy = TaskSet::from_pairs([(2u64, 3u64), (2, 3), (2, 3)]).unwrap();
         assert!(run_edf(&heavy, 2, FaultConfig::none(0), 100).is_none());
         // PD² schedules the same set (Σwt = 2 = M) without misses.
-        let out = run_pd2(&heavy, 2, FaultConfig::none(0), RecoveryPolicy::None, 300);
+        let out = run_bare(&heavy, FaultConfig::none(0), RecoveryPolicy::None, 300);
         assert_eq!(out.faults.job_misses, 0, "{:?}", out.faults);
     }
 
@@ -433,7 +297,7 @@ mod tests {
             burst_max: 3,
             ..FaultConfig::none(17)
         };
-        let out = run_pd2(&tasks(), 2, cfg, RecoveryPolicy::None, 420);
+        let out = run_bare(&tasks(), cfg, RecoveryPolicy::None, 420);
         // Bursts postpone deadlines as well as arrivals; a feasible set
         // stays feasible under the IS model (paper, Theorem 1).
         assert_eq!(out.faults.job_misses, 0, "{:?}", out.faults);
@@ -457,7 +321,7 @@ mod tests {
             RecoveryPolicy::CatchUp,
             RecoveryPolicy::Full,
         ] {
-            let out = run_pd2(&tasks(), 2, cfg, policy, 420);
+            let out = run_bare(&tasks(), cfg, policy, 420);
             assert!(
                 out.window_violation.is_none(),
                 "{policy:?}: {:?}",
@@ -483,8 +347,16 @@ mod tests {
             burst_max: 2,
             ..FaultConfig::none(23)
         };
-        let (out, trace) = run_pd2_traced(&tasks(), 2, cfg, RecoveryPolicy::Full, 420);
+        let out = run_pd2(
+            &tasks(),
+            cfg,
+            RecoveryPolicy::Full,
+            420,
+            SlackPlan::none(1.0),
+            true,
+        );
         assert!(out.window_violation.is_none(), "{:?}", out.window_violation);
+        let trace = out.trace.expect("a trace was asked for");
         assert!(trace.is_perturbed(), "bursts must appear in the events");
         let json = trace.to_json();
         let back = ScheduleTrace::from_json(&json).expect("trace JSON round-trips");
@@ -528,15 +400,10 @@ mod tests {
     fn slack_baseline_matches_plain_run_shape() {
         // margin 0 + no spares = the plain degradation run on min procs.
         let set = tasks();
-        let out = run_pd2_slack(
-            &set,
-            FaultConfig::none(3),
-            RecoveryPolicy::None,
-            420,
-            SlackPlan::none(1.0),
-        );
+        let out = run_bare(&set, FaultConfig::none(3), RecoveryPolicy::None, 420);
         assert_eq!(out.procs, set.min_processors());
-        assert!(out.outcome.window_violation.is_none());
+        assert!(out.window_violation.is_none());
+        assert!(out.trace.is_none());
         assert_eq!(out.profile.degraded_slots, 0, "{:?}", out.profile);
         assert!(!out.profile.degraded_at_end);
     }
@@ -544,14 +411,8 @@ mod tests {
     #[test]
     fn margin_reservation_recovers_where_baseline_lags() {
         let set = tasks();
-        let base = run_pd2_slack(
-            &set,
-            storm_window(11),
-            RecoveryPolicy::None,
-            600,
-            SlackPlan::none(1.0),
-        );
-        let margin = run_pd2_slack(
+        let base = run_bare(&set, storm_window(11), RecoveryPolicy::None, 600);
+        let margin = run_pd2(
             &set,
             storm_window(11),
             RecoveryPolicy::None,
@@ -561,11 +422,12 @@ mod tests {
                 margin: 0.5,
                 lag_threshold: 1.0,
             },
+            false,
         );
         // The reservation must not be weaker than running bare, and the
         // schedule stays window-verified in both configurations.
-        assert!(base.outcome.window_violation.is_none());
-        assert!(margin.outcome.window_violation.is_none());
+        assert!(base.window_violation.is_none());
+        assert!(margin.window_violation.is_none());
         assert!(margin.declared_util > base.declared_util);
         assert!(
             margin.profile.degraded_slots <= base.profile.degraded_slots,
@@ -592,12 +454,26 @@ mod tests {
             margin: 0.0,
             lag_threshold: 1.0,
         };
-        let passive = run_pd2_slack(&set, storm_window(11), RecoveryPolicy::None, 600, plan);
+        let passive = run_pd2(
+            &set,
+            storm_window(11),
+            RecoveryPolicy::None,
+            600,
+            plan,
+            false,
+        );
         assert_eq!(passive.procs, set.min_processors() + 1);
-        assert!(passive.outcome.window_violation.is_none());
-        let caught = run_pd2_slack(&set, storm_window(11), RecoveryPolicy::CatchUp, 600, plan);
+        assert!(passive.window_violation.is_none());
+        let caught = run_pd2(
+            &set,
+            storm_window(11),
+            RecoveryPolicy::CatchUp,
+            600,
+            plan,
+            false,
+        );
         assert_eq!(caught.procs, set.min_processors() + 1);
-        assert!(caught.outcome.window_violation.is_none());
+        assert!(caught.window_violation.is_none());
         assert!(
             caught.profile.degraded_slots <= passive.profile.degraded_slots,
             "catch-up {:?} vs passive {:?}",
@@ -609,7 +485,7 @@ mod tests {
 
     #[test]
     fn slack_trace_reverifies_offline() {
-        let (out, trace) = run_pd2_slack_traced(
+        let out = run_pd2(
             &tasks(),
             storm_window(7),
             RecoveryPolicy::None,
@@ -619,8 +495,10 @@ mod tests {
                 margin: 0.25,
                 lag_threshold: 1.0,
             },
+            true,
         );
-        assert!(out.outcome.window_violation.is_none());
+        assert!(out.window_violation.is_none());
+        let trace = out.trace.expect("a trace was asked for");
         let back = ScheduleTrace::from_json(&trace.to_json()).expect("round-trip");
         back.verify().expect("slack trace re-verifies offline");
     }
@@ -633,8 +511,16 @@ mod tests {
             max_down: 1,
             ..FaultConfig::none(9)
         };
-        let (out, mut trace) = run_pd2_traced(&tasks(), 2, cfg, RecoveryPolicy::Shed, 200);
+        let out = run_pd2(
+            &tasks(),
+            cfg,
+            RecoveryPolicy::Shed,
+            200,
+            SlackPlan::none(1.0),
+            true,
+        );
         assert!(out.window_violation.is_none(), "{:?}", out.window_violation);
+        let mut trace = out.trace.expect("a trace was asked for");
         let shed_task = trace
             .events
             .iter()

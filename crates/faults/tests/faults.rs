@@ -1,14 +1,27 @@
 //! Cross-crate robustness properties: the zero-fault plan is bit-for-bit
 //! inert, and processor fail + rejoin leaves application lag bounded.
 
-use faults::{run_with_recovery, FaultConfig, FaultPlan, RecoveryController, RecoveryPolicy};
+use faults::{
+    run_edf, run_pd2, FaultConfig, FaultPlan, RecoveryController, RecoveryPolicy, SlackPlan,
+};
 use pfair_core::SchedConfig;
 use pfair_model::TaskSet;
 use proptest::prelude::*;
-use sched_sim::MultiSim;
+use sched_sim::{FaultMetrics, MultiSim};
 
 fn ts(pairs: &[(u64, u64)]) -> TaskSet {
     TaskSet::from_pairs(pairs.iter().copied()).unwrap()
+}
+
+/// Drives `sim` to `horizon` with `ctl` applied at every slot boundary —
+/// the shape of [`run_pd2`]'s loop, for tests that need the controller
+/// and the simulator back afterwards.
+fn drive(sim: &mut MultiSim, ctl: &mut RecoveryController, horizon: u64) -> FaultMetrics {
+    for t in 0..horizon {
+        ctl.before_slot(sim, t);
+        sim.step();
+    }
+    sim.finalize_faults()
 }
 
 proptest! {
@@ -68,8 +81,8 @@ fn fail_and_rejoin_leaves_lag_bounded() {
     let plan = FaultPlan::new(cfg);
     let mut sim = MultiSim::new(&set, SchedConfig::pd2(2));
     sim.set_fault_hook(Box::new(plan.clone()));
-    let ctl = RecoveryController::new(plan, &set, 2, RecoveryPolicy::Full);
-    let (fin, ctl) = run_with_recovery(&mut sim, ctl, 200);
+    let mut ctl = RecoveryController::new(plan, &set, 2, RecoveryPolicy::Full);
+    let fin = drive(&mut sim, &mut ctl, 200);
     let stats = ctl.stats();
 
     assert_eq!(fin.dead_proc_quanta, 10, "{fin:?}");
@@ -107,9 +120,9 @@ fn catchup_reconverges_after_loss_window() {
     let plan = FaultPlan::new(cfg);
     let mut sim = MultiSim::new(&set, SchedConfig::pd2(2));
     sim.set_fault_hook(Box::new(plan.clone()));
-    let ctl =
+    let mut ctl =
         RecoveryController::new(plan, &set, 2, RecoveryPolicy::CatchUp).with_watchdog(1.5, 2, 1.0);
-    let (fin, ctl) = run_with_recovery(&mut sim, ctl, 400);
+    let fin = drive(&mut sim, &mut ctl, 400);
     let stats = ctl.stats();
 
     assert!(fin.wasted_quanta > 0, "{fin:?}");
@@ -124,7 +137,8 @@ fn catchup_reconverges_after_loss_window() {
 }
 
 /// Pinned outcomes of the degradation runners, recorded from the code as
-/// it stood before the fault layer was folded into one job ledger: one
+/// it stood before the fault layer was folded into one job ledger and the
+/// runners into one: one
 /// five-task set under one mixed plan (loss + overrun + fail-stop inside a
 /// window + bursts) for PD² under every recovery policy and for EDF, and
 /// one margin-0.25 slack run. Any drift in what a fault does to a job's
@@ -133,7 +147,6 @@ fn catchup_reconverges_after_loss_window() {
 #[test]
 fn degradation_outcomes_are_pinned() {
     let set = ts(&[(4, 8), (4, 12), (8, 20), (4, 16), (12, 28)]);
-    let m = set.min_processors();
     let mixed = FaultConfig {
         loss_rate: 0.1,
         overrun_rate: 0.3,
@@ -154,14 +167,14 @@ fn degradation_outcomes_are_pinned() {
         RecoveryPolicy::CatchUp,
         RecoveryPolicy::Full,
     ] {
-        let out = faults::run_pd2(&set, m, mixed, policy, 420);
+        let out = run_pd2(&set, mixed, policy, 420, SlackPlan::none(1.0), false);
         assert!(out.window_violation.is_none(), "{policy:?}");
         got.push(format!(
             "pd2 {policy:?}: {:?} {:?} {:?}",
             out.faults, out.run, out.recovery
         ));
     }
-    let edf = faults::run_edf(&set, m, mixed, 420).expect("the set first-fits onto 2");
+    let edf = run_edf(&set, set.min_processors(), mixed, 420).expect("the set first-fits onto 2");
     got.push(format!("edf: {edf:?}"));
     let storm = FaultConfig {
         overrun_rate: 0.5,
@@ -172,16 +185,16 @@ fn degradation_outcomes_are_pinned() {
         window_end: 200,
         ..FaultConfig::none(11)
     };
-    let slack = faults::SlackPlan {
+    let slack = SlackPlan {
         spare_procs: 0,
         margin: 0.25,
         lag_threshold: 1.0,
     };
-    let out = faults::run_pd2_slack(&set, storm, RecoveryPolicy::CatchUp, 600, slack);
-    assert!(out.outcome.window_violation.is_none());
+    let out = run_pd2(&set, storm, RecoveryPolicy::CatchUp, 600, slack, false);
+    assert!(out.window_violation.is_none());
     got.push(format!(
         "slack: procs={} {:?} {:?} {:?} {:?}",
-        out.procs, out.outcome.faults, out.outcome.run, out.outcome.recovery, out.profile
+        out.procs, out.faults, out.run, out.recovery, out.profile
     ));
     assert_eq!(got, PINNED);
 }

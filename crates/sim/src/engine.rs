@@ -27,35 +27,32 @@
 //! processors fail-stopped (their quanta are lost and the lowest-priority
 //! scheduled tasks are dropped) or mark a dispatched quantum wasted
 //! (quantum jitter / a lost tick); per job it can demand extra quanta
-//! beyond the declared WCET (an overrun). The engine then tracks
-//! *application-level* job progress — a job completes only after `exec`
-//! (plus any overrun) **useful** quanta — and reports job deadline misses,
-//! observed application lag, and fault counters in a separate
+//! beyond the declared WCET (an overrun). Every quantum that survives goes
+//! to the [`JobLedger`] installed with the hook, which
+//! tracks *application-level* job progress — a job completes only after
+//! `exec` (plus any overrun) **useful** quanta — and reports job deadline
+//! misses, observed application lag, and fault counters in a separate
 //! [`FaultMetrics`] struct. With no hook (or a hook that injects nothing)
 //! the engine's behaviour and [`RunMetrics`] are bit-for-bit identical to
 //! a plain run.
 //!
-//! # Recovery
-//!
-//! A [`RecoveryHook`] installed via [`MultiSim::set_recovery_hook`] is the
-//! counterpart on the *response* side: [`MultiSim::step`] invokes it at
-//! the top of every slot, before the scheduler tick and dispatch, with
-//! full mutable access to the simulator — the slot boundary is exactly
-//! where `join`/`leave`/`set_processors`/`set_early_release` are legal.
-//! Hoisting the hook into the engine (rather than having an experiment
-//! loop drive it externally) means *every* consumer of the engine — and
-//! every recorded trace — sees recovery actions.
+//! Responding to faults is the caller's loop's job: the boundary before
+//! [`MultiSim::step`] is exactly where `join`/`leave`/`set_processors`/
+//! `set_early_release` are legal, and whatever acts there records itself
+//! through [`MultiSim::push_event`].
 //!
 //! # Event recording
 //!
 //! With [`MultiSim::record_events`] enabled, the engine appends a
 //! [`TraceEvent`] for each injected fault (processor down, wasted quantum,
-//! WCET overrun), and hooks append their own (shed, rejoin, catch-up,
-//! capacity) via [`MultiSim::push_event`].
+//! WCET overrun), and recovery code appends its own (shed, rejoin,
+//! catch-up, capacity) via [`MultiSim::push_event`].
 //! [`ScheduleTrace::capture`](crate::trace::ScheduleTrace::capture)
 //! archives the stream next to the schedule so the run can be re-verified
 //! offline.
 
+use crate::ledger::JobLedger;
+pub use crate::ledger::{FaultHook, FaultMetrics, SlotFaults};
 use crate::trace::TraceEvent;
 use pfair_core::sched::{DelayModel, PfairScheduler};
 use pfair_model::{Slot, Task, TaskId, TaskSet};
@@ -77,170 +74,6 @@ pub struct RunMetrics {
     pub context_switches: u64,
     /// Pfair deadline misses reported by the scheduler.
     pub misses: u64,
-}
-
-/// Faults applied to one slot, filled in by a [`FaultHook`].
-#[derive(Debug, Clone, Default)]
-pub struct SlotFaults {
-    /// Processors that are fail-stopped this slot: they execute nothing,
-    /// and scheduled tasks that no longer fit on the surviving processors
-    /// are dropped (lowest priority first).
-    pub down: Vec<u32>,
-    /// Processors whose quantum is dispatched but produces no useful work
-    /// (quantum jitter / a lost tick). Ignored for processors that are
-    /// also down.
-    pub wasted: Vec<u32>,
-}
-
-impl SlotFaults {
-    /// Resets both lists (called by the engine before each slot).
-    pub fn clear(&mut self) {
-        self.down.clear();
-        self.wasted.clear();
-    }
-
-    /// Whether this slot is fault-free.
-    pub fn is_clean(&self) -> bool {
-        self.down.is_empty() && self.wasted.is_empty()
-    }
-}
-
-/// Injects faults into a [`MultiSim`] run (see the module docs).
-///
-/// Implementations must be deterministic functions of their own state and
-/// the query arguments: the recovery layer holds an independent clone of
-/// the plan and relies on both copies agreeing slot by slot.
-pub trait FaultHook {
-    /// Fills `out` with the faults for slot `t` on an `m`-processor
-    /// system. `out` arrives cleared.
-    fn slot_faults(&mut self, t: Slot, m: u32, out: &mut SlotFaults);
-
-    /// Extra quanta of demand for `job` (0-based) of `task` beyond its
-    /// declared WCET. Queried exactly once per job, when its declared work
-    /// completes. The default never overruns.
-    fn overrun(&mut self, task: TaskId, job: u64) -> u64 {
-        let _ = (task, job);
-        0
-    }
-
-    /// Total release delay (slots) accumulated through `job` of `task` —
-    /// the cumulative IS offset from arrival bursts, which shifts the
-    /// job's application deadline. The default is the synchronous periodic
-    /// process (no delay).
-    fn release_delay(&mut self, task: TaskId, job: u64) -> u64 {
-        let _ = (task, job);
-        0
-    }
-}
-
-/// Responds to faults from *inside* the simulation loop (see the module
-/// docs): [`MultiSim::step`] calls [`before_slot`](Self::before_slot) at
-/// the top of every slot, before the scheduler tick, handing the hook full
-/// mutable access to the simulator. Mirrors [`FaultHook`] on the recovery
-/// side; `crates/faults`' `RecoveryController` is the canonical
-/// implementation.
-///
-/// The hook is temporarily removed from the simulator while it runs (so it
-/// can borrow the simulator mutably).
-pub trait RecoveryHook<D: DelayModel> {
-    /// Applies the recovery policy at the boundary of slot `t` — the only
-    /// point where `join`/`leave`/`set_processors`/`set_early_release` are
-    /// legal. Implementations that record their actions should do so via
-    /// [`MultiSim::push_event`].
-    fn before_slot(&mut self, sim: &mut MultiSim<D>, t: Slot);
-
-    /// Recovers the concrete hook (and whatever statistics it carries)
-    /// after a run, via [`MultiSim::take_recovery_hook`] and
-    /// [`std::any::Any`] downcasting.
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
-}
-
-/// Fault-layer counters, kept apart from [`RunMetrics`] so the scheduler
-/// and dispatch view is untouched by the fault machinery.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct FaultMetrics {
-    /// Dispatched quanta that produced no useful work (jitter).
-    pub wasted_quanta: u64,
-    /// Scheduled quanta dropped because their processors were fail-stopped.
-    pub dropped_quanta: u64,
-    /// Processor-slots lost to fail-stop (one per down processor per slot).
-    pub dead_proc_quanta: u64,
-    /// Jobs that demanded quanta beyond their declared WCET.
-    pub overruns: u64,
-    /// Total extra quanta demanded by overrunning jobs.
-    pub overrun_quanta: u64,
-    /// Application-level jobs completed.
-    pub jobs_completed: u64,
-    /// Application-level jobs due by the end of the run (filled in by
-    /// [`MultiSim::finalize_faults`]; 0 before that).
-    pub jobs_due: u64,
-    /// Application-level job deadline misses (late completions, plus —
-    /// after [`MultiSim::finalize_faults`] — due jobs that never finished).
-    pub job_misses: u64,
-    /// Largest observed job tardiness (slots past the deadline).
-    pub max_tardiness: u64,
-    /// Largest observed application lag: `wt·elapsed − useful_quanta` over
-    /// all live tasks and slots. Bounded near 1 in a fault-free run;
-    /// grows with injected load.
-    pub max_app_lag: f64,
-}
-
-impl FaultMetrics {
-    /// Deadline-miss ratio over the jobs due in the run (call
-    /// [`MultiSim::finalize_faults`] first so `jobs_due` is filled in).
-    pub fn miss_ratio(&self) -> f64 {
-        if self.jobs_due == 0 {
-            0.0
-        } else {
-            self.job_misses as f64 / self.jobs_due as f64
-        }
-    }
-}
-
-/// Per-task application-level progress under fault injection.
-#[derive(Debug, Clone, Copy)]
-struct AppTask {
-    exec: u64,
-    period: u64,
-    /// Slot from which this task's jobs are measured (join time).
-    origin: Slot,
-    /// Jobs completed so far (the current job's 0-based index).
-    job: u64,
-    /// Useful quanta into the current job.
-    done: u64,
-    /// Quanta the current job needs (`exec`, plus any overrun).
-    needed: u64,
-    /// Whether the current job's overrun draw already happened.
-    overrun_applied: bool,
-    /// Useful quanta over the task's lifetime.
-    useful_total: u64,
-    /// Task weight as f64, for the application-lag signal.
-    weight_f: f64,
-    /// Arrival of the current job (`origin + job·period + burst delay`):
-    /// quanta granted before it carry no application work, so ERfair
-    /// catch-up cannot run jobs that have not arrived.
-    arrival: Slot,
-    /// Slot at which the task was retired (shed), if any; retired tasks
-    /// stop accruing lag and due jobs.
-    retired_at: Option<Slot>,
-}
-
-impl AppTask {
-    fn new(task: &Task, weight_f: f64, origin: Slot) -> Self {
-        AppTask {
-            exec: task.exec,
-            period: task.period,
-            origin,
-            job: 0,
-            done: 0,
-            needed: task.exec,
-            overrun_applied: false,
-            useful_total: 0,
-            weight_f,
-            arrival: origin,
-            retired_at: None,
-        }
-    }
 }
 
 /// Instruments for the `step` hot path. Mirrors the [`RunMetrics`]
@@ -341,6 +174,15 @@ impl BitMask {
     }
 }
 
+/// Everything [`MultiSim::set_fault_hook`] installs: the hook, the ledger
+/// its faults are scored in, and the hook's per-slot scratch.
+struct FaultLayer {
+    hook: Box<dyn FaultHook>,
+    ledger: JobLedger,
+    /// Scratch: faults of the current slot.
+    slot: SlotFaults,
+}
+
 /// Per-task dispatch bookkeeping.
 #[derive(Debug, Clone, Copy)]
 struct DispatchState {
@@ -403,24 +245,10 @@ pub struct MultiSim<D: DelayModel = pfair_core::NoDelay> {
     /// candidates for a preemption charge (replaces the all-task scan).
     prev_ran: Vec<TaskId>,
     /// Fault injection (None = the fault layer is entirely inert).
-    hook: Option<Box<dyn FaultHook>>,
-    /// Recovery policy hook, run at the top of every slot.
-    recovery: Option<Box<dyn RecoveryHook<D>>>,
-    /// Recorded fault/recovery events (empty unless enabled).
-    events: Vec<TraceEvent>,
-    /// Whether [`Self::push_event`] records or drops events.
-    events_on: bool,
-    /// Scratch: faults of the current slot.
-    slot_faults: SlotFaults,
-    /// Scratch: per-processor fail-stop flags for the current slot.
-    proc_down: Vec<bool>,
-    /// Application-level job progress, parallel to `dispatch` (empty while
-    /// no hook is installed).
-    app: Vec<AppTask>,
-    fault_metrics: FaultMetrics,
-    /// Maximum application lag observed in the most recent slot.
-    last_max_lag: f64,
-    faults_finalized: bool,
+    faults: Option<Box<FaultLayer>>,
+    /// Recorded fault/recovery events (None = [`Self::push_event`] drops
+    /// them).
+    events: Option<Vec<TraceEvent>>,
 }
 
 impl MultiSim<pfair_core::NoDelay> {
@@ -461,16 +289,8 @@ impl<D: DelayModel> MultiSim<D> {
             free_procs: BitMask::default(),
             sched_bits: BitMask::default(),
             prev_ran: Vec::with_capacity(m),
-            hook: None,
-            recovery: None,
-            events: Vec::new(),
-            events_on: false,
-            slot_faults: SlotFaults::default(),
-            proc_down: vec![false; m],
-            app: Vec::new(),
-            fault_metrics: FaultMetrics::default(),
-            last_max_lag: 0.0,
-            faults_finalized: false,
+            faults: None,
+            events: None,
         }
     }
 
@@ -533,42 +353,28 @@ impl<D: DelayModel> MultiSim<D> {
         &mut self.sched
     }
 
-    /// Installs a fault hook. Call before the first [`Self::step`]: the
-    /// application-level job bookkeeping starts at the current slot.
-    pub fn set_fault_hook(&mut self, hook: Box<dyn FaultHook>) -> &mut Self {
-        self.hook = Some(hook);
-        let hook = self.hook.as_mut().expect("just installed");
-        self.app = (0..self.dispatch.len())
-            .map(|i| {
-                let id = TaskId(i as u32);
-                let d = &self.dispatch[i];
-                let task = Task::new(d.exec, d.period).expect("dispatch state holds valid tasks");
-                let mut a = AppTask::new(&task, self.sched.weight_of(id).to_f64(), self.now);
-                a.arrival = a.origin + hook.release_delay(id, 0);
-                a
-            })
-            .collect();
-        self
-    }
-
-    /// Installs a recovery hook, invoked at the top of every subsequent
-    /// [`Self::step`] (see [`RecoveryHook`]). Replaces any previous hook.
-    pub fn set_recovery_hook(&mut self, hook: Box<dyn RecoveryHook<D>>) -> &mut Self {
-        self.recovery = Some(hook);
-        self
-    }
-
-    /// Removes and returns the recovery hook, e.g. to read its statistics
-    /// back out through [`RecoveryHook::into_any`] after a run.
-    pub fn take_recovery_hook(&mut self) -> Option<Box<dyn RecoveryHook<D>>> {
-        self.recovery.take()
+    /// Installs a fault hook and returns the [`JobLedger`] its faults are
+    /// scored in (e.g. to point tasks at their true demand with
+    /// [`JobLedger::set_demand`]). Call before the first [`Self::step`]:
+    /// the application-level job bookkeeping starts at the current slot.
+    pub fn set_fault_hook(&mut self, mut hook: Box<dyn FaultHook>) -> &mut JobLedger {
+        let mut ledger = JobLedger::default();
+        for d in &self.dispatch {
+            ledger.push(d.exec, d.period, self.now, hook.as_mut());
+        }
+        let layer = self.faults.insert(Box::new(FaultLayer {
+            hook,
+            ledger,
+            slot: SlotFaults::default(),
+        }));
+        &mut layer.ledger
     }
 
     /// Enables fault/recovery event recording: the engine records injected
-    /// faults as they land, and recovery hooks record their actions via
+    /// faults as they land, and recovery code records its actions via
     /// [`Self::push_event`]. Disabled by default (recording allocates).
     pub fn record_events(&mut self) -> &mut Self {
-        self.events_on = true;
+        self.events.get_or_insert_with(Vec::new);
         self
     }
 
@@ -576,14 +382,14 @@ impl<D: DelayModel> MultiSim<D> {
     /// events are non-decreasing in slot; job-keyed burst events may be
     /// pushed up front by the run harness.
     pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+        self.events.as_deref().unwrap_or(&[])
     }
 
     /// Appends an event to the recording; a no-op unless
     /// [`Self::record_events`] was enabled.
     pub fn push_event(&mut self, ev: TraceEvent) {
-        if self.events_on {
-            self.events.push(ev);
+        if let Some(events) = &mut self.events {
+            events.push(ev);
         }
     }
 
@@ -608,10 +414,9 @@ impl<D: DelayModel> MultiSim<D> {
             period: task.period,
             completed_jobs: 0,
         });
-        if let Some(hook) = &mut self.hook {
-            let mut a = AppTask::new(&task, self.sched.weight_of(id).to_f64(), self.now);
-            a.arrival = a.origin + hook.release_delay(id, 0);
-            self.app.push(a);
+        if let Some(f) = &mut self.faults {
+            f.ledger
+                .push(task.exec, task.period, self.now, f.hook.as_mut());
         }
     }
 
@@ -619,42 +424,9 @@ impl<D: DelayModel> MultiSim<D> {
     /// accruing application lag, and only jobs due by `t` count against it
     /// in [`Self::finalize_faults`]. A no-op without a fault hook.
     pub fn retire_task(&mut self, id: TaskId, t: Slot) {
-        if let Some(a) = self.app.get_mut(id.index()) {
-            if a.retired_at.is_none() {
-                a.retired_at = Some(t);
-            }
+        if let Some(f) = &mut self.faults {
+            f.ledger.retire(id, t);
         }
-    }
-
-    /// Decouples the *application-level* demand of task `id` from its
-    /// declared cost: each of its jobs consumes `actual_exec` useful
-    /// quanta (plus any overrun draws) while the scheduler keeps serving
-    /// the declared — possibly larger — reservation. The slack-reservation
-    /// experiments (`crates/faults`) schedule a margin-inflated task set
-    /// and point the app layer back at the true demand with this call.
-    ///
-    /// The app-lag signal is rebased to the actual utilization
-    /// (`actual_exec / period`), so reserved-but-unneeded capacity does
-    /// not read as accumulating lag. Call after
-    /// [`set_fault_hook`](Self::set_fault_hook) (the application layer
-    /// only exists with a hook installed) and before the first
-    /// [`step`](Self::step), so job 0 sees the new demand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no fault hook is installed or `actual_exec` is zero.
-    pub fn set_app_demand(&mut self, id: TaskId, actual_exec: u64) {
-        assert!(actual_exec >= 1, "a job needs at least one quantum");
-        assert!(
-            id.index() < self.app.len(),
-            "set_app_demand requires a fault hook (the app layer exists only with one)"
-        );
-        let a = &mut self.app[id.index()];
-        a.exec = actual_exec;
-        if a.job == 0 && a.done == 0 && !a.overrun_applied {
-            a.needed = actual_exec;
-        }
-        a.weight_f = actual_exec as f64 / a.period as f64;
     }
 
     /// The scheduler's picks for the most recent slot, in descending
@@ -663,81 +435,46 @@ impl<D: DelayModel> MultiSim<D> {
         &self.chosen
     }
 
-    /// Fault-layer counters so far (all zero without a hook).
-    pub fn fault_metrics(&self) -> FaultMetrics {
-        self.fault_metrics
-    }
-
     /// Maximum application lag observed in the most recent slot (the
     /// overload signal for a lag watchdog). 0 without a hook.
     pub fn current_max_app_lag(&self) -> f64 {
-        self.last_max_lag
+        self.faults
+            .as_ref()
+            .map_or(0.0, |f| f.ledger.current_max_lag())
     }
 
-    /// Closes out the fault accounting at the end of a run: counts every
-    /// job that was due (deadline at or before the end of the run, or the
-    /// task's retirement) but never completed as a miss, and fills in
-    /// [`FaultMetrics::jobs_due`]. Idempotent; returns the final metrics.
+    /// Closes out the fault accounting at the end of a run (see
+    /// [`JobLedger::finalize`]): due-but-unfinished jobs become misses and
+    /// [`FaultMetrics::jobs_due`] is filled in. Idempotent; returns the
+    /// final metrics (all zero without a hook).
     pub fn finalize_faults(&mut self) -> FaultMetrics {
-        let horizon = self.now;
-        if self.faults_finalized {
-            return self.fault_metrics;
+        match &mut self.faults {
+            Some(f) => f.ledger.finalize(self.now, f.hook.as_mut()),
+            None => FaultMetrics::default(),
         }
-        self.faults_finalized = true;
-        if let Some(hook) = &mut self.hook {
-            for (i, a) in self.app.iter().enumerate() {
-                let id = TaskId(i as u32);
-                let cutoff = a.retired_at.unwrap_or(horizon);
-                let mut due = 0u64;
-                let mut j = 0u64;
-                loop {
-                    let deadline = a.origin + (j + 1) * a.period + hook.release_delay(id, j);
-                    if deadline > cutoff {
-                        break;
-                    }
-                    due += 1;
-                    j += 1;
-                }
-                // Jobs 0..a.job completed (late ones already counted as
-                // misses); due jobs beyond that never will.
-                self.fault_metrics.jobs_due += due;
-                self.fault_metrics.job_misses += due.saturating_sub(a.job);
-            }
-        }
-        self.fault_metrics
     }
 
     /// Simulates one slot; returns the processor → task assignment.
     pub fn step(&mut self) -> &[Option<TaskId>] {
-        // Recovery first: the slot boundary is where joins/leaves/capacity
-        // changes are legal. The hook is taken out for the call so it can
-        // borrow the simulator mutably.
-        if let Some(mut hook) = self.recovery.take() {
-            hook.before_slot(self, self.now);
-            self.recovery = Some(hook);
-        }
         let t = self.now;
         self.now += 1;
         let m = self.proc_owner.len();
 
-        // Fault directives for this slot.
-        self.slot_faults.clear();
+        // Fault directives for this slot: fail-stopped processors leave
+        // the free-processor set before dispatch sees it.
+        self.free_procs.fill_first(m);
         let mut live = m;
-        if let Some(hook) = &mut self.hook {
-            hook.slot_faults(t, m as u32, &mut self.slot_faults);
-            self.proc_down.iter_mut().for_each(|d| *d = false);
-            for &p in &self.slot_faults.down {
-                let p = p as usize;
-                if p < m && !self.proc_down[p] {
-                    self.proc_down[p] = true;
+        if let Some(f) = &mut self.faults {
+            f.slot.clear();
+            f.hook.slot_faults(t, m as u32, &mut f.slot);
+            for &p in &f.slot.down {
+                if (p as usize) < m && self.free_procs.is_set(p as usize) {
+                    self.free_procs.clear(p as usize);
                     live -= 1;
-                    self.fault_metrics.dead_proc_quanta += 1;
+                    f.ledger.metrics.dead_proc_quanta += 1;
                     self.obs.fault_dead.incr();
-                    if self.events_on {
-                        self.events.push(TraceEvent::ProcDown {
-                            slot: t,
-                            proc: p as u32,
-                        });
+                    if let Some(events) = &mut self.events {
+                        events.push(TraceEvent::ProcDown { slot: t, proc: p });
                     }
                 }
             }
@@ -752,10 +489,6 @@ impl<D: DelayModel> MultiSim<D> {
         // slot. The recorded schedule keeps the scheduler's full decision.
         let dispatchable = self.chosen.len().min(live);
         let dropped = (self.chosen.len() - dispatchable) as u64;
-        if dropped > 0 {
-            self.fault_metrics.dropped_quanta += dropped;
-            self.obs.fault_dropped.add(dropped);
-        }
 
         // Dispatch with affinity: tasks that ran in slot t−1 and are chosen
         // again keep their processor. The free-processor set is a bitset so
@@ -763,14 +496,6 @@ impl<D: DelayModel> MultiSim<D> {
         // pending scratch is reused across slots (no per-slot allocation).
         let dispatch_span = self.obs.dispatch_ns.start();
         self.assignment.iter_mut().for_each(|a| *a = None);
-        self.free_procs.fill_first(m);
-        if self.hook.is_some() {
-            for p in 0..m {
-                if self.proc_down[p] {
-                    self.free_procs.clear(p);
-                }
-            }
-        }
         self.pending.clear();
         for &id in &self.chosen[..dispatchable] {
             match self.dispatch[id.index()].prev_proc {
@@ -800,48 +525,38 @@ impl<D: DelayModel> MultiSim<D> {
 
         // Accounting. Per-event counters are tallied in locals and flushed
         // to the recorder in one batch at the end of the slot.
-        let mut allocated = 0u64;
-        let mut idle = 0u64;
         let mut migrations = 0u64;
         let mut switches = 0u64;
         self.sched_bits.reset(self.dispatch.len());
         for (proc, slot) in self.assignment.iter().enumerate() {
-            match slot {
-                None => {
-                    if self.hook.is_some() && self.proc_down[proc] {
-                        // Fail-stopped: the quantum is lost, not idle; it
-                        // was counted under dead_proc_quanta above.
-                    } else {
-                        idle += 1;
-                    }
+            let Some(id) = slot else { continue };
+            self.sched_bits.set(id.index());
+            let st = &mut self.dispatch[id.index()];
+            if let Some(last) = st.last_proc {
+                if last != proc as u32 {
+                    migrations += 1;
                 }
-                Some(id) => {
-                    self.sched_bits.set(id.index());
-                    let st = &mut self.dispatch[id.index()];
-                    if let Some(last) = st.last_proc {
-                        if last != proc as u32 {
-                            migrations += 1;
-                        }
-                    }
-                    if self.proc_owner[proc] != Some(*id) {
-                        switches += 1;
-                    }
-                    st.last_proc = Some(proc as u32);
-                    st.in_job += 1;
-                    if st.in_job == st.exec {
-                        st.in_job = 0; // job boundary
-                        let release = st.completed_jobs * st.period;
-                        st.completed_jobs += 1;
-                        let resp = (t + 1).saturating_sub(release) as f64;
-                        self.responses.push(resp);
-                        if let Some(samples) = &mut self.response_samples {
-                            samples.push(resp);
-                        }
-                    }
-                    allocated += 1;
+            }
+            if self.proc_owner[proc] != Some(*id) {
+                switches += 1;
+            }
+            st.last_proc = Some(proc as u32);
+            st.in_job += 1;
+            if st.in_job == st.exec {
+                st.in_job = 0; // job boundary
+                let release = st.completed_jobs * st.period;
+                st.completed_jobs += 1;
+                let resp = (t + 1).saturating_sub(release) as f64;
+                self.responses.push(resp);
+                if let Some(samples) = &mut self.response_samples {
+                    samples.push(resp);
                 }
             }
         }
+        // A fail-stopped processor's quantum is lost, not idle; it was
+        // counted under dead_proc_quanta above.
+        let allocated = dispatchable as u64;
+        let idle = (live - dispatchable) as u64;
         // Preemptions: ran in t−1, not running now, job unfinished. Only
         // the tasks that actually held a processor in t−1 are candidates,
         // so the scan is O(M), not O(tasks).
@@ -884,82 +599,35 @@ impl<D: DelayModel> MultiSim<D> {
         }
 
         // Fault layer: map dispatched quanta to useful application work.
-        if let Some(hook) = &mut self.hook {
+        if let Some(f) = &mut self.faults {
+            let before = f.ledger.metrics;
+            f.ledger.metrics.dropped_quanta += dropped;
+            self.obs.fault_dropped.add(dropped);
             for (proc, slot) in self.assignment.iter().enumerate() {
                 let Some(id) = slot else { continue };
-                if self.slot_faults.wasted.contains(&(proc as u32)) {
-                    self.fault_metrics.wasted_quanta += 1;
+                let ev = if f.slot.wasted.contains(&(proc as u32)) {
+                    f.ledger.metrics.wasted_quanta += 1;
                     self.obs.fault_wasted.incr();
-                    if self.events_on {
-                        self.events.push(TraceEvent::QuantumLoss {
-                            slot: t,
-                            proc: proc as u32,
-                            task: id.0,
-                        });
-                    }
-                    continue;
-                }
-                let a = &mut self.app[id.index()];
-                if t < a.arrival {
-                    // Current job not yet arrived (ERfair ran ahead): the
-                    // quantum carries no application work.
-                    continue;
-                }
-                a.useful_total += 1;
-                a.done += 1;
-                if a.done == a.needed && !a.overrun_applied {
-                    a.overrun_applied = true;
-                    let extra = hook.overrun(*id, a.job);
-                    if extra > 0 {
-                        a.needed += extra;
-                        self.fault_metrics.overruns += 1;
-                        self.fault_metrics.overrun_quanta += extra;
-                        self.obs.fault_overruns.incr();
-                        if self.events_on {
-                            self.events.push(TraceEvent::Overrun {
-                                slot: t,
-                                task: id.0,
-                                job: a.job,
-                                extra,
-                            });
-                        }
-                    }
-                }
-                if a.done >= a.needed {
-                    // Job complete at time t+1; its application deadline is
-                    // one period past its (possibly burst-delayed) arrival.
-                    let deadline =
-                        a.origin + (a.job + 1) * a.period + hook.release_delay(*id, a.job);
-                    self.fault_metrics.jobs_completed += 1;
-                    if t + 1 > deadline {
-                        self.fault_metrics.job_misses += 1;
-                        self.fault_metrics.max_tardiness =
-                            self.fault_metrics.max_tardiness.max(t + 1 - deadline);
-                        self.obs.fault_job_misses.incr();
-                    }
-                    a.job += 1;
-                    a.done = 0;
-                    a.needed = a.exec;
-                    a.overrun_applied = false;
-                    a.arrival = a.origin + a.job * a.period + hook.release_delay(*id, a.job);
+                    Some(TraceEvent::QuantumLoss {
+                        slot: t,
+                        proc: proc as u32,
+                        task: id.0,
+                    })
+                } else {
+                    f.ledger.useful_quantum(*id, t, f.hook.as_mut())
+                };
+                if let (Some(events), Some(ev)) = (&mut self.events, ev) {
+                    events.push(ev);
                 }
             }
-            // Per-slot application lag and its running maximum (the
-            // overload signal).
-            let mut max_lag = f64::NEG_INFINITY;
-            for (i, a) in self.app.iter().enumerate() {
-                if a.retired_at.is_some() || !self.sched.is_active(TaskId(i as u32)) {
-                    continue;
-                }
-                let elapsed = (t + 1).saturating_sub(a.origin) as f64;
-                let lag = a.weight_f * elapsed - a.useful_total as f64;
-                max_lag = max_lag.max(lag);
-            }
-            if max_lag == f64::NEG_INFINITY {
-                max_lag = 0.0;
-            }
-            self.last_max_lag = max_lag;
-            self.fault_metrics.max_app_lag = self.fault_metrics.max_app_lag.max(max_lag);
+            f.ledger.close_slot(t, |id| self.sched.is_active(id));
+            let after = f.ledger.metrics;
+            self.obs
+                .fault_overruns
+                .add(after.overruns - before.overruns);
+            self.obs
+                .fault_job_misses
+                .add(after.job_misses - before.job_misses);
         }
 
         self.metrics.slots += 1;
@@ -1142,7 +810,7 @@ mod tests {
 
         assert_eq!(pm, hm);
         assert_eq!(plain.schedule().unwrap(), hooked.schedule().unwrap());
-        let fm = hooked.fault_metrics();
+        let fm = hooked.finalize_faults();
         assert_eq!(
             fm.wasted_quanta + fm.dropped_quanta + fm.dead_proc_quanta,
             0
@@ -1185,16 +853,15 @@ mod tests {
         sim.record_schedule();
         sim.set_fault_hook(Box::new(hook));
         sim.run(30);
-        let fm = sim.fault_metrics();
-        assert_eq!(fm.dead_proc_quanta, 1);
-        assert_eq!(fm.dropped_quanta, 1);
+        let fin = sim.finalize_faults();
+        assert_eq!(fin.dead_proc_quanta, 1);
+        assert_eq!(fin.dropped_quanta, 1);
         // The recorded schedule still shows both picks in slot 4 (full
         // utilization: two tasks per slot).
         assert_eq!(sim.schedule().unwrap()[4].len(), 2);
         // One task is now one useful quantum behind for good: plain Pfair
         // gives it no spare slots, so its app lag reaches the lost quantum
         // (sched lag + 1) and every later job of the victim completes late.
-        let fin = sim.finalize_faults();
         assert!(fin.max_app_lag >= 1.0 - 1e-9, "lag {}", fin.max_app_lag);
         assert!(fin.job_misses > 0);
     }

@@ -24,18 +24,20 @@
 pub mod engine;
 pub mod exact_gedf;
 pub mod global_edf;
+pub mod ledger;
 pub mod partitioned;
 pub mod render;
 pub mod trace;
 pub mod verify;
 pub mod wrr;
 
-pub use engine::{FaultHook, FaultMetrics, MultiSim, RecoveryHook, RunMetrics, SlotFaults};
+pub use engine::{FaultHook, FaultMetrics, MultiSim, RunMetrics, SlotFaults};
 pub use exact_gedf::{
     exact_gedf_schedulable, gedf_utilization_bound_schedulable, hyperperiod,
     try_exact_gedf_schedulable, HyperperiodOverflow,
 };
 pub use global_edf::GlobalEdfSim;
+pub use ledger::JobLedger;
 pub use partitioned::{PartitionedSim, PartitionedStats};
 pub use render::{render_schedule, render_task_windows};
 pub use trace::{NotRecordingError, ScheduleTrace, TraceEvent};
