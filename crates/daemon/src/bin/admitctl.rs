@@ -10,6 +10,7 @@
 //! admitctl --socket S drop-set --set alpha
 //! admitctl --socket S list-sets
 //! admitctl --socket S shutdown
+//! admitctl --tcp 127.0.0.1:7133 stats
 //! ```
 //!
 //! `--tcp <addr:port>` targets a TCP daemon instead of `--socket <path>`.
@@ -18,25 +19,34 @@
 //!
 //! Exit codes: 0 = the daemon said yes (admitted/left/stats/...),
 //! 1 = the daemon said no (rejected or error reply, daemon died),
-//! 2 = usage / transport failure. `stats` prints the metrics snapshot
+//! 2 = usage / transport failure (a flag outside the ones above
+//! included; `--help` lists them). `stats` prints the metrics snapshot
 //! JSON on stdout so scripts can parse it.
 
-use daemon::cli::Cli;
+use daemon::cli::{Args, Flag};
 use daemon::client::{DaemonAddr, DaemonClient};
 use daemon::proto::{Status, StreamKind};
 use std::path::PathBuf;
 
-const USAGE: &str = "admitctl (--socket <path> | --tcp <addr:port>) \
-                     <join|leave|reweight|stats|watch|create-set|drop-set|list-sets|shutdown> \
-                     [--set <name>] [options]";
+/// Everything `admitctl` reads: the subcommand and every flag.
+const FLAGS: &[Flag] = &[
+    Flag::value("socket", "PATH"),
+    Flag::value("tcp", "ADDR:PORT"),
+    Flag::command("join|leave|reweight|stats|watch|create-set|drop-set|list-sets|shutdown"),
+    Flag::value("set", "NAME"),
+    Flag::value("task", "ID"),
+    Flag::value("wcet-us", "N"),
+    Flag::value("period-us", "N"),
+    Flag::value("frames", "N"),
+];
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Args::parse("admitctl", &[FLAGS]);
     let addr = match (cli.get("socket"), cli.get("tcp")) {
         (Some(path), None) => DaemonAddr::Unix(PathBuf::from(path)),
         (None, Some(addr)) => DaemonAddr::Tcp(addr.to_string()),
         _ => {
-            eprintln!("usage: {USAGE}");
+            eprintln!("admitctl: exactly one of --socket and --tcp is required");
             std::process::exit(2);
         }
     };
@@ -49,47 +59,28 @@ fn main() {
     };
     client.set_scope(cli.get("set"));
 
-    let cmd = cli.positional(0).unwrap_or_else(|| {
-        eprintln!("usage: {USAGE}");
-        std::process::exit(2);
-    });
-
-    let result = match cmd {
-        "join" => client.join(
-            cli.require("wcet-us", USAGE)
-                .parse()
-                .unwrap_or_else(bad("wcet-us")),
-            cli.require("period-us", USAGE)
-                .parse()
-                .unwrap_or_else(bad("period-us")),
+    let result = match cli.command() {
+        Some("join") => client.join(cli.require("wcet-us"), cli.require("period-us")),
+        Some("leave") => client.leave(cli.require("task")),
+        Some("reweight") => client.reweight(
+            cli.require("task"),
+            cli.require("wcet-us"),
+            cli.require("period-us"),
         ),
-        "leave" => client.leave(
-            cli.require("task", USAGE)
-                .parse()
-                .unwrap_or_else(bad("task")),
-        ),
-        "reweight" => client.reweight(
-            cli.require("task", USAGE)
-                .parse()
-                .unwrap_or_else(bad("task")),
-            cli.require("wcet-us", USAGE)
-                .parse()
-                .unwrap_or_else(bad("wcet-us")),
-            cli.require("period-us", USAGE)
-                .parse()
-                .unwrap_or_else(bad("period-us")),
-        ),
-        "stats" => client.stats(),
-        "create-set" => client.create_set(cli.require("set", USAGE)),
-        "drop-set" => client.drop_set(cli.require("set", USAGE)),
-        "list-sets" => client.list_sets(),
-        "shutdown" => client.shutdown(),
-        "watch" => {
+        Some("stats") => client.stats(),
+        Some("create-set") => client.create_set(&cli.require::<String>("set")),
+        Some("drop-set") => client.drop_set(&cli.require::<String>("set")),
+        Some("list-sets") => client.list_sets(),
+        Some("shutdown") => client.shutdown(),
+        Some("watch") => {
             let frames: u64 = cli.get_or("frames", 10);
             return watch(client, frames);
         }
         other => {
-            eprintln!("admitctl: unknown command `{other}`\nusage: {USAGE}");
+            eprintln!(
+                "admitctl: expected a command, got `{}` (--help lists them)",
+                other.unwrap_or("")
+            );
             std::process::exit(2);
         }
     };
@@ -165,13 +156,6 @@ fn main() {
             std::process::exit(1);
         }
         Status::Subscribed => unreachable!("subscribe is only sent by `watch`"),
-    }
-}
-
-fn bad<T>(key: &'static str) -> impl Fn(std::num::ParseIntError) -> T {
-    move |_| {
-        eprintln!("admitctl: invalid value for --{key}");
-        std::process::exit(2);
     }
 }
 

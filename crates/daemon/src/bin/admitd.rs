@@ -10,7 +10,9 @@
 //! ```
 //!
 //! Exactly one of `--socket <path>` (Unix-domain) or `--listen
-//! <addr:port>` (TCP; port 0 picks an ephemeral port) must be given.
+//! <addr:port>` (TCP; port 0 picks an ephemeral port) must be given; a
+//! flag outside the list above is a usage error (exit 2), and `--help`
+//! prints the list.
 //! Prints `admitd: listening on <unix:path|tcp://ip:port>` to stderr once
 //! bound — with the *actual* address, so a `--listen 127.0.0.1:0` caller
 //! can parse the port — then serves until a client sends Shutdown.
@@ -23,20 +25,37 @@
 //! `base.<name>.dropped-<i>.json` (so a dropped-then-recreated name
 //! cannot clobber either trace).
 
-use daemon::cli::Cli;
+use daemon::cli::{Args, Flag};
 use daemon::server::{self, Bind, Pace, ServerConfig};
 use overhead::OverheadParams;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+/// Every flag `admitd` reads.
+const FLAGS: &[Flag] = &[
+    Flag::value("socket", "PATH"),
+    Flag::value("listen", "ADDR:PORT"),
+    Flag::value("cpus", "N"),
+    Flag::value("pace", "real|virtual"),
+    Flag::value("quantum-us", "N"),
+    Flag::value("ctx-switch-us", "N"),
+    Flag::switch("no-overhead"),
+    Flag::value("max-batch", "N"),
+    Flag::value("snapshot-every", "N"),
+    Flag::switch("no-trace"),
+    Flag::value("max-sets", "N"),
+    Flag::value("idle-timeout-ms", "N"),
+    Flag::value("trace-out", "FILE"),
+    Flag::value("metrics-out", "FILE"),
+];
+
 fn main() {
-    let cli = Cli::parse();
-    const USAGE: &str = "admitd (--socket <path> | --listen <addr:port>) [options]";
+    let cli = Args::parse("admitd", &[FLAGS]);
     let bind = match (cli.get("socket"), cli.get("listen")) {
         (Some(path), None) => Bind::Unix(PathBuf::from(path)),
         (None, Some(addr)) => Bind::Tcp(addr.to_string()),
         _ => {
-            eprintln!("usage: {USAGE}");
+            eprintln!("admitd: exactly one of --socket and --listen is required");
             std::process::exit(2);
         }
     };

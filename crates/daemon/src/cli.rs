@@ -1,77 +1,203 @@
-//! Minimal `--key value` argument parsing for the daemon binaries.
+//! Minimal command-line parsing for every binary of the workspace
+//! (hand-rolled to keep the dependency set inside the approved list; it
+//! lives here because `experiments` depends on this crate, so both the
+//! daemon binaries and the sweep binaries see it).
 //!
-//! Same conventions as the experiments crate's parser (a `--key` whose
-//! next token starts with `--` is a bare flag), plus positional tokens
-//! for `admitctl`-style subcommands. Kept local because `experiments`
-//! depends on this crate — the parsers must not form a cycle.
+//! A binary declares the flags it reads once, as a `&[Flag]` next to its
+//! `main`, and hands the list to [`Args::parse`]. Anything else on the
+//! command line — an unknown `--flag`, a stray positional, a value flag
+//! without its value — is a usage error (exit 2), so a mistyped flag can
+//! never run a sweep, or start a daemon, it does not describe. The usage
+//! line `--help` prints is built from the same list.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
-/// Parsed command line: positionals plus `--key [value]` pairs.
-#[derive(Debug, Default)]
-pub struct Cli {
-    positional: Vec<String>,
-    named: BTreeMap<String, String>,
-    flags: Vec<String>,
+/// One argument a binary accepts.
+#[derive(Debug, Clone, Copy)]
+pub struct Flag {
+    name: &'static str,
+    kind: Kind,
 }
 
-impl Cli {
-    /// Parses `std::env::args` (skipping the binary name).
-    pub fn parse() -> Cli {
-        Self::from_args(std::env::args().skip(1))
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// `--name <placeholder>`.
+    Value(&'static str),
+    /// `--name`.
+    Switch,
+    /// The one positional token (`admitctl`'s subcommand); `name` is its
+    /// placeholder.
+    Command,
+}
+
+impl Flag {
+    /// `--name <placeholder>`: a flag that takes a value.
+    pub const fn value(name: &'static str, placeholder: &'static str) -> Self {
+        Flag {
+            name,
+            kind: Kind::Value(placeholder),
+        }
     }
 
-    /// Parses an explicit token stream.
-    pub fn from_args<I: Iterator<Item = String>>(args: I) -> Cli {
-        let mut cli = Cli::default();
-        let mut it = args.peekable();
-        while let Some(tok) = it.next() {
-            if let Some(key) = tok.strip_prefix("--") {
-                match it.peek() {
-                    Some(v) if !v.starts_with("--") => {
-                        let v = it.next().expect("peeked");
-                        cli.named.insert(key.to_string(), v);
-                    }
-                    _ => cli.flags.push(key.to_string()),
+    /// `--name`: a bare on/off flag.
+    pub const fn switch(name: &'static str) -> Self {
+        Flag {
+            name,
+            kind: Kind::Switch,
+        }
+    }
+
+    /// One positional subcommand, shown in the usage line as
+    /// `<placeholder>` and read back with [`Args::command`].
+    pub const fn command(placeholder: &'static str) -> Self {
+        Flag {
+            name: placeholder,
+            kind: Kind::Command,
+        }
+    }
+}
+
+/// The one-line usage of `binary`, in declaration order.
+fn usage(binary: &str, flags: &[Flag]) -> String {
+    let mut line = format!("usage: {binary}");
+    for f in flags {
+        match f.kind {
+            Kind::Value(p) => line.push_str(&format!(" [--{} {p}]", f.name)),
+            Kind::Switch => line.push_str(&format!(" [--{}]", f.name)),
+            Kind::Command => line.push_str(&format!(" <{}>", f.name)),
+        }
+    }
+    line
+}
+
+/// Parsed `--key value` / `--flag` arguments.
+#[derive(Debug, Clone, Default)]
+pub struct Args {
+    values: HashMap<String, String>,
+    switches: Vec<String>,
+    command: Option<String>,
+    /// What the binary declared: reading a flag outside it is a bug in
+    /// the binary's list (it could never have been set), caught in debug
+    /// builds.
+    declared: Vec<Flag>,
+}
+
+impl Args {
+    /// Parses the process arguments against the flags `binary` declares
+    /// (its own list plus any shared ones). `--help` prints the usage
+    /// line and exits 0; a usage error prints `<binary>: <what>` and the
+    /// usage line on stderr and exits 2.
+    pub fn parse(binary: &str, flags: &[&[Flag]]) -> Self {
+        let flags = flags.concat();
+        let items: Vec<String> = std::env::args().skip(1).collect();
+        if items.iter().any(|a| a == "--help") {
+            println!("{}", usage(binary, &flags));
+            std::process::exit(0);
+        }
+        Self::from_args(&flags, items).unwrap_or_else(|e| {
+            eprintln!("{binary}: {e}\n{}", usage(binary, &flags));
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses from an explicit iterator (testable): `Err` describes the
+    /// first argument no declared flag accounts for.
+    pub fn from_args<I, S>(flags: &[Flag], iter: I) -> Result<Self, String>
+    where
+        I: IntoIterator<Item = S>,
+        S: Into<String>,
+    {
+        let mut args = Args {
+            declared: flags.to_vec(),
+            ..Args::default()
+        };
+        let takes_command = flags.iter().any(|f| matches!(f.kind, Kind::Command));
+        let mut items = iter.into_iter().map(Into::into).peekable();
+        while let Some(item) = items.next() {
+            let Some(name) = item.strip_prefix("--") else {
+                if takes_command && args.command.is_none() {
+                    args.command = Some(item);
+                    continue;
                 }
-            } else {
-                cli.positional.push(tok);
+                return Err(format!("unexpected argument '{item}'"));
+            };
+            match flags.iter().find(|f| f.name == name).map(|f| f.kind) {
+                Some(Kind::Value(p)) => match items.next_if(|next| !next.starts_with("--")) {
+                    Some(value) => {
+                        args.values.insert(name.to_string(), value);
+                    }
+                    None => return Err(format!("--{name} needs a value ({p})")),
+                },
+                Some(Kind::Switch) => args.switches.push(name.to_string()),
+                Some(Kind::Command) | None => return Err(format!("unknown flag --{name}")),
             }
         }
-        cli
+        Ok(args)
     }
 
-    /// The `i`-th positional token (subcommand etc.).
-    pub fn positional(&self, i: usize) -> Option<&str> {
-        self.positional.get(i).map(String::as_str)
+    /// The positional subcommand, if the binary declared one
+    /// ([`Flag::command`]) and the command line carried it.
+    pub fn command(&self) -> Option<&str> {
+        self.command.as_deref()
     }
 
-    /// The raw value of `--key`, if present.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.named.get(key).map(String::as_str)
+    /// True iff the switch `--name` was given.
+    pub fn flag(&self, name: &str) -> bool {
+        self.check_declared(name);
+        self.switches.iter().any(|f| f == name)
     }
 
-    /// Whether bare `--key` was passed.
-    pub fn flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
+    /// The raw value of `--name`, if present.
+    pub fn get(&self, name: &str) -> Option<&str> {
+        self.check_declared(name);
+        self.values.get(name).map(String::as_str)
     }
 
-    /// Parses `--key` as `T`, defaulting when absent. Exits with code 2
-    /// on an unparsable value — these are operator binaries.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        match self.get(key) {
-            None => default,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("invalid value for --{key}: {v}");
-                std::process::exit(2);
-            }),
+    fn check_declared(&self, name: &str) {
+        debug_assert!(
+            self.declared.iter().any(|f| f.name == name),
+            "--{name} is read but not in the binary's declared flags"
+        );
+    }
+
+    /// Parses `--name` as `T`, with a default; a malformed value is an
+    /// `Err` describing the flag, the raw text, and the parse failure.
+    pub fn try_get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        match self.get(name) {
+            None => Ok(default),
+            Some(raw) => raw.parse().map_err(|e| format!("--{name} {raw}: {e}")),
         }
     }
 
-    /// The value of `--key`, or exits with code 2 and `usage`.
-    pub fn require(&self, key: &str, usage: &str) -> &str {
-        self.get(key).unwrap_or_else(|| {
-            eprintln!("missing required --{key}\nusage: {usage}");
+    /// Parses `--name` as `T`, with a default. A malformed value prints
+    /// the error to stderr and exits with code 2 (usage error) — binaries
+    /// should fail a bad invocation cleanly, not with a panic and
+    /// backtrace.
+    pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.try_get_or(name, default).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses `--name` as `T` where the invocation cannot go on without
+    /// it; a missing or malformed value prints the error and exits 2.
+    pub fn require<T: std::str::FromStr>(&self, name: &str) -> T
+    where
+        T::Err: std::fmt::Display,
+    {
+        let parsed = match self.get(name) {
+            None => Err(format!("missing required --{name}")),
+            Some(raw) => raw.parse().map_err(|e| format!("--{name} {raw}: {e}")),
+        };
+        parsed.unwrap_or_else(|e| {
+            eprintln!("{e}");
             std::process::exit(2);
         })
     }
@@ -81,25 +207,88 @@ impl Cli {
 mod tests {
     use super::*;
 
-    fn cli(toks: &[&str]) -> Cli {
-        Cli::from_args(toks.iter().map(|s| s.to_string()))
+    const FLAGS: &[Flag] = &[
+        Flag::value("tasks", "N"),
+        Flag::value("sets", "N"),
+        Flag::value("seed", "N"),
+        Flag::switch("csv"),
+    ];
+
+    #[test]
+    fn parses_pairs_and_flags() {
+        let a = Args::from_args(FLAGS, ["--tasks", "50", "--csv", "--seed", "7"]).unwrap();
+        assert_eq!(a.get_or("tasks", 0usize), 50);
+        assert_eq!(a.get_or("seed", 1u64), 7);
+        assert!(a.flag("csv"));
+        assert_eq!(a.get_or("sets", 100usize), 100);
+    }
+
+    #[test]
+    fn trailing_flag() {
+        let a = Args::from_args(FLAGS, ["--csv"]).unwrap();
+        assert!(a.flag("csv"));
+    }
+
+    #[test]
+    fn bad_value_is_a_described_error() {
+        let a = Args::from_args(FLAGS, ["--tasks", "fifty"]).unwrap();
+        let err = a.try_get_or("tasks", 0usize).unwrap_err();
+        assert!(err.contains("--tasks"), "{err}");
+        assert!(err.contains("fifty"), "{err}");
+        // Well-formed and absent values still parse.
+        assert_eq!(a.try_get_or("sets", 9usize), Ok(9));
+    }
+
+    #[test]
+    fn undeclared_flags_positionals_and_missing_values_are_errors() {
+        let lists = [FLAGS, &[Flag::value("threads", "N")]].concat();
+        let a = Args::from_args(&lists, ["--threads", "2", "--sets", "3"]).unwrap();
+        assert_eq!(a.get("threads"), Some("2"));
+        assert_eq!(a.command(), None);
+
+        for (argv, needle) in [
+            (&["--bogus"][..], "unknown flag --bogus"),
+            (&["--set", "1000"], "unknown flag --set"),
+            (&["--sets", "5", "stray"], "unexpected argument 'stray'"),
+            (&["--csv", "stray"], "unexpected argument 'stray'"),
+            (&["--sets"], "--sets needs a value"),
+            (&["--sets", "--csv"], "--sets needs a value"),
+        ] {
+            let err = Args::from_args(&lists, argv.iter().copied()).unwrap_err();
+            assert!(err.contains(needle), "{argv:?}: {err}");
+        }
+        assert_eq!(
+            usage("figT", &lists),
+            "usage: figT [--tasks N] [--sets N] [--seed N] [--csv] [--threads N]"
+        );
     }
 
     #[test]
     fn parses_subcommand_pairs_and_flags() {
-        let c = cli(&[
-            "join",
-            "--wcet-us",
-            "1000",
-            "--verbose",
-            "--period-us",
-            "4000",
-        ]);
-        assert_eq!(c.positional(0), Some("join"));
-        assert_eq!(c.get("wcet-us"), Some("1000"));
-        assert_eq!(c.get_or::<u64>("period-us", 0), 4000);
-        assert!(c.flag("verbose"));
-        assert!(!c.flag("quiet"));
-        assert_eq!(c.get_or::<u64>("absent", 7), 7);
+        let flags = [
+            Flag::value("socket", "PATH"),
+            Flag::command("join|leave"),
+            Flag::value("task", "ID"),
+            Flag::switch("verbose"),
+        ];
+        for argv in [
+            &["--socket", "s", "leave", "--task", "3"][..],
+            &["leave", "--task", "3", "--socket", "s"],
+            &["--task", "3", "--verbose", "leave", "--socket", "s"],
+        ] {
+            let a = Args::from_args(&flags, argv.iter().copied()).unwrap();
+            assert_eq!(a.command(), Some("leave"), "{argv:?}");
+            assert_eq!(a.get("socket"), Some("s"));
+            assert_eq!(a.get_or("task", 0u32), 3);
+        }
+        let err = Args::from_args(&flags, ["leave", "join"]).unwrap_err();
+        assert!(err.contains("unexpected argument 'join'"), "{err}");
+        // The placeholder is not a flag name.
+        let err = Args::from_args(&flags, ["--join|leave"]).unwrap_err();
+        assert!(err.contains("unknown flag"), "{err}");
+        assert_eq!(
+            usage("ctl", &flags),
+            "usage: ctl [--socket PATH] <join|leave> [--task ID] [--verbose]"
+        );
     }
 }

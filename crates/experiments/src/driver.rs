@@ -33,8 +33,8 @@ use std::time::Instant;
 
 use stats::Table;
 
-use crate::args::{Args, Flag};
 use crate::metrics::{write_metrics, METRICS_OUT};
+use crate::{Args, Flag};
 
 /// The flags [`SweepDriver`] reads (`--metrics-out` through
 /// [`crate::metrics`]), declared once for every sweep binary to append to
@@ -47,8 +47,8 @@ pub const SWEEP_FLAGS: &[Flag] = &[
 ];
 
 /// Hard ceiling on `--threads`: beyond this the flag is a typo, not a
-/// machine (matching the args.rs convention of printed errors + exit 2,
-/// never a panic or a silent clamp).
+/// machine (matching the `daemon::cli` convention of printed errors +
+/// exit 2, never a panic or a silent clamp).
 const MAX_THREADS: usize = 1024;
 
 /// The pool width used when `--threads` is not given.

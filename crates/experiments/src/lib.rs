@@ -28,13 +28,13 @@
 //! persists anything: the longest takes seconds and `(flags, seed)`
 //! recomputes it bit for bit. `fig5`, `dhall`, and `show` are single-shot
 //! demonstrations and have no pool. Every binary declares the flags it
-//! reads ([`args::Flag`]); anything else on the command line is a usage
-//! error (exit 2), and `--help` prints the declared list.
+//! reads ([`Flag`], the workspace's one parser in [`daemon::cli`]);
+//! anything else on the command line is a usage error (exit 2), and
+//! `--help` prints the declared list.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod args;
 pub mod driver;
 pub mod fig2;
 pub mod fig34;
@@ -42,6 +42,6 @@ pub mod metrics;
 pub mod quantum;
 pub mod tournament;
 
-pub use args::{Args, Flag};
+pub use daemon::cli::{Args, Flag};
 pub use driver::{SweepDriver, SWEEP_FLAGS};
 pub use metrics::{recorder, write_metrics, METRICS_FLAGS};

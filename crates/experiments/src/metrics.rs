@@ -6,7 +6,7 @@
 //! timer is written at exit via [`write_metrics`]. Without the flag the
 //! returned recorder is disabled and all instrumentation is no-op.
 
-use crate::args::{Args, Flag};
+use crate::{Args, Flag};
 
 /// The flag this module reads.
 pub(crate) const METRICS_OUT: Flag = Flag::value("metrics-out", "FILE");

@@ -143,7 +143,7 @@ impl FaultPlan {
     /// Appends the processors fail-stopped in slot `t` (at most
     /// `max_down`) to `out`. Event `k ≥ 1` starts at `k·fail_every`,
     /// lasts `fail_duration`, and takes down a hashed processor.
-    pub fn downs_at(&self, t: Slot, m: u32, out: &mut Vec<u32>) {
+    fn downs_at(&self, t: Slot, m: u32, out: &mut Vec<u32>) {
         let every = self.cfg.fail_every;
         if every == 0 || m == 0 || self.cfg.max_down == 0 || !self.in_window(t) {
             return;

@@ -9,6 +9,9 @@
 //! TCP peer stalled mid-frame, an oversized frame, and byte-determinism
 //! of per-set decision logs.
 
+#[path = "support/cli_contract.rs"]
+mod cli_contract;
+
 use daemon::client::{ClientError, DaemonAddr, DaemonClient};
 use daemon::proto::{self, Reply, Request, Status};
 use sched_sim::ScheduleTrace;
@@ -755,4 +758,30 @@ fn two_sets_have_byte_deterministic_decision_logs() {
             .verify()
             .expect("trace window-verifies");
     }
+}
+
+/// `admitd` and `admitctl` are held to the sweep binaries' command-line
+/// contract: a flag they do not declare is exit 2 naming it — `admitd
+/// --cpu 16` (for `--cpus`) used to start a daemon on the default four
+/// processors — and `--help` prints the flags their module docs list.
+#[test]
+fn daemon_binaries_refuse_undeclared_flags() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+    for (name, exe) in [
+        ("admitd", env!("CARGO_BIN_EXE_admitd")),
+        ("admitctl", env!("CARGO_BIN_EXE_admitctl")),
+    ] {
+        let source = std::fs::read_to_string(src.join(format!("{name}.rs"))).unwrap();
+        cli_contract::assert_cli_contract(name, Path::new(exe), &source);
+    }
+    let (socket, _) = scratch("typo");
+    let admitd = Path::new(env!("CARGO_BIN_EXE_admitd"));
+    let typo = ["--cpu", "16", "--socket", socket.to_str().unwrap()];
+    cli_contract::assert_refused("admitd", admitd, &typo);
+    assert!(!socket.exists(), "a refused command line must not bind");
+    // A second positional is not a command.
+    let admitctl = Path::new(env!("CARGO_BIN_EXE_admitctl"));
+    let out = cli_contract::run(admitctl, &["--socket", "s", "stats", "shutdown"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unexpected argument 'shutdown'"));
 }
