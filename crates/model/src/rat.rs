@@ -130,6 +130,16 @@ impl Rat {
         self.num as f64 / self.den as f64
     }
 
+    /// `1 − self`, built without a gcd: `(den − num)/den` is already in
+    /// lowest terms (`gcd(den − num, den) = gcd(num, den) = 1`), and for
+    /// `self ≥ 0` the subtraction cannot overflow.
+    pub fn one_minus(self) -> Rat {
+        Rat {
+            num: self.den - self.num,
+            den: self.den,
+        }
+    }
+
     /// Overflow-checked addition: `None` if the exact result does not fit
     /// the normalized `i128/i128` representation. Summing many rationals
     /// with unrelated denominators (e.g. hundreds of random task weights)

@@ -56,9 +56,17 @@ impl Acceptance for EdfUtilization {
         Rat::ZERO
     }
 
+    /// Decides `u ≤ 1 − state` rather than `state + u ≤ 1`: the left form
+    /// cannot overflow and [`Rat`]'s comparison is exact at any magnitude,
+    /// whereas sums of unrelated periods outgrow `i128`. A probe that fits
+    /// but whose sum is not representable is refused — never an overfull
+    /// bin, at worst one bin more than exact.
     fn try_add(&self, state: &Rat, task_idx: usize) -> Option<Rat> {
-        let next = *state + self.utils[task_idx];
-        (next <= Rat::ONE).then_some(next)
+        let u = self.utils[task_idx];
+        if u > state.one_minus() {
+            return None;
+        }
+        state.checked_add(u)
     }
 
     fn spare(&self, state: &Rat) -> f64 {

@@ -122,3 +122,54 @@ fn ffd_beats_ff_on_adversarial_layout() {
     assert_eq!(ff.processors, 3);
     assert_eq!(ffd.processors, 2);
 }
+
+/// ROADMAP 1(a): on the generator's default periods (any multiple of 1 ms
+/// up to 1 s) a bin's exact utilization sum outgrows `i128`, and
+/// `EdfUtilization` used to decide `state + u ≤ 1` on the wrapped sum —
+/// FFD/BFD packings ended with bins at 1.02–1.16. Replays every packing of
+/// the benchmark's seed-1 default-period probe (n = 1000, U = 250) bin by
+/// bin, in the packer's own order, and requires each task to have fitted
+/// by the subtraction form `u ≤ 1 − state`, which cannot overflow.
+#[test]
+fn default_period_packings_never_overfill_a_bin() {
+    use pfair_model::Rat;
+    use workload::TaskSetGenerator;
+
+    for s in 0..10u64 {
+        let set_seed = 0x0100_0000_01B3u64.wrapping_add(s);
+        let pairs: Vec<(u64, u64)> = TaskSetGenerator::new(1000, 250.0, set_seed)
+            .generate()
+            .iter()
+            .map(|t| (t.wcet_us, t.period_us))
+            .collect();
+        let acc = EdfUtilization::new(&pairs);
+        let keys = keys_for(&pairs);
+        // Decreasing utilization, ties by index: the order FFD/BFD pack in.
+        let mut order: Vec<usize> = (0..pairs.len()).collect();
+        order.sort_by(|&a, &b| keys(b).0.total_cmp(&keys(a).0).then(a.cmp(&b)));
+        for h in [Heuristic::FirstFit, Heuristic::BestFit] {
+            let r = partition_unbounded(
+                pairs.len(),
+                &acc,
+                h,
+                SortOrder::DecreasingUtilization,
+                &keys,
+            )
+            .expect("an unbounded packing always succeeds");
+            let mut bins = vec![Rat::ZERO; r.processors as usize];
+            for &i in &order {
+                let u = Rat::new(pairs[i].0 as i128, pairs[i].1 as i128);
+                let bin = &mut bins[r.assignment[i] as usize];
+                assert!(
+                    u <= bin.one_minus(),
+                    "set {s} {}: task {i} ({u}) overfills bin {} at {bin}",
+                    h.name(),
+                    r.assignment[i]
+                );
+                *bin = bin
+                    .checked_add(u)
+                    .expect("a sum the packer accepted is representable");
+            }
+        }
+    }
+}
