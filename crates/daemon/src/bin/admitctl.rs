@@ -68,8 +68,8 @@ fn main() {
             cli.require("period-us"),
         ),
         Some("stats") => client.stats(),
-        Some("create-set") => client.create_set(&cli.require::<String>("set")),
-        Some("drop-set") => client.drop_set(&cli.require::<String>("set")),
+        Some("create-set") => client.create_set(cli.require::<String>("set")),
+        Some("drop-set") => client.drop_set(cli.require::<String>("set")),
         Some("list-sets") => client.list_sets(),
         Some("shutdown") => client.shutdown(),
         Some("watch") => {

@@ -100,17 +100,8 @@ fn main() {
     let sets: usize = args.get_or("sets", 20);
     let horizon: u64 = args.get_or("horizon", 2_000);
     let seed: u64 = args.get_or("seed", 1);
-    let recovery: String = args.get_or("recovery", "none".to_string());
-    let policy = match recovery.as_str() {
-        "none" => RecoveryPolicy::None,
-        "shed" => RecoveryPolicy::Shed,
-        "catchup" => RecoveryPolicy::CatchUp,
-        "full" => RecoveryPolicy::Full,
-        other => {
-            eprintln!("faults: --recovery {other}: expected none|shed|catchup|full");
-            std::process::exit(2);
-        }
-    };
+    let policy: RecoveryPolicy = args.get_or("recovery", RecoveryPolicy::None);
+    let recovery = args.get("recovery").unwrap_or("none");
     let rec = recorder(&args);
     // The sets run as declared, on their minimum processor count; the
     // lag-threshold profile is `slack`'s subject and not reported here.

@@ -114,17 +114,8 @@ fn main() {
     let horizon: u64 = args.get_or("horizon", 2_000);
     let seed: u64 = args.get_or("seed", 1);
     let lag_threshold: f64 = args.get_or("lag-threshold", 1.0);
-    let recovery: String = args.get_or("recovery", "none".to_string());
-    let policy = match recovery.as_str() {
-        "none" => RecoveryPolicy::None,
-        "shed" => RecoveryPolicy::Shed,
-        "catchup" => RecoveryPolicy::CatchUp,
-        "full" => RecoveryPolicy::Full,
-        other => {
-            eprintln!("slack: --recovery {other}: expected none|shed|catchup|full");
-            std::process::exit(2);
-        }
-    };
+    let policy: RecoveryPolicy = args.get_or("recovery", RecoveryPolicy::None);
+    let recovery = args.get("recovery").unwrap_or("none");
     let rec = recorder(&args);
 
     let mut driver = SweepDriver::new(&args, "slack");

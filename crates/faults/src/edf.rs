@@ -24,26 +24,6 @@ use sched_sim::{FaultHook, FaultMetrics, JobLedger, SlotFaults};
 
 use crate::plan::FaultPlan;
 
-/// The task set does not first-fit onto `m` processors — the Dhall-style
-/// admission failure partitioned schemes hit before any fault fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionError {
-    /// Processors that were available.
-    pub processors: u32,
-}
-
-impl std::fmt::Display for PartitionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "task set does not first-fit onto {} processors under the EDF utilization test",
-            self.processors
-        )
-    }
-}
-
-impl std::error::Error for PartitionError {}
-
 /// Quantum-granularity partitioned EDF driven by a [`FaultPlan`].
 #[derive(Debug)]
 pub struct QuantumEdfSim {
@@ -52,17 +32,17 @@ pub struct QuantumEdfSim {
     groups: Vec<Vec<TaskId>>,
     m: u32,
     plan: FaultPlan,
-    now: Slot,
     /// Scratch: the plan's directives for the current slot.
     scratch: SlotFaults,
 }
 
 impl QuantumEdfSim {
     /// Partitions `tasks` onto `m` processors (first-fit, decreasing
-    /// utilization) and prepares the simulator. Fails if the set does not
-    /// fit — callers should report that as an admission loss rather than
-    /// a crash.
-    pub fn new(tasks: &TaskSet, m: u32, mut plan: FaultPlan) -> Result<Self, PartitionError> {
+    /// utilization) and prepares the simulator. `None` if the set does not
+    /// first-fit under the EDF utilization test — the Dhall-style
+    /// admission failure partitioned schemes hit before any fault fires;
+    /// callers should report it as an admission loss rather than a crash.
+    pub fn new(tasks: &TaskSet, m: u32, mut plan: FaultPlan) -> Option<Self> {
         let pairs: Vec<(u64, u64)> = tasks.iter().map(|(_, t)| (t.exec, t.period)).collect();
         let acc = EdfUtilization::new(&pairs);
         let result = partition(
@@ -75,28 +55,24 @@ impl QuantumEdfSim {
                 let (e, p) = pairs[i];
                 (e as f64 / p as f64, p)
             },
-        )
-        .ok_or(PartitionError { processors: m })?;
+        )?;
         let mut groups = vec![Vec::new(); m as usize];
         let mut ledger = JobLedger::default();
         for ((id, t), &proc) in tasks.iter().zip(&result.assignment) {
             groups[proc as usize].push(id);
             ledger.push(t.exec, t.period, 0, &mut plan);
         }
-        Ok(QuantumEdfSim {
+        Some(QuantumEdfSim {
             ledger,
             groups,
             m,
             plan,
-            now: 0,
             scratch: SlotFaults::default(),
         })
     }
 
-    /// Simulates one slot across all processors.
-    pub fn step(&mut self) {
-        let t = self.now;
-        self.now += 1;
+    /// Simulates slot `t` across all processors.
+    fn step(&mut self, t: Slot) {
         self.scratch.clear();
         self.plan.slot_faults(t, self.m, &mut self.scratch);
         for p in 0..self.m {
@@ -123,12 +99,12 @@ impl QuantumEdfSim {
         self.ledger.close_slot(t, |_| true);
     }
 
-    /// Runs `horizon` slots and finalizes the ledger (every deadline at or
-    /// before the horizon counts toward `jobs_due`; unfinished due jobs
+    /// Runs slots `0..horizon` and finalizes the ledger (every deadline at
+    /// or before the horizon counts toward `jobs_due`; unfinished due jobs
     /// are misses).
-    pub fn run(&mut self, horizon: Slot) -> FaultMetrics {
-        while self.now < horizon {
-            self.step();
+    pub fn run(mut self, horizon: Slot) -> FaultMetrics {
+        for t in 0..horizon {
+            self.step(t);
         }
         self.ledger.finalize(horizon, &mut self.plan)
     }
@@ -145,7 +121,7 @@ mod tests {
         // decreasing: {1/2, 1/2} and {1/3, 1/3, 1/3}.
         let tasks = TaskSet::from_pairs([(1u64, 2u64), (1, 2), (1, 3), (1, 3), (1, 3)]).unwrap();
         let plan = FaultPlan::new(FaultConfig::none(0));
-        let mut sim = QuantumEdfSim::new(&tasks, 2, plan).unwrap();
+        let sim = QuantumEdfSim::new(&tasks, 2, plan).unwrap();
         let fin = sim.run(60);
         assert_eq!(fin.job_misses, 0, "{fin:?}");
         assert_eq!(fin.jobs_due, 30 + 30 + 20 + 20 + 20);
@@ -156,8 +132,7 @@ mod tests {
     #[test]
     fn overloaded_set_is_rejected_at_admission() {
         let tasks = TaskSet::from_pairs([(2u64, 3u64), (2, 3), (2, 3)]).unwrap();
-        let err = QuantumEdfSim::new(&tasks, 2, FaultPlan::new(FaultConfig::none(0))).unwrap_err();
-        assert_eq!(err.processors, 2);
+        assert!(QuantumEdfSim::new(&tasks, 2, FaultPlan::new(FaultConfig::none(0))).is_none());
     }
 
     #[test]
@@ -169,7 +144,7 @@ mod tests {
             max_down: 1,
             ..FaultConfig::none(5)
         };
-        let mut sim = QuantumEdfSim::new(&tasks, 2, FaultPlan::new(cfg)).unwrap();
+        let sim = QuantumEdfSim::new(&tasks, 2, FaultPlan::new(cfg)).unwrap();
         let fin = sim.run(40);
         // The victim partition misses roughly every job after slot 4; the
         // survivor is untouched.

@@ -45,7 +45,7 @@ pub mod plan;
 pub mod recovery;
 pub mod runner;
 
-pub use edf::{PartitionError, QuantumEdfSim};
+pub use edf::QuantumEdfSim;
 pub use plan::{FaultConfig, FaultPlan, PlanDelays};
 pub use recovery::{RecoveryController, RecoveryPolicy, RecoveryStats};
 pub use runner::{

@@ -97,11 +97,6 @@ impl FaultPlan {
         FaultPlan { cfg, t_now: 0 }
     }
 
-    /// The config this plan draws from.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     fn draw(&self, kind: u64, a: u64, b: u64) -> u64 {
         mix(self
             .cfg

@@ -58,6 +58,21 @@ pub enum RecoveryPolicy {
     Full,
 }
 
+/// `none`, `shed`, `catchup` or `full` — the `--recovery` flag.
+impl std::str::FromStr for RecoveryPolicy {
+    type Err = &'static str;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "none" => Ok(RecoveryPolicy::None),
+            "shed" => Ok(RecoveryPolicy::Shed),
+            "catchup" => Ok(RecoveryPolicy::CatchUp),
+            "full" => Ok(RecoveryPolicy::Full),
+            _ => Err("expected none|shed|catchup|full"),
+        }
+    }
+}
+
 impl RecoveryPolicy {
     fn sheds(self) -> bool {
         matches!(self, RecoveryPolicy::Shed | RecoveryPolicy::Full)

@@ -236,8 +236,7 @@ pub fn run_pd2(
 /// an admission loss the caller should report as such.
 pub fn run_edf(tasks: &TaskSet, m: u32, cfg: FaultConfig, horizon: Slot) -> Option<FaultMetrics> {
     let plan = FaultPlan::new(cfg);
-    let mut sim = QuantumEdfSim::new(tasks, m, plan).ok()?;
-    Some(sim.run(horizon))
+    Some(QuantumEdfSim::new(tasks, m, plan)?.run(horizon))
 }
 
 #[cfg(test)]

@@ -200,6 +200,19 @@ struct DispatchState {
     completed_jobs: u64,
 }
 
+impl DispatchState {
+    fn new(task: &Task) -> Self {
+        DispatchState {
+            prev_proc: None,
+            last_proc: None,
+            in_job: 0,
+            exec: task.exec,
+            period: task.period,
+            completed_jobs: 0,
+        }
+    }
+}
+
 /// Drives a [`PfairScheduler`] and dispatches its decisions onto `M`
 /// processors (see module docs).
 ///
@@ -262,17 +275,7 @@ impl<D: DelayModel> MultiSim<D> {
     /// Wraps an existing scheduler (e.g. one with an IS delay model).
     pub fn with_scheduler(tasks: &TaskSet, sched: PfairScheduler<D>) -> Self {
         let m = sched.processors() as usize;
-        let dispatch = tasks
-            .iter()
-            .map(|(_, t)| DispatchState {
-                prev_proc: None,
-                last_proc: None,
-                in_job: 0,
-                exec: t.exec,
-                period: t.period,
-                completed_jobs: 0,
-            })
-            .collect();
+        let dispatch = tasks.iter().map(|(_, t)| DispatchState::new(t)).collect();
         MultiSim {
             sched,
             dispatch,
@@ -406,14 +409,7 @@ impl<D: DelayModel> MultiSim<D> {
             self.dispatch.len(),
             "register_task must follow the scheduler's id assignment"
         );
-        self.dispatch.push(DispatchState {
-            prev_proc: None,
-            last_proc: None,
-            in_job: 0,
-            exec: task.exec,
-            period: task.period,
-            completed_jobs: 0,
-        });
+        self.dispatch.push(DispatchState::new(&task));
         if let Some(f) = &mut self.faults {
             f.ledger
                 .push(task.exec, task.period, self.now, f.hook.as_mut());
