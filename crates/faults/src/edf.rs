@@ -30,7 +30,6 @@ pub struct QuantumEdfSim {
     ledger: JobLedger,
     /// Tasks of each processor (first-fit groups).
     groups: Vec<Vec<TaskId>>,
-    m: u32,
     plan: FaultPlan,
     /// Scratch: the plan's directives for the current slot.
     scratch: SlotFaults,
@@ -65,7 +64,6 @@ impl QuantumEdfSim {
         Some(QuantumEdfSim {
             ledger,
             groups,
-            m,
             plan,
             scratch: SlotFaults::default(),
         })
@@ -74,15 +72,17 @@ impl QuantumEdfSim {
     /// Simulates slot `t` across all processors.
     fn step(&mut self, t: Slot) {
         self.scratch.clear();
-        self.plan.slot_faults(t, self.m, &mut self.scratch);
-        for p in 0..self.m {
+        self.plan
+            .slot_faults(t, self.groups.len() as u32, &mut self.scratch);
+        for (p, group) in self.groups.iter().enumerate() {
+            let p = p as u32;
             if self.scratch.down.contains(&p) {
                 self.ledger.metrics.dead_proc_quanta += 1;
                 continue;
             }
             // EDF among this processor's tasks whose current job has
             // arrived (a job in the ledger always has work left).
-            let pick = self.groups[p as usize]
+            let pick = group
                 .iter()
                 .copied()
                 .filter(|&id| self.ledger.arrival(id) <= t)
