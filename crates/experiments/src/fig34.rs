@@ -177,6 +177,14 @@ fn run_one_set(
         // --- PD² ---
         match pd2_processors_required(tasks, params, &d, (4 * n) as u32) {
             Ok(m_pd2) => {
+                // The M-search already summed these weights in its last
+                // pass, and the packing below already held each bin's
+                // inflated total. Both replays stay: the benchmark's traced
+                // twin of this function (`benchmark/src/workloads/
+                // fig3_sweep.rs`) has a span for each, and its `closure`
+                // check holds this body to the same work. Dropping them
+                // (≈ 25 µs a set) takes a paired `[benchmark]` change —
+                // ROADMAP item 9.
                 let mut u_infl = 0.0;
                 for (t, &dd) in tasks.iter().zip(&d) {
                     let inf =

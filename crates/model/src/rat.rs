@@ -33,9 +33,14 @@ pub struct Rat {
 /// Greatest common divisor (Stein's binary algorithm; inputs
 /// non-negative). Shift/subtract only — `i128` division costs tens of
 /// cycles per step and this sits on the admission (`WeightSum`) and lag
-/// paths, where Euclid's remainder loop dominated profiles.
+/// paths, where Euclid's remainder loop dominated profiles. Operands that
+/// both fit `u64` (every task weight, most running sums) take
+/// [`gcd_u64`]'s word-sized loop.
 fn gcd(a: i128, b: i128) -> i128 {
     let (mut a, mut b) = (a as u128, b as u128);
+    if let (Ok(a), Ok(b)) = (u64::try_from(a), u64::try_from(b)) {
+        return gcd_u64(a, b) as i128;
+    }
     if a == 0 {
         return b as i128;
     }
@@ -56,28 +61,66 @@ fn gcd(a: i128, b: i128) -> i128 {
     }
 }
 
+/// [`gcd`] in one machine word — the crate's one `u64` gcd, shared with
+/// `Weight::new`. `gcd_u64(0, b) = b`.
+pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 {
+        return b;
+    }
+    if b == 0 {
+        return a;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
 impl Rat {
     /// Zero.
     pub const ZERO: Rat = Rat { num: 0, den: 1 };
     /// One.
     pub const ONE: Rat = Rat { num: 1, den: 1 };
 
-    /// Creates `num/den` in lowest terms.
+    /// Creates `num/den` in lowest terms. Magnitudes that both fit `u64`
+    /// — every weight, and every sum still far from overflow — are reduced
+    /// with word-sized gcd and division; anything wider takes `i128`.
     ///
     /// # Panics
     ///
     /// Panics if `den == 0`.
     pub fn new(num: i128, den: i128) -> Self {
         assert!(den != 0, "Rat with zero denominator");
-        let sign = if (num < 0) != (den < 0) && num != 0 {
-            -1
-        } else {
-            1
-        };
+        if let (Ok(n), Ok(d)) = (
+            u64::try_from(num.unsigned_abs()),
+            u64::try_from(den.unsigned_abs()),
+        ) {
+            let g = gcd_u64(n, d); // ≥ 1: d ≠ 0
+            let n = (n / g) as i128;
+            return Rat {
+                num: if (num < 0) != (den < 0) { -n } else { n },
+                den: (d / g) as i128,
+            };
+        }
+        Self::new_wide(num, den)
+    }
+
+    /// [`Rat::new`] for magnitudes beyond `u64` (correct for any).
+    fn new_wide(num: i128, den: i128) -> Self {
+        let negative = (num < 0) != (den < 0);
         let (num, den) = (num.unsigned_abs(), den.unsigned_abs());
         let g = gcd(num as i128, den as i128).max(1);
+        let num = num as i128 / g;
         Rat {
-            num: sign * (num as i128 / g),
+            num: if negative { -num } else { num },
             den: den as i128 / g,
         }
     }
@@ -461,6 +504,41 @@ mod tests {
             let g = super::gcd(a.numer().abs(), a.denom());
             prop_assert!(g == 1 || a.numer() == 0);
             prop_assert!(a.denom() > 0);
+        }
+
+        /// `Rat::new`'s `u64` path and its `i128` path agree with each
+        /// other and with a plain Euclid reduction on both sides of the
+        /// `u64` boundary, for every sign combination and a zero numerator.
+        #[test]
+        fn prop_new_agrees_across_the_u64_boundary(
+            num_off in -3i128..=3,
+            den_off in -3i128..=3,
+            num_base in prop::sample::select(vec![0i128, 1, 1 << 32, u64::MAX as i128]),
+            den_base in prop::sample::select(vec![4i128, 1 << 32, u64::MAX as i128]),
+            common in 1i128..1_000,
+            signs in 0u8..4,
+            small in (0i128..5_000, 1i128..5_000),
+        ) {
+            let sign = |bit: u8| if signs & bit == 0 { 1 } else { -1 };
+            // Boundary magnitudes as drawn, and small ones scaled by a
+            // shared factor so there is something to reduce.
+            for (n, d) in [
+                (num_base + num_off, den_base + den_off),
+                (small.0 * common, small.1 * common),
+                (small.0 * common, den_base + den_off),
+            ] {
+                let (num, den) = (sign(1) * n.max(0), sign(2) * d);
+                let r = Rat::new(num, den);
+                prop_assert_eq!(r, Rat::new_wide(num, den));
+                let negative = (num < 0) != (den < 0);
+                let (mut a, mut b) = (num.abs(), den.abs());
+                while b != 0 {
+                    (a, b) = (b, a % b);
+                }
+                let g = a.max(1);
+                let want_num = if negative { -(num.abs() / g) } else { num.abs() / g };
+                prop_assert_eq!((r.numer(), r.denom()), (want_num, den.abs() / g));
+            }
         }
 
         #[test]

@@ -6,7 +6,7 @@
 //! differ only in *when* subtasks/jobs become eligible, which is behaviour
 //! owned by `pfair-core`'s release processes, not by the static description.
 
-use crate::rat::Rat;
+use crate::rat::{gcd_u64, Rat};
 use crate::weight::{Weight, WeightError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -184,16 +184,8 @@ impl TaskSet {
     /// Hyperperiod: least common multiple of all periods. Saturates at
     /// `u64::MAX` on overflow (callers cap simulation horizons anyway).
     pub fn hyperperiod(&self) -> u64 {
-        fn gcd(mut a: u64, mut b: u64) -> u64 {
-            while b != 0 {
-                let t = a % b;
-                a = b;
-                b = t;
-            }
-            a
-        }
         self.tasks.iter().fold(1u64, |acc, t| {
-            let g = gcd(acc, t.period);
+            let g = gcd_u64(acc, t.period);
             (acc / g).saturating_mul(t.period)
         })
     }

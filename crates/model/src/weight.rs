@@ -12,7 +12,7 @@
 //! harmless: a task with `e = 4, p = 8` has exactly the same windows as one
 //! with `e = 1, p = 2`.
 
-use crate::rat::Rat;
+use crate::rat::{gcd_u64, Rat};
 use std::fmt;
 
 /// Error building a [`Weight`].
@@ -59,15 +59,6 @@ pub struct Weight {
     den: u64,
 }
 
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
-}
-
 impl Weight {
     /// The full weight `1`, i.e. a task that needs a processor in every slot.
     pub const ONE: Weight = Weight { num: 1, den: 1 };
@@ -83,7 +74,7 @@ impl Weight {
         if e > p {
             return Err(WeightError::OverUnit);
         }
-        let g = gcd(e, p);
+        let g = gcd_u64(e, p);
         Ok(Weight {
             num: e / g,
             den: p / g,
@@ -150,6 +141,14 @@ impl fmt::Display for Weight {
 /// every boundary-tight case (small, structured denominators), while the
 /// approximate path only ever handles sums whose distance from an integer
 /// boundary dwarfs f64 error.
+///
+/// One caller filters in front of it: `overhead::pd2_processors_required`
+/// sums a pass as plain `f64` first and builds a `WeightSum` only when that
+/// sum is within `1e-6` of the bound. The `f64` sum of `n` weights is
+/// within `n·2⁻⁵³·Σ` of the true one (`≈ 1e-11` for 250 tasks) — far
+/// inside the `1e-7` epsilon used here, itself far inside the filter's band
+/// — so a sum the filter decides is one every path here decides the same
+/// way. Admission (`fits_after_adding`) is not filtered.
 #[derive(Debug, Clone, Copy)]
 pub struct WeightSum {
     exact: Option<Rat>,
@@ -283,7 +282,7 @@ mod tests {
         fn prop_lowest_terms(e in 1u64..10_000, p in 1u64..10_000) {
             prop_assume!(e <= p);
             let w = Weight::new(e, p).unwrap();
-            prop_assert_eq!(super::gcd(w.numer(), w.denom()), 1);
+            prop_assert_eq!(gcd_u64(w.numer(), w.denom()), 1);
             prop_assert_eq!(w.as_rat(), crate::Rat::new(e as i128, p as i128));
         }
 

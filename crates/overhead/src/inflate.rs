@@ -1,7 +1,7 @@
 //! Execution-cost inflation — the paper's Equation (3).
 
 use crate::model::OverheadParams;
-use pfair_model::{PhysTask, Rat};
+use pfair_model::{PhysTask, Rat, Weight, WeightSum};
 use std::fmt;
 
 /// Failure modes of the PD² inflation.
@@ -169,24 +169,63 @@ fn pd2_fixed_point(
 }
 
 /// One inflation pass over the whole set at scheduling cost `s_us`: the
-/// summed PD² weights, or the first task's failure.
+/// PD² weights `E/P` summed as plain `f64` in task order — the value
+/// [`WeightSum`]'s shadow would hold, a correctly rounded quotient being
+/// the same before and after reduction — or the first task's failure.
+fn pd2_weight_sum_f64(
+    tasks: &[PhysTask],
+    params: &OverheadParams,
+    d_us: &[f64],
+    s_us: f64,
+) -> Result<f64, InflateError> {
+    let mut total = 0.0;
+    for (t, &d) in tasks.iter().zip(d_us) {
+        let fp = pd2_fixed_point(*t, params, s_us, d)?;
+        total += fp.quanta as f64 / fp.period_quanta as f64;
+    }
+    Ok(total)
+}
+
+/// The same pass summed as a [`WeightSum`]: exact while the sum fits
+/// `i128`, which a few dozen weights over unrelated periods outgrow. The
+/// M-search asks for it only where the `f64` sum cannot decide.
 fn pd2_weight_sum(
     tasks: &[PhysTask],
     params: &OverheadParams,
     d_us: &[f64],
     s_us: f64,
-) -> Result<pfair_model::WeightSum, InflateError> {
-    // WeightSum degrades gracefully where an exact rational sum of many
-    // unrelated-denominator weights would overflow.
-    let mut total = pfair_model::WeightSum::new();
+) -> Result<WeightSum, InflateError> {
+    let mut total = WeightSum::new();
     for (t, &d) in tasks.iter().zip(d_us) {
         let fp = pd2_fixed_point(*t, params, s_us, d)?;
         total.add(
-            pfair_model::Weight::new(fp.quanta, fp.period_quanta)
+            Weight::new(fp.quanta, fp.period_quanta)
                 .expect("0 < E ≤ P guaranteed by the fixed point"),
         );
     }
     Ok(total)
+}
+
+/// How close to `M` the `f64` sum of a pass may lie before the M-search
+/// asks the exact sum instead. The `f64` sum of `n` correctly rounded
+/// quotients is within `n·2⁻⁵³·Σ` of the true one — about `1e-11` at
+/// `n = 250` — so a sum further than this from `M` is on the same side of
+/// `M` as the exact sum, and of `M + 1e-7` where [`WeightSum`] has
+/// overflowed to its epsilon compare.
+const EXACT_BAND: f64 = 1e-6;
+
+/// `Σ ≤ m` for a pass whose `f64` sum is `approx`: read off `approx` when
+/// it is clear of the band around `m`, else [`WeightSum::at_most`] on the
+/// sum `exact` builds. `n` is the number of terms; it widens the band
+/// where [`EXACT_BAND`] no longer covers the `f64` error (`n·Σ > 4·10⁹`).
+fn sum_fits(approx: f64, n: usize, m: u32, exact: impl FnOnce() -> WeightSum) -> bool {
+    let gap = approx - f64::from(m);
+    let band = EXACT_BAND.max(n as f64 * approx * f64::EPSILON);
+    if gap.abs() > band {
+        gap < 0.0
+    } else {
+        exact().at_most(m)
+    }
 }
 
 /// Minimum processors PD² needs for a task set under Equation (3),
@@ -199,6 +238,12 @@ fn pd2_weight_sum(
 /// otherwise the previous pass's sum is tested against the new `M`.
 /// [`crate::SchedCostModel::pd2_us`] saturates at `M = 16`, which is what
 /// makes a single pass suffice for every larger machine.
+///
+/// A pass sums its weights as plain `f64` and nearly every candidate is
+/// decided from that. Only a sum within `1e-6` of `M` is summed
+/// again as a [`WeightSum`], whose verdict — exact where the exact sum
+/// fits `i128`, its `1e-7` epsilon where not — is then the one returned:
+/// the filter changes the cost of the search, never its answer.
 ///
 /// Returns `Err` if a task is individually unschedulable — the
 /// [`InflateError::Overload`] of the first such task at the last `M`
@@ -225,13 +270,17 @@ pub fn pd2_processors_required(
     for m in (raw.ceil() as u32).max(1)..=max_m {
         let s_us = params.sched.pd2_us(m, n);
         if pass_s_bits != Some(s_us.to_bits()) {
-            pass = match pd2_weight_sum(tasks, params, d_us, s_us) {
+            pass = match pd2_weight_sum_f64(tasks, params, d_us, s_us) {
                 pass @ (Ok(_) | Err(InflateError::Overload { .. })) => pass,
                 Err(e) => return Err(e),
             };
             pass_s_bits = Some(s_us.to_bits());
         }
-        if matches!(pass, Ok(total) if total.at_most(m)) {
+        let exact = || {
+            pd2_weight_sum(tasks, params, d_us, s_us)
+                .expect("the f64 pass over the same tasks succeeded")
+        };
+        if matches!(pass, Ok(total) if sum_fits(total, n, m, exact)) {
             return Ok(m);
         }
     }
@@ -378,9 +427,12 @@ mod tests {
         );
     }
 
-    /// The M-search as it stood before the S_PD²-keyed pass: every task
-    /// re-inflated at every candidate M. The error value follows the
-    /// current contract (the last pass's task-level overload, else 0.0).
+    /// The M-search's oracle — the search as it stood before the
+    /// S_PD²-keyed pass and the `f64` filter: every task re-inflated at
+    /// every candidate M, every sum a [`WeightSum`] asked `at_most(M)`
+    /// (exact first, epsilon once it has overflowed). The error value
+    /// follows the current contract (the last pass's task-level overload,
+    /// else 0.0).
     fn naive_processors_required(
         tasks: &[PhysTask],
         params: &OverheadParams,
@@ -395,13 +447,11 @@ mod tests {
         let mut m = (raw.ceil() as u32).max(1);
         let mut overload = None;
         while m <= max_m {
-            let mut total = pfair_model::WeightSum::new();
+            let mut total = WeightSum::new();
             overload = None;
             for (t, &d) in tasks.iter().zip(d_us) {
                 match inflate_pd2(*t, params, m, n, d) {
-                    Ok(inf) => {
-                        total.add(pfair_model::Weight::new(inf.quanta, inf.period_quanta).unwrap())
-                    }
+                    Ok(inf) => total.add(Weight::new(inf.quanta, inf.period_quanta).unwrap()),
                     Err(e @ InflateError::Overload { .. }) => {
                         overload = Some(e);
                         break;
@@ -417,16 +467,163 @@ mod tests {
         Err(overload.unwrap_or(InflateError::Overload { inflated_us: 0.0 }))
     }
 
+    /// Boundary sets, as `(E, P)` weights: the sum is an integer
+    /// (`nudge = 0`), or one unit of the common denominator above it (`1`)
+    /// or below it (`2`). `top_up` is the tasks of `≤ 10/den` that bring
+    /// `sum` units of `1/den` to the next multiple of `den`, nudged.
+    fn top_up(sum: u64, den: u64, nudge: u8) -> Vec<(u64, u64)> {
+        let mut units = (den - sum % den) % den + [0, 1, den - 1][nudge as usize];
+        let mut tasks = Vec::new();
+        while units > 0 {
+            let e = units.min(10).min(den);
+            tasks.push((e, den));
+            units -= e;
+        }
+        tasks
+    }
+
+    /// `p` identical tasks of `k/p`, nudged.
+    fn identical_weights(p: u64, k: u64, nudge: u8) -> Vec<(u64, u64)> {
+        let mut w = vec![(k.min(p), p); p as usize];
+        w.extend(top_up(0, p, nudge));
+        w
+    }
+
+    /// Tasks of `e/2^j` for each `(j ≤ 5, e)`, topped up on period 32.
+    fn harmonic_weights(tasks: &[(u32, u64)], nudge: u8) -> Vec<(u64, u64)> {
+        let mut w: Vec<(u64, u64)> = tasks
+            .iter()
+            .map(|&(j, e)| (e.min(1 << j), 1 << j))
+            .collect();
+        let sum: u64 = w.iter().map(|&(e, p)| e * (32 / p)).sum();
+        w.extend(top_up(sum, 32, nudge));
+        w
+    }
+
+    /// Three tasks over the coprime 997, 991, 983, whose unit is
+    /// `1/(997·991·983) ≈ 1e-9`: `a/997 + b/991 + c/983 ≡ target/L (mod 1)`
+    /// by the Chinese remainder theorem, one denominator at a time.
+    fn coprime_weights(nudge: u8) -> Vec<(u64, u64)> {
+        let dens = [997u64, 991, 983];
+        let l: u64 = dens.iter().product();
+        let target = [l, l + 1, l - 1][nudge as usize];
+        dens.iter()
+            .map(|&d| {
+                let rest = l / d;
+                let e = (1..d).find(|e| e * rest % d == target % d);
+                (e.unwrap_or(d), d)
+            })
+            .collect()
+    }
+
+    /// [`OverheadParams::zero`] at the paper's 1 ms quantum: nothing is
+    /// charged, but costs still round up to whole quanta. (At `zero()`'s
+    /// own 1 µs quantum the raw and inflated sums are one number, and the
+    /// search starts from the raw sum's `f64` ceiling — past the `M` a
+    /// boundary set is about.)
+    fn free_at_1ms() -> OverheadParams {
+        OverheadParams {
+            quantum_us: 1_000,
+            ..OverheadParams::zero()
+        }
+    }
+
+    /// Tasks that inflate to exactly `weights` under `params`, each `D(T)`
+    /// being `d_us`: every cost stops half a quantum short of its `E`
+    /// quanta, which nothing eats into under [`free_at_1ms`] at `D = 0`,
+    /// nor `E ≤ 10` quanta of the paper's costs at `D ≤ 30`, `N ≤ 60`.
+    fn tasks_of_weights(
+        weights: &[(u64, u64)],
+        params: &OverheadParams,
+        d_us: f64,
+    ) -> (Vec<PhysTask>, Vec<f64>) {
+        let q = params.quantum_us;
+        let tasks = weights
+            .iter()
+            .map(|&(e, p)| PhysTask::new(e * q - q / 2, p * q))
+            .collect();
+        (tasks, vec![d_us; weights.len()])
+    }
+
+    #[test]
+    fn exact_sum_decides_where_the_f64_sum_rounds_across_m() {
+        // Nine tasks of weight 1/9 sum to 1; nine f64 additions of 1/9
+        // give 1.0000000000000002. Deciding from the f64 sum alone (a band
+        // of 0) would ask for a second processor.
+        let free = free_at_1ms();
+        let (tasks, ds) = tasks_of_weights(&[(1, 9); 9], &free, 0.0);
+        let approx = pd2_weight_sum_f64(&tasks, &free, &ds, 0.0).unwrap();
+        assert!(approx > 1.0, "f64 sum {approx:e} rounds above the exact 1");
+        assert_eq!(pd2_processors_required(&tasks, &free, &ds, 4), Ok(1));
+        assert_eq!(naive_processors_required(&tasks, &free, &ds, 4), Ok(1));
+
+        // K + 1/(997·991·983): the f64 sum is within 1e-9 of K, inside
+        // WeightSum's own 1e-7 epsilon — only the exact sum says "K + 1".
+        let weights = coprime_weights(1);
+        let (tasks, ds) = tasks_of_weights(&weights, &free, 0.0);
+        let approx = pd2_weight_sum_f64(&tasks, &free, &ds, 0.0).unwrap();
+        let k = approx.floor();
+        assert!(approx - k < 2e-9, "f64 sum {approx} is a hair above {k}");
+        let m = Ok(k as u32 + 1);
+        assert_eq!(pd2_processors_required(&tasks, &free, &ds, 4), m);
+        assert_eq!(naive_processors_required(&tasks, &free, &ds, 4), m);
+
+        // Ten 2-quanta jobs per 20 under the paper's costs: exactly 1.
+        let tasks = vec![PhysTask::new(1_500, 20_000); 10];
+        let total = pd2_weight_sum(&tasks, &params(), &[33.3; 10], 4.0).unwrap();
+        assert_eq!(total.exact(), Some(Rat::ONE));
+        assert_eq!(
+            pd2_processors_required(&tasks, &params(), &[33.3; 10], 4),
+            Ok(1)
+        );
+    }
+
+    #[test]
+    fn exact_sum_is_built_inside_the_band_only() {
+        let unreachable = || -> WeightSum { panic!("exact sum built outside the band") };
+        // Clear of the band on either side: the f64 sum decides.
+        assert!(sum_fits(3.0 - 2e-6, 250, 3, unreachable));
+        assert!(!sum_fits(3.0 + 2e-6, 250, 3, unreachable));
+        assert!(!sum_fits(57.3, 250, 3, unreachable));
+        // Inside it the exact sum does, against what the f64 sum says.
+        let thirds = |count: u32| {
+            let mut sum = WeightSum::new();
+            for _ in 0..count {
+                sum.add(Weight::new(1, 3).unwrap());
+            }
+            sum
+        };
+        let mut built = 0;
+        for (approx, count, fits) in [(1.0 + 5e-7, 3, true), (1.0 - 5e-7, 4, false)] {
+            let exact = || {
+                built += 1;
+                thirds(count)
+            };
+            assert_eq!(sum_fits(approx, 3, 1, exact), fits);
+        }
+        assert_eq!(built, 2);
+        // A million terms summing to a million: 1e-6 no longer bounds the
+        // f64 error, and the band widens to the bound.
+        assert!(sum_fits(1e6 - 1e-4, 10, 1_000_000, unreachable));
+        let exact = || {
+            built += 1;
+            thirds(3)
+        };
+        assert!(sum_fits(1e6 - 1e-4, 1_000_000, 1_000_000, exact));
+        assert_eq!(built, 3);
+    }
+
     proptest! {
-        /// One inflation pass per distinct S_PD² gives the result of a pass
-        /// per candidate M: under the paper's model with raw utilisation on
-        /// both sides of the M = 16 saturation, under a constant model,
+        /// One `f64`-filtered inflation pass per distinct S_PD² gives the
+        /// result of an exact-first pass per candidate M: under the paper's
+        /// model with raw utilisation on both sides of the M = 16
+        /// saturation, under a constant model and under zero overheads,
         /// with an individually overloaded task in the set, with a
         /// misaligned period, and with `max_m` cutting the search short.
         #[test]
         fn prop_processors_required_matches_naive_search(
             raw in prop::collection::vec((1u64..40, 0.01f64..0.95, 0.0f64..100.0), 1..70),
-            constant_model in 0u8..2,
+            model in 0u8..3,
             odd_task in 0u8..6,
             max_m in 1u32..90,
         ) {
@@ -446,13 +643,57 @@ mod tests {
             }
             ds.resize(tasks.len(), 50.0);
             let mut p = params();
-            if constant_model == 1 {
-                p.sched = SchedCostModel::Constant { edf_us: 1.0, pd2_us: 6.0 };
+            match model {
+                1 => p.sched = SchedCostModel::Constant { edf_us: 1.0, pd2_us: 6.0 },
+                2 => p = OverheadParams::zero(),
+                _ => {}
             }
             prop_assert_eq!(
                 pd2_processors_required(&tasks, &p, &ds, max_m),
                 naive_processors_required(&tasks, &p, &ds, max_m)
             );
+        }
+
+        /// The same differential on sets built to sit on the boundary: the
+        /// inflated sum is an integer exactly, or one unit of its common
+        /// denominator away — where only the exact sum gives the verdict.
+        #[test]
+        fn prop_processors_required_matches_naive_search_on_the_boundary(
+            shape in 0u8..3,
+            p in 2u64..=20,
+            k in 1u64..=10,
+            harmonic in prop::collection::vec((0u32..=5, 1u64..=10), 1..40),
+            nudge in 0u8..3,
+            paper in 0u8..2,
+            d_us in 0.0f64..30.0,
+        ) {
+            let weights = match shape {
+                0 => identical_weights(p, k, nudge),
+                1 => harmonic_weights(&harmonic, nudge),
+                _ => coprime_weights(nudge),
+            };
+            prop_assume!(weights.len() <= 60);
+            // The coprime shape's numerators run to 996 quanta, which only
+            // a free inflation leaves alone.
+            let (params, d_us) = if paper == 1 && shape != 2 {
+                (params(), d_us)
+            } else {
+                (free_at_1ms(), 0.0)
+            };
+            let (tasks, ds) = tasks_of_weights(&weights, &params, d_us);
+            let n = tasks.len();
+            for (t, &(e, p)) in tasks.iter().zip(&weights) {
+                // The set is what it was built to be: E/P survive inflation
+                // (at the saturated S_PD², the costliest).
+                let inf = inflate_pd2(*t, &params, 16, n, d_us).unwrap();
+                prop_assert_eq!((inf.quanta, inf.period_quanta), (e, p));
+            }
+            for max_m in [1, 64] {
+                prop_assert_eq!(
+                    pd2_processors_required(&tasks, &params, &ds, max_m),
+                    naive_processors_required(&tasks, &params, &ds, max_m)
+                );
+            }
         }
 
         /// Inflation is monotone: never below the raw cost, and the weight

@@ -164,12 +164,19 @@ impl Acceptance for RmExact {
 /// incrementally. (Ties in period are charged conservatively.)
 #[derive(Debug, Clone)]
 pub struct EdfOverheadAware {
-    tasks: Vec<PhysTask>,
-    /// `D(T)` per task (µs).
-    cache_delay_us: Vec<f64>,
-    params: OverheadParams,
-    /// Task count parameterizing `S_EDF`.
-    n_for_cost: usize,
+    tasks: Vec<EdfCost>,
+}
+
+/// What a probe reads of one task, computed once in
+/// [`EdfOverheadAware::new`]: first fit probes each task against many
+/// processors.
+#[derive(Debug, Clone, Copy)]
+struct EdfCost {
+    /// `e + 2(S_EDF + C)`: Equation (3)'s EDF case on an empty processor.
+    alone_us: f64,
+    period_us: f64,
+    /// `D(T)` (µs).
+    cache_delay_us: f64,
 }
 
 /// Processor state for [`EdfOverheadAware`].
@@ -182,22 +189,31 @@ pub struct EdfOverheadState {
 }
 
 impl EdfOverheadAware {
-    /// Builds the test. `cache_delay_us[i]` is `D(Tᵢ)`.
+    /// Builds the test. `cache_delay_us[i]` is `D(Tᵢ)`; the task count
+    /// parameterizes `S_EDF`.
     pub fn new(tasks: &[PhysTask], cache_delay_us: &[f64], params: OverheadParams) -> Self {
         assert_eq!(tasks.len(), cache_delay_us.len());
+        let n = tasks.len();
         EdfOverheadAware {
-            tasks: tasks.to_vec(),
-            cache_delay_us: cache_delay_us.to_vec(),
-            params,
-            n_for_cost: tasks.len(),
+            tasks: tasks
+                .iter()
+                .zip(cache_delay_us)
+                .map(|(&t, &cache_delay_us)| EdfCost {
+                    alone_us: overhead::inflate_edf(t, &params, n, 0.0),
+                    period_us: t.period_us as f64,
+                    cache_delay_us,
+                })
+                .collect(),
         }
     }
 
     /// The inflated utilization task `task_idx` would contribute on a
-    /// processor whose current max cache delay is `max_d_us`.
+    /// processor whose current max cache delay is `max_d_us`:
+    /// [`overhead::inflate_edf`] over the period, to the bit (`max_d_us` is
+    /// that sum's last term, and adding the `0.0` in its place is exact).
     pub fn inflated_util(&self, task_idx: usize, max_d_us: f64) -> f64 {
         let t = self.tasks[task_idx];
-        overhead::inflate_edf(t, &self.params, self.n_for_cost, max_d_us) / t.period_us as f64
+        (t.alone_us + max_d_us) / t.period_us
     }
 }
 
@@ -212,7 +228,7 @@ impl Acceptance for EdfOverheadAware {
         let util = state.util + self.inflated_util(task_idx, state.max_d_us);
         (util <= 1.0 + 1e-12).then(|| EdfOverheadState {
             util,
-            max_d_us: state.max_d_us.max(self.cache_delay_us[task_idx]),
+            max_d_us: state.max_d_us.max(self.tasks[task_idx].cache_delay_us),
         })
     }
 
@@ -298,6 +314,25 @@ mod tests {
         let without_d = acc.inflated_util(1, 0.0);
         assert!(with_d > without_d);
         assert!((s2.util - (base0 + with_d)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn overhead_aware_probe_is_equation_3_to_the_bit() {
+        // The per-task constants hoisted into `new` leave the probe the
+        // same three roundings in the same order as `inflate_edf / p`.
+        let params = OverheadParams::paper2003();
+        let tasks: Vec<PhysTask> = (1..200u64)
+            .map(|i| PhysTask::new(37 * i + 1, 1_000 * (i % 13 + 1) + 997 * i))
+            .collect();
+        let d: Vec<f64> = (1..200).map(|i| 100.0 / i as f64).collect();
+        let acc = EdfOverheadAware::new(&tasks, &d, params);
+        for (i, t) in tasks.iter().enumerate() {
+            for max_d in [0.0, 0.1, 33.3, d[i], 1e3 / 7.0] {
+                let direct =
+                    overhead::inflate_edf(*t, &params, tasks.len(), max_d) / t.period_us as f64;
+                assert_eq!(acc.inflated_util(i, max_d).to_bits(), direct.to_bits());
+            }
+        }
     }
 
     #[test]
