@@ -155,7 +155,12 @@ fn main() {
             );
             std::process::exit(1);
         }
-        Status::Subscribed => unreachable!("subscribe is only sent by `watch`"),
+        Status::Subscribed => {
+            // Only `watch` subscribes; a daemon that says otherwise is
+            // answering some other request.
+            eprintln!("admitctl: unexpected Subscribed reply");
+            std::process::exit(1);
+        }
     }
 }
 

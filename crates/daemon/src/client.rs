@@ -16,7 +16,7 @@
 
 use crate::proto::{read_frame, write_frame, FrameError, Op, Reply, Request, Status, StreamMsg};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -111,6 +111,12 @@ impl Write for Stream {
         match self {
             Stream::Unix(s) => s.write(buf),
             Stream::Tcp(s) => s.write(buf),
+        }
+    }
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            Stream::Unix(s) => s.write_vectored(bufs),
+            Stream::Tcp(s) => s.write_vectored(bufs),
         }
     }
     fn flush(&mut self) -> io::Result<()> {

@@ -106,15 +106,16 @@ enum Verdict {
         weight_num: u64,
         weight_den: u64,
     },
-    /// Reweight admitted (old task leaves, new parameters join).
+    /// Reweight admitted (task `old` leaves, new parameters join).
     AdmitReweight {
+        old: u32,
         quanta: u64,
         period_quanta: u64,
         weight_num: u64,
         weight_den: u64,
     },
-    /// Leave accepted.
-    Leave,
+    /// Leave of task `task` accepted.
+    Leave { task: u32 },
     /// Refused.
     Reject(RejectCode),
 }
@@ -309,7 +310,7 @@ impl AdmissionCore {
                             Verdict::Reject(RejectCode::NoSuchTask)
                         } else {
                             self.departing.push(t);
-                            Verdict::Leave
+                            Verdict::Leave { task: t }
                         }
                     }
                 },
@@ -323,6 +324,7 @@ impl AdmissionCore {
                                 Ok((quanta, period_quanta, num, den)) => {
                                     self.departing.push(t);
                                     Verdict::AdmitReweight {
+                                        old: t,
                                         quanta,
                                         period_quanta,
                                         weight_num: num,
@@ -392,22 +394,21 @@ impl AdmissionCore {
         let now = self.slot;
         for k in 0..self.order.len() {
             let idx = self.order[k] as usize;
-            let req = self.pending[idx].clone();
+            let nonce = self.pending[idx].nonce;
             let reply = match self.verdicts[idx] {
-                Verdict::Leave => {
-                    let task = req.task.expect("validated in evaluate");
+                Verdict::Leave { task } => {
                     match self.sim.scheduler_mut().leave(TaskId(task), now) {
                         Ok(free_at) => {
                             self.sim.push_event(TraceEvent::Shed { slot: now, task });
                             self.left += 1;
                             self.active -= 1;
-                            let mut r = Reply::new(req.nonce, Status::Left, now);
+                            let mut r = Reply::new(nonce, Status::Left, now);
                             r.task = Some(task);
                             r.free_at = Some(free_at);
                             r
                         }
                         Err(e) => {
-                            let mut r = Reply::new(req.nonce, Status::Error, now);
+                            let mut r = Reply::new(nonce, Status::Error, now);
                             r.error = Some(format!("leave failed: {e}"));
                             r
                         }
@@ -422,7 +423,7 @@ impl AdmissionCore {
                     Ok(id) => {
                         self.admitted += 1;
                         self.active += 1;
-                        let mut r = Reply::new(req.nonce, Status::Admitted, now);
+                        let mut r = Reply::new(nonce, Status::Admitted, now);
                         r.task = Some(id.0);
                         r.quanta = Some(quanta);
                         r.period_quanta = Some(period_quanta);
@@ -432,18 +433,18 @@ impl AdmissionCore {
                         r
                     }
                     Err(msg) => {
-                        let mut r = Reply::new(req.nonce, Status::Error, now);
+                        let mut r = Reply::new(nonce, Status::Error, now);
                         r.error = Some(msg);
                         r
                     }
                 },
                 Verdict::AdmitReweight {
+                    old,
                     quanta,
                     period_quanta,
                     weight_num,
                     weight_den,
                 } => {
-                    let old = req.task.expect("validated in evaluate");
                     // The evaluation pass pre-checked the new weight
                     // against the *uncredited* sum, so this leave+join
                     // cannot overload; a rejected reweight never touches
@@ -457,7 +458,7 @@ impl AdmissionCore {
                             match self.join_inflated(quanta, period_quanta, now) {
                                 Ok(id) => {
                                     self.reweighted += 1;
-                                    let mut r = Reply::new(req.nonce, Status::Admitted, now);
+                                    let mut r = Reply::new(nonce, Status::Admitted, now);
                                     r.task = Some(id.0);
                                     r.quanta = Some(quanta);
                                     r.period_quanta = Some(period_quanta);
@@ -473,7 +474,7 @@ impl AdmissionCore {
                                     // state.
                                     self.left += 1;
                                     self.active -= 1;
-                                    let mut r = Reply::new(req.nonce, Status::Error, now);
+                                    let mut r = Reply::new(nonce, Status::Error, now);
                                     r.error = Some(format!(
                                         "reweight: old task {old} left but rejoin failed: {msg}"
                                     ));
@@ -482,7 +483,7 @@ impl AdmissionCore {
                             }
                         }
                         Err(e) => {
-                            let mut r = Reply::new(req.nonce, Status::Error, now);
+                            let mut r = Reply::new(nonce, Status::Error, now);
                             r.error = Some(format!("reweight: leave failed: {e}"));
                             r
                         }
@@ -496,7 +497,7 @@ impl AdmissionCore {
                     if status == Status::Rejected {
                         self.rejected += 1;
                     }
-                    let mut r = Reply::new(req.nonce, status, now);
+                    let mut r = Reply::new(nonce, status, now);
                     r.error = Some(reject_reason(code).to_string());
                     r
                 }
@@ -565,17 +566,21 @@ pub struct SetReport {
 /// the canonical order *within* the set while sets advance
 /// independently. The registry always starts with (and re-admits
 /// requests that name no set into) the [`DEFAULT_SET`].
-pub struct SetRegistry {
+///
+/// Each set carries a `T` beside its core, created with the set and
+/// handed back when it is dropped: the server keeps a set's reply routes
+/// and subscribers there, so looking up one can never miss the other.
+pub struct SetRegistry<T> {
     template: CoreConfig,
     max_sets: usize,
     recorder: obs::Recorder,
-    sets: BTreeMap<String, AdmissionCore>,
+    sets: BTreeMap<String, (AdmissionCore, T)>,
     /// Reports of dropped sets, in drop order, kept for the shutdown
     /// report so a dropped set's trace still window-verifies offline.
     dropped: Vec<SetReport>,
 }
 
-impl SetRegistry {
+impl<T: Default> SetRegistry<T> {
     /// A registry with just the default set. Every core (present and
     /// future) reports into `recorder`.
     pub fn new(template: CoreConfig, max_sets: usize, recorder: &obs::Recorder) -> Self {
@@ -593,7 +598,7 @@ impl SetRegistry {
     fn insert(&mut self, name: String) {
         let mut core = AdmissionCore::new(self.template.clone());
         core.set_recorder(&self.recorder);
-        self.sets.insert(name, core);
+        self.sets.insert(name, (core, T::default()));
     }
 
     /// Validates a client-supplied set name: path-safe (it becomes part
@@ -634,13 +639,14 @@ impl SetRegistry {
     /// Tears down set `name`, retaining its report (and trace) for the
     /// shutdown summary. The default set is droppable too — requests
     /// naming no set then fail with "no such set" until it is recreated.
-    pub fn drop_set(&mut self, name: &str) -> Result<(), String> {
-        let core = self
+    /// Returns what the set carried.
+    pub fn drop_set(&mut self, name: &str) -> Result<T, String> {
+        let (core, carried) = self
             .sets
             .remove(name)
             .ok_or_else(|| format!("no such set `{name}`"))?;
         self.dropped.push(Self::report_of(name, &core, true));
-        Ok(())
+        Ok(carried)
     }
 
     fn report_of(name: &str, core: &AdmissionCore, dropped: bool) -> SetReport {
@@ -653,9 +659,11 @@ impl SetRegistry {
         }
     }
 
-    /// The core serving set `name`, if live.
-    pub fn get_mut(&mut self, name: &str) -> Option<&mut AdmissionCore> {
-        self.sets.get_mut(name)
+    /// The core serving set `name` and what it carries, if live.
+    pub fn get_mut(&mut self, name: &str) -> Option<(&mut AdmissionCore, &mut T)> {
+        self.sets
+            .get_mut(name)
+            .map(|(core, carried)| (core, carried))
     }
 
     /// Live set names, sorted.
@@ -674,15 +682,17 @@ impl SetRegistry {
     }
 
     /// Iterates live sets in name order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&str, &mut AdmissionCore)> {
-        self.sets.iter_mut().map(|(k, v)| (k.as_str(), v))
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&str, &mut AdmissionCore, &mut T)> {
+        self.sets
+            .iter_mut()
+            .map(|(k, (core, carried))| (k.as_str(), core, carried))
     }
 
     /// Consumes the registry into per-set reports: dropped sets first
     /// (in drop order), then the live ones (sorted by name).
     pub fn into_reports(mut self) -> Vec<SetReport> {
         let mut reports = std::mem::take(&mut self.dropped);
-        for (name, core) in &self.sets {
+        for (name, (core, _)) in &self.sets {
             reports.push(Self::report_of(name, core, false));
         }
         reports
@@ -905,7 +915,7 @@ mod tests {
         let mut cfg = CoreConfig::new(1);
         cfg.params = OverheadParams::zero();
         let rec = obs::Recorder::disabled();
-        let mut reg = SetRegistry::new(cfg, 8, &rec);
+        let mut reg = SetRegistry::<()>::new(cfg, 8, &rec);
         reg.create("alpha").expect("create alpha");
         assert_eq!(
             reg.names(),
@@ -915,16 +925,16 @@ mod tests {
         // Each set has its own M=1 capacity: a full-processor task fits
         // in *both* — weight sums never cross sets.
         for set in ["default", "alpha"] {
-            let core = reg.get_mut(set).expect("live set");
+            let (core, ()) = reg.get_mut(set).expect("live set");
             let replies = decide(core, vec![Request::join(1, 4_000, 4_000)]);
             assert_eq!(replies[0].status, Status::Admitted, "set {set}");
         }
         // Only the default set steps further: slots diverge.
         for _ in 0..10 {
-            reg.get_mut("default").unwrap().step();
+            reg.get_mut("default").unwrap().0.step();
         }
-        assert_eq!(reg.get_mut("alpha").unwrap().slot(), 1);
-        assert_eq!(reg.get_mut("default").unwrap().slot(), 11);
+        assert_eq!(reg.get_mut("alpha").unwrap().0.slot(), 1);
+        assert_eq!(reg.get_mut("default").unwrap().0.slot(), 11);
 
         // Duplicate create and unknown drop both refuse with a reason.
         assert!(reg.create("alpha").is_err());
@@ -949,7 +959,7 @@ mod tests {
         let mut cfg = CoreConfig::new(1);
         cfg.params = OverheadParams::zero();
         let rec = obs::Recorder::disabled();
-        let mut reg = SetRegistry::new(cfg, 2, &rec);
+        let mut reg = SetRegistry::<()>::new(cfg, 2, &rec);
         for bad in ["", "a/b", "..", ".hidden", "x".repeat(65).as_str(), "a b"] {
             assert!(reg.create(bad).is_err(), "name {bad:?} must be refused");
         }

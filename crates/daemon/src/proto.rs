@@ -27,7 +27,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Frames larger than this are rejected as corrupt before any buffer is
 /// grown — a garbage length prefix must not look like an allocation
@@ -316,17 +316,43 @@ fn is_gone(kind: io::ErrorKind) -> bool {
     )
 }
 
-/// Writes one length-prefixed frame.
-pub fn write_frame<W: Write>(w: &mut W, json: &str) -> io::Result<()> {
-    let bytes = json.as_bytes();
-    if bytes.len() as u64 > MAX_FRAME as u64 {
-        return Err(io::Error::new(
+/// The length prefix of a frame carrying `json`; refuses a body over
+/// [`MAX_FRAME`], which no reader would accept.
+fn frame_prefix(json: &str) -> io::Result<[u8; 4]> {
+    match u32::try_from(json.len()) {
+        Ok(len) if len <= MAX_FRAME => Ok(len.to_le_bytes()),
+        _ => Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("frame of {} bytes exceeds MAX_FRAME", bytes.len()),
-        ));
+            format!("frame of {} bytes exceeds MAX_FRAME", json.len()),
+        )),
     }
-    w.write_all(&(bytes.len() as u32).to_le_bytes())?;
-    w.write_all(bytes)?;
+}
+
+/// Appends one length-prefixed frame to `out`: the bytes [`write_frame`]
+/// would send.
+pub(crate) fn encode_frame(out: &mut Vec<u8>, json: &str) -> io::Result<()> {
+    out.extend_from_slice(&frame_prefix(json)?);
+    out.extend_from_slice(json.as_bytes());
+    Ok(())
+}
+
+/// Writes one length-prefixed frame. Prefix and body leave in one
+/// vectored write: written apart, the 4-byte prefix alone wakes a peer
+/// blocked in `read`, which then blocks again for the body.
+pub fn write_frame<W: Write>(w: &mut W, json: &str) -> io::Result<()> {
+    let prefix = frame_prefix(json)?;
+    let body = json.as_bytes();
+    let mut sent = 0;
+    while sent < prefix.len() {
+        let bufs = [IoSlice::new(&prefix[sent..]), IoSlice::new(body)];
+        match w.write_vectored(&bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    w.write_all(&body[sent - prefix.len()..])?;
     w.flush()
 }
 
@@ -437,6 +463,7 @@ impl FrameReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn request_roundtrips_through_json() {
@@ -500,10 +527,13 @@ mod tests {
 
     #[test]
     fn oversized_length_prefix_is_malformed_not_an_allocation() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        let mut r = &buf[..];
-        assert!(matches!(read_frame(&mut r), Err(FrameError::Malformed(_))));
+        let buf = u32::MAX.to_le_bytes();
+        let mut reader = FrameReader::new();
+        assert!(matches!(
+            reader.poll(&mut &buf[..]),
+            Err(FrameError::Malformed(_))
+        ));
+        assert_eq!(reader.body.capacity(), 0, "nothing allocated for it");
     }
 
     #[test]
@@ -520,42 +550,235 @@ mod tests {
         assert!(matches!(read_frame(&mut r), Err(FrameError::Disconnected)));
     }
 
-    #[test]
-    fn frame_reader_survives_arbitrary_fragmentation() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, "{\"hello\":\"world\"}").unwrap();
-        write_frame(&mut buf, "second").unwrap();
-        // Feed one byte at a time through a reader that "would block"
-        // between every byte: no partial progress may be lost.
-        struct OneByte<'a>(&'a [u8], bool);
-        impl Read for OneByte<'_> {
-            fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-                if self.1 {
-                    self.1 = false;
-                    return Err(io::Error::from(io::ErrorKind::WouldBlock));
-                }
-                self.1 = true;
-                if self.0.is_empty() {
-                    return Ok(0);
-                }
-                out[0] = self.0[0];
-                self.0 = &self.0[1..];
-                Ok(1)
+    /// A peer whose bytes arrive in chunks of the given sizes (cycled),
+    /// with the socket running dry (`WouldBlock`) between chunks, then
+    /// EOF.
+    struct Chunked<'a> {
+        rest: &'a [u8],
+        sizes: &'a [usize],
+        next: usize,
+        /// Bytes left in the current chunk.
+        left: usize,
+    }
+
+    impl<'a> Chunked<'a> {
+        fn new(bytes: &'a [u8], sizes: &'a [usize]) -> Self {
+            Chunked {
+                rest: bytes,
+                sizes,
+                next: 0,
+                left: 0,
             }
         }
-        let mut src = OneByte(&buf, false);
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            if self.rest.is_empty() {
+                return Ok(0);
+            }
+            if self.left == 0 {
+                // The previous chunk is used up: the socket is dry once,
+                // then the next chunk lands.
+                self.left = self.sizes[self.next % self.sizes.len()].max(1);
+                self.next += 1;
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = out.len().min(self.left).min(self.rest.len());
+            out[..n].copy_from_slice(&self.rest[..n]);
+            self.rest = &self.rest[n..];
+            self.left -= n;
+            Ok(n)
+        }
+    }
+
+    /// How a frame stream ended.
+    #[derive(Debug, PartialEq)]
+    enum End {
+        Closed,
+        Disconnected,
+        Malformed,
+    }
+
+    /// Polls a fresh [`FrameReader`] over `bytes` cut into `sizes` until
+    /// the stream ends: the frames it returned and how it ended. Fails if
+    /// the body buffer ever outgrows `MAX_FRAME` or the end is not one of
+    /// the three classes.
+    fn drive(bytes: &[u8], sizes: &[usize]) -> Result<(Vec<String>, End), String> {
+        let mut src = Chunked::new(bytes, sizes);
         let mut reader = FrameReader::new();
         let mut frames = Vec::new();
-        loop {
-            match reader.poll(&mut src) {
-                Ok(Some(f)) => frames.push(f),
-                Ok(None) => continue,
-                Err(FrameError::Closed) => break,
-                Err(e) => panic!("unexpected frame error: {e}"),
+        // Every poll consumes a byte, a dry spell or the end.
+        for _ in 0..=2 * bytes.len() + 2 {
+            let polled = reader.poll(&mut src);
+            if reader.body.capacity() > MAX_FRAME as usize {
+                return Err(format!("body buffer grew to {}", reader.body.capacity()));
+            }
+            match polled {
+                Ok(Some(frame)) => frames.push(frame),
+                Ok(None) => {}
+                Err(FrameError::Closed) => return Ok((frames, End::Closed)),
+                Err(FrameError::Disconnected) => return Ok((frames, End::Disconnected)),
+                Err(FrameError::Malformed(_)) => return Ok((frames, End::Malformed)),
+                Err(e) => return Err(format!("unclassified end: {e}")),
             }
         }
-        assert_eq!(frames, vec!["{\"hello\":\"world\"}", "second"]);
-        assert!(!reader.mid_frame());
+        Err("the reader never reached the end of the stream".to_string())
+    }
+
+    /// What any reader must make of `bytes`, parsed in one piece.
+    fn expected(mut bytes: &[u8]) -> (Vec<String>, End) {
+        let mut frames = Vec::new();
+        loop {
+            if bytes.is_empty() {
+                return (frames, End::Closed);
+            }
+            let Some(prefix) = bytes.get(..4) else {
+                return (frames, End::Disconnected);
+            };
+            let len = u32::from_le_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]);
+            if len > MAX_FRAME {
+                return (frames, End::Malformed);
+            }
+            let Some(body) = bytes.get(4..4 + len as usize) else {
+                return (frames, End::Disconnected);
+            };
+            match std::str::from_utf8(body) {
+                Ok(frame) => frames.push(frame.to_string()),
+                Err(_) => return (frames, End::Malformed),
+            }
+            bytes = &bytes[4 + len as usize..];
+        }
+    }
+
+    #[test]
+    fn frame_reader_survives_arbitrary_fragmentation() {
+        let sent = ["{\"hello\":\"world\"}", "second", "", "\u{e4}\u{2713}"];
+        let mut buf = Vec::new();
+        for frame in sent {
+            write_frame(&mut buf, frame).unwrap();
+        }
+        // Every chunk size, one byte at a time included, with the socket
+        // running dry between chunks: no partial progress may be lost.
+        for size in 1..=buf.len() {
+            let (frames, end) = drive(&buf, &[size]).unwrap();
+            assert_eq!(frames, sent, "chunks of {size}");
+            assert_eq!(end, End::Closed, "chunks of {size}");
+        }
+        // The same stream cut short anywhere: the frames before the cut,
+        // then a disconnect — or a clean close exactly between frames.
+        for cut in 0..buf.len() {
+            let got = drive(&buf[..cut], &[1, 3]).unwrap();
+            assert_eq!(got, expected(&buf[..cut]), "cut at {cut}");
+        }
+        // An oversized prefix after good frames ends the stream there.
+        let mut bad = buf.clone();
+        bad.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
+        bad.extend_from_slice(b"tail");
+        assert_eq!(
+            drive(&bad, &[2]).unwrap(),
+            (sent.map(String::from).to_vec(), End::Malformed)
+        );
+    }
+
+    /// Streams that mix well-formed frames with non-UTF-8 bodies,
+    /// oversized prefixes and loose bytes, then lose a tail.
+    fn hostile_stream() -> impl Strategy<Value = Vec<u8>> {
+        let piece = (0u8..4, prop::collection::vec(0u8..=255, 0..24)).prop_map(|(kind, bytes)| {
+            let mut out = Vec::new();
+            match kind {
+                // A frame whose body is arbitrary bytes.
+                0 => out.extend_from_slice(&(bytes.len() as u32).to_le_bytes()),
+                // An oversized length prefix.
+                1 => out.extend_from_slice(&(MAX_FRAME + 1 + bytes.len() as u32).to_le_bytes()),
+                // Loose bytes, no prefix.
+                2 => {}
+                // A frame of ASCII.
+                _ => {
+                    let text: String = bytes.iter().map(|b| char::from(b'a' + b % 26)).collect();
+                    encode_frame(&mut out, &text).unwrap();
+                    return out;
+                }
+            }
+            out.extend_from_slice(&bytes);
+            out
+        });
+        (prop::collection::vec(piece, 0..6), 0usize..8).prop_map(|(pieces, lost)| {
+            let mut bytes = pieces.concat();
+            bytes.truncate(bytes.len().saturating_sub(lost));
+            bytes
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_frame_reader_classifies_arbitrary_bytes(
+            bytes in hostile_stream(),
+            sizes in prop::collection::vec(1usize..16, 1..8),
+        ) {
+            let got = drive(&bytes, &sizes).map_err(TestCaseError::fail)?;
+            prop_assert_eq!(got, expected(&bytes));
+        }
+
+        #[test]
+        fn prop_frame_reader_returns_frames_unchanged_under_any_split(
+            sent in prop::collection::vec(prop::collection::vec(0u32..0x800, 0..40), 0..8),
+            sizes in prop::collection::vec(1usize..40, 1..8),
+        ) {
+            let sent: Vec<String> = sent
+                .iter()
+                .map(|cs| cs.iter().filter_map(|&c| char::from_u32(c)).collect())
+                .collect();
+            let mut bytes = Vec::new();
+            for frame in &sent {
+                write_frame(&mut bytes, frame).unwrap();
+            }
+            let got = drive(&bytes, &sizes).map_err(TestCaseError::fail)?;
+            prop_assert_eq!(got, (sent, End::Closed));
+        }
+    }
+
+    #[test]
+    fn write_frame_sends_prefix_and_body_in_one_write() {
+        /// Takes at most `cap` bytes a call and logs each call.
+        struct Capped {
+            cap: usize,
+            calls: usize,
+            wire: Vec<u8>,
+        }
+        impl Write for Capped {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.write_vectored(&[IoSlice::new(buf)])
+            }
+            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+                self.calls += 1;
+                let before = self.wire.len();
+                for buf in bufs {
+                    let room = self.cap - (self.wire.len() - before);
+                    self.wire.extend_from_slice(&buf[..buf.len().min(room)]);
+                }
+                Ok(self.wire.len() - before)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut expect = Vec::new();
+        encode_frame(&mut expect, "{\"op\":\"Join\"}").unwrap();
+        for cap in [usize::MAX, 1, 3, 5, 7] {
+            let mut w = Capped {
+                cap,
+                calls: 0,
+                wire: Vec::new(),
+            };
+            write_frame(&mut w, "{\"op\":\"Join\"}").unwrap();
+            assert_eq!(w.wire, expect, "at most {cap} bytes a write");
+            if cap == usize::MAX {
+                assert_eq!(w.calls, 1, "prefix and body leave in one write");
+            }
+        }
     }
 
     #[test]

@@ -1,40 +1,55 @@
 //! The daemon's transport and batch loop: a [`Listener`] (Unix-domain or
 //! TCP) in front of a [`SetRegistry`] of independent admission cores.
 //!
-//! Threading model: one acceptor thread, one reader thread per
-//! connection, one writer thread per connection, and a single *batch
-//! loop* (the caller's thread) owning every admission core. Readers parse
-//! frames and forward work items over an mpsc channel; the batch loop
-//! drains everything that arrived within the current quantum, decides
-//! each set's batch independently (canonical order *within* a set), and
-//! routes replies back through per-connection channels. No lock is ever
-//! taken around scheduler state — the cores are single-owner by
-//! construction, mirroring the narrow-kernel split the protocol is
-//! designed around.
+//! Threading model: one thread. [`BoundServer::serve`] runs one event
+//! loop on the caller's thread, and that loop owns the listener, every
+//! connection and every admission core. Each turn it waits in `ppoll(2)`
+//! over the listener and every connection, all of them nonblocking;
+//! accepts what is queued; reads the frames that have arrived; decides
+//! each set's batch independently (canonical order *within* a set);
+//! routes the replies back by intake index; and writes every
+//! connection's queued bytes. A request is read, decided and answered in
+//! one wake, with no hand-off between threads. No lock is ever taken
+//! around scheduler state — the cores are single-owner by construction,
+//! mirroring the narrow-kernel split the protocol is designed around.
+//!
+//! Each connection is a slot: its [`FrameReader`], an outbound buffer
+//! that replies and stream frames are encoded straight into, the instant
+//! it last moved a byte, and whether it is subscribed or closing. Queued
+//! bytes are written at once; what the socket does not take waits for
+//! `POLLOUT`, which is asked for only while bytes remain. The wait ends
+//! at the next [`Pace::RealTime`] quantum edge or the nearest idle
+//! deadline, whichever comes first.
 //!
 //! Both transports share the length-prefixed JSON framing, the
-//! max-frame-size cap, and an idle-connection timeout: a peer that
-//! stalls mid-frame (half-open TCP connection, SIGKILLed client) is
-//! reaped after [`ServerConfig::idle_timeout`] instead of pinning a
-//! reader thread forever. Subscribed connections are exempt — their
-//! reader exits after the upgrade and liveness is policed by write
-//! failures on the stream.
+//! max-frame-size cap, and an idle-connection timeout: a peer that has
+//! moved no byte for [`ServerConfig::idle_timeout`] — a half-open TCP
+//! connection stalled mid-frame, a SIGKILLed client — is sent an error
+//! reply and closed, and one whose unread output has not moved for that
+//! long is dropped. Subscribed connections are write-only (nothing is
+//! read after the upgrade), so the timeout applies to them only while
+//! their stream frames are stuck.
 //!
 //! Client disconnects are tolerated at every point: a reply or stream
 //! frame that cannot be delivered is dropped (the decision it reported
 //! stands — an admitted task whose client vanished stays admitted until
-//! somebody leaves it), and a reader error just ends that connection.
+//! somebody leaves it), and a read error just ends that connection. A
+//! peer that closes its side while replies are still owed to it (its
+//! requests wait for a `RealTime` edge) keeps its connection until they
+//! are written.
 
 use crate::core::{CoreConfig, SetRegistry, SetReport};
+use crate::poll::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use crate::proto::{
-    write_frame, FrameError, FrameReader, Op, Reply, Request, Status, StreamKind, StreamMsg,
+    encode_frame, FrameError, FrameReader, Op, Reply, Request, Status, StreamKind, StreamMsg,
 };
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::raw::c_short;
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 /// How the daemon advances quantum edges.
@@ -78,9 +93,10 @@ pub struct ServerConfig {
     /// Stream an `obs` snapshot to a set's subscribers every this many
     /// of that set's slots (0 = never).
     pub snapshot_every: u64,
-    /// Reap a connection whose peer has been silent this long — a
-    /// stalled half-open TCP peer must not pin a reader thread forever.
-    /// Subscribed connections are exempt (they are write-only).
+    /// Reap a connection that has moved no byte either way this long —
+    /// a stalled half-open TCP peer, or one that stopped reading, must not
+    /// hold its slot forever. Subscribed connections are write-only and
+    /// exempt while their stream frames are being taken.
     pub idle_timeout: Duration,
     /// Maximum live task-set shards.
     pub max_sets: usize,
@@ -126,49 +142,31 @@ pub struct RunReport {
 // accept/connect calls.
 // ---------------------------------------------------------------------------
 
-/// One accepted connection. Every method the server needs from a stream,
-/// object-safe so `Box<dyn Conn>` can cross thread spawns.
-pub trait Conn: Read + Write + Send {
-    /// An independently readable/writable handle to the same socket
-    /// (the per-connection writer thread owns the clone).
-    fn try_clone_conn(&self) -> io::Result<Box<dyn Conn>>;
-    /// Sets the read timeout (the reader polls in slices of it).
-    fn set_read_timeout_conn(&self, t: Option<Duration>) -> io::Result<()>;
-    /// Shuts down both directions, unblocking any peer reads.
+/// One accepted, nonblocking connection: every method the loop needs
+/// from a stream.
+pub trait Conn: Read + Write + AsRawFd {
+    /// Shuts down both directions, so the peer reads what was written
+    /// and then EOF.
     fn shutdown_conn(&self);
 }
 
 impl Conn for UnixStream {
-    fn try_clone_conn(&self) -> io::Result<Box<dyn Conn>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-    fn set_read_timeout_conn(&self, t: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(t)
-    }
     fn shutdown_conn(&self) {
         let _ = self.shutdown(std::net::Shutdown::Both);
     }
 }
 
 impl Conn for TcpStream {
-    fn try_clone_conn(&self) -> io::Result<Box<dyn Conn>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-    fn set_read_timeout_conn(&self, t: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(t)
-    }
     fn shutdown_conn(&self) {
         let _ = self.shutdown(std::net::Shutdown::Both);
     }
 }
 
-/// A bound, non-blocking accept source.
-pub trait Listener: Send {
-    /// Accepts one pending connection; `WouldBlock` when none is queued
-    /// (the accept loop backs off and re-polls).
+/// A bound, nonblocking accept source.
+pub trait Listener: Send + AsRawFd {
+    /// Accepts one queued connection, already nonblocking; `WouldBlock`
+    /// when none is queued (the loop polls the listener again).
     fn accept_conn(&self) -> io::Result<Box<dyn Conn>>;
-    /// A clonable handle for the acceptor thread.
-    fn try_clone_listener(&self) -> io::Result<Box<dyn Listener>>;
     /// Human-readable bound address (`unix:<path>` / `tcp://<addr>`).
     fn local_label(&self) -> String;
 }
@@ -176,13 +174,9 @@ pub trait Listener: Send {
 impl Listener for UnixListener {
     fn accept_conn(&self) -> io::Result<Box<dyn Conn>> {
         let (stream, _) = self.accept()?;
-        // The listener is non-blocking; accepted sockets start blocking
-        // with per-read timeouts applied by the reader.
-        stream.set_nonblocking(false)?;
+        // accept(2) does not pass the listener's O_NONBLOCK on.
+        stream.set_nonblocking(true)?;
         Ok(Box::new(stream))
-    }
-    fn try_clone_listener(&self) -> io::Result<Box<dyn Listener>> {
-        Ok(Box::new(self.try_clone()?))
     }
     fn local_label(&self) -> String {
         match self
@@ -199,15 +193,12 @@ impl Listener for UnixListener {
 impl Listener for TcpListener {
     fn accept_conn(&self) -> io::Result<Box<dyn Conn>> {
         let (stream, _) = self.accept()?;
-        stream.set_nonblocking(false)?;
+        stream.set_nonblocking(true)?;
         // Admission requests are latency-sensitive single frames;
         // Nagling them behind a 40 ms delayed ACK would dwarf the
         // decision latency the daemon is measured on.
         let _ = stream.set_nodelay(true);
         Ok(Box::new(stream))
-    }
-    fn try_clone_listener(&self) -> io::Result<Box<dyn Listener>> {
-        Ok(Box::new(self.try_clone()?))
     }
     fn local_label(&self) -> String {
         match self.local_addr() {
@@ -299,224 +290,340 @@ pub fn run(cfg: ServerConfig) -> io::Result<RunReport> {
     bind(cfg)?.serve()
 }
 
-/// One parsed request plus the channel its reply goes back on.
-struct WorkItem {
-    req: Request,
-    reply_tx: Sender<String>,
+/// Bytes one `read(2)` may take from a connection in one wake.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Names a connection. Ids count up and are never reused, so one that
+/// outlived its connection (a route whose client vanished) misses instead
+/// of reaching a later connection.
+type ConnId = u64;
+
+/// One connection's place in the loop.
+struct Slot {
+    conn: Box<dyn Conn>,
+    reader: FrameReader,
+    /// Encoded frames; `out[sent..]` is not written yet.
+    out: Vec<u8>,
+    sent: usize,
+    /// When a byte last moved either way.
+    last_active: Instant,
+    /// Upgraded by `Subscribe`: nothing more is read.
+    subscribed: bool,
+    /// Nothing more is read, and the connection closes once its output
+    /// is written and no reply is owed.
+    closing: bool,
+    /// Requests whose replies wait in a batch, a deferred `DropSet` or
+    /// the shutdown.
+    owed: u32,
 }
 
-/// Per-set connection-facing state, parallel to the registry: where the
-/// current batch's replies go, and who is subscribed to the set's
-/// decision stream.
+impl Slot {
+    fn new(conn: Box<dyn Conn>, now: Instant) -> Self {
+        Slot {
+            conn,
+            reader: FrameReader::new(),
+            out: Vec::new(),
+            sent: 0,
+            last_active: now,
+            subscribed: false,
+            closing: false,
+            owed: 0,
+        }
+    }
+
+    fn reads(&self) -> bool {
+        !self.subscribed && !self.closing
+    }
+
+    fn pending(&self) -> bool {
+        self.sent < self.out.len()
+    }
+
+    /// When the idle timeout reaps this connection, if it applies now: to
+    /// a subscriber only while its output is stuck.
+    fn idle_deadline(&self, idle: Duration) -> Option<Instant> {
+        if self.subscribed && !self.pending() {
+            return None;
+        }
+        self.last_active.checked_add(idle)
+    }
+
+    fn finished(&self) -> bool {
+        self.closing && !self.pending() && self.owed == 0
+    }
+
+    /// Queues one frame. One the wire cannot carry ends the connection,
+    /// as a failed write would.
+    fn push(&mut self, json: &str) {
+        if encode_frame(&mut self.out, json).is_err() {
+            self.closing = true;
+        }
+    }
+
+    fn reply(&mut self, reply: &Reply) {
+        if let Ok(json) = serde_json::to_string(reply) {
+            self.push(&json);
+        }
+    }
+
+    /// Writes queued bytes until the socket would block; `false` when
+    /// the peer is gone.
+    fn flush(&mut self, now: Instant) -> bool {
+        while self.pending() {
+            match self.conn.write(&self.out[self.sent..]) {
+                Ok(0) => return false,
+                Ok(n) => {
+                    self.sent += n;
+                    self.last_active = now;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+                Err(_) => return false,
+            }
+        }
+        self.out.clear();
+        self.sent = 0;
+        true
+    }
+}
+
+/// The live connections, in accept order.
 #[derive(Default)]
-struct SetChannels {
+struct Conns {
+    slots: BTreeMap<ConnId, Slot>,
+    next_id: ConnId,
+}
+
+impl Conns {
+    fn insert(&mut self, slot: Slot) {
+        self.slots.insert(self.next_id, slot);
+        self.next_id += 1;
+    }
+
+    fn close(&mut self, id: ConnId) {
+        if let Some(slot) = self.slots.remove(&id) {
+            slot.conn.shutdown_conn();
+        }
+    }
+
+    /// Keeps the connections `keep` holds on to and closes the rest.
+    fn retain(&mut self, mut keep: impl FnMut(&mut Slot) -> bool) {
+        self.slots.retain(|_, slot| {
+            let kept = keep(slot);
+            if !kept {
+                slot.conn.shutdown_conn();
+            }
+            kept
+        });
+    }
+
+    /// Queues `reply` to connection `to`, if it is still there.
+    fn reply(&mut self, to: ConnId, reply: &Reply) {
+        if let Some(slot) = self.slots.get_mut(&to) {
+            slot.reply(reply);
+        }
+    }
+
+    /// Notes a reply `to` will be owed until [`Conns::settle`].
+    fn owe(&mut self, to: ConnId) {
+        if let Some(slot) = self.slots.get_mut(&to) {
+            slot.owed += 1;
+        }
+    }
+
+    /// Queues a reply `to` was owed.
+    fn settle(&mut self, to: ConnId, reply: &Reply) {
+        if let Some(slot) = self.slots.get_mut(&to) {
+            slot.owed = slot.owed.saturating_sub(1);
+        }
+        self.reply(to, reply);
+    }
+
+    /// Queues a stream frame to every subscriber, forgetting those whose
+    /// connection has gone.
+    fn broadcast(&mut self, subscribers: &mut Vec<ConnId>, msg: &StreamMsg) {
+        let Ok(json) = serde_json::to_string(msg) else {
+            return;
+        };
+        subscribers.retain(|&id| match self.slots.get_mut(&id) {
+            Some(slot) => {
+                slot.push(&json);
+                true
+            }
+            None => false,
+        });
+    }
+
+    /// Says `Bye` for set `name` to its subscribers, whose connections
+    /// then close once it is written.
+    fn bye(&mut self, name: &str, mut subscribers: Vec<ConnId>) {
+        let bye = StreamMsg {
+            kind: StreamKind::Bye,
+            slot: 0,
+            set: Some(name.to_string()),
+            scheduled: None,
+            snapshot: None,
+        };
+        self.broadcast(&mut subscribers, &bye);
+        for id in subscribers {
+            if let Some(slot) = self.slots.get_mut(&id) {
+                slot.closing = true;
+            }
+        }
+    }
+}
+
+/// A set's connection-facing state, carried beside its core in the
+/// registry: where the current batch's replies go, and who is subscribed
+/// to the set's decision stream.
+#[derive(Default)]
+struct SetConns {
     /// `routes[i]` is the connection whose request became the i-th
     /// pending slot of the set's current batch (intake order) —
     /// index-aligned with `AdmissionCore::decided_order`, never keyed on
     /// client-chosen nonces, which can collide across connections.
-    routes: Vec<Sender<String>>,
-    subscribers: Vec<Sender<String>>,
+    routes: Vec<ConnId>,
+    subscribers: Vec<ConnId>,
+}
+
+/// One wake's reads from one connection, through the loop's read buffer.
+/// A fill shorter than the buffer means the socket had nothing more, so
+/// the next read past it reports `WouldBlock` without asking the kernel:
+/// a wake costs one `read(2)` per ready connection, not one per frame
+/// plus one to find the end.
+struct Inbox<'a> {
+    conn: &'a mut dyn Conn,
+    buf: &'a mut [u8],
+    start: usize,
+    end: usize,
+    drained: bool,
+    /// Whether any byte arrived.
+    moved: bool,
+}
+
+impl Read for Inbox<'_> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        if self.start == self.end {
+            if self.drained {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = self.conn.read(self.buf)?;
+            self.drained = n < self.buf.len();
+            self.moved |= n > 0;
+            (self.start, self.end) = (0, n);
+        }
+        let n = out.len().min(self.end - self.start);
+        out[..n].copy_from_slice(&self.buf[self.start..self.start + n]);
+        self.start += n;
+        Ok(n)
+    }
+}
+
+/// The earlier of two optional deadlines.
+fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
+/// An error reply carrying `msg` (a connection-level failure: no nonce).
+fn error_reply(msg: String) -> Reply {
+    let mut r = Reply::new(0, Status::Error, 0);
+    r.error = Some(msg);
+    r
+}
+
+/// Error reply for a request naming an unknown set.
+fn no_such_set(nonce: u64, set: &str) -> Reply {
+    let mut r = Reply::new(nonce, Status::Error, 0);
+    r.set = Some(set.to_string());
+    r.error = Some(format!("no such set `{set}` (create_set first)"));
+    r
+}
+
+/// Everything the loop owns besides the listener.
+struct Daemon<'a> {
+    cfg: &'a ServerConfig,
+    rec: obs::Recorder,
+    registry: SetRegistry<SetConns>,
+    conns: Conns,
+    batches: obs::Counter,
+    batched_requests: obs::Counter,
+    refused_full: obs::Counter,
+    batch_size: obs::Histogram,
+    decide_ns: obs::Timer,
+    /// The poll set, and the connection behind each entry in it.
+    fds: Vec<PollFd>,
+    polled: Vec<ConnId>,
+    buf: Vec<u8>,
+    /// Requests read this wake, in arrival order.
+    inbox: Vec<(ConnId, Request)>,
+    replies: Vec<Reply>,
+    shutdown_acks: Vec<(u64, ConnId)>,
+    /// DropSet is deferred past the batch decision so requests already
+    /// pending in the doomed set still get their replies.
+    drop_requests: Vec<(String, u64, ConnId)>,
+    shutting_down: bool,
 }
 
 fn serve(cfg: &ServerConfig, listener: &dyn Listener) -> io::Result<RunReport> {
     let rec = obs::Recorder::enabled();
-    let mut registry = SetRegistry::new(cfg.core.clone(), cfg.max_sets, &rec);
-    let batches = rec.counter("daemon.batches");
-    let batched_requests = rec.counter("daemon.requests");
-    let refused_full = rec.counter("daemon.batch_full_refusals");
-    let batch_size = rec.log2_histogram("daemon.batch_size");
-    let decide_ns = rec.timer("daemon.decide_ns");
-
-    let (work_tx, work_rx) = channel::<WorkItem>();
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let acceptor = {
-        let work_tx = work_tx.clone();
-        let listener = listener.try_clone_listener()?;
-        let stop = std::sync::Arc::clone(&stop);
-        let idle_timeout = cfg.idle_timeout;
-        // Non-blocking accept poll so shutdown never races a blocked
-        // accept(2). On WouldBlock the loop backs off exponentially
-        // (1 ms → 50 ms) instead of spinning at a fixed short period —
-        // an idle daemon burns ~20 wakeups/s, not hundreds.
-        std::thread::spawn(move || {
-            const BACKOFF_MIN: Duration = Duration::from_millis(1);
-            const BACKOFF_MAX: Duration = Duration::from_millis(50);
-            let mut backoff = BACKOFF_MIN;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                match listener.accept_conn() {
-                    Ok(conn) => {
-                        backoff = BACKOFF_MIN;
-                        spawn_connection(conn, work_tx.clone(), idle_timeout);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(BACKOFF_MAX);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => break,
-                }
-            }
-        })
+    let mut d = Daemon {
+        cfg,
+        registry: SetRegistry::new(cfg.core.clone(), cfg.max_sets, &rec),
+        conns: Conns::default(),
+        batches: rec.counter("daemon.batches"),
+        batched_requests: rec.counter("daemon.requests"),
+        refused_full: rec.counter("daemon.batch_full_refusals"),
+        batch_size: rec.log2_histogram("daemon.batch_size"),
+        decide_ns: rec.timer("daemon.decide_ns"),
+        rec,
+        fds: Vec::new(),
+        polled: Vec::new(),
+        buf: vec![0; READ_CHUNK],
+        inbox: Vec::new(),
+        replies: Vec::new(),
+        shutdown_acks: Vec::new(),
+        drop_requests: Vec::new(),
+        shutting_down: false,
     };
-    drop(work_tx);
-
     let quantum = Duration::from_micros(cfg.core.params.quantum_us.max(1));
-    let mut chans: BTreeMap<String, SetChannels> = BTreeMap::new();
-    chans.insert(
-        crate::proto::DEFAULT_SET.to_string(),
-        SetChannels::default(),
-    );
-    let mut replies: Vec<Reply> = Vec::new();
-    let mut shutdown_acks: Vec<(u64, Sender<String>)> = Vec::new();
-    // DropSet is deferred past the batch decision so requests already
-    // pending in the doomed set still get their replies.
-    let mut drop_requests: Vec<(String, u64, Sender<String>)> = Vec::new();
-    let mut shutting_down = false;
-    let mut disconnected = false;
     let mut next_edge = Instant::now() + quantum;
+    let mut listening = true;
 
-    while !shutting_down {
-        let total_pending: usize = registry.iter_mut().map(|(_, c)| c.pending_len()).sum();
-        if disconnected && total_pending == 0 {
-            break; // acceptor gone and all connections closed
+    loop {
+        if !listening && d.conns.slots.is_empty() {
+            // The listener failed and every connection has closed: decide
+            // what is still pending and stop.
+            d.shutting_down = true;
+        } else {
+            let edge = (cfg.pace == Pace::RealTime).then_some(next_edge);
+            let accept = d.wait(listening.then_some(listener), edge)?;
+            let now = Instant::now();
+            d.read_ready(now);
+            if accept {
+                listening = d.accept(listener, now);
+            }
+            let mut inbox = std::mem::take(&mut d.inbox);
+            for (from, req) in inbox.drain(..) {
+                d.intake(from, req);
+            }
+            d.inbox = inbox;
         }
-        // Returns true when the item was a shutdown request.
-        let mut intake = |item: WorkItem,
-                          registry: &mut SetRegistry,
-                          chans: &mut BTreeMap<String, SetChannels>|
-         -> bool {
-            let set_name = item.req.set_name().to_string();
-            match item.req.op {
-                Op::Join | Op::Leave | Op::Reweight => {
-                    let nonce = item.req.nonce;
-                    let Some(core) = registry.get_mut(&set_name) else {
-                        send_no_such_set(&item.reply_tx, nonce, &set_name);
-                        return false;
-                    };
-                    let slot = core.slot();
-                    if core.push_request(item.req) {
-                        chans
-                            .get_mut(&set_name)
-                            .expect("chans mirrors registry")
-                            .routes
-                            .push(item.reply_tx);
-                    } else {
-                        refused_full.add(1);
-                        let mut r = Reply::new(nonce, Status::Error, slot);
-                        r.set = Some(set_name);
-                        r.error = Some("batch full; retry next quantum".to_string());
-                        send_reply(&item.reply_tx, &r);
-                    }
-                    false
-                }
-                Op::Stats => {
-                    let Some(core) = registry.get_mut(&set_name) else {
-                        send_no_such_set(&item.reply_tx, item.req.nonce, &set_name);
-                        return false;
-                    };
-                    let mut r = Reply::new(item.req.nonce, Status::Stats, core.slot());
-                    r.task_count = Some(core.task_count() as u64);
-                    r.weight_ppm = Some(core.weight_ppm());
-                    r.set = Some(set_name);
-                    r.sets = Some(registry.names());
-                    r.snapshot = Some(rec.snapshot().to_json());
-                    send_reply(&item.reply_tx, &r);
-                    false
-                }
-                Op::Subscribe => {
-                    let Some(core) = registry.get_mut(&set_name) else {
-                        send_no_such_set(&item.reply_tx, item.req.nonce, &set_name);
-                        return false;
-                    };
-                    let mut r = Reply::new(item.req.nonce, Status::Subscribed, core.slot());
-                    r.set = Some(set_name.clone());
-                    send_reply(&item.reply_tx, &r);
-                    chans
-                        .get_mut(&set_name)
-                        .expect("chans mirrors registry")
-                        .subscribers
-                        .push(item.reply_tx);
-                    false
-                }
-                Op::CreateSet => {
-                    let nonce = item.req.nonce;
-                    let r = match item.req.set.as_deref() {
-                        None => {
-                            let mut r = Reply::new(nonce, Status::Error, 0);
-                            r.error = Some("create_set requires an explicit `set`".to_string());
-                            r
-                        }
-                        Some(name) => match registry.create(name) {
-                            Ok(()) => {
-                                chans.insert(name.to_string(), SetChannels::default());
-                                let mut r = Reply::new(nonce, Status::SetCreated, 0);
-                                r.set = Some(name.to_string());
-                                r.sets = Some(registry.names());
-                                r
-                            }
-                            Err(e) => {
-                                let mut r = Reply::new(nonce, Status::Error, 0);
-                                r.set = Some(name.to_string());
-                                r.error = Some(e);
-                                r
-                            }
-                        },
-                    };
-                    send_reply(&item.reply_tx, &r);
-                    false
-                }
-                Op::DropSet => {
-                    match item.req.set.as_deref() {
-                        None => {
-                            let mut r = Reply::new(item.req.nonce, Status::Error, 0);
-                            r.error = Some("drop_set requires an explicit `set`".to_string());
-                            send_reply(&item.reply_tx, &r);
-                        }
-                        Some(name) => {
-                            drop_requests.push((name.to_string(), item.req.nonce, item.reply_tx));
-                        }
-                    }
-                    false
-                }
-                Op::ListSets => {
-                    let mut r = Reply::new(item.req.nonce, Status::SetList, 0);
-                    r.sets = Some(registry.names());
-                    send_reply(&item.reply_tx, &r);
-                    false
-                }
-                Op::Shutdown => {
-                    shutdown_acks.push((item.req.nonce, item.reply_tx));
-                    true
-                }
-            }
+
+        // Virtual pace decides whatever arrived, at every wake. Real-time
+        // pace lets arrivals accumulate until the absolute quantum edge,
+        // so sustained traffic cannot advance slots faster than wall
+        // time; shutting down decides at once.
+        let due = match cfg.pace {
+            Pace::Virtual => true,
+            Pace::RealTime => d.shutting_down || Instant::now() >= next_edge,
         };
-        // Gather one quantum's batch. Virtual pace blocks for the first
-        // item and takes whatever else already arrived; real-time pace
-        // accumulates arrivals until the absolute quantum edge is
-        // reached, so sustained traffic cannot advance slots faster than
-        // wall time.
-        match cfg.pace {
-            Pace::Virtual => {
-                match work_rx.recv() {
-                    Ok(item) => shutting_down |= intake(item, &mut registry, &mut chans),
-                    Err(_) => disconnected = true,
-                }
-                while let Ok(item) = work_rx.try_recv() {
-                    shutting_down |= intake(item, &mut registry, &mut chans);
-                }
-            }
-            Pace::RealTime => {
-                while !shutting_down && !disconnected {
-                    let now = Instant::now();
-                    if now >= next_edge {
-                        break;
-                    }
-                    match work_rx.recv_timeout(next_edge - now) {
-                        Ok(item) => shutting_down |= intake(item, &mut registry, &mut chans),
-                        Err(RecvTimeoutError::Timeout) => break,
-                        Err(RecvTimeoutError::Disconnected) => disconnected = true,
-                    }
-                }
+        if due {
+            d.decide();
+            d.drop_sets();
+            if cfg.pace == Pace::RealTime {
                 next_edge += quantum;
                 let now = Instant::now();
                 if next_edge < now {
@@ -527,23 +634,247 @@ fn serve(cfg: &ServerConfig, listener: &dyn Listener) -> io::Result<RunReport> {
                 }
             }
         }
+        if d.shutting_down {
+            break;
+        }
+        let now = Instant::now();
+        d.reap_idle(now);
+        d.flush(now);
+    }
 
-        // Decide each set's batch independently. Virtual pace steps only
-        // the sets with pending work (plus everyone on shutdown, so
-        // final replies drain); real-time pace steps every set at every
-        // wall-clock edge.
-        for (name, core) in registry.iter_mut() {
+    // Clean shutdown: acknowledge, say goodbye to every set's
+    // subscribers, and write it all out.
+    for (nonce, to) in std::mem::take(&mut d.shutdown_acks) {
+        d.conns
+            .settle(to, &Reply::new(nonce, Status::ShuttingDown, 0));
+    }
+    for (name, _, set) in d.registry.iter_mut() {
+        d.conns.bye(name, std::mem::take(&mut set.subscribers));
+    }
+    d.drain()?;
+
+    Ok(RunReport {
+        sets: d.registry.into_reports(),
+        snapshot: d.rec.snapshot(),
+    })
+}
+
+impl Daemon<'_> {
+    /// Blocks until the listener (if given) or a connection is ready, or
+    /// until `edge` or the nearest idle deadline. Returns whether a
+    /// connection is waiting on the listener.
+    fn wait(&mut self, listener: Option<&dyn Listener>, edge: Option<Instant>) -> io::Result<bool> {
+        self.fds.clear();
+        self.polled.clear();
+        if let Some(l) = listener {
+            self.fds.push(PollFd::new(l.as_raw_fd(), POLLIN));
+        }
+        let mut wake = edge;
+        for (&id, slot) in &self.conns.slots {
+            let read = if slot.reads() { POLLIN } else { 0 };
+            let write = if slot.pending() { POLLOUT } else { 0 };
+            self.fds
+                .push(PollFd::new(slot.conn.as_raw_fd(), read | write));
+            self.polled.push(id);
+            wake = earliest(wake, slot.idle_deadline(self.cfg.idle_timeout));
+        }
+        let timeout = wake.map(|at| at.saturating_duration_since(Instant::now()));
+        poll::wait(&mut self.fds, timeout)?;
+        Ok(listener.is_some() && self.fds.first().is_some_and(|f| f.revents() != 0))
+    }
+
+    /// Reads from every connection the last [`wait`](Self::wait) found
+    /// readable. One that is no longer read from closes when its peer
+    /// hangs up.
+    fn read_ready(&mut self, now: Instant) {
+        let skip = self.fds.len() - self.polled.len();
+        for k in 0..self.polled.len() {
+            let revents = self.fds[skip + k].revents();
+            if revents & (POLLIN | POLLHUP | POLLERR) != 0 {
+                self.read(self.polled[k], revents, now);
+            }
+        }
+    }
+
+    /// Reads every frame connection `id` has ready into the inbox. A
+    /// malformed or unparsable frame is answered best-effort and closes
+    /// this connection only; EOF or a read error just ends it. `Subscribe`
+    /// stops the reading: the connection is write-only from then on.
+    fn read(&mut self, id: ConnId, revents: c_short, now: Instant) {
+        let Some(slot) = self.conns.slots.get_mut(&id) else {
+            return;
+        };
+        if !slot.reads() {
+            if revents & (POLLHUP | POLLERR) != 0 {
+                self.conns.close(id);
+            }
+            return;
+        }
+        let mut src = Inbox {
+            conn: &mut *slot.conn,
+            buf: &mut self.buf,
+            start: 0,
+            end: 0,
+            drained: false,
+            moved: false,
+        };
+        let failure = loop {
+            match slot.reader.poll(&mut src) {
+                Ok(Some(frame)) => match serde_json::from_str::<Request>(&frame) {
+                    Ok(req) => {
+                        let subscribe = req.op == Op::Subscribe;
+                        self.inbox.push((id, req));
+                        if subscribe {
+                            slot.subscribed = true;
+                            break None;
+                        }
+                    }
+                    Err(e) => break Some(format!("unparsable request: {e}")),
+                },
+                Ok(None) => break None,
+                Err(FrameError::Malformed(m)) => break Some(format!("malformed frame: {m}")),
+                Err(_) => {
+                    // Closed, Disconnected or a hard I/O error.
+                    slot.closing = true;
+                    break None;
+                }
+            }
+        };
+        if src.moved {
+            slot.last_active = now;
+        }
+        if let Some(msg) = failure {
+            slot.closing = true;
+            slot.reply(&error_reply(msg));
+        }
+    }
+
+    /// Accepts every queued connection; `false` once the listener has
+    /// failed (connections already open are still served).
+    fn accept(&mut self, listener: &dyn Listener, now: Instant) -> bool {
+        loop {
+            match listener.accept_conn() {
+                Ok(conn) => self.conns.insert(Slot::new(conn, now)),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        }
+    }
+
+    /// Takes one request from connection `from`: queues it into its
+    /// set's batch, or answers it on the spot.
+    fn intake(&mut self, from: ConnId, req: Request) {
+        let set_name = req.set_name().to_string();
+        match req.op {
+            Op::Join | Op::Leave | Op::Reweight => {
+                let nonce = req.nonce;
+                let Some((core, set)) = self.registry.get_mut(&set_name) else {
+                    return self.conns.reply(from, &no_such_set(nonce, &set_name));
+                };
+                let slot = core.slot();
+                if core.push_request(req) {
+                    set.routes.push(from);
+                    self.conns.owe(from);
+                } else {
+                    self.refused_full.add(1);
+                    let mut r = Reply::new(nonce, Status::Error, slot);
+                    r.set = Some(set_name);
+                    r.error = Some("batch full; retry next quantum".to_string());
+                    self.conns.reply(from, &r);
+                }
+            }
+            Op::Stats => {
+                let Some((core, _)) = self.registry.get_mut(&set_name) else {
+                    return self.conns.reply(from, &no_such_set(req.nonce, &set_name));
+                };
+                let mut r = Reply::new(req.nonce, Status::Stats, core.slot());
+                r.task_count = Some(core.task_count() as u64);
+                r.weight_ppm = Some(core.weight_ppm());
+                r.set = Some(set_name);
+                r.sets = Some(self.registry.names());
+                r.snapshot = Some(self.rec.snapshot().to_json());
+                self.conns.reply(from, &r);
+            }
+            Op::Subscribe => {
+                let Some((core, set)) = self.registry.get_mut(&set_name) else {
+                    // Nothing is read after a subscribe: refused, the
+                    // connection has no further use.
+                    self.conns.reply(from, &no_such_set(req.nonce, &set_name));
+                    if let Some(slot) = self.conns.slots.get_mut(&from) {
+                        slot.closing = true;
+                    }
+                    return;
+                };
+                let mut r = Reply::new(req.nonce, Status::Subscribed, core.slot());
+                r.set = Some(set_name);
+                self.conns.reply(from, &r);
+                set.subscribers.push(from);
+            }
+            Op::CreateSet => {
+                let nonce = req.nonce;
+                let r = match req.set.as_deref() {
+                    None => {
+                        let mut r = Reply::new(nonce, Status::Error, 0);
+                        r.error = Some("create_set requires an explicit `set`".to_string());
+                        r
+                    }
+                    Some(name) => match self.registry.create(name) {
+                        Ok(()) => {
+                            let mut r = Reply::new(nonce, Status::SetCreated, 0);
+                            r.set = Some(name.to_string());
+                            r.sets = Some(self.registry.names());
+                            r
+                        }
+                        Err(e) => {
+                            let mut r = Reply::new(nonce, Status::Error, 0);
+                            r.set = Some(name.to_string());
+                            r.error = Some(e);
+                            r
+                        }
+                    },
+                };
+                self.conns.reply(from, &r);
+            }
+            Op::DropSet => match req.set {
+                None => {
+                    let mut r = Reply::new(req.nonce, Status::Error, 0);
+                    r.error = Some("drop_set requires an explicit `set`".to_string());
+                    self.conns.reply(from, &r);
+                }
+                Some(name) => {
+                    self.drop_requests.push((name, req.nonce, from));
+                    self.conns.owe(from);
+                }
+            },
+            Op::ListSets => {
+                let mut r = Reply::new(req.nonce, Status::SetList, 0);
+                r.sets = Some(self.registry.names());
+                self.conns.reply(from, &r);
+            }
+            Op::Shutdown => {
+                self.shutdown_acks.push((req.nonce, from));
+                self.conns.owe(from);
+                self.shutting_down = true;
+            }
+        }
+    }
+
+    /// Decides each set's batch independently. Virtual pace steps only
+    /// the sets with pending work; real-time pace steps every set at
+    /// every wall-clock edge.
+    fn decide(&mut self) {
+        for (name, core, set) in self.registry.iter_mut() {
             let pending = core.pending_len();
-            if pending == 0 && cfg.pace == Pace::Virtual {
+            if pending == 0 && self.cfg.pace == Pace::Virtual {
                 continue;
             }
-            let ch = chans.get_mut(name).expect("chans mirrors registry");
-            batches.add(1);
-            batched_requests.add(pending as u64);
-            batch_size.record(pending as u64);
-            replies.clear();
-            let span = decide_ns.start();
-            let decided_at = core.decide_batch(&mut replies);
+            self.batches.add(1);
+            self.batched_requests.add(pending as u64);
+            self.batch_size.record(pending as u64);
+            self.replies.clear();
+            let span = self.decide_ns.start();
+            let decided_at = core.decide_batch(&mut self.replies);
             drop(span);
 
             // Replies come back in canonical order; `decided_order()[k]`
@@ -553,17 +884,17 @@ fn serve(cfg: &ServerConfig, listener: &dyn Listener) -> io::Result<RunReport> {
             // two clients with colliding nonces in one batch each still
             // get their own reply.
             let order = core.decided_order();
-            debug_assert_eq!(order.len(), replies.len());
-            for (k, reply) in replies.iter_mut().enumerate() {
-                if let Some(tx) = order.get(k).and_then(|&i| ch.routes.get(i as usize)) {
+            debug_assert_eq!(order.len(), self.replies.len());
+            for (reply, &i) in self.replies.iter_mut().zip(order) {
+                if let Some(&to) = set.routes.get(i as usize) {
                     reply.set = Some(name.to_string());
-                    send_reply(tx, reply);
+                    self.conns.settle(to, reply);
                 }
             }
-            ch.routes.clear();
+            set.routes.clear();
 
             // Stream the set's decision (and periodic snapshots).
-            if !ch.subscribers.is_empty() {
+            if !set.subscribers.is_empty() {
                 let msg = StreamMsg {
                     kind: StreamKind::Decision,
                     slot: decided_at,
@@ -571,196 +902,92 @@ fn serve(cfg: &ServerConfig, listener: &dyn Listener) -> io::Result<RunReport> {
                     scheduled: Some(core.last_chosen().iter().map(|id| id.0).collect()),
                     snapshot: None,
                 };
-                broadcast(&mut ch.subscribers, &msg);
-                if cfg.snapshot_every > 0 && decided_at % cfg.snapshot_every == 0 {
+                self.conns.broadcast(&mut set.subscribers, &msg);
+                if self.cfg.snapshot_every > 0 && decided_at % self.cfg.snapshot_every == 0 {
                     let msg = StreamMsg {
                         kind: StreamKind::Snapshot,
                         slot: decided_at,
                         set: Some(name.to_string()),
                         scheduled: None,
-                        snapshot: Some(rec.snapshot().to_json()),
+                        snapshot: Some(self.rec.snapshot().to_json()),
                     };
-                    broadcast(&mut ch.subscribers, &msg);
+                    self.conns.broadcast(&mut set.subscribers, &msg);
                 }
             }
         }
+    }
 
-        // Deferred set drops: the doomed set's batch was just decided,
-        // so every pending reply has been routed. Subscribers of the
-        // dropped set get a Bye.
-        for (name, nonce, tx) in drop_requests.drain(..) {
-            match registry.drop_set(&name) {
-                Ok(()) => {
-                    if let Some(mut ch) = chans.remove(&name) {
-                        let bye = StreamMsg {
-                            kind: StreamKind::Bye,
-                            slot: 0,
-                            set: Some(name.clone()),
-                            scheduled: None,
-                            snapshot: None,
-                        };
-                        broadcast(&mut ch.subscribers, &bye);
-                    }
+    /// Deferred set drops: the doomed set's batch was just decided, so
+    /// every pending reply has been routed. Subscribers of the dropped
+    /// set get a `Bye`.
+    fn drop_sets(&mut self) {
+        for (name, nonce, from) in self.drop_requests.drain(..) {
+            let r = match self.registry.drop_set(&name) {
+                Ok(set) => {
+                    self.conns.bye(&name, set.subscribers);
                     let mut r = Reply::new(nonce, Status::SetDropped, 0);
                     r.set = Some(name);
-                    r.sets = Some(registry.names());
-                    send_reply(&tx, &r);
+                    r.sets = Some(self.registry.names());
+                    r
                 }
                 Err(e) => {
                     let mut r = Reply::new(nonce, Status::Error, 0);
                     r.set = Some(name);
                     r.error = Some(e);
-                    send_reply(&tx, &r);
+                    r
                 }
-            }
+            };
+            self.conns.settle(from, &r);
         }
     }
 
-    // Clean shutdown: acknowledge, say goodbye to every set's
-    // subscribers, stop the acceptor.
-    for (nonce, tx) in shutdown_acks.drain(..) {
-        send_reply(&tx, &Reply::new(nonce, Status::ShuttingDown, 0));
+    /// Applies the idle timeout. A connection that was read from is told
+    /// why and closed once that is written; one that moved no byte of its
+    /// queued output, or was closing or write-only anyway, is dropped.
+    fn reap_idle(&mut self, now: Instant) {
+        let idle = self.cfg.idle_timeout;
+        self.conns.retain(|slot| {
+            match slot.idle_deadline(idle) {
+                Some(deadline) if deadline <= now => {}
+                _ => return true,
+            }
+            if !slot.reads() || slot.pending() {
+                return false;
+            }
+            slot.closing = true;
+            let msg = if slot.reader.mid_frame() {
+                "connection stalled mid-frame; closing"
+            } else {
+                "connection idle too long; closing"
+            };
+            slot.reply(&error_reply(msg.to_string()));
+            true
+        });
     }
-    for (name, ch) in chans.iter_mut() {
-        let bye = StreamMsg {
-            kind: StreamKind::Bye,
-            slot: 0,
-            set: Some(name.clone()),
-            scheduled: None,
-            snapshot: None,
-        };
-        broadcast(&mut ch.subscribers, &bye);
-        ch.subscribers.clear();
+
+    /// Writes every connection's queued bytes, and closes the
+    /// connections that are done or whose peer has gone.
+    fn flush(&mut self, now: Instant) {
+        self.conns
+            .retain(|slot| slot.flush(now) && !slot.finished());
     }
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let _ = acceptor.join();
 
-    Ok(RunReport {
-        sets: registry.into_reports(),
-        snapshot: rec.snapshot(),
-    })
-}
-
-/// Serializes and sends one reply; delivery failure means the client is
-/// gone, which is not the daemon's problem.
-fn send_reply(tx: &Sender<String>, reply: &Reply) {
-    if let Ok(json) = serde_json::to_string(reply) {
-        let _ = tx.send(json);
-    }
-}
-
-/// Error reply for a request naming an unknown set.
-fn send_no_such_set(tx: &Sender<String>, nonce: u64, set: &str) {
-    let mut r = Reply::new(nonce, Status::Error, 0);
-    r.set = Some(set.to_string());
-    r.error = Some(format!("no such set `{set}` (create_set first)"));
-    send_reply(tx, &r);
-}
-
-/// Broadcasts a stream frame, dropping subscribers whose connection died.
-fn broadcast(subscribers: &mut Vec<Sender<String>>, msg: &StreamMsg) {
-    let Ok(json) = serde_json::to_string(msg) else {
-        return;
-    };
-    subscribers.retain(|tx| tx.send(json.clone()).is_ok());
-}
-
-/// Spawns the reader + writer threads for one accepted connection.
-fn spawn_connection(conn: Box<dyn Conn>, work_tx: Sender<WorkItem>, idle_timeout: Duration) {
-    let Ok(write_half) = conn.try_clone_conn() else {
-        return;
-    };
-    let (reply_tx, reply_rx) = channel::<String>();
-    std::thread::spawn(move || writer_loop(write_half, reply_rx));
-    std::thread::spawn(move || reader_loop(conn, work_tx, reply_tx, idle_timeout));
-}
-
-/// Forwards reply/stream frames to the socket until the channel closes
-/// (all senders dropped) or the peer disappears.
-fn writer_loop(mut conn: Box<dyn Conn>, reply_rx: Receiver<String>) {
-    for json in reply_rx {
-        if write_frame(&mut conn, &json).is_err() {
-            break;
+    /// Shutdown: reads nothing more, and writes what is queued until
+    /// every peer has taken its bytes, has gone, or has taken none for
+    /// the idle timeout.
+    fn drain(&mut self) -> io::Result<()> {
+        for slot in self.conns.slots.values_mut() {
+            slot.closing = true;
         }
-    }
-    conn.shutdown_conn();
-}
-
-/// Parses request frames and forwards them to the batch loop.
-///
-/// Reads are sliced by a short socket timeout so the loop can track how
-/// long the peer has been silent; a connection idle (or stalled
-/// mid-frame) past `idle_timeout` is shut down — a half-open TCP peer
-/// costs one reader thread for at most the timeout, never forever. A
-/// malformed frame (oversized length prefix, non-UTF-8 payload) is
-/// answered best-effort and closes *this* connection only; EOF just ends
-/// it. A `Subscribe` upgrade ends the reader too: the connection becomes
-/// write-only and its liveness is policed by stream-write failures.
-///
-/// The reader never shuts the socket down itself: exiting drops its
-/// reply sender, the writer drains whatever is still queued (the
-/// best-effort error reply included), and the *writer* closes the
-/// connection — otherwise the close races the final frame.
-fn reader_loop(
-    mut conn: Box<dyn Conn>,
-    work_tx: Sender<WorkItem>,
-    reply_tx: Sender<String>,
-    idle_timeout: Duration,
-) {
-    const SLICE: Duration = Duration::from_millis(100);
-    if conn.set_read_timeout_conn(Some(SLICE)).is_err() {
-        return;
-    }
-    let mut reader = FrameReader::new();
-    let mut silent = Duration::ZERO;
-    loop {
-        match reader.poll(&mut conn) {
-            Ok(Some(frame)) => {
-                silent = Duration::ZERO;
-                let req: Request = match serde_json::from_str(&frame) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        let mut r = Reply::new(0, Status::Error, 0);
-                        r.error = Some(format!("unparsable request: {e}"));
-                        send_reply(&reply_tx, &r);
-                        break;
-                    }
-                };
-                let subscribe = req.op == Op::Subscribe;
-                let item = WorkItem {
-                    req,
-                    reply_tx: reply_tx.clone(),
-                };
-                if work_tx.send(item).is_err() {
-                    break; // batch loop has shut down
-                }
-                if subscribe {
-                    // Write-only from here on; do NOT shut the socket
-                    // down — the writer owns it now.
-                    return;
-                }
+        loop {
+            let now = Instant::now();
+            self.flush(now);
+            self.reap_idle(now);
+            if self.conns.slots.is_empty() {
+                return Ok(());
             }
-            Ok(None) => {
-                // A would-block slice elapsed with no progress.
-                silent += SLICE;
-                if silent >= idle_timeout {
-                    let mut r = Reply::new(0, Status::Error, 0);
-                    r.error = Some(if reader.mid_frame() {
-                        "connection stalled mid-frame; closing".to_string()
-                    } else {
-                        "connection idle too long; closing".to_string()
-                    });
-                    send_reply(&reply_tx, &r);
-                    break;
-                }
-            }
-            Err(FrameError::Malformed(m)) => {
-                let mut r = Reply::new(0, Status::Error, 0);
-                r.error = Some(format!("malformed frame: {m}"));
-                send_reply(&reply_tx, &r);
-                break;
-            }
-            Err(_) => break, // Closed / Disconnected / hard I/O error
+            self.wait(None, None)?;
+            self.read_ready(Instant::now());
         }
     }
 }

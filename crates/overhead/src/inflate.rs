@@ -228,6 +228,16 @@ fn sum_fits(approx: f64, n: usize, m: u32, exact: impl FnOnce() -> WeightSum) ->
     }
 }
 
+/// Where the M-search starts: a lower bound on the exact ceiling of the
+/// raw utilisation, whose `f64` sum `raw` of `n` quotients can lie above
+/// the exact sum by up to `n·raw·2⁻⁵³`. Nine tasks of 1/9 sum to
+/// 1.0000000000000002 in `f64`; starting at its ceiling would skip the
+/// exact answer, 1. A start one below the true ceiling costs one
+/// candidate that [`sum_fits`] refuses.
+fn first_candidate(raw: f64, n: usize) -> u32 {
+    ((raw - n as f64 * raw * f64::EPSILON).ceil() as u32).max(1)
+}
+
 /// Minimum processors PD² needs for a task set under Equation (3),
 /// including the `M`-dependence of `S_PD²` (more processors → costlier
 /// invocations → heavier inflation): the smallest `M` with
@@ -267,7 +277,7 @@ pub fn pd2_processors_required(
     // pass run, no machine up to `max_m` was even a candidate.
     let mut pass = Err(no_capacity);
     let mut pass_s_bits = None;
-    for m in (raw.ceil() as u32).max(1)..=max_m {
+    for m in first_candidate(raw, n)..=max_m {
         let s_us = params.sched.pd2_us(m, n);
         if pass_s_bits != Some(s_us.to_bits()) {
             pass = match pd2_weight_sum_f64(tasks, params, d_us, s_us) {
@@ -444,7 +454,7 @@ mod tests {
             return Ok(0);
         }
         let raw: f64 = tasks.iter().map(PhysTask::utilization).sum();
-        let mut m = (raw.ceil() as u32).max(1);
+        let mut m = first_candidate(raw, n);
         let mut overload = None;
         while m <= max_m {
             let mut total = WeightSum::new();
@@ -518,9 +528,8 @@ mod tests {
 
     /// [`OverheadParams::zero`] at the paper's 1 ms quantum: nothing is
     /// charged, but costs still round up to whole quanta. (At `zero()`'s
-    /// own 1 µs quantum the raw and inflated sums are one number, and the
-    /// search starts from the raw sum's `f64` ceiling — past the `M` a
-    /// boundary set is about.)
+    /// own 1 µs quantum the raw and inflated sums are one number; see
+    /// `processors_required_starts_at_the_exact_ceiling`.)
     fn free_at_1ms() -> OverheadParams {
         OverheadParams {
             quantum_us: 1_000,
@@ -576,6 +585,26 @@ mod tests {
             pd2_processors_required(&tasks, &params(), &[33.3; 10], 4),
             Ok(1)
         );
+    }
+
+    #[test]
+    fn processors_required_starts_at_the_exact_ceiling() {
+        // At `zero()`'s 1 µs quantum nothing rounds: the raw weights are
+        // the inflated ones. Nine tasks of 1/9 sum to exactly 1, but to
+        // 1.0000000000000002 in f64, whose ceiling is 2 — a search that
+        // started there answered 2.
+        let tasks = vec![PhysTask::new(1, 9); 9];
+        let raw: f64 = tasks.iter().map(PhysTask::utilization).sum();
+        assert_eq!(raw.ceil(), 2.0, "f64 raw sum {raw:e} rounds above 1");
+        let zero = OverheadParams::zero();
+        assert_eq!(pd2_processors_required(&tasks, &zero, &[0.0; 9], 4), Ok(1));
+        assert_eq!(
+            naive_processors_required(&tasks, &zero, &[0.0; 9], 4),
+            Ok(1)
+        );
+        // An integer raw sum that f64 carries exactly still starts there.
+        assert_eq!(first_candidate(3.0, 9), 3);
+        assert_eq!(first_candidate(0.25, 1), 1);
     }
 
     #[test]

@@ -521,6 +521,44 @@ fn cpu_ticks(pid: u32) -> u64 {
     fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap()
 }
 
+/// Threads in a process, per `/proc/<pid>/task`.
+#[cfg(target_os = "linux")]
+fn thread_count(pid: u32) -> usize {
+    std::fs::read_dir(format!("/proc/{pid}/task"))
+        .expect("read /proc task dir")
+        .count()
+}
+
+/// One event loop serves every connection: eight idle clients cost the
+/// daemon no thread more than one client does. (It used to spawn a
+/// reader and a writer thread per connection.)
+#[cfg(target_os = "linux")]
+#[test]
+fn daemon_threads_do_not_grow_with_connections() {
+    let (socket, _) = scratch("threads");
+    std::fs::remove_file(&socket).ok();
+    let mut child = spawn_admitd(&socket, &["--no-trace"]);
+    let mut first = connect(&socket);
+    first.stats().expect("daemon is up");
+    let with_one = thread_count(child.id());
+
+    // A round trip on each new connection proves the daemon accepted it;
+    // then all eight sit idle while the threads are counted.
+    let mut more: Vec<DaemonClient> = (1..8).map(|_| connect(&socket)).collect();
+    for c in &mut more {
+        c.list_sets().expect("the new connection is served");
+    }
+    let with_eight = thread_count(child.id());
+    assert_eq!(
+        with_eight, with_one,
+        "admitd runs {with_one} thread(s) for one client but {with_eight} for eight"
+    );
+
+    first.shutdown().expect("shutdown");
+    assert!(child.wait().expect("exit").success());
+    std::fs::remove_file(&socket).ok();
+}
+
 /// The accept loop must back off while idle instead of busy-spinning:
 /// one second of idle daemon may cost at most a few CPU ticks.
 #[cfg(target_os = "linux")]
@@ -536,8 +574,8 @@ fn accept_loop_idles_without_busy_spin() {
     std::thread::sleep(Duration::from_millis(1_000));
     let spent = cpu_ticks(child.id()) - before;
     // A busy-spinning accept loop burns ~a full core (≈100 ticks/s at
-    // the usual 100 Hz); the backed-off poll plus one connection's
-    // 100 ms read slices should be well under 25.
+    // the usual 100 Hz); an idle event loop sleeps in `ppoll` until the
+    // idle timeout and should be well under 25.
     assert!(
         spent <= 25,
         "idle daemon burned {spent} CPU ticks in 1 s — accept loop is busy-spinning"
