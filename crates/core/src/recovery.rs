@@ -68,12 +68,7 @@ impl LagWatchdog {
         false
     }
 
-    /// Whether the watchdog is currently tripped.
-    pub fn is_tripped(&self) -> bool {
-        self.tripped_at.is_some()
-    }
-
-    /// Slot at which the watchdog last tripped.
+    /// Slot at which the watchdog last tripped, while it is tripped.
     pub fn tripped_at(&self) -> Option<Slot> {
         self.tripped_at
     }
@@ -127,13 +122,12 @@ mod tests {
         assert!(!wd.observe(3, 5.0));
         assert!(!wd.observe(4, 5.0));
         assert!(wd.observe(5, 5.0)); // third consecutive slot trips
-        assert!(wd.is_tripped());
         assert_eq!(wd.tripped_at(), Some(5));
         assert_eq!(wd.trips(), 1);
         // Already tripped: further observations do not re-trip.
         assert!(!wd.observe(6, 9.0));
         wd.reset();
-        assert!(!wd.is_tripped());
+        assert_eq!(wd.tripped_at(), None);
         assert_eq!(wd.trips(), 1);
     }
 

@@ -644,7 +644,7 @@ pub struct PfairScheduler<D: DelayModel = NoDelay> {
     calendar: ReleaseCalendar,
     /// Eligible subtasks ordered by packed priority key (event-driven core
     /// only). A binary min-heap, the structure the paper measured (§4);
-    /// `pfair-bench`'s `queue_ablation` times the alternatives.
+    /// EXPERIMENTS.md E20 records how the alternatives compared.
     ready: BinaryHeap<Reverse<ReadyEntry>>,
     /// Eligible subtasks whose priority fields do not fit the packed key
     /// (`(id, gen)` pairs): kept out of the heap and merged in with the

@@ -25,12 +25,8 @@ pub const PAPER_PROC_COUNTS: [u32; 4] = [2, 4, 8, 16];
 
 /// Measures the mean per-invocation cost (µs) of the EDF scheduler on one
 /// processor: `sets` random task sets of `n` tasks with total utilization
-/// just under 1, each simulated for `horizon_us`.
-pub fn measure_edf(n: usize, sets: usize, horizon_us: u64, seed: u64) -> Welford {
-    measure_edf_observed(n, sets, horizon_us, seed, &obs::Recorder::disabled())
-}
-
-/// [`measure_edf`] with per-set wall-time telemetry in `rec`.
+/// just under 1, each simulated for `horizon_us`, with per-set wall-time
+/// telemetry in `rec`.
 ///
 /// The telemetry is sampled *outside* the measured region: the measured
 /// duration is recorded into the `fig2.edf_set_ns` histogram after the
@@ -92,13 +88,9 @@ fn pd2_workload(n: usize, m: u32, seed: u64) -> pfair_model::TaskSet {
 
 /// Measures the mean per-invocation (= per-slot) cost (µs) of the PD²
 /// scheduler on `m` processors: `sets` random task sets of `n` tasks with
-/// total weight ≈ 0.9·min(n, m), simulated for `horizon_slots` quanta.
-pub fn measure_pd2(n: usize, m: u32, sets: usize, horizon_slots: u64, seed: u64) -> Welford {
-    measure_pd2_observed(n, m, sets, horizon_slots, seed, &obs::Recorder::disabled())
-}
-
-/// [`measure_pd2`] with telemetry in `rec`: per-set wall time plus the
-/// scheduler's own tick counters.
+/// total weight ≈ 0.9·min(n, m), simulated for `horizon_slots` quanta,
+/// with telemetry in `rec`: per-set wall time plus the scheduler's own
+/// tick counters.
 ///
 /// The timed loop always runs an *uninstrumented* scheduler — a recorder
 /// on the hot path would read the clock every tick and inflate the
@@ -149,7 +141,7 @@ mod tests {
 
     #[test]
     fn edf_measurement_produces_samples() {
-        let w = measure_edf(20, 3, 100_000, 1);
+        let w = measure_edf_observed(20, 3, 100_000, 1, &obs::Recorder::disabled());
         assert_eq!(w.count(), 3);
         assert!(w.mean() > 0.0);
         assert!(w.mean() < 1_000.0, "per-invocation cost is sub-millisecond");
@@ -157,7 +149,7 @@ mod tests {
 
     #[test]
     fn pd2_measurement_produces_samples() {
-        let w = measure_pd2(20, 2, 3, 2_000, 1);
+        let w = measure_pd2_observed(20, 2, 3, 2_000, 1, &obs::Recorder::disabled());
         assert!(w.count() >= 1);
         assert!(w.mean() > 0.0);
         assert!(w.mean() < 10_000.0);

@@ -28,10 +28,13 @@ pub struct QuantumPoint {
 pub const QUANTUM_SWEEP_US: [u64; 7] = [100, 250, 500, 1_000, 2_000, 5_000, 10_000];
 
 /// Computes one quantum-size point over `sets` random task sets of `n`
-/// tasks at the given total utilization. Every set's generator and delay
-/// draws derive from `(seed, set index)` alone, so a point's statistics
-/// are independent of which other points run around it, or on which
-/// worker — the property `SweepDriver`'s thread-count determinism needs.
+/// tasks at the given total utilization. Periods are generated as
+/// multiples of 10 ms so every quantum in [`QUANTUM_SWEEP_US`] divides
+/// them. Every set's generator and delay draws derive from
+/// `(seed, set index)` alone, so the points of one sweep differ only in
+/// the quantum, and a point's statistics are independent of which other
+/// points run around it, or on which worker — the property
+/// `SweepDriver`'s thread-count determinism needs.
 pub fn run_quantum_point(
     n: usize,
     total_util: f64,
@@ -65,31 +68,21 @@ pub fn run_quantum_point(
     point
 }
 
-/// Sweeps quantum sizes for `sets` random task sets of `n` tasks at the
-/// given total utilization. Periods are generated as multiples of 10 ms so
-/// every quantum in [`QUANTUM_SWEEP_US`] divides them. Sets (and their
-/// cache-delay draws) are shared across quantum sizes, so the points
-/// differ only in the quantum.
-pub fn run_quantum_sweep(
-    n: usize,
-    total_util: f64,
-    sets: usize,
-    seed: u64,
-    base: &OverheadParams,
-) -> Vec<QuantumPoint> {
-    QUANTUM_SWEEP_US
-        .iter()
-        .map(|&q| run_quantum_point(n, total_util, sets, seed, base, q))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn sweep(n: usize, total_util: f64, sets: usize, seed: u64) -> Vec<QuantumPoint> {
+        let base = OverheadParams::paper2003();
+        QUANTUM_SWEEP_US
+            .iter()
+            .map(|&q| run_quantum_point(n, total_util, sets, seed, &base, q))
+            .collect()
+    }
+
     #[test]
     fn sweep_produces_all_points() {
-        let pts = run_quantum_sweep(10, 2.0, 3, 5, &OverheadParams::paper2003());
+        let pts = sweep(10, 2.0, 3, 5);
         assert_eq!(pts.len(), QUANTUM_SWEEP_US.len());
         for p in &pts {
             assert_eq!(p.pd2_procs.count() as usize + p.failures, 3);
@@ -101,7 +94,7 @@ mod tests {
         // U-shaped curve: very small quanta pay overhead, very large pay
         // rounding. The 1 ms middle should need no more processors than
         // both extremes (averaged over sets).
-        let pts = run_quantum_sweep(20, 5.0, 5, 11, &OverheadParams::paper2003());
+        let pts = sweep(20, 5.0, 5, 11);
         let by_q = |q: u64| {
             pts.iter()
                 .find(|p| p.quantum_us == q)

@@ -237,7 +237,9 @@ pub fn score(set: &TournamentSet, scheme: Scheme, m: u32, horizon: u64) -> SetSc
             }
         }
         Scheme::GlobalEdf => {
-            out.accepted = exact_gedf_schedulable(&set.pairs, m);
+            // `PERIOD_GRID` periods keep the hyperperiod ≤ 720, so only a
+            // hand-built set can reach `Err`; it scores as not accepted.
+            out.accepted = exact_gedf_schedulable(&set.pairs, m) == Ok(true);
             out.gfb_bound = Some(gedf_utilization_bound_schedulable(&set.pairs, m));
             if out.accepted {
                 let tasks = TaskSet::from_pairs(set.pairs.iter().copied())
@@ -335,6 +337,25 @@ mod tests {
         let relaxed = score(&set, Scheme::GlobalEdf, 3, 720);
         assert!(relaxed.accepted);
         assert!(relaxed.preemptions.is_some());
+    }
+
+    #[test]
+    fn global_edf_scores_hyperperiod_overflow_as_rejected() {
+        // Periods are the 16 primes 2..=53: lcm ≈ 3.3·10¹⁹ > u64::MAX.
+        let primes = [
+            2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+        ];
+        let set = TournamentSet {
+            pairs: primes.iter().map(|&p| (1, p)).collect(),
+            phys: primes
+                .iter()
+                .map(|&p| PhysTask::new(QUANTUM_US, p * QUANTUM_US))
+                .collect(),
+            cache_d_us: vec![10.0; primes.len()],
+        };
+        let s = score(&set, Scheme::GlobalEdf, 4, 720);
+        assert!(!s.accepted);
+        assert!(s.gfb_bound.is_some());
     }
 
     #[test]

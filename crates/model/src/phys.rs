@@ -102,11 +102,6 @@ impl PhysTask {
         Rat::new(self.wcet_us as i128, self.period_us as i128)
     }
 
-    /// True iff the task cannot meet its deadline even alone on a processor.
-    pub fn is_overloaded(&self) -> bool {
-        self.wcet_us > self.period_us
-    }
-
     /// Converts to a quantum-domain [`Task`]: execution rounds **up** to
     /// `⌈wcet/q⌉` quanta, the period must divide evenly into `period/q`
     /// quanta.
@@ -231,7 +226,6 @@ mod tests {
     fn overload_after_rounding_rejected() {
         // 1.2 ms of work per 1 ms period can never fit.
         let t = PhysTask::new(1_200, 1_000);
-        assert!(t.is_overloaded());
         assert!(matches!(
             t.to_quantum_task(1_000),
             Err(QuantumError::Invalid(_))

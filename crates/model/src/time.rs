@@ -70,11 +70,6 @@ impl Window {
     pub fn overlaps(&self, other: &Window) -> bool {
         self.release < other.deadline && other.release < self.deadline
     }
-
-    /// Last slot belonging to the window (`deadline − 1`).
-    pub fn last_slot(&self) -> Slot {
-        self.deadline - 1
-    }
 }
 
 #[cfg(test)]
@@ -85,7 +80,6 @@ mod tests {
     fn basic_geometry() {
         let w = Window::new(3, 6);
         assert_eq!(w.len(), 3);
-        assert_eq!(w.last_slot(), 5);
         assert!(!w.is_empty());
         assert!(w.contains(3));
         assert!(w.contains(5));

@@ -84,13 +84,9 @@ pub fn gedf_utilization_bound_schedulable(tasks: &[(u64, u64)], m: u32) -> bool 
 /// [`GlobalEdfSim`](crate::GlobalEdfSim); since EDF's miss-free property
 /// does not depend on the tie-break, the verdict is tie-break-independent.
 ///
-/// The empty set is vacuously schedulable, a task with `exec > period` is
-/// trivially not, and the hyperperiod must fit in `u64` — use
-/// [`try_exact_gedf_schedulable`] to handle overflow without panicking.
-///
-/// # Panics
-///
-/// Panics if the hyperperiod overflows `u64` or a period is zero.
+/// The empty set is vacuously schedulable and a task with `exec > period`
+/// is trivially not. A hyperperiod that overflows `u64`, or a zero
+/// period, is reported as `Err(HyperperiodOverflow)`.
 ///
 /// # Examples
 ///
@@ -100,20 +96,11 @@ pub fn gedf_utilization_bound_schedulable(tasks: &[(u64, u64)], m: u32) -> bool 
 /// use sched_sim::exact_gedf::exact_gedf_schedulable;
 ///
 /// // Two light (1, 9) tasks + one weight-1 (10, 10) task: U ≈ 1.22 ≤ 2.
-/// assert!(!exact_gedf_schedulable(&[(1, 9), (1, 9), (10, 10)], 2));
+/// assert_eq!(exact_gedf_schedulable(&[(1, 9), (1, 9), (10, 10)], 2), Ok(false));
 /// // The same set fits on three processors.
-/// assert!(exact_gedf_schedulable(&[(1, 9), (1, 9), (10, 10)], 3));
+/// assert_eq!(exact_gedf_schedulable(&[(1, 9), (1, 9), (10, 10)], 3), Ok(true));
 /// ```
-pub fn exact_gedf_schedulable(tasks: &[(u64, u64)], m: u32) -> bool {
-    try_exact_gedf_schedulable(tasks, m).expect("hyperperiod must fit in u64")
-}
-
-/// [`exact_gedf_schedulable`], but reports a hyperperiod overflow (or a
-/// zero period) as `Err` instead of panicking.
-pub fn try_exact_gedf_schedulable(
-    tasks: &[(u64, u64)],
-    m: u32,
-) -> Result<bool, HyperperiodOverflow> {
+pub fn exact_gedf_schedulable(tasks: &[(u64, u64)], m: u32) -> Result<bool, HyperperiodOverflow> {
     // Tasks with zero cost place no demand; drop them up front so the
     // fast paths below see only real work (their periods still cannot be
     // zero — that is a malformed task, reported via the hyperperiod).
@@ -145,7 +132,7 @@ pub fn try_exact_gedf_schedulable(
     Ok(simulate_gedf(&tasks, m as usize, h))
 }
 
-/// Error from [`try_exact_gedf_schedulable`]: the feasibility interval
+/// Error from [`exact_gedf_schedulable`]: the feasibility interval
 /// (hyperperiod) does not fit in `u64`, or a period is zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HyperperiodOverflow;
@@ -229,40 +216,46 @@ mod tests {
 
     #[test]
     fn empty_set_is_schedulable() {
-        assert!(exact_gedf_schedulable(&[], 1));
-        assert!(exact_gedf_schedulable(&[], 0));
+        assert_eq!(exact_gedf_schedulable(&[], 1), Ok(true));
+        assert_eq!(exact_gedf_schedulable(&[], 0), Ok(true));
         assert!(gedf_utilization_bound_schedulable(&[], 4));
         assert!(gedf_utilization_bound_schedulable(&[], 0));
     }
 
     #[test]
     fn zero_cost_tasks_place_no_demand() {
-        assert!(exact_gedf_schedulable(&[(0, 5), (0, 7)], 1));
-        assert!(exact_gedf_schedulable(&[(0, 5), (3, 3)], 1));
+        assert_eq!(exact_gedf_schedulable(&[(0, 5), (0, 7)], 1), Ok(true));
+        assert_eq!(exact_gedf_schedulable(&[(0, 5), (3, 3)], 1), Ok(true));
     }
 
     #[test]
     fn overloaded_task_rejected() {
-        assert!(!exact_gedf_schedulable(&[(5, 4)], 8));
+        assert_eq!(exact_gedf_schedulable(&[(5, 4)], 8), Ok(false));
         assert!(!gedf_utilization_bound_schedulable(&[(5, 4)], 8));
     }
 
     #[test]
     fn zero_processors_reject_nonempty() {
-        assert!(!exact_gedf_schedulable(&[(1, 2)], 0));
+        assert_eq!(exact_gedf_schedulable(&[(1, 2)], 0), Ok(false));
         assert!(!gedf_utilization_bound_schedulable(&[(1, 2)], 0));
     }
 
     #[test]
     fn utilization_overload_rejected() {
         // U = 3/2 > 1 processor.
-        assert!(!exact_gedf_schedulable(&[(1, 2), (2, 3), (1, 3)], 1));
+        assert_eq!(
+            exact_gedf_schedulable(&[(1, 2), (2, 3), (1, 3)], 1),
+            Ok(false)
+        );
     }
 
     #[test]
     fn uniprocessor_full_utilization_accepted() {
         // U = 1 exactly: EDF is optimal on one processor.
-        assert!(exact_gedf_schedulable(&[(1, 2), (1, 3), (1, 6)], 1));
+        assert_eq!(
+            exact_gedf_schedulable(&[(1, 2), (1, 3), (1, 6)], 1),
+            Ok(true)
+        );
     }
 
     #[test]
@@ -272,11 +265,12 @@ mod tests {
                 .iter()
                 .map(|(_, t)| (t.exec, t.period))
                 .collect();
-            assert!(
-                !exact_gedf_schedulable(&pairs, m),
+            assert_eq!(
+                exact_gedf_schedulable(&pairs, m),
+                Ok(false),
                 "Dhall set must be gEDF-infeasible on M={m}"
             );
-            assert!(exact_gedf_schedulable(&pairs, m + 1));
+            assert_eq!(exact_gedf_schedulable(&pairs, m + 1), Ok(true));
         }
     }
 
@@ -287,7 +281,7 @@ mod tests {
         // rejects — yet the hyperperiod-3 schedule is miss-free.
         let set = [(2u64, 3u64), (2, 3), (1, 3)];
         assert!(!gedf_utilization_bound_schedulable(&set, 2));
-        assert!(exact_gedf_schedulable(&set, 2));
+        assert_eq!(exact_gedf_schedulable(&set, 2), Ok(true));
     }
 
     #[test]
@@ -301,10 +295,7 @@ mod tests {
     #[test]
     fn overflow_reported_not_panicked() {
         let huge = [(1u64, u64::MAX), (1, u64::MAX - 1), (1, 7), (1, 11)];
-        assert_eq!(
-            try_exact_gedf_schedulable(&huge, 4),
-            Err(HyperperiodOverflow)
-        );
+        assert_eq!(exact_gedf_schedulable(&huge, 4), Err(HyperperiodOverflow));
     }
 
     /// Brute-force verdict from [`GlobalEdfSim`]: miss-free over one
@@ -334,7 +325,7 @@ mod tests {
                 .collect();
             prop_assert_eq!(
                 exact_gedf_schedulable(&pairs, m),
-                brute_force(&pairs, m),
+                Ok(brute_force(&pairs, m)),
                 "set {:?} on m={}", pairs, m
             );
         }
@@ -353,8 +344,9 @@ mod tests {
                 .map(|(&p, &f)| (((f * p) / 12).max(1), p))
                 .collect();
             if gedf_utilization_bound_schedulable(&pairs, m) {
-                prop_assert!(
+                prop_assert_eq!(
                     exact_gedf_schedulable(&pairs, m),
+                    Ok(true),
                     "bound accepted but exact rejected: {:?} on m={}", pairs, m
                 );
             }

@@ -33,8 +33,7 @@ pub mod wrr;
 
 pub use engine::{FaultHook, FaultMetrics, MultiSim, RunMetrics, SlotFaults};
 pub use exact_gedf::{
-    exact_gedf_schedulable, gedf_utilization_bound_schedulable, hyperperiod,
-    try_exact_gedf_schedulable, HyperperiodOverflow,
+    exact_gedf_schedulable, gedf_utilization_bound_schedulable, hyperperiod, HyperperiodOverflow,
 };
 pub use global_edf::GlobalEdfSim;
 pub use ledger::JobLedger;

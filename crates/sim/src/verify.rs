@@ -254,11 +254,6 @@ impl IncrementalWindowCheck {
         }
         Ok(())
     }
-
-    /// Slots observed so far.
-    pub fn slots_seen(&self) -> Slot {
-        self.now
-    }
 }
 
 #[cfg(test)]
@@ -298,7 +293,6 @@ mod tests {
         for slot in schedule {
             assert_eq!(inc.observe_slot(slot), Ok(()));
         }
-        assert_eq!(inc.slots_seen(), 2 * set.hyperperiod());
 
         // A violation surfaces on exactly the offending slot…
         let mut inc = IncrementalWindowCheck::new(&ts(&[(1, 4)]));
