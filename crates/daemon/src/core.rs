@@ -30,7 +30,7 @@
 use crate::alloc_probe;
 use crate::proto::{Reply, Request, Status, DEFAULT_SET};
 use overhead::{inflate_pd2, InflateError, OverheadParams};
-use pfair_core::{NoDelay, SchedConfig};
+use pfair_core::SchedConfig;
 use pfair_model::{PhysTask, Slot, Task, TaskId, TaskSet, Weight};
 use sched_sim::{MultiSim, ScheduleTrace, TraceEvent};
 use std::collections::BTreeMap;
@@ -122,7 +122,7 @@ enum Verdict {
 
 /// A live scheduler behind the admission test.
 pub struct AdmissionCore {
-    sim: MultiSim<NoDelay>,
+    sim: MultiSim,
     /// The *initial* task set (always empty — every task arrives by
     /// join, recorded as a `Rejoin` event, which is exactly the shape the
     /// event-aware window checker verifies).

@@ -1,6 +1,8 @@
 //! The Dhall effect (paper §1): global EDF misses deadlines at total
 //! utilizations barely above 1 on any number of processors; PD² schedules
-//! the same sets.
+//! the same sets. Both run in the one slot loop: the G-EDF column counts
+//! job deadline misses by the job ledger's rule (a tardy job keeps running
+//! and counts one miss), the PD² column Pfair window misses.
 //!
 //! ```text
 //! cargo run --release -p experiments --bin dhall -- [--period 10] [--horizon 1000]
@@ -9,7 +11,7 @@
 use experiments::{Args, Flag};
 use pfair_core::sched::SchedConfig;
 use sched_sim::global_edf::dhall_task_set;
-use sched_sim::{GlobalEdfSim, MultiSim};
+use sched_sim::{GlobalEdf, MultiSim};
 use stats::Table;
 
 /// Every flag `dhall` accepts.
@@ -26,14 +28,15 @@ fn main() {
     for m in [2u32, 4, 8, 16] {
         let set = dhall_task_set(m, p);
         let u = set.total_utilization();
-        let mut gedf = GlobalEdfSim::new(&set, m);
-        let g = gedf.run(horizon);
+        let mut gedf = MultiSim::with_policy(&set, m, GlobalEdf);
+        gedf.run(horizon);
+        let g = gedf.finalize_faults();
         let mut pd2 = MultiSim::new(&set, SchedConfig::pd2(m));
         let r = pd2.run(horizon);
         table.row_owned(vec![
             m.to_string(),
             format!("{:.3}", u.to_f64()),
-            g.deadline_misses.to_string(),
+            g.job_misses.to_string(),
             r.misses.to_string(),
         ]);
     }

@@ -29,8 +29,7 @@ use partition::{partition, EdfUtilization, Heuristic, RmExact, RmLiuLayland, Sor
 use pfair_core::SchedConfig;
 use pfair_model::{PhysTask, TaskSet};
 use sched_sim::{
-    exact_gedf_schedulable, gedf_utilization_bound_schedulable, GlobalEdfSim, MultiSim,
-    PartitionedSim,
+    exact_gedf_schedulable, gedf_utilization_bound_schedulable, GlobalEdf, MultiSim, PartitionedSim,
 };
 use uniproc::Discipline;
 use workload::TaskSetGenerator;
@@ -244,10 +243,9 @@ pub fn score(set: &TournamentSet, scheme: Scheme, m: u32, horizon: u64) -> SetSc
             if out.accepted {
                 let tasks = TaskSet::from_pairs(set.pairs.iter().copied())
                     .expect("gEDF-schedulable tasks have weight ≤ 1");
-                let mut sim = GlobalEdfSim::new(&tasks, m);
-                let stats = sim.run(horizon);
-                out.preemptions = Some(stats.preemptions);
-                out.migrations = Some(stats.migrations);
+                let metrics = MultiSim::with_policy(&tasks, m, GlobalEdf).run(horizon);
+                out.preemptions = Some(metrics.preemptions);
+                out.migrations = Some(metrics.migrations);
                 let max_d = set.cache_d_us.iter().copied().fold(0.0f64, f64::max);
                 let total: f64 = set
                     .phys

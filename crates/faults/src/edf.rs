@@ -1,128 +1,109 @@
-//! Partitioned EDF under the same fault process, for degradation
-//! comparisons.
-//!
-//! [`QuantumEdfSim`] is the paper's partitioned-EDF straw man (Section 1)
-//! subjected to the *same* [`FaultPlan`] as the PD² simulator: tasks are
-//! placed once by first-fit decreasing-utilization (via the `partition`
-//! crate's [`EdfUtilization`] test), then each processor runs quantum-
-//! granularity EDF over its own tasks. Fault draws are keyed identically —
-//! overruns and bursts by `(task, job)`, lost quanta by `(slot,
-//! processor)`, fail-stop events by the event counter — so both schedulers
-//! face the same adversary; only their reactions differ. A fail-stopped
-//! processor takes *all* of its partition's tasks down with it for the
-//! duration, which is precisely the rigidity the comparison is meant to
-//! expose (a global Pfair scheduler just loses one quantum's worth of
-//! capacity).
-//!
-//! Job progress is scored by the same [`sched_sim::JobLedger`] the PD²
-//! simulator feeds — one rule for what a useful quantum, a late job and a
-//! due job are — so rows from both simulators land in one table.
+//! Partitioned quantum EDF, the paper's straw man (Section 1), as a
+//! [`Dispatch`] policy of the slot loop PD² runs in: packed once by
+//! first-fit decreasing, each live processor runs the earliest-deadline
+//! arrived job of its own tasks. A fail-stopped processor takes its whole
+//! partition down, the rigidity the degradation comparison exposes.
 
-use partition::{partition, EdfUtilization, Heuristic, SortOrder};
+use partition::{partition, EdfUtilization, Heuristic::FirstFit, SortOrder::DecreasingUtilization};
 use pfair_model::{Slot, TaskId, TaskSet};
-use sched_sim::{FaultHook, FaultMetrics, JobLedger, SlotFaults};
+use sched_sim::{Dispatch, JobLedger};
 
-use crate::plan::FaultPlan;
-
-/// Quantum-granularity partitioned EDF driven by a [`FaultPlan`].
-#[derive(Debug)]
-pub struct QuantumEdfSim {
-    ledger: JobLedger,
-    /// Tasks of each processor (first-fit groups).
+/// Partitioned quantum EDF over a first-fit decreasing packing.
+pub(crate) struct PartitionedEdf {
+    /// Processor of each task.
+    home: Vec<u32>,
+    /// Tasks of each processor.
     groups: Vec<Vec<TaskId>>,
-    plan: FaultPlan,
-    /// Scratch: the plan's directives for the current slot.
-    scratch: SlotFaults,
 }
 
-impl QuantumEdfSim {
-    /// Partitions `tasks` onto `m` processors (first-fit, decreasing
-    /// utilization) and prepares the simulator. `None` if the set does not
-    /// first-fit under the EDF utilization test — the Dhall-style
-    /// admission failure partitioned schemes hit before any fault fires;
-    /// callers should report it as an admission loss rather than a crash.
-    pub fn new(tasks: &TaskSet, m: u32, mut plan: FaultPlan) -> Option<Self> {
+impl PartitionedEdf {
+    /// Packs `tasks` onto `m` processors; `None` if they do not first-fit,
+    /// the admission loss partitioned schemes hit before any fault fires.
+    pub(crate) fn pack(tasks: &TaskSet, m: u32) -> Option<Self> {
         let pairs: Vec<(u64, u64)> = tasks.iter().map(|(_, t)| (t.exec, t.period)).collect();
+        let keys = |i: usize| (pairs[i].0 as f64 / pairs[i].1 as f64, pairs[i].1);
         let acc = EdfUtilization::new(&pairs);
-        let result = partition(
-            pairs.len(),
-            &acc,
-            Heuristic::FirstFit,
-            SortOrder::DecreasingUtilization,
-            m,
-            |i| {
-                let (e, p) = pairs[i];
-                (e as f64 / p as f64, p)
-            },
-        )?;
+        let packed = partition(pairs.len(), &acc, FirstFit, DecreasingUtilization, m, keys)?;
         let mut groups = vec![Vec::new(); m as usize];
-        let mut ledger = JobLedger::default();
-        for ((id, t), &proc) in tasks.iter().zip(&result.assignment) {
-            groups[proc as usize].push(id);
-            ledger.push(t.exec, t.period, 0, &mut plan);
+        for (i, &p) in packed.assignment.iter().enumerate() {
+            groups[p as usize].push(TaskId(i as u32));
         }
-        Some(QuantumEdfSim {
-            ledger,
+        Some(PartitionedEdf {
+            home: packed.assignment,
             groups,
-            plan,
-            scratch: SlotFaults::default(),
         })
     }
+}
 
-    /// Simulates slot `t` across all processors.
-    fn step(&mut self, t: Slot) {
-        self.scratch.clear();
-        self.plan
-            .slot_faults(t, self.groups.len() as u32, &mut self.scratch);
-        for (p, group) in self.groups.iter().enumerate() {
-            let p = p as u32;
-            if self.scratch.down.contains(&p) {
-                self.ledger.metrics.dead_proc_quanta += 1;
-                continue;
-            }
-            // EDF among this processor's tasks whose current job has
-            // arrived (a job in the ledger always has work left).
-            let pick = group
+impl Dispatch for PartitionedEdf {
+    fn pick(&mut self, t: Slot, jobs: &JobLedger, live: &[u32], out: &mut Vec<TaskId>) {
+        for &p in live {
+            let ready = self.groups[p as usize]
                 .iter()
-                .copied()
-                .filter(|&id| self.ledger.arrival(id) <= t)
-                .min_by_key(|&id| (self.ledger.deadline(id), id));
-            let Some(id) = pick else {
-                continue;
-            };
-            if self.scratch.wasted.contains(&p) {
-                self.ledger.metrics.wasted_quanta += 1;
-                continue;
-            }
-            self.ledger.useful_quantum(id, t, &mut self.plan);
+                .filter(|&&id| jobs.arrival(id) <= t);
+            out.extend(ready.min_by_key(|&&id| (jobs.deadline(id), id)));
         }
-        self.ledger.close_slot(t, |_| true);
     }
 
-    /// Runs slots `0..horizon` and finalizes the ledger (every deadline at
-    /// or before the horizon counts toward `jobs_due`; unfinished due jobs
-    /// are misses).
-    pub fn run(mut self, horizon: Slot) -> FaultMetrics {
-        for t in 0..horizon {
-            self.step(t);
-        }
-        self.ledger.finalize(horizon, &mut self.plan)
+    fn home(&self, id: TaskId) -> Option<u32> {
+        self.home.get(id.index()).copied()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::FaultConfig;
+    use crate::plan::{FaultConfig, FaultPlan};
+    use crate::runner::run_edf;
+    use proptest::prelude::*;
+    use sched_sim::MultiSim;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The slot loop's affinity rule, checked on the partitioned
+        /// policy under fail-stop, loss and bursts: every task runs only on
+        /// its home processor, so a task scheduled in slots t−1 and t keeps
+        /// its processor and no task ever migrates.
+        #[test]
+        fn prop_partitioned_tasks_never_leave_home(
+            raw in prop::collection::vec((1u64..6, 2u64..10), 1..=5),
+            m in 1u32..=3,
+            seed in 0u64..u64::MAX,
+        ) {
+            let tasks = TaskSet::from_pairs(raw.into_iter().map(|(e, p)| (e.min(p), p))).unwrap();
+            let Some(policy) = PartitionedEdf::pack(&tasks, m) else {
+                return Err(TestCaseError::Reject);
+            };
+            let home = policy.home.clone();
+            let cfg = FaultConfig {
+                loss_rate: 0.1,
+                fail_every: 7,
+                fail_duration: 3,
+                max_down: m - 1,
+                burst_rate: 0.2,
+                burst_max: 2,
+                ..FaultConfig::none(seed)
+            };
+            let mut sim = MultiSim::with_policy(&tasks, m, policy);
+            sim.set_fault_hook(Box::new(FaultPlan::new(cfg)));
+            for _ in 0..60 {
+                for (p, id) in sim.step().iter().enumerate() {
+                    if let Some(id) = id {
+                        prop_assert_eq!(home[id.index()] as usize, p, "task {:?}", id);
+                    }
+                }
+            }
+            prop_assert_eq!(sim.metrics().migrations, 0);
+        }
+    }
 
     #[test]
     fn fault_free_full_utilization_meets_every_deadline() {
         // Two processors, each packed to utilization 1 by first-fit
         // decreasing: {1/2, 1/2} and {1/3, 1/3, 1/3}.
         let tasks = TaskSet::from_pairs([(1u64, 2u64), (1, 2), (1, 3), (1, 3), (1, 3)]).unwrap();
-        let plan = FaultPlan::new(FaultConfig::none(0));
-        let sim = QuantumEdfSim::new(&tasks, 2, plan).unwrap();
-        let fin = sim.run(60);
+        let fin = run_edf(&tasks, 2, FaultConfig::none(0), 60).unwrap();
         assert_eq!(fin.job_misses, 0, "{fin:?}");
         assert_eq!(fin.jobs_due, 30 + 30 + 20 + 20 + 20);
         assert!(fin.jobs_completed >= fin.jobs_due);
@@ -132,7 +113,7 @@ mod tests {
     #[test]
     fn overloaded_set_is_rejected_at_admission() {
         let tasks = TaskSet::from_pairs([(2u64, 3u64), (2, 3), (2, 3)]).unwrap();
-        assert!(QuantumEdfSim::new(&tasks, 2, FaultPlan::new(FaultConfig::none(0))).is_none());
+        assert!(PartitionedEdf::pack(&tasks, 2).is_none());
     }
 
     #[test]
@@ -144,8 +125,7 @@ mod tests {
             max_down: 1,
             ..FaultConfig::none(5)
         };
-        let sim = QuantumEdfSim::new(&tasks, 2, FaultPlan::new(cfg)).unwrap();
-        let fin = sim.run(40);
+        let fin = run_edf(&tasks, 2, cfg, 40).unwrap();
         // The victim partition misses roughly every job after slot 4; the
         // survivor is untouched.
         assert!(fin.job_misses >= 10, "{fin:?}");

@@ -14,8 +14,9 @@
 //!   ERfair catch-up, composed from `pfair-core`'s
 //!   [`plan_shedding`](pfair_core::plan_shedding) and
 //!   [`LagWatchdog`](pfair_core::LagWatchdog).
-//! * [`edf`] — [`QuantumEdfSim`]: partitioned EDF (first-fit decreasing)
-//!   under the *same* fault plan, scored by the same
+//! * `edf` — partitioned quantum EDF (first-fit decreasing) as a
+//!   [`Dispatch`](sched_sim::Dispatch) policy of the same slot loop as
+//!   PD², so it runs under the *same* fault plan and is scored by the same
 //!   [`JobLedger`](sched_sim::JobLedger), for PD²-vs-EDF degradation
 //!   tables.
 //! * [`runner`] — [`run_pd2`] / [`run_edf`]: one-call degradation runs
@@ -40,12 +41,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod edf;
+mod edf;
 pub mod plan;
 pub mod recovery;
 pub mod runner;
 
-pub use edf::QuantumEdfSim;
 pub use plan::{FaultConfig, FaultPlan, PlanDelays};
 pub use recovery::{RecoveryController, RecoveryPolicy, RecoveryStats};
 pub use runner::{

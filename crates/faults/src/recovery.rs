@@ -37,7 +37,7 @@
 //! its advanced positions, re-creating the very backlog that was just
 //! drained. The watchdog therefore only ever widens eligibility.
 
-use pfair_core::{plan_shedding, DelayModel, EarlyRelease, JoinError, LagWatchdog};
+use pfair_core::{plan_shedding, DelayModel, EarlyRelease, JoinError, LagWatchdog, PfairScheduler};
 use pfair_model::{Slot, Task, TaskId};
 use sched_sim::{MultiSim, TraceEvent};
 
@@ -177,7 +177,7 @@ impl RecoveryController {
     /// Applies the policy for slot `t`. Call it *before* the `step` of
     /// each slot (`join`/`leave` are only legal at the scheduler's
     /// current slot).
-    pub fn before_slot<D: DelayModel>(&mut self, sim: &mut MultiSim<D>, t: Slot) {
+    pub fn before_slot<D: DelayModel>(&mut self, sim: &mut MultiSim<PfairScheduler<D>>, t: Slot) {
         if self.policy == RecoveryPolicy::None {
             return;
         }
@@ -200,7 +200,12 @@ impl RecoveryController {
         }
     }
 
-    fn shed_overload<D: DelayModel>(&mut self, sim: &mut MultiSim<D>, t: Slot, capacity: u32) {
+    fn shed_overload<D: DelayModel>(
+        &mut self,
+        sim: &mut MultiSim<PfairScheduler<D>>,
+        t: Slot,
+        capacity: u32,
+    ) {
         let sched = sim.scheduler();
         if sched.total_weight().to_f64() <= f64::from(capacity) + 1e-9 {
             return;
@@ -230,7 +235,12 @@ impl RecoveryController {
         }
     }
 
-    fn try_rejoins<D: DelayModel>(&mut self, sim: &mut MultiSim<D>, t: Slot, capacity: u32) {
+    fn try_rejoins<D: DelayModel>(
+        &mut self,
+        sim: &mut MultiSim<PfairScheduler<D>>,
+        t: Slot,
+        capacity: u32,
+    ) {
         if self.pending.is_empty() || capacity < self.m {
             return; // wait for full capacity before re-admitting load
         }
@@ -262,7 +272,7 @@ impl RecoveryController {
         self.pending = still_pending;
     }
 
-    fn drive_catchup<D: DelayModel>(&mut self, sim: &mut MultiSim<D>, t: Slot) {
+    fn drive_catchup<D: DelayModel>(&mut self, sim: &mut MultiSim<PfairScheduler<D>>, t: Slot) {
         let lag = sim.current_max_app_lag();
         if self.watchdog.observe(t, lag) {
             self.stats.catchup_trips += 1;

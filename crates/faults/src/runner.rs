@@ -18,7 +18,7 @@ use sched_sim::{
     FaultMetrics, IncrementalWindowCheck, MultiSim, RunMetrics, ScheduleTrace, WindowViolation,
 };
 
-use crate::edf::QuantumEdfSim;
+use crate::edf::PartitionedEdf;
 use crate::plan::{FaultConfig, FaultPlan};
 use crate::recovery::{RecoveryController, RecoveryPolicy, RecoveryStats};
 
@@ -231,12 +231,15 @@ pub fn run_pd2(
     }
 }
 
-/// Runs partitioned EDF (first-fit decreasing) under the same plan.
-/// Returns `None` when the set does not partition onto `m` processors —
-/// an admission loss the caller should report as such.
+/// Runs partitioned quantum EDF (first-fit decreasing) under the same
+/// plan, through the same slot loop and job ledger as [`run_pd2`]. Returns
+/// `None` when the set does not partition onto `m` processors — an
+/// admission loss the caller should report as such.
 pub fn run_edf(tasks: &TaskSet, m: u32, cfg: FaultConfig, horizon: Slot) -> Option<FaultMetrics> {
-    let plan = FaultPlan::new(cfg);
-    Some(QuantumEdfSim::new(tasks, m, plan)?.run(horizon))
+    let mut sim = MultiSim::with_policy(tasks, m, PartitionedEdf::pack(tasks, m)?);
+    sim.set_fault_hook(Box::new(FaultPlan::new(cfg)));
+    sim.run(horizon);
+    Some(sim.finalize_faults())
 }
 
 #[cfg(test)]

@@ -1,8 +1,12 @@
-//! Multiprocessor dispatch engine with affinity-aware processor assignment.
+//! The one slot loop of every quantum-level simulator, with affinity-aware
+//! processor assignment.
 //!
-//! [`pfair_core::PfairScheduler`] decides *which* ≤ M tasks execute in each
-//! slot; this engine decides *where*, and accounts for the overheads the
-//! paper analyzes in Section 4:
+//! A [`Dispatch`] policy decides *which* tasks execute in each slot: PD²
+//! ([`pfair_core::PfairScheduler`]), job-level global EDF
+//! ([`GlobalEdf`](crate::global_edf::GlobalEdf)), weighted round-robin, or
+//! the `faults` crate's partitioned quantum EDF. [`MultiSim`] decides
+//! *where*, and accounts for the overheads the paper analyzes in Section 4
+//! by one rule for every policy:
 //!
 //! * A task scheduled in consecutive quanta stays on its processor — "when
 //!   a task is scheduled in two consecutive quanta, it can be allowed to
@@ -18,11 +22,16 @@
 //! The engine also validates the paper's per-job preemption bound
 //! `min(E − 1, P − E)` in its tests.
 //!
+//! PD² decides from its own subtask state. Every other policy reads each
+//! task's current job from the loop's [`JobLedger`], which the loop keeps
+//! for them from the first slot ([`MultiSim::with_policy`]); for PD² it
+//! keeps one only once a fault hook is installed.
+//!
 //! # Fault injection
 //!
 //! A [`FaultHook`] installed via [`MultiSim::set_fault_hook`] perturbs the
-//! *execution* of the schedule without ever touching the scheduler's
-//! bookkeeping: the scheduler still hands out idealized quanta, and the
+//! *execution* of the schedule without ever touching the policy's
+//! bookkeeping: the policy still hands out idealized quanta, and the
 //! hook decides which of them produce useful work. Per slot it can mark
 //! processors fail-stopped (their quanta are lost and the lowest-priority
 //! scheduled tasks are dropped) or mark a dispatched quantum wasted
@@ -57,6 +66,40 @@ use crate::trace::TraceEvent;
 use pfair_core::sched::{DelayModel, PfairScheduler};
 use pfair_model::{Slot, Task, TaskId, TaskSet};
 
+/// The per-slot choice of a [`MultiSim`]: *which* tasks run. Where they
+/// run, and everything that is counted about it, is the loop's.
+pub trait Dispatch {
+    /// Appends slot `t`'s picks to `out` (empty on entry), highest
+    /// priority first. `jobs` holds every task's current job (see the
+    /// module docs for when it is kept) and `live` the processors not
+    /// fail-stopped this slot; the loop runs the first `live.len()` picks.
+    fn pick(&mut self, t: Slot, jobs: &JobLedger, live: &[u32], out: &mut Vec<TaskId>);
+
+    /// Pfair window misses so far; only PD² has windows.
+    fn window_misses(&self) -> u64 {
+        0
+    }
+
+    /// The processor task `id` is bound to, if the policy partitions. The
+    /// loop seeds the task's last processor with it, so affinity dispatch
+    /// places it there and it never migrates.
+    fn home(&self, id: TaskId) -> Option<u32> {
+        let _ = id;
+        None
+    }
+}
+
+impl<D: DelayModel> Dispatch for PfairScheduler<D> {
+    #[inline]
+    fn pick(&mut self, t: Slot, _jobs: &JobLedger, _live: &[u32], out: &mut Vec<TaskId>) {
+        self.tick(t, out);
+    }
+
+    fn window_misses(&self) -> u64 {
+        self.misses().len() as u64
+    }
+}
+
 /// Aggregate metrics from a dispatched run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunMetrics {
@@ -72,7 +115,8 @@ pub struct RunMetrics {
     pub migrations: u64,
     /// Context switches: processor switched to a different task.
     pub context_switches: u64,
-    /// Pfair deadline misses reported by the scheduler.
+    /// Pfair window misses reported by the policy
+    /// ([`Dispatch::window_misses`]; only PD² has windows).
     pub misses: u64,
 }
 
@@ -174,13 +218,20 @@ impl BitMask {
     }
 }
 
-/// Everything [`MultiSim::set_fault_hook`] installs: the hook, the ledger
-/// its faults are scored in, and the hook's per-slot scratch.
+/// What [`MultiSim::set_fault_hook`] installs besides the ledger: the hook
+/// and its per-slot scratch.
 struct FaultLayer {
     hook: Box<dyn FaultHook>,
-    ledger: JobLedger,
     /// Scratch: faults of the current slot.
     slot: SlotFaults,
+}
+
+/// The hook [`MultiSim::with_policy`] scores jobs under until a caller
+/// installs one: it injects nothing.
+struct NoFaults;
+
+impl FaultHook for NoFaults {
+    fn slot_faults(&mut self, _t: Slot, _m: u32, _out: &mut SlotFaults) {}
 }
 
 /// Per-task dispatch bookkeeping.
@@ -201,10 +252,10 @@ struct DispatchState {
 }
 
 impl DispatchState {
-    fn new(task: &Task) -> Self {
+    fn new(task: &Task, home: Option<u32>) -> Self {
         DispatchState {
             prev_proc: None,
-            last_proc: None,
+            last_proc: home,
             in_job: 0,
             exec: task.exec,
             period: task.period,
@@ -213,8 +264,8 @@ impl DispatchState {
     }
 }
 
-/// Drives a [`PfairScheduler`] and dispatches its decisions onto `M`
-/// processors (see module docs).
+/// Drives a [`Dispatch`] policy — by default a [`PfairScheduler`] — and
+/// dispatches its decisions onto `M` processors (see module docs).
 ///
 /// # Examples
 ///
@@ -229,8 +280,8 @@ impl DispatchState {
 /// assert_eq!(metrics.misses, 0);
 /// assert_eq!(metrics.idle_quanta, 0); // full utilization
 /// ```
-pub struct MultiSim<D: DelayModel = pfair_core::NoDelay> {
-    sched: PfairScheduler<D>,
+pub struct MultiSim<P: Dispatch = PfairScheduler> {
+    policy: P,
     dispatch: Vec<DispatchState>,
     /// Processor → task it ran in the previous slot.
     proc_owner: Vec<Option<TaskId>>,
@@ -254,30 +305,76 @@ pub struct MultiSim<D: DelayModel = pfair_core::NoDelay> {
     free_procs: BitMask,
     /// Scratch: tasks scheduled this slot (bit per task id).
     sched_bits: BitMask,
+    /// Processors not fail-stopped this slot: all of them unless a fault
+    /// hook downs some.
+    live: Vec<u32>,
     /// Tasks that held a processor in the previous slot — the only
     /// candidates for a preemption charge (replaces the all-task scan).
     prev_ran: Vec<TaskId>,
     /// Fault injection (None = the fault layer is entirely inert).
     faults: Option<Box<FaultLayer>>,
+    /// Every task's job progress; kept (and non-empty) only while
+    /// `faults` is set.
+    ledger: JobLedger,
     /// Recorded fault/recovery events (None = [`Self::push_event`] drops
     /// them).
     events: Option<Vec<TraceEvent>>,
 }
 
-impl MultiSim<pfair_core::NoDelay> {
+impl MultiSim {
     /// Creates an engine over a synchronous periodic task set.
     pub fn new(tasks: &TaskSet, cfg: pfair_core::SchedConfig) -> Self {
         Self::with_scheduler(tasks, PfairScheduler::new(tasks, cfg))
     }
 }
 
-impl<D: DelayModel> MultiSim<D> {
+impl<D: DelayModel> MultiSim<PfairScheduler<D>> {
     /// Wraps an existing scheduler (e.g. one with an IS delay model).
     pub fn with_scheduler(tasks: &TaskSet, sched: PfairScheduler<D>) -> Self {
-        let m = sched.processors() as usize;
-        let dispatch = tasks.iter().map(|(_, t)| DispatchState::new(t)).collect();
+        Self::build(tasks, sched.processors(), sched)
+    }
+
+    /// Routes dispatch instrumentation (step count, assignment wall time,
+    /// and per-slot allocation/preemption/migration/context-switch deltas)
+    /// to `rec`, and the underlying scheduler's tick instrumentation with
+    /// it. The default recorder is disabled, making every probe a no-op.
+    pub fn set_recorder(&mut self, rec: &obs::Recorder) -> &mut Self {
+        self.obs = SimObs::new(rec);
+        self.policy.set_recorder(rec);
+        self
+    }
+
+    /// Immutable access to the underlying scheduler.
+    pub fn scheduler(&self) -> &PfairScheduler<D> {
+        &self.policy
+    }
+
+    /// Mutable access (for joins/leaves between slots).
+    pub fn scheduler_mut(&mut self) -> &mut PfairScheduler<D> {
+        &mut self.policy
+    }
+}
+
+impl<P: Dispatch> MultiSim<P> {
+    /// Runs `policy` on `m` processors over a synchronous periodic task
+    /// set, scoring every job from the first slot: the policy reads its
+    /// jobs from the ledger, and [`Self::finalize_faults`] reports their
+    /// misses. A hook installed with [`Self::set_fault_hook`] before the
+    /// first slot replaces the inert one this installs.
+    pub fn with_policy(tasks: &TaskSet, m: u32, policy: P) -> Self {
+        let mut sim = Self::build(tasks, m, policy);
+        sim.set_fault_hook(Box::new(NoFaults));
+        sim
+    }
+
+    fn build(tasks: &TaskSet, m: u32, policy: P) -> Self {
+        let dispatch = tasks
+            .iter()
+            .map(|(id, t)| DispatchState::new(t, policy.home(id)))
+            .collect();
+        let m = m as usize;
         MultiSim {
-            sched,
+            policy,
             dispatch,
             proc_owner: vec![None; m],
             metrics: RunMetrics::default(),
@@ -291,20 +388,12 @@ impl<D: DelayModel> MultiSim<D> {
             pending: Vec::with_capacity(m),
             free_procs: BitMask::default(),
             sched_bits: BitMask::default(),
+            live: (0..m as u32).collect(),
             prev_ran: Vec::with_capacity(m),
             faults: None,
+            ledger: JobLedger::default(),
             events: None,
         }
-    }
-
-    /// Routes dispatch instrumentation (step count, assignment wall time,
-    /// and per-slot allocation/preemption/migration/context-switch deltas)
-    /// to `rec`, and the underlying scheduler's tick instrumentation with
-    /// it. The default recorder is disabled, making every probe a no-op.
-    pub fn set_recorder(&mut self, rec: &obs::Recorder) -> &mut Self {
-        self.obs = SimObs::new(rec);
-        self.sched.set_recorder(rec);
-        self
     }
 
     /// Enables full schedule recording (needed by [`crate::verify`]).
@@ -342,18 +431,8 @@ impl<D: DelayModel> MultiSim<D> {
     /// Metrics so far.
     pub fn metrics(&self) -> RunMetrics {
         let mut m = self.metrics;
-        m.misses = self.sched.misses().len() as u64;
+        m.misses = self.policy.window_misses();
         m
-    }
-
-    /// Immutable access to the underlying scheduler.
-    pub fn scheduler(&self) -> &PfairScheduler<D> {
-        &self.sched
-    }
-
-    /// Mutable access (for joins/leaves between slots).
-    pub fn scheduler_mut(&mut self) -> &mut PfairScheduler<D> {
-        &mut self.sched
     }
 
     /// Installs a fault hook and returns the [`JobLedger`] its faults are
@@ -361,16 +440,15 @@ impl<D: DelayModel> MultiSim<D> {
     /// [`JobLedger::set_demand`]). Call before the first [`Self::step`]:
     /// the application-level job bookkeeping starts at the current slot.
     pub fn set_fault_hook(&mut self, mut hook: Box<dyn FaultHook>) -> &mut JobLedger {
-        let mut ledger = JobLedger::default();
+        self.ledger = JobLedger::default();
         for d in &self.dispatch {
-            ledger.push(d.exec, d.period, self.now, hook.as_mut());
+            self.ledger.push(d.exec, d.period, self.now, hook.as_mut());
         }
-        let layer = self.faults.insert(Box::new(FaultLayer {
+        self.faults = Some(Box::new(FaultLayer {
             hook,
-            ledger,
             slot: SlotFaults::default(),
         }));
-        &mut layer.ledger
+        &mut self.ledger
     }
 
     /// Enables fault/recovery event recording: the engine records injected
@@ -398,7 +476,7 @@ impl<D: DelayModel> MultiSim<D> {
 
     /// Registers dispatch (and, with a hook installed, application)
     /// bookkeeping for a task joined through
-    /// [`scheduler_mut`](Self::scheduler_mut) — the engine sizes its
+    /// [`scheduler_mut`](MultiSim::scheduler_mut) — the engine sizes its
     /// per-task state to the initial task set, so every successful
     /// `join()` must be paired with this call before the next `step()`.
     /// Job response-time statistics are not meaningful once tasks join
@@ -409,23 +487,25 @@ impl<D: DelayModel> MultiSim<D> {
             self.dispatch.len(),
             "register_task must follow the scheduler's id assignment"
         );
-        self.dispatch.push(DispatchState::new(&task));
+        self.dispatch
+            .push(DispatchState::new(&task, self.policy.home(id)));
         if let Some(f) = &mut self.faults {
-            f.ledger
+            self.ledger
                 .push(task.exec, task.period, self.now, f.hook.as_mut());
         }
     }
 
-    /// Marks a task as retired (shed by recovery) at slot `t`: it stops
-    /// accruing application lag, and only jobs due by `t` count against it
-    /// in [`Self::finalize_faults`]. A no-op without a fault hook.
+    /// Marks a task as retired (shed by recovery) at slot `t`; pair it
+    /// with the task's `leave`. It stops accruing application lag, and
+    /// only jobs due by `t` count against it in [`Self::finalize_faults`].
+    /// A no-op without a fault hook.
     pub fn retire_task(&mut self, id: TaskId, t: Slot) {
-        if let Some(f) = &mut self.faults {
-            f.ledger.retire(id, t);
+        if self.faults.is_some() {
+            self.ledger.retire(id, t);
         }
     }
 
-    /// The scheduler's picks for the most recent slot, in descending
+    /// The policy's picks for the most recent slot, in descending
     /// priority order (before any fault-induced drops).
     pub fn last_chosen(&self) -> &[TaskId] {
         &self.chosen
@@ -434,18 +514,17 @@ impl<D: DelayModel> MultiSim<D> {
     /// Maximum application lag observed in the most recent slot (the
     /// overload signal for a lag watchdog). 0 without a hook.
     pub fn current_max_app_lag(&self) -> f64 {
-        self.faults
-            .as_ref()
-            .map_or(0.0, |f| f.ledger.current_max_lag())
+        self.ledger.current_max_lag()
     }
 
-    /// Closes out the fault accounting at the end of a run (see
-    /// [`JobLedger::finalize`]): due-but-unfinished jobs become misses and
-    /// [`FaultMetrics::jobs_due`] is filled in. Idempotent; returns the
-    /// final metrics (all zero without a hook).
+    /// Closes out the job accounting at the end of a run: every job due
+    /// by now (a deadline at the current slot included) that never
+    /// completed becomes a miss, and [`FaultMetrics::jobs_due`] is filled
+    /// in. Idempotent; returns the
+    /// final metrics (all zero without a ledger).
     pub fn finalize_faults(&mut self) -> FaultMetrics {
         match &mut self.faults {
-            Some(f) => f.ledger.finalize(self.now, f.hook.as_mut()),
+            Some(f) => self.ledger.finalize(self.now, f.hook.as_mut()),
             None => FaultMetrics::default(),
         }
     }
@@ -459,30 +538,33 @@ impl<D: DelayModel> MultiSim<D> {
         // Fault directives for this slot: fail-stopped processors leave
         // the free-processor set before dispatch sees it.
         self.free_procs.fill_first(m);
-        let mut live = m;
         if let Some(f) = &mut self.faults {
             f.slot.clear();
             f.hook.slot_faults(t, m as u32, &mut f.slot);
             for &p in &f.slot.down {
                 if (p as usize) < m && self.free_procs.is_set(p as usize) {
                     self.free_procs.clear(p as usize);
-                    live -= 1;
-                    f.ledger.metrics.dead_proc_quanta += 1;
+                    self.ledger.metrics.dead_proc_quanta += 1;
                     self.obs.fault_dead.incr();
                     if let Some(events) = &mut self.events {
                         events.push(TraceEvent::ProcDown { slot: t, proc: p });
                     }
                 }
             }
+            self.live.clear();
+            self.live
+                .extend((0..m as u32).filter(|&p| self.free_procs.is_set(p as usize)));
         }
+        let live = self.live.len();
 
         self.chosen.clear();
-        self.sched.tick(t, &mut self.chosen);
+        self.policy
+            .pick(t, &self.ledger, &self.live, &mut self.chosen);
         self.obs.steps.incr();
 
         // Fail-stopped processors can only honor the `live` highest-priority
         // picks; the tail of `chosen` (lowest priority) is dropped for this
-        // slot. The recorded schedule keeps the scheduler's full decision.
+        // slot. The recorded schedule keeps the policy's full decision.
         let dispatchable = self.chosen.len().min(live);
         let dropped = (self.chosen.len() - dispatchable) as u64;
 
@@ -596,13 +678,13 @@ impl<D: DelayModel> MultiSim<D> {
 
         // Fault layer: map dispatched quanta to useful application work.
         if let Some(f) = &mut self.faults {
-            let before = f.ledger.metrics;
-            f.ledger.metrics.dropped_quanta += dropped;
+            let before = self.ledger.metrics;
+            self.ledger.metrics.dropped_quanta += dropped;
             self.obs.fault_dropped.add(dropped);
             for (proc, slot) in self.assignment.iter().enumerate() {
                 let Some(id) = slot else { continue };
                 let ev = if f.slot.wasted.contains(&(proc as u32)) {
-                    f.ledger.metrics.wasted_quanta += 1;
+                    self.ledger.metrics.wasted_quanta += 1;
                     self.obs.fault_wasted.incr();
                     Some(TraceEvent::QuantumLoss {
                         slot: t,
@@ -610,14 +692,14 @@ impl<D: DelayModel> MultiSim<D> {
                         task: id.0,
                     })
                 } else {
-                    f.ledger.useful_quantum(*id, t, f.hook.as_mut())
+                    self.ledger.useful_quantum(*id, t, f.hook.as_mut())
                 };
                 if let (Some(events), Some(ev)) = (&mut self.events, ev) {
                     events.push(ev);
                 }
             }
-            f.ledger.close_slot(t, |id| self.sched.is_active(id));
-            let after = f.ledger.metrics;
+            self.ledger.close_slot(t);
+            let after = self.ledger.metrics;
             self.obs
                 .fault_overruns
                 .add(after.overruns - before.overruns);
@@ -651,6 +733,7 @@ mod tests {
     use pfair_core::lag::check_pfair;
     use pfair_core::sched::SchedConfig;
     use pfair_core::Policy;
+    use proptest::prelude::*;
 
     fn ts(pairs: &[(u64, u64)]) -> TaskSet {
         TaskSet::from_pairs(pairs.iter().copied()).unwrap()
@@ -911,5 +994,52 @@ mod tests {
         // Joiner was live for slots 4..12: exactly 2 jobs due, both done.
         assert_eq!(fm.jobs_due, 10 + 2);
         assert_eq!(fm.job_misses, 0);
+    }
+
+    /// Steps `sim` through `horizon` slots and returns the first task that
+    /// ran in two consecutive slots on different processors.
+    fn moved_while_running<P: Dispatch>(
+        sim: &mut MultiSim<P>,
+        horizon: Slot,
+    ) -> Option<(Slot, TaskId)> {
+        let mut prev: Vec<Option<TaskId>> = Vec::new();
+        for t in 0..horizon {
+            let now = sim.step().to_vec();
+            for (p, &id) in now.iter().enumerate() {
+                if let Some(id) = id {
+                    if prev
+                        .iter()
+                        .position(|&q| q == Some(id))
+                        .is_some_and(|q| q != p)
+                    {
+                        return Some((t, id));
+                    }
+                }
+            }
+            prev = now;
+        }
+        None
+    }
+
+    proptest! {
+        /// One affinity rule for every policy in this crate: a task
+        /// scheduled in slots t−1 and t runs on one processor in both. The
+        /// `faults` crate checks its partitioned policy the same way.
+        #[test]
+        fn prop_consecutive_quanta_keep_their_processor(
+            raw in prop::collection::vec((1u64..6, 2u64..10), 1..=5),
+            m in 1u32..=3,
+            round in 1u64..8,
+        ) {
+            let set = TaskSet::from_pairs(raw.into_iter().map(|(e, p)| (e.min(p), p))).unwrap();
+            if set.feasible_on(m) {
+                let mut pd2 = MultiSim::new(&set, SchedConfig::pd2(m));
+                prop_assert_eq!(moved_while_running(&mut pd2, 60), None);
+            }
+            let mut gedf = MultiSim::with_policy(&set, m, crate::GlobalEdf);
+            prop_assert_eq!(moved_while_running(&mut gedf, 60), None);
+            let mut wrr = MultiSim::with_policy(&set, m, crate::wrr::Wrr::new(&set, round));
+            prop_assert_eq!(moved_while_running(&mut wrr, 60), None);
+        }
     }
 }

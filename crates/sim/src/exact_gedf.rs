@@ -36,7 +36,7 @@ fn gcd(a: u64, b: u64) -> u64 {
 
 /// Hyperperiod `lcm` of all periods, or `None` on overflow or an empty /
 /// zero-period set. The feasibility interval of the exact test.
-pub fn hyperperiod(tasks: &[(u64, u64)]) -> Option<u64> {
+pub(crate) fn hyperperiod(tasks: &[(u64, u64)]) -> Option<u64> {
     let mut h: u64 = 1;
     for &(_, p) in tasks {
         if p == 0 {
@@ -81,7 +81,7 @@ pub fn gedf_utilization_bound_schedulable(tasks: &[(u64, u64)], m: u32) -> bool 
 /// feasibility-interval argument — see the module docs).
 ///
 /// Ties between equal deadlines break by task index, matching
-/// [`GlobalEdfSim`](crate::GlobalEdfSim); since EDF's miss-free property
+/// [`GlobalEdf`](crate::GlobalEdf); since EDF's miss-free property
 /// does not depend on the tie-break, the verdict is tie-break-independent.
 ///
 /// The empty set is vacuously schedulable and a task with `exec > period`
@@ -210,7 +210,8 @@ fn simulate_gedf(tasks: &[(u64, u64)], m: usize, horizon: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global_edf::{dhall_task_set, GlobalEdfSim};
+    use crate::global_edf::{dhall_task_set, GlobalEdf};
+    use crate::MultiSim;
     use pfair_model::TaskSet;
     use proptest::prelude::*;
 
@@ -298,15 +299,16 @@ mod tests {
         assert_eq!(exact_gedf_schedulable(&huge, 4), Err(HyperperiodOverflow));
     }
 
-    /// Brute-force verdict from [`GlobalEdfSim`]: miss-free over one
-    /// hyperperiod *plus the longest period*, so a deadline exactly at H
-    /// (checked by the sim only at the next roll-over) is observed too.
+    /// Brute-force verdict from the slot loop's [`GlobalEdf`] policy:
+    /// miss-free over one hyperperiod. The ledger's `finalize` counts a job
+    /// due exactly at the horizon H that never completed, so running to H
+    /// observes every deadline in `[0, H]`.
     fn brute_force(pairs: &[(u64, u64)], m: u32) -> bool {
         let h = hyperperiod(pairs).unwrap();
-        let max_p = pairs.iter().map(|&(_, p)| p).max().unwrap();
         let set = TaskSet::from_pairs(pairs.iter().copied()).unwrap();
-        let mut sim = GlobalEdfSim::new(&set, m);
-        sim.run(h + max_p).deadline_misses == 0
+        let mut sim = MultiSim::with_policy(&set, m, GlobalEdf);
+        sim.run(h);
+        sim.finalize_faults().job_misses == 0
     }
 
     proptest! {

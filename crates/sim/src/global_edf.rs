@@ -1,219 +1,41 @@
 //! Job-level global EDF on `M` processors — the Dhall-effect baseline.
 //!
 //! The paper's Section 1 motivates Pfair scheduling with Dhall & Liu's
-//! observation \[13\] that global scheduling with EDF (or RM) priorities
-//! "can result in arbitrarily-low processor utilization": one heavy task
-//! plus `M` featherweight tasks with marginally earlier deadlines starves
-//! the heavy task at total utilizations barely above 1, on any number of
-//! processors. This simulator reproduces that effect; PD² schedules the
-//! same sets without misses.
-//!
-//! The simulation is quantum-driven (slot granularity) with job-level EDF:
-//! in each slot the `M` pending jobs with earliest absolute deadlines run.
-//! Jobs of the same task never run in parallel with each other (a task is
-//! sequential), which is automatic here because a task has at most one
-//! pending job per period and tardy jobs delay their successors.
+//! observation \[13\] that global EDF "can result in arbitrarily-low
+//! processor utilization": one heavy task plus `M` light tasks with
+//! marginally earlier deadlines starves the heavy task at a total
+//! utilization barely above 1. [`GlobalEdf`] reproduces that effect as a
+//! [`Dispatch`] policy of [`MultiSim`](crate::MultiSim): each slot runs the
+//! `M` arrived jobs with the earliest deadlines (ties by task index), read
+//! from the loop's [`JobLedger`] and scored by its one miss rule — a tardy
+//! job keeps running and counts one miss.
 
-use pfair_model::{Slot, TaskSet};
+use crate::engine::Dispatch;
+use crate::ledger::JobLedger;
+use pfair_model::{Slot, TaskId, TaskSet};
 
-/// Statistics from a global-EDF run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GlobalEdfStats {
-    /// Completed jobs.
-    pub completed_jobs: u64,
-    /// Jobs that missed their deadline (detected at the deadline).
-    pub deadline_misses: u64,
-    /// Total allocated quanta.
-    pub allocated_quanta: u64,
-    /// Idle processor-quanta.
-    pub idle_quanta: u64,
-    /// Preemptions: a job descheduled while still incomplete.
-    pub preemptions: u64,
-    /// Migrations: a job resumed on a different processor than it last
-    /// ran on (dispatch keeps processor affinity when possible, mirroring
-    /// [`MultiSim`](crate::MultiSim)'s assignment rule).
-    pub migrations: u64,
-}
-
-/// Per-task job state.
-#[derive(Debug, Clone, Copy)]
-struct JobState {
-    /// Remaining quanta of the current job (0 = between jobs).
-    remaining: u64,
-    /// Absolute deadline of the current job.
-    deadline: Slot,
-    /// 0-based index of the current job.
-    job: u64,
-    /// Whether the current job's miss was recorded.
-    missed: bool,
-}
-
-/// Quantum-driven global EDF simulator over a synchronous periodic task
-/// set (quantum-domain [`TaskSet`]).
+/// Job-level global EDF (see module docs).
 ///
 /// # Examples
 ///
 /// ```
 /// use pfair_model::TaskSet;
-/// use sched_sim::GlobalEdfSim;
+/// use sched_sim::{GlobalEdf, MultiSim};
 ///
-/// // Dhall effect on M = 2: two light (1,4) tasks + one weight-1 task.
-/// // U = 2/4 + 1 = 1.5 ≤ 2, yet global EDF misses.
+/// // Dhall effect: U = 2/4 + 1 = 1.5 ≤ M = 2, yet global EDF misses.
 /// let tasks = TaskSet::from_pairs([(1u64, 4u64), (1, 4), (5, 5)]).unwrap();
-/// let mut sim = GlobalEdfSim::new(&tasks, 2);
-/// let stats = sim.run(100);
-/// assert!(stats.deadline_misses > 0);
+/// let mut sim = MultiSim::with_policy(&tasks, 2, GlobalEdf);
+/// sim.run(100);
+/// assert!(sim.finalize_faults().job_misses > 0);
 /// ```
-#[derive(Debug)]
-pub struct GlobalEdfSim {
-    tasks: Vec<(u64, u64)>,
-    /// Actual per-job demand; differs from the declared `exec` for
-    /// *misbehaving* tasks (§5.3 temporal-isolation experiments).
-    actual_exec: Vec<u64>,
-    m: usize,
-    jobs: Vec<JobState>,
-    stats: GlobalEdfStats,
-    /// Deadline misses per task (isolation experiments need to know *who*
-    /// missed).
-    misses_by_task: Vec<u64>,
-    /// Last run of each task: `(slot, job, processor)` — drives the
-    /// preemption/migration accounting.
-    last_run: Vec<Option<(Slot, u64, usize)>>,
-    now: Slot,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GlobalEdf;
 
-impl GlobalEdfSim {
-    /// Creates a simulator for `tasks` on `m` processors.
-    pub fn new(tasks: &TaskSet, m: u32) -> Self {
-        let jobs = tasks
-            .iter()
-            .map(|(_, t)| JobState {
-                remaining: t.exec,
-                deadline: t.period,
-                job: 0,
-                missed: false,
-            })
-            .collect();
-        GlobalEdfSim {
-            tasks: tasks.iter().map(|(_, t)| (t.exec, t.period)).collect(),
-            actual_exec: tasks.iter().map(|(_, t)| t.exec).collect(),
-            m: m as usize,
-            jobs,
-            stats: GlobalEdfStats::default(),
-            misses_by_task: vec![0; tasks.len()],
-            last_run: vec![None; tasks.len()],
-            now: 0,
-        }
-    }
-
-    /// Makes task `i` *misbehave*: each of its jobs demands `actual` quanta
-    /// of execution although it declared (and is prioritized as if it
-    /// needed) its original cost. Must be called before `run`.
-    ///
-    /// Under global EDF the excess demand is served at the job's deadline
-    /// priority and steals capacity from well-behaved tasks — the paper's
-    /// §5.3 motivation for fairness-based temporal isolation.
-    pub fn set_actual_exec(&mut self, i: usize, actual: u64) {
-        assert!(actual >= 1);
-        self.actual_exec[i] = actual;
-        if self.jobs[i].job == 0 && self.now == 0 {
-            self.jobs[i].remaining = actual;
-        }
-    }
-
-    /// Deadline misses per task.
-    pub fn misses_by_task(&self) -> &[u64] {
-        &self.misses_by_task
-    }
-
-    /// Runs slots `now..horizon`; returns accumulated statistics.
-    pub fn run(&mut self, horizon: Slot) -> GlobalEdfStats {
-        // Scratch: indices of pending jobs sorted by (deadline, task),
-        // and per-slot processor occupancy for affinity dispatch.
-        let mut pending: Vec<usize> = Vec::with_capacity(self.tasks.len());
-        let mut taken: Vec<bool> = vec![false; self.m];
-        while self.now < horizon {
-            let t = self.now;
-            // Job roll-over at period boundaries.
-            for (i, js) in self.jobs.iter_mut().enumerate() {
-                let (_, p) = self.tasks[i];
-                let demand = self.actual_exec[i];
-                while t >= (js.job + 1) * p {
-                    if js.remaining > 0 && !js.missed {
-                        self.stats.deadline_misses += 1;
-                        self.misses_by_task[i] += 1;
-                    } else if js.remaining == 0 {
-                        // Completion was recorded when it finished.
-                    }
-                    // A tardy job is abandoned at its deadline (bounded-loss
-                    // model; keeps successive jobs well-defined).
-                    js.job += 1;
-                    js.remaining = demand;
-                    js.deadline = (js.job + 1) * p;
-                    js.missed = false;
-                }
-            }
-
-            pending.clear();
-            pending.extend(
-                self.jobs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, js)| js.remaining > 0)
-                    .map(|(i, _)| i),
-            );
-            pending.sort_unstable_by_key(|&i| (self.jobs[i].deadline, i));
-            let chosen = pending.len().min(self.m);
-            // A descheduled-but-incomplete job that ran (as the same job)
-            // in the previous slot was preempted.
-            for &i in &pending[chosen..] {
-                if self.last_run[i].is_some_and(|(s, j, _)| s + 1 == t && j == self.jobs[i].job) {
-                    self.stats.preemptions += 1;
-                }
-            }
-            // Affinity dispatch: keep the previous processor when free
-            // (first pass, in deadline order), then fill the lowest free
-            // processors; a task that resumes elsewhere migrated.
-            taken.iter_mut().for_each(|b| *b = false);
-            for &i in &pending[..chosen] {
-                if let Some((_, _, p)) = self.last_run[i] {
-                    if !taken[p] {
-                        taken[p] = true;
-                        self.last_run[i] = Some((t, self.jobs[i].job, p));
-                    }
-                }
-            }
-            let mut free = 0usize;
-            for &i in &pending[..chosen] {
-                if self.last_run[i].is_some_and(|(s, _, _)| s == t) {
-                    continue; // kept its processor above
-                }
-                while taken[free] {
-                    free += 1;
-                }
-                taken[free] = true;
-                if self.last_run[i].is_some_and(|(_, _, p)| p != free) {
-                    self.stats.migrations += 1;
-                }
-                self.last_run[i] = Some((t, self.jobs[i].job, free));
-            }
-            for &i in &pending[..chosen] {
-                let js = &mut self.jobs[i];
-                js.remaining -= 1;
-                self.stats.allocated_quanta += 1;
-                if js.remaining == 0 {
-                    self.stats.completed_jobs += 1;
-                    if t + 1 > js.deadline && !js.missed {
-                        js.missed = true;
-                        self.stats.deadline_misses += 1;
-                        self.misses_by_task[i] += 1;
-                    }
-                }
-            }
-            self.stats.idle_quanta += (self.m - chosen) as u64;
-            self.now = t + 1;
-        }
-        self.stats
+impl Dispatch for GlobalEdf {
+    fn pick(&mut self, t: Slot, jobs: &JobLedger, live: &[u32], out: &mut Vec<TaskId>) {
+        out.extend(jobs.tasks().filter(|&id| jobs.arrival(id) <= t));
+        out.sort_unstable_by_key(|&id| (jobs.deadline(id), id));
+        out.truncate(live.len());
     }
 }
 
@@ -232,8 +54,16 @@ pub fn dhall_task_set(m: u32, p: u64) -> TaskSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::MultiSim;
+    use crate::engine::{MultiSim, RunMetrics};
+    use crate::ledger::FaultMetrics;
     use pfair_core::sched::SchedConfig;
+
+    /// Runs G-EDF over `0..horizon`: dispatch metrics and finalized jobs.
+    fn run(set: &TaskSet, m: u32, horizon: Slot) -> (RunMetrics, FaultMetrics) {
+        let mut sim = MultiSim::with_policy(set, m, GlobalEdf);
+        let metrics = sim.run(horizon);
+        (metrics, sim.finalize_faults())
+    }
 
     #[test]
     fn dhall_effect_misses_under_global_edf() {
@@ -241,10 +71,9 @@ mod tests {
             let set = dhall_task_set(m, 10);
             // U = 1 + m/10 ≤ m for m ≥ 2.
             assert!(set.feasible_on(m));
-            let mut sim = GlobalEdfSim::new(&set, m);
-            let stats = sim.run(200);
+            let (_, jobs) = run(&set, m, 200);
             assert!(
-                stats.deadline_misses > 0,
+                jobs.job_misses > 0,
                 "global EDF must exhibit the Dhall effect on M={m}"
             );
         }
@@ -264,58 +93,69 @@ mod tests {
     fn underloaded_global_edf_is_fine() {
         // Light load, no heavy task: global EDF does well.
         let set = TaskSet::from_pairs([(1u64, 5u64), (1, 7), (2, 11), (1, 4)]).unwrap();
-        let mut sim = GlobalEdfSim::new(&set, 2);
-        let stats = sim.run(5_000);
-        assert_eq!(stats.deadline_misses, 0);
-        assert!(stats.completed_jobs > 0);
+        let (_, jobs) = run(&set, 2, 5_000);
+        assert_eq!(jobs.job_misses, 0);
+        assert!(jobs.jobs_completed > 0);
     }
 
     #[test]
     fn single_processor_global_edf_matches_feasibility() {
         // On one processor, (quantum-level) EDF schedules any U ≤ 1 set.
         let set = TaskSet::from_pairs([(1u64, 2u64), (1, 3), (1, 6)]).unwrap();
-        let mut sim = GlobalEdfSim::new(&set, 1);
-        let stats = sim.run(600);
-        assert_eq!(stats.deadline_misses, 0);
-        assert_eq!(stats.idle_quanta, 0);
+        let (metrics, jobs) = run(&set, 1, 600);
+        assert_eq!(jobs.job_misses, 0);
+        assert_eq!(metrics.idle_quanta, 0);
     }
 
     #[test]
     fn accounting_adds_up() {
-        let set = dhall_task_set(2, 10);
-        let mut sim = GlobalEdfSim::new(&set, 2);
-        let stats = sim.run(100);
-        assert_eq!(stats.allocated_quanta + stats.idle_quanta, 200);
+        let (metrics, _) = run(&dhall_task_set(2, 10), 2, 100);
+        assert_eq!(metrics.allocated_quanta + metrics.idle_quanta, 200);
     }
 
     #[test]
     fn no_migrations_on_one_processor() {
         let set = TaskSet::from_pairs([(1u64, 2u64), (2, 6), (1, 6)]).unwrap();
-        let mut sim = GlobalEdfSim::new(&set, 1);
-        let stats = sim.run(600);
-        assert_eq!(stats.migrations, 0);
+        let (metrics, _) = run(&set, 1, 600);
+        assert_eq!(metrics.migrations, 0);
         // (2, 6) is interleaved by the tighter (1, 2) deadlines.
-        assert!(stats.preemptions > 0);
+        assert!(metrics.preemptions > 0);
     }
 
     #[test]
     fn affinity_keeps_uncontended_tasks_put() {
         // Two tasks on two processors: each keeps its processor forever.
         let set = TaskSet::from_pairs([(1u64, 2u64), (2, 3)]).unwrap();
-        let mut sim = GlobalEdfSim::new(&set, 2);
-        let stats = sim.run(600);
-        assert_eq!(stats.preemptions, 0);
-        assert_eq!(stats.migrations, 0);
-        assert_eq!(stats.deadline_misses, 0);
+        let (metrics, jobs) = run(&set, 2, 600);
+        assert_eq!(metrics.preemptions, 0);
+        assert_eq!(metrics.migrations, 0);
+        assert_eq!(jobs.job_misses, 0);
+    }
+
+    /// A task that ran in slot t−1 keeps its processor even when a
+    /// higher-priority task last ran there. A = (1,2), B = (1,3) and
+    /// C = (2,3) on M = 2 over two hyperperiods, miss-free; a task resumes
+    /// on another processor three times:
+    /// - slot 2: C keeps P0 from slot 1, so A (on P0 at slot 0) takes P1;
+    /// - slot 6: A resumes on P1, so B (on P1 at slot 3) takes P0;
+    /// - slot 9: C keeps P0 from slot 8, so B (on P0 at slot 6) takes P1.
+    ///
+    /// Handing each task back the processor it last used, in deadline
+    /// order, instead moves C at slot 9 (B takes P0 back) and again at
+    /// slot 10 (A takes P1 back): four migrations.
+    #[test]
+    fn consecutive_quanta_keep_their_processor() {
+        let set = TaskSet::from_pairs([(1u64, 2u64), (1, 3), (2, 3)]).unwrap();
+        let (metrics, jobs) = run(&set, 2, 12);
+        assert_eq!(jobs.job_misses, 0);
+        assert_eq!(metrics.migrations, 3);
     }
 
     #[test]
     fn misses_scale_with_horizon() {
         let set = dhall_task_set(2, 10);
-        let mut short = GlobalEdfSim::new(&set, 2);
-        let s1 = short.run(100);
-        let mut long = GlobalEdfSim::new(&set, 2);
-        let s2 = long.run(1_000);
-        assert!(s2.deadline_misses > s1.deadline_misses);
+        let (_, short) = run(&set, 2, 100);
+        let (_, long) = run(&set, 2, 1_000);
+        assert!(long.job_misses > short.job_misses);
     }
 }

@@ -1,14 +1,19 @@
-//! The fault layer's vocabulary, shared by every simulator that runs
-//! under injected faults: what a fault is ([`FaultHook`], [`SlotFaults`]),
+//! The job and fault layer's vocabulary, shared by every policy of the
+//! slot loop: what a fault is ([`FaultHook`], [`SlotFaults`]),
 //! what it does to a job's progress ([`JobLedger`]), and how the damage is
 //! scored ([`FaultMetrics`]).
 //!
-//! A simulator decides *which* task receives a quantum and whether that
-//! quantum was lost to a fault; every quantum that did useful work goes
-//! through [`JobLedger::useful_quantum`], and the run is closed out by
-//! [`JobLedger::finalize`]. [`MultiSim`](crate::MultiSim) (PD²) and the
-//! `faults` crate's partitioned-EDF simulator both do exactly that, so the
-//! two sides of a degradation comparison are scored by one rule.
+//! [`MultiSim`](crate::MultiSim)'s slot loop decides which task receives a
+//! quantum and whether that quantum was lost to a fault; every quantum
+//! that did useful work is credited to the ledger, and
+//! [`MultiSim::finalize_faults`](crate::MultiSim::finalize_faults) closes
+//! the run out. The ledger is also the job state every
+//! [`Dispatch`](crate::Dispatch) policy but PD² picks from: job-level
+//! global EDF, weighted round-robin and the `faults` crate's partitioned
+//! quantum EDF. So every row of a comparison is scored by one rule: a job
+//! is late if it completes past its deadline, a tardy job keeps running
+//! and counts one miss, and a job due by the horizon that never completes
+//! counts one miss when the run is finalized.
 
 use crate::trace::TraceEvent;
 use pfair_model::{Slot, TaskId};
@@ -31,11 +36,6 @@ impl SlotFaults {
     pub fn clear(&mut self) {
         self.down.clear();
         self.wasted.clear();
-    }
-
-    /// Whether this slot is fault-free.
-    pub fn is_clean(&self) -> bool {
-        self.down.is_empty() && self.wasted.is_empty()
     }
 }
 
@@ -84,11 +84,11 @@ pub struct FaultMetrics {
     pub overrun_quanta: u64,
     /// Application-level jobs completed.
     pub jobs_completed: u64,
-    /// Application-level jobs due by the end of the run (filled in by
-    /// [`JobLedger::finalize`]; 0 before that).
+    /// Application-level jobs due by the end of the run (filled in when
+    /// the run is finalized; 0 before that).
     pub jobs_due: u64,
     /// Application-level job deadline misses (late completions, plus —
-    /// after [`JobLedger::finalize`] — due jobs that never finished).
+    /// once the run is finalized — due jobs that never finished).
     pub job_misses: u64,
     /// Largest observed job tardiness (slots past the deadline).
     pub max_tardiness: u64,
@@ -139,16 +139,17 @@ struct TaskJobs {
     retired_at: Option<Slot>,
 }
 
-/// Application-level job accounting under fault injection: a job
-/// completes only after `exec` (plus any overrun) *useful* quanta, and is
-/// late if that happens after `arrival + period`.
+/// Application-level job accounting: a job completes only after `exec`
+/// (plus any overrun) *useful* quanta, and is late if that happens after
+/// `arrival + period`. Its current job — arrival and deadline — is what
+/// every policy but PD² picks from.
 #[derive(Debug, Default)]
 pub struct JobLedger {
     tasks: Vec<TaskJobs>,
     /// Counters so far. The ledger maintains the job-level ones; the
-    /// simulator that owns the ledger adds the quanta it lost to faults
+    /// slot loop that owns the ledger adds the quanta it lost to faults
     /// (`wasted_quanta`, `dropped_quanta`, `dead_proc_quanta`).
-    pub metrics: FaultMetrics,
+    pub(crate) metrics: FaultMetrics,
     last_max_lag: f64,
     finalized: bool,
 }
@@ -156,7 +157,7 @@ pub struct JobLedger {
 impl JobLedger {
     /// Starts tracking a task whose job 0 nominally arrives at `origin`;
     /// it takes the next [`TaskId`] (ids follow registration order).
-    pub fn push(&mut self, exec: u64, period: u64, origin: Slot, hook: &mut dyn FaultHook) {
+    pub(crate) fn push(&mut self, exec: u64, period: u64, origin: Slot, hook: &mut dyn FaultHook) {
         let id = TaskId(self.tasks.len() as u32);
         self.tasks.push(TaskJobs {
             exec,
@@ -197,9 +198,14 @@ impl JobLedger {
     /// Marks a task as retired (shed by recovery) at slot `t`: it stops
     /// accruing application lag, and only jobs due by `t` count against it
     /// in [`finalize`](Self::finalize).
-    pub fn retire(&mut self, id: TaskId, t: Slot) {
+    pub(crate) fn retire(&mut self, id: TaskId, t: Slot) {
         let a = &mut self.tasks[id.index()];
         a.retired_at = a.retired_at.or(Some(t));
+    }
+
+    /// Every tracked task, in id order.
+    pub(crate) fn tasks(&self) -> impl Iterator<Item = TaskId> {
+        (0..self.tasks.len() as u32).map(TaskId)
     }
 
     /// Arrival slot of the task's current job.
@@ -220,7 +226,7 @@ impl JobLedger {
     /// work finishes; a drawn overrun is returned as the
     /// [`TraceEvent::Overrun`] describing it. A job whose demand is met
     /// completes at `t + 1` and is late past its deadline.
-    pub fn useful_quantum(
+    pub(crate) fn useful_quantum(
         &mut self,
         id: TaskId,
         t: Slot,
@@ -265,16 +271,14 @@ impl JobLedger {
     }
 
     /// Closes slot `t`: records the maximum application lag
-    /// (`wt·elapsed − useful_quanta`) over the tasks that are `live` and
-    /// not retired — the overload signal — and folds it into the run's
-    /// maximum.
-    pub fn close_slot(&mut self, t: Slot, live: impl Fn(TaskId) -> bool) {
+    /// (`wt·elapsed − useful_quanta`) over the tasks not retired — the
+    /// overload signal — and folds it into the run's maximum.
+    pub(crate) fn close_slot(&mut self, t: Slot) {
         self.last_max_lag = self
             .tasks
             .iter()
-            .enumerate()
-            .filter(|(i, a)| a.retired_at.is_none() && live(TaskId(*i as u32)))
-            .map(|(_, a)| {
+            .filter(|a| a.retired_at.is_none())
+            .map(|a| {
                 let elapsed = (t + 1).saturating_sub(a.origin) as f64;
                 a.weight_f * elapsed - a.useful_total as f64
             })
@@ -284,7 +288,7 @@ impl JobLedger {
     }
 
     /// Maximum application lag observed in the most recently closed slot.
-    pub fn current_max_lag(&self) -> f64 {
+    pub(crate) fn current_max_lag(&self) -> f64 {
         self.last_max_lag
     }
 
@@ -292,7 +296,7 @@ impl JobLedger {
     /// every job that was due (deadline at or before the horizon, or the
     /// task's retirement) but never completed as a miss, and fills in
     /// [`FaultMetrics::jobs_due`]. Idempotent; returns the final metrics.
-    pub fn finalize(&mut self, horizon: Slot, hook: &mut dyn FaultHook) -> FaultMetrics {
+    pub(crate) fn finalize(&mut self, horizon: Slot, hook: &mut dyn FaultHook) -> FaultMetrics {
         if self.finalized {
             return self.metrics;
         }
@@ -418,7 +422,7 @@ mod tests {
         ledger.useful_quantum(TaskId(1), 0, &mut hook);
         ledger.retire(TaskId(1), 12);
         ledger.retire(TaskId(1), 30); // the first retirement stands
-        ledger.close_slot(19, |_| true);
+        ledger.close_slot(19);
         // Task 2 is owed 2/5 · 10 slots; the retired task accrues nothing.
         assert_eq!(ledger.current_max_lag(), 4.0);
         let fin = ledger.finalize(20, &mut hook);

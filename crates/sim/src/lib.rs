@@ -2,12 +2,17 @@
 //!
 //! Discrete-time multiprocessor scheduling simulation for the Pfair stack:
 //!
-//! * [`engine`] — [`engine::MultiSim`] drives a
-//!   [`PfairScheduler`](pfair_core::PfairScheduler) and *dispatches* the
-//!   chosen tasks onto `M` concrete processors with affinity (a task
-//!   scheduled in consecutive quanta keeps its processor, the assumption
-//!   behind the paper's `min(E−1, P−E)` preemption bound), counting
-//!   preemptions, migrations, and context switches.
+//! * [`engine`] — [`MultiSim`], the one slot loop: a [`Dispatch`] policy
+//!   picks the tasks of each slot, and the loop *dispatches* them onto `M`
+//!   concrete processors with affinity (a task scheduled in consecutive
+//!   quanta keeps its processor, the assumption behind the paper's
+//!   `min(E−1, P−E)` preemption bound), counting preemptions, migrations,
+//!   and context switches by one rule for every policy. The policies are
+//!   PD² ([`PfairScheduler`](pfair_core::PfairScheduler)), job-level
+//!   global EDF ([`GlobalEdf`]), weighted round-robin (`wrr`, built for
+//!   its tests) and the `faults` crate's partitioned quantum EDF.
+//! * [`ledger`] — [`JobLedger`]: the job state the policies other than
+//!   PD² pick from, and the one miss rule every policy is scored by.
 //! * [`verify`] — full-schedule validation: per-slot processor limits,
 //!   no intra-slot parallelism, exact lag bounds (Equation (1)), and
 //!   per-subtask window containment.
@@ -29,18 +34,16 @@ pub mod partitioned;
 pub mod render;
 pub mod trace;
 pub mod verify;
-pub mod wrr;
+#[cfg(test)]
+mod wrr;
 
-pub use engine::{FaultHook, FaultMetrics, MultiSim, RunMetrics, SlotFaults};
+pub use engine::{Dispatch, FaultHook, FaultMetrics, MultiSim, RunMetrics, SlotFaults};
 pub use exact_gedf::{
-    exact_gedf_schedulable, gedf_utilization_bound_schedulable, hyperperiod, HyperperiodOverflow,
+    exact_gedf_schedulable, gedf_utilization_bound_schedulable, HyperperiodOverflow,
 };
-pub use global_edf::GlobalEdfSim;
+pub use global_edf::GlobalEdf;
 pub use ledger::JobLedger;
 pub use partitioned::{PartitionedSim, PartitionedStats};
 pub use render::{render_schedule, render_task_windows};
 pub use trace::{NotRecordingError, ScheduleTrace, TraceEvent};
-pub use verify::{
-    check_windows, check_windows_with_events, IncrementalWindowCheck, WindowViolation,
-};
-pub use wrr::{WrrSim, WrrStats};
+pub use verify::{check_windows, IncrementalWindowCheck, WindowViolation};

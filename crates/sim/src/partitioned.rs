@@ -110,16 +110,6 @@ impl PartitionedSim {
         }
         agg
     }
-
-    /// Per-processor statistics (after `run`).
-    pub fn per_processor(&self) -> Vec<UniStats> {
-        self.sims.iter().map(|s| s.stats()).collect()
-    }
-
-    /// Number of processors.
-    pub fn processors(&self) -> usize {
-        self.sims.len()
-    }
 }
 
 #[cfg(test)]
@@ -169,21 +159,6 @@ mod tests {
         let stats = sim.run(100_000);
         assert!(stats.preemptions <= stats.released_jobs);
         assert!(stats.context_switches <= 2 * stats.released_jobs);
-    }
-
-    #[test]
-    fn per_processor_breakdown_sums_to_aggregate() {
-        let tasks = [(1u64, 2u64), (1, 3), (2, 3)];
-        let assign = first_fit(&tasks, 2).unwrap();
-        let mut sim = PartitionedSim::new(&tasks, &assign, 2, Discipline::Edf);
-        let agg = sim.run(10_000);
-        let per = sim.per_processor();
-        assert_eq!(sim.processors(), 2);
-        assert_eq!(
-            per.iter().map(|s| s.completed_jobs).sum::<u64>(),
-            agg.completed_jobs
-        );
-        assert_eq!(per.iter().map(|s| s.idle_time).sum::<u64>(), agg.idle_time);
     }
 
     #[test]

@@ -39,8 +39,7 @@ impl fmt::Display for NotRecordingError {
 impl std::error::Error for NotRecordingError {}
 
 /// One fault injection or recovery action, with enough context to replay
-/// its effect on schedule verification (see
-/// [`check_windows_with_events`](crate::verify::check_windows_with_events)).
+/// its effect on schedule verification (see [`ScheduleTrace::verify`]).
 ///
 /// Task ids are raw `u32`s (not [`TaskId`]) so events serialize flat.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,7 +125,7 @@ pub enum TraceEvent {
 impl TraceEvent {
     /// The slot the event is keyed to, or `None` for job-keyed events
     /// (bursts), which apply from the start of the run.
-    pub fn slot(&self) -> Option<Slot> {
+    pub(crate) fn slot(&self) -> Option<Slot> {
         match *self {
             TraceEvent::ProcDown { slot, .. }
             | TraceEvent::QuantumLoss { slot, .. }
@@ -143,7 +142,7 @@ impl TraceEvent {
     /// to only stealing useful work from dispatched quanta). Runs with no
     /// perturbing events still satisfy the plain synchronous Pfair
     /// invariants; runs with any need the event-aware checker.
-    pub fn perturbs_schedule(&self) -> bool {
+    pub(crate) fn perturbs_schedule(&self) -> bool {
         match self {
             TraceEvent::ProcDown { .. }
             | TraceEvent::QuantumLoss { .. }
@@ -348,7 +347,7 @@ impl ScheduleTrace {
     /// enabled.
     pub fn capture<D: pfair_core::DelayModel>(
         tasks: &TaskSet,
-        sim: &MultiSim<D>,
+        sim: &MultiSim<pfair_core::PfairScheduler<D>>,
     ) -> Result<Self, NotRecordingError> {
         let schedule = sim.schedule().ok_or(NotRecordingError)?;
         Ok(ScheduleTrace {
@@ -376,7 +375,7 @@ impl ScheduleTrace {
     /// The task set as a [`TaskSet`]. Only the *initial* tasks: ids
     /// introduced by [`TraceEvent::Rejoin`] events are part of the event
     /// stream, not the set.
-    pub fn task_set(&self) -> TaskSet {
+    pub(crate) fn task_set(&self) -> TaskSet {
         self.tasks
             .iter()
             .map(|&(e, p)| Task::new(e, p).expect("trace holds valid tasks"))
@@ -404,8 +403,7 @@ impl ScheduleTrace {
     /// Unperturbed traces (v1 traces, clean runs, and runs whose faults
     /// only stole useful work) are checked against the exact Pfair lag
     /// bound *and* strict window containment. Perturbed traces are checked
-    /// by [`check_windows_with_events`](crate::verify::check_windows_with_events),
-    /// which replays the shed/rejoin/burst/catch-up record; the synchronous
+    /// by the event-aware window check, which replays the shed/rejoin/burst/catch-up record; the synchronous
     /// lag check does not apply to them.
     pub fn verify(&self) -> Result<(), String> {
         let tasks = self.task_set();

@@ -33,7 +33,8 @@
 //!   the others steal useful work without touching the scheduler).
 //!
 //! Feed events to [`IncrementalWindowCheck::apply_event`] as they happen
-//! (or use [`check_windows_with_events`] for an archived schedule) and
+//! (or use [`ScheduleTrace::verify`](crate::ScheduleTrace::verify) for an
+//! archived schedule) and
 //! every recovery policy becomes verifiable, not just fault-free runs.
 
 use crate::trace::TraceEvent;
@@ -79,7 +80,7 @@ pub fn check_windows(tasks: &TaskSet, schedule: &[Vec<TaskId>]) -> Result<(), Wi
 /// events are applied before their slot is checked, in slot order.
 ///
 /// With an empty event list this is exactly the strict synchronous check.
-pub fn check_windows_with_events(
+pub(crate) fn check_windows_with_events(
     tasks: &TaskSet,
     schedule: &[Vec<TaskId>],
     events: &[TraceEvent],
@@ -138,7 +139,8 @@ impl CheckTask {
     }
 }
 
-/// Online version of [`check_windows`] / [`check_windows_with_events`]:
+/// Online version of [`check_windows`] and of the event-aware check behind
+/// [`ScheduleTrace::verify`](crate::ScheduleTrace::verify):
 /// feed it each slot's scheduled tasks as the simulation produces them and
 /// it reports the first window violation immediately, without retaining
 /// the schedule. Used by the fault-injection runner as an invariant

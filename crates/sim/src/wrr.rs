@@ -1,130 +1,75 @@
-//! Weighted round-robin — the deadline-free baseline.
-//!
-//! The paper (§4): "Though Pfair scheduling algorithms appear to be
-//! different from traditional real-time scheduling algorithms, they are
-//! similar to the round-robin algorithm used in general-purpose operating
-//! systems. In fact, PD² can be thought of as a deadline-based variant of
-//! the weighted round-robin algorithm."
-//!
-//! [`WrrSim`] implements the classical variant: time is divided into
-//! *rounds* of `L` slots; task `T` is entitled to `⌈wt(T)·L⌉` quanta per
-//! round, served in a fixed cyclic order on `M` processors. WRR
-//! distributes processor time in proportion to weights — over long
-//! horizons it is perfectly fair — but it has **no notion of
-//! pseudo-deadlines**, so individual subtask windows are routinely
-//! violated: the same per-round allocation arriving at the wrong *times*
-//! misses Pfair windows (and actual job deadlines) that PD² meets. The
-//! tests quantify exactly that gap, which is the paper's point: PD² keeps
-//! round-robin's proportional bookkeeping and adds just enough deadline
-//! awareness to be optimal.
+//! Weighted round-robin, of which "PD² can be thought of as a
+//! deadline-based variant" (§4). [`Wrr`] is the classical variant as a
+//! [`Dispatch`] policy: rounds of `L` slots, task `T` entitled to
+//! `⌈wt(T)·L⌉` quanta a round (at least one), served in a fixed cyclic
+//! order. Fair over long horizons but blind to deadlines, so its tests
+//! find feasible sets it misses and PD² meets; it is built only for them.
 
-use pfair_model::{Slot, TaskSet};
+use crate::engine::Dispatch;
+use crate::ledger::JobLedger;
+use pfair_model::{Slot, TaskId, TaskSet};
 
-/// Statistics from a WRR run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WrrStats {
-    /// Quanta allocated in total.
-    pub allocated_quanta: u64,
-    /// Idle processor-quanta.
-    pub idle_quanta: u64,
-    /// Completed jobs (a task's job completes when `exec` quanta of its
-    /// current period have been served).
-    pub completed_jobs: u64,
-    /// Job deadline misses (job not complete by its period end; tracked
-    /// per period, unserved work is dropped at the boundary).
-    pub deadline_misses: u64,
-}
-
-/// Global weighted round-robin simulator (see module docs).
-#[derive(Debug)]
-pub struct WrrSim {
-    tasks: Vec<(u64, u64)>,
-    m: usize,
+/// Global weighted round-robin (see module docs).
+pub(crate) struct Wrr {
     round_len: u64,
-    /// Remaining round entitlement per task.
+    /// Quanta each task is entitled to per round.
+    entitled: Vec<u64>,
+    /// Entitlement left in the current round.
     quota: Vec<u64>,
-    /// Remaining work in the current job per task.
-    job_remaining: Vec<u64>,
     /// Cyclic service pointer.
     cursor: usize,
-    stats: WrrStats,
-    now: Slot,
 }
 
-impl WrrSim {
-    /// Creates a WRR scheduler with round length `round_len` slots.
-    pub fn new(tasks: &TaskSet, m: u32, round_len: u64) -> Self {
+impl Wrr {
+    /// Round-robin over `tasks` with rounds of `round_len` slots.
+    pub(crate) fn new(tasks: &TaskSet, round_len: u64) -> Self {
         assert!(round_len >= 1);
-        let pairs: Vec<(u64, u64)> = tasks.iter().map(|(_, t)| (t.exec, t.period)).collect();
-        let quota = pairs
+        let entitled: Vec<u64> = tasks
             .iter()
-            .map(|&(e, p)| (e * round_len).div_ceil(p).max(1))
+            .map(|(_, t)| (t.exec * round_len).div_ceil(t.period).max(1))
             .collect();
-        WrrSim {
-            job_remaining: pairs.iter().map(|&(e, _)| e).collect(),
-            tasks: pairs,
-            m: m as usize,
+        Wrr {
             round_len,
-            quota,
+            quota: entitled.clone(),
+            entitled,
             cursor: 0,
-            stats: WrrStats::default(),
-            now: 0,
         }
     }
+}
 
-    /// Runs slots `now..horizon`, returning statistics.
-    pub fn run(&mut self, horizon: Slot) -> WrrStats {
-        let n = self.tasks.len();
-        while self.now < horizon {
-            let t = self.now;
-            // Round boundary: replenish quotas.
-            if t % self.round_len == 0 {
-                for (q, &(e, p)) in self.quota.iter_mut().zip(&self.tasks) {
-                    *q = (e * self.round_len).div_ceil(p).max(1);
-                }
-            }
-            // Period boundaries: account misses, release next job.
-            for i in 0..n {
-                let (e, p) = self.tasks[i];
-                if t > 0 && t % p == 0 {
-                    if self.job_remaining[i] > 0 {
-                        self.stats.deadline_misses += 1;
-                    }
-                    self.job_remaining[i] = e;
-                }
-            }
-            // Serve up to M tasks cyclically: quota and work remaining.
-            let mut served = 0usize;
-            let mut inspected = 0usize;
-            while served < self.m && inspected < n {
-                let i = (self.cursor + inspected) % n;
-                inspected += 1;
-                if self.quota[i] > 0 && self.job_remaining[i] > 0 {
-                    self.quota[i] -= 1;
-                    self.job_remaining[i] -= 1;
-                    if self.job_remaining[i] == 0 {
-                        self.stats.completed_jobs += 1;
-                    }
-                    served += 1;
-                }
-            }
-            self.cursor = (self.cursor + 1) % n.max(1);
-            self.stats.allocated_quanta += served as u64;
-            self.stats.idle_quanta += (self.m - served) as u64;
-            self.now = t + 1;
+impl Dispatch for Wrr {
+    fn pick(&mut self, t: Slot, jobs: &JobLedger, live: &[u32], out: &mut Vec<TaskId>) {
+        if t % self.round_len == 0 {
+            self.quota.copy_from_slice(&self.entitled);
         }
-        self.stats
+        // Serve up to `live` tasks cyclically: quota and an arrived job.
+        let n = self.quota.len();
+        for i in (0..n).map(|k| (self.cursor + k) % n) {
+            if out.len() < live.len() && self.quota[i] > 0 && jobs.arrival(TaskId(i as u32)) <= t {
+                self.quota[i] -= 1;
+                out.push(TaskId(i as u32));
+            }
+        }
+        self.cursor = (self.cursor + 1) % n.max(1);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::MultiSim;
+    use crate::engine::{MultiSim, RunMetrics};
+    use crate::ledger::FaultMetrics;
     use pfair_core::sched::SchedConfig;
 
     fn ts(pairs: &[(u64, u64)]) -> TaskSet {
         TaskSet::from_pairs(pairs.iter().copied()).unwrap()
+    }
+
+    /// Runs WRR over `0..horizon`: dispatch metrics and finalized jobs.
+    fn run(set: &TaskSet, m: u32, round_len: u64, horizon: Slot) -> (RunMetrics, FaultMetrics) {
+        let mut sim = MultiSim::with_policy(set, m, Wrr::new(set, round_len));
+        let metrics = sim.run(horizon);
+        (metrics, sim.finalize_faults())
     }
 
     /// WRR is proportionally fair over long horizons: allocations track
@@ -132,11 +77,10 @@ mod tests {
     #[test]
     fn wrr_is_long_run_proportional() {
         let set = ts(&[(1, 2), (1, 3), (1, 6)]);
-        let mut sim = WrrSim::new(&set, 1, 6);
-        let stats = sim.run(6_000);
+        let (metrics, _) = run(&set, 1, 6, 6_000);
         // U = 1: no idling once rounds are aligned (round = hyperperiod).
-        assert_eq!(stats.idle_quanta, 0);
-        assert_eq!(stats.allocated_quanta, 6_000);
+        assert_eq!(metrics.idle_quanta, 0);
+        assert_eq!(metrics.allocated_quanta, 6_000);
     }
 
     /// The headline gap: a feasible set WRR misses but PD² schedules.
@@ -155,11 +99,8 @@ mod tests {
         assert_eq!(pd2.run(horizon).misses, 0, "PD2 is optimal");
 
         for round in [3u64, 7, 21, 42] {
-            let mut wrr = WrrSim::new(&set, 2, round);
-            assert!(
-                wrr.run(horizon).deadline_misses > 0,
-                "WRR must miss at round length {round}"
-            );
+            let (_, jobs) = run(&set, 2, round, horizon);
+            assert!(jobs.job_misses > 0, "WRR must miss at round length {round}");
         }
     }
 
@@ -167,20 +108,18 @@ mod tests {
     #[test]
     fn degenerate_round_robin() {
         let set = ts(&[(1, 2), (1, 2)]);
-        let mut sim = WrrSim::new(&set, 1, 1);
-        let stats = sim.run(1_000);
+        let (metrics, jobs) = run(&set, 1, 1, 1_000);
         // Perfectly alternating: everyone meets deadlines here.
-        assert_eq!(stats.deadline_misses, 0);
-        assert_eq!(stats.allocated_quanta, 1_000);
+        assert_eq!(jobs.job_misses, 0);
+        assert_eq!(metrics.allocated_quanta, 1_000);
     }
 
     #[test]
     fn accounting_adds_up() {
         let set = ts(&[(1, 4), (1, 8)]);
-        let mut sim = WrrSim::new(&set, 2, 8);
-        let stats = sim.run(800);
-        assert_eq!(stats.allocated_quanta + stats.idle_quanta, 1_600);
+        let (metrics, _) = run(&set, 2, 8, 800);
+        assert_eq!(metrics.allocated_quanta + metrics.idle_quanta, 1_600);
         // U = 3/8: exactly that fraction of capacity is used.
-        assert_eq!(stats.allocated_quanta, 800 * 3 / 8);
+        assert_eq!(metrics.allocated_quanta, 800 * 3 / 8);
     }
 }

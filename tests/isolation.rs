@@ -8,9 +8,10 @@
 //! victims' allocations are structurally untouched — the misbehaver's
 //! excess demand is simply never served.
 
+use faults::{FaultConfig, FaultPlan};
 use pfair_core::sched::SchedConfig;
 use pfair_model::{TaskId, TaskSet};
-use sched_sim::{GlobalEdfSim, MultiSim};
+use sched_sim::{GlobalEdf, MultiSim};
 
 fn workload() -> TaskSet {
     // M = 2. Declared: misbehaver (2,8) + victims filling most of the rest.
@@ -27,21 +28,27 @@ fn workload() -> TaskSet {
 #[test]
 fn global_edf_lets_overrun_harm_victims() {
     let set = workload();
+    let horizon = 4_000u64;
     // Well-behaved baseline: everyone meets deadlines on 2 processors.
-    let mut honest = GlobalEdfSim::new(&set, 2);
-    let h = honest.run(4_000);
-    assert_eq!(h.deadline_misses, 0, "baseline must be schedulable");
+    let mut honest = MultiSim::with_policy(&set, 2, GlobalEdf);
+    honest.run(horizon);
+    let h = honest.finalize_faults();
+    assert_eq!(h.job_misses, 0, "baseline must be schedulable");
 
     // Task 0 misbehaves: demands 8 quanta per 8-quantum period instead
     // of 2 (declared utilization 1/4, actual 1).
-    let mut rogue = GlobalEdfSim::new(&set, 2);
-    rogue.set_actual_exec(0, 8);
-    rogue.run(4_000);
-    let victim_misses: u64 = rogue.misses_by_task()[1..].iter().sum();
+    let mut rogue = MultiSim::with_policy(&set, 2, GlobalEdf);
+    rogue
+        .set_fault_hook(Box::new(FaultPlan::new(FaultConfig::none(0))))
+        .set_demand(TaskId(0), 8);
+    rogue.run(horizon);
+    let r = rogue.finalize_faults();
+    // The rogue accounts for at most one miss per job that came due; any
+    // miss beyond that is a victim's.
+    let rogue_due = horizon / set[TaskId(0)].period;
     assert!(
-        victim_misses > 0,
-        "global EDF must leak the overrun onto victims: {:?}",
-        rogue.misses_by_task()
+        r.job_misses > rogue_due,
+        "global EDF must leak the overrun onto victims: {r:?}"
     );
 }
 
