@@ -53,4 +53,4 @@ pub use sched::{
     CoreKind, DelayModel, EarlyRelease, JoinError, LeaveError, MapDelays, Miss, NoDelay,
     PfairScheduler, ReweightError, SchedConfig, SporadicDelays,
 };
-pub use supertask::{Component, ComponentMiss, InternalPolicy, Supertask};
+pub use supertask::{Component, ComponentMiss, Supertask};

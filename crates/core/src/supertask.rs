@@ -24,21 +24,6 @@ use crate::sched::{PfairScheduler, SchedConfig};
 use pfair_model::{Rat, Slot, Task, TaskId, TaskSet, WeightError};
 use std::fmt;
 
-/// The uniprocessor scheduler used *inside* a supertask.
-///
-/// Holman & Anderson's reweighting bound of `1/p_min` is proven for EDF
-/// \[16\]; RM is provided for hierarchical-scheduling experiments (an RM
-/// interior needs the same or more inflation — RM is not optimal on the
-/// supertask's virtual processor).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InternalPolicy {
-    /// Earliest deadline first (the \[16\] configuration).
-    #[default]
-    Edf,
-    /// Rate monotonic: smallest component period wins.
-    Rm,
-}
-
 /// A component task bound inside a supertask: synchronous periodic with
 /// integer execution cost and period in quanta.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +87,6 @@ pub struct Supertask {
     components: Vec<Component>,
     state: Vec<CompState>,
     misses: Vec<ComponentMiss>,
-    policy: InternalPolicy,
     /// Next slot `on_slot` expects.
     now: Slot,
 }
@@ -133,15 +117,8 @@ impl Supertask {
             components,
             state,
             misses: Vec::new(),
-            policy: InternalPolicy::Edf,
             now: 0,
         }
-    }
-
-    /// Selects the internal scheduler (default EDF).
-    pub fn with_internal_policy(mut self, policy: InternalPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Cumulative weight `Σ wt(component)` as an exact rational.
@@ -212,19 +189,14 @@ impl Supertask {
             }
         }
 
-        // Dispatch under the internal policy.
+        // Internal EDF: earliest absolute deadline, ties by index.
         if granted {
             let pick = self
                 .state
                 .iter()
                 .enumerate()
                 .filter(|(_, st)| st.remaining > 0)
-                .min_by_key(|(idx, st)| match self.policy {
-                    // EDF: earliest absolute deadline.
-                    InternalPolicy::Edf => ((st.job + 1) * self.components[*idx].period, *idx),
-                    // RM: smallest period (static priority).
-                    InternalPolicy::Rm => (self.components[*idx].period, *idx),
-                })
+                .min_by_key(|(idx, st)| ((st.job + 1) * self.components[*idx].period, *idx))
                 .map(|(idx, _)| idx);
             if let Some(idx) = pick {
                 self.state[idx].remaining -= 1;
@@ -417,34 +389,6 @@ mod tests {
         assert_eq!(s.misses()[0].deadline, 3);
         assert_eq!(s.misses()[0].remaining, 1);
         assert!(s.misses()[0].to_string().contains("missed"));
-    }
-
-    #[test]
-    fn internal_rm_prefers_short_period() {
-        let mut s = Supertask::new(vec![
-            Component::new(2, 10).unwrap(),
-            Component::new(1, 4).unwrap(),
-        ])
-        .with_internal_policy(InternalPolicy::Rm);
-        // Slot 0: RM picks the period-4 component.
-        s.on_slot(0, true);
-        assert_eq!(s.state[1].remaining, 0);
-        assert_eq!(s.state[0].remaining, 2);
-    }
-
-    /// On a dedicated processor, internal RM can miss where internal EDF
-    /// cannot (RM is not optimal): the classic (2,5)+(4,7) pair.
-    #[test]
-    fn internal_rm_is_suboptimal() {
-        let comps = || vec![Component::new(2, 5).unwrap(), Component::new(4, 7).unwrap()];
-        let mut edf = Supertask::new(comps());
-        let mut rm = Supertask::new(comps()).with_internal_policy(InternalPolicy::Rm);
-        for t in 0..350 {
-            edf.on_slot(t, true);
-            rm.on_slot(t, true);
-        }
-        assert!(edf.misses().is_empty(), "EDF handles U = 34/35");
-        assert!(!rm.misses().is_empty(), "RM misses the classic pair");
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Cross-crate robustness properties: the zero-fault plan is bit-for-bit
-//! inert, and processor fail + rejoin leaves application lag bounded.
+//! inert, per-task misses add up to the run's under any plan, and
+//! processor fail + rejoin leaves application lag bounded.
 
 use faults::{
     run_edf, run_pd2, FaultConfig, FaultPlan, RecoveryController, RecoveryPolicy, SlackPlan,
 };
 use pfair_core::SchedConfig;
-use pfair_model::TaskSet;
+use pfair_model::{TaskId, TaskSet};
 use proptest::prelude::*;
-use sched_sim::{FaultMetrics, MultiSim};
+use sched_sim::{Cbs, Dispatch, FaultMetrics, GlobalEdf, MultiSim};
 
 fn ts(pairs: &[(u64, u64)]) -> TaskSet {
     TaskSet::from_pairs(pairs.iter().copied()).unwrap()
@@ -60,6 +61,54 @@ proptest! {
         prop_assert!(fin.jobs_completed >= fin.jobs_due);
         prop_assert!(fin.max_app_lag <= 1.0 + 1e-9);
     }
+
+    /// The per-task miss tally adds up: after `finalize_faults`, the
+    /// tasks' `task_misses` sum to `FaultMetrics::job_misses` under global
+    /// EDF, CBS and PD², whatever the plan injects.
+    #[test]
+    fn prop_task_misses_sum_to_job_misses(
+        raw in prop::collection::vec((1u64..6, 2u64..10), 1..=5),
+        m_extra in 0u32..2,
+        seed in 0u64..u64::MAX,
+        overrun_rate in 0.0f64..0.5,
+        loss_rate in 0.0f64..0.2,
+        fail_every in 0u64..30,
+        burst_rate in 0.0f64..0.5,
+    ) {
+        let pairs: Vec<(u64, u64)> = raw.iter().map(|&(e, p)| (e.min(p), p)).collect();
+        let set = ts(&pairs);
+        let m = set.min_processors() + m_extra;
+        let plan = FaultPlan::new(FaultConfig {
+            overrun_rate,
+            overrun_max: 3,
+            loss_rate,
+            fail_every,
+            fail_duration: 5,
+            max_down: 1,
+            burst_rate,
+            burst_max: 3,
+            ..FaultConfig::none(seed)
+        });
+        let cbs = Cbs::new(&set, TaskId(0));
+        let tallies = [
+            tally(MultiSim::with_policy(&set, m, GlobalEdf), &plan, set.len()),
+            tally(MultiSim::with_policy(&set, m, cbs), &plan, set.len()),
+            tally(MultiSim::new(&set, SchedConfig::pd2(m)), &plan, set.len()),
+        ];
+        for (per_task, total) in tallies {
+            prop_assert_eq!(per_task, total);
+        }
+    }
+}
+
+/// Runs `sim` for 200 slots under `plan`; returns the sum of its `n`
+/// tasks' finalized misses and the run's `job_misses`.
+fn tally<P: Dispatch>(mut sim: MultiSim<P>, plan: &FaultPlan, n: usize) -> (u64, u64) {
+    sim.set_fault_hook(Box::new(plan.clone()));
+    sim.run(200);
+    let total = sim.finalize_faults().job_misses;
+    let per_task = (0..n as u32).map(|i| sim.task_misses(TaskId(i))).sum();
+    (per_task, total)
 }
 
 /// A processor outage under the full recovery policy: the heaviest task is

@@ -3,10 +3,13 @@
 //!
 //! A [`Dispatch`] policy decides *which* tasks execute in each slot: PD²
 //! ([`pfair_core::PfairScheduler`]), job-level global EDF
-//! ([`GlobalEdf`](crate::global_edf::GlobalEdf)), weighted round-robin, or
-//! the `faults` crate's partitioned quantum EDF. [`MultiSim`] decides
-//! *where*, and accounts for the overheads the paper analyzes in Section 4
-//! by one rule for every policy:
+//! ([`GlobalEdf`](crate::global_edf::GlobalEdf)), global EDF with a
+//! constant-bandwidth server ([`Cbs`](crate::global_edf::Cbs)), weighted
+//! round-robin, or the `faults` crate's partitioned quantum EDF; every
+//! policy is reachable between slots through [`MultiSim::scheduler`] and
+//! [`MultiSim::scheduler_mut`]. [`MultiSim`] decides *where*, and accounts
+//! for the overheads the paper analyzes in Section 4 by one rule for every
+//! policy:
 //!
 //! * A task scheduled in consecutive quanta stays on its processor — "when
 //!   a task is scheduled in two consecutive quanta, it can be allowed to
@@ -228,7 +231,7 @@ struct FaultLayer {
 
 /// The hook [`MultiSim::with_policy`] scores jobs under until a caller
 /// installs one: it injects nothing.
-struct NoFaults;
+pub(crate) struct NoFaults;
 
 impl FaultHook for NoFaults {
     fn slot_faults(&mut self, _t: Slot, _m: u32, _out: &mut SlotFaults) {}
@@ -343,19 +346,19 @@ impl<D: DelayModel> MultiSim<PfairScheduler<D>> {
         self.policy.set_recorder(rec);
         self
     }
-
-    /// Immutable access to the underlying scheduler.
-    pub fn scheduler(&self) -> &PfairScheduler<D> {
-        &self.policy
-    }
-
-    /// Mutable access (for joins/leaves between slots).
-    pub fn scheduler_mut(&mut self) -> &mut PfairScheduler<D> {
-        &mut self.policy
-    }
 }
 
 impl<P: Dispatch> MultiSim<P> {
+    /// Immutable access to the policy (for PD², the scheduler).
+    pub fn scheduler(&self) -> &P {
+        &self.policy
+    }
+
+    /// Mutable access to the policy (for PD², joins/leaves between slots).
+    pub fn scheduler_mut(&mut self) -> &mut P {
+        &mut self.policy
+    }
+
     /// Runs `policy` on `m` processors over a synchronous periodic task
     /// set, scoring every job from the first slot: the policy reads its
     /// jobs from the ledger, and [`Self::finalize_faults`] reports their
@@ -526,6 +529,17 @@ impl<P: Dispatch> MultiSim<P> {
         match &mut self.faults {
             Some(f) => self.ledger.finalize(self.now, f.hook.as_mut()),
             None => FaultMetrics::default(),
+        }
+    }
+
+    /// Task `id`'s share of [`FaultMetrics::job_misses`]: its late
+    /// completions and, after [`Self::finalize_faults`], its due jobs that
+    /// never finished. 0 without a ledger.
+    pub fn task_misses(&self, id: TaskId) -> u64 {
+        if self.faults.is_some() {
+            self.ledger.misses(id)
+        } else {
+            0
         }
     }
 
@@ -1038,6 +1052,9 @@ mod tests {
             }
             let mut gedf = MultiSim::with_policy(&set, m, crate::GlobalEdf);
             prop_assert_eq!(moved_while_running(&mut gedf, 60), None);
+            let mut cbs = MultiSim::with_policy(&set, m, crate::Cbs::new(&set, TaskId(0)));
+            cbs.set_fault_hook(Box::new(NoFaults)).set_demand(TaskId(0), 2 * set[TaskId(0)].exec);
+            prop_assert_eq!(moved_while_running(&mut cbs, 60), None);
             let mut wrr = MultiSim::with_policy(&set, m, crate::wrr::Wrr::new(&set, round));
             prop_assert_eq!(moved_while_running(&mut wrr, 60), None);
         }

@@ -9,11 +9,12 @@
 //! [`MultiSim::finalize_faults`](crate::MultiSim::finalize_faults) closes
 //! the run out. The ledger is also the job state every
 //! [`Dispatch`](crate::Dispatch) policy but PD² picks from: job-level
-//! global EDF, weighted round-robin and the `faults` crate's partitioned
-//! quantum EDF. So every row of a comparison is scored by one rule: a job
-//! is late if it completes past its deadline, a tardy job keeps running
-//! and counts one miss, and a job due by the horizon that never completes
-//! counts one miss when the run is finalized.
+//! global EDF, the constant-bandwidth server, weighted round-robin and the
+//! `faults` crate's partitioned quantum EDF. So every row of a comparison
+//! is scored by one rule: a job is late if it completes past its deadline,
+//! a tardy job keeps running and counts one miss, and a job due by the
+//! horizon that never completes counts one miss when the run is finalized.
+//! The ledger keeps that count per task as well as in total.
 
 use crate::trace::TraceEvent;
 use pfair_model::{Slot, TaskId};
@@ -137,6 +138,8 @@ struct TaskJobs {
     /// Slot at which the task was retired (shed), if any; retired tasks
     /// stop accruing lag and due jobs.
     retired_at: Option<Slot>,
+    /// This task's share of [`FaultMetrics::job_misses`].
+    misses: u64,
 }
 
 /// Application-level job accounting: a job completes only after `exec`
@@ -171,6 +174,7 @@ impl JobLedger {
             weight_f: exec as f64 / period as f64,
             arrival: origin + hook.release_delay(id, 0),
             retired_at: None,
+            misses: 0,
         });
     }
 
@@ -258,6 +262,7 @@ impl JobLedger {
             let deadline = a.arrival + a.period;
             self.metrics.jobs_completed += 1;
             if t + 1 > deadline {
+                a.misses += 1;
                 self.metrics.job_misses += 1;
                 self.metrics.max_tardiness = self.metrics.max_tardiness.max(t + 1 - deadline);
             }
@@ -301,7 +306,7 @@ impl JobLedger {
             return self.metrics;
         }
         self.finalized = true;
-        for (i, a) in self.tasks.iter().enumerate() {
+        for (i, a) in self.tasks.iter_mut().enumerate() {
             let id = TaskId(i as u32);
             let cutoff = a.retired_at.unwrap_or(horizon);
             let mut due = 0u64;
@@ -310,10 +315,19 @@ impl JobLedger {
             }
             // Jobs 0..a.job completed (late ones already counted as
             // misses); due jobs beyond that never will.
+            let unfinished = due.saturating_sub(a.job);
+            a.misses += unfinished;
             self.metrics.jobs_due += due;
-            self.metrics.job_misses += due.saturating_sub(a.job);
+            self.metrics.job_misses += unfinished;
         }
         self.metrics
+    }
+
+    /// Task `id`'s job misses under the rule that fills
+    /// [`FaultMetrics::job_misses`]: its late completions, plus — once the
+    /// run is finalized — its due jobs that never finished.
+    pub(crate) fn misses(&self, id: TaskId) -> u64 {
+        self.tasks[id.index()].misses
     }
 }
 
@@ -406,6 +420,7 @@ mod tests {
         let late = ledger.deadline(TaskId(0));
         ledger.useful_quantum(TaskId(0), late, &mut hook);
         assert_eq!(ledger.metrics.job_misses, 1);
+        assert_eq!(ledger.misses(TaskId(0)), 1);
         assert_eq!(ledger.metrics.max_tardiness, 1);
     }
 
@@ -430,6 +445,8 @@ mod tests {
         // its retirement at 12 (one done), two of task 2 (none done).
         assert_eq!(fin.jobs_due, 4 + 2 + 2);
         assert_eq!(fin.job_misses, 1 + 1 + 2);
+        let per_task: Vec<u64> = ledger.tasks().map(|id| ledger.misses(id)).collect();
+        assert_eq!(per_task, [1, 1, 2]);
         assert_eq!(fin.jobs_completed, 4);
         assert_eq!(ledger.finalize(40, &mut hook), fin, "idempotent");
     }

@@ -17,20 +17,19 @@
 //! * [`analysis`] — schedulability tests: the exact EDF utilization test,
 //!   the Liu–Layland RM bound, the hyperbolic bound, and the Lehoczky
 //!   exact time-demand analysis \[25\].
-//! * [`cbs`] — the constant-bandwidth server (§5.3's "additional
-//!   mechanism" for temporal isolation under EDF), with the vanilla-EDF
-//!   control showing why it is needed.
+//!
+//! §5.3's constant-bandwidth server is not here: it is a quantum-level
+//! policy of `sched_sim`'s slot loop (`sched_sim::Cbs`), so it is scored on
+//! the same workload and by the same miss rule as global EDF and PD².
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod analysis;
-pub mod cbs;
 pub mod sim;
 
 pub use analysis::{
     edf_schedulable, rm_exact_schedulable, rm_hyperbolic_schedulable, rm_ll_bound,
     rm_ll_schedulable, rm_response_time,
 };
-pub use cbs::{CbsSim, CbsStats, Request};
 pub use sim::{Discipline, UniSim, UniStats};
