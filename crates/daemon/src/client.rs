@@ -14,9 +14,12 @@
 //! — never a hang, and never a raw `read_exact` "failed to fill whole
 //! buffer" message.
 
-use crate::proto::{read_frame, write_frame, FrameError, Op, Reply, Request, Status, StreamMsg};
+use crate::proto::{
+    decode_reply, decode_stream, encode_framed, encode_request, read_frame, FrameError, Op, Reply,
+    Request, Status, StreamMsg,
+};
 use std::fmt;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -95,6 +98,16 @@ impl Stream {
             Stream::Tcp(s) => s.set_read_timeout(t),
         }
     }
+
+    /// The next frame; a close between frames is a disconnect too, since
+    /// the caller is waiting for one.
+    fn next_frame(&mut self) -> Result<String, ClientError> {
+        match read_frame(self) {
+            Ok(Some(frame)) => Ok(frame),
+            Ok(None) => Err(ClientError::Disconnected),
+            Err(e) => Err(e.into()),
+        }
+    }
 }
 
 impl Read for Stream {
@@ -113,12 +126,6 @@ impl Write for Stream {
             Stream::Tcp(s) => s.write(buf),
         }
     }
-    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.write_vectored(bufs),
-            Stream::Tcp(s) => s.write_vectored(bufs),
-        }
-    }
     fn flush(&mut self) -> io::Result<()> {
         match self {
             Stream::Unix(s) => s.flush(),
@@ -133,6 +140,9 @@ pub struct DaemonClient {
     next_nonce: u64,
     /// Task-set shard the convenience wrappers target (`None` = default).
     scope: Option<String>,
+    /// Every request frame is encoded here, prefix and body, and leaves
+    /// in one write.
+    frame: Vec<u8>,
 }
 
 impl DaemonClient {
@@ -161,6 +171,7 @@ impl DaemonClient {
             stream,
             next_nonce: 1,
             scope: None,
+            frame: Vec::new(),
         })
     }
 
@@ -213,19 +224,16 @@ impl DaemonClient {
 
     /// Sends a request without waiting for its reply (pipelining half).
     pub fn send(&mut self, req: &Request) -> Result<(), ClientError> {
-        let json = serde_json::to_string(req)
-            .map_err(|e| ClientError::Protocol(format!("unserializable request: {e}")))?;
-        write_frame(&mut self.stream, &json).map_err(ClientError::Io)
+        self.frame.clear();
+        encode_framed(&mut self.frame, |out| encode_request(req, out))?;
+        self.stream.write_all(&self.frame)?;
+        Ok(())
     }
 
     /// Receives the next reply frame (pipelining half).
     pub fn recv(&mut self) -> Result<Reply, ClientError> {
-        match read_frame(&mut self.stream) {
-            Ok(Some(json)) => serde_json::from_str(&json)
-                .map_err(|e| ClientError::Protocol(format!("bad reply: {e}"))),
-            Ok(None) => Err(ClientError::Disconnected),
-            Err(e) => Err(e.into()),
-        }
+        let frame = self.stream.next_frame()?;
+        decode_reply(&frame).map_err(|e| ClientError::Protocol(format!("bad reply: {e}")))
     }
 
     /// Call/response: send one request, wait for its reply.
@@ -333,12 +341,8 @@ impl Subscription {
     // is infinite-until-error, and `Result` (not `Option`) is the point.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<StreamMsg, ClientError> {
-        match read_frame(&mut self.stream) {
-            Ok(Some(json)) => serde_json::from_str(&json)
-                .map_err(|e| ClientError::Protocol(format!("bad stream frame: {e}"))),
-            Ok(None) => Err(ClientError::Disconnected),
-            Err(e) => Err(e.into()),
-        }
+        let frame = self.stream.next_frame()?;
+        decode_stream(&frame).map_err(|e| ClientError::Protocol(format!("bad stream frame: {e}")))
     }
 
     /// Overrides the read timeout for stream frames.

@@ -14,10 +14,10 @@
 //! allocation-free (scratch buffers sized at startup).
 //!
 //! Layout mirrors a narrow-kernel process split: [`proto`] is the whole
-//! wire schema (flat structs, length-prefixed JSON), [`core`] is the
-//! admission kernel (no I/O), [`server`] owns the sockets and the one
-//! event loop that serves them, [`client`] is what host processes link.
-//! `admitctl` and `admitd` are thin binaries over these.
+//! wire schema (flat structs, length-prefixed JSON) and its codec,
+//! [`core`] is the admission kernel (no I/O), [`server`] owns the sockets
+//! and the one event loop that serves them, [`client`] is what host
+//! processes link. `admitctl` and `admitd` are thin binaries over these.
 //!
 //! The only `unsafe` code is the `ppoll(2)` declaration and call in the
 //! private `poll` module; the crate denies it everywhere else.

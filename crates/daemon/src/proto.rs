@@ -15,8 +15,44 @@
 //!
 //! Every request may carry a `set` naming the task-set shard it targets;
 //! a missing `set` means the `default` set, so pre-multi-set clients keep
-//! working unchanged (the vendored serde treats a missing field as
-//! `null`, which only `Option` fields accept).
+//! working unchanged (a missing `Option` field decodes as `None`).
+//!
+//! # The codec
+//!
+//! [`encode_request`]/[`decode_request`], [`encode_reply`]/[`decode_reply`]
+//! and [`encode_stream`]/[`decode_stream`] convert straight between the
+//! structs and JSON bytes — no intermediate tree, no `String` per key, no
+//! `Vec` per object — and the encoders append to a buffer the caller
+//! keeps. The wire is the one the vendored `serde_json` defined; the serde
+//! derives stay on the types as the codec's test oracle.
+//!
+//! *Encoding is canonical*, byte for byte what `serde_json::to_string`
+//! writes: fields in declaration order, every field present (`null` for
+//! `None`), integers in plain decimal, enums as their variant name, and
+//! strings escaped with `\"`, `\\`, `\n`, `\r`, `\t` and `\u00xx` for the
+//! other control characters, every other character raw.
+//!
+//! *Decoding accepts exactly what `serde_json::from_str` accepts*:
+//! - keys in any order, and JSON whitespace (space, tab, CR, LF) around
+//!   every token;
+//! - keys compared after escape decoding (`"n\u006fnce"` is `nonce`);
+//! - unknown keys and later duplicates syntax-checked and ignored, so the
+//!   first occurrence of a key wins;
+//! - a missing `Option` field is `None`; a missing `op`/`nonce` (request),
+//!   `nonce`/`status`/`slot` (reply) or `kind`/`slot` (stream) is an
+//!   error;
+//! - a number is the longest run of `[-+0-9.eE]`. With a `.`, `e` or `E`
+//!   it parses as an `f64`, is accepted only if its fraction is 0 and is
+//!   then cast with `as` (so `1e3` is 1000 and `4294967296.0` saturates a
+//!   `u32`); otherwise it parses as an `i128` and must fit the field
+//!   (`007` is 7, `+5` is no number, `4294967296` is no `u32`).
+//!
+//! Unknown values are skipped on an explicit stack, never by recursion,
+//! so no nesting depth inside a frame can exhaust the daemon's stack. A
+//! failure is a [`DecodeError`], `<what> at byte <offset>`; the daemon
+//! answers an undecodable request with an `Error` reply whose `error`
+//! reads `unparsable request: <what> at byte <offset>`, and closes that
+//! connection.
 //!
 //! Framing errors are *classified*, not passed through as raw I/O:
 //! [`FrameError`] distinguishes a peer that closed cleanly between frames
@@ -26,6 +62,7 @@
 //! `read_exact`'s "failed to fill whole buffer".
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 use std::io::{self, IoSlice, Read, Write};
 
@@ -261,6 +298,639 @@ pub struct StreamMsg {
     pub snapshot: Option<String>,
 }
 
+// ---------------------------------------------------------------------------
+// The codec: straight between the structs and JSON bytes.
+// ---------------------------------------------------------------------------
+
+/// Appends `req` to `out` as JSON (see the module doc's *canonical*
+/// encoding).
+pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
+    Obj::open(out)
+        .field("op", &req.op)
+        .field("nonce", &req.nonce)
+        .field("set", &req.set)
+        .field("task", &req.task)
+        .field("wcet_us", &req.wcet_us)
+        .field("period_us", &req.period_us)
+        .close();
+}
+
+/// Appends `reply` to `out` as JSON.
+pub fn encode_reply(reply: &Reply, out: &mut Vec<u8>) {
+    Obj::open(out)
+        .field("nonce", &reply.nonce)
+        .field("status", &reply.status)
+        .field("slot", &reply.slot)
+        .field("set", &reply.set)
+        .field("sets", &reply.sets)
+        .field("task", &reply.task)
+        .field("weight_num", &reply.weight_num)
+        .field("weight_den", &reply.weight_den)
+        .field("quanta", &reply.quanta)
+        .field("period_quanta", &reply.period_quanta)
+        .field("first_release", &reply.first_release)
+        .field("free_at", &reply.free_at)
+        .field("snapshot", &reply.snapshot)
+        .field("task_count", &reply.task_count)
+        .field("weight_ppm", &reply.weight_ppm)
+        .field("error", &reply.error)
+        .close();
+}
+
+/// Appends `msg` to `out` as JSON.
+pub fn encode_stream(msg: &StreamMsg, out: &mut Vec<u8>) {
+    Obj::open(out)
+        .field("kind", &msg.kind)
+        .field("slot", &msg.slot)
+        .field("set", &msg.set)
+        .field("scheduled", &msg.scheduled)
+        .field("snapshot", &msg.snapshot)
+        .close();
+}
+
+/// Decodes one request (see the module doc for what is accepted).
+pub fn decode_request(text: &str) -> Result<Request, DecodeError> {
+    let (mut op, mut nonce) = (None, None);
+    let mut req = Request::bare(Op::Join, 0);
+    let keys = ["op", "nonce", "set", "task", "wcet_us", "period_us"];
+    Cursor::new(text).object(&keys, |c, field| {
+        match field {
+            0 => op = Some(Take::take(c)?),
+            1 => nonce = Some(Take::take(c)?),
+            2 => req.set = Take::take(c)?,
+            3 => req.task = Take::take(c)?,
+            4 => req.wcet_us = Take::take(c)?,
+            _ => req.period_us = Take::take(c)?,
+        }
+        Ok(())
+    })?;
+    req.op = required(text, op, "missing field `op`")?;
+    req.nonce = required(text, nonce, "missing field `nonce`")?;
+    Ok(req)
+}
+
+/// Decodes one reply.
+pub fn decode_reply(text: &str) -> Result<Reply, DecodeError> {
+    let (mut nonce, mut status, mut slot) = (None, None, None);
+    let mut r = Reply::new(0, Status::Error, 0);
+    let keys = [
+        "nonce",
+        "status",
+        "slot",
+        "set",
+        "sets",
+        "task",
+        "weight_num",
+        "weight_den",
+        "quanta",
+        "period_quanta",
+        "first_release",
+        "free_at",
+        "snapshot",
+        "task_count",
+        "weight_ppm",
+        "error",
+    ];
+    Cursor::new(text).object(&keys, |c, field| {
+        match field {
+            0 => nonce = Some(Take::take(c)?),
+            1 => status = Some(Take::take(c)?),
+            2 => slot = Some(Take::take(c)?),
+            3 => r.set = Take::take(c)?,
+            4 => r.sets = Take::take(c)?,
+            5 => r.task = Take::take(c)?,
+            6 => r.weight_num = Take::take(c)?,
+            7 => r.weight_den = Take::take(c)?,
+            8 => r.quanta = Take::take(c)?,
+            9 => r.period_quanta = Take::take(c)?,
+            10 => r.first_release = Take::take(c)?,
+            11 => r.free_at = Take::take(c)?,
+            12 => r.snapshot = Take::take(c)?,
+            13 => r.task_count = Take::take(c)?,
+            14 => r.weight_ppm = Take::take(c)?,
+            _ => r.error = Take::take(c)?,
+        }
+        Ok(())
+    })?;
+    r.nonce = required(text, nonce, "missing field `nonce`")?;
+    r.status = required(text, status, "missing field `status`")?;
+    r.slot = required(text, slot, "missing field `slot`")?;
+    Ok(r)
+}
+
+/// Decodes one stream frame.
+pub fn decode_stream(text: &str) -> Result<StreamMsg, DecodeError> {
+    let (mut kind, mut slot) = (None, None);
+    let (mut set, mut scheduled, mut snapshot) = (None, None, None);
+    let keys = ["kind", "slot", "set", "scheduled", "snapshot"];
+    Cursor::new(text).object(&keys, |c, field| {
+        match field {
+            0 => kind = Some(Take::take(c)?),
+            1 => slot = Some(Take::take(c)?),
+            2 => set = Take::take(c)?,
+            3 => scheduled = Take::take(c)?,
+            _ => snapshot = Take::take(c)?,
+        }
+        Ok(())
+    })?;
+    Ok(StreamMsg {
+        kind: required(text, kind, "missing field `kind`")?,
+        slot: required(text, slot, "missing field `slot`")?,
+        set,
+        scheduled,
+        snapshot,
+    })
+}
+
+/// Why a frame body did not decode: what was wrong, and where.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecodeError {
+    what: &'static str,
+    at: usize,
+}
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} at byte {}", self.what, self.at)
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// A required field's value, or the error naming it.
+fn required<T>(text: &str, v: Option<T>, what: &'static str) -> Result<T, DecodeError> {
+    v.ok_or(DecodeError {
+        what,
+        at: text.len(),
+    })
+}
+
+/// A JSON object being written, one field at a time.
+struct Obj<'o> {
+    out: &'o mut Vec<u8>,
+    /// What goes before the next key: `{`, then `,`.
+    sep: u8,
+}
+
+impl<'o> Obj<'o> {
+    fn open(out: &'o mut Vec<u8>) -> Self {
+        Obj { out, sep: b'{' }
+    }
+
+    fn field(self, key: &str, value: &impl Put) -> Self {
+        self.out.push(self.sep);
+        self.out.push(b'"');
+        self.out.extend_from_slice(key.as_bytes());
+        self.out.extend_from_slice(b"\":");
+        value.put(self.out);
+        Obj {
+            out: self.out,
+            sep: b',',
+        }
+    }
+
+    fn close(self) {
+        self.out.push(b'}');
+    }
+}
+
+/// A field value the encoder writes.
+trait Put {
+    fn put(&self, out: &mut Vec<u8>);
+}
+
+impl Put for u64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        let mut n = *self;
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        out.extend_from_slice(&digits[i..]);
+    }
+}
+
+impl Put for u32 {
+    fn put(&self, out: &mut Vec<u8>) {
+        u64::from(*self).put(out);
+    }
+}
+
+impl Put for str {
+    fn put(&self, out: &mut Vec<u8>) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let bytes = self.as_bytes();
+        out.push(b'"');
+        // Bytes from `raw` on are copied as they are, in one run up to the
+        // next byte that needs an escape. (No byte of a multi-byte UTF-8
+        // character is below 0x80, so none of them is ever escaped.)
+        let mut raw = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            if b >= 0x20 && b != b'"' && b != b'\\' {
+                continue;
+            }
+            out.extend_from_slice(&bytes[raw..i]);
+            raw = i + 1;
+            match b {
+                b'\n' => out.extend_from_slice(b"\\n"),
+                b'\r' => out.extend_from_slice(b"\\r"),
+                b'\t' => out.extend_from_slice(b"\\t"),
+                b'"' | b'\\' => out.extend_from_slice(&[b'\\', b]),
+                _ => {
+                    out.extend_from_slice(b"\\u00");
+                    out.extend_from_slice(&[HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]]);
+                }
+            }
+        }
+        out.extend_from_slice(&bytes[raw..]);
+        out.push(b'"');
+    }
+}
+
+impl Put for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.as_str().put(out);
+    }
+}
+
+impl<T: Put> Put for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(v) => v.put(out),
+            None => out.extend_from_slice(b"null"),
+        }
+    }
+}
+
+impl<T: Put> Put for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(b'[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            v.put(out);
+        }
+        out.push(b']');
+    }
+}
+
+/// A field value the decoder reads.
+trait Take: Sized {
+    fn take(c: &mut Cursor<'_>) -> Result<Self, DecodeError>;
+}
+
+impl Take for u64 {
+    fn take(c: &mut Cursor<'_>) -> Result<Self, DecodeError> {
+        c.integer(|f| f as u64)
+    }
+}
+
+impl Take for u32 {
+    fn take(c: &mut Cursor<'_>) -> Result<Self, DecodeError> {
+        c.integer(|f| f as u32)
+    }
+}
+
+impl Take for String {
+    fn take(c: &mut Cursor<'_>) -> Result<Self, DecodeError> {
+        c.string().map(Cow::into_owned)
+    }
+}
+
+impl<T: Take> Take for Option<T> {
+    fn take(c: &mut Cursor<'_>) -> Result<Self, DecodeError> {
+        if c.peek()? == b'n' {
+            c.keyword("null")?;
+            return Ok(None);
+        }
+        T::take(c).map(Some)
+    }
+}
+
+impl<T: Take> Take for Vec<T> {
+    fn take(c: &mut Cursor<'_>) -> Result<Self, DecodeError> {
+        c.eat(b'[', "expected an array")?;
+        let mut items = Vec::new();
+        if c.peek()? == b']' {
+            c.pos += 1;
+            return Ok(items);
+        }
+        loop {
+            items.push(T::take(c)?);
+            match c.peek()? {
+                b',' => c.pos += 1,
+                b']' => {
+                    c.pos += 1;
+                    return Ok(items);
+                }
+                _ => return Err(c.error("expected `,` or `]`")),
+            }
+        }
+    }
+}
+
+/// Unit-variant enums travel as their variant names.
+macro_rules! wire_enum {
+    ($ty:ident: $($variant:ident),+) => {
+        impl Put for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant => stringify!($variant).put(out),)+
+                }
+            }
+        }
+
+        impl Take for $ty {
+            fn take(c: &mut Cursor<'_>) -> Result<Self, DecodeError> {
+                let at = c.pos;
+                match &*c.string()? {
+                    $(stringify!($variant) => Ok($ty::$variant),)+
+                    _ => Err(DecodeError { what: "unknown variant", at }),
+                }
+            }
+        }
+    };
+}
+
+wire_enum!(Op: Join, Leave, Reweight, Stats, Subscribe, CreateSet, DropSet, ListSets, Shutdown);
+wire_enum!(Status: Admitted, Rejected, Left, Stats, Subscribed, SetCreated, SetDropped, SetList,
+    ShuttingDown, Error);
+wire_enum!(StreamKind: Decision, Snapshot, Bye);
+
+/// A number token as the parser reads it.
+enum Number {
+    Int(i128),
+    Float(f64),
+}
+
+/// A read position in one frame's text.
+struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(text: &'a str) -> Self {
+        Cursor { text, pos: 0 }
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
+    fn error(&self, what: &'static str) -> DecodeError {
+        DecodeError { what, at: self.pos }
+    }
+
+    /// The next byte after any whitespace, not consumed.
+    fn peek(&mut self) -> Result<u8, DecodeError> {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes().get(self.pos) {
+            self.pos += 1;
+        }
+        match self.bytes().get(self.pos) {
+            Some(&b) => Ok(b),
+            None => Err(self.error("unexpected end of input")),
+        }
+    }
+
+    /// Consumes `b`, after any whitespace.
+    fn eat(&mut self, b: u8, what: &'static str) -> Result<(), DecodeError> {
+        if self.peek()? != b {
+            return Err(self.error(what));
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    fn keyword(&mut self, word: &str) -> Result<(), DecodeError> {
+        if !self.bytes()[self.pos..].starts_with(word.as_bytes()) {
+            return Err(self.error("invalid literal"));
+        }
+        self.pos += word.len();
+        Ok(())
+    }
+
+    /// The one top-level object of the text. The value of each key in
+    /// `keys` goes to `field` (with the key's index) at the key's first
+    /// occurrence; every other value — unknown keys and later duplicates
+    /// — is syntax-checked and skipped. Only whitespace may follow.
+    fn object(
+        mut self,
+        keys: &[&str],
+        mut field: impl FnMut(&mut Self, usize) -> Result<(), DecodeError>,
+    ) -> Result<(), DecodeError> {
+        self.eat(b'{', "expected an object")?;
+        let mut seen = 0u32;
+        // The encoder writes keys in order, so the key after the last one
+        // found is tried first.
+        let mut next = 0;
+        if self.peek()? == b'}' {
+            self.pos += 1;
+        } else {
+            loop {
+                let key = self.string()?;
+                self.eat(b':', "expected `:`")?;
+                let known = match keys.get(next) {
+                    Some(&k) if k == key => Some(next),
+                    _ => keys.iter().position(|&k| k == key),
+                };
+                match known {
+                    Some(i) if seen & (1 << i) == 0 => {
+                        seen |= 1 << i;
+                        next = i + 1;
+                        field(&mut self, i)?;
+                    }
+                    _ => self.skip_value()?,
+                }
+                match self.peek()? {
+                    b',' => self.pos += 1,
+                    b'}' => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => return Err(self.error("expected `,` or `}`")),
+                }
+            }
+        }
+        match self.peek() {
+            Err(_) => Ok(()),
+            Ok(_) => Err(self.error("trailing characters")),
+        }
+    }
+
+    /// A string, escapes decoded; borrowed from the text when it holds
+    /// none.
+    fn string(&mut self) -> Result<Cow<'a, str>, DecodeError> {
+        self.eat(b'"', "expected a string")?;
+        let (text, bytes) = (self.text, self.bytes());
+        let start = self.pos;
+        // `text[run..pos]` is raw text not yet copied into `owned`.
+        let mut run = start;
+        let mut owned = String::new();
+        loop {
+            let Some(&b) = bytes.get(self.pos) else {
+                return Err(self.error("unterminated string"));
+            };
+            match b {
+                b'"' => {
+                    let tail = &text[run..self.pos];
+                    self.pos += 1;
+                    if run == start {
+                        return Ok(Cow::Borrowed(tail));
+                    }
+                    owned.push_str(tail);
+                    return Ok(Cow::Owned(owned));
+                }
+                b'\\' => {
+                    owned.push_str(&text[run..self.pos]);
+                    let esc = bytes.get(self.pos + 1).copied();
+                    self.pos += 2;
+                    owned.push(match esc {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'u') => {
+                            // Four bytes of hex, read as `u32::from_str_radix`
+                            // reads them; no surrogate pairs.
+                            let code = bytes
+                                .get(self.pos..self.pos + 4)
+                                .and_then(|hex| std::str::from_utf8(hex).ok())
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .and_then(char::from_u32)
+                                .ok_or(self.error("bad \\u escape"))?;
+                            self.pos += 4;
+                            code
+                        }
+                        Some(_) => return Err(self.error("bad escape")),
+                        None => return Err(self.error("unterminated escape")),
+                    });
+                    run = self.pos;
+                }
+                _ => self.pos += 1,
+            }
+        }
+    }
+
+    /// A number token: the longest run of `[-+0-9.eE]`, an `f64` if it
+    /// holds `.`, `e` or `E` and an `i128` otherwise. The caller has
+    /// peeked a `-` or a digit.
+    fn number(&mut self) -> Result<Number, DecodeError> {
+        let start = self.pos;
+        let mut float = false;
+        while let Some(&b) = self.bytes().get(self.pos) {
+            match b {
+                b'0'..=b'9' | b'-' | b'+' => {}
+                b'.' | b'e' | b'E' => float = true,
+                _ => break,
+            }
+            self.pos += 1;
+        }
+        let token = &self.text[start..self.pos];
+        let n = match float {
+            true => token.parse().map(Number::Float).ok(),
+            false => token.parse().map(Number::Int).ok(),
+        };
+        n.ok_or(DecodeError {
+            what: "bad number",
+            at: start,
+        })
+    }
+
+    /// An unsigned integer field: an `i128` token that fits, or an `f64`
+    /// token with no fraction, cast.
+    fn integer<T: TryFrom<i128>>(&mut self, cast: fn(f64) -> T) -> Result<T, DecodeError> {
+        if !matches!(self.peek()?, b'-' | b'0'..=b'9') {
+            return Err(self.error("expected an integer"));
+        }
+        let at = self.pos;
+        match self.number()? {
+            Number::Int(i) => T::try_from(i).map_err(|_| DecodeError {
+                what: "integer out of range",
+                at,
+            }),
+            Number::Float(f) if f.fract() == 0.0 => Ok(cast(f)),
+            Number::Float(_) => Err(DecodeError {
+                what: "expected an integer",
+                at,
+            }),
+        }
+    }
+
+    /// Syntax-checks and skips one value of any shape. The containers it
+    /// is inside are kept on a heap stack of their closing brackets, so
+    /// no nesting depth can exhaust the thread's stack.
+    fn skip_value(&mut self) -> Result<(), DecodeError> {
+        let mut closers = Vec::new();
+        loop {
+            // A value starts here.
+            match self.peek()? {
+                open @ (b'[' | b'{') => {
+                    self.pos += 1;
+                    let close = if open == b'[' { b']' } else { b'}' };
+                    if self.peek()? == close {
+                        self.pos += 1;
+                    } else {
+                        closers.push(close);
+                        if close == b'}' {
+                            self.member_key()?;
+                        }
+                        continue;
+                    }
+                }
+                b'"' => {
+                    self.string()?;
+                }
+                b'-' | b'0'..=b'9' => {
+                    self.number()?;
+                }
+                b'n' => self.keyword("null")?,
+                b't' => self.keyword("true")?,
+                b'f' => self.keyword("false")?,
+                _ => return Err(self.error("expected a value")),
+            }
+            // The value is complete: close what ends after it, up to the
+            // next element of an open container.
+            loop {
+                let Some(&close) = closers.last() else {
+                    return Ok(());
+                };
+                match self.peek()? {
+                    b',' => {
+                        self.pos += 1;
+                        if close == b'}' {
+                            self.member_key()?;
+                        }
+                        break;
+                    }
+                    b if b == close => {
+                        self.pos += 1;
+                        closers.pop();
+                    }
+                    _ => return Err(self.error("expected `,` or a closing bracket")),
+                }
+            }
+        }
+    }
+
+    /// An object member's `"key":`, skipped.
+    fn member_key(&mut self) -> Result<(), DecodeError> {
+        self.string()?;
+        self.eat(b':', "expected `:`")
+    }
+}
+
 /// Why reading a frame failed, classified — transports and clients act
 /// on the class, not on the underlying `io::ErrorKind` zoo.
 #[derive(Debug)]
@@ -316,31 +986,45 @@ fn is_gone(kind: io::ErrorKind) -> bool {
     )
 }
 
-/// The length prefix of a frame carrying `json`; refuses a body over
-/// [`MAX_FRAME`], which no reader would accept.
-fn frame_prefix(json: &str) -> io::Result<[u8; 4]> {
-    match u32::try_from(json.len()) {
-        Ok(len) if len <= MAX_FRAME => Ok(len.to_le_bytes()),
+/// The length prefix of a frame with a body of `len` bytes; refuses a
+/// body over [`MAX_FRAME`], which no reader would accept.
+fn frame_prefix(len: usize) -> io::Result<[u8; 4]> {
+    match u32::try_from(len) {
+        Ok(n) if n <= MAX_FRAME => Ok(n.to_le_bytes()),
         _ => Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("frame of {} bytes exceeds MAX_FRAME", json.len()),
+            format!("frame of {len} bytes exceeds MAX_FRAME"),
         )),
     }
 }
 
-/// Appends one length-prefixed frame to `out`: the bytes [`write_frame`]
-/// would send.
-pub(crate) fn encode_frame(out: &mut Vec<u8>, json: &str) -> io::Result<()> {
-    out.extend_from_slice(&frame_prefix(json)?);
-    out.extend_from_slice(json.as_bytes());
-    Ok(())
+/// Appends one length-prefixed frame to `out`, its body written in place
+/// by `encode`: the bytes [`write_frame`] would send for that body. A
+/// body over [`MAX_FRAME`] is truncated away again and refused.
+pub(crate) fn encode_framed(
+    out: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    encode(out);
+    match frame_prefix(out.len() - start - 4) {
+        Ok(prefix) => {
+            out[start..start + 4].copy_from_slice(&prefix);
+            Ok(())
+        }
+        Err(e) => {
+            out.truncate(start);
+            Err(e)
+        }
+    }
 }
 
 /// Writes one length-prefixed frame. Prefix and body leave in one
 /// vectored write: written apart, the 4-byte prefix alone wakes a peer
 /// blocked in `read`, which then blocks again for the body.
 pub fn write_frame<W: Write>(w: &mut W, json: &str) -> io::Result<()> {
-    let prefix = frame_prefix(json)?;
+    let prefix = frame_prefix(json.len())?;
     let body = json.as_bytes();
     let mut sent = 0;
     while sent < prefix.len() {
@@ -478,9 +1162,9 @@ mod tests {
             Request::bare(Op::ListSets, 14),
             Request::bare(Op::Shutdown, 15),
         ] {
-            let json = serde_json::to_string(&req).unwrap();
-            let back: Request = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, req);
+            let json = encoded(&req, encode_request);
+            assert_eq!(json, serde_json::to_string(&req).unwrap());
+            assert_eq!(decode_request(&json), Ok(req));
         }
     }
 
@@ -488,7 +1172,7 @@ mod tests {
     fn legacy_request_without_set_field_parses_as_default_set() {
         // A pre-multi-set client's frame: no `set` key at all.
         let json = r#"{"op":"Join","nonce":3,"task":null,"wcet_us":1000,"period_us":4000}"#;
-        let req: Request = serde_json::from_str(json).unwrap();
+        let req = decode_request(json).unwrap();
         assert_eq!(req.set, None);
         assert_eq!(req.set_name(), DEFAULT_SET);
     }
@@ -503,15 +1187,13 @@ mod tests {
         reply.quanta = Some(2);
         reply.period_quanta = Some(10);
         reply.first_release = Some(17);
-        let json = serde_json::to_string(&reply).unwrap();
-        let back: Reply = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, reply);
-
         let mut list = Reply::new(1, Status::SetList, 0);
         list.sets = Some(vec!["alpha".to_string(), "default".to_string()]);
-        let json = serde_json::to_string(&list).unwrap();
-        let back: Reply = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, list);
+        for reply in [reply, list] {
+            let json = encoded(&reply, encode_reply);
+            assert_eq!(json, serde_json::to_string(&reply).unwrap());
+            assert_eq!(decode_reply(&json), Ok(reply));
+        }
     }
 
     #[test]
@@ -695,8 +1377,8 @@ mod tests {
                 2 => {}
                 // A frame of ASCII.
                 _ => {
-                    let text: String = bytes.iter().map(|b| char::from(b'a' + b % 26)).collect();
-                    encode_frame(&mut out, &text).unwrap();
+                    let text: Vec<u8> = bytes.iter().map(|b| b'a' + b % 26).collect();
+                    encode_framed(&mut out, |o| o.extend_from_slice(&text)).unwrap();
                     return out;
                 }
             }
@@ -766,7 +1448,7 @@ mod tests {
             }
         }
         let mut expect = Vec::new();
-        encode_frame(&mut expect, "{\"op\":\"Join\"}").unwrap();
+        encode_framed(&mut expect, |o| o.extend_from_slice(b"{\"op\":\"Join\"}")).unwrap();
         for cap in [usize::MAX, 1, 3, 5, 7] {
             let mut w = Capped {
                 cap,
@@ -788,5 +1470,541 @@ mod tests {
         buf.extend_from_slice(&[0xff, 0xfe, 0xfd]);
         let mut r = &buf[..];
         assert!(matches!(read_frame(&mut r), Err(FrameError::Malformed(_))));
+    }
+
+    // --- the codec, with the serde path as its oracle ----------------------
+
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    const OPS: [Op; 9] = [
+        Op::Join,
+        Op::Leave,
+        Op::Reweight,
+        Op::Stats,
+        Op::Subscribe,
+        Op::CreateSet,
+        Op::DropSet,
+        Op::ListSets,
+        Op::Shutdown,
+    ];
+    const STATUSES: [Status; 10] = [
+        Status::Admitted,
+        Status::Rejected,
+        Status::Left,
+        Status::Stats,
+        Status::Subscribed,
+        Status::SetCreated,
+        Status::SetDropped,
+        Status::SetList,
+        Status::ShuttingDown,
+        Status::Error,
+    ];
+    const KINDS: [StreamKind; 3] = [StreamKind::Decision, StreamKind::Snapshot, StreamKind::Bye];
+
+    /// What `encode` writes for `v`, as text.
+    fn encoded<T>(v: &T, encode: fn(&T, &mut Vec<u8>)) -> String {
+        let mut out = Vec::new();
+        encode(v, &mut out);
+        String::from_utf8(out).unwrap()
+    }
+
+    /// Strings the escaper must get right: quotes, backslashes, every
+    /// control character, DEL, `/` and non-ASCII up to the astral planes.
+    fn wire_string() -> impl Strategy<Value = String> {
+        prop::collection::vec((0u8..4, 0u32..0x11_0000), 0..10).prop_map(|cs| {
+            cs.into_iter()
+                .map(|(kind, c)| match kind {
+                    0 => ['"', '\\', '/', '\u{7f}', '\u{e4}', '\u{2713}', '\u{1f600}']
+                        [c as usize % 7],
+                    1 => char::from_u32(c % 0x20).unwrap(),
+                    2 => char::from_u32(c).unwrap_or('\u{fffd}'),
+                    _ => char::from(b'a' + (c % 26) as u8),
+                })
+                .collect()
+        })
+    }
+
+    fn wire_u64() -> impl Strategy<Value = u64> {
+        (0u8..3, 0u64..=u64::MAX).prop_map(|(kind, x)| match kind {
+            0 => [0, 1, 10, u32::MAX.into(), u64::from(u32::MAX) + 1, u64::MAX][x as usize % 6],
+            1 => x % 100_000,
+            _ => x,
+        })
+    }
+
+    fn wire_u32() -> impl Strategy<Value = u32> {
+        wire_u64().prop_map(|x| x as u32)
+    }
+
+    fn maybe<S: Strategy>(s: S) -> impl Strategy<Value = Option<S::Value>> {
+        (0u8..2, s).prop_map(|(k, v)| (k == 1).then_some(v))
+    }
+
+    fn request() -> impl Strategy<Value = Request> {
+        (
+            prop::sample::select(OPS.to_vec()),
+            wire_u64(),
+            maybe(wire_string()),
+            maybe(wire_u32()),
+            maybe(wire_u64()),
+            maybe(wire_u64()),
+        )
+            .prop_map(|(op, nonce, set, task, wcet_us, period_us)| Request {
+                op,
+                nonce,
+                set,
+                task,
+                wcet_us,
+                period_us,
+            })
+    }
+
+    fn reply() -> impl Strategy<Value = Reply> {
+        let head = (
+            wire_u64(),
+            prop::sample::select(STATUSES.to_vec()),
+            wire_u64(),
+            maybe(wire_string()),
+            maybe(prop::collection::vec(wire_string(), 0..4)),
+            maybe(wire_u32()),
+        );
+        let weights = (
+            maybe(wire_u64()),
+            maybe(wire_u64()),
+            maybe(wire_u64()),
+            maybe(wire_u64()),
+            maybe(wire_u64()),
+            maybe(wire_u64()),
+        );
+        let tail = (
+            maybe(wire_string()),
+            maybe(wire_u64()),
+            maybe(wire_u64()),
+            maybe(wire_string()),
+        );
+        (head, weights, tail).prop_map(|(h, w, t)| Reply {
+            nonce: h.0,
+            status: h.1,
+            slot: h.2,
+            set: h.3,
+            sets: h.4,
+            task: h.5,
+            weight_num: w.0,
+            weight_den: w.1,
+            quanta: w.2,
+            period_quanta: w.3,
+            first_release: w.4,
+            free_at: w.5,
+            snapshot: t.0,
+            task_count: t.1,
+            weight_ppm: t.2,
+            error: t.3,
+        })
+    }
+
+    fn stream_msg() -> impl Strategy<Value = StreamMsg> {
+        (
+            prop::sample::select(KINDS.to_vec()),
+            wire_u64(),
+            maybe(wire_string()),
+            maybe(prop::collection::vec(wire_u32(), 0..5)),
+            maybe(wire_string()),
+        )
+            .prop_map(|(kind, slot, set, scheduled, snapshot)| StreamMsg {
+                kind,
+                slot,
+                set,
+                scheduled,
+                snapshot,
+            })
+    }
+
+    /// A value in the serde tree, to render one member at a time.
+    struct Raw(serde::Value);
+
+    impl Serialize for Raw {
+        fn to_value(&self) -> serde::Value {
+            self.0.clone()
+        }
+    }
+
+    /// `v`'s members as serde writes them: each key and value text.
+    fn members<T: Serialize>(v: &T) -> Vec<(String, String)> {
+        let serde::Value::Obj(pairs) = v.to_value() else {
+            panic!("the proto types serialize as objects");
+        };
+        pairs
+            .into_iter()
+            .map(|(k, v)| (k, serde_json::to_string(&Raw(v)).unwrap()))
+            .collect()
+    }
+
+    /// Numbers spelled as the parser may or may not take them.
+    const SPELLINGS: [&str; 16] = [
+        "1.0",
+        "1e3",
+        "-0",
+        "+5",
+        "007",
+        "4294967296",
+        "4294967296.0",
+        "-1",
+        "-1.0",
+        "1.5",
+        "1e400",
+        "1-2",
+        "\"5\"",
+        "null",
+        "true",
+        "[5]",
+    ];
+
+    /// Values at the edge of one parser rule each: all but `\u+041`
+    /// (which `u32::from_str_radix` reads as `A`) break it.
+    const MALFORMED: [&str; 24] = [
+        "[1,]",
+        "[,1]",
+        "[1 2]",
+        "[}",
+        "{]",
+        "{,}",
+        r#"{"a":1,}"#,
+        r#"{"a"}"#,
+        r#"{"a":}"#,
+        r#"{"a":1 "b":2}"#,
+        "{1:2}",
+        "nul",
+        "tru",
+        "nulll",
+        "-",
+        "1e",
+        ".5",
+        "1.2.3",
+        "99999999999999999999999999999999999999999",
+        r#""\x""#,
+        r#""\u12""#,
+        r#""\ud800""#,
+        r#""\u+041""#,
+        "'a'",
+    ];
+
+    /// Random JSON whitespace, usually none.
+    fn ws(rng: &mut StdRng) -> &'static str {
+        [" ", "\t", "\n", "\r\n ", "", "", "", ""][rng.gen_range(0..8)]
+    }
+
+    /// A random well-formed JSON value, nested at most `deep` deep.
+    fn nested_value(rng: &mut StdRng, depth: usize, deep: usize) -> String {
+        match rng.gen_range(0..10) {
+            0 | 1 if depth < 6 => {
+                let items: Vec<String> = (0..rng.gen_range(0..3))
+                    .map(|_| nested_value(rng, depth + 1, deep))
+                    .collect();
+                format!("[{}]", items.join(&format!(",{}", ws(rng))))
+            }
+            2 | 3 if depth < 6 => {
+                let items: Vec<String> = (0..rng.gen_range(0..3))
+                    .map(|i| format!("\"k{i}\":{}{}", ws(rng), nested_value(rng, depth + 1, deep)))
+                    .collect();
+                format!("{{{}}}", items.join(","))
+            }
+            4 => {
+                let d = rng.gen_range(1..deep - depth);
+                format!("{}{}", "[".repeat(d), "]".repeat(d))
+            }
+            5 => "null".to_string(),
+            6 => "false".to_string(),
+            // Every escape the parser knows.
+            7 => format!(
+                r#""{b}u{:04x}{b}"{b}{b}{b}/{b}b{b}f{b}n{b}r{b}t""#,
+                rng.gen_range(0x20..0xd7ff),
+                b = '\\'
+            ),
+            _ => ["-12.5e3", "0", "18446744073709551616", "true"][rng.gen_range(0..4)].to_string(),
+        }
+    }
+
+    /// A key as a client might spell it: plain, or with one character
+    /// escaped as `\u00xx`, in either case.
+    fn spell_key(key: &str, rng: &mut StdRng) -> String {
+        let chars: Vec<char> = key.chars().collect();
+        if chars.is_empty() || rng.gen_range(0..4) != 0 {
+            return format!("\"{key}\"");
+        }
+        let at = rng.gen_range(0..chars.len());
+        let esc = match rng.gen_range(0..2) {
+            0 => format!("\\u{:04x}", chars[at] as u32),
+            _ => format!("\\u{:04X}", chars[at] as u32),
+        };
+        let head: String = chars[..at].iter().collect();
+        let tail: String = chars[at + 1..].iter().collect();
+        format!("\"{head}{esc}{tail}\"")
+    }
+
+    /// `members` reassembled as a client might send them, drawn from
+    /// `seed`: permuted, with whitespace, escaped keys, unknown keys with
+    /// nested values and later duplicates. A `hostile` assembly also
+    /// drops fields, respells numbers, puts a duplicate anywhere (so it
+    /// may come first, with a value of any type) and corrupts a character.
+    fn assemble(members: &[(String, String)], seed: u64, hostile: bool) -> String {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Every prefix of a hostile text is decoded, which costs the square
+        // of its length, so it nests less deep.
+        let deep = if hostile { 80 } else { 400 };
+        let mut m = members.to_vec();
+        for i in (1..m.len()).rev() {
+            m.swap(i, rng.gen_range(0..=i));
+        }
+        if hostile {
+            if rng.gen_range(0..6) == 0 {
+                m.remove(rng.gen_range(0..m.len()));
+            }
+            for (k, v) in &mut m {
+                let numeric = v.bytes().all(|b| b.is_ascii_digit());
+                if (k == "task" || numeric) && rng.gen_range(0..3) == 0 {
+                    *v = SPELLINGS[rng.gen_range(0..SPELLINGS.len())].to_string();
+                }
+            }
+        }
+        for _ in 0..rng.gen_range(0..3) {
+            let key = ["x", "", "nonc", "Nonce", "op "][rng.gen_range(0..5)].to_string();
+            let value = match hostile && rng.gen_range(0..3) == 0 {
+                true => MALFORMED[rng.gen_range(0..MALFORMED.len())].to_string(),
+                false => nested_value(&mut rng, 0, deep),
+            };
+            m.insert(rng.gen_range(0..=m.len()), (key, value));
+        }
+        for _ in 0..rng.gen_range(0..3) {
+            let (key, _) = members[rng.gen_range(0..members.len())].clone();
+            // Some spellings are no JSON at all, so only a hostile
+            // assembly uses them.
+            let value = match hostile && rng.gen_range(0..2) == 0 {
+                true => SPELLINGS[rng.gen_range(0..SPELLINGS.len())].to_string(),
+                false => nested_value(&mut rng, 0, deep),
+            };
+            let first = m.iter().position(|(k, _)| *k == key).unwrap_or(m.len());
+            let at = match hostile {
+                true => rng.gen_range(0..=m.len()),
+                false => rng.gen_range(first.min(m.len() - 1) + 1..=m.len()),
+            };
+            m.insert(at, (key, value));
+        }
+        let mut out = String::from(ws(&mut rng));
+        for (i, (k, v)) in m.iter().enumerate() {
+            out.push(if i == 0 { '{' } else { ',' });
+            out.push_str(ws(&mut rng));
+            out.push_str(&spell_key(k, &mut rng));
+            out.push_str(ws(&mut rng));
+            out.push(':');
+            out.push_str(ws(&mut rng));
+            out.push_str(v);
+            out.push_str(ws(&mut rng));
+        }
+        out.push_str(if m.is_empty() { "{}" } else { "}" });
+        out.push_str(ws(&mut rng));
+        if hostile && rng.gen_range(0..4) == 0 {
+            let mut chars: Vec<char> = out.chars().collect();
+            let at = rng.gen_range(0..chars.len());
+            chars[at] = [
+                '{', '}', '[', ']', ':', ',', '"', '\\', ' ', '0', 'e', '.', 'n',
+            ][rng.gen_range(0..13)];
+            out = chars.into_iter().collect();
+        }
+        out
+    }
+
+    /// The codec and serde accept the same prefixes of `text`, every one
+    /// of them, and decode each accepted one to the same value.
+    fn agree<T: PartialEq + fmt::Debug>(
+        text: &str,
+        decode: fn(&str) -> Result<T, DecodeError>,
+        serde: fn(&str) -> Result<T, serde_json::Error>,
+    ) -> Result<(), TestCaseError> {
+        for end in (0..=text.len()).filter(|&end| text.is_char_boundary(end)) {
+            let t = &text[..end];
+            prop_assert_eq!(decode(t).ok(), serde(t).ok(), "on {:?}", t);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn prop_encoding_is_serdes_bytes(req in request(), reply in reply(), msg in stream_msg()) {
+            prop_assert_eq!(encoded(&req, encode_request), serde_json::to_string(&req).unwrap());
+            prop_assert_eq!(encoded(&reply, encode_reply), serde_json::to_string(&reply).unwrap());
+            prop_assert_eq!(encoded(&msg, encode_stream), serde_json::to_string(&msg).unwrap());
+            // And back.
+            prop_assert_eq!(decode_request(&encoded(&req, encode_request)), Ok(req));
+            prop_assert_eq!(decode_reply(&encoded(&reply, encode_reply)), Ok(reply));
+            prop_assert_eq!(decode_stream(&encoded(&msg, encode_stream)), Ok(msg));
+        }
+
+        #[test]
+        fn prop_decoding_agrees_with_serde(
+            req in request(),
+            reply in reply(),
+            msg in stream_msg(),
+            seed in 0u64..=u64::MAX,
+        ) {
+            // Reordered, spaced, escaped and padded, each still decodes.
+            let text = assemble(&members(&req), seed, false);
+            prop_assert_eq!(decode_request(&text), Ok(req.clone()), "on {}", text);
+            let text = assemble(&members(&reply), seed, false);
+            prop_assert_eq!(decode_reply(&text), Ok(reply.clone()), "on {}", text);
+            let text = assemble(&members(&msg), seed, false);
+            prop_assert_eq!(decode_stream(&text), Ok(msg.clone()), "on {}", text);
+            // Mangled and cut short at every character, it fails exactly
+            // where serde fails.
+            agree(&assemble(&members(&req), seed, true), decode_request, serde_json::from_str)?;
+            agree(&assemble(&members(&reply), seed, true), decode_reply, serde_json::from_str)?;
+            agree(&assemble(&members(&msg), seed, true), decode_stream, serde_json::from_str)?;
+        }
+    }
+
+    #[test]
+    fn every_option_combination_encodes_as_serde_does() {
+        let s = || Some("a\"b\\c\n\u{1}\u{e4}".to_string());
+        for mask in 0u32..1 << 4 {
+            let on = |bit: u32| mask & (1 << bit) != 0;
+            let req = Request {
+                op: Op::Reweight,
+                nonce: u64::MAX,
+                set: s().filter(|_| on(0)),
+                task: on(1).then_some(u32::MAX),
+                wcet_us: on(2).then_some(u64::MAX),
+                period_us: on(3).then_some(0),
+            };
+            let json = encoded(&req, encode_request);
+            assert_eq!(json, serde_json::to_string(&req).unwrap());
+            assert_eq!(decode_request(&json), Ok(req));
+        }
+        for mask in 0u32..1 << 13 {
+            let on = |bit: u32| mask & (1 << bit) != 0;
+            let n = |bit: u32| on(bit).then_some(u64::MAX - u64::from(bit));
+            let reply = Reply {
+                nonce: u64::MAX,
+                status: Status::SetList,
+                slot: 7,
+                set: s().filter(|_| on(0)),
+                sets: on(1).then(|| vec![String::new(), "\t".to_string()]),
+                task: on(2).then_some(u32::MAX),
+                weight_num: n(3),
+                weight_den: n(4),
+                quanta: n(5),
+                period_quanta: n(6),
+                first_release: n(7),
+                free_at: n(8),
+                snapshot: s().filter(|_| on(9)),
+                task_count: n(10),
+                weight_ppm: n(11),
+                error: s().filter(|_| on(12)),
+            };
+            let json = encoded(&reply, encode_reply);
+            assert_eq!(json, serde_json::to_string(&reply).unwrap());
+            assert_eq!(decode_reply(&json), Ok(reply));
+        }
+        for mask in 0u32..1 << 3 {
+            let on = |bit: u32| mask & (1 << bit) != 0;
+            let msg = StreamMsg {
+                kind: StreamKind::Decision,
+                slot: u64::MAX,
+                set: s().filter(|_| on(0)),
+                scheduled: on(1).then(|| vec![0, u32::MAX]),
+                snapshot: s().filter(|_| on(2)),
+            };
+            let json = encoded(&msg, encode_stream);
+            assert_eq!(json, serde_json::to_string(&msg).unwrap());
+            assert_eq!(decode_stream(&json), Ok(msg));
+        }
+    }
+
+    #[test]
+    fn number_spellings_decode_as_serde_does() {
+        for (spelling, task) in [
+            ("1.0", Some(Some(1))),
+            ("1e3", Some(Some(1_000))),
+            ("1E2", Some(Some(100))),
+            ("2.5e1", Some(Some(25))),
+            ("-0", Some(Some(0))),
+            ("-0.0", Some(Some(0))),
+            ("-1.0", Some(Some(0))),
+            ("007", Some(Some(7))),
+            ("4294967296.0", Some(Some(u32::MAX))),
+            ("null", Some(None)),
+            ("+5", None),
+            ("-1", None),
+            ("4294967296", None),
+            ("1.5", None),
+            ("1e400", None),
+            ("1-2", None),
+            ("--1", None),
+            ("\"5\"", None),
+            ("true", None),
+            ("[5]", None),
+        ] {
+            let text = format!(r#"{{"op":"Leave","nonce":1,"task":{spelling}}}"#);
+            let oracle = serde_json::from_str::<Request>(&text).ok().map(|r| r.task);
+            assert_eq!(oracle, task, "serde on {text}");
+            assert_eq!(decode_request(&text).ok().map(|r| r.task), task, "{text}");
+        }
+    }
+
+    #[test]
+    fn nesting_depth_cannot_overflow_the_decoder() {
+        let (open, close) = ("[".repeat(200_000), "]".repeat(200_000));
+        let cut = format!(r#"{{"op":"Join","nonce":1,"x":{open}"#);
+        assert_eq!(
+            decode_request(&cut).unwrap_err().to_string(),
+            format!("unexpected end of input at byte {}", cut.len())
+        );
+        // Balanced, the same depth is one unknown value to skip.
+        let deep = format!(r#"{{"op":"Join","nonce":1,"x":{open}{close}}}"#);
+        assert_eq!(decode_request(&deep), Ok(Request::bare(Op::Join, 1)));
+        let objects = format!(
+            r#"{{"x":{}0{},"nonce":2,"status":"Left","slot":3}}"#,
+            r#"{"a":"#.repeat(100_000),
+            "}".repeat(100_000)
+        );
+        assert_eq!(decode_reply(&objects), Ok(Reply::new(2, Status::Left, 3)));
+        assert!(decode_stream(&format!(r#"{{"kind":"Bye","slot":0,"set":{open}"#)).is_err());
+    }
+
+    #[test]
+    fn decode_errors_say_what_and_where() {
+        for (text, error) in [
+            (
+                r#"{"op":"Join","nonce":1"#,
+                "unexpected end of input at byte 22",
+            ),
+            (r#"{"op":"Join"}"#, "missing field `nonce` at byte 13"),
+            (r#"{"op":"Jump","nonce":1}"#, "unknown variant at byte 6"),
+            (
+                r#"{"op":"Join","nonce":-1}"#,
+                "integer out of range at byte 21",
+            ),
+            (
+                r#"{"op":"Join","nonce":1} x"#,
+                "trailing characters at byte 24",
+            ),
+            (r#"["op"]"#, "expected an object at byte 0"),
+        ] {
+            assert_eq!(
+                decode_request(text).unwrap_err().to_string(),
+                error,
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_oversized_body_is_truncated_away_and_refused() {
+        let mut out = b"kept".to_vec();
+        let big = MAX_FRAME as usize + 1;
+        assert!(encode_framed(&mut out, |o| o.resize(o.len() + big, b' ')).is_err());
+        assert_eq!(out, b"kept");
+        encode_framed(&mut out, |o| o.extend_from_slice(b"{}")).unwrap();
+        assert_eq!(out, b"kept\x02\0\0\0{}");
     }
 }

@@ -41,7 +41,8 @@
 use crate::core::{CoreConfig, SetRegistry, SetReport};
 use crate::poll::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use crate::proto::{
-    encode_frame, FrameError, FrameReader, Op, Reply, Request, Status, StreamKind, StreamMsg,
+    decode_request, encode_framed, encode_reply, encode_stream, FrameError, FrameReader, Op, Reply,
+    Request, Status, StreamKind, StreamMsg,
 };
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -352,18 +353,17 @@ impl Slot {
         self.closing && !self.pending() && self.owed == 0
     }
 
-    /// Queues one frame. One the wire cannot carry ends the connection,
-    /// as a failed write would.
-    fn push(&mut self, json: &str) {
-        if encode_frame(&mut self.out, json).is_err() {
+    /// Queues one frame, its body encoded by `encode` straight into the
+    /// outbound buffer. One the wire cannot carry ends the connection, as
+    /// a failed write would.
+    fn push(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        if encode_framed(&mut self.out, encode).is_err() {
             self.closing = true;
         }
     }
 
     fn reply(&mut self, reply: &Reply) {
-        if let Ok(json) = serde_json::to_string(reply) {
-            self.push(&json);
-        }
+        self.push(|out| encode_reply(reply, out));
     }
 
     /// Writes queued bytes until the socket would block; `false` when
@@ -442,12 +442,9 @@ impl Conns {
     /// Queues a stream frame to every subscriber, forgetting those whose
     /// connection has gone.
     fn broadcast(&mut self, subscribers: &mut Vec<ConnId>, msg: &StreamMsg) {
-        let Ok(json) = serde_json::to_string(msg) else {
-            return;
-        };
         subscribers.retain(|&id| match self.slots.get_mut(&id) {
             Some(slot) => {
-                slot.push(&json);
+                slot.push(|out| encode_stream(msg, out));
                 true
             }
             None => false,
@@ -720,7 +717,7 @@ impl Daemon<'_> {
         };
         let failure = loop {
             match slot.reader.poll(&mut src) {
-                Ok(Some(frame)) => match serde_json::from_str::<Request>(&frame) {
+                Ok(Some(frame)) => match decode_request(&frame) {
                     Ok(req) => {
                         let subscribe = req.op == Op::Subscribe;
                         self.inbox.push((id, req));

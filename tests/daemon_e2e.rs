@@ -6,8 +6,9 @@
 //! (≥2 task-set shards, interleaved clients, per-set traces) over both
 //! the Unix and TCP transports; and the chaos variants — SIGKILL
 //! mid-stream, a stale socket file after an unclean death, a half-open
-//! TCP peer stalled mid-frame, an oversized frame, and byte-determinism
-//! of per-set decision logs.
+//! TCP peer stalled mid-frame, an oversized frame, a frame nested deep
+//! enough to overflow a recursive parser (in either direction), and
+//! byte-determinism of per-set decision logs.
 
 #[path = "support/cli_contract.rs"]
 mod cli_contract;
@@ -724,6 +725,71 @@ fn oversized_frame_rejected_without_tearing_down_other_clients() {
 
     healthy.shutdown().expect("shutdown");
     assert!(child.wait().expect("exit").success());
+}
+
+/// A frame whose value nests 200,000 deep: the body of a request, then of
+/// a reply.
+fn nested_frame(head: &str) -> String {
+    format!("{head}{}", "[".repeat(200_000))
+}
+
+/// A hostile frame nesting 200,000 arrays deep (well inside `MAX_FRAME`)
+/// is an `Error` reply and a closed connection, not a daemon killed by
+/// its own stack; the next client is served.
+#[test]
+fn nested_frame_is_refused_without_killing_the_daemon() {
+    let (socket, _) = scratch("nested");
+    std::fs::remove_file(&socket).ok();
+    let mut child = spawn_admitd(&socket, &["--no-trace"]);
+    connect(&socket).list_sets().expect("daemon is up");
+
+    let mut evil = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
+    evil.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    proto::write_frame(&mut evil, &nested_frame(r#"{"op":"Join","nonce":1,"x":"#))
+        .expect("send the nested frame");
+    let frame = proto::read_frame(&mut evil)
+        .expect("an error reply, not a dead daemon")
+        .expect("a frame before the close");
+    let reply = proto::decode_reply(&frame).expect("reply parses");
+    assert!(matches!(reply.status, Status::Error), "{reply:?}");
+    let error = reply.error.unwrap_or_default();
+    assert!(error.starts_with("unparsable request: "), "{error}");
+    match proto::read_frame(&mut evil) {
+        Ok(None) | Err(_) => {} // closed
+        Ok(Some(f)) => panic!("connection should be closed, got frame {f}"),
+    }
+
+    let mut next = connect(&socket);
+    let r = next
+        .join(1_000, 4_000)
+        .expect("join after the hostile frame");
+    assert!(matches!(r.status, Status::Admitted), "{:?}", r.error);
+    next.shutdown().expect("shutdown");
+    assert!(child.wait().expect("exit").success());
+    std::fs::remove_file(&socket).ok();
+}
+
+/// The client's side of the same: a reply nesting 200,000 deep is a
+/// protocol error, not a client killed by its own stack.
+#[test]
+fn nested_reply_is_a_protocol_error_for_the_client() {
+    let (socket, _) = scratch("nestedreply");
+    std::fs::remove_file(&socket).ok();
+    let listener = std::os::unix::net::UnixListener::bind(&socket).expect("bind");
+    let peer = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        proto::read_frame(&mut conn)
+            .expect("request")
+            .expect("a request frame");
+        let reply = nested_frame(r#"{"nonce":1,"status":"Admitted","slot":0,"x":"#);
+        proto::write_frame(&mut conn, &reply).expect("send the nested reply");
+    });
+    let mut client = connect(&socket);
+    let err = client.join(1_000, 4_000).expect_err("a nested reply");
+    assert!(matches!(err, ClientError::Protocol(_)), "{err:?}");
+    peer.join().expect("fake daemon");
+    std::fs::remove_file(&socket).ok();
 }
 
 /// One lockstep run of interleaved two-set traffic over TCP; returns the

@@ -10,11 +10,16 @@
 //! [`daemon::alloc_probe::FAST_PATH_ALLOCS`] whenever an allocation
 //! lands inside that bracket. Running the server on a thread in *this*
 //! process puts its evaluation passes under this allocator.
+//!
+//! The same allocator holds the wire codec to allocating nothing but
+//! what it returns.
 
+use daemon::alloc_probe::{self, FastPathGuard};
 use daemon::client::DaemonClient;
-use daemon::proto::{Reply, Request, Status};
+use daemon::proto::{self, Op, Reply, Request, Status};
 use daemon::server::{self, ServerConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 struct CountingAlloc;
 
@@ -50,12 +55,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// The counter is one per process: the tests that read it take turns.
+fn counter_lock() -> MutexGuard<'static, ()> {
+    static COUNTER: Mutex<()> = Mutex::new(());
+    COUNTER.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 const REQUESTS: u64 = 100_000;
 const WINDOW: usize = 64; // per connection; two connections in flight
 const MAX_ACTIVE: usize = 200; // per set
 
 #[test]
 fn soak_100k_requests_alloc_free_fast_path_and_verified_trace() {
+    let _counter = counter_lock();
     let socket = std::env::temp_dir().join(format!("admitd-soak-{}.sock", std::process::id()));
     std::fs::remove_file(&socket).ok();
 
@@ -156,11 +168,7 @@ fn soak_100k_requests_alloc_free_fast_path_and_verified_trace() {
 
     // Acceptance #1: zero allocations anywhere inside the fast path —
     // with two sets live the whole soak.
-    assert_eq!(
-        daemon::alloc_probe::take(),
-        0,
-        "admission fast path allocated"
-    );
+    assert_eq!(alloc_probe::take(), 0, "admission fast path allocated");
 
     // Acceptance #2: *each* set window-verifies — both full dynamic
     // schedules replay clean offline, independently.
@@ -182,4 +190,53 @@ fn soak_100k_requests_alloc_free_fast_path_and_verified_trace() {
     }
 
     std::fs::remove_file(&socket).ok();
+}
+
+/// The codec allocates nothing it does not return: a reply encodes into a
+/// reserved buffer, and a set-less join, leave or reweight decodes,
+/// without one allocation; a request's `set` is exactly one, its own
+/// `String`.
+#[test]
+fn codec_allocates_only_what_it_returns() {
+    let _counter = counter_lock();
+    let text = |req: &Request| {
+        let mut out = Vec::new();
+        proto::encode_request(req, &mut out);
+        String::from_utf8(out).expect("the codec writes UTF-8")
+    };
+    let requests = [
+        Request::join(1, 1_000, 10_000),
+        Request::leave(2, 7),
+        Request::reweight(3, 7, 2_000, 20_000),
+    ];
+    let [join, leave, reweight] = requests.clone().map(|r| text(&r));
+    let mut admitted = Reply::new(4, Status::Admitted, 17);
+    admitted.set = Some("default".to_string());
+    (admitted.task, admitted.weight_num, admitted.weight_den) = (Some(5), Some(1), Some(10));
+    let mut rejected = Reply::new(5, Status::Rejected, 18);
+    rejected.error = Some("\"over\" capacity\n".to_string());
+    let mut out = Vec::with_capacity(4096);
+
+    alloc_probe::take();
+    let decoded = {
+        let _fast = FastPathGuard::enter();
+        proto::encode_reply(&admitted, &mut out);
+        proto::encode_reply(&rejected, &mut out);
+        [
+            proto::decode_request(&join),
+            proto::decode_request(&leave),
+            proto::decode_request(&reweight),
+        ]
+    };
+    assert_eq!(alloc_probe::take(), 0, "the set-less codec allocated");
+    assert_eq!(decoded, requests.map(Ok));
+    assert!(out.starts_with(b"{\"nonce\":4,\"status\":\"Admitted\""));
+
+    let named = text(&Request::bare(Op::Stats, 6).with_set("alpha"));
+    let decoded = {
+        let _fast = FastPathGuard::enter();
+        proto::decode_request(&named)
+    };
+    assert_eq!(alloc_probe::take(), 1, "a set is one allocation");
+    assert_eq!(decoded, Ok(Request::bare(Op::Stats, 6).with_set("alpha")));
 }
