@@ -1,4 +1,4 @@
-//! Slack-reservation sweep — §6 future work, ROADMAP open item 3: the
+//! Slack-reservation sweep — the paper's §6 future work: the
 //! degradation sweep showed WCET overruns are *structural* for PD² (the
 //! scheduler serves exactly the declared weights, so a lag watchdog sees
 //! no scheduler-level backlog). This binary buys slack up front — spare

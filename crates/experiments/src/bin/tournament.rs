@@ -1,8 +1,8 @@
-//! Scheduler tournament — the multi-criteria comparison of ROADMAP open
-//! item 3: every packing heuristic (FF/BF/WF/NF/FFD/BFD) against global
-//! PD² and exact-test global EDF, scored per Lupu et al. (PAPERS.md) on
-//! schedulability, preemptions, migrations, and overhead-inflated
-//! utilization — not acceptance ratio alone.
+//! Scheduler tournament — Lupu et al.'s multi-criteria comparison
+//! (PAPERS.md), extended to global schemes: every packing heuristic
+//! (FF/BF/WF/NF/FFD/BFD) against global PD² and exact-test global EDF,
+//! scored on schedulability, preemptions, migrations, and
+//! overhead-inflated utilization — not acceptance ratio alone.
 //!
 //! ```text
 //! cargo run --release -p experiments --bin tournament -- [--cpus 4] [--tasks 12] \

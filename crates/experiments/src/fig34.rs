@@ -313,6 +313,83 @@ mod tests {
         }
     }
 
+    /// The paper's N = 250 panel at its two ends and in between: the low
+    /// points run a multi-pass M-search, the top one packs ~87 EDF-FF
+    /// bins. Recorded before the division-free fixed-point exit, the
+    /// full-bin probe filter and the packed period sort, which are
+    /// bit-exact rewrites.
+    #[test]
+    fn paper_panel_means_are_pinned_bit_for_bit() {
+        let names = [
+            "pd2_procs",
+            "edf_procs",
+            "pfair_loss",
+            "edf_loss",
+            "ff_loss",
+        ];
+        for (u, bits) in [
+            // 12, 9, 0.26521…, 0.05092…, 0
+            (
+                250.0 / 30.0,
+                [
+                    0x4028_0000_0000_0000_u64,
+                    0x4022_0000_0000_0000,
+                    0x3fd0_f948_d391_0bbb,
+                    0x3faa_12f4_6d10_6f1f,
+                    0x0000_0000_0000_0000,
+                ],
+            ),
+            // 17.6, 15, 0.19233…, 0.02738…, 0
+            (
+                13.69,
+                [
+                    0x4031_9999_9999_999a,
+                    0x402e_0000_0000_0000,
+                    0x3fc8_9e5a_e97e_307b,
+                    0x3f9c_0ba0_d467_309d,
+                    0x0000_0000_0000_0000,
+                ],
+            ),
+            // 90.3, 86.8, 0.07294…, 0.00229…, 0.03221…
+            (
+                250.0 / 3.0,
+                [
+                    0x4056_9333_3333_3333,
+                    0x4055_b333_3333_3333,
+                    0x3fb2_acc2_29a7_2a9f,
+                    0x3f62_c603_5dcb_39d1,
+                    0x3fa0_7e12_761f_26f9,
+                ],
+            ),
+        ] {
+            let p = run_point(
+                250,
+                u,
+                10,
+                1,
+                &OverheadParams::paper2003(),
+                CacheDelayDist::paper2003(),
+            );
+            assert_eq!((p.pd2_failures, p.edf_failures, p.worker_panics), (0, 0, 0));
+            let means = [
+                &p.pd2_procs,
+                &p.edf_procs,
+                &p.pfair_loss,
+                &p.edf_loss,
+                &p.ff_loss,
+            ];
+            for ((name, w), bits) in names.iter().zip(means).zip(bits) {
+                assert_eq!(w.count(), 10, "U = {u}: {name}");
+                assert_eq!(
+                    w.mean().to_bits(),
+                    bits,
+                    "U = {u}: {name} mean {}",
+                    w.mean()
+                );
+            }
+        }
+    }
+
     #[test]
     fn zero_overheads_make_pd2_optimal() {
         let p = run_point(

@@ -1,5 +1,5 @@
-//! Scheduler-tournament scoring: the multi-criteria comparison of
-//! partitioning heuristics and global schemes from ROADMAP open item 3.
+//! Scheduler-tournament scoring: Lupu et al.'s multi-criteria comparison
+//! of partitioning heuristics, extended to the paper's global schemes.
 //!
 //! Lupu et al. (PAPERS.md) argue that ranking partitioning heuristics on
 //! acceptance ratio alone hides most of the story — the *same* heuristic

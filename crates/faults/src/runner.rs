@@ -47,8 +47,8 @@ pub struct DegradationOutcome {
     pub trace: Option<ScheduleTrace>,
 }
 
-/// Reservation strategy for the slack-reservation experiment (ROADMAP
-/// open item 3): the degradation sweep showed WCET overruns are
+/// Reservation strategy for the slack-reservation experiment (the
+/// paper's §6 future work): the degradation sweep showed WCET overruns are
 /// *structural* for PD² — the scheduler serves exactly the declared
 /// weight, so a lag watchdog sees no scheduler-level backlog to act on.
 /// The remedy is to buy slack up front, either as whole spare processors

@@ -167,10 +167,21 @@ impl Rat {
         }
     }
 
+    /// `num/den` already in lowest terms with `den > 0`, built without a
+    /// gcd — for callers that hold a reduced pair (`Weight`).
+    pub(crate) const fn from_lowest_terms(num: i128, den: i128) -> Rat {
+        Rat { num, den }
+    }
+
     /// Lossy conversion for reporting/statistics only (never used by the
-    /// scheduling core).
+    /// scheduling core). Both conversions round to nearest, so going
+    /// through `i64` where both parts fit gives the same quotient without
+    /// the two `i128 → f64` software conversions.
     pub fn to_f64(self) -> f64 {
-        self.num as f64 / self.den as f64
+        match (i64::try_from(self.num), i64::try_from(self.den)) {
+            (Ok(num), Ok(den)) => num as f64 / den as f64,
+            _ => self.num as f64 / self.den as f64,
+        }
     }
 
     /// `1 − self`, built without a gcd: `(den − num)/den` is already in
@@ -559,6 +570,31 @@ mod tests {
                 super::cmp_frac(na.numer(), na.denom(), b.numer(), b.denom()),
                 na.cmp(&b)
             );
+        }
+
+        /// `to_f64` through `i64` rounds as the all-`i128` conversion it
+        /// replaced (kept verbatim below), on both sides of ±2⁵³ — where
+        /// `f64` stops holding every integer — and of ±2⁶³ and `i64::MIN`,
+        /// where a part stops fitting `i64`.
+        #[test]
+        fn prop_to_f64_matches_the_i128_conversion(
+            num_base in prop::sample::select(vec![
+                0i128, 1, 1 << 53, (1 << 63) - 1, 1 << 63, i64::MIN as i128, 1 << 64, 1 << 100,
+            ]),
+            den_base in prop::sample::select(vec![1i128, 3, 1 << 53, (1 << 63) - 1, 1 << 63, 1 << 64]),
+            num_off in -3i128..=3,
+            den_off in -3i128..=3,
+            negative in 0u8..2,
+        ) {
+            fn parent_to_f64(r: Rat) -> f64 {
+                r.num as f64 / r.den as f64
+            }
+            let num = num_base + num_off;
+            let num = if negative == 1 { -num } else { num };
+            let den = (den_base + den_off).max(1);
+            for r in [Rat::new(num, den), Rat::new(num, 1), Rat::new(1, den)] {
+                prop_assert_eq!(r.to_f64().to_bits(), parent_to_f64(r).to_bits(), "{:?}", r);
+            }
         }
 
         #[test]

@@ -91,9 +91,9 @@ impl Weight {
         self.den
     }
 
-    /// The weight as an exact rational.
+    /// The weight as an exact rational: already in lowest terms, so no gcd.
     pub fn as_rat(self) -> Rat {
-        Rat::new(self.num as i128, self.den as i128)
+        Rat::from_lowest_terms(self.num as i128, self.den as i128)
     }
 
     /// A task is *heavy* iff `wt(T) ≥ 1/2` (paper, Section 2).

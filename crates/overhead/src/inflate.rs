@@ -149,7 +149,16 @@ fn pd2_fixed_point(
             });
         }
         let e_prime = cost(quanta);
-        let implied = (e_prime.ceil() as u64).div_ceil(q).max(1);
+        // The usual exit needs no division: for the integer `k = E·q` (at
+        // most the period, so no overflow), `⌈e'⌉ ≤ k ⇔ e' ≤ k`, which is
+        // `implied ≤ quanta`. Above 2⁵³ `k as f64` may round, and a NaN
+        // `e'` compares false; both take the division.
+        let span_us = quanta * q;
+        let implied = if span_us <= 1 << f64::MANTISSA_DIGITS && e_prime <= span_us as f64 {
+            quanta
+        } else {
+            (e_prime.ceil() as u64).div_ceil(q).max(1)
+        };
         // implied < quanta: cost() is non-monotone in E only through the
         // preemption term, which can *shrink* as E grows past P/2;
         // accepting the larger span is the conservative fixed point.
@@ -640,6 +649,207 @@ mod tests {
         };
         assert!(sum_fits(1e6 - 1e-4, 1_000_000, 1_000_000, exact));
         assert_eq!(built, 3);
+    }
+
+    /// [`pd2_fixed_point`] as it stood before its division-free exit,
+    /// verbatim: the oracle for that exit.
+    fn parent_pd2_fixed_point(
+        task: PhysTask,
+        params: &OverheadParams,
+        s_us: f64,
+        d_us: f64,
+    ) -> Result<Pd2FixedPoint, InflateError> {
+        let q = params.quantum_us;
+        if q == 0 || task.period_us % q != 0 {
+            return Err(InflateError::PeriodNotQuantumMultiple);
+        }
+        let p_quanta = task.period_us / q;
+        let c = params.ctx_switch_us;
+        let e = task.wcet_us as f64;
+
+        let cost = |quanta: u64| -> f64 {
+            // Preemption count: min(E − 1, P − E); E > P is overload, handled
+            // by the caller via the quanta bound check.
+            let preemptions = (quanta - 1).min(p_quanta.saturating_sub(quanta)) as f64;
+            e + quanta as f64 * s_us + c + preemptions * (c + d_us)
+        };
+
+        // Fixed-point iteration on E = ⌈e'/q⌉. E only ever needs to grow or
+        // stay: start from the uninflated span and increase while the implied
+        // cost spans more quanta. (The paper iterates on e' directly; iterating
+        // on the integer E is equivalent and cannot oscillate.)
+        let mut quanta = (task.wcet_us).div_ceil(q).max(1);
+        let mut iterations = 0u32;
+        loop {
+            iterations += 1;
+            if quanta > p_quanta {
+                return Err(InflateError::Overload {
+                    inflated_us: cost(p_quanta.max(1)),
+                });
+            }
+            let e_prime = cost(quanta);
+            let implied = (e_prime.ceil() as u64).div_ceil(q).max(1);
+            // implied < quanta: cost() is non-monotone in E only through the
+            // preemption term, which can *shrink* as E grows past P/2;
+            // accepting the larger span is the conservative fixed point.
+            if implied <= quanta {
+                return Ok(Pd2FixedPoint {
+                    exec_us: e_prime,
+                    quanta,
+                    period_quanta: p_quanta,
+                    iterations,
+                });
+            }
+            quanta = implied;
+            if iterations > 10_000 {
+                return Err(InflateError::NoConvergence);
+            }
+        }
+    }
+
+    /// A fixed point down to the bits of `e'`, or the error, with
+    /// `Overload`'s cost as bits too.
+    type FixedPointBits = Result<(u64, u64, u64, u32), (u8, u64)>;
+
+    fn fixed_point_bits(r: Result<Pd2FixedPoint, InflateError>) -> FixedPointBits {
+        r.map(|fp| {
+            let (e, q, p, i) = (fp.exec_us, fp.quanta, fp.period_quanta, fp.iterations);
+            (e.to_bits(), q, p, i)
+        })
+        .map_err(|e| match e {
+            InflateError::Overload { inflated_us } => (0, inflated_us.to_bits()),
+            InflateError::PeriodNotQuantumMultiple => (1, 0),
+            InflateError::NoConvergence => (2, 0),
+        })
+    }
+
+    /// Both fixed points of `task` at `s_us`, `d_us`.
+    fn both_fixed_points(
+        task: PhysTask,
+        params: &OverheadParams,
+        s_us: f64,
+        d_us: f64,
+    ) -> (FixedPointBits, FixedPointBits) {
+        (
+            fixed_point_bits(pd2_fixed_point(task, params, s_us, d_us)),
+            fixed_point_bits(parent_pd2_fixed_point(task, params, s_us, d_us)),
+        )
+    }
+
+    #[test]
+    fn fixed_point_exits_on_the_span_itself() {
+        // Free inflation at q = 7: e' = e = E·q lands exactly on the span,
+        // the one case where `e' ≤ k` and `⌈e'⌉ ≤ k` could part if either
+        // were off by one.
+        let free = OverheadParams {
+            quantum_us: 7,
+            ..OverheadParams::zero()
+        };
+        for e in [1u64, 2, 9, 100] {
+            let task = PhysTask::new(e * 7, 700);
+            let fp = pd2_fixed_point(task, &free, 0.0, 0.0).unwrap();
+            assert_eq!(
+                (fp.exec_us, fp.quanta, fp.iterations),
+                ((e * 7) as f64, e, 1)
+            );
+            let (new, parent) = both_fixed_points(task, &free, 0.0, 0.0);
+            assert_eq!(new, parent);
+            // A quarter µs per quantum puts e' = E·q + E/4 a fraction past
+            // the span: ⌈e'⌉ > k, so E grows by one.
+            if e <= 3 {
+                let fp = pd2_fixed_point(task, &free, 0.25, 0.0).unwrap();
+                assert_eq!((fp.quanta, fp.iterations), (e + 1, 2));
+                let (new, parent) = both_fixed_points(task, &free, 0.25, 0.0);
+                assert_eq!(new, parent);
+            }
+        }
+        // Integer costs that sum to the span: 5 + 2·1 + 1 + 1·(1 + 1) = 10
+        // at E = 2, q = 5.
+        let constant = OverheadParams {
+            ctx_switch_us: 1.0,
+            quantum_us: 5,
+            sched: SchedCostModel::Constant {
+                edf_us: 0.0,
+                pd2_us: 1.0,
+            },
+        };
+        let task = PhysTask::new(5, 20);
+        let fp = pd2_fixed_point(task, &constant, 1.0, 1.0).unwrap();
+        assert_eq!((fp.exec_us, fp.quanta), (10.0, 2));
+        let (new, parent) = both_fixed_points(task, &constant, 1.0, 1.0);
+        assert_eq!(new, parent);
+        // Spans past 2⁵³, where `k as f64` may round, and NaN costs take
+        // the division; so does a span of exactly 2⁵³, which is exact.
+        let wide = OverheadParams {
+            quantum_us: 1,
+            ..OverheadParams::zero()
+        };
+        for e in [
+            (1 << 53) - 1,
+            1 << 53,
+            (1 << 53) + 1,
+            (1 << 53) + 3,
+            1 << 60,
+        ] {
+            let task = PhysTask::new(e, 1 << 61);
+            let (new, parent) = both_fixed_points(task, &wide, 0.0, 0.0);
+            assert_eq!(new, parent, "e = {e}");
+            let (new, parent) = both_fixed_points(task, &wide, f64::NAN, 0.0);
+            assert_eq!(new, parent, "NaN cost, e = {e}");
+        }
+    }
+
+    proptest! {
+        /// The division-free exit changes nothing: `e'` to the bit, the
+        /// span, the iteration count and every error equal the parent
+        /// iteration's, under the paper's costs, free inflation, integer
+        /// constant costs (where `e'` often lands on `E·q` exactly) and
+        /// eighths of a µs per quantum (where it lands a fraction past
+        /// it), at q ∈ {1, 7, 1000}, with periods whose spans stay small,
+        /// straddle 2⁵³ or pass it.
+        #[test]
+        fn prop_fixed_point_matches_the_parents(
+            model in 0u8..4,
+            q in prop::sample::select(vec![1u64, 7, 1_000]),
+            (scale, period_q) in (0u8..3, 1u64..200),
+            wcet_frac in 0.0f64..1.5,
+            d_us in 0.0f64..=100.0,
+            (m, n, s_int) in (1u32..32, 1usize..500, 0u64..20),
+        ) {
+            let period_q = match scale {
+                0 => period_q,
+                1 => (1u64 << 53) / q + period_q,
+                _ => (1u64 << 60) / q + period_q,
+            };
+            let period = period_q * q;
+            let wcet = ((wcet_frac * period as f64) as u64).max(1);
+            let (params, s_us, d_us) = match model {
+                0 => {
+                    let p = OverheadParams { quantum_us: q, ..params() };
+                    (p, p.sched.pd2_us(m, n), d_us)
+                }
+                1 => (OverheadParams { quantum_us: q, ..OverheadParams::zero() }, 0.0, 0.0),
+                3 => {
+                    let free = OverheadParams { quantum_us: q, ..OverheadParams::zero() };
+                    (free, s_int as f64 / 8.0, 0.0)
+                }
+                _ => {
+                    let p = OverheadParams {
+                        ctx_switch_us: (s_int % 4) as f64,
+                        quantum_us: q,
+                        sched: SchedCostModel::Constant { edf_us: 0.0, pd2_us: s_int as f64 },
+                    };
+                    (p, s_int as f64, d_us.round())
+                }
+            };
+            let task = PhysTask::new(wcet, period);
+            let (new, parent) = both_fixed_points(task, &params, s_us, d_us);
+            prop_assert_eq!(new, parent);
+            // A span of whole quanta: free inflation lands on it exactly.
+            let landed = PhysTask::new(wcet.div_ceil(q) * q, period.max(wcet.div_ceil(q) * q));
+            let (new, parent) = both_fixed_points(landed, &params, s_us, d_us);
+            prop_assert_eq!(new, parent);
+        }
     }
 
     proptest! {

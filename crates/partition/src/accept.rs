@@ -177,6 +177,9 @@ struct EdfCost {
     period_us: f64,
     /// `D(T)` (µs).
     cache_delay_us: f64,
+    /// `alone_us / period_us`, which is `inflated_util(i, 0.0)`: the least
+    /// this task adds to a processor whose max cache delay is `≥ 0`.
+    least_util: f64,
 }
 
 /// Processor state for [`EdfOverheadAware`].
@@ -198,10 +201,15 @@ impl EdfOverheadAware {
             tasks: tasks
                 .iter()
                 .zip(cache_delay_us)
-                .map(|(&t, &cache_delay_us)| EdfCost {
-                    alone_us: overhead::inflate_edf(t, &params, n, 0.0),
-                    period_us: t.period_us as f64,
-                    cache_delay_us,
+                .map(|(&t, &cache_delay_us)| {
+                    let alone_us = overhead::inflate_edf(t, &params, n, 0.0);
+                    let period_us = t.period_us as f64;
+                    EdfCost {
+                        alone_us,
+                        period_us,
+                        cache_delay_us,
+                        least_util: alone_us / period_us,
+                    }
                 })
                 .collect(),
         }
@@ -224,11 +232,22 @@ impl Acceptance for EdfOverheadAware {
         EdfOverheadState::default()
     }
 
+    /// A bin too full for the task's least utilization is refused with a
+    /// compare, before the division: `f64` addition and division round
+    /// monotonically, so `max_d_us ≥ 0` gives `inflated_util ≥ least_util`
+    /// and a refused sum would have been refused anyway. Every state built
+    /// by `empty`/`try_add` has `max_d_us ≥ 0`; a hand-built negative or
+    /// NaN one skips the filter.
     fn try_add(&self, state: &EdfOverheadState, task_idx: usize) -> Option<EdfOverheadState> {
+        const CAPACITY: f64 = 1.0 + 1e-12;
+        let t = &self.tasks[task_idx];
+        if state.max_d_us >= 0.0 && state.util + t.least_util > CAPACITY {
+            return None;
+        }
         let util = state.util + self.inflated_util(task_idx, state.max_d_us);
-        (util <= 1.0 + 1e-12).then(|| EdfOverheadState {
+        (util <= CAPACITY).then(|| EdfOverheadState {
             util,
-            max_d_us: state.max_d_us.max(self.tasks[task_idx].cache_delay_us),
+            max_d_us: state.max_d_us.max(t.cache_delay_us),
         })
     }
 
@@ -240,6 +259,86 @@ impl Acceptance for EdfOverheadAware {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// [`EdfOverheadAware::try_add`] as it stood before the full-bin
+    /// filter, verbatim: the oracle for that filter.
+    fn parent_try_add(
+        acc: &EdfOverheadAware,
+        state: &EdfOverheadState,
+        task_idx: usize,
+    ) -> Option<EdfOverheadState> {
+        let util = state.util + acc.inflated_util(task_idx, state.max_d_us);
+        (util <= 1.0 + 1e-12).then(|| EdfOverheadState {
+            util,
+            max_d_us: state.max_d_us.max(acc.tasks[task_idx].cache_delay_us),
+        })
+    }
+
+    /// A probe's outcome down to the bits.
+    fn probe_bits(s: Option<EdfOverheadState>) -> Option<(u64, u64)> {
+        s.map(|s| (s.util.to_bits(), s.max_d_us.to_bits()))
+    }
+
+    proptest! {
+        /// The filtered probe answers as the parent's on every state a
+        /// first-fit packing builds, and on hand-built states around the
+        /// filter's edge: a sum within a few ulps of `1 − least_util`,
+        /// with `max_d_us` negative, NaN, ±0, infinite or drawn.
+        #[test]
+        fn prop_try_add_matches_the_parents(
+            raw in prop::collection::vec((1u64..50_000, 1u64..100, 0.0f64..100.0), 1..40),
+            paper in 0u8..2,
+            ulps in -4i32..=4,
+            drawn_d in 0.0f64..200.0,
+        ) {
+            let tasks: Vec<PhysTask> = raw
+                .iter()
+                .map(|&(wcet, period_q, _)| PhysTask::new(wcet, period_q * 1_000))
+                .collect();
+            let d: Vec<f64> = raw.iter().map(|r| r.2).collect();
+            let params = if paper == 1 { OverheadParams::paper2003() } else { OverheadParams::zero() };
+            let acc = EdfOverheadAware::new(&tasks, &d, params);
+            // First fit in decreasing-period order, every probe compared.
+            let mut order: Vec<usize> = (0..tasks.len()).collect();
+            order.sort_by_key(|&i| std::cmp::Reverse(tasks[i].period_us));
+            let mut bins: Vec<EdfOverheadState> = Vec::new();
+            for &i in &order {
+                let mut placed = false;
+                for bin in bins.iter_mut() {
+                    let next = acc.try_add(bin, i);
+                    prop_assert_eq!(probe_bits(next), probe_bits(parent_try_add(&acc, bin, i)));
+                    if let Some(next) = next {
+                        *bin = next;
+                        placed = true;
+                        break;
+                    }
+                }
+                if !placed {
+                    let fresh = acc.try_add(&acc.empty(), i);
+                    prop_assert_eq!(probe_bits(fresh), probe_bits(parent_try_add(&acc, &acc.empty(), i)));
+                    bins.extend(fresh);
+                }
+            }
+            // Hand-built states on the filter's edge.
+            for (i, cost) in acc.tasks.iter().enumerate() {
+                let mut util = 1.0 - cost.least_util;
+                for _ in 0..ulps.unsigned_abs() {
+                    util = if ulps < 0 { util.next_down() } else { util.next_up() };
+                }
+                for max_d_us in [-1.0, -0.0, 0.0, f64::NAN, f64::INFINITY, -f64::INFINITY, drawn_d] {
+                    for util in [util, util + 1e-12, 0.5, f64::NAN] {
+                        let state = EdfOverheadState { util, max_d_us };
+                        prop_assert_eq!(
+                            probe_bits(acc.try_add(&state, i)),
+                            probe_bits(parent_try_add(&acc, &state, i)),
+                            "task {} state {:?}", i, state
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn edf_utilization_boundary() {

