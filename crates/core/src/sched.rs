@@ -298,9 +298,14 @@ impl fmt::Display for ReweightError {
 
 impl std::error::Error for ReweightError {}
 
-/// Per-task scheduler state.
+/// Per-task **hot** state: everything the tick path (release drain, key
+/// pack, pop, commit) reads or writes, and nothing else. It is 112 bytes
+/// on a 64-bit target, so at that stride one task's state spans two or
+/// three cache lines, and a 500-task system's hot state (56 KB) fits in
+/// L2. Bookkeeping that only cold paths touch lives in the parallel
+/// [`TaskCold`] array.
 ///
-/// Besides the bookkeeping the API exposes, this carries the *incremental
+/// Besides the weight and job position, this carries the *incremental
 /// window state* of the pending subtask `i = next_index`: with the reduced
 /// weight `num/den` and accumulated offset `θ`,
 ///
@@ -314,11 +319,6 @@ impl std::error::Error for ReweightError {}
 /// division. Advancing `i → i+1` adds `den = step_q·num + step_r`:
 /// `dfloor += step_q`, `mod_acc += step_r`, plus one conditional carry.
 #[derive(Debug, Clone)]
-/// Per-task **hot** state: everything the tick path (release drain, key
-/// pack, pop, commit) reads or writes, and nothing else — 96 bytes, two
-/// cache lines, so a 500-task system's hot state fits comfortably in L2.
-/// Bookkeeping that only cold paths touch lives in the parallel
-/// [`TaskCold`] array.
 struct TaskState {
     /// Reduced weight (`numer`/`denom` double as the cached `num`/`den`).
     weight: Weight,

@@ -12,14 +12,19 @@
 //! [`ClientError::Disconnected`], a corrupt stream as
 //! [`ClientError::MalformedFrame`], a stall as [`ClientError::TimedOut`]
 //! — never a hang, and never a raw `read_exact` "failed to fill whole
-//! buffer" message.
+//! buffer" message. A timeout loses nothing: the next read resumes the
+//! frame it interrupted.
+//!
+//! Reads go through a read-ahead buffer and one [`FrameReader`] that
+//! live as long as the connection, so one `read(2)` serves every reply
+//! already in the socket, and a reply costs no allocation of its own.
 
 use crate::proto::{
-    decode_reply, decode_stream, encode_framed, encode_request, read_frame, FrameError, Op, Reply,
+    decode_reply, decode_stream, encode_framed, encode_request, FrameError, FrameReader, Op, Reply,
     Request, Status, StreamMsg,
 };
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -33,7 +38,8 @@ pub enum ClientError {
     /// The daemon closed the connection (or was killed) while a reply
     /// was outstanding.
     Disconnected,
-    /// The read timed out with the daemon still connected.
+    /// The read timed out with the daemon still connected. The
+    /// connection stays usable: the next read resumes any partial frame.
     TimedOut,
     /// The byte stream is corrupt (bad length prefix / non-UTF-8); the
     /// connection cannot be resynchronized.
@@ -98,16 +104,6 @@ impl Stream {
             Stream::Tcp(s) => s.set_read_timeout(t),
         }
     }
-
-    /// The next frame; a close between frames is a disconnect too, since
-    /// the caller is waiting for one.
-    fn next_frame(&mut self) -> Result<String, ClientError> {
-        match read_frame(self) {
-            Ok(Some(frame)) => Ok(frame),
-            Ok(None) => Err(ClientError::Disconnected),
-            Err(e) => Err(e.into()),
-        }
-    }
 }
 
 impl Read for Stream {
@@ -134,9 +130,37 @@ impl Write for Stream {
     }
 }
 
+/// The read side of one connection: the stream behind its read-ahead
+/// buffer, and the frame being read from it. Requests are written
+/// straight to the stream, past the buffer.
+struct Wire {
+    stream: BufReader<Stream>,
+    reader: FrameReader,
+}
+
+impl Wire {
+    /// The next frame, borrowed until the next read.
+    fn next_frame(&mut self) -> Result<&str, ClientError> {
+        match self.reader.poll(&mut self.stream) {
+            Ok(Some(frame)) => Ok(frame),
+            // A blocking stream runs dry only when its read timeout
+            // expires; the reader keeps any partial frame for next time.
+            Ok(None) => Err(ClientError::TimedOut),
+            // A close between frames is a disconnect too, since the
+            // caller is waiting for one.
+            Err(FrameError::Closed) => Err(ClientError::Disconnected),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
+        self.stream.get_ref().set_read_timeout(t)
+    }
+}
+
 /// One connection to the admission daemon.
 pub struct DaemonClient {
-    stream: Stream,
+    wire: Wire,
     next_nonce: u64,
     /// Task-set shard the convenience wrappers target (`None` = default).
     scope: Option<String>,
@@ -166,9 +190,17 @@ impl DaemonClient {
                 Stream::Tcp(s)
             }
         };
+        Self::over(stream)
+    }
+
+    /// A client over a connected stream, with a 10 s read timeout.
+    fn over(stream: Stream) -> io::Result<DaemonClient> {
         stream.set_read_timeout(Some(Duration::from_secs(10)))?;
         Ok(DaemonClient {
-            stream,
+            wire: Wire {
+                stream: BufReader::new(stream),
+                reader: FrameReader::new(),
+            },
             next_nonce: 1,
             scope: None,
             frame: Vec::new(),
@@ -185,13 +217,20 @@ impl DaemonClient {
     }
 
     /// Connects to either transport, retrying until `deadline` elapses.
+    /// The pause between attempts doubles from 100 µs to 10 ms, so a
+    /// daemon that is nearly up is reached at once and one that is slow
+    /// is not spun on.
     pub fn connect_to_retry(addr: &DaemonAddr, deadline: Duration) -> io::Result<DaemonClient> {
         let start = Instant::now();
+        let mut pause = Duration::from_micros(100);
         loop {
             match Self::connect_to(addr) {
                 Ok(c) => return Ok(c),
                 Err(e) if start.elapsed() >= deadline => return Err(e),
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                Err(_) => {
+                    std::thread::sleep(pause);
+                    pause = (pause * 2).min(Duration::from_millis(10));
+                }
             }
         }
     }
@@ -205,7 +244,7 @@ impl DaemonClient {
 
     /// Overrides the read timeout (`None` blocks forever).
     pub fn set_read_timeout(&mut self, t: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(t)
+        self.wire.set_read_timeout(t)
     }
 
     fn nonce(&mut self) -> u64 {
@@ -226,14 +265,14 @@ impl DaemonClient {
     pub fn send(&mut self, req: &Request) -> Result<(), ClientError> {
         self.frame.clear();
         encode_framed(&mut self.frame, |out| encode_request(req, out))?;
-        self.stream.write_all(&self.frame)?;
+        self.wire.stream.get_mut().write_all(&self.frame)?;
         Ok(())
     }
 
     /// Receives the next reply frame (pipelining half).
     pub fn recv(&mut self) -> Result<Reply, ClientError> {
-        let frame = self.stream.next_frame()?;
-        decode_reply(&frame).map_err(|e| ClientError::Protocol(format!("bad reply: {e}")))
+        let frame = self.wire.next_frame()?;
+        decode_reply(frame).map_err(|e| ClientError::Protocol(format!("bad reply: {e}")))
     }
 
     /// Call/response: send one request, wait for its reply.
@@ -307,7 +346,9 @@ impl DaemonClient {
     }
 
     /// Switches this connection to the scoped set's decision/snapshot
-    /// stream.
+    /// stream. Stream frames the daemon sent right behind its answer may
+    /// already be in the read-ahead buffer; the subscription takes the
+    /// buffer over with them.
     pub fn subscribe(mut self) -> Result<Subscription, ClientError> {
         let n = self.nonce();
         let req = self.scoped(Request::bare(Op::Subscribe, n));
@@ -318,9 +359,7 @@ impl DaemonClient {
                 reply.status
             )));
         }
-        Ok(Subscription {
-            stream: self.stream,
-        })
+        Ok(Subscription { wire: self.wire })
     }
 
     /// A fresh nonce for hand-built pipelined requests.
@@ -331,7 +370,7 @@ impl DaemonClient {
 
 /// A connection switched to the stream; yields [`StreamMsg`] frames.
 pub struct Subscription {
-    stream: Stream,
+    wire: Wire,
 }
 
 impl Subscription {
@@ -341,12 +380,149 @@ impl Subscription {
     // is infinite-until-error, and `Result` (not `Option`) is the point.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<StreamMsg, ClientError> {
-        let frame = self.stream.next_frame()?;
-        decode_stream(&frame).map_err(|e| ClientError::Protocol(format!("bad stream frame: {e}")))
+        let frame = self.wire.next_frame()?;
+        decode_stream(frame).map_err(|e| ClientError::Protocol(format!("bad stream frame: {e}")))
     }
 
     /// Overrides the read timeout for stream frames.
     pub fn set_read_timeout(&mut self, t: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(t)
+        self.wire.set_read_timeout(t)
+    }
+}
+
+/// The read-ahead path against a socket pair, the test playing the
+/// daemon on the far end.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::{encode_reply, encode_stream, StreamKind};
+
+    fn pair() -> (DaemonClient, UnixStream) {
+        let (near, far) = UnixStream::pair().unwrap();
+        (DaemonClient::over(Stream::Unix(near)).unwrap(), far)
+    }
+
+    /// `reply` as the daemon sends it, length prefix and all.
+    fn framed(reply: &Reply) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_framed(&mut out, |o| encode_reply(reply, o)).unwrap();
+        out
+    }
+
+    fn admitted(nonce: u64) -> Reply {
+        let mut r = Reply::new(nonce, Status::Admitted, 3);
+        (r.task, r.weight_num, r.weight_den) = (Some(nonce as u32), Some(1), Some(4));
+        r
+    }
+
+    /// Every reply until the daemon closes the connection.
+    fn recv_to_close(client: &mut DaemonClient) -> Vec<Reply> {
+        let mut got = Vec::new();
+        loop {
+            match client.recv() {
+                Ok(r) => got.push(r),
+                Err(ClientError::Disconnected) => return got,
+                Err(e) => panic!("{e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn replies_cut_at_any_byte_resume_after_a_timeout() {
+        let sent = [admitted(1), Reply::new(2, Status::Left, 4)];
+        let bytes = sent.iter().flat_map(framed).collect::<Vec<u8>>();
+        for cut in 0..=bytes.len() {
+            let (near, mut far) = UnixStream::pair().unwrap();
+            // Nonblocking, the socket runs dry at once where a read
+            // timeout would wait: the same `TimedOut`, without the wait.
+            near.set_nonblocking(true).unwrap();
+            let mut client = DaemonClient::over(Stream::Unix(near)).unwrap();
+            far.write_all(&bytes[..cut]).unwrap();
+            let mut got = Vec::new();
+            loop {
+                match client.recv() {
+                    Ok(r) => got.push(r),
+                    Err(ClientError::TimedOut) => break,
+                    Err(e) => panic!("cut at byte {cut}: {e}"),
+                }
+            }
+            far.write_all(&bytes[cut..]).unwrap();
+            drop(far);
+            got.extend(recv_to_close(&mut client));
+            assert_eq!(got, sent, "cut at byte {cut}");
+        }
+    }
+
+    #[test]
+    fn many_replies_in_one_read_then_a_close_between_frames() {
+        let (mut client, mut far) = pair();
+        let sent: Vec<Reply> = (1..=64).map(admitted).collect();
+        far.write_all(&sent.iter().flat_map(framed).collect::<Vec<u8>>())
+            .unwrap();
+        drop(far);
+        assert_eq!(recv_to_close(&mut client), sent);
+    }
+
+    #[test]
+    fn a_reply_larger_than_the_read_ahead_buffer_arrives_whole() {
+        let (mut client, mut far) = pair();
+        let mut stats = Reply::new(2, Status::Stats, 9);
+        stats.snapshot = Some("{\"counters\":[]}".repeat(10_000));
+        let sent = vec![admitted(1), stats, admitted(3)];
+        let bytes = sent.iter().flat_map(framed).collect::<Vec<u8>>();
+        let daemon = std::thread::spawn(move || far.write_all(&bytes));
+        assert_eq!(recv_to_close(&mut client), sent);
+        daemon.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_close_mid_frame_is_a_disconnect() {
+        let bytes = framed(&admitted(1));
+        for cut in [1, 3, 4, 5, bytes.len() - 1] {
+            let (mut client, mut far) = pair();
+            far.write_all(&bytes[..cut]).unwrap();
+            drop(far);
+            let got = client.recv();
+            assert!(
+                matches!(got, Err(ClientError::Disconnected)),
+                "cut at byte {cut}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_oversized_prefix_or_a_non_utf8_body_is_malformed() {
+        let oversized = (crate::proto::MAX_FRAME + 1).to_le_bytes().to_vec();
+        let non_utf8 = [&3u32.to_le_bytes()[..], &[0xff, 0xfe, 0xfd][..]].concat();
+        for bytes in [oversized, non_utf8] {
+            let (mut client, mut far) = pair();
+            far.write_all(&bytes).unwrap();
+            let got = client.recv();
+            assert!(
+                matches!(got, Err(ClientError::MalformedFrame(_))),
+                "{got:?}"
+            );
+        }
+    }
+
+    /// The daemon may send a decision right behind its `Subscribed`
+    /// answer, so both can arrive in the read that answers `subscribe`.
+    #[test]
+    fn a_decision_read_with_the_subscribe_answer_is_delivered() {
+        let (client, mut far) = pair();
+        let mut bytes = framed(&Reply::new(1, Status::Subscribed, 7));
+        let decision = StreamMsg {
+            kind: StreamKind::Decision,
+            slot: 7,
+            set: Some("default".to_string()),
+            scheduled: Some(vec![0, 2]),
+            snapshot: None,
+        };
+        encode_framed(&mut bytes, |o| encode_stream(&decision, o)).unwrap();
+        far.write_all(&bytes).unwrap();
+        let mut sub = client.subscribe().unwrap();
+        sub.set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        assert_eq!(sub.next().unwrap(), decision);
     }
 }

@@ -47,6 +47,11 @@
 //!   `u32`); otherwise it parses as an `i128` and must fit the field
 //!   (`007` is 7, `+5` is no number, `4294967296` is no `u32`).
 //!
+//! The decoder first tries the key it expects next, the one after the
+//! last key it found, as the bytes the encoder writes for it. Every key of
+//! a canonical frame is therefore one compare; any other spelling takes
+//! the general path, so the accepted set is the same.
+//!
 //! Unknown values are skipped on an explicit stack, never by recursion,
 //! so no nesting depth inside a frame can exhaust the daemon's stack. A
 //! failure is a [`DecodeError`], `<what> at byte <offset>`; the daemon
@@ -59,7 +64,8 @@
 //! from one that died mid-frame ([`FrameError::Disconnected`]), a corrupt
 //! or oversized frame ([`FrameError::Malformed`]), and a read timeout —
 //! so clients can exit with their documented codes instead of surfacing
-//! `read_exact`'s "failed to fill whole buffer".
+//! `read_exact`'s "failed to fill whole buffer". A [`FrameReader`] keeps
+//! a timed-out frame's partial bytes, so the next read resumes it.
 
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -729,18 +735,20 @@ impl<'a> Cursor<'a> {
         self.eat(b'{', "expected an object")?;
         let mut seen = 0u32;
         // The encoder writes keys in order, so the key after the last one
-        // found is tried first.
+        // found is tried first, as the bytes the encoder writes for it.
         let mut next = 0;
         if self.peek()? == b'}' {
             self.pos += 1;
         } else {
             loop {
-                let key = self.string()?;
-                self.eat(b':', "expected `:`")?;
                 let known = match keys.get(next) {
-                    Some(&k) if k == key => Some(next),
-                    _ => keys.iter().position(|&k| k == key),
+                    Some(&k) if self.plain_key(k)? => Some(next),
+                    _ => {
+                        let key = self.string()?;
+                        keys.iter().position(|&k| k == key)
+                    }
                 };
+                self.eat(b':', "expected `:`")?;
                 match known {
                     Some(i) if seen & (1 << i) == 0 => {
                         seen |= 1 << i;
@@ -763,6 +771,23 @@ impl<'a> Cursor<'a> {
             Err(_) => Ok(()),
             Ok(_) => Err(self.error("trailing characters")),
         }
+    }
+
+    /// Consumes `"key"` if it comes next, after any whitespace, spelled
+    /// without escapes: one compare instead of [`string`](Self::string)'s
+    /// scan. No key holds `"` or `\`, so text that matches is text that
+    /// `string` would decode to `key`, ending at the same byte.
+    fn plain_key(&mut self, key: &str) -> Result<bool, DecodeError> {
+        self.peek()?;
+        let end = self.pos + key.len() + 2;
+        let hit = matches!(
+            self.bytes().get(self.pos..end),
+            Some([b'"', body @ .., b'"']) if body == key.as_bytes()
+        );
+        if hit {
+            self.pos = end;
+        }
+        Ok(hit)
     }
 
     /// A string, escapes decoded; borrowed from the text when it holds
@@ -1040,16 +1065,21 @@ pub fn write_frame<W: Write>(w: &mut W, json: &str) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads one frame, blocking. `Ok(None)` means the peer closed the
-/// connection cleanly *between* frames; every failure mode inside a
-/// frame comes back classified as a [`FrameError`].
+/// Reads one frame, blocking, into a `String` of its own (one
+/// allocation). `Ok(None)` means the peer closed the connection cleanly
+/// *between* frames; every failure mode inside a frame comes back
+/// classified as a [`FrameError`]. A timeout loses the partial frame, so
+/// a caller that reads a connection more than once keeps a
+/// [`FrameReader`] instead.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<String>, FrameError> {
     let mut reader = FrameReader::new();
-    match reader.poll(r) {
-        Ok(Some(frame)) => Ok(Some(frame)),
+    match reader.fill(r) {
+        Ok(true) => String::from_utf8(reader.body)
+            .map(Some)
+            .map_err(|e| not_utf8(e.utf8_error())),
         // A blocking reader maps would-block to a timeout error: the
         // socket's read timeout expired.
-        Ok(None) => Err(FrameError::TimedOut {
+        Ok(false) => Err(FrameError::TimedOut {
             mid_frame: reader.mid_frame(),
         }),
         Err(FrameError::Closed) => Ok(None),
@@ -1057,9 +1087,20 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<String>, FrameError> {
     }
 }
 
+/// The error for a frame body that is not UTF-8.
+fn not_utf8(e: std::str::Utf8Error) -> FrameError {
+    FrameError::Malformed(format!("frame is not UTF-8: {e}"))
+}
+
+/// A body buffer larger than this is given back when the next frame
+/// starts, so one large frame does not pin its size to a connection.
+const RETAINED_BODY: usize = 64 * 1024;
+
 /// Incremental frame reader: feeds on a (possibly nonblocking or
 /// timeout-sliced) stream without ever losing partial progress the way a
-/// bare `read_exact` would on `WouldBlock`.
+/// bare `read_exact` would on `WouldBlock`. One reader serves a whole
+/// connection: every body is read into the same buffer, and a completed
+/// frame is lent out of it until the next `poll`.
 ///
 /// `poll` returns `Ok(Some(frame))` when a frame completes,
 /// `Ok(None)` when the stream would block / timed out with the partial
@@ -1068,6 +1109,8 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<String>, FrameError> {
 pub struct FrameReader {
     len: [u8; 4],
     len_got: usize,
+    /// The current frame's body, sized to its length; `body[..body_got]`
+    /// has arrived.
     body: Vec<u8>,
     body_got: usize,
     in_body: bool,
@@ -1085,8 +1128,19 @@ impl FrameReader {
     }
 
     /// Pulls from `r` until a frame completes, the stream would block,
-    /// or the stream fails.
-    pub fn poll<R: Read>(&mut self, r: &mut R) -> Result<Option<String>, FrameError> {
+    /// or the stream fails. The frame is borrowed from the reader's
+    /// buffer: reading it allocates nothing once the buffer has grown to
+    /// the connection's frame size.
+    pub fn poll<R: Read>(&mut self, r: &mut R) -> Result<Option<&str>, FrameError> {
+        if !self.fill(r)? {
+            return Ok(None);
+        }
+        std::str::from_utf8(&self.body).map(Some).map_err(not_utf8)
+    }
+
+    /// Pulls from `r` until `body` holds a whole frame (`true`) or the
+    /// stream would block (`false`).
+    fn fill<R: Read>(&mut self, r: &mut R) -> Result<bool, FrameError> {
         loop {
             if !self.in_body {
                 debug_assert!(self.len_got < 4);
@@ -1100,7 +1154,7 @@ impl FrameReader {
                     }
                     Ok(n) => self.len_got += n,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) if is_timeout(e.kind()) => return Ok(None),
+                    Err(e) if is_timeout(e.kind()) => return Ok(false),
                     Err(e) if is_gone(e.kind()) => {
                         return Err(if self.len_got == 0 {
                             FrameError::Closed
@@ -1120,7 +1174,9 @@ impl FrameReader {
                     )));
                 }
                 self.in_body = true;
-                self.body = vec![0u8; len as usize];
+                self.body.clear();
+                self.body.shrink_to(RETAINED_BODY);
+                self.body.resize(len as usize, 0);
                 self.body_got = 0;
             }
             while self.body_got < self.body.len() {
@@ -1128,18 +1184,14 @@ impl FrameReader {
                     Ok(0) => return Err(FrameError::Disconnected),
                     Ok(n) => self.body_got += n,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) if is_timeout(e.kind()) => return Ok(None),
+                    Err(e) if is_timeout(e.kind()) => return Ok(false),
                     Err(e) if is_gone(e.kind()) => return Err(FrameError::Disconnected),
                     Err(e) => return Err(FrameError::Io(e)),
                 }
             }
-            let body = std::mem::take(&mut self.body);
             self.len_got = 0;
-            self.body_got = 0;
             self.in_body = false;
-            return String::from_utf8(body)
-                .map(Some)
-                .map_err(|e| FrameError::Malformed(format!("frame is not UTF-8: {e}")));
+            return Ok(true);
         }
     }
 }
@@ -1292,7 +1344,7 @@ mod tests {
         let mut frames = Vec::new();
         // Every poll consumes a byte, a dry spell or the end.
         for _ in 0..=2 * bytes.len() + 2 {
-            let polled = reader.poll(&mut src);
+            let polled = reader.poll(&mut src).map(|f| f.map(str::to_string));
             if reader.body.capacity() > MAX_FRAME as usize {
                 return Err(format!("body buffer grew to {}", reader.body.capacity()));
             }
@@ -1392,8 +1444,13 @@ mod tests {
         })
     }
 
+    /// `cases`, or more when `PROPTEST_CASES` asks for more.
+    fn at_least(cases: u32) -> ProptestConfig {
+        ProptestConfig::with_cases(cases.max(ProptestConfig::default().cases))
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(at_least(256))]
 
         #[test]
         fn prop_frame_reader_classifies_arbitrary_bytes(
@@ -1828,7 +1885,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
+        #![proptest_config(at_least(512))]
 
         #[test]
         fn prop_encoding_is_serdes_bytes(req in request(), reply in reply(), msg in stream_msg()) {
@@ -1948,6 +2005,39 @@ mod tests {
             let oracle = serde_json::from_str::<Request>(&text).ok().map(|r| r.task);
             assert_eq!(oracle, task, "serde on {text}");
             assert_eq!(decode_request(&text).ok().map(|r| r.task), task, "{text}");
+        }
+    }
+
+    /// The expected-key compare against serde, on the spellings beside the
+    /// expected key: spaced, escaped, duplicated, one byte longer or
+    /// shorter, and cut short.
+    #[test]
+    fn expected_key_spellings_decode_as_serde_does() {
+        // `~` stands for `o` spelled as a `\u` escape.
+        let escaped_o = format!("{}u006f", '\\');
+        for (text, nonce) in [
+            (r#"{"op":"Leave","nonce":7}"#, Some(7)),
+            (r#"{ "op" : "Leave" , "nonce" : 7 }"#, Some(7)),
+            ("{\"op\":\"Leave\",\n\t\"nonce\"\r\n:7}", Some(7)),
+            (r#"{"op":"Leave","n~nce":7}"#, Some(7)),
+            (r#"{"op":"Leave","n~nce":7,"nonce":8}"#, Some(7)),
+            (r#"{"op":"Leave","nonce":7,"n~nce":8}"#, Some(7)),
+            (r#"{"op":"Leave","nonce":7,"nonce":8}"#, Some(7)),
+            (r#"{"op":"Leave","nonce":7,"nonce":[}"#, None),
+            (r#"{"nonce":7,"op":"Leave","nonce":8}"#, Some(7)),
+            (r#"{"op":"Leave","nonceX":7}"#, None),
+            (r#"{"op":"Leave","nonceX":7,"nonce":8}"#, Some(8)),
+            (r#"{"op":"Leave","nonce\"":7,"nonce":8}"#, Some(8)),
+            (r#"{"op":"Leave","nonc":7}"#, None),
+            (r#"{"op":"Leave","nonc":7,"nonce":8}"#, Some(8)),
+            (r#"{"op":"Leave","nonce"7}"#, None),
+            (r#"{"op":"Leave","nonce"#, None),
+            (r#"{"op":"Leave","nonce""#, None),
+        ] {
+            let text = text.replace('~', &escaped_o);
+            let oracle = serde_json::from_str::<Request>(&text).ok();
+            assert_eq!(oracle.as_ref().map(|r| r.nonce), nonce, "serde on {text}");
+            assert_eq!(decode_request(&text).ok(), oracle, "{text}");
         }
     }
 

@@ -13,10 +13,11 @@
 //! around scheduler state — the cores are single-owner by construction,
 //! mirroring the narrow-kernel split the protocol is designed around.
 //!
-//! Each connection is a slot: its [`FrameReader`], an outbound buffer
-//! that replies and stream frames are encoded straight into, the instant
-//! it last moved a byte, and whether it is subscribed or closing. Queued
-//! bytes are written at once; what the socket does not take waits for
+//! Each connection is a slot: its [`FrameReader`], whose one body buffer
+//! every request is read into and decoded from in place, an outbound
+//! buffer that replies and stream frames are encoded straight into, the
+//! instant it last moved a byte, and whether it is subscribed or closing.
+//! Queued bytes are written at once; what the socket does not take waits for
 //! `POLLOUT`, which is asked for only while bytes remain. The wait ends
 //! at the next [`Pace::RealTime`] quantum edge or the nearest idle
 //! deadline, whichever comes first.
@@ -42,7 +43,7 @@ use crate::core::{CoreConfig, SetRegistry, SetReport};
 use crate::poll::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use crate::proto::{
     decode_request, encode_framed, encode_reply, encode_stream, FrameError, FrameReader, Op, Reply,
-    Request, Status, StreamKind, StreamMsg,
+    Request, Status, StreamKind, StreamMsg, DEFAULT_SET,
 };
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -717,7 +718,7 @@ impl Daemon<'_> {
         };
         let failure = loop {
             match slot.reader.poll(&mut src) {
-                Ok(Some(frame)) => match decode_request(&frame) {
+                Ok(Some(frame)) => match decode_request(frame) {
                     Ok(req) => {
                         let subscribe = req.op == Op::Subscribe;
                         self.inbox.push((id, req));
@@ -760,14 +761,17 @@ impl Daemon<'_> {
     }
 
     /// Takes one request from connection `from`: queues it into its
-    /// set's batch, or answers it on the spot.
-    fn intake(&mut self, from: ConnId, req: Request) {
-        let set_name = req.set_name().to_string();
+    /// set's batch, or answers it on the spot. The set is found by the
+    /// name the request carries, and a queued request leaves the name
+    /// behind: its core is the set.
+    fn intake(&mut self, from: ConnId, mut req: Request) {
+        let named = req.set.take();
+        let set_name = named.as_deref().unwrap_or(DEFAULT_SET);
         match req.op {
             Op::Join | Op::Leave | Op::Reweight => {
                 let nonce = req.nonce;
-                let Some((core, set)) = self.registry.get_mut(&set_name) else {
-                    return self.conns.reply(from, &no_such_set(nonce, &set_name));
+                let Some((core, set)) = self.registry.get_mut(set_name) else {
+                    return self.conns.reply(from, &no_such_set(nonce, set_name));
                 };
                 let slot = core.slot();
                 if core.push_request(req) {
@@ -776,41 +780,41 @@ impl Daemon<'_> {
                 } else {
                     self.refused_full.add(1);
                     let mut r = Reply::new(nonce, Status::Error, slot);
-                    r.set = Some(set_name);
+                    r.set = Some(set_name.to_string());
                     r.error = Some("batch full; retry next quantum".to_string());
                     self.conns.reply(from, &r);
                 }
             }
             Op::Stats => {
-                let Some((core, _)) = self.registry.get_mut(&set_name) else {
-                    return self.conns.reply(from, &no_such_set(req.nonce, &set_name));
+                let Some((core, _)) = self.registry.get_mut(set_name) else {
+                    return self.conns.reply(from, &no_such_set(req.nonce, set_name));
                 };
                 let mut r = Reply::new(req.nonce, Status::Stats, core.slot());
                 r.task_count = Some(core.task_count() as u64);
                 r.weight_ppm = Some(core.weight_ppm());
-                r.set = Some(set_name);
+                r.set = Some(set_name.to_string());
                 r.sets = Some(self.registry.names());
                 r.snapshot = Some(self.rec.snapshot().to_json());
                 self.conns.reply(from, &r);
             }
             Op::Subscribe => {
-                let Some((core, set)) = self.registry.get_mut(&set_name) else {
+                let Some((core, set)) = self.registry.get_mut(set_name) else {
                     // Nothing is read after a subscribe: refused, the
                     // connection has no further use.
-                    self.conns.reply(from, &no_such_set(req.nonce, &set_name));
+                    self.conns.reply(from, &no_such_set(req.nonce, set_name));
                     if let Some(slot) = self.conns.slots.get_mut(&from) {
                         slot.closing = true;
                     }
                     return;
                 };
                 let mut r = Reply::new(req.nonce, Status::Subscribed, core.slot());
-                r.set = Some(set_name);
+                r.set = Some(set_name.to_string());
                 self.conns.reply(from, &r);
                 set.subscribers.push(from);
             }
             Op::CreateSet => {
                 let nonce = req.nonce;
-                let r = match req.set.as_deref() {
+                let r = match named.as_deref() {
                     None => {
                         let mut r = Reply::new(nonce, Status::Error, 0);
                         r.error = Some("create_set requires an explicit `set`".to_string());
@@ -833,7 +837,7 @@ impl Daemon<'_> {
                 };
                 self.conns.reply(from, &r);
             }
-            Op::DropSet => match req.set {
+            Op::DropSet => match named {
                 None => {
                     let mut r = Reply::new(req.nonce, Status::Error, 0);
                     r.error = Some("drop_set requires an explicit `set`".to_string());

@@ -7,19 +7,22 @@
 //! the Unix and TCP transports; and the chaos variants — SIGKILL
 //! mid-stream, a stale socket file after an unclean death, a half-open
 //! TCP peer stalled mid-frame, an oversized frame, a frame nested deep
-//! enough to overflow a recursive parser (in either direction), and
-//! byte-determinism of per-set decision logs.
+//! enough to overflow a recursive parser (in either direction), a client
+//! read that times out mid-frame, and byte-determinism of per-set
+//! decision logs.
 
 #[path = "support/cli_contract.rs"]
 mod cli_contract;
 
 use daemon::client::{ClientError, DaemonAddr, DaemonClient};
-use daemon::proto::{self, Reply, Request, Status};
+use daemon::proto::{self, Reply, Request, Status, StreamKind, StreamMsg};
 use sched_sim::ScheduleTrace;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::Receiver;
 use std::time::{Duration, Instant};
 
 /// Unique scratch paths per test (sockets have a ~100-byte path limit,
@@ -788,6 +791,98 @@ fn nested_reply_is_a_protocol_error_for_the_client() {
     let mut client = connect(&socket);
     let err = client.join(1_000, 4_000).expect_err("a nested reply");
     assert!(matches!(err, ClientError::Protocol(_)), "{err:?}");
+    peer.join().expect("fake daemon");
+    std::fs::remove_file(&socket).ok();
+}
+
+/// The JSON an encoder writes.
+fn json(encode: impl FnOnce(&mut Vec<u8>)) -> String {
+    let mut out = Vec::new();
+    encode(&mut out);
+    String::from_utf8(out).expect("the codec writes UTF-8")
+}
+
+/// The next request on `conn`.
+fn next_request(conn: &mut UnixStream) -> Request {
+    let frame = proto::read_frame(conn).expect("request").expect("a frame");
+    proto::decode_request(&frame).expect("a request")
+}
+
+/// Writes `json` as one frame, stalling 40 bytes into its body until
+/// `resume` says the client has timed out.
+fn write_stalled(conn: &mut UnixStream, json: &str, resume: &Receiver<()>) {
+    let mut head = Vec::new();
+    proto::write_frame(&mut head, json).expect("frame into a Vec");
+    let tail = head.split_off(4 + 40);
+    conn.write_all(&head).expect("prefix and head");
+    resume.recv().expect("the client timed out");
+    conn.write_all(&tail).expect("tail");
+}
+
+/// A read that times out in the middle of a frame keeps what it read:
+/// the next `recv` (and the next `Subscription::next`) resumes the frame.
+/// A fake daemon stalls 40 bytes into a reply and then into a stream
+/// frame until the client has timed out. (A reader rebuilt for every
+/// call used to take the middle of the body for the next length prefix:
+/// `MalformedFrame("frame length … exceeds MAX_FRAME")`.)
+#[test]
+fn a_read_timeout_mid_frame_resumes_the_frame() {
+    let (socket, _) = scratch("midframe");
+    std::fs::remove_file(&socket).ok();
+    let listener = UnixListener::bind(&socket).expect("bind");
+    let mut reply = Reply::new(1, Status::Admitted, 3);
+    (reply.task, reply.weight_num, reply.weight_den) = (Some(0), Some(1), Some(4));
+    let decision = StreamMsg {
+        kind: StreamKind::Decision,
+        slot: 4,
+        set: Some("default".to_string()),
+        scheduled: Some(vec![0]),
+        snapshot: None,
+    };
+    let (timed_out, resume) = std::sync::mpsc::channel();
+    let peer = {
+        let (reply, decision) = (reply.clone(), decision.clone());
+        std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            assert_eq!(next_request(&mut conn).nonce, reply.nonce);
+            write_stalled(
+                &mut conn,
+                &json(|o| proto::encode_reply(&reply, o)),
+                &resume,
+            );
+            let nonce = next_request(&mut conn).nonce;
+            let subscribed = Reply::new(nonce, Status::Subscribed, 4);
+            proto::write_frame(&mut conn, &json(|o| proto::encode_reply(&subscribed, o)))
+                .expect("subscribed");
+            write_stalled(
+                &mut conn,
+                &json(|o| proto::encode_stream(&decision, o)),
+                &resume,
+            );
+        })
+    };
+
+    let mut client = connect(&socket);
+    let patience = |t| Some(Duration::from_millis(t));
+    client.set_read_timeout(patience(100)).expect("timeout");
+    let nonce = client.take_nonce();
+    client
+        .send(&Request::join(nonce, 1_000, 4_000))
+        .expect("send");
+    let err = client.recv().expect_err("the reply stalls mid-body");
+    assert!(matches!(err, ClientError::TimedOut), "{err:?}");
+    timed_out.send(()).expect("resume the reply");
+    client.set_read_timeout(patience(10_000)).expect("timeout");
+    assert_eq!(client.recv().expect("the rest of the reply"), reply);
+
+    let mut sub = client.subscribe().expect("subscribe");
+    sub.set_read_timeout(patience(100)).expect("timeout");
+    let err = sub.next().expect_err("the decision stalls mid-body");
+    assert!(matches!(err, ClientError::TimedOut), "{err:?}");
+    timed_out.send(()).expect("resume the decision");
+    sub.set_read_timeout(patience(10_000)).expect("timeout");
+    assert_eq!(sub.next().expect("the rest of the decision"), decision);
+
     peer.join().expect("fake daemon");
     std::fs::remove_file(&socket).ok();
 }

@@ -12,13 +12,16 @@
 //! process puts its evaluation passes under this allocator.
 //!
 //! The same allocator holds the wire codec to allocating nothing but
-//! what it returns.
+//! what it returns, and the frame path on both ends to allocating
+//! nothing of its own: a frame read into a warm `FrameReader` and
+//! decoded, and a reply taken by a warm `DaemonClient::recv`.
 
 use daemon::alloc_probe::{self, FastPathGuard};
 use daemon::client::DaemonClient;
 use daemon::proto::{self, Op, Reply, Request, Status};
 use daemon::server::{self, ServerConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::os::unix::net::UnixListener;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 struct CountingAlloc;
@@ -239,4 +242,109 @@ fn codec_allocates_only_what_it_returns() {
     };
     assert_eq!(alloc_probe::take(), 1, "a set is one allocation");
     assert_eq!(decoded, Ok(Request::bare(Op::Stats, 6).with_set("alpha")));
+}
+
+/// `req` framed as a client sends it.
+fn framed(req: &Request, wire: &mut Vec<u8>) {
+    let mut json = Vec::new();
+    proto::encode_request(req, &mut json);
+    proto::write_frame(wire, std::str::from_utf8(&json).expect("UTF-8")).expect("into a Vec");
+}
+
+/// The daemon's intake from frame to request: a warm `FrameReader` reads
+/// each frame in place and the decoder borrows it, so a set-less join,
+/// leave or reweight costs no allocation, and a named set one.
+#[test]
+fn frame_in_to_request_allocates_only_the_set() {
+    let _counter = counter_lock();
+    let requests = [
+        Request::join(1, 1_000, 10_000),
+        Request::leave(2, 7),
+        Request::reweight(3, 7, 2_000, 20_000),
+    ];
+    let mut wire = Vec::new();
+    // A first frame longer than the rest grows the reader's buffer.
+    proto::write_frame(&mut wire, &" ".repeat(256)).expect("into a Vec");
+    for req in requests.iter().cycle().take(30) {
+        framed(req, &mut wire);
+    }
+    framed(&Request::leave(4, 7).with_set("alpha"), &mut wire);
+    let mut src = &wire[..];
+    let mut reader = proto::FrameReader::new();
+    reader.poll(&mut src).expect("the first frame");
+    let mut decoded = Vec::with_capacity(30);
+    let mut next = |src: &mut &[u8]| {
+        let frame = reader.poll(src).expect("a frame").expect("a whole frame");
+        proto::decode_request(frame).expect("a request")
+    };
+
+    alloc_probe::take();
+    {
+        let _fast = FastPathGuard::enter();
+        for _ in 0..30 {
+            decoded.push(next(&mut src));
+        }
+    }
+    assert_eq!(alloc_probe::take(), 0, "set-less frames allocated");
+    let expected: Vec<Request> = requests.iter().cycle().take(30).cloned().collect();
+    assert_eq!(decoded, expected);
+
+    let named = {
+        let _fast = FastPathGuard::enter();
+        next(&mut src)
+    };
+    assert_eq!(alloc_probe::take(), 1, "a set is one allocation");
+    assert_eq!(named, Request::leave(4, 7).with_set("alpha"));
+}
+
+/// The client's side: a warm `DaemonClient::recv` reads each reply out of
+/// its read-ahead buffer in place, so an `Admitted` or `Left` reply with
+/// no string field costs no allocation.
+#[test]
+fn a_warm_client_receives_replies_without_allocating() {
+    let _counter = counter_lock();
+    let socket = std::env::temp_dir().join(format!("admitd-recv-{}.sock", std::process::id()));
+    std::fs::remove_file(&socket).ok();
+    let listener = UnixListener::bind(&socket).expect("bind");
+    let mut admitted = Reply::new(1, Status::Admitted, 17);
+    (admitted.task, admitted.weight_num, admitted.weight_den) = (Some(5), Some(1), Some(10));
+    (admitted.quanta, admitted.period_quanta) = (Some(1), Some(10));
+    admitted.first_release = Some(17);
+    let mut left = Reply::new(2, Status::Left, 18);
+    (left.task, left.free_at) = (Some(5), Some(27));
+    let sent: Vec<Reply> = [admitted, left].into_iter().cycle().take(100).collect();
+    // A first reply longer than the rest grows the reader's buffer.
+    let mut warm = Reply::new(0, Status::Error, 0);
+    warm.error = Some(" ".repeat(256));
+    let daemon = {
+        let frames: Vec<String> = std::iter::once(&warm)
+            .chain(&sent)
+            .map(|r| {
+                let mut json = Vec::new();
+                proto::encode_reply(r, &mut json);
+                String::from_utf8(json).expect("UTF-8")
+            })
+            .collect();
+        std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            for frame in &frames {
+                proto::write_frame(&mut conn, frame).expect("reply");
+            }
+        })
+    };
+    let mut client = DaemonClient::connect(&socket).expect("connect");
+    assert_eq!(client.recv().expect("the first reply"), warm);
+    let mut got = Vec::with_capacity(sent.len());
+
+    alloc_probe::take();
+    {
+        let _fast = FastPathGuard::enter();
+        for _ in 0..sent.len() {
+            got.push(client.recv().expect("a reply"));
+        }
+    }
+    assert_eq!(alloc_probe::take(), 0, "receiving a reply allocated");
+    assert_eq!(got, sent);
+    daemon.join().expect("fake daemon");
+    std::fs::remove_file(&socket).ok();
 }
