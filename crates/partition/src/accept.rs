@@ -15,9 +15,40 @@ use uniproc::analysis;
 /// `ProcState` summarizes one processor's assigned tasks; `try_add`
 /// returns the successor state iff the indexed task fits. `spare` ranks
 /// processors for Best/Worst Fit (larger = more remaining capacity).
+///
+/// # The screen
+///
+/// [`load`](Self::load), [`room`](Self::room) and
+/// [`RANK_SLACK`](Self::RANK_SLACK) let the packing loop skip `try_add`
+/// where its answer cannot matter. With `(refuse_above, fits_at_or_below)
+/// = room(t)`, an implementation promises, for every state `s`:
+///
+/// * `try_add(s, t)` is `None` whenever `load(s) > refuse_above`;
+/// * it is `Some` whenever `load(s) <= fits_at_or_below`, unless the
+///   test cannot represent the result (an *inexact refusal*, which the
+///   loop counts as `partition.inexact_refusals`);
+/// * for every `s` it accepts, `|spare(try_add(s, t)) − (k_t − load(s))|
+///   ≤ RANK_SLACK` for some per-task constant `k_t`.
+///
+/// A NaN load screens nothing: that bin is always evaluated exactly. The
+/// defaults — load `0.0`, room `(+∞, −∞)`, slack `+∞` — screen nothing,
+/// so an implementation without a screen packs as if there were none.
+///
+/// The loop calls `try_add` on every bin it may choose, so a screen only
+/// ever saves evaluations. First and Next Fit skip bins above
+/// `refuse_above`. Best and Worst Fit first take the key `load` of the
+/// best bin that surely fits (`load <= fits_at_or_below`; the highest for
+/// Best Fit, the lowest for Worst Fit) and check it exactly. If it fits,
+/// every bin whose exact spare could beat or tie its spare has a load
+/// within `2·RANK_SLACK` of that key, on the far side of it, so only those
+/// are evaluated; if it is refused, every bin not above `refuse_above` is.
 pub trait Acceptance {
     /// Per-processor summary state.
     type ProcState: Clone;
+
+    /// How far `spare` of an accepted bin may stray from `k_t − load`
+    /// (see [the screen](Acceptance#the-screen)).
+    const RANK_SLACK: f64 = f64::INFINITY;
 
     /// The empty processor.
     fn empty(&self) -> Self::ProcState;
@@ -27,7 +58,34 @@ pub trait Acceptance {
 
     /// Remaining spare capacity (for Best/Worst Fit ordering).
     fn spare(&self, state: &Self::ProcState) -> f64;
+
+    /// The screen's one number per bin.
+    fn load(&self, _state: &Self::ProcState) -> f64 {
+        0.0
+    }
+
+    /// `(refuse_above, fits_at_or_below)` for task `task_idx`: bounds on
+    /// [`load`](Self::load) beyond which `try_add` surely refuses or
+    /// surely accepts.
+    fn room(&self, _task_idx: usize) -> (f64, f64) {
+        (f64::INFINITY, f64::NEG_INFINITY)
+    }
 }
+
+/// A load above which `load + add > cap` in `f64`, whatever the three
+/// roundings (of `cap − add`, of the sum, and of this addition): each
+/// errs by at most `2⁻⁵³·(|cap| + |add|)`, and the margin is four times
+/// that. Loads between the exact edge and this bound are left to `try_add`.
+/// NaN, which refuses nothing, when `add` is `+∞` or NaN.
+fn surely_over(add: f64, cap: f64) -> f64 {
+    (cap - add) + (cap.abs() + add.abs()) * (2.0 * f64::EPSILON)
+}
+
+/// The screen margin of the tests that decide on an exact utilization
+/// sum: the `f64` image of a sum in `[0, 1]`, and of `1 − u`, errs by far
+/// less, so a bin's `f64` load decides the exact test everywhere but
+/// within this of the edge.
+const MARGIN: f64 = 1e-9;
 
 /// Plain EDF acceptance: exact utilization sum ≤ 1 (paper: "under EDF
 /// scheduling, a task can be accepted … as long as the total utilization
@@ -52,6 +110,11 @@ impl EdfUtilization {
 impl Acceptance for EdfUtilization {
     type ProcState = Rat;
 
+    /// `spare` is `1 − to_f64(s + u)` and `k_t − load` is `1 − u −
+    /// to_f64(s)`: they differ by two roundings of numbers in `[0, 1]`,
+    /// ~1e-15, thousands of times less than this.
+    const RANK_SLACK: f64 = 1e-12;
+
     fn empty(&self) -> Rat {
         Rat::ZERO
     }
@@ -71,6 +134,24 @@ impl Acceptance for EdfUtilization {
 
     fn spare(&self, state: &Rat) -> f64 {
         1.0 - state.to_f64()
+    }
+
+    /// The sum in `f64`; NaN outside `[0, 1]`, where no packing goes and
+    /// `to_f64`'s absolute error would outgrow the margin.
+    fn load(&self, state: &Rat) -> f64 {
+        let load = state.to_f64();
+        if (0.0..=1.0).contains(&load) {
+            load
+        } else {
+            f64::NAN
+        }
+    }
+
+    /// `1 − u ± 1e-9`: a bin above it is surely over, one below it surely
+    /// under, whatever `to_f64` rounded.
+    fn room(&self, task_idx: usize) -> (f64, f64) {
+        let left = 1.0 - self.utils[task_idx].to_f64();
+        (left + MARGIN, left - MARGIN)
     }
 }
 
@@ -99,15 +180,34 @@ impl Acceptance for RmLiuLayland {
     }
 
     fn try_add(&self, state: &(usize, f64), task_idx: usize) -> Option<(usize, f64)> {
-        let (e, p) = self.tasks[task_idx];
         let n = state.0 + 1;
-        let u = state.1 + e as f64 / p as f64;
+        let u = state.1 + self.util(task_idx);
         (u <= analysis::rm_ll_bound(n) + 1e-12).then_some((n, u))
     }
 
     fn spare(&self, state: &(usize, f64)) -> f64 {
         // Spare relative to the asymptotic bound; fine for BF/WF ranking.
         std::f64::consts::LN_2 - state.1
+    }
+
+    fn load(&self, state: &(usize, f64)) -> f64 {
+        state.1
+    }
+
+    /// The bound is at most 1, so a sum past `1 + 1e-12` is refused for
+    /// any count.
+    fn room(&self, task_idx: usize) -> (f64, f64) {
+        (
+            surely_over(self.util(task_idx), 1.0 + 1e-12),
+            f64::NEG_INFINITY,
+        )
+    }
+}
+
+impl RmLiuLayland {
+    fn util(&self, task_idx: usize) -> f64 {
+        let (e, p) = self.tasks[task_idx];
+        e as f64 / p as f64
     }
 }
 
@@ -138,14 +238,44 @@ impl Acceptance for RmExact {
     }
 
     fn try_add(&self, state: &Vec<usize>, task_idx: usize) -> Option<Vec<usize>> {
-        let mut assigned = state.clone();
-        assigned.push(task_idx);
-        let set: Vec<(u64, u64)> = assigned.iter().map(|&i| self.tasks[i]).collect();
-        analysis::rm_exact_schedulable(&set).then_some(assigned)
+        let set: Vec<(u64, u64)> = state
+            .iter()
+            .chain([&task_idx])
+            .map(|&i| self.tasks[i])
+            .collect();
+        analysis::rm_exact_schedulable(&set).then(|| {
+            let mut assigned = state.clone();
+            assigned.push(task_idx);
+            assigned
+        })
     }
 
     fn spare(&self, state: &Vec<usize>) -> f64 {
-        1.0 - state
+        1.0 - self.util_sum(state)
+    }
+
+    /// The utilization in `f64`; NaN past 2^20 tasks, where the sum's
+    /// rounding could outgrow the margin.
+    fn load(&self, state: &Vec<usize>) -> f64 {
+        if state.len() > 1 << 20 {
+            return f64::NAN;
+        }
+        self.util_sum(state)
+    }
+
+    /// No set with utilization above 1 is schedulable, so the test refuses
+    /// a bin more than 1e-9 past `1 − u`: fewer than 2^20 terms of at most
+    /// 1 round by less than that.
+    fn room(&self, task_idx: usize) -> (f64, f64) {
+        let u = self.util_sum(&[task_idx]);
+        (1.0 - u + MARGIN, f64::NEG_INFINITY)
+    }
+}
+
+impl RmExact {
+    /// The utilization of `assigned` in `f64`, summed in its order.
+    fn util_sum(&self, assigned: &[usize]) -> f64 {
+        assigned
             .iter()
             .map(|&i| {
                 let (e, p) = self.tasks[i];
@@ -232,29 +362,41 @@ impl Acceptance for EdfOverheadAware {
         EdfOverheadState::default()
     }
 
-    /// A bin too full for the task's least utilization is refused with a
-    /// compare, before the division: `f64` addition and division round
-    /// monotonically, so `max_d_us ≥ 0` gives `inflated_util ≥ least_util`
-    /// and a refused sum would have been refused anyway. Every state built
-    /// by `empty`/`try_add` has `max_d_us ≥ 0`; a hand-built negative or
-    /// NaN one skips the filter.
     fn try_add(&self, state: &EdfOverheadState, task_idx: usize) -> Option<EdfOverheadState> {
-        const CAPACITY: f64 = 1.0 + 1e-12;
-        let t = &self.tasks[task_idx];
-        if state.max_d_us >= 0.0 && state.util + t.least_util > CAPACITY {
-            return None;
-        }
         let util = state.util + self.inflated_util(task_idx, state.max_d_us);
         (util <= CAPACITY).then(|| EdfOverheadState {
             util,
-            max_d_us: state.max_d_us.max(t.cache_delay_us),
+            max_d_us: state.max_d_us.max(self.tasks[task_idx].cache_delay_us),
         })
     }
 
     fn spare(&self, state: &EdfOverheadState) -> f64 {
         1.0 - state.util
     }
+
+    /// `util`, or NaN (no screen) for a hand-built state with a negative
+    /// or NaN `max_d_us`; every state `empty`/`try_add` build has
+    /// `max_d_us ≥ 0`.
+    fn load(&self, state: &EdfOverheadState) -> f64 {
+        if state.max_d_us >= 0.0 {
+            state.util
+        } else {
+            f64::NAN
+        }
+    }
+
+    /// A bin too full for the task's least utilization is refused before
+    /// the division: `f64` addition and division round monotonically, so
+    /// `max_d_us ≥ 0` gives `inflated_util ≥ least_util`, and a load above
+    /// `refuse_above` has `load + least_util > CAPACITY`.
+    fn room(&self, task_idx: usize) -> (f64, f64) {
+        let least_util = self.tasks[task_idx].least_util;
+        (surely_over(least_util, CAPACITY), f64::NEG_INFINITY)
+    }
 }
+
+/// What one processor may hold under [`EdfOverheadAware`].
+const CAPACITY: f64 = 1.0 + 1e-12;
 
 #[cfg(test)]
 mod tests {
@@ -262,7 +404,7 @@ mod tests {
     use proptest::prelude::*;
 
     /// [`EdfOverheadAware::try_add`] as it stood before the full-bin
-    /// filter, verbatim: the oracle for that filter.
+    /// filter, verbatim: the oracle for the screen that replaced it.
     fn parent_try_add(
         acc: &EdfOverheadAware,
         state: &EdfOverheadState,
@@ -275,16 +417,42 @@ mod tests {
         })
     }
 
+    /// The full-bin filter `try_add` once ran before its division,
+    /// verbatim: the screen must refuse only what it refused.
+    fn filter_refuses(acc: &EdfOverheadAware, state: &EdfOverheadState, task_idx: usize) -> bool {
+        state.max_d_us >= 0.0 && state.util + acc.tasks[task_idx].least_util > 1.0 + 1e-12
+    }
+
+    fn screen_refuses<A: Acceptance>(acc: &A, state: &A::ProcState, task_idx: usize) -> bool {
+        acc.load(state) > acc.room(task_idx).0
+    }
+
+    /// A probe as the packing loop makes it: the screen, then `try_add`.
+    fn screened<A: Acceptance>(
+        acc: &A,
+        state: &A::ProcState,
+        task_idx: usize,
+    ) -> Option<A::ProcState> {
+        if screen_refuses(acc, state, task_idx) {
+            None
+        } else {
+            acc.try_add(state, task_idx)
+        }
+    }
+
     /// A probe's outcome down to the bits.
     fn probe_bits(s: Option<EdfOverheadState>) -> Option<(u64, u64)> {
         s.map(|s| (s.util.to_bits(), s.max_d_us.to_bits()))
     }
 
     proptest! {
-        /// The filtered probe answers as the parent's on every state a
-        /// first-fit packing builds, and on hand-built states around the
-        /// filter's edge: a sum within a few ulps of `1 − least_util`,
-        /// with `max_d_us` negative, NaN, ±0, infinite or drawn.
+        /// The screened probe answers as the parent's, and the screen
+        /// refuses only what the full-bin filter refused (and, on the
+        /// states a packing builds, all of it but sums within 1e-14 of
+        /// capacity), on every state a first-fit packing builds and on
+        /// hand-built states around the screen's edge: a sum within a few
+        /// ulps of `1 − least_util`, with `max_d_us` negative, NaN, ±0,
+        /// infinite or drawn.
         #[test]
         fn prop_try_add_matches_the_parents(
             raw in prop::collection::vec((1u64..50_000, 1u64..100, 0.0f64..100.0), 1..40),
@@ -306,8 +474,11 @@ mod tests {
             for &i in &order {
                 let mut placed = false;
                 for bin in bins.iter_mut() {
-                    let next = acc.try_add(bin, i);
+                    let next = screened(&acc, bin, i);
                     prop_assert_eq!(probe_bits(next), probe_bits(parent_try_add(&acc, bin, i)));
+                    prop_assert!(!screen_refuses(&acc, bin, i) || filter_refuses(&acc, bin, i));
+                    let over = bin.util + acc.tasks[i].least_util - CAPACITY;
+                    prop_assert!(!filter_refuses(&acc, bin, i) || screen_refuses(&acc, bin, i) || over < 1e-14);
                     if let Some(next) = next {
                         *bin = next;
                         placed = true;
@@ -315,29 +486,86 @@ mod tests {
                     }
                 }
                 if !placed {
-                    let fresh = acc.try_add(&acc.empty(), i);
+                    let fresh = screened(&acc, &acc.empty(), i);
                     prop_assert_eq!(probe_bits(fresh), probe_bits(parent_try_add(&acc, &acc.empty(), i)));
                     bins.extend(fresh);
                 }
             }
-            // Hand-built states on the filter's edge.
+            // Hand-built states on the screen's edge.
             for (i, cost) in acc.tasks.iter().enumerate() {
                 let mut util = 1.0 - cost.least_util;
                 for _ in 0..ulps.unsigned_abs() {
                     util = if ulps < 0 { util.next_down() } else { util.next_up() };
                 }
                 for max_d_us in [-1.0, -0.0, 0.0, f64::NAN, f64::INFINITY, -f64::INFINITY, drawn_d] {
-                    for util in [util, util + 1e-12, 0.5, f64::NAN] {
+                    for util in [util, util + 1e-12, 0.5, f64::NAN, f64::INFINITY] {
                         let state = EdfOverheadState { util, max_d_us };
                         prop_assert_eq!(
-                            probe_bits(acc.try_add(&state, i)),
+                            probe_bits(screened(&acc, &state, i)),
                             probe_bits(parent_try_add(&acc, &state, i)),
+                            "task {} state {:?}", i, state
+                        );
+                        prop_assert!(
+                            !screen_refuses(&acc, &state, i) || filter_refuses(&acc, &state, i),
                             "task {} state {:?}", i, state
                         );
                     }
                 }
             }
         }
+
+        /// Every screen is sound where the loop reads it: a bin above
+        /// `refuse_above` is refused, one at or below `fits_at_or_below`
+        /// is accepted, on sums within a few ulps of, and within 1e-9
+        /// of, `1 − u`.
+        #[test]
+        fn prop_screens_are_sound(
+            raw in prop::collection::vec((1u64..40, 1u64..40), 1..12),
+            big in 1u64..1 << 40,
+            ulps in -3i64..=3,
+        ) {
+            let mut pairs: Vec<(u64, u64)> = raw.iter().map(|&(e, p)| (e.min(p), p)).collect();
+            // A task of utilization u and bins one term short of 1 − u:
+            // exactly, by ulps of the big denominator, and by ±1e-9.
+            let (e, p) = pairs[0];
+            let den = p * big;
+            for gap in [0i64, ulps, ulps * (den / 1_000_000_000) as i64] {
+                let num = (den - e * big) as i64 + gap;
+                if num > 0 && (num as u64) <= den {
+                    pairs.push((num as u64, den));
+                }
+            }
+            let n = pairs.len();
+            let edf = EdfUtilization::new(&pairs);
+            let ll = RmLiuLayland::new(&pairs);
+            let ex = RmExact::new(&pairs);
+            for t in 0..n {
+                for s in 0..n {
+                    if s == t {
+                        continue;
+                    }
+                    let st = edf.try_add(&edf.empty(), s).unwrap();
+                    prop_assert!(screen_holds(&edf, &st, t), "{} on {}", t, s);
+                    let st = ll.try_add(&ll.empty(), s).unwrap();
+                    prop_assert!(screen_holds(&ll, &st, t), "{} on {}", t, s);
+                    // The time-demand analysis iterates up to a period's length.
+                    if pairs[s].1.max(pairs[t].1) < 1_000 {
+                        prop_assert!(screen_holds(&ex, &vec![s], t), "{} on {}", t, s);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Whether the screen keeps both its promises for task `t` on `state`.
+    fn screen_holds<A: Acceptance>(acc: &A, state: &A::ProcState, t: usize) -> bool {
+        let (refuse_above, fits_at_or_below) = acc.room(t);
+        let load = acc.load(state);
+        let fits = acc.try_add(state, t).is_some();
+        if load > refuse_above && fits {
+            return false;
+        }
+        fits || load > fits_at_or_below || load.is_nan()
     }
 
     #[test]

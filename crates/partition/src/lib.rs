@@ -14,6 +14,17 @@
 //!   Equation (3)'s EDF case with on-the-fly `max D(U)` tracking.
 //! * [`bounds`] — the `(M+1)/2` worst case and the Lopez et al. bound
 //!   `(βM + 1)/(β + 1)` \[27\].
+//!
+//! A packing asks the acceptance test about many bins per task, so each
+//! test may offer the loop an `f64` *screen*: a load per bin, and per task
+//! the loads above which `try_add` surely refuses and at or below which it
+//! surely accepts (see [`Acceptance`]). The loop keeps the loads beside
+//! the bins and calls `try_add` only where the exact answer could change
+//! the pick. First and Next Fit skip bins the screen refuses. Best and
+//! Worst Fit check the best-ranked bin that surely fits, then evaluate
+//! only the bins whose load lies within `2·RANK_SLACK` of its: the exact
+//! pick, and every bin tied with it, must lie there. Every packing is the
+//! one an exact evaluation of every bin would give, bin for bin.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
