@@ -18,10 +18,20 @@
 //! Reads go through a read-ahead buffer and one [`FrameReader`] that
 //! live as long as the connection, so one `read(2)` serves every reply
 //! already in the socket, and a reply costs no allocation of its own.
+//!
+//! Requests are queued, not written: [`DaemonClient::send`] encodes the
+//! frame into the connection's output queue, and a queued request has
+//! not reached the daemon yet. The queue leaves in one write right
+//! before a read that reaches the socket (a [`DaemonClient::recv`] the
+//! read-ahead buffer cannot answer), at [`DaemonClient::flush`], once
+//! 64 KiB are queued, and, best effort, when the client is dropped. So
+//! every request sent between two waits on the daemon goes out in one
+//! write, and a `recv` never waits on a request of its own that is
+//! still queued.
 
 use crate::proto::{
-    decode_reply, decode_stream, encode_framed, encode_request, FrameError, FrameReader, Op, Reply,
-    Request, Status, StreamMsg,
+    decode_reply, decode_stream, encode_framed, encode_request, is_gone, FrameError, FrameReader,
+    Op, Reply, Request, Status, StreamMsg,
 };
 use std::fmt;
 use std::io::{self, BufReader, Read, Write};
@@ -81,6 +91,20 @@ impl From<FrameError> for ClientError {
     }
 }
 
+/// A failed write, classified as a failed read is: a peer that is gone
+/// is a disconnect.
+fn write_failed(e: io::Error) -> ClientError {
+    if is_gone(e.kind()) {
+        ClientError::Disconnected
+    } else {
+        ClientError::Io(e)
+    }
+}
+
+/// Queued request bytes at which [`DaemonClient::send`] writes the queue
+/// without waiting for a read.
+const OUT_LIMIT: usize = 64 * 1024;
+
 /// Where the daemon lives.
 #[derive(Debug, Clone)]
 pub enum DaemonAddr {
@@ -130,11 +154,48 @@ impl Write for Stream {
     }
 }
 
-/// The read side of one connection: the stream behind its read-ahead
-/// buffer, and the frame being read from it. Requests are written
-/// straight to the stream, past the buffer.
+/// One connection's stream and the request frames queued for it. It sits
+/// under the read-ahead buffer, which reads it only when the buffer is
+/// empty: a read here is the client about to wait on the daemon, so the
+/// queue is written first.
+struct Conn {
+    stream: Stream,
+    /// Request frames not yet written, prefix and body. Cleared, never
+    /// shrunk, so a warm connection queues without allocating.
+    out: Vec<u8>,
+}
+
+impl Conn {
+    /// Writes the queue in one `write_all`. The queue is emptied even if
+    /// the write fails: part of it may be on the wire, so none of it can
+    /// be sent again.
+    fn write_out(&mut self) -> io::Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let written = self.stream.write_all(&self.out);
+        self.out.clear();
+        written
+    }
+}
+
+impl Read for Conn {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.write_out()?;
+        self.stream.read(buf)
+    }
+}
+
+impl Drop for Conn {
+    fn drop(&mut self) {
+        let _ = self.write_out();
+    }
+}
+
+/// One connection: its stream and output queue behind the read-ahead
+/// buffer, and the frame being read from it.
 struct Wire {
-    stream: BufReader<Stream>,
+    stream: BufReader<Conn>,
     reader: FrameReader,
 }
 
@@ -154,7 +215,7 @@ impl Wire {
     }
 
     fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        self.stream.get_ref().set_read_timeout(t)
+        self.stream.get_ref().stream.set_read_timeout(t)
     }
 }
 
@@ -164,9 +225,6 @@ pub struct DaemonClient {
     next_nonce: u64,
     /// Task-set shard the convenience wrappers target (`None` = default).
     scope: Option<String>,
-    /// Every request frame is encoded here, prefix and body, and leaves
-    /// in one write.
-    frame: Vec<u8>,
 }
 
 impl DaemonClient {
@@ -198,12 +256,14 @@ impl DaemonClient {
         stream.set_read_timeout(Some(Duration::from_secs(10)))?;
         Ok(DaemonClient {
             wire: Wire {
-                stream: BufReader::new(stream),
+                stream: BufReader::new(Conn {
+                    stream,
+                    out: Vec::new(),
+                }),
                 reader: FrameReader::new(),
             },
             next_nonce: 1,
             scope: None,
-            frame: Vec::new(),
         })
     }
 
@@ -261,15 +321,32 @@ impl DaemonClient {
         }
     }
 
-    /// Sends a request without waiting for its reply (pipelining half).
+    /// Queues a request without waiting for its reply (pipelining half).
+    /// The request is not sent yet: it leaves with the rest of the queue
+    /// at the next [`recv`](Self::recv) that waits on the daemon, at
+    /// [`flush`](Self::flush), or here once 64 KiB are queued. A request
+    /// over `MAX_FRAME` is refused and queues nothing.
     pub fn send(&mut self, req: &Request) -> Result<(), ClientError> {
-        self.frame.clear();
-        encode_framed(&mut self.frame, |out| encode_request(req, out))?;
-        self.wire.stream.get_mut().write_all(&self.frame)?;
+        let conn = self.wire.stream.get_mut();
+        encode_framed(&mut conn.out, |out| encode_request(req, out))?;
+        if conn.out.len() >= OUT_LIMIT {
+            conn.write_out().map_err(write_failed)?;
+        }
         Ok(())
     }
 
-    /// Receives the next reply frame (pipelining half).
+    /// Writes every queued request now, in one write, without reading —
+    /// for a caller that paces its requests and means each to leave when
+    /// it is sent.
+    pub fn flush(&mut self) -> Result<(), ClientError> {
+        self.wire.stream.get_mut().write_out().map_err(write_failed)
+    }
+
+    /// Receives the next reply frame (pipelining half). A reply already
+    /// in the read-ahead buffer is returned without a system call, and
+    /// nothing queued is written; a `recv` that has to wait on the
+    /// daemon first writes the queue, so it never waits on a queued
+    /// request.
     pub fn recv(&mut self) -> Result<Reply, ClientError> {
         let frame = self.wire.next_frame()?;
         decode_reply(frame).map_err(|e| ClientError::Protocol(format!("bad reply: {e}")))
@@ -390,15 +467,19 @@ impl Subscription {
     }
 }
 
-/// The read-ahead path against a socket pair, the test playing the
-/// daemon on the far end.
+/// The read-ahead path and the output queue against a socket pair, the
+/// test playing the daemon on the far end.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{encode_reply, encode_stream, StreamKind};
+    use crate::proto::{decode_request, encode_reply, encode_stream, StreamKind, MAX_FRAME};
+    use proptest::prelude::*;
 
     fn pair() -> (DaemonClient, UnixStream) {
         let (near, far) = UnixStream::pair().unwrap();
+        // A write the far end never takes fails the test, not hangs it.
+        near.set_write_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
         (DaemonClient::over(Stream::Unix(near)).unwrap(), far)
     }
 
@@ -524,5 +605,238 @@ mod tests {
         sub.set_read_timeout(Some(Duration::from_millis(100)))
             .unwrap();
         assert_eq!(sub.next().unwrap(), decision);
+    }
+
+    /// `req` as `send` queues it, length prefix and all.
+    fn framed_request(req: &Request) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_framed(&mut out, |o| encode_request(req, o)).unwrap();
+        out
+    }
+
+    /// `n` joins, and the bytes they make on the wire.
+    fn joins(n: u64) -> (Vec<Request>, Vec<u8>) {
+        let reqs: Vec<Request> = (1..=n).map(|k| Request::join(k, 1_000, 10_000)).collect();
+        let bytes = reqs.iter().flat_map(framed_request).collect();
+        (reqs, bytes)
+    }
+
+    /// One read of a nonblocking far end: what it returned, or `None` if
+    /// nothing had been written.
+    fn read_once(far: &mut UnixStream) -> Option<Vec<u8>> {
+        let mut buf = vec![0; 1 << 18];
+        match far.read(&mut buf) {
+            Ok(n) => Some(buf[..n].to_vec()),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => None,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    fn queued(client: &DaemonClient) -> &[u8] {
+        &client.wire.stream.get_ref().out
+    }
+
+    #[test]
+    fn sends_queue_until_a_recv_must_wait_then_leave_in_one_write() {
+        let (mut client, mut far) = pair();
+        far.set_nonblocking(true).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        let (reqs, bytes) = joins(8);
+        for req in &reqs {
+            client.send(req).unwrap();
+        }
+        assert_eq!(read_once(&mut far), None, "a send wrote");
+        let got = client.recv();
+        assert!(matches!(got, Err(ClientError::TimedOut)), "{got:?}");
+        assert_eq!(read_once(&mut far), Some(bytes));
+    }
+
+    #[test]
+    fn flush_writes_without_reading() {
+        let (mut client, mut far) = pair();
+        far.write_all(&framed(&admitted(9))).unwrap();
+        far.set_nonblocking(true).unwrap();
+        let (reqs, bytes) = joins(3);
+        for req in &reqs {
+            client.send(req).unwrap();
+        }
+        client.flush().unwrap();
+        assert!(client.wire.stream.buffer().is_empty(), "flush read");
+        assert_eq!(read_once(&mut far), Some(bytes));
+        client.flush().unwrap();
+        assert_eq!(read_once(&mut far), None, "an empty queue wrote");
+        assert_eq!(client.recv().unwrap(), admitted(9));
+    }
+
+    #[test]
+    fn dropping_the_client_writes_the_queue() {
+        let (mut client, mut far) = pair();
+        let (reqs, bytes) = joins(5);
+        for req in &reqs {
+            client.send(req).unwrap();
+        }
+        drop(client);
+        let mut got = Vec::new();
+        far.read_to_end(&mut got).unwrap();
+        assert_eq!(got, bytes);
+    }
+
+    #[test]
+    fn a_full_queue_leaves_without_a_recv() {
+        let (mut client, mut far) = pair();
+        far.set_nonblocking(true).unwrap();
+        let req = Request::join(1, 1_000, 10_000);
+        let frame = framed_request(&req);
+        let n = OUT_LIMIT.div_ceil(frame.len());
+        for _ in 1..n {
+            client.send(&req).unwrap();
+        }
+        assert_eq!(read_once(&mut far), None, "a send below the limit wrote");
+        client.send(&req).unwrap();
+        assert!(queued(&client).is_empty());
+        let mut got = Vec::new();
+        while let Some(bytes) = read_once(&mut far) {
+            got.extend(bytes);
+        }
+        assert_eq!(got, frame.repeat(n));
+    }
+
+    #[test]
+    fn an_oversized_request_is_refused_and_leaves_the_queue_as_it_was() {
+        let (mut client, mut far) = pair();
+        far.set_nonblocking(true).unwrap();
+        let (reqs, bytes) = joins(2);
+        for req in &reqs {
+            client.send(req).unwrap();
+        }
+        let huge = Request::bare(Op::Stats, 3).with_set("x".repeat(MAX_FRAME as usize));
+        let got = client.send(&huge);
+        assert!(matches!(got, Err(ClientError::Io(_))), "{got:?}");
+        assert_eq!(queued(&client), bytes);
+        assert_eq!(read_once(&mut far), None, "a refused send wrote");
+        client.flush().unwrap();
+        assert_eq!(read_once(&mut far), Some(bytes));
+    }
+
+    #[test]
+    fn a_far_end_closed_before_the_flush_is_a_disconnect() {
+        let (reqs, _) = joins(4);
+        for flush in [false, true] {
+            let (mut client, far) = pair();
+            for req in &reqs {
+                client.send(req).unwrap();
+            }
+            drop(far);
+            let got = match flush {
+                false => client.recv().map(|_| ()),
+                true => client.flush(),
+            };
+            assert!(
+                matches!(got, Err(ClientError::Disconnected)),
+                "flush {flush}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_recv_answered_from_the_read_ahead_buffer_writes_nothing() {
+        let (mut client, mut far) = pair();
+        far.write_all(&[framed(&admitted(1)), framed(&admitted(2))].concat())
+            .unwrap();
+        far.set_nonblocking(true).unwrap();
+        let (reqs, _) = joins(2);
+        client.send(&reqs[0]).unwrap();
+        assert_eq!(client.recv().unwrap(), admitted(1));
+        assert_eq!(read_once(&mut far), Some(framed_request(&reqs[0])));
+        client.send(&reqs[1]).unwrap();
+        assert_eq!(client.recv().unwrap(), admitted(2));
+        assert_eq!(read_once(&mut far), None, "a buffered recv wrote");
+        assert_eq!(queued(&client), framed_request(&reqs[1]));
+    }
+
+    /// Plays a daemon that answers each request frame with a reply
+    /// carrying its nonce, until the client closes. Returns the nonces
+    /// in the order their requests arrived.
+    fn echo(mut far: UnixStream) -> Vec<u64> {
+        let (mut reader, mut seen, mut out) = (FrameReader::new(), Vec::new(), Vec::new());
+        while let Ok(Some(frame)) = reader.poll(&mut far) {
+            let nonce = decode_request(frame).expect("a request").nonce;
+            seen.push(nonce);
+            out.clear();
+            encode_framed(&mut out, |o| encode_reply(&admitted(nonce), o)).unwrap();
+            // A client that is gone takes no replies, but what it wrote
+            // before it went is still read.
+            let _ = far.write_all(&out);
+        }
+        seen
+    }
+
+    /// One step of a pipelining caller.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Send,
+        Recv,
+        Flush,
+        Drop,
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        (0u8..16).prop_map(|k| match k {
+            0..=6 => Step::Send,
+            7..=12 => Step::Recv,
+            13 | 14 => Step::Flush,
+            _ => Step::Drop,
+        })
+    }
+
+    proptest! {
+        /// Every reply arrives once and in order, every request reaches
+        /// the daemon once and in order, and no `recv` waits on a request
+        /// still queued: that wait would end in `TimedOut`.
+        #[test]
+        fn prop_no_interleaving_loses_reorders_or_deadlocks(
+            script in prop::collection::vec(step(), 0..48),
+        ) {
+            let (mut client, far) = pair();
+            client.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+            let daemon = std::thread::spawn(move || echo(far));
+            let (mut sent, mut got) = (0u64, 0u64);
+            let mut dropped = false;
+            for step in script {
+                match step {
+                    Step::Send => {
+                        sent += 1;
+                        client.send(&Request::leave(sent, 7)).unwrap();
+                    }
+                    Step::Recv if got < sent => {
+                        got += 1;
+                        let reply = client.recv();
+                        prop_assert!(
+                            matches!(&reply, Ok(r) if r.nonce == got),
+                            "reply {got} of {sent}: {reply:?}"
+                        );
+                    }
+                    Step::Recv => {}
+                    Step::Flush => client.flush().unwrap(),
+                    Step::Drop => {
+                        dropped = true;
+                        break;
+                    }
+                }
+            }
+            while !dropped && got < sent {
+                got += 1;
+                let reply = client.recv();
+                prop_assert!(
+                    matches!(&reply, Ok(r) if r.nonce == got),
+                    "draining, reply {got} of {sent}: {reply:?}"
+                );
+            }
+            drop(client);
+            let seen = daemon.join().unwrap();
+            prop_assert_eq!(seen, (1..=sent).collect::<Vec<u64>>());
+        }
     }
 }

@@ -1001,7 +1001,7 @@ fn is_timeout(kind: io::ErrorKind) -> bool {
 }
 
 /// Whether an `io::ErrorKind` means "the peer is gone".
-fn is_gone(kind: io::ErrorKind) -> bool {
+pub(crate) fn is_gone(kind: io::ErrorKind) -> bool {
     matches!(
         kind,
         io::ErrorKind::UnexpectedEof

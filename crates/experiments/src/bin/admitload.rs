@@ -20,7 +20,9 @@
 //! `--set <name>` aims every request at that task-set shard.
 //!
 //! Open-loop: up to `--window` requests are kept in flight regardless of
-//! replies. Exit code 1 if the daemon dies mid-run; a summary of
+//! replies. A request outside a burst is flushed as it is sent, so it
+//! reaches the daemon when the arrival process says, not with the next
+//! read. Exit code 1 if the daemon dies mid-run; a summary of
 //! admitted/rejected/left plus reply-latency percentiles prints at the
 //! end.
 
@@ -161,10 +163,12 @@ fn main() {
             inflight.push((nonce, Instant::now()));
 
             // Burst shaping: inside a burst-delayed job the next request
-            // follows immediately; otherwise yield so the daemon's
-            // quantum edge can fire between arrivals.
+            // follows immediately and leaves with it; otherwise this one
+            // leaves now, and the yield lets the daemon's quantum edge
+            // fire between arrivals.
             let job = k / 8;
             if plan.burst_delay(TaskId(0), job) == 0 {
+                client.flush()?;
                 std::thread::yield_now();
             }
         }

@@ -254,13 +254,16 @@ fn realtime_pace_batches_by_wall_clock() {
     // 30 light joins (1/100 weight each) at ~1 ms spacing — sustained
     // traffic much faster than the quantum. Edges are absolute, so the
     // ~30 ms of sends must be decided in a handful of 20 ms batches;
-    // request-triggered pacing would advance ~one slot per arrival.
+    // request-triggered pacing would advance ~one slot per arrival. Each
+    // join is flushed as it is sent: queued, the 30 would arrive as one
+    // burst.
     const BURST: usize = 30;
     for _ in 0..BURST {
         let nonce = client.take_nonce();
         client
             .send(&Request::join(nonce, 20_000, 2_000_000))
             .expect("send join");
+        client.flush().expect("flush join");
         std::thread::sleep(Duration::from_millis(1));
     }
     let mut slots = Vec::new();

@@ -299,7 +299,9 @@ fn frame_in_to_request_allocates_only_the_set() {
 
 /// The client's side: a warm `DaemonClient::recv` reads each reply out of
 /// its read-ahead buffer in place, so an `Admitted` or `Left` reply with
-/// no string field costs no allocation.
+/// no string field costs no allocation. A warm pipelining client queues
+/// set-less requests in the capacity its queue kept, so 16 `send`s and
+/// the 16 `recv`s after them allocate nothing either.
 #[test]
 fn a_warm_client_receives_replies_without_allocating() {
     let _counter = counter_lock();
@@ -312,7 +314,13 @@ fn a_warm_client_receives_replies_without_allocating() {
     admitted.first_release = Some(17);
     let mut left = Reply::new(2, Status::Left, 18);
     (left.task, left.free_at) = (Some(5), Some(27));
-    let sent: Vec<Reply> = [admitted, left].into_iter().cycle().take(100).collect();
+    const RECEIVED: usize = 100;
+    const PIPELINED: usize = 16;
+    let sent: Vec<Reply> = [admitted, left]
+        .into_iter()
+        .cycle()
+        .take(RECEIVED + PIPELINED)
+        .collect();
     // A first reply longer than the rest grows the reader's buffer.
     let mut warm = Reply::new(0, Status::Error, 0);
     warm.error = Some(" ".repeat(256));
@@ -330,21 +338,48 @@ fn a_warm_client_receives_replies_without_allocating() {
             for frame in &frames {
                 proto::write_frame(&mut conn, frame).expect("reply");
             }
+            // Everything the client writes, until it closes.
+            let mut wire = Vec::new();
+            std::io::Read::read_to_end(&mut conn, &mut wire).expect("requests");
+            wire
         })
     };
     let mut client = DaemonClient::connect(&socket).expect("connect");
     assert_eq!(client.recv().expect("the first reply"), warm);
+    let requests: Vec<Request> = (1..=PIPELINED as u64)
+        .map(|n| Request::leave(n, 5))
+        .collect();
+    // A first window grows the output queue, which keeps the capacity.
+    for req in &requests {
+        client.send(req).expect("send");
+    }
+    client.flush().expect("flush");
     let mut got = Vec::with_capacity(sent.len());
 
     alloc_probe::take();
     {
         let _fast = FastPathGuard::enter();
-        for _ in 0..sent.len() {
+        for _ in 0..RECEIVED {
             got.push(client.recv().expect("a reply"));
         }
     }
     assert_eq!(alloc_probe::take(), 0, "receiving a reply allocated");
+    {
+        let _fast = FastPathGuard::enter();
+        for req in &requests {
+            client.send(req).expect("send");
+        }
+        for _ in 0..PIPELINED {
+            got.push(client.recv().expect("a reply"));
+        }
+    }
+    assert_eq!(alloc_probe::take(), 0, "a pipelined window allocated");
     assert_eq!(got, sent);
-    daemon.join().expect("fake daemon");
+    drop(client);
+    let mut expected = Vec::new();
+    for req in requests.iter().chain(&requests) {
+        framed(req, &mut expected);
+    }
+    assert_eq!(daemon.join().expect("fake daemon"), expected);
     std::fs::remove_file(&socket).ok();
 }
