@@ -51,7 +51,7 @@
 use crate::priority::{Policy, SubtaskTag};
 
 /// Key value meaning "does not fit: use the exact comparator".
-pub const SENTINEL: u64 = u64::MAX;
+pub(crate) const SENTINEL: u64 = u64::MAX;
 
 /// Bit offset of the deadline field.
 const DL_SHIFT: u32 = 24;
@@ -61,11 +61,11 @@ const B_SHIFT: u32 = 23;
 const GD_SHIFT: u32 = 12;
 /// Deadlines must be strictly below this (40 bits, top value reserved so
 /// a full key can never alias [`SENTINEL`]).
-pub const DL_LIMIT: u64 = (1 << 40) - 1;
+const DL_LIMIT: u64 = (1 << 40) - 1;
 /// Largest encodable group-deadline tie field (11 bits).
-pub const GD_FIELD_MAX: u64 = (1 << 11) - 1;
+const GD_FIELD_MAX: u64 = (1 << 11) - 1;
 /// Largest encodable task id (12 bits).
-pub const ID_FIELD_MAX: u32 = (1 << 12) - 1;
+pub(crate) const ID_FIELD_MAX: u32 = (1 << 12) - 1;
 
 /// Packs `tag`'s priority under `policy` into a single `u64` such that
 /// smaller keys mean higher priority. Returns [`SENTINEL`] when any
@@ -73,7 +73,7 @@ pub const ID_FIELD_MAX: u32 = (1 << 12) - 1;
 /// group deadline more than `GD_FIELD_MAX − 1` slots past its deadline);
 /// the caller must then fall back to the exact comparator.
 #[inline]
-pub fn pack(policy: Policy, tag: &SubtaskTag, higher_id_first: bool) -> u64 {
+pub(crate) fn pack(policy: Policy, tag: &SubtaskTag, higher_id_first: bool) -> u64 {
     if tag.deadline >= DL_LIMIT {
         return SENTINEL;
     }

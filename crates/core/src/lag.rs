@@ -14,7 +14,7 @@ use std::fmt;
 
 /// The fluid ("ideal") allocation `wt(T)·t` a task should have received by
 /// time `t`.
-pub fn ideal_allocation(w: Weight, t: Slot) -> Rat {
+fn ideal_allocation(w: Weight, t: Slot) -> Rat {
     w.as_rat() * Rat::from(t)
 }
 

@@ -39,7 +39,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod key;
+mod key;
 pub mod lag;
 pub mod priority;
 pub mod recovery;

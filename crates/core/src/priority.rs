@@ -66,9 +66,6 @@ impl Policy {
         Policy::Pd2,
     ];
 
-    /// The optimal policies (every member schedules any feasible set).
-    pub const OPTIMAL: [Policy; 3] = [Policy::Pf, Policy::Pd, Policy::Pd2];
-
     /// Short display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -214,7 +211,7 @@ fn pf_ties(a: &SubtaskTag, b: &SubtaskTag) -> Ordering {
 /// Like [`compare`], but with the residual task-id tie-break *reversed*.
 /// Used by the supertasking experiment (paper Fig. 5) to realize the
 /// figure's specific resolution of genuinely arbitrary ties.
-pub fn compare_with_id_order(
+pub(crate) fn compare_with_id_order(
     policy: Policy,
     a: &SubtaskTag,
     b: &SubtaskTag,

@@ -68,11 +68,6 @@ impl LagWatchdog {
         false
     }
 
-    /// Slot at which the watchdog last tripped, while it is tripped.
-    pub fn tripped_at(&self) -> Option<Slot> {
-        self.tripped_at
-    }
-
     /// Total number of trips since construction (reset does not clear it).
     pub fn trips(&self) -> u64 {
         self.trips
@@ -122,13 +117,16 @@ mod tests {
         assert!(!wd.observe(3, 5.0));
         assert!(!wd.observe(4, 5.0));
         assert!(wd.observe(5, 5.0)); // third consecutive slot trips
-        assert_eq!(wd.tripped_at(), Some(5));
         assert_eq!(wd.trips(), 1);
         // Already tripped: further observations do not re-trip.
         assert!(!wd.observe(6, 9.0));
         wd.reset();
-        assert_eq!(wd.tripped_at(), None);
         assert_eq!(wd.trips(), 1);
+        // Re-armed: a fresh streak of three trips again.
+        assert!(!wd.observe(7, 5.0));
+        assert!(!wd.observe(8, 5.0));
+        assert!(wd.observe(9, 5.0));
+        assert_eq!(wd.trips(), 2);
     }
 
     #[test]

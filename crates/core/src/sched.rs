@@ -12,7 +12,7 @@
 //! * **event-driven** (default) — a slot only touches tasks whose state
 //!   actually changes: releases live in a timer wheel indexed by slot, the
 //!   ready queue orders entries by a precomputed packed integer key
-//!   ([`crate::key`]), and per-subtask window parameters (release,
+//!   (the crate's `key` module), and per-subtask window parameters (release,
 //!   deadline, b-bit) advance by incremental integer recurrences instead
 //!   of divisions;
 //! * **reference** — the straightforward oracle: every slot, scan all
@@ -369,7 +369,7 @@ struct TaskCold {
     /// Time at which the task joined (0 for initial tasks).
     joined_at: Slot,
     /// Earliest slot at which the task may leave under the rules of \[38\]
-    /// (see [`PfairScheduler::earliest_leave`]): `d(Tᵢ) + b(Tᵢ)` of the
+    /// (see `PfairScheduler::earliest_leave`): `d(Tᵢ) + b(Tᵢ)` of the
     /// last-scheduled subtask for a light task, `D(Tᵢ) + 1` for a heavy
     /// one — maintained incrementally at commit; `joined_at` while the
     /// task has never been scheduled.
@@ -739,11 +739,6 @@ impl<D: DelayModel> PfairScheduler<D> {
         self.cfg.processors
     }
 
-    /// The configured policy.
-    pub fn policy(&self) -> Policy {
-        self.cfg.policy
-    }
-
     /// Changes the processor count `M` from the next slot on (fail-stop
     /// loss or repaired capacity). Shrinking below `Σ wt` puts the system
     /// in overload: the scheduler keeps picking the `M` highest-priority
@@ -761,11 +756,6 @@ impl<D: DelayModel> PfairScheduler<D> {
     /// an overload and to drop back once lag re-converges.
     pub fn set_early_release(&mut self, er: EarlyRelease) {
         self.cfg.early_release = er;
-    }
-
-    /// The currently configured eligibility model.
-    pub fn early_release(&self) -> EarlyRelease {
-        self.cfg.early_release
     }
 
     /// Number of task id slots in use (active or departed); valid
@@ -914,7 +904,7 @@ impl<D: DelayModel> PfairScheduler<D> {
     /// `d(Tᵢ) + b(Tᵢ)` of its last-scheduled subtask `Tᵢ`; for a heavy
     /// task, its next group deadline. A task that was
     /// never scheduled may leave immediately.
-    pub fn earliest_leave(&self, id: TaskId) -> Option<Slot> {
+    fn earliest_leave(&self, id: TaskId) -> Option<Slot> {
         let st = self.tasks.get(id.index())?;
         if !st.active {
             return None;
@@ -970,9 +960,8 @@ impl<D: DelayModel> PfairScheduler<D> {
     ///
     /// On [`ReweightError::Overload`] the old task has still left (its work
     /// was already conceptually replaced); callers wanting all-or-nothing
-    /// semantics should check [`Self::earliest_leave`] and
-    /// [`Self::total_weight`] first. A [`ReweightError::WrongSlot`] is
-    /// atomic: nothing changed.
+    /// semantics should check [`Self::total_weight`] first. A
+    /// [`ReweightError::WrongSlot`] is atomic: nothing changed.
     pub fn reweight(
         &mut self,
         id: TaskId,

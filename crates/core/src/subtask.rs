@@ -18,7 +18,7 @@
 //! (see [`crate::sched`]); because the shift is uniform, the b-bit and the
 //! *relative* group deadline are unaffected.
 
-use pfair_model::{Slot, SlotCount, Weight, Window};
+use pfair_model::{Slot, Weight, Window};
 
 /// Index of a subtask within its task, 1-based as in the paper (`T₁` is the
 /// first subtask).
@@ -69,11 +69,6 @@ pub fn window(w: Weight, i: SubtaskIndex) -> Window {
     Window::new(release(w, i), deadline(w, i))
 }
 
-/// Window length `|w(Tᵢ)| = d(Tᵢ) − r(Tᵢ)`.
-pub fn window_len(w: Weight, i: SubtaskIndex) -> SlotCount {
-    deadline(w, i) - release(w, i)
-}
-
 /// The PD² *b-bit*: `b(Tᵢ) = 1` iff `Tᵢ`'s window overlaps `Tᵢ₊₁`'s
 /// (equivalently, `r(Tᵢ₊₁) = d(Tᵢ) − 1`).
 ///
@@ -94,7 +89,7 @@ pub fn b_bit(w: Weight, i: SubtaskIndex) -> bool {
 /// the PD² literature it is defined as `0`.
 ///
 /// Closed form used here (validated against the defining cascade walk by
-/// [`group_deadline_by_definition`] in property tests): the group deadlines
+/// `group_deadline_by_definition` in property tests): the group deadlines
 /// of a heavy task with weight `e/p` are exactly the values
 /// `⌈k·p/(p−e)⌉, k = 1, 2, …`; hence
 ///
@@ -122,70 +117,61 @@ pub fn group_deadline(w: Weight, i: SubtaskIndex) -> Slot {
     Slot::try_from((k * p).div_ceil(holes)).expect("group deadline overflows the 64-bit slot range")
 }
 
-/// The group deadline computed directly from its definition, by walking the
-/// cascade of successor subtasks. Exponentially slower than
-/// [`group_deadline`] for weights near 1; used to validate the closed form.
-pub fn group_deadline_by_definition(w: Weight, i: SubtaskIndex) -> Slot {
-    assert!(i >= 1, "subtask indices are 1-based");
-    if w.is_light() {
-        return 0;
-    }
-    if w.is_unit() {
-        return deadline(w, i);
-    }
-    let d_i = deadline(w, i);
-    let mut best: Option<Slot> = None;
-    // The defining condition quantifies over all subtasks T_k; candidates at
-    // or after d(Tᵢ) can only come from k ≥ i − 1 (deadlines are
-    // non-decreasing and differ by ≥ 1 between consecutive subtasks of a
-    // heavy task). Walk forward until a candidate is found; for a heavy
-    // non-unit weight a b-bit of 0 recurs within every window of `e`
-    // consecutive subtasks, so this terminates.
-    let mut k = i;
-    loop {
-        let d_k = deadline(w, k);
-        if !b_bit(w, k) && d_k >= d_i {
-            best = Some(match best {
-                Some(b) => b.min(d_k),
-                None => d_k,
-            });
-            break;
-        }
-        if window_len(w, k) == 3 && d_k > d_i {
-            let cand = d_k - 1;
-            best = Some(match best {
-                Some(b) => b.min(cand),
-                None => cand,
-            });
-            break;
-        }
-        k += 1;
-    }
-    best.expect("cascade always terminates for heavy tasks")
-}
-
-/// Index of the first subtask of job `j` (0-based job index): `j·e + 1`.
-pub fn first_subtask_of_job(w: Weight, job: u64) -> SubtaskIndex {
-    job * w.numer() + 1
-}
-
-/// The job (0-based) that subtask `Tᵢ` belongs to: `⌊(i−1)/e⌋`.
-///
-/// Subtasks `T_{je+1} … T_{(j+1)e}` constitute job `j`; the paper's
-/// Fig. 1(a) shows subtasks `T₁…T₈` and `T₉…T₁₆` as the first two jobs of a
-/// weight-8/11 task.
-pub fn job_of_subtask(w: Weight, i: SubtaskIndex) -> u64 {
-    assert!(i >= 1, "subtask indices are 1-based");
-    (i - 1) / w.numer()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pfair_model::SlotCount;
     use proptest::prelude::*;
 
     fn w(e: u64, p: u64) -> Weight {
         Weight::new(e, p).unwrap()
+    }
+
+    /// Window length `|w(Tᵢ)| = d(Tᵢ) − r(Tᵢ)`.
+    fn window_len(w: Weight, i: SubtaskIndex) -> SlotCount {
+        deadline(w, i) - release(w, i)
+    }
+
+    /// The group deadline computed directly from its definition, by walking the
+    /// cascade of successor subtasks. Exponentially slower than
+    /// [`group_deadline`] for weights near 1; used to validate the closed form.
+    fn group_deadline_by_definition(w: Weight, i: SubtaskIndex) -> Slot {
+        assert!(i >= 1, "subtask indices are 1-based");
+        if w.is_light() {
+            return 0;
+        }
+        if w.is_unit() {
+            return deadline(w, i);
+        }
+        let d_i = deadline(w, i);
+        let mut best: Option<Slot> = None;
+        // The defining condition quantifies over all subtasks T_k; candidates at
+        // or after d(Tᵢ) can only come from k ≥ i − 1 (deadlines are
+        // non-decreasing and differ by ≥ 1 between consecutive subtasks of a
+        // heavy task). Walk forward until a candidate is found; for a heavy
+        // non-unit weight a b-bit of 0 recurs within every window of `e`
+        // consecutive subtasks, so this terminates.
+        let mut k = i;
+        loop {
+            let d_k = deadline(w, k);
+            if !b_bit(w, k) && d_k >= d_i {
+                best = Some(match best {
+                    Some(b) => b.min(d_k),
+                    None => d_k,
+                });
+                break;
+            }
+            if window_len(w, k) == 3 && d_k > d_i {
+                let cand = d_k - 1;
+                best = Some(match best {
+                    Some(b) => b.min(cand),
+                    None => cand,
+                });
+                break;
+            }
+            k += 1;
+        }
+        best.expect("cascade always terminates for heavy tasks")
     }
 
     /// Paper Fig. 1(a): windows of the first two jobs of a weight-8/11 task.
@@ -301,15 +287,16 @@ mod tests {
         }
     }
 
+    /// Paper Fig. 1(a): subtasks `T₁…T₈` and `T₉…T₁₆` are the first two
+    /// jobs of a weight-8/11 task, so job `j` starts with `T_{8j+1}`,
+    /// released at `j·11`.
     #[test]
     fn job_indexing() {
         let wt = w(8, 11);
-        assert_eq!(job_of_subtask(wt, 1), 0);
-        assert_eq!(job_of_subtask(wt, 8), 0);
-        assert_eq!(job_of_subtask(wt, 9), 1);
-        assert_eq!(first_subtask_of_job(wt, 0), 1);
-        assert_eq!(first_subtask_of_job(wt, 1), 9);
-        assert_eq!(first_subtask_of_job(wt, 2), 17);
+        for job in 0..3 {
+            assert_eq!(release(wt, job * 8 + 1), job * 11);
+            assert_eq!(deadline(wt, job * 8 + 8), (job + 1) * 11);
+        }
     }
 
     #[test]
@@ -410,11 +397,12 @@ mod tests {
         }
 
         /// Exactly e subtasks have deadlines within each period, and the
-        /// j-th job's subtasks all fit inside [j·p, (j+1)·p].
+        /// j-th job's subtasks `T_{je+1} … T_{(j+1)e}` all fit inside
+        /// [j·p, (j+1)·p].
         #[test]
         fn prop_job_confinement(wt in arb_weight(), job in 0u64..20) {
             let (e, p) = (wt.numer(), wt.denom());
-            let first = first_subtask_of_job(wt, job);
+            let first = job * e + 1;
             for i in first..first + e {
                 prop_assert!(release(wt, i) >= job * p);
                 prop_assert!(deadline(wt, i) <= (job + 1) * p);

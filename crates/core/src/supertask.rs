@@ -128,13 +128,13 @@ impl Supertask {
 
     /// The competing [`Task`] with the *naive* cumulative weight — the
     /// configuration Fig. 5 shows to be unsound.
-    pub fn naive_task(&self) -> Task {
+    fn naive_task(&self) -> Task {
         let w = self.cumulative_weight();
         Task::new(w.numer() as u64, w.denom() as u64).expect("0 < Σwt ≤ 1")
     }
 
     /// Smallest component period `p_min`.
-    pub fn min_period(&self) -> u64 {
+    fn min_period(&self) -> u64 {
         self.components
             .iter()
             .map(|c| c.period)
@@ -153,11 +153,6 @@ impl Supertask {
     pub fn reweighted_task(&self) -> Task {
         let w = self.reweighted_weight();
         Task::new(w.numer() as u64, w.denom() as u64).expect("0 < w ≤ 1")
-    }
-
-    /// Components in the bundle.
-    pub fn components(&self) -> &[Component] {
-        &self.components
     }
 
     /// Component deadline misses recorded so far.

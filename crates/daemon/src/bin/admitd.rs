@@ -72,6 +72,9 @@ fn main() {
     let mut cfg = ServerConfig::bound(bind, cpus);
     cfg.core.params = params;
     cfg.core.max_batch = cli.get_or("max-batch", cfg.core.max_batch);
+    if cfg.core.max_batch == 0 {
+        cli.refuse("admitd", "--max-batch must be at least 1");
+    }
     cfg.core.record_trace = !cli.flag("no-trace");
     cfg.snapshot_every = cli.get_or("snapshot-every", cfg.snapshot_every);
     cfg.max_sets = cli.get_or("max-sets", cfg.max_sets);

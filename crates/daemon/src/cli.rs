@@ -186,6 +186,14 @@ impl Args {
         })
     }
 
+    /// Refuses a command line whose flags parsed but whose values the
+    /// binary cannot run with: prints `<binary>: <what>` and the usage line
+    /// on stderr and exits 2, as a parse error does.
+    pub fn refuse(&self, binary: &str, what: &str) -> ! {
+        eprintln!("{binary}: {what}\n{}", usage(binary, &self.declared));
+        std::process::exit(2);
+    }
+
     /// Parses `--name` as `T` where the invocation cannot go on without
     /// it; a missing or malformed value prints the error and exits 2.
     pub fn require<T: std::str::FromStr>(&self, name: &str) -> T

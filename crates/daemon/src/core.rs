@@ -68,7 +68,7 @@ impl CoreConfig {
 /// Why a request was refused, as a copyable code (no strings on the fast
 /// path; [`reject_reason`] maps codes to text at reply time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RejectCode {
+enum RejectCode {
     /// Σwt would exceed `M` (Equation (2) over inflated weights).
     Overload,
     /// The task alone cannot meet its deadline once inflated.
@@ -79,19 +79,19 @@ pub enum RejectCode {
     NoConvergence,
     /// `task` does not name an active task.
     NoSuchTask,
-    /// Required fields missing for this op.
+    /// Required fields missing, or zero, for this op.
     Malformed,
 }
 
 /// Human-readable reason for a [`RejectCode`].
-pub fn reject_reason(code: RejectCode) -> &'static str {
+fn reject_reason(code: RejectCode) -> &'static str {
     match code {
         RejectCode::Overload => "admission test failed: total weight would exceed M",
         RejectCode::TaskOverload => "task infeasible: inflated cost exceeds its period",
         RejectCode::PeriodNotQuantumMultiple => "period is not a multiple of the quantum",
         RejectCode::NoConvergence => "overhead inflation did not converge",
         RejectCode::NoSuchTask => "no such active task",
-        RejectCode::Malformed => "missing required fields for this op",
+        RejectCode::Malformed => "missing or zero required fields for this op",
     }
 }
 
@@ -210,7 +210,7 @@ impl AdmissionCore {
     }
 
     /// Requests queued in the current batch.
-    pub fn pending_len(&self) -> usize {
+    pub(crate) fn pending_len(&self) -> usize {
         self.pending.len()
     }
 
@@ -244,7 +244,7 @@ impl AdmissionCore {
     /// back to connections through this mapping — nonces are
     /// client-chosen and may collide across clients, so they cannot
     /// identify a connection.
-    pub fn decided_order(&self) -> &[u32] {
+    pub(crate) fn decided_order(&self) -> &[u32] {
         &self.order
     }
 
@@ -357,7 +357,9 @@ impl AdmissionCore {
     }
 
     /// Inflates one candidate and charges it against the running sum.
-    /// Pure arithmetic — no allocation.
+    /// Pure arithmetic — no allocation. A zero `wcet_us` or `period_us` is
+    /// refused as malformed here, before `PhysTask::new` would panic on it:
+    /// this is the only path for both `Join` and `Reweight`.
     fn admit_one(
         cfg: &CoreConfig,
         m: u32,
@@ -366,6 +368,9 @@ impl AdmissionCore {
         wcet_us: u64,
         period_us: u64,
     ) -> Result<(u64, u64, u64, u64), RejectCode> {
+        if wcet_us == 0 || period_us == 0 {
+            return Err(RejectCode::Malformed);
+        }
         let inflated = inflate_pd2(PhysTask::new(wcet_us, period_us), &cfg.params, m, n, 0.0)
             .map_err(|e| match e {
                 InflateError::Overload { .. } => RejectCode::TaskOverload,
@@ -570,7 +575,7 @@ pub struct SetReport {
 /// Each set carries a `T` beside its core, created with the set and
 /// handed back when it is dropped: the server keeps a set's reply routes
 /// and subscribers there, so looking up one can never miss the other.
-pub struct SetRegistry<T> {
+pub(crate) struct SetRegistry<T> {
     template: CoreConfig,
     max_sets: usize,
     recorder: obs::Recorder,
@@ -671,16 +676,6 @@ impl<T: Default> SetRegistry<T> {
         self.sets.keys().cloned().collect()
     }
 
-    /// Number of live sets.
-    pub fn len(&self) -> usize {
-        self.sets.len()
-    }
-
-    /// Whether no sets are live (possible once `default` is dropped).
-    pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
-    }
-
     /// Iterates live sets in name order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (&str, &mut AdmissionCore, &mut T)> {
         self.sets
@@ -690,7 +685,7 @@ impl<T: Default> SetRegistry<T> {
 
     /// Consumes the registry into per-set reports: dropped sets first
     /// (in drop order), then the live ones (sorted by name).
-    pub fn into_reports(mut self) -> Vec<SetReport> {
+    pub(crate) fn into_reports(mut self) -> Vec<SetReport> {
         let mut reports = std::mem::take(&mut self.dropped);
         for (name, (core, _)) in &self.sets {
             reports.push(Self::report_of(name, core, false));
@@ -736,6 +731,35 @@ mod tests {
         assert_eq!(replies[0].status, Status::Left);
         assert!(replies[0].free_at.is_some());
         assert_eq!(c.task_count(), 0);
+    }
+
+    /// A zero `wcet_us` or `period_us` would panic `PhysTask::new` and end
+    /// the daemon: each such frame gets an `Error` reply instead, and the
+    /// core still admits a valid join afterwards.
+    #[test]
+    fn zero_fields_are_malformed_not_fatal() {
+        let mut c = core(1);
+        let replies = decide(&mut c, vec![Request::join(1, 1_000, 4_000)]);
+        assert_eq!(replies[0].status, Status::Admitted);
+        let live = replies[0].task.unwrap();
+        let bad = [
+            Request::join(2, 0, 4_000),
+            Request::join(3, 1_000, 0),
+            Request::reweight(4, live, 0, 4_000),
+        ];
+        for req in bad {
+            let nonce = req.nonce;
+            let replies = decide(&mut c, vec![req]);
+            assert_eq!(replies.len(), 1, "nonce {nonce}");
+            assert_eq!(replies[0].status, Status::Error, "nonce {nonce}");
+            assert_eq!(
+                replies[0].error.as_deref(),
+                Some("missing or zero required fields for this op")
+            );
+        }
+        let replies = decide(&mut c, vec![Request::join(5, 1_000, 4_000)]);
+        assert_eq!(replies[0].status, Status::Admitted);
+        assert_eq!(c.task_count(), 2);
     }
 
     #[test]

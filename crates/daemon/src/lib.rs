@@ -31,7 +31,7 @@ mod poll;
 pub mod proto;
 pub mod server;
 
-pub use crate::core::{AdmissionCore, CoreConfig, SetRegistry, SetReport};
+pub use crate::core::{AdmissionCore, CoreConfig, SetReport};
 pub use client::{ClientError, DaemonAddr, DaemonClient};
 pub use server::{bind, run, Bind, BoundServer, Pace, RunReport, ServerConfig};
 

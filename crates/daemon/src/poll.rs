@@ -13,18 +13,18 @@ use std::os::unix::io::RawFd;
 use std::time::Duration;
 
 /// Readable, or a connection is waiting on a listener.
-pub const POLLIN: c_short = 0x1;
+pub(crate) const POLLIN: c_short = 0x1;
 /// Writable without blocking.
-pub const POLLOUT: c_short = 0x4;
+pub(crate) const POLLOUT: c_short = 0x4;
 /// Error on the descriptor (reported whether asked for or not).
-pub const POLLERR: c_short = 0x8;
+pub(crate) const POLLERR: c_short = 0x8;
 /// The peer hung up (reported whether asked for or not).
-pub const POLLHUP: c_short = 0x10;
+pub(crate) const POLLHUP: c_short = 0x10;
 
 /// `struct pollfd`: one descriptor, the events asked for, the events seen.
 #[repr(C)]
 #[derive(Debug, Clone, Copy)]
-pub struct PollFd {
+pub(crate) struct PollFd {
     fd: c_int,
     events: c_short,
     revents: c_short,
@@ -32,7 +32,7 @@ pub struct PollFd {
 
 impl PollFd {
     /// Watches `fd` for `events` (a mask of the `POLL*` constants).
-    pub fn new(fd: RawFd, events: c_short) -> Self {
+    pub(crate) fn new(fd: RawFd, events: c_short) -> Self {
         PollFd {
             fd,
             events,
@@ -41,7 +41,7 @@ impl PollFd {
     }
 
     /// What the last [`wait`] saw on this descriptor.
-    pub fn revents(&self) -> c_short {
+    pub(crate) fn revents(&self) -> c_short {
         self.revents
     }
 }
@@ -66,7 +66,7 @@ extern "C" {
 /// (`None`: no timeout), with nanosecond resolution. Each entry's
 /// [`PollFd::revents`] says what it saw; a signal ends the wait early
 /// with every `revents` zero.
-pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
+pub(crate) fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
     let ts = timeout.map(|t| Timespec {
         tv_sec: c_long::try_from(t.as_secs()).unwrap_or(c_long::MAX),
         tv_nsec: t.subsec_nanos() as c_long,

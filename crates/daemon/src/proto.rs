@@ -425,7 +425,7 @@ pub fn decode_reply(text: &str) -> Result<Reply, DecodeError> {
 }
 
 /// Decodes one stream frame.
-pub fn decode_stream(text: &str) -> Result<StreamMsg, DecodeError> {
+pub(crate) fn decode_stream(text: &str) -> Result<StreamMsg, DecodeError> {
     let (mut kind, mut slot) = (None, None);
     let (mut set, mut scheduled, mut snapshot) = (None, None, None);
     let keys = ["kind", "slot", "set", "scheduled", "snapshot"];
@@ -1123,7 +1123,7 @@ impl FrameReader {
     }
 
     /// Whether a partial frame is outstanding.
-    pub fn mid_frame(&self) -> bool {
+    pub(crate) fn mid_frame(&self) -> bool {
         self.in_body || self.len_got > 0
     }
 

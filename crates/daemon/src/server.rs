@@ -111,11 +111,6 @@ impl ServerConfig {
         Self::bound(Bind::Unix(socket), processors)
     }
 
-    /// Same defaults over TCP.
-    pub fn tcp(addr: impl Into<String>, processors: u32) -> Self {
-        Self::bound(Bind::Tcp(addr.into()), processors)
-    }
-
     /// Same defaults over an explicit [`Bind`].
     pub fn bound(bind: Bind, processors: u32) -> Self {
         ServerConfig {
@@ -146,7 +141,7 @@ pub struct RunReport {
 
 /// One accepted, nonblocking connection: every method the loop needs
 /// from a stream.
-pub trait Conn: Read + Write + AsRawFd {
+pub(crate) trait Conn: Read + Write + AsRawFd {
     /// Shuts down both directions, so the peer reads what was written
     /// and then EOF.
     fn shutdown_conn(&self);
@@ -165,7 +160,7 @@ impl Conn for TcpStream {
 }
 
 /// A bound, nonblocking accept source.
-pub trait Listener: Send + AsRawFd {
+pub(crate) trait Listener: Send + AsRawFd {
     /// Accepts one queued connection, already nonblocking; `WouldBlock`
     /// when none is queued (the loop polls the listener again).
     fn accept_conn(&self) -> io::Result<Box<dyn Conn>>;

@@ -184,7 +184,7 @@ fn run_one_set(
                 // fig3_sweep.rs`) has a span for each, and its `closure`
                 // check holds this body to the same work. Dropping them
                 // (≈ 25 µs a set) takes a paired `[benchmark]` change —
-                // ROADMAP item 9.
+                // ROADMAP item 13.
                 let mut u_infl = 0.0;
                 for (t, &dd) in tasks.iter().zip(&d) {
                     let inf =

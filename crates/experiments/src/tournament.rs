@@ -35,11 +35,11 @@ use uniproc::Discipline;
 use workload::TaskSetGenerator;
 
 /// Hyperperiod ceiling (quanta): every generated period divides this.
-pub const HYPERPERIOD_QUANTA: u64 = 720;
+const HYPERPERIOD_QUANTA: u64 = 720;
 
 /// Allowed periods, in quanta: the divisors of [`HYPERPERIOD_QUANTA`] in
 /// `[10, 720]` — a spread of ~2 orders of magnitude, hyperperiod ≤ 720.
-pub const PERIOD_GRID: [u64; 22] = [
+const PERIOD_GRID: [u64; 22] = [
     10, 12, 15, 16, 18, 20, 24, 30, 36, 40, 45, 48, 60, 72, 80, 90, 120, 144, 180, 240, 360, 720,
 ];
 
@@ -122,7 +122,7 @@ pub fn generate_set(n: usize, total_util: f64, seed: u64, set_index: usize) -> T
 }
 
 /// Quantum size (µs) used throughout the tournament — the paper's 1 ms.
-pub const QUANTUM_US: u64 = 1_000;
+const QUANTUM_US: u64 = 1_000;
 
 /// Nearest [`PERIOD_GRID`] entry (ties resolve downward).
 fn snap_to_grid(p_quanta: u64) -> u64 {

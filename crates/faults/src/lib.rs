@@ -46,8 +46,6 @@ pub mod plan;
 pub mod recovery;
 pub mod runner;
 
-pub use plan::{FaultConfig, FaultPlan, PlanDelays};
+pub use plan::{FaultConfig, FaultPlan};
 pub use recovery::{RecoveryController, RecoveryPolicy, RecoveryStats};
-pub use runner::{
-    inflate_declared, run_edf, run_pd2, DegradationOutcome, RecoveryProfile, SlackPlan,
-};
+pub use runner::{run_edf, run_pd2, DegradationOutcome, RecoveryProfile, SlackPlan};

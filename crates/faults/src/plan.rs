@@ -131,7 +131,7 @@ impl FaultPlan {
     }
 
     /// Cumulative burst delay through `job` of `task` (the IS offset).
-    pub fn cumulative_delay(&self, task: TaskId, job: u64) -> u64 {
+    fn cumulative_delay(&self, task: TaskId, job: u64) -> u64 {
         (0..=job).map(|j| self.burst_delay(task, j)).sum()
     }
 
@@ -160,7 +160,7 @@ impl FaultPlan {
 
     /// Number of processors down in slot `t` — the recovery controller's
     /// view of capacity, identical to what the simulator experiences.
-    pub fn down_count_at(&self, t: Slot, m: u32) -> u32 {
+    pub(crate) fn down_count_at(&self, t: Slot, m: u32) -> u32 {
         let mut downs = Vec::new();
         self.downs_at(t, m, &mut downs);
         downs.len() as u32
@@ -172,7 +172,7 @@ impl FaultPlan {
     /// subtask of a task per slot, so job `j` of a task with execution
     /// requirement `e` (first subtask index `j·e + 1`) cannot be reached
     /// before slot `j·e`; jobs beyond `horizon / e + 1` never surface.
-    pub fn burst_events(&self, tasks: &TaskSet, horizon: Slot) -> Vec<TraceEvent> {
+    pub(crate) fn burst_events(&self, tasks: &TaskSet, horizon: Slot) -> Vec<TraceEvent> {
         let mut out = Vec::new();
         if self.cfg.burst_rate <= 0.0 || self.cfg.burst_max == 0 {
             return out;
@@ -194,7 +194,7 @@ impl FaultPlan {
 
     /// The arrival-burst side of the plan as a scheduler [`DelayModel`],
     /// for the given (initial) task set.
-    pub fn delays(&self, tasks: &TaskSet) -> PlanDelays {
+    pub(crate) fn delays(&self, tasks: &TaskSet) -> PlanDelays {
         PlanDelays {
             plan: FaultPlan::new(self.cfg),
             execs: tasks.iter().map(|(_, t)| t.exec).collect(),
@@ -238,7 +238,7 @@ impl FaultHook for FaultPlan {
 /// are non-decreasing, as the IS model requires). Task ids beyond the
 /// initial set are never delayed.
 #[derive(Debug, Clone)]
-pub struct PlanDelays {
+pub(crate) struct PlanDelays {
     plan: FaultPlan,
     execs: Vec<u64>,
 }

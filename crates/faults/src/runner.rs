@@ -112,7 +112,7 @@ impl RecoveryProfile {
 /// The inflated *declared* task set a [`SlackPlan`] margin buys: each
 /// cost becomes `ceil(e·(1+margin))`, capped at the period (weights stay
 /// ≤ 1). `margin = 0` returns the set unchanged.
-pub fn inflate_declared(tasks: &TaskSet, margin: f64) -> TaskSet {
+pub(crate) fn inflate_declared(tasks: &TaskSet, margin: f64) -> TaskSet {
     assert!(margin >= 0.0, "a negative margin is not a reservation");
     let pairs: Vec<(u64, u64)> = tasks
         .iter()

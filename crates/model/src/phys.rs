@@ -13,7 +13,6 @@
 //! Periods are required to be multiples of the quantum, as the paper
 //! assumes ("We assume that p is a multiple of q").
 
-use crate::rat::Rat;
 use crate::task::Task;
 use crate::weight::WeightError;
 use serde::{Deserialize, Serialize};
@@ -59,15 +58,16 @@ impl std::error::Error for QuantumError {}
 /// # Examples
 ///
 /// ```
-/// use pfair_model::PhysTask;
+/// use pfair_model::{PhysTask, PhysTaskSet, Rat};
 ///
 /// // 3.2 ms of work every 20 ms.
 /// let t = PhysTask::new(3_200, 20_000);
 /// assert!((t.utilization() - 0.16).abs() < 1e-12);
 ///
 /// // With a 1 ms quantum the cost rounds up to 4 quanta out of 20.
-/// let q = t.to_quantum_task(1_000).unwrap();
-/// assert_eq!((q.exec, q.period), (4, 20));
+/// let set: PhysTaskSet = [t].into_iter().collect();
+/// let q = set.to_quantum_tasks(1_000).unwrap();
+/// assert_eq!(q.total_utilization(), Rat::new(4, 20));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PhysTask {
@@ -97,15 +97,10 @@ impl PhysTask {
         self.wcet_us as f64 / self.period_us as f64
     }
 
-    /// Exact utilization as a rational.
-    pub fn utilization_exact(&self) -> Rat {
-        Rat::new(self.wcet_us as i128, self.period_us as i128)
-    }
-
     /// Converts to a quantum-domain [`Task`]: execution rounds **up** to
     /// `⌈wcet/q⌉` quanta, the period must divide evenly into `period/q`
     /// quanta.
-    pub fn to_quantum_task(&self, quantum_us: u64) -> Result<Task, QuantumError> {
+    fn to_quantum_task(self, quantum_us: u64) -> Result<Task, QuantumError> {
         if quantum_us == 0 {
             return Err(QuantumError::ZeroQuantum);
         }
@@ -161,11 +156,6 @@ impl PhysTaskSet {
         self.tasks.iter().map(PhysTask::utilization).sum()
     }
 
-    /// Exact total utilization.
-    pub fn total_utilization_exact(&self) -> Rat {
-        self.tasks.iter().map(PhysTask::utilization_exact).sum()
-    }
-
     /// Converts every task to the quantum domain (fails on the first task
     /// whose period is not quantum-aligned or that overflows a full
     /// processor after rounding).
@@ -193,7 +183,13 @@ impl FromIterator<PhysTask> for PhysTaskSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Rat;
     use proptest::prelude::*;
+
+    /// `t`'s exact utilization.
+    fn exact(t: &PhysTask) -> Rat {
+        Rat::new(t.wcet_us as i128, t.period_us as i128)
+    }
 
     #[test]
     fn quantum_rounding_rounds_up() {
@@ -203,7 +199,7 @@ mod tests {
         // must be increased to 1 [quantum]".
         assert_eq!(q.exec, 1);
         assert_eq!(q.period, 10);
-        assert!(q.utilization() > t.utilization_exact());
+        assert!(q.utilization() > exact(&t));
     }
 
     #[test]
@@ -211,7 +207,7 @@ mod tests {
         let t = PhysTask::new(3_000, 9_000);
         let q = t.to_quantum_task(1_000).unwrap();
         assert_eq!((q.exec, q.period), (3, 9));
-        assert_eq!(q.utilization(), t.utilization_exact());
+        assert_eq!(q.utilization(), exact(&t));
     }
 
     #[test]
@@ -245,7 +241,6 @@ mod tests {
             .collect();
         assert_eq!(set.len(), 2);
         assert!((set.total_utilization() - 0.5).abs() < 1e-12);
-        assert_eq!(set.total_utilization_exact(), Rat::new(1, 2));
         let qs = set.to_quantum_tasks(1_000).unwrap();
         assert_eq!(qs.len(), 2);
         // 500µs rounds to 1 quantum of 2; 250µs rounds to 1 of 1.
@@ -261,10 +256,10 @@ mod tests {
         ) {
             let t = PhysTask::new(wcet, periods * q);
             if let Ok(qt) = t.to_quantum_task(q) {
-                prop_assert!(qt.utilization() >= t.utilization_exact());
+                prop_assert!(qt.utilization() >= exact(&t));
                 // And the over-approximation is less than one quantum per
                 // period: e_q − e/q < 1.
-                let slack = qt.utilization() - t.utilization_exact();
+                let slack = qt.utilization() - exact(&t);
                 prop_assert!(slack < Rat::new(1, (t.period_us / q) as i128));
             }
         }

@@ -22,7 +22,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// let b = Rat::new(3, 11);
 /// assert_eq!(a + b, Rat::ONE);
 /// assert!(a > Rat::new(1, 2)); // "heavy" in the paper's terminology
-/// assert_eq!((a * Rat::from(22u64)).to_integer(), Some(16));
+/// assert_eq!(a * Rat::from(22u64), Rat::from(16u64));
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rat {
@@ -145,11 +145,6 @@ impl Rat {
         -((-self.num).div_euclid(self.den))
     }
 
-    /// Returns `Some(n)` if this rational is the integer `n`.
-    pub fn to_integer(self) -> Option<i128> {
-        (self.den == 1).then_some(self.num)
-    }
-
     /// Multiplicative inverse.
     ///
     /// # Panics
@@ -157,14 +152,6 @@ impl Rat {
     /// Panics if `self` is zero.
     pub fn recip(self) -> Self {
         Rat::new(self.den, self.num)
-    }
-
-    /// Absolute value.
-    pub fn abs(self) -> Self {
-        Rat {
-            num: self.num.abs(),
-            den: self.den,
-        }
     }
 
     /// `num/den` already in lowest terms with `den > 0`, built without a
@@ -214,24 +201,6 @@ impl Rat {
     /// Overflow-checked subtraction.
     pub fn checked_sub(self, rhs: Rat) -> Option<Rat> {
         self.checked_add(-rhs)
-    }
-
-    /// `min` of two rationals.
-    pub fn min(self, other: Self) -> Self {
-        if self <= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// `max` of two rationals.
-    pub fn max(self, other: Self) -> Self {
-        if self >= other {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -474,8 +443,11 @@ mod tests {
     #[test]
     fn recip_and_to_integer() {
         assert_eq!(Rat::new(3, 4).recip(), Rat::new(4, 3));
-        assert_eq!(Rat::new(8, 4).to_integer(), Some(2));
-        assert_eq!(Rat::new(8, 5).to_integer(), None);
+        assert_eq!(Rat::new(-2, 5).recip(), Rat::new(-5, 2));
+        // An integer-valued rational normalizes to denominator 1.
+        assert_eq!(Rat::new(8, 4), Rat::from(2u64));
+        assert_eq!(Rat::new(8, 4).denom(), 1);
+        assert_eq!(Rat::new(8, 5).denom(), 5);
     }
 
     fn arb_rat() -> impl Strategy<Value = Rat> {

@@ -152,14 +152,14 @@ impl TaskSet {
     /// # Panics
     ///
     /// The exact sum can overflow `i128` for large sets of tasks with
-    /// unrelated periods; use [`Self::utilization_sum`] (which degrades
-    /// gracefully) for such sets.
+    /// unrelated periods; [`Self::feasible_on`] and
+    /// [`Self::min_processors`] degrade gracefully for such sets.
     pub fn total_utilization(&self) -> Rat {
         self.tasks.iter().map(Task::utilization).sum()
     }
 
     /// Total utilization as an overflow-tolerant [`WeightSum`](crate::WeightSum).
-    pub fn utilization_sum(&self) -> crate::WeightSum {
+    fn utilization_sum(&self) -> crate::WeightSum {
         let mut sum = crate::WeightSum::new();
         for t in &self.tasks {
             sum.add(t.weight());

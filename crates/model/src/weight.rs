@@ -187,11 +187,6 @@ impl WeightSum {
         self.approx -= w.to_f64();
     }
 
-    /// Whether the sum is still exact.
-    pub fn is_exact(&self) -> bool {
-        self.exact.is_some()
-    }
-
     /// `self ≤ m`? — exact when possible, else within a tiny epsilon
     /// (`1e-7`, far above accumulated f64 error, far below any real gap).
     pub fn at_most(&self, m: u32) -> bool {
@@ -308,7 +303,7 @@ mod tests {
                 sum.add(w);
                 exact += w.as_rat();
             }
-            prop_assert!(sum.is_exact(), "small denominators stay exact");
+            prop_assert!(sum.exact.is_some(), "small denominators stay exact");
             prop_assert_eq!(sum.exact().unwrap(), exact);
             prop_assert!((sum.to_f64() - exact.to_f64()).abs() < 1e-9);
         }
@@ -325,7 +320,7 @@ mod tests {
             sum.add(w);
             expect += w.to_f64();
         }
-        assert!(!sum.is_exact());
+        assert!(sum.exact.is_none());
         assert!((sum.to_f64() - expect).abs() < 1e-9);
         // Feasibility checks still work approximately.
         assert!(sum.fits_after_adding(Weight::new(1, 2).unwrap(), 10));

@@ -40,7 +40,7 @@ use std::time::Instant;
 
 /// Default histogram bucket upper bounds in nanoseconds: 1 µs … ~16 s in
 /// ×4 steps. Good resolution for per-tick / per-point wall times.
-pub const DEFAULT_NS_BUCKETS: [u64; 13] = [
+const DEFAULT_NS_BUCKETS: [u64; 13] = [
     1_000,
     4_000,
     16_000,
@@ -210,8 +210,9 @@ impl Recorder {
         }
     }
 
-    /// A nanosecond timer: a histogram over [`DEFAULT_NS_BUCKETS`] whose
-    /// [`Timer::start`] spans record wall time on drop.
+    /// A nanosecond timer: a histogram over the default nanosecond buckets
+    /// (1 µs … ~16 s in ×4 steps) whose [`Timer::start`] spans record wall
+    /// time on drop.
     pub fn timer(&self, name: &str) -> Timer {
         Timer {
             hist: self.histogram(name, &DEFAULT_NS_BUCKETS),

@@ -76,7 +76,7 @@ impl SchedCostModel {
     }
 
     /// `S_EDF(n)` in µs for `n` tasks.
-    pub fn edf_us(&self, n: usize) -> f64 {
+    pub(crate) fn edf_us(&self, n: usize) -> f64 {
         match *self {
             SchedCostModel::Constant { edf_us, .. } => edf_us,
             SchedCostModel::Linear {
@@ -95,7 +95,7 @@ impl SchedCostModel {
     /// per-quantum cost the measurements do not support (and creates a
     /// divergent inflation↔processor-count feedback); the paper itself
     /// plugged in measured values, which necessarily came from `m ≤ 16`.
-    pub fn pd2_us(&self, m: u32, n: usize) -> f64 {
+    pub(crate) fn pd2_us(&self, m: u32, n: usize) -> f64 {
         match *self {
             SchedCostModel::Constant { pd2_us, .. } => pd2_us,
             SchedCostModel::Linear {

@@ -2,18 +2,13 @@
 
 use pfair_model::Rat;
 
-/// The worst-case achievable utilization on `m` processors for *any*
-/// partitioning heuristic with EDF: `(m + 1)/2`. Witnessed by `m + 1`
-/// tasks of utilization `(1 + ε)/2` (paper, Section 3).
-pub fn worst_case_achievable_utilization(m: u32) -> Rat {
-    Rat::new(m as i128 + 1, 2)
-}
-
 /// Lopez et al.'s tight bound \[27\]: with per-task utilizations at most
 /// `u_max = 1/β` (i.e. `β = ⌊1/u_max⌋`), any task set with total
 /// utilization at most `(βm + 1)/(β + 1)` is EDF-FF schedulable on `m`
-/// processors.
-pub fn lopez_bound(m: u32, beta: u32) -> Rat {
+/// processors. At `β = 1` this is `(m + 1)/2`, the worst-case achievable
+/// utilization for *any* partitioning heuristic with EDF (paper,
+/// Section 3).
+fn lopez_bound(m: u32, beta: u32) -> Rat {
     assert!(beta >= 1, "β = ⌊1/u_max⌋ ≥ 1");
     Rat::new((beta as i128) * (m as i128) + 1, beta as i128 + 1)
 }
@@ -45,10 +40,12 @@ mod tests {
     use crate::accept::EdfUtilization;
     use crate::heuristics::{partition, Heuristic, SortOrder};
 
+    /// The worst-case achievable utilization of any partitioning heuristic
+    /// with EDF, `(M + 1)/2`, is the Lopez bound at `β = 1`.
     #[test]
     fn worst_case_value() {
-        assert_eq!(worst_case_achievable_utilization(2), Rat::new(3, 2));
-        assert_eq!(worst_case_achievable_utilization(16), Rat::new(17, 2));
+        assert_eq!(lopez_bound(2, 1), Rat::new(3, 2));
+        assert_eq!(lopez_bound(16, 1), Rat::new(17, 2));
     }
 
     /// The (M+1)/2 witness: M+1 tasks of utilization just over 1/2 cannot
@@ -66,10 +63,15 @@ mod tests {
             });
             assert!(r.is_none(), "{} must fail", h.name());
         }
-        // Total utilization 5·0.51 = 2.55 ≈ (M+1)/2 = 2.5: Pfair feasibility
-        // needs only ⌈2.55⌉ = 3 of the 4 processors.
-        let total: f64 = tasks.iter().map(|&(e, p)| e as f64 / p as f64).sum();
-        assert!(total < m as f64 - 1.0);
+        // Total utilization 5·0.51 = 2.55, just over (M+1)/2 = 2.5: Pfair
+        // feasibility needs only ⌈2.55⌉ = 3 of the 4 processors.
+        let total: Rat = tasks
+            .iter()
+            .map(|&(e, p)| Rat::new(e as i128, p as i128))
+            .sum();
+        assert_eq!(lopez_bound(m, 1), Rat::new(m as i128 + 1, 2));
+        assert!(total > lopez_bound(m, 1));
+        assert!(total < Rat::from(m as i128 - 1));
     }
 
     #[test]

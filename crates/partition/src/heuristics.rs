@@ -189,9 +189,9 @@ pub fn partition<A: Acceptance>(
 /// [`EdfUtilization`](crate::EdfUtilization), bins whose exact sum does not
 /// fit `i128`; a refusal within the screen's margin of the edge is not
 /// counted). Callers that partition in a loop build one handle bundle up
-/// front and pass it to [`partition_with_obs`] instead of re-registering
-/// the counters through the recorder's registry mutex on every call (the
-/// `SchedObs`/`SimObs` idiom from `pfair-core`/`sched-sim`).
+/// front and pass it to [`partition_unbounded_with_obs`] instead of
+/// re-registering the counters through the recorder's registry mutex on
+/// every call (the `SchedObs`/`SimObs` idiom from `pfair-core`/`sched-sim`).
 pub struct PartitionObs {
     bins_probed: obs::Counter,
     accept_evals: obs::Counter,
@@ -315,7 +315,7 @@ fn best_or_worst<A: Acceptance>(
 /// the acceptance test's screen (see [`Acceptance`]) only decides which
 /// bins need no `try_add`, and the chosen bin's `try_add` result is kept.
 #[allow(clippy::too_many_arguments)]
-pub fn partition_with_obs<A: Acceptance>(
+fn partition_with_obs<A: Acceptance>(
     n: usize,
     acc: &A,
     heuristic: Heuristic,
@@ -417,7 +417,7 @@ pub fn partition_unbounded<A: Acceptance>(
 }
 
 /// [`partition_unbounded`] counting its work through a caller-held
-/// [`PartitionObs`] (see [`partition_with_obs`]).
+/// [`PartitionObs`].
 pub fn partition_unbounded_with_obs<A: Acceptance>(
     n: usize,
     acc: &A,

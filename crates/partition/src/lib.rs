@@ -2,7 +2,7 @@
 //!
 //! The partitioning half of the paper (Section 3): bin-packing heuristics
 //! that assign tasks to processors, pluggable per-processor acceptance
-//! tests, and the analytic utilization bounds.
+//! tests, and the Lopez et al. utilization-bound test.
 //!
 //! * [`heuristics`] — First Fit, Best Fit, Worst Fit, and Next Fit, with
 //!   optional decreasing-utilization / decreasing-period pre-sorting (FFD,
@@ -12,8 +12,8 @@
 //!   Liu–Layland, RM exact (Lehoczky TDA — the "variable-sized bins" the
 //!   paper warns about), and the overhead-aware EDF test implementing
 //!   Equation (3)'s EDF case with on-the-fly `max D(U)` tracking.
-//! * [`bounds`] — the `(M+1)/2` worst case and the Lopez et al. bound
-//!   `(βM + 1)/(β + 1)` \[27\].
+//! * [`bounds`] — the Lopez et al. test `ΣU ≤ (βM + 1)/(β + 1)` \[27\],
+//!   whose `β = 1` case is the `(M+1)/2` worst case.
 //!
 //! A packing asks the acceptance test about many bins per task, so each
 //! test may offer the loop an `f64` *screen*: a load per bin, and per task
@@ -34,8 +34,8 @@ pub mod bounds;
 pub mod heuristics;
 
 pub use accept::{Acceptance, EdfOverheadAware, EdfUtilization, RmExact, RmLiuLayland};
-pub use bounds::{lopez_bound, lopez_schedulable, worst_case_achievable_utilization};
+pub use bounds::lopez_schedulable;
 pub use heuristics::{
-    partition, partition_unbounded, partition_unbounded_with_obs, partition_with_obs, Heuristic,
-    PartitionObs, PartitionResult, SortOrder, PACKING_SCHEMES,
+    partition, partition_unbounded, partition_unbounded_with_obs, Heuristic, PartitionObs,
+    PartitionResult, SortOrder, PACKING_SCHEMES,
 };

@@ -115,28 +115,25 @@ impl PartitionedSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use partition_test_util::*;
 
     /// Minimal in-test FF packing to avoid a dependency cycle with the
     /// `partition` crate (which is downstream of nothing here, but keeping
     /// `sched-sim` independent of it keeps the DAG clean).
-    mod partition_test_util {
-        pub fn first_fit(tasks: &[(u64, u64)], m: u32) -> Option<Vec<u32>> {
-            let mut load = vec![(0u64, 1u64); m as usize]; // running Σe/p as fraction num/den
-            let mut assign = Vec::with_capacity(tasks.len());
-            'outer: for &(e, p) in tasks {
-                for (i, l) in load.iter_mut().enumerate() {
-                    // l + e/p ≤ 1 ⇔ l.0·p + e·l.1 ≤ p·l.1
-                    if l.0 * p + e * l.1 <= p * l.1 {
-                        *l = (l.0 * p + e * l.1, l.1 * p);
-                        assign.push(i as u32);
-                        continue 'outer;
-                    }
+    fn first_fit(tasks: &[(u64, u64)], m: u32) -> Option<Vec<u32>> {
+        let mut load = vec![(0u64, 1u64); m as usize]; // running Σe/p as fraction num/den
+        let mut assign = Vec::with_capacity(tasks.len());
+        'outer: for &(e, p) in tasks {
+            for (i, l) in load.iter_mut().enumerate() {
+                // l + e/p ≤ 1 ⇔ l.0·p + e·l.1 ≤ p·l.1
+                if l.0 * p + e * l.1 <= p * l.1 {
+                    *l = (l.0 * p + e * l.1, l.1 * p);
+                    assign.push(i as u32);
+                    continue 'outer;
                 }
-                return None;
             }
-            Some(assign)
+            return None;
         }
+        Some(assign)
     }
 
     #[test]

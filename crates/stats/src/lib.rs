@@ -1,8 +1,9 @@
 //! # stats
 //!
 //! Minimal statistics for the experiment harness: streaming moments
-//! (Welford), confidence intervals (the paper reports 99% CIs for every
-//! figure), and plain-text series/table formatting for experiment output.
+//! (Welford), the 99% confidence-interval half-width the paper reports for
+//! every figure (Student-t for small samples), percentiles over collected
+//! samples, and plain-text/CSV tables for experiment output.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -12,7 +13,7 @@ pub mod percentile;
 pub mod table;
 pub mod welford;
 
-pub use ci::{ci99_halfwidth, ci_halfwidth, z_for_confidence, InvalidConfidence};
+pub use ci::ci99_halfwidth;
 pub use percentile::Samples;
 pub use table::Table;
 pub use welford::Welford;

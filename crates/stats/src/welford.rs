@@ -11,8 +11,9 @@
 /// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
 ///     w.push(x);
 /// }
+/// assert_eq!(w.count(), 8);
 /// assert_eq!(w.mean(), 5.0);
-/// assert!((w.population_variance() - 4.0).abs() < 1e-12);
+/// assert_eq!((w.min(), w.max()), (2.0, 9.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Welford {
@@ -66,7 +67,7 @@ impl Welford {
     }
 
     /// Unbiased sample variance (n−1 denominator); 0 for n < 2.
-    pub fn sample_variance(&self) -> f64 {
+    fn sample_variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -74,22 +75,13 @@ impl Welford {
         }
     }
 
-    /// Population variance (n denominator); 0 when empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
     /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
+    fn stddev(&self) -> f64 {
         self.sample_variance().sqrt()
     }
 
     /// Standard error of the mean.
-    pub fn sem(&self) -> f64 {
+    pub(crate) fn sem(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
@@ -174,7 +166,6 @@ mod tests {
         let w: Welford = [1.0, 2.0, 3.0, 4.0, 5.0].into_iter().collect();
         assert_eq!(w.mean(), 3.0);
         assert!((w.sample_variance() - 2.5).abs() < 1e-12);
-        assert!((w.population_variance() - 2.0).abs() < 1e-12);
         assert_eq!(w.min(), 1.0);
         assert_eq!(w.max(), 5.0);
     }

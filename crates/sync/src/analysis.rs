@@ -1,20 +1,9 @@
-//! Analytic synchronization bounds (paper §5.1).
+//! The analytic blocking bound for quantum-boundary locking (paper §5.1).
 //!
-//! * **Quantum-boundary locking** (Pfair): because no lock is ever held
-//!   across a quantum boundary and a spinning task waits only for sections
-//!   started earlier *in the same slot*, per-access blocking is bounded by
-//!   `(M − 1) · L_max` spin time, and a deferred section completes in the
-//!   task's next scheduled quantum.
-//! * **Lock-free objects** (Holman & Anderson \[18\]): a retry loop can be
-//!   interfered with only by operations on the same object that execute
-//!   concurrently in the same slot — at most `M − 1` per slot — so
-//!   `M` bounds the retries per quantum.
-//! * **Uniprocessor EDF + SRP** (for the partitioned comparison): the
-//!   classical density test with a blocking term,
-//!   `∀i: Σ_{j ≤ i} uⱼ + Bᵢ/pᵢ ≤ 1` with tasks indexed by period and `Bᵢ`
-//!   the longest critical section of any longer-period task.
-
-use pfair_model::Rat;
+//! Because no lock is ever held across a quantum boundary and a spinning
+//! task waits only for sections started earlier *in the same slot*,
+//! per-access blocking is bounded by `(M − 1) · L_max` spin time, and a
+//! deferred section completes in the task's next scheduled quantum.
 
 /// Worst-case spin (µs) for one lock access under quantum-boundary
 /// locking on `m` processors, with `max_cs_us` the longest critical
@@ -34,134 +23,14 @@ pub fn pfair_blocking_bound(m: u32, max_cs_us: u64) -> u64 {
     (m.saturating_sub(1)) as u64 * max_cs_us
 }
 
-/// Worst-case retries of a lock-free operation per quantum under Pfair
-/// scheduling (Holman–Anderson style): at most `m − 1` interfering
-/// operations can execute in the same slot, each causing one retry.
-pub fn lockfree_retry_bound(m: u32) -> u64 {
-    m.saturating_sub(1) as u64
-}
-
-/// Execution-cost inflation for lock-aware Pfair schedulability: each of
-/// the `accesses_per_job` lock accesses may spin for the blocking bound
-/// and may be deferred once, wasting at most the section length of
-/// useful-time displacement inside the quantum.
-pub fn pfair_lock_inflation(exec_us: u64, accesses_per_job: u64, m: u32, max_cs_us: u64) -> u64 {
-    exec_us + accesses_per_job * (pfair_blocking_bound(m, max_cs_us) + max_cs_us)
-}
-
-/// Uniprocessor EDF + SRP schedulability with blocking: tasks are
-/// `(exec, period)` pairs (implicit deadlines) and `cs_us[i]` is task
-/// `i`'s longest critical section (0 if it takes no locks). All time
-/// values share one unit.
-///
-/// Test (Baker's SRP density condition): order tasks by period; for each
-/// `i`, `Σ_{pⱼ ≤ pᵢ} eⱼ/pⱼ + Bᵢ/pᵢ ≤ 1`, where
-/// `Bᵢ = max { cs_j : pⱼ > pᵢ }`.
-pub fn edf_srp_schedulable(tasks: &[(u64, u64)], cs_us: &[u64]) -> bool {
-    assert_eq!(tasks.len(), cs_us.len());
-    let mut order: Vec<usize> = (0..tasks.len()).collect();
-    order.sort_by_key(|&i| tasks[i].1);
-    for (pos, &i) in order.iter().enumerate() {
-        let p_i = tasks[i].1;
-        let mut demand: Rat = order[..=pos]
-            .iter()
-            .map(|&j| Rat::new(tasks[j].0 as i128, tasks[j].1 as i128))
-            .sum();
-        let blocking = order[pos + 1..]
-            .iter()
-            .map(|&j| cs_us[j])
-            .max()
-            .unwrap_or(0);
-        demand += Rat::new(blocking as i128, p_i as i128);
-        if demand > Rat::ONE {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn blocking_bound_values() {
         assert_eq!(pfair_blocking_bound(1, 50), 0); // no one to wait for
         assert_eq!(pfair_blocking_bound(4, 50), 150);
         assert_eq!(pfair_blocking_bound(16, 10), 150);
-    }
-
-    #[test]
-    fn retry_bound_values() {
-        assert_eq!(lockfree_retry_bound(1), 0);
-        assert_eq!(lockfree_retry_bound(8), 7);
-    }
-
-    #[test]
-    fn inflation_composes() {
-        // e = 10000 µs, 3 accesses/job, M = 4, CS ≤ 50 µs:
-        // 10000 + 3·(150 + 50) = 10600.
-        assert_eq!(pfair_lock_inflation(10_000, 3, 4, 50), 10_600);
-        assert_eq!(pfair_lock_inflation(10_000, 0, 4, 50), 10_000);
-    }
-
-    #[test]
-    fn srp_no_blocking_reduces_to_edf() {
-        let tasks = [(1u64, 2u64), (1, 3), (1, 6)];
-        assert!(edf_srp_schedulable(&tasks, &[0, 0, 0]));
-        let over = [(1u64, 2u64), (1, 3), (1, 5)];
-        assert!(!edf_srp_schedulable(&over, &[0, 0, 0]));
-    }
-
-    #[test]
-    fn srp_blocking_can_break_schedulability() {
-        // U = 1/2 + 1/3 = 5/6; the short-period task can absorb blocking of
-        // up to p·(1 − 5/6)… here B₁ comes from the longer-period task.
-        let tasks = [(5u64, 10u64), (10, 30)];
-        assert!(edf_srp_schedulable(&tasks, &[0, 0]));
-        // A 2-unit critical section in the long task is fine (demand at the
-        // short task: 1/2 + 2/10 = 0.7 ≤ 1)…
-        assert!(edf_srp_schedulable(&tasks, &[0, 2]));
-        // …but a 6-unit one breaks it: 1/2 + 6/10 = 1.1 > 1.
-        assert!(!edf_srp_schedulable(&tasks, &[0, 6]));
-        // Blocking from *shorter*-period tasks does not count.
-        assert!(edf_srp_schedulable(&tasks, &[9, 0]));
-    }
-
-    #[test]
-    fn srp_ordering_is_by_period() {
-        // Same test regardless of input order.
-        let a = [(5u64, 10u64), (10, 30)];
-        let b = [(10u64, 30u64), (5, 10)];
-        assert_eq!(
-            edf_srp_schedulable(&a, &[0, 6]),
-            edf_srp_schedulable(&b, &[6, 0])
-        );
-    }
-
-    proptest! {
-        /// Blocking never helps: adding critical sections can only shrink
-        /// the schedulable set.
-        #[test]
-        fn prop_blocking_monotone(
-            raw in prop::collection::vec((1u64..5, 2u64..20), 1..6),
-            cs in prop::collection::vec(0u64..10, 1..6),
-        ) {
-            let n = raw.len().min(cs.len());
-            let tasks: Vec<(u64, u64)> = raw[..n].iter().map(|&(e, p)| (e.min(p), p)).collect();
-            let with = edf_srp_schedulable(&tasks, &cs[..n]);
-            let without = edf_srp_schedulable(&tasks, &vec![0; n]);
-            if with {
-                prop_assert!(without, "blocking cannot make a set schedulable");
-            }
-        }
-
-        /// The Pfair inflation is linear and exact.
-        #[test]
-        fn prop_inflation_linear(e in 1u64..100_000, a in 0u64..10, m in 1u32..32, cs in 0u64..500) {
-            let inf = pfair_lock_inflation(e, a, m, cs);
-            prop_assert_eq!(inf - e, a * ((m as u64 - 1) * cs + cs));
-        }
     }
 }

@@ -20,24 +20,14 @@
 //!   locking**: a critical section that cannot finish before the quantum
 //!   boundary is deferred to the task's next quantum. Measures blocking,
 //!   deferral counts, and end-to-end critical-section latency.
-//! * [`lockfree`] — retry-loop simulation for lock-free objects
-//!   (Holman & Anderson \[18\]): Pfair's tight synchrony bounds retries
-//!   per operation by `M − 1`.
-//! * [`analysis`] — analytic bounds: per-access blocking under
-//!   quantum-boundary locking, the Holman–Anderson style retry bound for
-//!   lock-free objects \[18\], the classical uniprocessor SRP/EDF blocking
-//!   test for the partitioned comparison, and execution-cost inflation
-//!   for lock-aware schedulability.
+//! * [`analysis`] — the analytic per-access blocking bound under
+//!   quantum-boundary locking, `(M − 1) · L_max`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod analysis;
-pub mod lockfree;
 pub mod locksim;
 
-pub use analysis::{
-    edf_srp_schedulable, lockfree_retry_bound, pfair_blocking_bound, pfair_lock_inflation,
-};
-pub use lockfree::{Interference, RetrySim, RetryStats};
+pub use analysis::pfair_blocking_bound;
 pub use locksim::{CsConfig, LockSim, LockStats};

@@ -36,20 +36,6 @@ pub struct CsConfig {
     pub seed: u64,
 }
 
-impl CsConfig {
-    /// A paper-flavoured default: 1 ms quantum, critical sections of
-    /// "tens of microseconds" (§5.1 cites Ramamurthy's measurements).
-    pub fn short_sections() -> Self {
-        CsConfig {
-            quantum_us: 1_000,
-            resources: 4,
-            request_prob: 0.5,
-            cs_len_us: (5, 50),
-            seed: 1,
-        }
-    }
-}
-
 /// Aggregate lock statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LockStats {
@@ -116,14 +102,9 @@ impl LockSim {
         }
     }
 
-    /// Statistics so far.
-    pub fn stats(&self) -> LockStats {
-        self.stats
-    }
-
     /// Processes one slot of a recorded schedule: `scheduled` are the tasks
     /// running in this slot (each on its own processor).
-    pub fn on_slot(&mut self, t: Slot, scheduled: &[TaskId]) {
+    fn on_slot(&mut self, t: Slot, scheduled: &[TaskId]) {
         let q = self.cfg.quantum_us;
         // Collect this quantum's requests: deferred ones restart at offset
         // 0; fresh ones draw a random offset and length.
@@ -193,7 +174,7 @@ impl LockSim {
         }
     }
 
-    /// Convenience: runs over a full recorded schedule.
+    /// Runs over a full recorded schedule.
     pub fn run_schedule(&mut self, schedule: &[Vec<TaskId>]) -> LockStats {
         for (t, slot) in schedule.iter().enumerate() {
             self.on_slot(t as Slot, slot);
@@ -209,6 +190,18 @@ mod tests {
     use pfair_model::TaskSet;
     use sched_sim::MultiSim;
 
+    /// A paper-flavoured workload: 1 ms quantum, critical sections of
+    /// "tens of microseconds" (§5.1 cites Ramamurthy's measurements).
+    fn short_sections() -> CsConfig {
+        CsConfig {
+            quantum_us: 1_000,
+            resources: 4,
+            request_prob: 0.5,
+            cs_len_us: (5, 50),
+            seed: 1,
+        }
+    }
+
     fn schedule_for(pairs: &[(u64, u64)], horizon: u64) -> (TaskSet, Vec<Vec<TaskId>>) {
         let set = TaskSet::from_pairs(pairs.iter().copied()).unwrap();
         let m = set.min_processors();
@@ -222,7 +215,7 @@ mod tests {
     #[test]
     fn no_boundary_violations_ever() {
         let (set, sched) = schedule_for(&[(2, 3), (2, 3), (2, 3), (1, 2)], 3_000);
-        let mut sim = LockSim::new(set.len(), CsConfig::short_sections());
+        let mut sim = LockSim::new(set.len(), short_sections());
         let stats = sim.run_schedule(&sched);
         assert_eq!(stats.boundary_violations, 0);
         assert!(stats.completed > 0);
@@ -238,7 +231,7 @@ mod tests {
         let cfg = CsConfig {
             resources: 1, // maximal contention
             request_prob: 1.0,
-            ..CsConfig::short_sections()
+            ..short_sections()
         };
         let mut sim = LockSim::new(set.len(), cfg);
         let stats = sim.run_schedule(&sched);
@@ -256,7 +249,7 @@ mod tests {
         // CS ≤ 50 µs in a 1000 µs quantum: only requests in the last 5% of
         // the quantum (or pushed there by spinning) defer.
         let (set, sched) = schedule_for(&[(1, 2), (1, 3), (1, 4), (1, 5)], 10_000);
-        let mut sim = LockSim::new(set.len(), CsConfig::short_sections());
+        let mut sim = LockSim::new(set.len(), short_sections());
         let stats = sim.run_schedule(&sched);
         let defer_rate = stats.deferrals as f64 / (stats.completed + stats.deferrals) as f64;
         assert!(defer_rate < 0.10, "deferral rate {defer_rate}");
@@ -269,7 +262,7 @@ mod tests {
         let cfg = CsConfig {
             cs_len_us: (800, 1_000), // nearly a whole quantum
             request_prob: 1.0,
-            ..CsConfig::short_sections()
+            ..short_sections()
         };
         let mut sim = LockSim::new(set.len(), cfg);
         let stats = sim.run_schedule(&sched);
@@ -317,7 +310,7 @@ mod tests {
     fn oversized_sections_rejected() {
         let cfg = CsConfig {
             cs_len_us: (10, 2_000),
-            ..CsConfig::short_sections()
+            ..short_sections()
         };
         let _ = LockSim::new(2, cfg);
     }

@@ -1,14 +1,10 @@
-//! Uniprocessor schedulability tests.
+//! Uniprocessor RM schedulability tests.
 //!
 //! These are the acceptance tests used by the partitioning heuristics of
 //! the paper's Section 3:
 //!
-//! * **EDF**: a set of implicit-deadline periodic tasks is schedulable iff
-//!   `Σ eᵢ/pᵢ ≤ 1` (exact; Liu & Layland \[26\]).
 //! * **RM, Liu–Layland bound**: sufficient if `Σ eᵢ/pᵢ ≤ n(2^{1/n} − 1)`
 //!   (the "69%" bound the paper contrasts with the exact test).
-//! * **RM, hyperbolic bound**: sufficient if `Π (uᵢ + 1) ≤ 2` (tighter than
-//!   Liu–Layland).
 //! * **RM, exact**: Lehoczky/Joseph–Pandya time-demand analysis \[25\] —
 //!   necessary and sufficient for synchronous implicit-deadline tasks. The
 //!   paper notes that using this exact test turns partitioning into "a more
@@ -16,58 +12,21 @@
 //!
 //! Tasks are `(exec, period)` pairs in any consistent time unit.
 
-use pfair_model::Rat;
-
-/// Exact EDF test: schedulable iff total utilization ≤ 1.
-pub fn edf_schedulable(tasks: &[(u64, u64)]) -> bool {
-    total_utilization(tasks) <= Rat::ONE
-}
-
-/// Exact total utilization.
-fn total_utilization(tasks: &[(u64, u64)]) -> Rat {
-    tasks
-        .iter()
-        .map(|&(e, p)| Rat::new(e as i128, p as i128))
-        .sum()
-}
-
 /// The Liu–Layland RM utilization bound `n(2^{1/n} − 1)` for `n` tasks.
 /// Approaches `ln 2 ≈ 0.693` as `n → ∞`.
 ///
 /// `n = 0` returns 1.0: the bound is vacuous for an empty set (there is
 /// nothing to schedule, so *any* utilization budget up to the whole
-/// processor is acceptable), and the formula itself would be `0 · (2^∞ −
-/// 1) = ∞·0`. Returning 1.0 — the `n = 1` value — keeps the bound
-/// monotonically non-increasing in `n` and keeps
-/// [`rm_ll_schedulable`]`(&[])` true without a NaN detour.
+/// processor is acceptable), and the formula itself would be
+/// `0 · (2^∞ − 1) = ∞·0`. Returning 1.0 — the `n = 1` value — keeps the
+/// bound monotonically non-increasing in `n` and keeps the empty set
+/// within the bound without a NaN detour.
 pub fn rm_ll_bound(n: usize) -> f64 {
     if n == 0 {
         return 1.0;
     }
     let n = n as f64;
     n * (2f64.powf(1.0 / n) - 1.0)
-}
-
-/// Sufficient RM test via the Liu–Layland bound.
-///
-/// The empty set is vacuously schedulable — guarded explicitly so the
-/// verdict cannot drift if [`rm_ll_bound`]'s `n = 0` convention changes.
-pub fn rm_ll_schedulable(tasks: &[(u64, u64)]) -> bool {
-    if tasks.is_empty() {
-        return true;
-    }
-    let u: f64 = tasks.iter().map(|&(e, p)| e as f64 / p as f64).sum();
-    u <= rm_ll_bound(tasks.len()) + 1e-12
-}
-
-/// Sufficient RM test via the hyperbolic bound (Bini–Buttazzo):
-/// `Π (uᵢ + 1) ≤ 2`.
-pub fn rm_hyperbolic_schedulable(tasks: &[(u64, u64)]) -> bool {
-    let prod: f64 = tasks
-        .iter()
-        .map(|&(e, p)| e as f64 / p as f64 + 1.0)
-        .product();
-    prod <= 2.0 + 1e-12
 }
 
 /// Worst-case response time of the task at `index` under RM with the given
@@ -77,7 +36,7 @@ pub fn rm_hyperbolic_schedulable(tasks: &[(u64, u64)]) -> bool {
 ///
 /// Priorities are rate-monotonic: tasks with *strictly smaller* periods,
 /// plus earlier-indexed tasks with equal periods, interfere.
-pub fn rm_response_time(tasks: &[(u64, u64)], index: usize) -> Option<u64> {
+fn rm_response_time(tasks: &[(u64, u64)], index: usize) -> Option<u64> {
     let (e_i, p_i) = tasks[index];
     let hp: Vec<(u64, u64)> = tasks
         .iter()
@@ -113,13 +72,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn edf_boundary() {
-        assert!(edf_schedulable(&[(1, 2), (1, 3), (1, 6)])); // exactly 1
-        assert!(!edf_schedulable(&[(1, 2), (1, 3), (1, 5)])); // 31/30
-        assert!(edf_schedulable(&[]));
-    }
-
-    #[test]
     fn ll_bound_values() {
         assert!((rm_ll_bound(1) - 1.0).abs() < 1e-12);
         assert!((rm_ll_bound(2) - 0.8284271).abs() < 1e-6);
@@ -132,10 +84,8 @@ mod tests {
     fn empty_set_is_vacuously_schedulable_everywhere() {
         // Every acceptance test must agree on the n = 0 edge — a bin
         // packer probes empty processors constantly.
-        assert!(rm_ll_schedulable(&[]));
-        assert!(rm_hyperbolic_schedulable(&[]));
+        assert!(0.0 <= rm_ll_bound(0));
         assert!(rm_exact_schedulable(&[]));
-        assert!(edf_schedulable(&[]));
     }
 
     #[test]
@@ -143,7 +93,8 @@ mod tests {
         // Harmonic task set at U = 1: RM schedules it (exact test passes)
         // though it blows past the LL bound.
         let tasks = [(1u64, 2u64), (1, 4), (2, 8)];
-        assert!(!rm_ll_schedulable(&tasks));
+        let u: f64 = tasks.iter().map(|&(e, p)| e as f64 / p as f64).sum();
+        assert!(u > rm_ll_bound(tasks.len()));
         assert!(rm_exact_schedulable(&tasks));
     }
 
@@ -153,8 +104,6 @@ mod tests {
         let tasks = [(2u64, 5u64), (4, 7)];
         assert_eq!(rm_response_time(&tasks, 1), None);
         assert!(!rm_exact_schedulable(&tasks));
-        // EDF handles the same set.
-        assert!(edf_schedulable(&tasks));
     }
 
     #[test]
@@ -177,21 +126,9 @@ mod tests {
         assert!(rm_exact_schedulable(&tasks));
     }
 
-    #[test]
-    fn hyperbolic_tighter_than_ll() {
-        // Two tasks at u = 0.41 each: Π(1.41)² = 1.988 ≤ 2 (accepted) but
-        // ΣU = 0.82 < 0.828 is also accepted by LL — pick u = 0.43:
-        // ΣU = 0.86 > 0.828 (LL rejects), Π = 1.43² = 2.0449 > 2 rejects
-        // too. Use asymmetric: u₁ = 0.7, u₂ = 0.17: Σ = 0.87 > 0.828;
-        // Π = 1.7·1.17 = 1.989 ≤ 2 → hyperbolic accepts.
-        let tasks = [(7u64, 10u64), (17, 100)];
-        assert!(!rm_ll_schedulable(&tasks));
-        assert!(rm_hyperbolic_schedulable(&tasks));
-        assert!(rm_exact_schedulable(&tasks));
-    }
-
     proptest! {
-        /// Sufficiency chain: LL ⊆ hyperbolic ⊆ exact (on random sets).
+        /// The Liu–Layland bound is sufficient: a set within it passes the
+        /// exact test (on random sets).
         #[test]
         fn prop_test_hierarchy(
             es in prop::collection::vec(1u64..20, 1..6),
@@ -201,13 +138,10 @@ mod tests {
             let tasks: Vec<(u64, u64)> = es.iter().zip(&ps).take(n)
                 .map(|(&e, &p)| (e.min(p.max(1)), p.max(1)))
                 .collect();
-            if rm_ll_schedulable(&tasks) {
-                prop_assert!(rm_hyperbolic_schedulable(&tasks),
-                    "LL accepted but hyperbolic rejected: {:?}", tasks);
-            }
-            if rm_hyperbolic_schedulable(&tasks) {
+            let u: f64 = tasks.iter().map(|&(e, p)| e as f64 / p as f64).sum();
+            if u <= rm_ll_bound(tasks.len()) + 1e-12 {
                 prop_assert!(rm_exact_schedulable(&tasks),
-                    "hyperbolic accepted but exact rejected: {:?}", tasks);
+                    "LL accepted but exact rejected: {:?}", tasks);
             }
         }
 

@@ -14,9 +14,9 @@
 //!   [`sim::Discipline::Rm`]), with binary-heap ready queues matching the
 //!   implementation the paper timed, and preemption / context-switch /
 //!   invocation accounting.
-//! * [`analysis`] — schedulability tests: the exact EDF utilization test,
-//!   the Liu–Layland RM bound, the hyperbolic bound, and the Lehoczky
-//!   exact time-demand analysis \[25\].
+//! * [`analysis`] — RM schedulability tests: the Liu–Layland bound and
+//!   the Lehoczky exact time-demand analysis \[25\]. (EDF's exact test,
+//!   `Σ eᵢ/pᵢ ≤ 1`, is the partitioner's own exact-sum acceptance.)
 //!
 //! §5.3's constant-bandwidth server is not here: it is a quantum-level
 //! policy of `sched_sim`'s slot loop (`sched_sim::Cbs`), so it is scored on
@@ -28,8 +28,5 @@
 pub mod analysis;
 pub mod sim;
 
-pub use analysis::{
-    edf_schedulable, rm_exact_schedulable, rm_hyperbolic_schedulable, rm_ll_bound,
-    rm_ll_schedulable, rm_response_time,
-};
+pub use analysis::{rm_exact_schedulable, rm_ll_bound};
 pub use sim::{Discipline, UniSim, UniStats};

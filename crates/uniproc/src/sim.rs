@@ -22,16 +22,6 @@ pub enum Discipline {
     Rm,
 }
 
-impl Discipline {
-    /// Short display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Discipline::Edf => "EDF",
-            Discipline::Rm => "RM",
-        }
-    }
-}
-
 /// A pending job in the ready queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Job {
@@ -62,8 +52,6 @@ impl PartialOrd for Job {
 }
 
 /// Counters collected over a simulation run.
-///
-/// `mean_response()` gives the average job response time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UniStats {
     /// Sum of job response times (completion − release), for mean
@@ -87,17 +75,6 @@ pub struct UniStats {
     pub deadline_misses: u64,
     /// Total idle time units.
     pub idle_time: u64,
-}
-
-impl UniStats {
-    /// Mean job response time (0 when no job completed).
-    pub fn mean_response(&self) -> f64 {
-        if self.completed_jobs == 0 {
-            0.0
-        } else {
-            self.response_sum as f64 / self.completed_jobs as f64
-        }
-    }
 }
 
 /// Event-driven uniprocessor simulator over synchronous periodic tasks
@@ -149,21 +126,6 @@ impl UniSim {
             seq: 0,
             stats: UniStats::default(),
         }
-    }
-
-    /// The discipline in use.
-    pub fn discipline(&self) -> Discipline {
-        self.discipline
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> UniStats {
-        self.stats
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> u64 {
-        self.now
     }
 
     fn release_due(&mut self) {

@@ -981,6 +981,19 @@ fn daemon_binaries_refuse_undeclared_flags() {
     let typo = ["--cpu", "16", "--socket", socket.to_str().unwrap()];
     cli_contract::assert_refused("admitd", admitd, &typo);
     assert!(!socket.exists(), "a refused command line must not bind");
+    // A batch of zero could decide nothing: refused before binding.
+    let out = cli_contract::run(
+        admitd,
+        &["--max-batch", "0", "--socket", socket.to_str().unwrap()],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("admitd: --max-batch must be at least 1"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("usage:"), "{stderr}");
+    assert!(!socket.exists(), "a refused command line must not bind");
     // A second positional is not a command.
     let admitctl = Path::new(env!("CARGO_BIN_EXE_admitctl"));
     let out = cli_contract::run(admitctl, &["--socket", "s", "stats", "shutdown"]);

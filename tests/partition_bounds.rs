@@ -123,8 +123,9 @@ fn ffd_beats_ff_on_adversarial_layout() {
     assert_eq!(ffd.processors, 2);
 }
 
-/// ROADMAP 1(a): on the generator's default periods (any multiple of 1 ms
-/// up to 1 s) a bin's exact utilization sum outgrows `i128`, and
+/// The benchmark's `i128` overflow finding (`benchmark/README.md`, finding
+/// 3): on the generator's default periods (any multiple of 1 ms up to 1 s)
+/// a bin's exact utilization sum outgrows `i128`, and
 /// `EdfUtilization` used to decide `state + u ≤ 1` on the wrapped sum —
 /// FFD/BFD packings ended with bins at 1.02–1.16. Replays every packing of
 /// the benchmark's seed-1 default-period probe (n = 1000, U = 250) bin by
