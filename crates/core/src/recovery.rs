@@ -34,7 +34,6 @@ pub struct LagWatchdog {
     trip_after: u64,
     above: u64,
     tripped_at: Option<Slot>,
-    trips: u64,
 }
 
 impl LagWatchdog {
@@ -47,7 +46,6 @@ impl LagWatchdog {
             trip_after,
             above: 0,
             tripped_at: None,
-            trips: 0,
         }
     }
 
@@ -59,18 +57,12 @@ impl LagWatchdog {
             self.above += 1;
             if self.above == self.trip_after && self.tripped_at.is_none() {
                 self.tripped_at = Some(t);
-                self.trips += 1;
                 return true;
             }
         } else {
             self.above = 0;
         }
         false
-    }
-
-    /// Total number of trips since construction (reset does not clear it).
-    pub fn trips(&self) -> u64 {
-        self.trips
     }
 
     /// Re-arms a tripped watchdog (call once recovery has re-converged).
@@ -117,16 +109,13 @@ mod tests {
         assert!(!wd.observe(3, 5.0));
         assert!(!wd.observe(4, 5.0));
         assert!(wd.observe(5, 5.0)); // third consecutive slot trips
-        assert_eq!(wd.trips(), 1);
-        // Already tripped: further observations do not re-trip.
+                                     // Already tripped: further observations do not re-trip.
         assert!(!wd.observe(6, 9.0));
         wd.reset();
-        assert_eq!(wd.trips(), 1);
         // Re-armed: a fresh streak of three trips again.
         assert!(!wd.observe(7, 5.0));
         assert!(!wd.observe(8, 5.0));
         assert!(wd.observe(9, 5.0));
-        assert_eq!(wd.trips(), 2);
     }
 
     #[test]

@@ -1925,6 +1925,32 @@ mod tests {
         assert!(!out.contains(&heavy));
     }
 
+    /// The light leave rule (paper, Section 2): a light task whose last
+    /// scheduled subtask is `Tᵢ` keeps its weight charged until
+    /// `d(Tᵢ) + b(Tᵢ)`. Weight 2/5 alone on one processor runs `T₁` in
+    /// slot 0. By hand, `d(T₁) = ⌈5/2⌉ = 3`, and `b(T₁) = 1` because
+    /// `T₂`'s window opens at `⌊5/2⌋ = 2`, inside `T₁`'s: leaving at slot
+    /// 1 frees the weight at 4, not at 3. A weight-1 task that tries to
+    /// join in its place is refused through slot 4 and admitted at 5.
+    #[test]
+    fn light_task_leave_waits_for_deadline_plus_b_bit() {
+        let set = ts(&[(2, 5)]);
+        let mut sched = PfairScheduler::new(&set, SchedConfig::pd2(1));
+        let mut out = Vec::new();
+        sched.tick(0, &mut out);
+        assert_eq!(out, [TaskId(0)]);
+        let w = Weight::new(2, 5).unwrap();
+        assert_eq!((subtask::deadline(w, 1), subtask::b_bit(w, 1)), (3, true));
+        assert_eq!(sched.leave(TaskId(0), 1), Ok(4));
+        let full = Task::new(1, 1).unwrap();
+        for t in 1..=4 {
+            assert_eq!(sched.join(full, t), Err(JoinError::Overload), "slot {t}");
+            out.clear();
+            sched.tick(t, &mut out);
+        }
+        assert!(sched.join(full, 5).is_ok());
+    }
+
     #[test]
     fn leave_and_immediate_rejoin_cannot_overrun() {
         // The paper's motivating hazard: a task with negative lag leaving

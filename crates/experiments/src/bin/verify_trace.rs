@@ -14,8 +14,9 @@
 //! ```
 //!
 //! Exits non-zero on verification failure — usable as a regression gate on
-//! archived schedules. Exit codes: 1 = verification failed, 2 = usage or
-//! unreadable/unparseable input.
+//! archived schedules. Exit codes: 1 = not a trace (unparseable, or invalid:
+//! no processor, a task outside `0 < exec ≤ period`, a slot naming an
+//! unknown task) or verification failed, 2 = usage or unreadable file.
 
 use experiments::{Args, Flag};
 use sched_sim::ScheduleTrace;
@@ -39,8 +40,8 @@ fn main() {
     let trace = match ScheduleTrace::from_json(&json) {
         Ok(trace) => trace,
         Err(e) => {
-            eprintln!("verify_trace: cannot parse {path}: {e}");
-            std::process::exit(2);
+            eprintln!("verify_trace: {path}: {e}");
+            std::process::exit(1);
         }
     };
 

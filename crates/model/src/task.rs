@@ -129,11 +129,6 @@ impl TaskSet {
         &self.tasks[id.index()]
     }
 
-    /// Fallible lookup.
-    pub fn get(&self, id: TaskId) -> Option<&Task> {
-        self.tasks.get(id.index())
-    }
-
     /// Iterates `(TaskId, &Task)` in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TaskId, &Task)> + '_ {
         self.tasks
@@ -221,7 +216,6 @@ mod tests {
         assert!(!set.is_empty());
         assert_eq!(set[TaskId(0)].exec, 2);
         assert_eq!(set.task(TaskId(1)).period, 4);
-        assert!(set.get(TaskId(2)).is_none());
         let ids: Vec<_> = set.ids().collect();
         assert_eq!(ids, vec![TaskId(0), TaskId(1)]);
     }

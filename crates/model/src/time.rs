@@ -26,8 +26,6 @@ pub type SlotCount = u64;
 /// let w = Window::new(0, 2); // first subtask of a weight-8/11 task
 /// assert_eq!(w.len(), 2);
 /// assert!(w.contains(0) && w.contains(1) && !w.contains(2));
-/// assert!(w.overlaps(&Window::new(1, 3)));
-/// assert!(!w.overlaps(&Window::new(2, 4)));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Window {
@@ -65,11 +63,6 @@ impl Window {
     pub fn contains(&self, t: Slot) -> bool {
         self.release <= t && t < self.deadline
     }
-
-    /// True iff the two half-open intervals intersect.
-    pub fn overlaps(&self, other: &Window) -> bool {
-        self.release < other.deadline && other.release < self.deadline
-    }
 }
 
 #[cfg(test)]
@@ -91,17 +84,5 @@ mod tests {
     #[should_panic(expected = "must exceed")]
     fn empty_window_panics() {
         let _ = Window::new(4, 4);
-    }
-
-    #[test]
-    fn overlap_cases() {
-        let a = Window::new(0, 2);
-        assert!(a.overlaps(&Window::new(1, 2)));
-        assert!(a.overlaps(&Window::new(0, 1)));
-        assert!(!a.overlaps(&Window::new(2, 3)));
-        // Consecutive Pfair windows either overlap by one slot or are
-        // disjoint (paper, Section 2).
-        let b = Window::new(1, 3);
-        assert!(a.overlaps(&b));
     }
 }

@@ -36,12 +36,16 @@ use uniproc::analysis;
 ///
 /// The loop calls `try_add` on every bin it may choose, so a screen only
 /// ever saves evaluations. First and Next Fit skip bins above
-/// `refuse_above`. Best and Worst Fit first take the key `load` of the
-/// best bin that surely fits (`load <= fits_at_or_below`; the highest for
-/// Best Fit, the lowest for Worst Fit) and check it exactly. If it fits,
+/// `refuse_above`. Best and Worst Fit keep every bin in an index ordered
+/// by `load` (`−0.0` as `+0.0`; NaN loads beside it, always evaluated).
+/// They first look up the key `load` of the best bin that surely fits
+/// (`load <= fits_at_or_below`; the highest for Best Fit, the lowest for
+/// Worst Fit, the lowest bin on ties) and check it exactly. If it fits,
 /// every bin whose exact spare could beat or tie its spare has a load
-/// within `2·RANK_SLACK` of that key, on the far side of it, so only those
-/// are evaluated; if it is refused, every bin not above `refuse_above` is.
+/// within `2·RANK_SLACK` of that key, on the far side of it, so only
+/// those, one range of the index, are evaluated; if it is refused, every
+/// bin not above `refuse_above` is. Either way they are evaluated in bin
+/// order.
 pub trait Acceptance {
     /// Per-processor summary state.
     type ProcState: Clone;
@@ -90,56 +94,159 @@ const MARGIN: f64 = 1e-9;
 /// Plain EDF acceptance: exact utilization sum ≤ 1 (paper: "under EDF
 /// scheduling, a task can be accepted … as long as the total utilization
 /// … does not exceed unity").
+///
+/// The sum is exact in one of two forms, chosen once per task set in
+/// [`new`](Self::new). Where the reduced utilizations have a common
+/// denominator `D` below 2^127, task `i` is the integer `wᵢ = uᵢ·D` and
+/// a bin holds `S = Σ wᵢ`: a probe is `S + wᵢ ≤ D`, one add and one
+/// compare. Otherwise a bin holds its sum as a [`Rat`].
 #[derive(Debug, Clone)]
 pub struct EdfUtilization {
     utils: Vec<Rat>,
+    /// `D` and every `wᵢ`, where `D` fits.
+    common: Option<CommonDenominator>,
+}
+
+/// A task set's utilizations over one denominator.
+#[derive(Debug, Clone)]
+struct CommonDenominator {
+    /// `D`: the least common multiple of the reduced denominators, below
+    /// 2^127, so `S + wᵢ ≤ 2D + 1` cannot wrap.
+    den: u128,
+    /// `D` in `f64`.
+    den_f64: f64,
+    /// `wᵢ = uᵢ·D`, or `D + 1` where that is more: a task that fits no
+    /// bin.
+    parts: Vec<u128>,
+}
+
+impl CommonDenominator {
+    /// `None` if `D` reaches 2^127. Every partial sum's reduced
+    /// denominator divides `D`, so then a sum of at most 1 also fits
+    /// [`Rat`], and the two forms decide alike.
+    fn of(utils: &[Rat]) -> Option<Self> {
+        let mut den: u128 = 1;
+        for u in utils {
+            // A reduced period: below 2^64.
+            let d = u.denom() as u64;
+            den = den.checked_mul(u128::from(d / gcd((den % u128::from(d)) as u64, d)))?;
+            if den > i128::MAX as u128 {
+                return None;
+            }
+        }
+        let parts = utils
+            .iter()
+            .map(|u| {
+                let w = (u.numer() as u128).checked_mul(den / u.denom() as u128);
+                w.filter(|&w| w <= den).unwrap_or(den + 1)
+            })
+            .collect();
+        Some(CommonDenominator {
+            den,
+            den_f64: den as f64,
+            parts,
+        })
+    }
+}
+
+/// Greatest common divisor; `gcd(0, b) = b`.
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// Processor state of [`EdfUtilization`]: the bin's exact utilization,
+/// in the form its task set uses. A state means something only to the
+/// test that built it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EdfUtilizationState(UtilSum);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum UtilSum {
+    /// `S`, the sum in units of `1/D`.
+    Common(u128),
+    /// The sum in lowest terms.
+    Rat(Rat),
 }
 
 impl EdfUtilization {
     /// Builds the test from `(exec, period)` pairs (any time unit).
     pub fn new(tasks: &[(u64, u64)]) -> Self {
+        let utils: Vec<Rat> = tasks
+            .iter()
+            .map(|&(e, p)| Rat::new(e as i128, p as i128))
+            .collect();
         EdfUtilization {
-            utils: tasks
-                .iter()
-                .map(|&(e, p)| Rat::new(e as i128, p as i128))
-                .collect(),
+            common: CommonDenominator::of(&utils),
+            utils,
+        }
+    }
+
+    /// The sum in `f64`: `S / D` from the two numbers' `f64` images, or
+    /// the [`Rat`]'s `to_f64`.
+    fn sum_f64(&self, state: &EdfUtilizationState) -> f64 {
+        match (state.0, &self.common) {
+            (UtilSum::Common(s), Some(c)) => s as f64 / c.den_f64,
+            (UtilSum::Rat(s), _) => s.to_f64(),
+            (UtilSum::Common(_), None) => foreign(),
         }
     }
 }
 
-impl Acceptance for EdfUtilization {
-    type ProcState = Rat;
+/// A state with a common-denominator sum given to a test without one.
+#[cold]
+fn foreign() -> ! {
+    panic!("EdfUtilization: a state built by another task set's test")
+}
 
-    /// `spare` is `1 − to_f64(s + u)` and `k_t − load` is `1 − u −
-    /// to_f64(s)`: they differ by two roundings of numbers in `[0, 1]`,
-    /// ~1e-15, thousands of times less than this.
+impl Acceptance for EdfUtilization {
+    type ProcState = EdfUtilizationState;
+
+    /// `spare` is `1 − f(s + u)` and `k_t − load` is `1 − u − f(s)`, with
+    /// `f` [`sum_f64`](Self::sum_f64): they differ by a few roundings of
+    /// numbers in `[0, 1]`, ~1e-15, hundreds of times less than this.
     const RANK_SLACK: f64 = 1e-12;
 
-    fn empty(&self) -> Rat {
-        Rat::ZERO
+    fn empty(&self) -> EdfUtilizationState {
+        EdfUtilizationState(match self.common {
+            Some(_) => UtilSum::Common(0),
+            None => UtilSum::Rat(Rat::ZERO),
+        })
     }
 
-    /// Decides `u ≤ 1 − state` rather than `state + u ≤ 1`: the left form
-    /// cannot overflow and [`Rat`]'s comparison is exact at any magnitude,
+    /// Over `D`, `S + wᵢ ≤ D` is exact and cannot wrap. Over [`Rat`], it
+    /// decides `u ≤ 1 − state` rather than `state + u ≤ 1`: the left form
+    /// cannot overflow and `Rat`'s comparison is exact at any magnitude,
     /// whereas sums of unrelated periods outgrow `i128`. A probe that fits
     /// but whose sum is not representable is refused — never an overfull
     /// bin, at worst one bin more than exact.
-    fn try_add(&self, state: &Rat, task_idx: usize) -> Option<Rat> {
+    fn try_add(&self, state: &EdfUtilizationState, task_idx: usize) -> Option<EdfUtilizationState> {
+        let sum = match (state.0, &self.common) {
+            (UtilSum::Common(s), Some(c)) => {
+                let s = s + c.parts[task_idx];
+                return (s <= c.den).then_some(EdfUtilizationState(UtilSum::Common(s)));
+            }
+            (UtilSum::Rat(s), _) => s,
+            (UtilSum::Common(_), None) => foreign(),
+        };
         let u = self.utils[task_idx];
-        if u > state.one_minus() {
+        if u > sum.one_minus() {
             return None;
         }
-        state.checked_add(u)
+        sum.checked_add(u)
+            .map(|s| EdfUtilizationState(UtilSum::Rat(s)))
     }
 
-    fn spare(&self, state: &Rat) -> f64 {
-        1.0 - state.to_f64()
+    fn spare(&self, state: &EdfUtilizationState) -> f64 {
+        1.0 - self.sum_f64(state)
     }
 
     /// The sum in `f64`; NaN outside `[0, 1]`, where no packing goes and
     /// `to_f64`'s absolute error would outgrow the margin.
-    fn load(&self, state: &Rat) -> f64 {
-        let load = state.to_f64();
+    fn load(&self, state: &EdfUtilizationState) -> f64 {
+        let load = self.sum_f64(state);
         if (0.0..=1.0).contains(&load) {
             load
         } else {
@@ -148,7 +255,7 @@ impl Acceptance for EdfUtilization {
     }
 
     /// `1 − u ± 1e-9`: a bin above it is surely over, one below it surely
-    /// under, whatever `to_f64` rounded.
+    /// under, whatever `f64` rounded.
     fn room(&self, task_idx: usize) -> (f64, f64) {
         let left = 1.0 - self.utils[task_idx].to_f64();
         (left + MARGIN, left - MARGIN)
@@ -557,6 +664,67 @@ mod tests {
         }
     }
 
+    proptest! {
+        /// On small sets either side of the 2^127 cut, every `try_add`
+        /// answers as [`Rat`]'s `u ≤ 1 − state`, then `state + u`, did
+        /// (which refuses only a sum past `i128`); every common sum is the
+        /// exact one; and every `load` is within 1e-12 of it. `wide` adds
+        /// nothing, two coprime periods past 2^43 (whose `D` fits only
+        /// beside small ones), or three (whose `D` never fits).
+        #[test]
+        fn prop_edf_utilization_decides_as_rat(
+            raw in prop::collection::vec((1u64..40, 1u64..40), 1..8),
+            wide in 0u8..3,
+            big in (1u64 << 43)..(1u64 << 44),
+            moves in prop::collection::vec((0usize..64, 0usize..8), 1..60),
+        ) {
+            let mut pairs: Vec<(u64, u64)> = raw.iter().map(|&(e, p)| (e.min(p), p)).collect();
+            // An odd `q`: `q`, `q + 1` and `q + 2` are pairwise coprime.
+            let q = big | 1;
+            let extra = [(1, q), (1, q + 1), (1, q + 2)];
+            pairs.extend_from_slice(&extra[..[0, 2, 3][wide as usize]]);
+            let acc = EdfUtilization::new(&pairs);
+            if wide == 2 {
+                prop_assert!(acc.common.is_none());
+            }
+            let mut bins: Vec<(EdfUtilizationState, Rat)> = Vec::new();
+            for (task, bin) in moves {
+                let (task, bin) = (task % pairs.len(), bin % (bins.len() + 1));
+                if bin == bins.len() {
+                    bins.push((acc.empty(), Rat::ZERO));
+                }
+                let (state, spec) = bins[bin];
+                let u = acc.utils[task];
+                let want = if u > spec.one_minus() { None } else { spec.checked_add(u) };
+                let got = acc.try_add(&state, task);
+                prop_assert_eq!(got.is_some(), want.is_some(), "task {} on {}", task, spec);
+                if let (Some(got), Some(want)) = (got, want) {
+                    if let (UtilSum::Common(sum), Some(c)) = (got.0, &acc.common) {
+                        prop_assert_eq!(Rat::new(sum as i128, c.den as i128), want);
+                    }
+                    prop_assert!((acc.load(&got) - want.to_f64()).abs() <= 1e-12);
+                    bins[bin] = (got, want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_common_denominator_is_the_lcm_below_2_127() {
+        let den = |pairs: &[(u64, u64)]| EdfUtilization::new(pairs).common.map(|c| c.den);
+        assert_eq!(den(&[]), Some(1));
+        assert_eq!(den(&[(2, 4), (1, 3), (0, 7), (5, 10)]), Some(6));
+        // Coprime periods: 2^63·(2^64 − 1) < 2^127 < (2^64 − 1)·(2^64 − 3).
+        let below = (1 << 127) - (1 << 63);
+        assert_eq!(den(&[(1, 1 << 63), (1, u64::MAX)]), Some(below));
+        assert_eq!(den(&[(1, u64::MAX - 2), (1, u64::MAX)]), None);
+        // A task that fits no bin is `D + 1`, whatever its exact size.
+        let acc = EdfUtilization::new(&[(3, 2), (u64::MAX, 1), (1, 3)]);
+        let c = acc.common.as_ref().unwrap();
+        assert_eq!(c.parts, [c.den + 1, c.den + 1, 2]);
+        assert!(acc.try_add(&acc.empty(), 0).is_none());
+    }
+
     /// Whether the screen keeps both its promises for task `t` on `state`.
     fn screen_holds<A: Acceptance>(acc: &A, state: &A::ProcState, t: usize) -> bool {
         let (refuse_above, fits_at_or_below) = acc.room(t);
@@ -575,7 +743,7 @@ mod tests {
         let s1 = acc.try_add(&s0, 0).unwrap();
         let s2 = acc.try_add(&s1, 1).unwrap();
         let s3 = acc.try_add(&s2, 2).unwrap(); // exactly 1
-        assert_eq!(s3, Rat::ONE);
+        assert_eq!(acc.load(&s3), 1.0);
         assert!(acc.try_add(&s3, 3).is_none(), "nothing fits past U = 1");
         assert!(acc.spare(&s3).abs() < 1e-12);
     }

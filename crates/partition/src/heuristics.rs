@@ -8,6 +8,7 @@
 
 use crate::accept::Acceptance;
 use std::cmp::Ordering;
+use std::collections::BTreeSet;
 
 /// Which bin-packing heuristic to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -252,49 +253,125 @@ impl<'a, A: Acceptance> Probe<'a, A> {
     }
 }
 
+/// The bins of a Best or Worst Fit packing ordered by screen load:
+/// `(order_key(load), bin)` for every bin whose load is a number, and
+/// the bins whose load is NaN beside them, which every probe evaluates.
+#[derive(Default)]
+struct LoadIndex {
+    by_load: BTreeSet<(u64, u32)>,
+    nan: Vec<u32>,
+    /// One probe's candidates, kept to reuse the allocation.
+    candidates: Vec<u32>,
+}
+
+impl LoadIndex {
+    fn insert(&mut self, bin: usize, load: f64) {
+        if load.is_nan() {
+            self.nan.push(bin as u32);
+        } else {
+            self.by_load.insert((order_key(load), bin as u32));
+        }
+    }
+
+    fn remove(&mut self, bin: usize, load: f64) {
+        if load.is_nan() {
+            self.nan.retain(|&b| b != bin as u32);
+        } else {
+            self.by_load.remove(&(order_key(load), bin as u32));
+        }
+    }
+}
+
+/// `x`'s place in the total order of the non-NaN `f64`s, with `−0.0`
+/// folded into `+0.0` so that the two tie, as they do under `<=`: for
+/// non-NaN `x` and `y`, `x <= y` iff `order_key(x) <= order_key(y)`.
+fn order_key(x: f64) -> u64 {
+    let bits = if x == 0.0 { 0 } else { x.to_bits() };
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
 /// The Best/Worst Fit pick among `states`: the bin with the least
 /// (`best`) or greatest spare after adding the probe's task, the lowest
 /// index among ties, with its successor state.
 ///
 /// A rank of `±load` orders bins as the screen estimates their spare
-/// (higher is better). The best-ranked bin that surely fits is checked
-/// first. If it fits, the pick's spare is at least as good as its, so by
-/// the [`RANK_SLACK`](Acceptance::RANK_SLACK) bound the pick, and every
-/// bin tied with it, ranks no lower than `2·RANK_SLACK` below it: only
-/// those are evaluated. Otherwise every bin the screen does not refuse is.
+/// (higher is better). The best-ranked bin that surely fits, the anchor,
+/// is one lookup in `index`, and is checked first. If it fits, the
+/// pick's spare is at least as good as its, so by the
+/// [`RANK_SLACK`](Acceptance::RANK_SLACK) bound the pick, and every bin
+/// tied with it, ranks no lower than `2·RANK_SLACK` below it: only those
+/// are evaluated, and they are one range of `index`. Otherwise every bin
+/// the screen does not refuse is. Bins are evaluated in bin order, the
+/// anchor first.
 fn best_or_worst<A: Acceptance>(
     probe: &mut Probe<'_, A>,
     states: &[A::ProcState],
     loads: &[f64],
+    index: &mut LoadIndex,
     best: bool,
 ) -> Option<(usize, A::ProcState)> {
     let (acc, sign) = (probe.acc, if best { 1.0 } else { -1.0 });
     let better = |spare: f64, than: f64| if best { spare < than } else { spare > than };
-    let mut anchor: Option<(usize, f64)> = None;
-    for (p, &load) in loads.iter().enumerate() {
-        if load <= probe.fits_at_or_below && anchor.map_or(true, |(_, rank)| sign * load > rank) {
-            anchor = Some((p, sign * load));
-        }
+    let LoadIndex {
+        by_load,
+        nan,
+        candidates,
+    } = index;
+    // The greatest (`best`) or least load `<= fits_at_or_below`, the
+    // lowest bin among ties.
+    let fits = probe.fits_at_or_below;
+    let anchor = if fits.is_nan() {
+        None
+    } else if best {
+        by_load
+            .range(..=(order_key(fits), u32::MAX))
+            .next_back()
+            .and_then(|&(key, _)| by_load.range((key, 0)..).next())
+    } else {
+        by_load.first().filter(|&&(key, _)| key <= order_key(fits))
     }
+    .map(|&(_, bin)| bin as usize);
     let mut pick: Option<(usize, f64, A::ProcState)> = None;
     // The anchor's rank once it is known to fit. A bin ranked more than
     // `band` below it is skipped; `f64` subtraction rounds monotonically,
-    // so a computed gap above `band` is a real one, and a NaN gap skips
-    // nothing.
+    // so a computed gap above `band` is a real one, the gaps grow along
+    // the index away from the anchor, and a NaN gap skips nothing.
     let mut anchored: Option<f64> = None;
     let band = 2.0 * A::RANK_SLACK;
-    if let Some((a, rank)) = anchor {
+    if let Some(a) = anchor {
         if let Some(next) = probe.exact(&states[a], loads[a]) {
             pick = Some((a, acc.spare(&next), next));
-            anchored = Some(rank);
+            anchored = Some(sign * loads[a]);
         }
     }
-    for (p, (state, &load)) in states.iter().zip(loads).enumerate() {
-        let below_band = anchored.is_some_and(|rank| rank - sign * load > band);
-        if anchor.is_some_and(|(a, _)| a == p) || below_band || probe.refused(load) {
+    // Loads above `refuse_above` are refused; a NaN bound refuses none.
+    let top = probe.refuse_above;
+    let top = if top.is_nan() {
+        u64::MAX
+    } else {
+        order_key(top)
+    };
+    let unrefused = by_load.range(..=(top, u32::MAX)).map(|&(_, bin)| bin);
+    let below_band =
+        |bin: u32| anchored.is_some_and(|rank| rank - sign * loads[bin as usize] > band);
+    candidates.clear();
+    if best {
+        candidates.extend(unrefused.rev().take_while(|&bin| !below_band(bin)));
+    } else {
+        candidates.extend(unrefused.take_while(|&bin| !below_band(bin)));
+    }
+    candidates.extend_from_slice(nan);
+    candidates.sort_unstable();
+    for &p in candidates.iter() {
+        let p = p as usize;
+        if anchor == Some(p) {
             continue;
         }
-        if let Some(next) = probe.exact(state, load) {
+        if let Some(next) = probe.exact(&states[p], loads[p]) {
             let spare = acc.spare(&next);
             let wins = match &pick {
                 None => true,
@@ -332,8 +409,11 @@ fn partition_with_obs<A: Acceptance>(
     } = po;
     let idx = ordered_indices(n, order, keys);
     let mut states: Vec<A::ProcState> = Vec::new();
-    // `acc.load` of each bin, beside it.
+    // `acc.load` of each bin, beside it, and for Best and Worst Fit in
+    // the index too.
     let mut loads: Vec<f64> = Vec::new();
+    let indexed = matches!(heuristic, Heuristic::BestFit | Heuristic::WorstFit);
+    let mut index = LoadIndex::default();
     let mut assignment = vec![u32::MAX; n];
     let mut next_fit_cursor = 0usize;
 
@@ -356,10 +436,11 @@ fn partition_with_obs<A: Acceptance>(
                 let probed = found.as_ref().map_or(states.len(), |(p, _)| p + 1);
                 (found, probed)
             }
-            Heuristic::BestFit | Heuristic::WorstFit => (
-                best_or_worst(&mut probe, &states, &loads, heuristic == Heuristic::BestFit),
-                states.len(),
-            ),
+            Heuristic::BestFit | Heuristic::WorstFit => {
+                let best = heuristic == Heuristic::BestFit;
+                let pick = best_or_worst(&mut probe, &states, &loads, &mut index, best);
+                (pick, states.len())
+            }
             Heuristic::NextFit => match states.get(next_fit_cursor) {
                 Some(state) => {
                     let load = loads[next_fit_cursor];
@@ -378,7 +459,12 @@ fn partition_with_obs<A: Acceptance>(
         accept_evals.add(probe.evals);
         match chosen {
             Some((p, next)) => {
-                loads[p] = acc.load(&next);
+                let load = acc.load(&next);
+                if indexed {
+                    index.remove(p, loads[p]);
+                    index.insert(p, load);
+                }
+                loads[p] = load;
                 states[p] = next;
                 assignment[task] = p as u32;
             }
@@ -390,7 +476,11 @@ fn partition_with_obs<A: Acceptance>(
                 accept_evals.incr();
                 let fresh = acc.try_add(&acc.empty(), task)?;
                 bins_opened.incr();
-                loads.push(acc.load(&fresh));
+                let load = acc.load(&fresh);
+                if indexed {
+                    index.insert(states.len(), load);
+                }
+                loads.push(load);
                 states.push(fresh);
                 assignment[task] = (states.len() - 1) as u32;
                 next_fit_cursor = states.len() - 1;
@@ -949,6 +1039,187 @@ mod tests {
         }
     }
 
+    /// [`EdfUtilization`] behind a screen shifted down by 1/2, so that
+    /// bins load negative, `±0.0` and positive, and with a NaN load on
+    /// every bin holding `3 mod 4` tasks. `−0.0` is the load of a bin
+    /// summing to exactly 1/2 with an odd task count.
+    struct Shifted<'a>(&'a EdfUtilization);
+
+    impl Acceptance for Shifted<'_> {
+        /// Tasks in the bin, and its sum.
+        type ProcState = (u32, <EdfUtilization as Acceptance>::ProcState);
+        const RANK_SLACK: f64 = EdfUtilization::RANK_SLACK;
+        fn empty(&self) -> Self::ProcState {
+            (0, self.0.empty())
+        }
+        fn try_add(&self, state: &Self::ProcState, task_idx: usize) -> Option<Self::ProcState> {
+            let next = self.0.try_add(&state.1, task_idx)?;
+            Some((state.0 + 1, next))
+        }
+        fn spare(&self, state: &Self::ProcState) -> f64 {
+            self.0.spare(&state.1)
+        }
+        fn load(&self, &(count, ref sum): &Self::ProcState) -> f64 {
+            let load = self.0.load(sum) - 0.5;
+            match count % 4 {
+                3 => f64::NAN,
+                _ if load == 0.0 && count % 2 == 1 => -0.0,
+                _ => load,
+            }
+        }
+        fn room(&self, task_idx: usize) -> (f64, f64) {
+            let (refuse_above, fits_at_or_below) = self.0.room(task_idx);
+            (refuse_above - 0.5, fits_at_or_below - 0.5)
+        }
+    }
+
+    proptest! {
+        /// Every heuristic packs as the parent's loop did, bin for bin,
+        /// where bin loads are NaN, `−0.0`, `+0.0` and negative: for Best
+        /// and Worst Fit, the index's side list, its folded zero and the
+        /// negative half of its key order all decide picks.
+        #[test]
+        fn prop_nan_and_signed_zero_loads_pack_as_the_parents(
+            shape in prop::sample::select(vec![0u8, 3]),
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut pairs = drawn_set(shape, seed);
+            // Halves and quarters, so that bins land on exactly 1/2.
+            pairs.extend([(1, 2), (1, 4), (1, 4), (1, 2), (2, 4)]);
+            let inner = EdfUtilization::new(&pairs);
+            let limit = 1 + (seed % pairs.len() as u64) as u32;
+            packs_as_the_parent(&pairs, &Shifted(&inner), limit, "EDF-shifted")?;
+        }
+    }
+
+    /// Dyadic bins under a screen with `RANK_SLACK` 1/4: a bin's load is
+    /// its exact sum, and `spare` strays from `1 − load` by −1/4 at a
+    /// sum of 1/4 and by +1/4 at 3/4. An opener task refuses every bin
+    /// that holds a task.
+    struct Skewed {
+        /// `(size, opener)` per task.
+        tasks: Vec<(f64, bool)>,
+    }
+
+    impl Acceptance for Skewed {
+        /// Load and task count.
+        type ProcState = (f64, u32);
+        const RANK_SLACK: f64 = 0.25;
+        fn empty(&self) -> (f64, u32) {
+            (0.0, 0)
+        }
+        fn try_add(&self, &(load, count): &(f64, u32), task_idx: usize) -> Option<(f64, u32)> {
+            let (size, opener) = self.tasks[task_idx];
+            (load + size <= 1.0 && !(opener && count > 0)).then_some((load + size, count + 1))
+        }
+        fn spare(&self, &(load, _): &(f64, u32)) -> f64 {
+            let skew = match load {
+                0.25 => -0.25,
+                0.75 => 0.25,
+                _ => 0.0,
+            };
+            1.0 - load + skew
+        }
+        fn load(&self, state: &(f64, u32)) -> f64 {
+            state.0
+        }
+        fn room(&self, task_idx: usize) -> (f64, f64) {
+            let (size, opener) = self.tasks[task_idx];
+            (
+                1.0 - size,
+                if opener {
+                    f64::NEG_INFINITY
+                } else {
+                    1.0 - size
+                },
+            )
+        }
+    }
+
+    #[test]
+    fn a_bin_exactly_at_the_band_edge_is_evaluated() {
+        // Bins at 0 and 1/2, then a task of 1/4. The anchor, the bin
+        // Best Fit (1/2) or Worst Fit (0) ranks first, spares 1/2 after
+        // it; so does the other bin, exactly `2·RANK_SLACK` below it in
+        // rank. Both break the tie by index, so each takes the bin it
+        // opened first, which only an evaluation of it can find.
+        let cases = [
+            (
+                Heuristic::BestFit,
+                [(0.0, true), (0.5, true), (0.25, false)],
+            ),
+            (
+                Heuristic::WorstFit,
+                [(0.5, true), (0.0, true), (0.25, false)],
+            ),
+        ];
+        for (h, tasks) in cases {
+            let acc = Skewed {
+                tasks: tasks.to_vec(),
+            };
+            let off = PartitionObs::new(&obs::Recorder::disabled());
+            let keys = |i: usize| (tasks[i].0, 1);
+            let run = |f: fn(usize, &Skewed, Heuristic, SortOrder, u32, _, &PartitionObs) -> _| {
+                f(3, &acc, h, SortOrder::None, u32::MAX, keys, &off)
+            };
+            let r = run(partition_with_obs).unwrap();
+            assert_eq!(r.assignment, [0, 1, 0], "{h:?}");
+            assert_eq!(Some(r), run(parent_partition_with_obs), "{h:?}");
+        }
+    }
+
+    /// Bins that take any task and tie on spare, loading `−0.0` or `+0.0`
+    /// by the parity of their task count, under a screen whose bounds are
+    /// both `−0.0`: every bin surely fits, whatever the sign of its zero.
+    struct SignedZeros;
+
+    impl Acceptance for SignedZeros {
+        /// Tasks in the bin.
+        type ProcState = u32;
+        const RANK_SLACK: f64 = 0.0;
+        fn empty(&self) -> u32 {
+            0
+        }
+        fn try_add(&self, &count: &u32, _: usize) -> Option<u32> {
+            Some(count + 1)
+        }
+        fn spare(&self, _: &u32) -> f64 {
+            1.0
+        }
+        fn load(&self, &count: &u32) -> f64 {
+            if count % 2 == 1 {
+                -0.0
+            } else {
+                0.0
+            }
+        }
+        fn room(&self, _: usize) -> (f64, f64) {
+            (-0.0, -0.0)
+        }
+    }
+
+    #[test]
+    fn signed_zero_loads_are_one_load() {
+        let off = PartitionObs::new(&obs::Recorder::disabled());
+        for h in [Heuristic::BestFit, Heuristic::WorstFit] {
+            let run =
+                |f: fn(usize, &SignedZeros, Heuristic, SortOrder, u32, _, &PartitionObs) -> _| {
+                    f(
+                        5,
+                        &SignedZeros,
+                        h,
+                        SortOrder::None,
+                        u32::MAX,
+                        |_| (0.0, 1),
+                        &off,
+                    )
+                };
+            let r = run(partition_with_obs).unwrap();
+            assert_eq!(r.processors, 1, "{h:?}");
+            assert_eq!(Some(r), run(parent_partition_with_obs), "{h:?}");
+        }
+    }
+
     /// The exact evaluations each of the six packing schemes spends on one
     /// seeded set of the benchmark's `pack_exact` shape: n = 1,000 at
     /// U = 250 on the 5 ms period grid, about 250 open bins. Counted work,
@@ -1004,7 +1275,7 @@ mod tests {
     }
 
     impl Acceptance for Counting<'_> {
-        type ProcState = pfair_model::Rat;
+        type ProcState = <EdfUtilization as Acceptance>::ProcState;
         const RANK_SLACK: f64 = EdfUtilization::RANK_SLACK;
         fn empty(&self) -> Self::ProcState {
             self.inner.empty()

@@ -11,7 +11,10 @@
 //! * [`accept`] — acceptance tests: plain EDF utilization (`ΣU ≤ 1`), RM
 //!   Liu–Layland, RM exact (Lehoczky TDA — the "variable-sized bins" the
 //!   paper warns about), and the overhead-aware EDF test implementing
-//!   Equation (3)'s EDF case with on-the-fly `max D(U)` tracking.
+//!   Equation (3)'s EDF case with on-the-fly `max D(U)` tracking. The
+//!   EDF test sums exactly: over one common denominator `D` of the task
+//!   set, where `D < 2^127`, a probe is one integer add and compare;
+//!   otherwise in `Rat`.
 //! * [`bounds`] — the Lopez et al. test `ΣU ≤ (βM + 1)/(β + 1)` \[27\],
 //!   whose `β = 1` case is the `(M+1)/2` worst case.
 //!
@@ -21,10 +24,12 @@
 //! surely accepts (see [`Acceptance`]). The loop keeps the loads beside
 //! the bins and calls `try_add` only where the exact answer could change
 //! the pick. First and Next Fit skip bins the screen refuses. Best and
-//! Worst Fit check the best-ranked bin that surely fits, then evaluate
-//! only the bins whose load lies within `2·RANK_SLACK` of its: the exact
-//! pick, and every bin tied with it, must lie there. Every packing is the
-//! one an exact evaluation of every bin would give, bin for bin.
+//! Worst Fit keep the bins in an ordered index of `(load, bin)`: the
+//! best-ranked bin that surely fits is one lookup, and is checked first;
+//! then only the bins whose load lies within `2·RANK_SLACK` of its are
+//! evaluated, one range of the index: the exact pick, and every bin tied
+//! with it, must lie there. Every packing is the one an exact evaluation
+//! of every bin would give, bin for bin.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

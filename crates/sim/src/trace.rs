@@ -293,7 +293,7 @@ pub struct ScheduleTrace {
 // the vendored serde derive has no `#[serde(default)]`.
 impl Deserialize for ScheduleTrace {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(ScheduleTrace {
+        let trace = ScheduleTrace {
             processors: serde::field(v, "processors")?,
             tasks: serde::field(v, "tasks")?,
             slots: serde::field(v, "slots")?,
@@ -303,7 +303,9 @@ impl Deserialize for ScheduleTrace {
                     .map_err(|serde::DeError(e)| serde::DeError(format!("field `events`: {e}")))?,
                 None => Vec::new(),
             },
-        })
+        };
+        trace.task_set().map_err(serde::DeError)?;
+        Ok(trace)
     }
 }
 
@@ -367,19 +369,50 @@ impl ScheduleTrace {
         serde_json::to_string_pretty(self).expect("trace serialization cannot fail")
     }
 
-    /// Deserializes from JSON.
+    /// Deserializes from JSON, and refuses a trace the verifiers cannot
+    /// read (see [`verify`](Self::verify)).
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(s)
     }
 
-    /// The task set as a [`TaskSet`]. Only the *initial* tasks: ids
-    /// introduced by [`TraceEvent::Rejoin`] events are part of the event
-    /// stream, not the set.
-    pub(crate) fn task_set(&self) -> TaskSet {
-        self.tasks
+    /// The task set as a [`TaskSet`], once the trace is one the verifiers
+    /// can read: at least one processor, every task `0 < exec ≤ period`,
+    /// and every id in a slot one of the tasks or the fresh id of a
+    /// [`TraceEvent::Rejoin`]. Only the *initial* tasks are in the set:
+    /// rejoined ids are part of the event stream.
+    pub(crate) fn task_set(&self) -> Result<TaskSet, String> {
+        if self.processors == 0 {
+            return Err("invalid trace: 0 processors".to_string());
+        }
+        let tasks = self
+            .tasks
             .iter()
-            .map(|&(e, p)| Task::new(e, p).expect("trace holds valid tasks"))
-            .collect()
+            .enumerate()
+            .map(|(i, &(e, p))| {
+                Task::new(e, p).map_err(|why| format!("invalid trace: task {i} ({e}, {p}): {why}"))
+            })
+            .collect::<Result<TaskSet, String>>()?;
+        let rejoined: Vec<u32> = self
+            .events
+            .iter()
+            .filter_map(|ev| match *ev {
+                TraceEvent::Rejoin { task, .. } => Some(task),
+                _ => None,
+            })
+            .collect();
+        for (t, slot) in self.slots.iter().enumerate() {
+            if let Some(id) = slot
+                .iter()
+                .find(|&&id| id as usize >= tasks.len() && !rejoined.contains(&id))
+            {
+                return Err(format!(
+                    "invalid trace: slot {t} names task {id}, which is neither one of the {} \
+                     tasks nor rejoined",
+                    tasks.len()
+                ));
+            }
+        }
+        Ok(tasks)
     }
 
     /// The schedule in the form the verifiers accept.
@@ -406,7 +439,7 @@ impl ScheduleTrace {
     /// by the event-aware window check, which replays the shed/rejoin/burst/catch-up record; the synchronous
     /// lag check does not apply to them.
     pub fn verify(&self) -> Result<(), String> {
-        let tasks = self.task_set();
+        let tasks = self.task_set()?;
         let schedule = self.schedule();
         if self.is_perturbed() {
             crate::verify::check_windows_with_events(&tasks, &schedule, &self.events)
@@ -560,7 +593,45 @@ mod tests {
     #[test]
     fn task_set_reconstruction() {
         let (tasks, trace) = traced_run();
-        assert_eq!(trace.task_set(), tasks);
+        assert_eq!(trace.task_set(), Ok(tasks));
+    }
+
+    /// The one-field mutations that used to panic the verifiers are
+    /// refused as invalid traces, at parse time and by `verify` on a trace
+    /// edited after parsing.
+    #[test]
+    fn invalid_traces_are_errors_not_panics() {
+        let (_, valid) = traced_run();
+        let mut zero_procs = valid.clone();
+        zero_procs.processors = 0;
+        let mut exec_zero = valid.clone();
+        exec_zero.tasks[1].0 = 0;
+        let mut period_zero = valid.clone();
+        period_zero.tasks[1].1 = 0;
+        let mut over_unit = valid.clone();
+        over_unit.tasks[1] = (4, 3);
+        let mut unknown_id = valid.clone();
+        unknown_id.slots[2][0] = 99;
+        for (bad, why) in [
+            (zero_procs, "0 processors"),
+            (exec_zero, "task 1 (0, 3)"),
+            (period_zero, "task 1 (2, 0)"),
+            (over_unit, "task 1 (4, 3)"),
+            (unknown_id, "slot 2 names task 99"),
+        ] {
+            let err = bad.verify().unwrap_err();
+            assert!(
+                err.starts_with("invalid trace: ") && err.contains(why),
+                "{err}"
+            );
+            let err = ScheduleTrace::from_json(&bad.to_json()).unwrap_err();
+            assert!(err.to_string().contains(why), "{err}");
+        }
+        // A rejoined id may appear in a slot.
+        let mut rejoined = valid;
+        rejoined.slots[2][0] = 3;
+        rejoined.events = all_event_kinds();
+        assert!(ScheduleTrace::from_json(&rejoined.to_json()).is_ok());
     }
 
     #[test]

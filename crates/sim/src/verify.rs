@@ -38,7 +38,6 @@
 //! every recovery policy becomes verifiable, not just fault-free runs.
 
 use crate::trace::TraceEvent;
-use pfair_core::subtask;
 use pfair_model::{Slot, Task, TaskId, TaskSet, Weight};
 use std::fmt;
 
@@ -129,13 +128,26 @@ impl CheckTask {
     /// each job's delay to θ when it queues the job's first subtask.
     fn shift(&self, k: u64) -> Slot {
         let job = (k - 1) / self.exec;
-        let theta: u64 = self
-            .bursts
+        self.bursts
             .iter()
             .take_while(|&&(j, _)| j <= job)
-            .map(|&(_, d)| d)
-            .sum();
-        self.origin + theta
+            .fold(self.origin, |shift, &(_, d)| shift.saturating_add(d))
+    }
+
+    /// `[r(T_k), d(T_k)) = [⌊(k−1)/w⌋, ⌈k/w⌉)` shifted by `shift`, each
+    /// end held at `Slot::MAX` where it lies past it: an archived trace may
+    /// carry any period, burst or rejoin slot. Worked out here rather than
+    /// by `pfair_core::subtask`, so the checker shares no formula with the
+    /// scheduler it checks.
+    fn window(&self, k: u64, shift: Slot) -> (Slot, Slot) {
+        let (num, den) = (
+            u128::from(self.weight.numer()),
+            u128::from(self.weight.denom()),
+        );
+        let at = |x: u128| Slot::try_from(x).unwrap_or(Slot::MAX).saturating_add(shift);
+        let r = u128::from(k - 1) * den / num;
+        let d = (u128::from(k) * den).div_ceil(num);
+        (at(r), at(d))
     }
 }
 
@@ -237,9 +249,7 @@ impl IncrementalWindowCheck {
                 continue; // joined outside the event record: not modeled
             };
             let k = ct.count + 1;
-            let shift = ct.shift(k);
-            let r = subtask::release(ct.weight, k) + shift;
-            let d = subtask::deadline(ct.weight, k) + shift;
+            let (r, d) = ct.window(k, ct.shift(k));
             // A shed task must never be scheduled again; its next window
             // is as good a diagnostic as any.
             let early = t < r && !relaxed;

@@ -1,5 +1,5 @@
-//! Sample collection with percentiles and a fixed-bin histogram — for
-//! response-time and latency distributions where a mean hides the tail.
+//! Sample collection with percentiles — for response-time and latency
+//! distributions where a mean hides the tail.
 
 /// A collected sample set with quantile queries.
 ///
@@ -32,11 +32,6 @@ impl Samples {
     pub fn push(&mut self, x: f64) {
         self.values.push(x);
         self.sorted = false;
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.values.len()
     }
 
     /// True iff empty.
@@ -90,27 +85,6 @@ impl Samples {
         self.sorted = false;
         other.sorted = false;
     }
-
-    /// A fixed-width histogram over `[lo, hi)` with `bins` buckets;
-    /// out-of-range samples clamp to the end buckets. NaN samples belong
-    /// to no bucket (`NaN as i64` would silently saturate them into
-    /// bucket 0): they are skipped, and the second return value reports
-    /// how many were.
-    pub fn histogram(&self, lo: f64, hi: f64, bins: usize) -> (Vec<u64>, u64) {
-        assert!(bins > 0 && hi > lo);
-        let mut h = vec![0u64; bins];
-        let mut skipped = 0u64;
-        let width = (hi - lo) / bins as f64;
-        for &v in &self.values {
-            if v.is_nan() {
-                skipped += 1;
-                continue;
-            }
-            let idx = (((v - lo) / width).floor() as i64).clamp(0, bins as i64 - 1);
-            h[idx as usize] += 1;
-        }
-        (h, skipped)
-    }
 }
 
 impl FromIterator<f64> for Samples {
@@ -142,7 +116,6 @@ mod tests {
         let mut s: Samples = [3.0, 1.0, 2.0].into_iter().collect();
         assert_eq!(s.mean(), 2.0);
         assert_eq!(s.max(), 3.0);
-        assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
     }
 
@@ -151,32 +124,9 @@ mod tests {
         let mut a: Samples = [1.0, 5.0].into_iter().collect();
         let mut b: Samples = [3.0].into_iter().collect();
         a.merge(&mut b);
-        assert_eq!(a.len(), 3);
+        assert_eq!(a.mean(), 3.0);
         assert!(b.is_empty());
         assert_eq!(a.percentile(50.0), 3.0);
-    }
-
-    #[test]
-    fn histogram_bins() {
-        let s: Samples = (0..10).map(|i| i as f64).collect();
-        let (h, skipped) = s.histogram(0.0, 10.0, 5);
-        assert_eq!(h, vec![2, 2, 2, 2, 2]);
-        assert_eq!(skipped, 0);
-        // Clamping.
-        let s: Samples = [-5.0, 100.0].into_iter().collect();
-        let (h, skipped) = s.histogram(0.0, 10.0, 2);
-        assert_eq!(h, vec![1, 1]);
-        assert_eq!(skipped, 0);
-    }
-
-    #[test]
-    fn histogram_skips_nan_samples() {
-        let s: Samples = [1.0, f64::NAN, 9.0, f64::NAN].into_iter().collect();
-        let (h, skipped) = s.histogram(0.0, 10.0, 2);
-        // The NaNs are reported, not silently piled into bucket 0.
-        assert_eq!(h, vec![1, 1]);
-        assert_eq!(skipped, 2);
-        assert_eq!(h.iter().sum::<u64>() + skipped, s.len() as u64);
     }
 
     #[test]
@@ -195,22 +145,6 @@ mod tests {
             let p100 = s.percentile(100.0);
             prop_assert!(p50 <= p90 && p90 <= p100);
             prop_assert_eq!(p100, s.max());
-        }
-
-        /// Histogram counts plus skipped NaNs conserve the sample count.
-        #[test]
-        fn prop_histogram_total(
-            xs in prop::collection::vec(-100f64..100.0, 0..100),
-            nans in 0usize..4,
-        ) {
-            let mut s: Samples = xs.iter().copied().collect();
-            for _ in 0..nans {
-                s.push(f64::NAN);
-            }
-            let (h, skipped) = s.histogram(-100.0, 100.0, 7);
-            prop_assert_eq!(h.iter().sum::<u64>() as usize, xs.len());
-            prop_assert_eq!(skipped as usize, nans);
-            prop_assert_eq!(h.iter().sum::<u64>() + skipped, s.len() as u64);
         }
     }
 }

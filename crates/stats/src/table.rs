@@ -10,8 +10,8 @@ use std::fmt::Write as _;
 /// use stats::Table;
 ///
 /// let mut t = Table::new(&["N", "EDF (µs)", "PD2 (µs)"]);
-/// t.row(&["15", "0.53", "1.02"]);
-/// t.row(&["1000", "2.48", "7.91"]);
+/// t.row_owned(vec!["15".into(), "0.53".into(), "1.02".into()]);
+/// t.row_owned(vec!["1000".into(), "2.48".into(), "7.91".into()]);
 /// let s = t.render();
 /// assert!(s.contains("N"));
 /// assert!(s.lines().count() == 4); // header + rule + 2 rows
@@ -32,27 +32,14 @@ impl Table {
     }
 
     /// Appends a row; must match the header count.
-    pub fn row(&mut self, cells: &[&str]) -> &mut Self {
+    pub fn row_owned(&mut self, cells: Vec<String>) -> &mut Self {
         assert_eq!(
             cells.len(),
             self.headers.len(),
             "row width must match headers"
         );
-        self.rows
-            .push(cells.iter().map(|s| s.to_string()).collect());
-        self
-    }
-
-    /// Appends a row of already-owned strings.
-    pub fn row_owned(&mut self, cells: Vec<String>) -> &mut Self {
-        assert_eq!(cells.len(), self.headers.len());
         self.rows.push(cells);
         self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
     }
 
     /// True iff no data rows.
@@ -110,24 +97,28 @@ impl Table {
 mod tests {
     use super::*;
 
+    fn row(cells: &[&str]) -> Vec<String> {
+        cells.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn renders_aligned() {
         let mut t = Table::new(&["x", "value"]);
-        t.row(&["1", "10.5"]).row(&["100", "3.25"]);
+        t.row_owned(row(&["1", "10.5"]))
+            .row_owned(row(&["100", "3.25"]));
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[1].starts_with('-'));
         // Right-aligned: "  1" under "  x".
         assert!(lines[2].starts_with("  1"));
-        assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
     }
 
     #[test]
     fn csv_output() {
         let mut t = Table::new(&["a", "b"]);
-        t.row(&["1", "2"]);
+        t.row_owned(row(&["1", "2"]));
         assert_eq!(t.to_csv(), "a,b\n1,2\n");
     }
 
@@ -135,7 +126,7 @@ mod tests {
     #[should_panic(expected = "row width")]
     fn mismatched_row_panics() {
         let mut t = Table::new(&["a", "b"]);
-        t.row(&["only one"]);
+        t.row_owned(row(&["only one"]));
     }
 
     #[test]

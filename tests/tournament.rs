@@ -1,15 +1,19 @@
 //! Tournament + slack sweep gate (CI): the scorecard (and a `fig3` panel)
 //! must be byte-identical at any `--threads`, the scorecard's CSV must
-//! carry the documented schema, and a slack-reservation run traced under
-//! a fault storm must re-verify offline through `verify_trace`.
+//! carry the documented schema, a slack-reservation run traced under
+//! a fault storm must re-verify offline through `verify_trace`, and
+//! `verify_trace` answers a damaged trace with exit 1, never a panic.
 //!
 //! Exercises the full binary surface via `CARGO_BIN_EXE_*`: set
 //! generation from `(seed, set index)`, the exact global-EDF test inside
 //! the scoring path, SweepDriver sharding, and the schema-v2 trace
 //! round-trip.
 
+use proptest::prelude::*;
+use sched_sim::{ScheduleTrace, TraceEvent};
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::sync::OnceLock;
 
 /// Small but full-roster: 8 U/M steps × 8 schemes = 64 points, 3 sets
 /// each, one 720-quantum hyperperiod per exact-test simulation.
@@ -51,6 +55,7 @@ fn run(bin: &str, args: &[&str], extra: &[&str]) -> Output {
         "fig3" => env!("CARGO_BIN_EXE_fig3"),
         "slack" => env!("CARGO_BIN_EXE_slack"),
         "verify_trace" => env!("CARGO_BIN_EXE_verify_trace"),
+        "faults" => env!("CARGO_BIN_EXE_faults"),
         other => panic!("unknown binary {other}"),
     };
     Command::new(exe)
@@ -185,4 +190,136 @@ fn bad_flags_exit_two() {
         &[],
     );
     assert_eq!(out.status.code(), Some(2));
+}
+
+/// A valid trace of a fault-stop run with full recovery (CI's faulted
+/// trace smoke), written and read once.
+fn faults_trace() -> &'static ScheduleTrace {
+    static TRACE: OnceLock<ScheduleTrace> = OnceLock::new();
+    TRACE.get_or_init(|| {
+        let (tr, tr_str) = temp_path("faults-trace.json");
+        let args = [
+            "--tasks",
+            "5",
+            "--util",
+            "1.25",
+            "--sets",
+            "1",
+            "--horizon",
+            "300",
+            "--seed",
+            "3",
+            "--recovery",
+            "full",
+            "--trace",
+            &tr_str,
+            "--trace-kind",
+            "failstop",
+            "--trace-level",
+            "0.25",
+        ];
+        stdout_of(&run("faults", &args, &[]));
+        let json = std::fs::read_to_string(&tr).unwrap();
+        let _ = std::fs::remove_file(&tr);
+        ScheduleTrace::from_json(&json).expect("a valid trace")
+    })
+}
+
+/// One numeric field of a trace.
+enum Field<'a> {
+    U32(&'a mut u32),
+    U64(&'a mut u64),
+}
+
+/// Every numeric field of `trace` in four groups: the processor count,
+/// the tasks' parameters, the slots' ids and the events' fields.
+fn fields(trace: &mut ScheduleTrace) -> [Vec<Field<'_>>; 4] {
+    let header = vec![Field::U32(&mut trace.processors)];
+    let mut tasks = Vec::new();
+    for (e, p) in &mut trace.tasks {
+        tasks.extend([Field::U64(e), Field::U64(p)]);
+    }
+    let slots = trace.slots.iter_mut().flatten().map(Field::U32).collect();
+    let mut out = Vec::new();
+    for ev in &mut trace.events {
+        match ev {
+            TraceEvent::ProcDown { slot, proc } => out.extend([Field::U64(slot), Field::U32(proc)]),
+            TraceEvent::QuantumLoss { slot, proc, task } => {
+                out.extend([Field::U64(slot), Field::U32(proc), Field::U32(task)])
+            }
+            TraceEvent::Overrun {
+                slot,
+                task,
+                job,
+                extra,
+            } => out.extend([
+                Field::U64(slot),
+                Field::U32(task),
+                Field::U64(job),
+                Field::U64(extra),
+            ]),
+            TraceEvent::Burst { task, job, delay } => {
+                out.extend([Field::U32(task), Field::U64(job), Field::U64(delay)])
+            }
+            TraceEvent::Shed { slot, task } => out.extend([Field::U64(slot), Field::U32(task)]),
+            TraceEvent::Rejoin {
+                slot,
+                task,
+                exec,
+                period,
+            } => out.extend([
+                Field::U64(slot),
+                Field::U32(task),
+                Field::U64(exec),
+                Field::U64(period),
+            ]),
+            TraceEvent::CatchUp { slot } => out.push(Field::U64(slot)),
+            TraceEvent::Capacity { slot, processors } => {
+                out.extend([Field::U64(slot), Field::U32(processors)])
+            }
+        }
+    }
+    [header, tasks, slots, out]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One field of a valid faulted trace, of each group in turn, set to
+    /// 0, 1, 2, 99 or a type's maximum: `verify_trace` accepts the result
+    /// or refuses it with a message and exit 1. A panic would be exit 101.
+    #[test]
+    fn verify_trace_refuses_a_damaged_trace_without_panicking(
+        group in 0usize..4,
+        site in 0usize..100_000,
+        value in prop::sample::select(vec![0u64, 1, 2, 99, u64::from(u32::MAX), u64::MAX]),
+    ) {
+        let mut trace = faults_trace().clone();
+        let mut groups = fields(&mut trace);
+        let fields = &mut groups[group];
+        let n = fields.len();
+        prop_assert!(n > 0, "the trace has no field of group {}", group);
+        match &mut fields[site % n] {
+            Field::U32(f) => **f = u32::try_from(value).unwrap_or(u32::MAX),
+            Field::U64(f) => **f = value,
+        }
+        let (tr, tr_str) = temp_path(&format!("damaged-{site}-{value}.json"));
+        std::fs::write(&tr, trace.to_json()).unwrap();
+        let out = run("verify_trace", &["--input", &tr_str], &[]);
+        let _ = std::fs::remove_file(&tr);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        match out.status.code() {
+            Some(0) => {}
+            Some(1) => prop_assert!(!stderr.is_empty(), "exit 1 without a message"),
+            code => prop_assert!(
+                false,
+                "group {} field {} = {}: exit {:?}: {}",
+                group,
+                site % n,
+                value,
+                code,
+                stderr
+            ),
+        }
+    }
 }
