@@ -12,18 +12,17 @@
 # does not build (the catalogue must name real, compilable mutants), and
 # 2 if the unmutated copy fails its tests.
 #
-# Usage: ci/mutants.sh [catalogue]   (default ci/mutants.txt)
+# Usage: ci/mutants.sh
 # Environment: MUTANTS_WORK (scratch directory, default a fresh mktemp
-# dir), CARGO_TARGET_DIR (default <work>/target), MUTANT_TIMEOUT (seconds
-# a mutant's test run may take, default 3600; a timeout counts as a kill).
+# dir), CARGO_TARGET_DIR (default <work>/target). A test run longer than
+# an hour is stopped and counts as a kill.
 set -euo pipefail
 # `&` in a replacement is literal text here, not the matched snippet.
 shopt -u patsub_replacement 2>/dev/null || true
 repo=$(cd "$(dirname "$0")/.." && pwd)
-catalogue=$(realpath "${1:-$repo/ci/mutants.txt}")
 work=${MUTANTS_WORK:-$(mktemp -d)}
 export CARGO_TARGET_DIR=${CARGO_TARGET_DIR:-$work/target}
-limit=${MUTANT_TIMEOUT:-3600}
+limit=3600
 
 mkdir -p "$work/src"
 (cd "$repo" && git ls-files -z --cached --others --exclude-standard |
@@ -85,7 +84,7 @@ while IFS=$'\t' read -r file original mutant rule; do
         verdict=killed killers=$(failed_tests)
     fi
     printf '%-3s %-9s %-42s %s\n' "$n" "$verdict" "$label" "$killers"
-done <"$catalogue"
+done <"$repo/ci/mutants.txt"
 
 if ((status != 0)); then
     echo "mutants: a mutant survived, or a catalogue line is stale or broken" >&2

@@ -109,7 +109,8 @@ mod tests {
         assert!(!wd.observe(3, 5.0));
         assert!(!wd.observe(4, 5.0));
         assert!(wd.observe(5, 5.0)); // third consecutive slot trips
-                                     // Already tripped: further observations do not re-trip.
+
+        // Already tripped: further observations do not re-trip.
         assert!(!wd.observe(6, 9.0));
         wd.reset();
         // Re-armed: a fresh streak of three trips again.

@@ -14,7 +14,8 @@ use uniproc::analysis;
 ///
 /// `ProcState` summarizes one processor's assigned tasks; `try_add`
 /// returns the successor state iff the indexed task fits. `spare` ranks
-/// processors for Best/Worst Fit (larger = more remaining capacity).
+/// processors for Best/Worst Fit (larger = more remaining capacity); the
+/// loop asks for it only where two bins compete for a pick.
 ///
 /// # The screen
 ///
@@ -204,8 +205,9 @@ fn foreign() -> ! {
 impl Acceptance for EdfUtilization {
     type ProcState = EdfUtilizationState;
 
-    /// `spare` is `1 − f(s + u)` and `k_t − load` is `1 − u − f(s)`, with
-    /// `f` [`sum_f64`](Self::sum_f64): they differ by a few roundings of
+    /// `spare` is `1 − g(s + u)` and `k_t − load` is `1 − u − f(s)`, with
+    /// `g` the reduced fraction's `to_f64` and `f`
+    /// [`sum_f64`](Self::sum_f64): they differ by a few roundings of
     /// numbers in `[0, 1]`, ~1e-15, hundreds of times less than this.
     const RANK_SLACK: f64 = 1e-12;
 
@@ -239,8 +241,19 @@ impl Acceptance for EdfUtilization {
             .map(|s| EdfUtilizationState(UtilSum::Rat(s)))
     }
 
+    /// `1 −` the sum in lowest terms, in `f64`, whatever its form. Best
+    /// and Worst Fit rank bins on this, so it must round as the [`Rat`]
+    /// sum does: `S / D` from the two numbers' `f64` images can be an ulp
+    /// away, and bins within an ulp of each other would then rank apart.
+    /// Reducing `S / D` costs a gcd, but the packing loop asks for a
+    /// spare only where two bins compete.
     fn spare(&self, state: &EdfUtilizationState) -> f64 {
-        1.0 - self.sum_f64(state)
+        let sum = match (state.0, &self.common) {
+            (UtilSum::Common(s), Some(c)) => Rat::new(s as i128, c.den as i128),
+            (UtilSum::Rat(s), _) => s,
+            (UtilSum::Common(_), None) => foreign(),
+        };
+        1.0 - sum.to_f64()
     }
 
     /// The sum in `f64`; NaN outside `[0, 1]`, where no packing goes and
@@ -718,6 +731,10 @@ mod tests {
         let below = (1 << 127) - (1 << 63);
         assert_eq!(den(&[(1, 1 << 63), (1, u64::MAX)]), Some(below));
         assert_eq!(den(&[(1, u64::MAX - 2), (1, u64::MAX)]), None);
+        // Every period of the 5 ms grid, 10–250 ms: D = 5000·lcm(2..50),
+        // the most any set on the grid can have.
+        let grid: Vec<(u64, u64)> = (2..=50).map(|k| (1, 5_000 * k)).collect();
+        assert_eq!(den(&grid), Some(5_000 * 3_099_044_504_245_996_706_400));
         // A task that fits no bin is `D + 1`, whatever its exact size.
         let acc = EdfUtilization::new(&[(3, 2), (u64::MAX, 1), (1, 3)]);
         let c = acc.common.as_ref().unwrap();

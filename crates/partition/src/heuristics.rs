@@ -335,7 +335,8 @@ fn best_or_worst<A: Acceptance>(
         by_load.first().filter(|&&(key, _)| key <= order_key(fits))
     }
     .map(|&(_, bin)| bin as usize);
-    let mut pick: Option<(usize, f64, A::ProcState)> = None;
+    // The pick and, once another bin has competed with it, its spare.
+    let mut pick: Option<(usize, Option<f64>, A::ProcState)> = None;
     // The anchor's rank once it is known to fit. A bin ranked more than
     // `band` below it is skipped; `f64` subtraction rounds monotonically,
     // so a computed gap above `band` is a real one, the gaps grow along
@@ -344,7 +345,7 @@ fn best_or_worst<A: Acceptance>(
     let band = 2.0 * A::RANK_SLACK;
     if let Some(a) = anchor {
         if let Some(next) = probe.exact(&states[a], loads[a]) {
-            pick = Some((a, acc.spare(&next), next));
+            pick = Some((a, None, next));
             anchored = Some(sign * loads[a]);
         }
     }
@@ -371,16 +372,21 @@ fn best_or_worst<A: Acceptance>(
         if anchor == Some(p) {
             continue;
         }
-        if let Some(next) = probe.exact(&states[p], loads[p]) {
-            let spare = acc.spare(&next);
-            let wins = match &pick {
-                None => true,
-                Some((q, s, _)) => better(spare, *s) || (spare == *s && p < *q),
-            };
-            if wins {
-                pick = Some((p, spare, next));
+        let Some(next) = probe.exact(&states[p], loads[p]) else {
+            continue;
+        };
+        let spare = match &mut pick {
+            None => None,
+            Some((q, held, state)) => {
+                let held = *held.get_or_insert_with(|| acc.spare(state));
+                let spare = acc.spare(&next);
+                if !(better(spare, held) || (spare == held && p < *q)) {
+                    continue;
+                }
+                Some(spare)
             }
-        }
+        };
+        pick = Some((p, spare, next));
     }
     pick.map(|(p, _, next)| (p, next))
 }
@@ -524,7 +530,7 @@ mod tests {
     use super::*;
     use crate::accept::{EdfOverheadAware, EdfUtilization, RmExact, RmLiuLayland};
     use overhead::OverheadParams;
-    use pfair_model::PhysTask;
+    use pfair_model::{PhysTask, Rat};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1266,6 +1272,116 @@ mod tests {
                 ("BFD", 251, 1_001, 0),
             ]
         );
+    }
+
+    /// [`EdfUtilization`] as it was before its common denominator: each
+    /// bin's sum is a [`Rat`] in lowest terms, and `load` and `spare` read
+    /// that fraction's `to_f64`. The screen's bounds are the test's own.
+    struct RatSums<'a> {
+        inner: &'a EdfUtilization,
+        utils: Vec<Rat>,
+    }
+
+    impl<'a> RatSums<'a> {
+        fn new(inner: &'a EdfUtilization, pairs: &[(u64, u64)]) -> Self {
+            let utils = pairs
+                .iter()
+                .map(|&(e, p)| Rat::new(e as i128, p as i128))
+                .collect();
+            RatSums { inner, utils }
+        }
+    }
+
+    impl Acceptance for RatSums<'_> {
+        type ProcState = Rat;
+        const RANK_SLACK: f64 = EdfUtilization::RANK_SLACK;
+        fn empty(&self) -> Rat {
+            Rat::ZERO
+        }
+        fn try_add(&self, state: &Rat, task_idx: usize) -> Option<Rat> {
+            let u = self.utils[task_idx];
+            if u > state.one_minus() {
+                return None;
+            }
+            state.checked_add(u)
+        }
+        fn spare(&self, state: &Rat) -> f64 {
+            1.0 - state.to_f64()
+        }
+        fn load(&self, state: &Rat) -> f64 {
+            let load = state.to_f64();
+            if (0.0..=1.0).contains(&load) {
+                load
+            } else {
+                f64::NAN
+            }
+        }
+        fn room(&self, task_idx: usize) -> (f64, f64) {
+            self.inner.room(task_idx)
+        }
+    }
+
+    /// Whether every `(heuristic, order)` packs with [`EdfUtilization`],
+    /// through today's loop, as the parent's loop packs with [`RatSums`].
+    /// Where a common denominator `D` fits, `load` reads `S / D` from the
+    /// two numbers' `f64` images, which can be an ulp from the reduced
+    /// fraction's; a `spare` read that way ranked the near-identical
+    /// tasks of `drawn_set`'s shape 4 apart from the `Rat` sums.
+    fn packs_as_rat_sums(
+        pairs: &[(u64, u64)],
+        schemes: impl IntoIterator<Item = (Heuristic, SortOrder)>,
+    ) -> Result<(), TestCaseError> {
+        let acc = EdfUtilization::new(pairs);
+        let spec = RatSums::new(&acc, pairs);
+        let off = PartitionObs::new(&obs::Recorder::disabled());
+        for (h, ord) in schemes {
+            prop_assert_eq!(
+                partition_unbounded_with_obs(pairs.len(), &acc, h, ord, keys_for(pairs), &off),
+                parent_partition_with_obs(
+                    pairs.len(),
+                    &spec,
+                    h,
+                    ord,
+                    u32::MAX,
+                    keys_for(pairs),
+                    &off,
+                ),
+                "{:?} {:?}",
+                h,
+                ord
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// The common sums pack every drawn set as the `Rat` sums did,
+        /// for every heuristic and order.
+        #[test]
+        fn prop_common_sums_pack_as_rat_sums(shape in 0u8..5, seed in 0u64..u64::MAX) {
+            let pairs = drawn_set(shape, seed);
+            let all = Heuristic::ALL.iter().flat_map(|&h| ORDERS.map(|ord| (h, ord)));
+            packs_as_rat_sums(&pairs, all)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases((ProptestConfig::default().cases / 32).max(2)))]
+
+        /// The six packing schemes pack sets of the benchmark's
+        /// `pack_exact` shape, where the common denominator fits, as the
+        /// `Rat` sums did: n = 1,000 at U = 250 on the 5 ms period grid.
+        #[test]
+        fn prop_common_sums_pack_as_rat_sums_on_the_5_ms_grid(seed in 0u64..u64::MAX) {
+            let pairs: Vec<(u64, u64)> = workload::TaskSetGenerator::new(1000, 250.0, seed)
+                .with_quantum(5_000)
+                .with_period_range(10_000, 250_000)
+                .generate()
+                .iter()
+                .map(|t| (t.wcet_us, t.period_us))
+                .collect();
+            packs_as_rat_sums(&pairs, PACKING_SCHEMES.map(|(h, ord, _)| (h, ord)))?;
+        }
     }
 
     /// An acceptance test that counts its evaluations.

@@ -14,7 +14,8 @@
 //!   Equation (3)'s EDF case with on-the-fly `max D(U)` tracking. The
 //!   EDF test sums exactly: over one common denominator `D` of the task
 //!   set, where `D < 2^127`, a probe is one integer add and compare;
-//!   otherwise in `Rat`.
+//!   otherwise in `Rat`. Its `spare` is the reduced sum's, so Best and
+//!   Worst Fit rank bins as they would on `Rat` sums.
 //! * [`bounds`] — the Lopez et al. test `ΣU ≤ (βM + 1)/(β + 1)` \[27\],
 //!   whose `β = 1` case is the `(M+1)/2` worst case.
 //!
@@ -28,8 +29,9 @@
 //! best-ranked bin that surely fits is one lookup, and is checked first;
 //! then only the bins whose load lies within `2·RANK_SLACK` of its are
 //! evaluated, one range of the index: the exact pick, and every bin tied
-//! with it, must lie there. Every packing is the one an exact evaluation
-//! of every bin would give, bin for bin.
+//! with it, must lie there. `spare` is asked for only where two bins
+//! compete. Every packing is the one an exact evaluation of every bin
+//! would give, bin for bin.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

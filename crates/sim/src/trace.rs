@@ -392,7 +392,9 @@ impl ScheduleTrace {
                 Task::new(e, p).map_err(|why| format!("invalid trace: task {i} ({e}, {p}): {why}"))
             })
             .collect::<Result<TaskSet, String>>()?;
-        let rejoined: Vec<u32> = self
+        // Sorted once, so that each id in a slot costs one binary search:
+        // a daemon trace records every admission as a rejoin.
+        let mut rejoined: Vec<u32> = self
             .events
             .iter()
             .filter_map(|ev| match *ev {
@@ -400,10 +402,12 @@ impl ScheduleTrace {
                 _ => None,
             })
             .collect();
+        rejoined.sort_unstable();
+        rejoined.dedup();
         for (t, slot) in self.slots.iter().enumerate() {
             if let Some(id) = slot
                 .iter()
-                .find(|&&id| id as usize >= tasks.len() && !rejoined.contains(&id))
+                .find(|&&id| id as usize >= tasks.len() && rejoined.binary_search(&id).is_err())
             {
                 return Err(format!(
                     "invalid trace: slot {t} names task {id}, which is neither one of the {} \
@@ -632,6 +636,30 @@ mod tests {
         rejoined.slots[2][0] = 3;
         rejoined.events = all_event_kinds();
         assert!(ScheduleTrace::from_json(&rejoined.to_json()).is_ok());
+    }
+
+    /// A trace of many rejoins, each id scheduled in its own slots and in
+    /// no particular order, reads as valid; an id one past them does not.
+    /// 20,000 ids over 60,000 slots: a linear search of the rejoins for
+    /// every id in every slot would make this test take seconds.
+    #[test]
+    fn many_rejoins_read_in_time() {
+        let n: u32 = 20_000;
+        let mut trace = traced_run().1;
+        // Rejoin ids 3.. in an order that is not sorted.
+        trace.events = (0..n)
+            .map(|k| TraceEvent::Rejoin {
+                slot: u64::from(k),
+                task: 3 + (k * 7_919) % n,
+                exec: 1,
+                period: 2,
+            })
+            .collect();
+        trace.slots = (0..3 * n).map(|t| vec![3 + t / 3]).collect();
+        assert_eq!(trace.task_set().map(|tasks| tasks.len()), Ok(3));
+        trace.slots[3 * n as usize - 1] = vec![3 + n];
+        let err = trace.task_set().unwrap_err();
+        assert!(err.contains(&format!("names task {}", 3 + n)), "{err}");
     }
 
     #[test]
