@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Determinism smoke: every parallel sweep binary must emit byte-identical
-# CSV at --threads 1 and --threads 4.
+# Determinism smoke: every parallel sweep command of `pfair` must emit
+# byte-identical CSV at --threads 1 and --threads 4.
 #
-# The roster is DERIVED, not maintained: any binary under
-# crates/experiments/src/bin/ that instantiates SweepDriver is picked up
-# automatically, and the script fails loudly if it has no smoke_args case
-# below — adding a sweep binary without wiring it into this gate is a CI
-# error by construction.
+# The roster is DERIVED, not maintained: `pfair` lists its commands, and
+# every one whose module (crates/experiments/src/bin/pfair/<command>.rs)
+# instantiates SweepDriver is picked up automatically. The script fails
+# loudly if such a command has no smoke_args case below — adding a sweep
+# command without wiring it into this gate is a CI error by construction.
 #
 # Env: BIN_DIR (default ./target/release), METRICS_DIR (default
 # smoke-metrics) for the --threads 1 run's --metrics-out JSON.
@@ -16,12 +16,22 @@ B=${BIN_DIR:-./target/release}
 OUT=${METRICS_DIR:-smoke-metrics}
 mkdir -p "$OUT"
 
-sweep_binaries() {
-  grep -l 'SweepDriver::new(' crates/experiments/src/bin/*.rs \
-    | xargs -n1 basename | sed 's/\.rs$//' | sort
+# `pfair` alone exits 2 and lists its commands on stderr.
+commands=$("$B/pfair" 2>&1 | sed -n 's/^commands: //p' || true)
+if [ -z "$commands" ]; then
+  echo "$0: $B/pfair listed no commands" >&2
+  exit 1
+fi
+
+sweep_commands() {
+  for name in $commands; do
+    if grep -q 'SweepDriver::new(' "crates/experiments/src/bin/pfair/$name.rs"; then
+      echo "$name"
+    fi
+  done
 }
 
-# Small-but-representative flags per binary; keep each under ~10 s.
+# Small-but-representative flags per command; keep each under ~10 s.
 smoke_args() {
   case "$1" in
     ablation)   echo "--sets 5 --seed 3" ;;
@@ -40,17 +50,17 @@ smoke_args() {
 }
 
 status=0
-for name in $(sweep_binaries); do
+for name in $(sweep_commands); do
   if ! args=$(smoke_args "$name"); then
-    echo "$0: sweep binary '$name' uses SweepDriver but has no smoke_args" \
+    echo "$0: sweep command '$name' uses SweepDriver but has no smoke_args" \
          "case — add one to ci/determinism-smoke.sh" >&2
     status=1
     continue
   fi
   # shellcheck disable=SC2086
-  "$B/$name" $args --csv --threads 1 --metrics-out "$OUT/$name.json" > "$name.t1.csv"
+  "$B/pfair" "$name" $args --csv --threads 1 --metrics-out "$OUT/$name.json" > "$name.t1.csv"
   # shellcheck disable=SC2086
-  "$B/$name" $args --csv --threads 4 > "$name.t4.csv"
+  "$B/pfair" "$name" $args --csv --threads 4 > "$name.t4.csv"
   diff "$name.t1.csv" "$name.t4.csv"
   echo "$name: byte-identical across thread counts"
   rm -f "$name.t1.csv" "$name.t4.csv"

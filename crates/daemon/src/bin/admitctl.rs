@@ -41,7 +41,7 @@ const FLAGS: &[Flag] = &[
 ];
 
 fn main() {
-    let cli = Args::parse("admitctl", &[FLAGS]);
+    let cli = Args::parse("admitctl", &[FLAGS], std::env::args().skip(1));
     let addr = match (cli.get("socket"), cli.get("tcp")) {
         (Some(path), None) => DaemonAddr::Unix(PathBuf::from(path)),
         (None, Some(addr)) => DaemonAddr::Tcp(addr.to_string()),

@@ -50,7 +50,7 @@ const FLAGS: &[Flag] = &[
 ];
 
 fn main() {
-    let cli = Args::parse("admitd", &[FLAGS]);
+    let cli = Args::parse("admitd", &[FLAGS], std::env::args().skip(1));
     let bind = match (cli.get("socket"), cli.get("listen")) {
         (Some(path), None) => Bind::Unix(PathBuf::from(path)),
         (None, Some(addr)) => Bind::Tcp(addr.to_string()),
@@ -59,22 +59,19 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let cpus: u32 = cli.get_or("cpus", 4);
+    let cpus: u32 = cli.get_in("cpus", 4, 1..=1024);
 
     let mut params = if cli.flag("no-overhead") {
         OverheadParams::zero()
     } else {
         OverheadParams::paper2003()
     };
-    params.quantum_us = cli.get_or("quantum-us", params.quantum_us);
+    params.quantum_us = cli.get_in("quantum-us", params.quantum_us, 1..);
     params.ctx_switch_us = cli.get_or("ctx-switch-us", params.ctx_switch_us);
 
     let mut cfg = ServerConfig::bound(bind, cpus);
     cfg.core.params = params;
-    cfg.core.max_batch = cli.get_or("max-batch", cfg.core.max_batch);
-    if cfg.core.max_batch == 0 {
-        cli.refuse("admitd", "--max-batch must be at least 1");
-    }
+    cfg.core.max_batch = cli.get_in("max-batch", cfg.core.max_batch, 1..);
     cfg.core.record_trace = !cli.flag("no-trace");
     cfg.snapshot_every = cli.get_or("snapshot-every", cfg.snapshot_every);
     cfg.max_sets = cli.get_or("max-sets", cfg.max_sets);

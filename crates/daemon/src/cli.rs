@@ -1,16 +1,21 @@
 //! Minimal command-line parsing for every binary of the workspace
 //! (hand-rolled to keep the dependency set inside the approved list; it
 //! lives here because `experiments` depends on this crate, so both the
-//! daemon binaries and the sweep binaries see it).
+//! daemon binaries and `pfair` see it).
 //!
-//! A binary declares the flags it reads once, as a `&[Flag]` next to its
-//! `main`, and hands the list to [`Args::parse`]. Anything else on the
-//! command line — an unknown `--flag`, a stray positional, a value flag
+//! A binary (or a command of `pfair`) declares the flags it reads once,
+//! as a `&[Flag]` next to its entry point, and hands the list to
+//! [`Args::parse`] with its argument tail. Anything else on the command
+//! line — an unknown `--flag`, a stray positional, a value flag
 //! without its value — is a usage error (exit 2), so a mistyped flag can
 //! never run a sweep, or start a daemon, it does not describe. The usage
-//! line `--help` prints is built from the same list.
+//! line `--help` prints is built from the same list, and so is the one a
+//! value out of its declared range ([`Args::get_in`]) prints.
 
 use std::collections::HashMap;
+use std::fmt::Display;
+use std::ops::{Bound, RangeBounds};
+use std::str::FromStr;
 
 /// One argument a binary accepts.
 #[derive(Debug, Clone, Copy)]
@@ -73,6 +78,8 @@ fn usage(binary: &str, flags: &[Flag]) -> String {
 /// Parsed `--key value` / `--flag` arguments.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
+    /// What usage errors are prefixed with: `admitd`, or `pfair fig3`.
+    binary: String,
     values: HashMap<String, String>,
     switches: Vec<String>,
     command: Option<String>,
@@ -83,21 +90,24 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses the process arguments against the flags `binary` declares
-    /// (its own list plus any shared ones). `--help` prints the usage
-    /// line and exits 0; a usage error prints `<binary>: <what>` and the
-    /// usage line on stderr and exits 2.
-    pub fn parse(binary: &str, flags: &[&[Flag]]) -> Self {
+    /// Parses `argv` (the arguments after the binary's name, or after
+    /// `pfair <command>`) against the flags `binary` declares (its own list
+    /// plus any shared ones). `--help` prints the usage line and exits 0;
+    /// a usage error prints `<binary>: <what>` and the usage line on
+    /// stderr and exits 2.
+    pub fn parse<I: IntoIterator<Item = String>>(binary: &str, flags: &[&[Flag]], argv: I) -> Self {
         let flags = flags.concat();
-        let items: Vec<String> = std::env::args().skip(1).collect();
+        let items: Vec<String> = argv.into_iter().collect();
         if items.iter().any(|a| a == "--help") {
             println!("{}", usage(binary, &flags));
             std::process::exit(0);
         }
-        Self::from_args(&flags, items).unwrap_or_else(|e| {
+        let mut args = Self::from_args(&flags, items).unwrap_or_else(|e| {
             eprintln!("{binary}: {e}\n{}", usage(binary, &flags));
             std::process::exit(2);
-        })
+        });
+        args.binary = binary.to_string();
+        args
     }
 
     /// Parses from an explicit iterator (testable): `Err` describes the
@@ -162,9 +172,9 @@ impl Args {
 
     /// Parses `--name` as `T`, with a default; a malformed value is an
     /// `Err` describing the flag, the raw text, and the parse failure.
-    pub fn try_get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String>
+    fn try_get_or<T: FromStr>(&self, name: &str, default: T) -> Result<T, String>
     where
-        T::Err: std::fmt::Display,
+        T::Err: Display,
     {
         match self.get(name) {
             None => Ok(default),
@@ -172,42 +182,75 @@ impl Args {
         }
     }
 
-    /// Parses `--name` as `T`, with a default. A malformed value prints
-    /// the error to stderr and exits with code 2 (usage error) — binaries
-    /// should fail a bad invocation cleanly, not with a panic and
-    /// backtrace.
-    pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T
+    /// Parses `--name` as `T`, with a default. A malformed value is a
+    /// usage error: `<binary>: <what>` and the usage line on stderr, exit
+    /// 2 — binaries should fail a bad invocation cleanly, not with a panic
+    /// and backtrace.
+    pub fn get_or<T: FromStr>(&self, name: &str, default: T) -> T
     where
-        T::Err: std::fmt::Display,
+        T::Err: Display,
     {
-        self.try_get_or(name, default).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
+        self.try_get_or(name, default)
+            .unwrap_or_else(|e| self.refuse(&e))
+    }
+
+    /// Parses `--name` as `T` within `range`, with a default; an `Err`
+    /// describes a malformed value, or one outside `range` (`--name must
+    /// be at least …`, or `between … and …`).
+    pub fn try_get_in<T, R>(&self, name: &str, default: T, range: R) -> Result<T, String>
+    where
+        T: FromStr + PartialOrd + Display,
+        T::Err: Display,
+        R: RangeBounds<T>,
+    {
+        let value = self.try_get_or(name, default)?;
+        if range.contains(&value) {
+            return Ok(value);
+        }
+        let bound = match (range.start_bound(), range.end_bound()) {
+            (Bound::Included(lo), Bound::Included(hi)) => format!("between {lo} and {hi}"),
+            (Bound::Included(lo), _) => format!("at least {lo}"),
+            (_, Bound::Included(hi)) => format!("at most {hi}"),
+            _ => "in range".to_string(),
+        };
+        Err(format!("--{name} must be {bound} (got {value})"))
+    }
+
+    /// [`Args::get_or`] within `range`: a value outside it is a usage
+    /// error too, so nonsense such as `--tasks 0` never runs.
+    pub fn get_in<T, R>(&self, name: &str, default: T, range: R) -> T
+    where
+        T: FromStr + PartialOrd + Display,
+        T::Err: Display,
+        R: RangeBounds<T>,
+    {
+        self.try_get_in(name, default, range)
+            .unwrap_or_else(|e| self.refuse(&e))
     }
 
     /// Refuses a command line whose flags parsed but whose values the
     /// binary cannot run with: prints `<binary>: <what>` and the usage line
     /// on stderr and exits 2, as a parse error does.
-    pub fn refuse(&self, binary: &str, what: &str) -> ! {
-        eprintln!("{binary}: {what}\n{}", usage(binary, &self.declared));
+    fn refuse(&self, what: &str) -> ! {
+        eprintln!(
+            "{}: {what}\n{}",
+            self.binary,
+            usage(&self.binary, &self.declared)
+        );
         std::process::exit(2);
     }
 
     /// Parses `--name` as `T` where the invocation cannot go on without
-    /// it; a missing or malformed value prints the error and exits 2.
-    pub fn require<T: std::str::FromStr>(&self, name: &str) -> T
+    /// it; a missing or malformed value is a usage error (exit 2).
+    pub fn require<T: FromStr>(&self, name: &str) -> T
     where
-        T::Err: std::fmt::Display,
+        T::Err: Display,
     {
         let parsed = match self.get(name) {
             None => Err(format!("missing required --{name}")),
             Some(raw) => raw.parse().map_err(|e| format!("--{name} {raw}: {e}")),
         };
-        parsed.unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
+        parsed.unwrap_or_else(|e| self.refuse(&e))
     }
 }
 
@@ -245,6 +288,25 @@ mod tests {
         assert!(err.contains("fifty"), "{err}");
         // Well-formed and absent values still parse.
         assert_eq!(a.try_get_or("sets", 9usize), Ok(9));
+    }
+
+    #[test]
+    fn ranged_values_name_their_bounds() {
+        let a = Args::from_args(FLAGS, ["--tasks", "0", "--sets", "5"]).unwrap();
+        assert_eq!(a.try_get_in("sets", 1usize, 1..), Ok(5));
+        assert_eq!(a.try_get_in("seed", 7u64, 1..=9), Ok(7));
+        let err = a.try_get_in("tasks", 1usize, 1..).unwrap_err();
+        assert_eq!(err, "--tasks must be at least 1 (got 0)");
+        let err = a.try_get_in("tasks", 1usize, 1..=1024).unwrap_err();
+        assert_eq!(err, "--tasks must be between 1 and 1024 (got 0)");
+        let err = a.try_get_in("sets", 1usize, 6..).unwrap_err();
+        assert_eq!(err, "--sets must be at least 6 (got 5)");
+        // A malformed value is still the parse error.
+        let a = Args::from_args(FLAGS, ["--tasks", "x"]).unwrap();
+        assert!(a
+            .try_get_in("tasks", 1usize, 1..)
+            .unwrap_err()
+            .contains("--tasks x"));
     }
 
     #[test]

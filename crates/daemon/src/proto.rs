@@ -181,11 +181,6 @@ impl Request {
         self.set = Some(set.into());
         self
     }
-
-    /// The shard this request targets ([`DEFAULT_SET`] when unset).
-    pub fn set_name(&self) -> &str {
-        self.set.as_deref().unwrap_or(DEFAULT_SET)
-    }
 }
 
 /// Outcome of a request.
@@ -1226,7 +1221,6 @@ mod tests {
         let json = r#"{"op":"Join","nonce":3,"task":null,"wcet_us":1000,"period_us":4000}"#;
         let req = decode_request(json).unwrap();
         assert_eq!(req.set, None);
-        assert_eq!(req.set_name(), DEFAULT_SET);
     }
 
     #[test]

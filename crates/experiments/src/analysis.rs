@@ -1,4 +1,6 @@
-//! The analytic blocking bound for quantum-boundary locking (paper §5.1).
+//! The analytic blocking bound for quantum-boundary locking (paper §5.1),
+//! the `analytic bound` column of `pfair locking` beside what
+//! [`crate::locksim`] measures.
 //!
 //! Because no lock is ever held across a quantum boundary and a spinning
 //! task waits only for sections started earlier *in the same slot*,
@@ -9,16 +11,6 @@
 /// locking on `m` processors, with `max_cs_us` the longest critical
 /// section of any *other* task sharing the resource: everyone scheduled
 /// concurrently can hold/queue ahead at most once.
-///
-/// # Examples
-///
-/// ```
-/// use pfair_sync::pfair_blocking_bound;
-///
-/// // Four processors, 50 µs critical sections: wait for at most three.
-/// assert_eq!(pfair_blocking_bound(4, 50), 150);
-/// assert_eq!(pfair_blocking_bound(1, 50), 0); // nobody to wait for
-/// ```
 pub fn pfair_blocking_bound(m: u32, max_cs_us: u64) -> u64 {
     (m.saturating_sub(1)) as u64 * max_cs_us
 }

@@ -2,12 +2,12 @@
 //! deadlines on feasible, fully-utilizing task sets?
 //!
 //! PD², PD, and PF are optimal — zero misses, always. EPDF (no tie-breaks)
-//! is only optimal up to two processors; this binary quantifies its miss
+//! is only optimal up to two processors; this command quantifies its miss
 //! rate as M grows, demonstrating that the b-bit and group deadline are
 //! load-bearing.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin ablation -- [--sets 200] [--seed 7] [--threads N] [--point-retries 1] [--metrics-out m.json] [--csv]
+//! pfair ablation [--sets 200] [--seed 7] [--threads N] [--metrics-out m.json] [--csv]
 //! ```
 //!
 //! Each (M, policy) pair is one sweep point under
@@ -52,13 +52,13 @@ const PROC_COUNTS: [u32; 5] = [2, 3, 4, 6, 8];
 /// The flags `ablation` reads itself; [`SWEEP_FLAGS`] adds the driver's.
 const FLAGS: &[Flag] = &[Flag::value("sets", "N"), Flag::value("seed", "N")];
 
-fn main() {
-    let args = Args::parse("ablation", &[FLAGS, SWEEP_FLAGS]);
-    let sets: usize = args.get_or("sets", 200);
+pub fn run(argv: Vec<String>) {
+    let args = Args::parse("pfair ablation", &[FLAGS, SWEEP_FLAGS], argv);
+    let sets: usize = args.get_in("sets", 200, 1..);
     let seed: u64 = args.get_or("seed", 7);
     let rec = recorder(&args);
 
-    let mut driver = SweepDriver::new(&args, "ablation");
+    let driver = SweepDriver::new(&args);
     eprintln!(
         "ablation: {sets} full-utilization heavy task sets per M, {} threads",
         driver.threads()

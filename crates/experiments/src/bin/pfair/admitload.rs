@@ -9,11 +9,11 @@
 //! arrival source the daemon's batch-per-quantum path must absorb.
 //!
 //! ```text
-//! admitload --socket /tmp/admit.sock --requests 100000 --seed 1
-//!           [--set alpha] [--window 64] [--max-active 512]
-//!           [--burst-rate 0.2] [--burst-max 32]
-//!           [--periods 10000,20000,40000,80000]
-//! admitload --tcp 127.0.0.1:7133 [same options]
+//! pfair admitload --socket /tmp/admit.sock --requests 100000 --seed 1
+//!                 [--set alpha] [--window 64] [--max-active 512]
+//!                 [--burst-rate 0.2] [--burst-max 32]
+//!                 [--periods 10000,20000,40000,80000]
+//! pfair admitload --tcp 127.0.0.1:7133 [same options]
 //! ```
 //!
 //! `--tcp <addr:port>` drives a TCP daemon instead of a Unix socket;
@@ -50,8 +50,8 @@ const FLAGS: &[Flag] = &[
     Flag::value("periods", "US,US,..."),
 ];
 
-fn main() {
-    let args = Args::parse("admitload", &[FLAGS]);
+pub fn run(argv: Vec<String>) {
+    let args = Args::parse("pfair admitload", &[FLAGS], argv);
     let addr = match (args.get("socket"), args.get("tcp")) {
         (Some(path), None) => DaemonAddr::Unix(path.into()),
         (None, Some(a)) => DaemonAddr::Tcp(a.to_string()),

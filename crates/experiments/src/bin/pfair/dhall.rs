@@ -5,7 +5,7 @@
 //! and counts one miss), the PD² column Pfair window misses.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin dhall -- [--period 10] [--horizon 1000]
+//! pfair dhall [--period 10] [--horizon 1000]
 //! ```
 
 use experiments::{Args, Flag};
@@ -17,8 +17,8 @@ use stats::Table;
 /// Every flag `dhall` accepts.
 const FLAGS: &[Flag] = &[Flag::value("period", "N"), Flag::value("horizon", "N")];
 
-fn main() {
-    let args = Args::parse("dhall", &[FLAGS]);
+pub fn run(argv: Vec<String>) {
+    let args = Args::parse("pfair dhall", &[FLAGS], argv);
     let p: u64 = args.get_or("period", 10);
     let horizon: u64 = args.get_or("horizon", 1_000);
 

@@ -8,7 +8,7 @@
 //! loads, on identical workloads.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin erfair -- [--tasks 20] [--cpus 4] [--sets 30] [--slots 5000] [--seed 1] [--threads N] [--point-retries 1] [--metrics-out m.json] [--csv]
+//! pfair erfair [--tasks 20] [--cpus 4] [--sets 30] [--slots 5000] [--seed 1] [--threads N] [--metrics-out m.json] [--csv]
 //! ```
 //!
 //! Each (load, algorithm) pair is one sweep point under
@@ -146,16 +146,16 @@ const FLAGS: &[Flag] = &[
     Flag::value("seed", "N"),
 ];
 
-fn main() {
-    let args = Args::parse("erfair", &[FLAGS, SWEEP_FLAGS]);
-    let n: usize = args.get_or("tasks", 20);
-    let m: u32 = args.get_or("cpus", 4);
-    let sets: usize = args.get_or("sets", 30);
+pub fn run(argv: Vec<String>) {
+    let args = Args::parse("pfair erfair", &[FLAGS, SWEEP_FLAGS], argv);
+    let n: usize = args.get_in("tasks", 20, 1..);
+    let m: u32 = args.get_in("cpus", 4, 1..=1024);
+    let sets: usize = args.get_in("sets", 30, 1..);
     let slots: u64 = args.get_or("slots", 5_000);
     let seed: u64 = args.get_or("seed", 1);
     let rec = recorder(&args);
 
-    let mut driver = SweepDriver::new(&args, "erfair");
+    let driver = SweepDriver::new(&args);
     eprintln!(
         "erfair: N={n}, M={m}, {sets} sets × {slots} slots, {} threads",
         driver.threads()

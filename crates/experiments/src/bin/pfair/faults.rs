@@ -2,10 +2,10 @@
 //! fault intensity grows, across several fault types.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin faults -- [--tasks 10] [--util 2.5] \
+//! pfair faults [--tasks 10] [--util 2.5] \
 //!     [--sets 20] [--horizon 2000] [--seed 1] [--recovery none|shed|catchup|full] \
 //!     [--trace ft.json] [--trace-kind failstop] [--trace-level 0.25] \
-//!     [--threads N] [--point-retries 1] [--metrics-out m.json] [--csv]
+//!     [--threads N] [--metrics-out m.json] [--csv]
 //! ```
 //!
 //! Each point fixes a fault type and an intensity level, generates `--sets`
@@ -30,8 +30,7 @@
 //!
 //! Points run through [`experiments::SweepDriver`] (`--threads`,
 //! byte-identical output for any thread count). Exit codes: 0 success,
-//! 1 a point exhausted `--point-retries` (partial table printed),
-//! 2 usage error.
+//! 2 usage error, 101 a panicking point (no table printed).
 
 use experiments::{recorder, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use faults::{run_edf, run_pd2, FaultConfig, RecoveryPolicy, SlackPlan};
@@ -93,11 +92,11 @@ const FLAGS: &[Flag] = &[
     Flag::value("trace-level", "X"),
 ];
 
-fn main() {
-    let args = Args::parse("faults", &[FLAGS, SWEEP_FLAGS]);
-    let n: usize = args.get_or("tasks", 10);
+pub fn run(argv: Vec<String>) {
+    let args = Args::parse("pfair faults", &[FLAGS, SWEEP_FLAGS], argv);
+    let n: usize = args.get_in("tasks", 10, 1..);
     let util: f64 = args.get_or("util", n as f64 / 4.0);
-    let sets: usize = args.get_or("sets", 20);
+    let sets: usize = args.get_in("sets", 20, 1..);
     let horizon: u64 = args.get_or("horizon", 2_000);
     let seed: u64 = args.get_or("seed", 1);
     let policy: RecoveryPolicy = args.get_or("recovery", RecoveryPolicy::None);
@@ -107,7 +106,7 @@ fn main() {
     // lag-threshold profile is `slack`'s subject and not reported here.
     let bare = SlackPlan::none(f64::INFINITY);
 
-    let mut driver = SweepDriver::new(&args, "faults");
+    let driver = SweepDriver::new(&args);
     eprintln!(
         "faults: N={n}, U={util}, {sets} sets per point, recovery={recovery}, {} threads",
         driver.threads()

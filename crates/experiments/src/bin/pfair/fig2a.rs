@@ -2,10 +2,10 @@
 //! processor, as a function of task count.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin fig2a -- [--sets 100] [--horizon 1000000] [--slots 20000] [--seed 1] [--threads 1] [--point-retries 1] [--metrics-out m.json] [--csv]
+//! pfair fig2a [--sets 100] [--horizon 1000000] [--slots 20000] [--seed 1] [--threads 1] [--metrics-out m.json] [--csv]
 //! ```
 //!
-//! This binary *measures wall time*, so its points default to running
+//! This command *measures wall time*, so its points default to running
 //! serially (`--threads 1`): concurrent measurement loops would contend
 //! for the very cores being timed and corrupt the numbers. `--threads`
 //! still works for smoke runs where the timings don't matter.
@@ -22,15 +22,15 @@ const FLAGS: &[Flag] = &[
     Flag::value("seed", "N"),
 ];
 
-fn main() {
-    let args = Args::parse("fig2a", &[FLAGS, SWEEP_FLAGS]);
-    let sets: usize = args.get_or("sets", 100);
+pub fn run(argv: Vec<String>) {
+    let args = Args::parse("pfair fig2a", &[FLAGS, SWEEP_FLAGS], argv);
+    let sets: usize = args.get_in("sets", 100, 1..);
     let horizon_us: u64 = args.get_or("horizon", 1_000_000);
     let horizon_slots: u64 = args.get_or("slots", 20_000);
     let seed: u64 = args.get_or("seed", 1);
     let rec = recorder(&args);
 
-    let mut driver = SweepDriver::serial_by_default(&args, "fig2a");
+    let driver = SweepDriver::serial_by_default(&args);
     eprintln!(
         "fig2a: {sets} sets per N, EDF horizon {horizon_us}µs, PD2 horizon {horizon_slots} slots, {} threads",
         driver.threads()

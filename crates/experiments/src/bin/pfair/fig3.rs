@@ -2,7 +2,7 @@
 //! utilization grows, with Equation (3) overhead inflation.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin fig3 -- [--tasks 50] [--sets 200] [--points 15] [--seed 1] [--threads N] [--point-retries 1] [--metrics-out m.json] [--csv]
+//! pfair fig3 [--tasks 50] [--sets 200] [--points 15] [--seed 1] [--threads N] [--metrics-out m.json] [--csv]
 //! ```
 //!
 //! The paper's Fig. 3 panels are `--tasks 50 | 100 | 250 | 500`.
@@ -50,17 +50,17 @@ const FLAGS: &[Flag] = &[
     Flag::value("seed", "N"),
 ];
 
-fn main() {
-    let args = Args::parse("fig3", &[FLAGS, SWEEP_FLAGS]);
-    let n: usize = args.get_or("tasks", 50);
-    let sets: usize = args.get_or("sets", 200);
-    let points: usize = args.get_or("points", 15);
+pub fn run(argv: Vec<String>) {
+    let args = Args::parse("pfair fig3", &[FLAGS, SWEEP_FLAGS], argv);
+    let n: usize = args.get_in("tasks", 50, 1..);
+    let sets: usize = args.get_in("sets", 200, 1..);
+    let points: usize = args.get_in("points", 15, 2..);
     let seed: u64 = args.get_or("seed", 1);
     let params = OverheadParams::paper2003();
     let dist = CacheDelayDist::paper2003();
     let rec = recorder(&args);
 
-    let mut driver = SweepDriver::new(&args, "fig3");
+    let driver = SweepDriver::new(&args);
     eprintln!(
         "fig3: N={n}, {sets} sets per point, {points} utilization points, {} threads",
         driver.threads()
@@ -74,12 +74,11 @@ fn main() {
             simulate_sample(n, u, seed, shard);
         }
         eprintln!(
-            "  U={u:.2}: PD2 {:.2}  EDF-FF {:.2}  (failures: pd2={} edf={} panics={})",
+            "  U={u:.2}: PD2 {:.2}  EDF-FF {:.2}  (failures: pd2={} edf={})",
             p.pd2_procs.mean(),
             p.edf_procs.mean(),
             p.pd2_failures,
-            p.edf_failures,
-            p.worker_panics
+            p.edf_failures
         );
         vec![
             format!("{u:.2}"),

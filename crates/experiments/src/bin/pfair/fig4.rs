@@ -3,7 +3,7 @@
 //! mean task utilization grows.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin fig4 -- [--tasks 50] [--sets 200] [--points 15] [--seed 1] [--threads N] [--point-retries 1] [--metrics-out m.json] [--csv]
+//! pfair fig4 [--tasks 50] [--sets 200] [--points 15] [--seed 1] [--threads N] [--metrics-out m.json] [--csv]
 //! ```
 //!
 //! The paper's panels are `--tasks 50` and `--tasks 100`; the x-axis is
@@ -25,17 +25,17 @@ const FLAGS: &[Flag] = &[
     Flag::value("seed", "N"),
 ];
 
-fn main() {
-    let args = Args::parse("fig4", &[FLAGS, SWEEP_FLAGS]);
-    let n: usize = args.get_or("tasks", 50);
-    let sets: usize = args.get_or("sets", 200);
-    let points: usize = args.get_or("points", 15);
+pub fn run(argv: Vec<String>) {
+    let args = Args::parse("pfair fig4", &[FLAGS, SWEEP_FLAGS], argv);
+    let n: usize = args.get_in("tasks", 50, 1..);
+    let sets: usize = args.get_in("sets", 200, 1..);
+    let points: usize = args.get_in("points", 15, 2..);
     let seed: u64 = args.get_or("seed", 1);
     let params = OverheadParams::paper2003();
     let dist = CacheDelayDist::paper2003();
     let rec = recorder(&args);
 
-    let mut driver = SweepDriver::new(&args, "fig4");
+    let driver = SweepDriver::new(&args);
     eprintln!(
         "fig4: N={n}, {sets} sets per point, {} threads",
         driver.threads()

@@ -2,7 +2,7 @@
 //! plus the Holman–Anderson reweighted re-run that fixes it.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin fig5 -- [--metrics-out m.json]
+//! pfair fig5 [--metrics-out m.json]
 //! ```
 
 use experiments::{recorder, write_metrics, Args, METRICS_FLAGS};
@@ -32,8 +32,8 @@ fn render(schedule: &[Vec<pfair_model::TaskId>], horizon: usize) {
     println!("            0    5    10   15   20   25   30   35   40");
 }
 
-fn main() {
-    let args = Args::parse("fig5", &[METRICS_FLAGS]);
+pub fn run(argv: Vec<String>) {
+    let args = Args::parse("pfair fig5", &[METRICS_FLAGS], argv);
     let rec = recorder(&args);
     let run_ns = rec.timer("fig5.run_ns");
     let normal = TaskSet::from_pairs([(1u64, 2u64), (1, 3), (1, 3), (2, 9)]).unwrap();

@@ -9,7 +9,7 @@
 //! the quantum length.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin locking -- [--cpus 4] [--slots 20000] [--seed 1] [--threads N] [--point-retries 1] [--metrics-out m.json] [--csv]
+//! pfair locking [--cpus 4] [--slots 20000] [--seed 1] [--threads N] [--metrics-out m.json] [--csv]
 //! ```
 //!
 //! The PD² schedule is computed once and shared read-only by every
@@ -17,10 +17,11 @@
 //! [`experiments::SweepDriver`], with byte-identical output for any
 //! `--threads` (the lock simulator's draws are seeded per point).
 
+use experiments::analysis::pfair_blocking_bound;
+use experiments::locksim::{CsConfig, LockSim};
 use experiments::{recorder, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use pfair_core::sched::SchedConfig;
 use pfair_model::TaskSet;
-use pfair_sync::{pfair_blocking_bound, CsConfig, LockSim};
 use sched_sim::MultiSim;
 
 const CS_RANGES: [(u64, u64); 5] = [(1, 10), (5, 50), (50, 200), (200, 500), (500, 900)];
@@ -32,9 +33,9 @@ const FLAGS: &[Flag] = &[
     Flag::value("seed", "N"),
 ];
 
-fn main() {
-    let args = Args::parse("locking", &[FLAGS, SWEEP_FLAGS]);
-    let m: u32 = args.get_or("cpus", 4);
+pub fn run(argv: Vec<String>) {
+    let args = Args::parse("pfair locking", &[FLAGS, SWEEP_FLAGS], argv);
+    let m: u32 = args.get_in("cpus", 4, 1..=1024);
     let slots: u64 = args.get_or("slots", 20_000);
     let seed: u64 = args.get_or("seed", 1);
     let rec = recorder(&args);
@@ -52,7 +53,7 @@ fn main() {
     sim.run(slots);
     let schedule = sim.schedule().unwrap().to_vec();
 
-    let mut driver = SweepDriver::new(&args, "locking");
+    let driver = SweepDriver::new(&args);
     eprintln!(
         "locking: M={m}, {} tasks, {slots} slots, 1 resource (max contention), {} threads",
         set.len(),

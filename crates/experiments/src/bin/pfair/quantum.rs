@@ -2,7 +2,7 @@
 //! quantum varies, exposing the rounding-vs-overhead trade-off.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin quantum -- [--tasks 50] [--util 10] [--sets 100] [--seed 1] [--threads N] [--point-retries 1] [--metrics-out m.json] [--csv]
+//! pfair quantum [--tasks 50] [--util 10] [--sets 100] [--seed 1] [--threads N] [--metrics-out m.json] [--csv]
 //! ```
 
 use experiments::quantum::{run_quantum_point, QUANTUM_SWEEP_US};
@@ -18,16 +18,16 @@ const FLAGS: &[Flag] = &[
     Flag::value("seed", "N"),
 ];
 
-fn main() {
-    let args = Args::parse("quantum", &[FLAGS, SWEEP_FLAGS]);
-    let n: usize = args.get_or("tasks", 50);
+pub fn run(argv: Vec<String>) {
+    let args = Args::parse("pfair quantum", &[FLAGS, SWEEP_FLAGS], argv);
+    let n: usize = args.get_in("tasks", 50, 1..);
     let util: f64 = args.get_or("util", n as f64 / 5.0);
-    let sets: usize = args.get_or("sets", 100);
+    let sets: usize = args.get_in("sets", 100, 1..);
     let seed: u64 = args.get_or("seed", 1);
     let params = OverheadParams::paper2003();
     let rec = recorder(&args);
 
-    let mut driver = SweepDriver::new(&args, "quantum");
+    let driver = SweepDriver::new(&args);
     eprintln!(
         "quantum sweep: N={n}, U={util}, {sets} sets, {} threads",
         driver.threads()

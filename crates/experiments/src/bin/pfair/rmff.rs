@@ -3,12 +3,12 @@
 //! The paper: RM-FF guarantees only ~41% of capacity \[30\]; any EDF
 //! partitioning heuristic is capped at `(M+1)/2` in the worst case (and the
 //! Lopez bound in between); PD² schedules every feasible set (`Σw ≤ M`).
-//! This binary measures *acceptance ratios*: the fraction of random task
+//! This command measures *acceptance ratios*: the fraction of random task
 //! sets each approach schedules, as normalized utilization `U/M` sweeps
 //! toward 1.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin rmff -- [--cpus 8] [--tasks 24] [--sets 300] [--seed 1] [--threads N] [--point-retries 1] [--metrics-out m.json] [--csv]
+//! pfair rmff [--cpus 8] [--tasks 24] [--sets 300] [--seed 1] [--threads N] [--metrics-out m.json] [--csv]
 //! ```
 //!
 //! Each `U/M` step is one sweep point under [`experiments::SweepDriver`];
@@ -29,15 +29,15 @@ const FLAGS: &[Flag] = &[
     Flag::value("seed", "N"),
 ];
 
-fn main() {
-    let args = Args::parse("rmff", &[FLAGS, SWEEP_FLAGS]);
-    let m: u32 = args.get_or("cpus", 8);
-    let n: usize = args.get_or("tasks", 24);
-    let sets: usize = args.get_or("sets", 300);
+pub fn run(argv: Vec<String>) {
+    let args = Args::parse("pfair rmff", &[FLAGS, SWEEP_FLAGS], argv);
+    let m: u32 = args.get_in("cpus", 8, 1..=1024);
+    let n: usize = args.get_in("tasks", 24, 1..);
+    let sets: usize = args.get_in("sets", 300, 1..);
     let seed: u64 = args.get_or("seed", 1);
     let rec = recorder(&args);
 
-    let mut driver = SweepDriver::new(&args, "rmff");
+    let driver = SweepDriver::new(&args);
     eprintln!(
         "rmff: M={m}, N={n}, {sets} sets per point, {} threads",
         driver.threads()

@@ -3,8 +3,7 @@
 //! style of the paper's figures. Can archive the run as a JSON trace.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin show -- \
-//!     --tasks 2/3,2/3,2/3 [--cpus 2] [--slots 24] [--policy pd2|pf|pd|epdf] \
+//! pfair show --tasks 2/3,2/3,2/3 [--cpus 2] [--slots 24] [--policy pd2|pf|pd|epdf] \
 //!     [--windows 0] [--er none|intra|full] [--trace out.json]
 //! ```
 
@@ -39,8 +38,8 @@ const FLAGS: &[Flag] = &[
     Flag::value("trace", "FILE"),
 ];
 
-fn main() {
-    let args = Args::parse("show", &[FLAGS]);
+pub fn run(argv: Vec<String>) {
+    let args = Args::parse("pfair show", &[FLAGS], argv);
     let spec = args.get("tasks").unwrap_or("2/3,2/3,2/3").to_string();
     let tasks = parse_tasks(&spec);
     let m: u32 = args.get_or("cpus", tasks.min_processors());

@@ -1,15 +1,15 @@
 //! Slack-reservation sweep — the paper's §6 future work: the
 //! degradation sweep showed WCET overruns are *structural* for PD² (the
 //! scheduler serves exactly the declared weights, so a lag watchdog sees
-//! no scheduler-level backlog). This binary buys slack up front — spare
+//! no scheduler-level backlog). This command buys slack up front — spare
 //! processors and/or a per-task weight margin — and measures how fast
 //! application lag re-converges once a windowed fault storm ends.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin slack -- [--tasks 8] [--util 2.0] \
+//! pfair slack [--tasks 8] [--util 2.0] \
 //!     [--sets 10] [--horizon 2000] [--seed 1] [--recovery none|shed|catchup|full] \
 //!     [--lag-threshold 1.0] [--trace st.json] [--trace-kind overrun] \
-//!     [--trace-strategy margin25] [--threads N] [--point-retries 1] \
+//!     [--trace-strategy margin25] [--threads N] \
 //!     [--metrics-out m.json] [--csv]
 //! ```
 //!
@@ -106,11 +106,11 @@ const FLAGS: &[Flag] = &[
     Flag::value("trace-strategy", "base|spare1|margin25|margin50"),
 ];
 
-fn main() {
-    let args = Args::parse("slack", &[FLAGS, SWEEP_FLAGS]);
-    let n: usize = args.get_or("tasks", 8);
+pub fn run(argv: Vec<String>) {
+    let args = Args::parse("pfair slack", &[FLAGS, SWEEP_FLAGS], argv);
+    let n: usize = args.get_in("tasks", 8, 1..);
     let util: f64 = args.get_or("util", 2.0);
-    let sets: usize = args.get_or("sets", 10);
+    let sets: usize = args.get_in("sets", 10, 1..);
     let horizon: u64 = args.get_or("horizon", 2_000);
     let seed: u64 = args.get_or("seed", 1);
     let lag_threshold: f64 = args.get_or("lag-threshold", 1.0);
@@ -118,7 +118,7 @@ fn main() {
     let recovery = args.get("recovery").unwrap_or("none");
     let rec = recorder(&args);
 
-    let mut driver = SweepDriver::new(&args, "slack");
+    let driver = SweepDriver::new(&args);
     eprintln!(
         "slack: N={n}, U={util}, {sets} sets per point, recovery={recovery}, {} threads",
         driver.threads()

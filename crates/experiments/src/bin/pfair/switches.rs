@@ -5,12 +5,12 @@
 //!
 //! The paper's analytic bounds say: EDF suffers ≤ 1 preemption (≤ 2
 //! context switches) per job and never migrates; a PD² job of `E` quanta
-//! in a period of `P` suffers ≤ min(E−1, P−E) preemptions. This binary
+//! in a period of `P` suffers ≤ min(E−1, P−E) preemptions. This command
 //! shows where the measured counts actually fall — typically far below the
 //! PD² bound thanks to affinity dispatch.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin switches -- [--tasks 20] [--sets 20] [--horizon 1000000] [--seed 1] [--threads N] [--point-retries 1] [--metrics-out m.json] [--csv]
+//! pfair switches [--tasks 20] [--sets 20] [--horizon 1000000] [--seed 1] [--threads N] [--metrics-out m.json] [--csv]
 //! ```
 //!
 //! Each (mean-utilization, algorithm) pair is one sweep point under
@@ -111,15 +111,15 @@ const FLAGS: &[Flag] = &[
     Flag::value("seed", "N"),
 ];
 
-fn main() {
-    let args = Args::parse("switches", &[FLAGS, SWEEP_FLAGS]);
-    let n: usize = args.get_or("tasks", 20);
-    let sets: usize = args.get_or("sets", 20);
+pub fn run(argv: Vec<String>) {
+    let args = Args::parse("pfair switches", &[FLAGS, SWEEP_FLAGS], argv);
+    let n: usize = args.get_in("tasks", 20, 1..);
+    let sets: usize = args.get_in("sets", 20, 1..);
     let horizon_us: u64 = args.get_or("horizon", 1_000_000);
     let seed: u64 = args.get_or("seed", 1);
     let rec = recorder(&args);
 
-    let mut driver = SweepDriver::new(&args, "switches");
+    let driver = SweepDriver::new(&args);
     eprintln!(
         "switches: N={n}, {sets} sets, horizon {horizon_us}µs, {} threads",
         driver.threads()

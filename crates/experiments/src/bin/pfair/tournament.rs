@@ -5,8 +5,8 @@
 //! overhead-inflated utilization — not acceptance ratio alone.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin tournament -- [--cpus 4] [--tasks 12] \
-//!     [--sets 40] [--horizon 1440] [--seed 1] [--threads N] [--point-retries 1] \
+//! pfair tournament [--cpus 4] [--tasks 12] \
+//!     [--sets 40] [--horizon 1440] [--seed 1] [--threads N] \
 //!     [--metrics-out m.json] [--csv]
 //! ```
 //!
@@ -59,16 +59,16 @@ const FLAGS: &[Flag] = &[
     Flag::value("seed", "N"),
 ];
 
-fn main() {
-    let args = Args::parse("tournament", &[FLAGS, SWEEP_FLAGS]);
-    let m: u32 = args.get_or("cpus", 4);
-    let n: usize = args.get_or("tasks", 12);
-    let sets: usize = args.get_or("sets", 40);
+pub fn run(argv: Vec<String>) {
+    let args = Args::parse("pfair tournament", &[FLAGS, SWEEP_FLAGS], argv);
+    let m: u32 = args.get_in("cpus", 4, 1..=1024);
+    let n: usize = args.get_in("tasks", 12, 1..);
+    let sets: usize = args.get_in("sets", 40, 1..);
     let horizon: u64 = args.get_or("horizon", 1_440);
     let seed: u64 = args.get_or("seed", 1);
     let rec = recorder(&args);
 
-    let mut driver = SweepDriver::new(&args, "tournament");
+    let driver = SweepDriver::new(&args);
     eprintln!(
         "tournament: M={m}, N={n}, {sets} sets per point, horizon {horizon}, {} threads",
         driver.threads()

@@ -1,5 +1,5 @@
 //! Trace verifier: load an archived JSON schedule trace (written by
-//! `show --trace`, `faults --trace`, or [`sched_sim::ScheduleTrace`]) and
+//! `pfair show --trace`, `pfair faults --trace`, or [`sched_sim::ScheduleTrace`]) and
 //! re-verify it.
 //!
 //! Clean traces are checked against the Pfair lag bound and per-subtask
@@ -10,7 +10,7 @@
 //! without an `events` field load and verify unchanged.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin verify_trace -- --input trace.json
+//! pfair verify_trace --input trace.json
 //! ```
 //!
 //! Exits non-zero on verification failure — usable as a regression gate on
@@ -24,8 +24,8 @@ use sched_sim::ScheduleTrace;
 /// Every flag `verify_trace` accepts.
 const FLAGS: &[Flag] = &[Flag::value("input", "FILE")];
 
-fn main() {
-    let args = Args::parse("verify_trace", &[FLAGS]);
+pub fn run(argv: Vec<String>) {
+    let args = Args::parse("pfair verify_trace", &[FLAGS], argv);
     let Some(path) = args.get("input") else {
         eprintln!("verify_trace: --input <trace.json> is required");
         std::process::exit(2);

@@ -50,27 +50,11 @@ pub struct SchedPoint {
     pub pd2_failures: usize,
     /// Sets where EDF-FF could not place some task even alone (rare).
     pub edf_failures: usize,
-    /// Sets whose processing panicked. Each panic is caught per set, so
-    /// the rest of the point survives; a panicking set's partial
-    /// statistics are discarded (each set accumulates into a scratch
-    /// point merged only on success), so the aggregates contain whole
-    /// sets only. Still treat a nonzero count as a bug report.
+    /// Always 0: a set that panics is a bug, and its panic ends the sweep
+    /// (nothing catches it). The field stays only because the
+    /// benchmark's `fig3_sweep` workload still reads it (ROADMAP item 13
+    /// drops it).
     pub worker_panics: usize,
-}
-
-/// Merges the accumulators of `other` into `self` (per-set scratch
-/// points fold into the point total in set order).
-impl SchedPoint {
-    fn merge(&mut self, other: &SchedPoint) {
-        self.pd2_procs.merge(&other.pd2_procs);
-        self.edf_procs.merge(&other.edf_procs);
-        self.pfair_loss.merge(&other.pfair_loss);
-        self.edf_loss.merge(&other.edf_loss);
-        self.ff_loss.merge(&other.ff_loss);
-        self.pd2_failures += other.pd2_failures;
-        self.edf_failures += other.edf_failures;
-        self.worker_panics += other.worker_panics;
-    }
 }
 
 /// Runs one (N, U) point over `sets` random task sets, serially and in
@@ -114,7 +98,6 @@ pub fn run_point_observed(
     let sets_done = rec.counter("fig34.sets");
     let pd2_failures = rec.counter("fig34.pd2_failures");
     let edf_failures = rec.counter("fig34.edf_failures");
-    let worker_panics = rec.counter("fig34.worker_panics");
     let pobs = PartitionObs::new(rec);
     let mut point = SchedPoint {
         total_util,
@@ -122,28 +105,7 @@ pub fn run_point_observed(
     };
     for s in 0..sets {
         let _span = set_ns.start();
-        // A panic on one pathological set becomes a counted, per-set
-        // failure instead of poisoning the whole point. Each set fills
-        // its own scratch point, merged only on success, so a mid-set
-        // panic cannot leak partial Welford samples into the aggregates.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut scratch = SchedPoint::default();
-            run_one_set(n, total_util, s, seed, params, dist, &pobs, &mut scratch);
-            scratch
-        }));
-        match outcome {
-            Ok(scratch) => point.merge(&scratch),
-            Err(payload) => {
-                point.worker_panics += 1;
-                worker_panics.incr();
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("<non-string panic payload>");
-                eprintln!("fig34: set {s} at U={total_util:.2} panicked: {msg}");
-            }
-        }
+        run_one_set(n, total_util, s, seed, params, dist, &pobs, &mut point);
         sets_done.incr();
     }
     pd2_failures.add(point.pd2_failures as u64);
@@ -151,8 +113,7 @@ pub fn run_point_observed(
     point
 }
 
-/// Processes a single random task set into `point` (a per-set scratch
-/// accumulator; the caller merges it only if this returns normally).
+/// Processes a single random task set into `point`'s accumulators.
 #[allow(clippy::too_many_arguments)]
 fn run_one_set(
     n: usize,

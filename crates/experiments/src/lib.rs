@@ -1,9 +1,10 @@
 //! # experiments
 //!
 //! The harness that regenerates every figure of *The Case for Fair
-//! Multiprocessor Scheduling*. Each figure has a binary:
+//! Multiprocessor Scheduling*. One binary, `pfair`, runs it: each figure
+//! is a command (`pfair fig3 --tasks 50`).
 //!
-//! | Binary  | Paper figure | What it reports |
+//! | Command | Paper figure | What it reports |
 //! |---------|--------------|-----------------|
 //! | `fig2a` | Fig. 2(a)    | Per-invocation scheduling overhead of EDF and PD² on one processor vs. task count |
 //! | `fig2b` | Fig. 2(b)    | PD² overhead on 2/4/8/16 processors vs. task count |
@@ -12,32 +13,44 @@
 //! | `fig5`  | Fig. 5       | The supertasking deadline miss, plus the reweighted fix |
 //! | `quantum` | §4 "Challenges" | Quantum-size trade-off: rounding loss vs. overhead loss |
 //! | `dhall` | §1           | Dhall effect: global EDF vs. PD² on near-unit-utilization sets |
+//! | `rmff`  | §3           | Acceptance ratios of RM-FF, EDF-FF and PD² as `U/M` sweeps toward 1 |
+//! | `erfair` | §2          | ERfair work conservation: response times with and without early release |
+//! | `switches` | §4        | Preemptions, migrations and context switches per job: EDF-FF vs. PD² |
+//! | `ablation` | §2        | Tie-break ablation: deadline misses of PD², PD, PF and EPDF on feasible sets |
+//! | `locking` | §5.1       | Quantum-boundary ("skip") locking: spin, deferrals, the analytic bound |
 //! | `faults` | §6 (future work) | Degradation under injected faults: PD² (with recovery) vs. partitioned EDF |
 //! | `tournament` | §3 + PAPERS.md | Multi-criteria scheduler tournament: FF/BF/WF/NF/FFD/BFD vs. PD² vs. exact global EDF |
 //! | `slack` | §6 (future work) | Slack reservation: spare processors / weight margins vs. post-fault lag recovery |
+//! | `show`  | Fig. 1       | One schedule (and a task's subtask windows) drawn in ASCII |
+//! | `verify_trace` | —     | Re-checks a saved schedule trace against its Pfair windows |
+//! | `admitload` | §5.2     | Seeded open-loop join/leave/reweight load against a running `admitd` |
 //!
-//! The sweep binaries accept `--seed`, `--csv` and figure-specific flags
-//! (`--help` lists them); defaults are sized so the full suite runs in
-//! minutes on a laptop, with paper-scale counts available via flags.
+//! The sweep commands accept `--seed`, `--csv` and figure-specific flags
+//! (`pfair <command> --help` lists them); defaults are sized so the full
+//! suite runs in minutes on a laptop, with paper-scale counts available
+//! via flags.
 //!
-//! Every sweep binary runs its points through [`driver::SweepDriver`]:
+//! Every sweep command runs its points through [`driver::SweepDriver`]:
 //! points shard across `--threads N` workers (default: all cores) with
-//! output byte-identical for any thread count, each point under
-//! `catch_unwind` with `--point-retries`; a sweep that still loses a
-//! point prints its partial table and exits 1 (see [`driver`]). No sweep
+//! output byte-identical for any thread count. A point that panics ends
+//! the sweep with exit 101: a point is a pure function of its flags and
+//! seed, so a retry could only panic again (see [`driver`]). No sweep
 //! persists anything: the longest takes seconds and `(flags, seed)`
 //! recomputes it bit for bit. `fig5`, `dhall`, and `show` are single-shot
-//! demonstrations and have no pool. Every binary declares the flags it
+//! demonstrations and have no pool. Every command declares the flags it
 //! reads ([`Flag`], the workspace's one parser in [`daemon::cli`]);
-//! anything else on the command line is a usage error (exit 2), and
-//! `--help` prints the declared list.
+//! anything else on the command line, or a count such as `--tasks 0`
+//! outside its range, is a usage error (exit 2), and `--help` prints the
+//! declared list.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod analysis;
 pub mod driver;
 pub mod fig2;
 pub mod fig34;
+pub mod locksim;
 pub mod metrics;
 pub mod quantum;
 pub mod tournament;

@@ -1,4 +1,14 @@
-//! Sub-quantum lock simulation over a Pfair schedule ("skip locking").
+//! Sub-quantum lock simulation over a Pfair schedule ("skip locking"),
+//! the simulator behind `pfair locking` (paper §5.1).
+//!
+//! The paper's claim: "the tight synchrony in Pfair scheduling can be
+//! exploited to simplify task synchronization. Specifically, each
+//! subtask's execution is effectively non-preemptive within its time
+//! slot. As a result, problems stemming from the use of locks can be
+//! altogether avoided by ensuring that all locks are released before each
+//! quantum boundary … When critical-section durations are short compared
+//! to the quantum length … this approach can be used to provide
+//! synchronization with very little overhead."
 //!
 //! The global Pfair scheduler fixes, per slot, which tasks run on the `M`
 //! processors. Within a slot each task executes non-preemptively for one

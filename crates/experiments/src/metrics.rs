@@ -1,6 +1,6 @@
-//! `--metrics-out` support shared by the experiment binaries.
+//! `--metrics-out` support shared by the experiment commands.
 //!
-//! Every binary that calls [`recorder`] gains a `--metrics-out <file>.json`
+//! Every command that calls [`recorder`] gains a `--metrics-out <file>.json`
 //! flag: when present, an enabled [`obs::Recorder`] is threaded through the
 //! harness and a structured JSON snapshot of every counter, histogram, and
 //! timer is written at exit via [`write_metrics`]. Without the flag the
@@ -11,7 +11,7 @@ use crate::{Args, Flag};
 /// The flag this module reads.
 pub(crate) const METRICS_OUT: Flag = Flag::value("metrics-out", "FILE");
 
-/// [`METRICS_OUT`] as a list, for binaries that record metrics without
+/// [`METRICS_OUT`] as a list, for commands that record metrics without
 /// a [`crate::SweepDriver`] (whose `SWEEP_FLAGS` already carry it).
 pub const METRICS_FLAGS: &[Flag] = &[METRICS_OUT];
 

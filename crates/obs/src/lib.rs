@@ -376,22 +376,6 @@ impl Histogram {
             cell.record(v);
         }
     }
-
-    /// Observations so far (0 for inert histograms).
-    pub fn count(&self) -> u64 {
-        self.cell
-            .as_ref()
-            .map(|c| c.count.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Sum of observations so far (0 for inert histograms).
-    pub fn sum(&self) -> u64 {
-        self.cell
-            .as_ref()
-            .map(|c| c.sum.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
 }
 
 /// A nanosecond wall-time histogram with scoped spans.
@@ -420,16 +404,6 @@ impl Timer {
     #[inline]
     pub fn record_ns(&self, ns: u64) {
         self.hist.record(ns);
-    }
-
-    /// Spans recorded so far.
-    pub fn count(&self) -> u64 {
-        self.hist.count()
-    }
-
-    /// Total recorded nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.hist.sum()
     }
 }
 
@@ -482,27 +456,6 @@ impl HistogramSnap {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// Upper-bound estimate of the `q`-quantile (`q ∈ [0, 1]`), or `None`
-    /// for an empty histogram: the upper bound of the first bucket whose
-    /// cumulative count reaches `⌈q·count⌉`, clamped to the observed
-    /// min/max. Under log2 buckets the estimate is within 2× of the true
-    /// value — adequate for tail-latency reporting.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut cum = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
-                let hi = self.bounds.get(i).copied().unwrap_or(self.max);
-                return Some(hi.clamp(self.min, self.max));
-            }
-        }
-        Some(self.max)
     }
 }
 
@@ -583,8 +536,10 @@ mod tests {
             std::hint::black_box((0..1000).sum::<u64>());
         }
         t.record_ns(42);
-        assert_eq!(t.count(), 2);
-        assert!(t.total_ns() >= 42);
+        let snap = rec.snapshot();
+        let hs = snap.histogram("span").unwrap();
+        assert_eq!(hs.count, 2);
+        assert!(hs.sum >= 42);
     }
 
     #[test]
@@ -599,8 +554,6 @@ mod tests {
         let _span = t.start();
         drop(_span);
         assert_eq!(c.get(), 0);
-        assert_eq!(h.count(), 0);
-        assert_eq!(t.count(), 0);
         let snap = rec.snapshot();
         assert!(snap.counters.is_empty() && snap.histograms.is_empty());
     }
@@ -682,7 +635,9 @@ mod tests {
     fn log2_histogram_quantiles() {
         let rec = Recorder::enabled();
         let h = rec.log2_histogram("lat");
-        // 90 fast observations, 10 slow ones: p50 small, p99 large.
+        // 90 fast observations, 10 slow ones: the snapshot keeps the split
+        // a reader needs for tail quantiles — p50 within 2× of 1 µs in
+        // the `≤ 1024` bucket, p99 in the `≤ 2^20` one.
         for _ in 0..90 {
             h.record(1_000);
         }
@@ -691,19 +646,10 @@ mod tests {
         }
         let snap = rec.snapshot();
         let hs = snap.histogram("lat").unwrap();
-        let p50 = hs.quantile(0.50).unwrap();
-        let p99 = hs.quantile(0.99).unwrap();
-        assert!((1_000..2_048).contains(&p50), "p50 = {p50}");
-        assert!(p99 >= 1_000_000, "p99 = {p99}");
-        assert!(p99 <= hs.max);
-        let p0 = hs.quantile(0.0).unwrap();
-        assert!((1_000..=1_024).contains(&p0), "p0 = {p0}");
-        assert_eq!(hs.quantile(1.0).unwrap(), hs.max);
-        assert_eq!(rec.histogram("empty", &[1]).count(), 0);
-        assert_eq!(
-            rec.snapshot().histogram("empty").unwrap().quantile(0.5),
-            None
-        );
+        assert_eq!((hs.count, hs.min, hs.max), (100, 1_000, 1_000_000));
+        assert_eq!((log2_index(1_000), log2_index(1_000_000)), (10, 20));
+        assert_eq!((hs.counts[10], hs.counts[20]), (90, 10));
+        assert_eq!(hs.counts.iter().sum::<u64>(), 100);
     }
 
     #[test]

@@ -962,7 +962,7 @@ fn two_sets_have_byte_deterministic_decision_logs() {
     }
 }
 
-/// `admitd` and `admitctl` are held to the sweep binaries' command-line
+/// `admitd` and `admitctl` are held to the `pfair` commands' command-line
 /// contract: a flag they do not declare is exit 2 naming it — `admitd
 /// --cpu 16` (for `--cpus`) used to start a daemon on the default four
 /// processors — and `--help` prints the flags their module docs list.
@@ -981,22 +981,40 @@ fn daemon_binaries_refuse_undeclared_flags() {
     let typo = ["--cpu", "16", "--socket", socket.to_str().unwrap()];
     cli_contract::assert_refused("admitd", admitd, &typo);
     assert!(!socket.exists(), "a refused command line must not bind");
-    // A batch of zero could decide nothing: refused before binding.
-    let out = cli_contract::run(
-        admitd,
-        &["--max-batch", "0", "--socket", socket.to_str().unwrap()],
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(
-        stderr.contains("admitd: --max-batch must be at least 1"),
-        "{stderr}"
-    );
-    assert!(stderr.contains("usage:"), "{stderr}");
-    assert!(!socket.exists(), "a refused command line must not bind");
+    // A batch of zero could decide nothing, and zero processors or a
+    // zero quantum could admit nothing: each is refused before binding.
+    for (flag, value, refusal) in [
+        ("--max-batch", "0", "admitd: --max-batch must be at least 1"),
+        ("--cpus", "0", "admitd: --cpus must be between 1 and 1024"),
+        (
+            "--cpus",
+            "1025",
+            "admitd: --cpus must be between 1 and 1024",
+        ),
+        (
+            "--quantum-us",
+            "0",
+            "admitd: --quantum-us must be at least 1",
+        ),
+    ] {
+        let out = cli_contract::run(
+            "admitd",
+            admitd,
+            &[flag, value, "--socket", socket.to_str().unwrap()],
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(refusal), "{stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+        assert!(!socket.exists(), "a refused command line must not bind");
+    }
     // A second positional is not a command.
     let admitctl = Path::new(env!("CARGO_BIN_EXE_admitctl"));
-    let out = cli_contract::run(admitctl, &["--socket", "s", "stats", "shutdown"]);
+    let out = cli_contract::run(
+        "admitctl",
+        admitctl,
+        &["--socket", "s", "stats", "shutdown"],
+    );
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unexpected argument 'shutdown'"));
 }

@@ -4,7 +4,7 @@
 //! a fault storm must re-verify offline through `verify_trace`, and
 //! `verify_trace` answers a damaged trace with exit 1, never a panic.
 //!
-//! Exercises the full binary surface via `CARGO_BIN_EXE_*`: set
+//! Exercises the full command surface through `pfair` itself: set
 //! generation from `(seed, set index)`, the exact global-EDF test inside
 //! the scoring path, SweepDriver sharding, and the schema-v2 trace
 //! round-trip.
@@ -49,20 +49,14 @@ const SLACK: [&str; 11] = [
     "--csv",
 ];
 
-fn run(bin: &str, args: &[&str], extra: &[&str]) -> Output {
-    let exe = match bin {
-        "tournament" => env!("CARGO_BIN_EXE_tournament"),
-        "fig3" => env!("CARGO_BIN_EXE_fig3"),
-        "slack" => env!("CARGO_BIN_EXE_slack"),
-        "verify_trace" => env!("CARGO_BIN_EXE_verify_trace"),
-        "faults" => env!("CARGO_BIN_EXE_faults"),
-        other => panic!("unknown binary {other}"),
-    };
-    Command::new(exe)
+/// Runs `pfair <command> args… extra…`.
+fn run(command: &str, args: &[&str], extra: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_pfair"))
+        .arg(command)
         .args(args)
         .args(extra)
         .output()
-        .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"))
+        .unwrap_or_else(|e| panic!("failed to spawn pfair {command}: {e}"))
 }
 
 fn stdout_of(out: &Output) -> String {
