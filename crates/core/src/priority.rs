@@ -56,6 +56,21 @@ pub enum Policy {
     Pd2,
 }
 
+/// `pd2`, `pd`, `pf` or `epdf` — `pfair show`'s `--policy` flag.
+impl std::str::FromStr for Policy {
+    type Err = &'static str;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "pd2" => Ok(Policy::Pd2),
+            "pd" => Ok(Policy::Pd),
+            "pf" => Ok(Policy::Pf),
+            "epdf" => Ok(Policy::Epdf),
+            _ => Err("expected pd2|pf|pd|epdf"),
+        }
+    }
+}
+
 impl Policy {
     /// All policies, for sweep-style experiments.
     pub const ALL: [Policy; 5] = [

@@ -81,6 +81,20 @@ pub enum EarlyRelease {
     Unrestricted,
 }
 
+/// `none`, `intra` or `full` — `pfair show`'s `--er` flag.
+impl std::str::FromStr for EarlyRelease {
+    type Err = &'static str;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "none" => Ok(EarlyRelease::None),
+            "intra" => Ok(EarlyRelease::IntraJob),
+            "full" => Ok(EarlyRelease::Unrestricted),
+            _ => Err("expected none|intra|full"),
+        }
+    }
+}
+
 /// Which implementation drives [`PfairScheduler::tick`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CoreKind {

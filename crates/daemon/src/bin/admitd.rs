@@ -3,10 +3,13 @@
 //! ```text
 //! admitd --socket /tmp/admit.sock --cpus 4 [--pace real|virtual]
 //!        [--quantum-us 1000] [--ctx-switch-us 5] [--no-overhead]
-//!        [--max-batch 1024] [--snapshot-every 256] [--no-trace]
+//!        [--max-batch 1024] [--snapshot-every 256]
 //!        [--max-sets 64] [--idle-timeout-ms 30000]
 //!        [--trace-out trace.json] [--metrics-out metrics.json]
 //! admitd --listen 127.0.0.1:7133 [same options]
+//!
+//! --no-overhead charges no overhead (OverheadParams::zero()), and its
+//! --quantum-us defaults to 1, not 1000.
 //! ```
 //!
 //! Exactly one of `--socket <path>` (Unix-domain) or `--listen
@@ -17,8 +20,9 @@
 //! bound — with the *actual* address, so a `--listen 127.0.0.1:0` caller
 //! can parse the port — then serves until a client sends Shutdown.
 //!
-//! At shutdown every task-set shard reports independently, and with
-//! `--trace-out base.json` each set's offline-verifiable
+//! At shutdown every task-set shard reports independently. A set records
+//! its schedule only if `--trace-out base.json` is given, and then each
+//! set's offline-verifiable
 //! [`ScheduleTrace`](sched_sim::ScheduleTrace) is written to its own
 //! file: the `default` set to `base.json`, set `alpha` to
 //! `base.alpha.json`, and sets dropped mid-run to
@@ -42,7 +46,6 @@ const FLAGS: &[Flag] = &[
     Flag::switch("no-overhead"),
     Flag::value("max-batch", "N"),
     Flag::value("snapshot-every", "N"),
-    Flag::switch("no-trace"),
     Flag::value("max-sets", "N"),
     Flag::value("idle-timeout-ms", "N"),
     Flag::value("trace-out", "FILE"),
@@ -72,7 +75,8 @@ fn main() {
     let mut cfg = ServerConfig::bound(bind, cpus);
     cfg.core.params = params;
     cfg.core.max_batch = cli.get_in("max-batch", cfg.core.max_batch, 1..);
-    cfg.core.record_trace = !cli.flag("no-trace");
+    // A trace nothing will write would only grow with the daemon's age.
+    cfg.core.record_trace = cli.get("trace-out").is_some();
     cfg.snapshot_every = cli.get_or("snapshot-every", cfg.snapshot_every);
     cfg.max_sets = cli.get_or("max-sets", cfg.max_sets);
     cfg.idle_timeout =
@@ -112,18 +116,13 @@ fn main() {
             if set.dropped { " (dropped)" } else { "" },
             set.slots,
         );
-        if let Some(base) = cli.get("trace-out") {
+        if let (Some(base), Some(trace)) = (cli.get("trace-out"), &set.trace) {
             let path = trace_path(base, &set.name, set.dropped.then_some(dropped_seen));
-            match &set.trace {
-                Some(trace) => {
-                    if let Err(e) = std::fs::write(&path, trace.to_json()) {
-                        eprintln!("admitd: writing {path}: {e}");
-                        std::process::exit(2);
-                    }
-                    eprintln!("admitd: set `{}` trace written to {path}", set.name);
-                }
-                None => eprintln!("admitd: --trace-out ignored (started with --no-trace)"),
+            if let Err(e) = std::fs::write(&path, trace.to_json()) {
+                eprintln!("admitd: writing {path}: {e}");
+                std::process::exit(2);
             }
+            eprintln!("admitd: set `{}` trace written to {path}", set.name);
         }
         if set.dropped {
             dropped_seen += 1;

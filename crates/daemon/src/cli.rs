@@ -209,6 +209,7 @@ impl Args {
         }
         let bound = match (range.start_bound(), range.end_bound()) {
             (Bound::Included(lo), Bound::Included(hi)) => format!("between {lo} and {hi}"),
+            (Bound::Excluded(lo), Bound::Included(hi)) => format!("above {lo} and at most {hi}"),
             (Bound::Included(lo), _) => format!("at least {lo}"),
             (_, Bound::Included(hi)) => format!("at most {hi}"),
             _ => "in range".to_string(),

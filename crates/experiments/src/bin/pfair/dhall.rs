@@ -19,7 +19,7 @@ const FLAGS: &[Flag] = &[Flag::value("period", "N"), Flag::value("horizon", "N")
 
 pub fn run(argv: Vec<String>) {
     let args = Args::parse("pfair dhall", &[FLAGS], argv);
-    let p: u64 = args.get_or("period", 10);
+    let p: u64 = args.get_in("period", 10, 3..);
     let horizon: u64 = args.get_or("horizon", 1_000);
 
     println!("Dhall effect: M light tasks (1, {p}) + one weight-1 task ({p}, {p})");

@@ -35,6 +35,7 @@
 use experiments::{recorder, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use faults::{run_edf, run_pd2, FaultConfig, RecoveryPolicy, SlackPlan};
 use stats::Welford;
+use std::ops::Bound::{Excluded, Included};
 use workload::TaskSetGenerator;
 
 /// Fault-intensity levels swept for every fault type.
@@ -95,7 +96,7 @@ const FLAGS: &[Flag] = &[
 pub fn run(argv: Vec<String>) {
     let args = Args::parse("pfair faults", &[FLAGS, SWEEP_FLAGS], argv);
     let n: usize = args.get_in("tasks", 10, 1..);
-    let util: f64 = args.get_or("util", n as f64 / 4.0);
+    let util: f64 = args.get_in("util", n as f64 / 4.0, (Excluded(0.0), Included(n as f64)));
     let sets: usize = args.get_in("sets", 20, 1..);
     let horizon: u64 = args.get_or("horizon", 2_000);
     let seed: u64 = args.get_or("seed", 1);

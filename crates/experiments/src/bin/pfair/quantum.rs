@@ -9,6 +9,7 @@ use experiments::quantum::{run_quantum_point, QUANTUM_SWEEP_US};
 use experiments::{recorder, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use overhead::OverheadParams;
 use stats::ci99_halfwidth;
+use std::ops::Bound::{Excluded, Included};
 
 /// The flags `quantum` reads itself; [`SWEEP_FLAGS`] adds the driver's.
 const FLAGS: &[Flag] = &[
@@ -21,7 +22,7 @@ const FLAGS: &[Flag] = &[
 pub fn run(argv: Vec<String>) {
     let args = Args::parse("pfair quantum", &[FLAGS, SWEEP_FLAGS], argv);
     let n: usize = args.get_in("tasks", 50, 1..);
-    let util: f64 = args.get_or("util", n as f64 / 5.0);
+    let util: f64 = args.get_in("util", n as f64 / 5.0, (Excluded(0.0), Included(n as f64)));
     let sets: usize = args.get_in("sets", 100, 1..);
     let seed: u64 = args.get_or("seed", 1);
     let params = OverheadParams::paper2003();

@@ -10,21 +10,30 @@
 use experiments::{Args, Flag};
 use pfair_core::sched::{EarlyRelease, SchedConfig};
 use pfair_core::Policy;
-use pfair_model::{TaskId, TaskSet};
+use pfair_model::{Task, TaskId, TaskSet};
 use sched_sim::{render_schedule, render_task_windows, MultiSim, ScheduleTrace};
+use std::str::FromStr;
 
-fn parse_tasks(spec: &str) -> TaskSet {
-    spec.split(',')
-        .map(|pair| {
-            let (e, p) = pair
-                .trim()
-                .split_once('/')
-                .unwrap_or_else(|| panic!("task '{pair}' is not e/p"));
-            let e: u64 = e.parse().unwrap_or_else(|_| panic!("bad exec '{e}'"));
-            let p: u64 = p.parse().unwrap_or_else(|_| panic!("bad period '{p}'"));
-            pfair_model::Task::new(e, p).unwrap_or_else(|err| panic!("task {e}/{p}: {err}"))
-        })
-        .collect()
+/// `--tasks`: comma-separated `E/P` pairs, each a valid task.
+struct TaskList(TaskSet);
+
+impl FromStr for TaskList {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<Self, String> {
+        spec.split(',')
+            .map(|pair| {
+                let (e, p) = pair
+                    .trim()
+                    .split_once('/')
+                    .ok_or_else(|| format!("task '{pair}' is not E/P"))?;
+                let e: u64 = e.parse().map_err(|_| format!("bad exec '{e}'"))?;
+                let p: u64 = p.parse().map_err(|_| format!("bad period '{p}'"))?;
+                Task::new(e, p).map_err(|err| format!("task {e}/{p}: {err}"))
+            })
+            .collect::<Result<TaskSet, String>>()
+            .map(TaskList)
+    }
 }
 
 /// Every flag `show` accepts.
@@ -40,23 +49,18 @@ const FLAGS: &[Flag] = &[
 
 pub fn run(argv: Vec<String>) {
     let args = Args::parse("pfair show", &[FLAGS], argv);
-    let spec = args.get("tasks").unwrap_or("2/3,2/3,2/3").to_string();
-    let tasks = parse_tasks(&spec);
-    let m: u32 = args.get_or("cpus", tasks.min_processors());
+    let classic = "2/3,2/3,2/3".parse().expect("the default set is valid");
+    let TaskList(tasks) = args.get_or("tasks", classic);
+    // Fewer processors than Σw cannot hold the set.
+    let fewest = tasks.min_processors();
+    let m: u32 = args.get_in("cpus", fewest, fewest..=fewest.max(1024));
     let slots: u64 = args.get_or("slots", 24);
-    let policy = match args.get("policy").unwrap_or("pd2") {
-        "pd2" => Policy::Pd2,
-        "pd" => Policy::Pd,
-        "pf" => Policy::Pf,
-        "epdf" => Policy::Epdf,
-        other => panic!("unknown policy '{other}'"),
-    };
-    let er = match args.get("er").unwrap_or("none") {
-        "none" => EarlyRelease::None,
-        "intra" => EarlyRelease::IntraJob,
-        "full" => EarlyRelease::Unrestricted,
-        other => panic!("unknown early-release mode '{other}'"),
-    };
+    let policy: Policy = args.get_or("policy", Policy::Pd2);
+    let er: EarlyRelease = args.get_or("er", EarlyRelease::None);
+    let last = tasks.len() as u32 - 1;
+    let windows = args
+        .get("windows")
+        .map(|_| TaskId(args.get_in("windows", 0, 0..=last)));
 
     println!(
         "{} tasks, Σw = {}, M = {m}, policy {}, {slots} slots\n",
@@ -88,8 +92,7 @@ pub fn run(argv: Vec<String>) {
         metrics.idle_quanta
     );
 
-    if let Some(idx) = args.get("windows") {
-        let id = TaskId(idx.parse().expect("--windows takes a task index"));
+    if let Some(id) = windows {
         println!("\nsubtask windows of {id}:");
         print!("{}", render_task_windows(&tasks, id, slots));
     }

@@ -37,6 +37,7 @@
 use experiments::{recorder, Args, Flag, SweepDriver, SWEEP_FLAGS};
 use faults::{run_pd2, FaultConfig, RecoveryPolicy, SlackPlan};
 use stats::Welford;
+use std::ops::Bound::{Excluded, Included};
 use workload::TaskSetGenerator;
 
 /// Fault kinds stressed inside the window.
@@ -109,7 +110,7 @@ const FLAGS: &[Flag] = &[
 pub fn run(argv: Vec<String>) {
     let args = Args::parse("pfair slack", &[FLAGS, SWEEP_FLAGS], argv);
     let n: usize = args.get_in("tasks", 8, 1..);
-    let util: f64 = args.get_or("util", 2.0);
+    let util: f64 = args.get_in("util", 2.0, (Excluded(0.0), Included(n as f64)));
     let sets: usize = args.get_in("sets", 10, 1..);
     let horizon: u64 = args.get_or("horizon", 2_000);
     let seed: u64 = args.get_or("seed", 1);

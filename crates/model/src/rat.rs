@@ -61,9 +61,9 @@ fn gcd(a: i128, b: i128) -> i128 {
     }
 }
 
-/// [`gcd`] in one machine word — the crate's one `u64` gcd, shared with
-/// `Weight::new`. `gcd_u64(0, b) = b`.
-pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+/// [`gcd`] in one machine word — the workspace's one `u64` gcd, shared
+/// with `Weight::new` and `partition::EdfUtilization`; `gcd_u64(0, b) = b`.
+pub fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
     if a == 0 {
         return b;
     }
@@ -544,8 +544,8 @@ mod tests {
             );
         }
 
-        /// `to_f64` through `i64` rounds as the all-`i128` conversion it
-        /// replaced (kept verbatim below), on both sides of ±2⁵³ — where
+        /// `to_f64` through `i64` rounds as the value's definition, `num
+        /// as f64 / den as f64` over `i128`, on both sides of ±2⁵³ — where
         /// `f64` stops holding every integer — and of ±2⁶³ and `i64::MIN`,
         /// where a part stops fitting `i64`.
         #[test]
@@ -558,14 +558,14 @@ mod tests {
             den_off in -3i128..=3,
             negative in 0u8..2,
         ) {
-            fn parent_to_f64(r: Rat) -> f64 {
+            fn i128_to_f64(r: Rat) -> f64 {
                 r.num as f64 / r.den as f64
             }
             let num = num_base + num_off;
             let num = if negative == 1 { -num } else { num };
             let den = (den_base + den_off).max(1);
             for r in [Rat::new(num, den), Rat::new(num, 1), Rat::new(1, den)] {
-                prop_assert_eq!(r.to_f64().to_bits(), parent_to_f64(r).to_bits(), "{:?}", r);
+                prop_assert_eq!(r.to_f64().to_bits(), i128_to_f64(r).to_bits(), "{:?}", r);
             }
         }
 

@@ -651,9 +651,12 @@ mod tests {
         assert_eq!(built, 3);
     }
 
-    /// [`pd2_fixed_point`] as it stood before its division-free exit,
-    /// verbatim: the oracle for that exit.
-    fn parent_pd2_fixed_point(
+    /// The specification of [`pd2_fixed_point`]: [`inflate_pd2`]'s formula
+    /// by the plain iteration `E ← max(1, ⌈⌈e'(E)⌉/q⌉)` from `⌈e/q⌉`, to
+    /// the first `E` that holds its own cost. An `E` past `P = p/q` is an
+    /// overload charged at `e'(max(P, 1))`, and 10,000 steps without a
+    /// fixed point is [`InflateError::NoConvergence`].
+    fn spec_pd2_fixed_point(
         task: PhysTask,
         params: &OverheadParams,
         s_us: f64,
@@ -663,47 +666,35 @@ mod tests {
         if q == 0 || task.period_us % q != 0 {
             return Err(InflateError::PeriodNotQuantumMultiple);
         }
-        let p_quanta = task.period_us / q;
-        let c = params.ctx_switch_us;
-        let e = task.wcet_us as f64;
-
-        let cost = |quanta: u64| -> f64 {
-            // Preemption count: min(E − 1, P − E); E > P is overload, handled
-            // by the caller via the quanta bound check.
-            let preemptions = (quanta - 1).min(p_quanta.saturating_sub(quanta)) as f64;
-            e + quanta as f64 * s_us + c + preemptions * (c + d_us)
+        let big_p = task.period_us / q;
+        let (e, c) = (task.wcet_us as f64, params.ctx_switch_us);
+        // e' = e + E·S + C + min(E − 1, P − E)·(C + D)
+        let inflated = |big_e: u64| {
+            let resumptions = (big_e - 1).min(big_p.saturating_sub(big_e));
+            e + big_e as f64 * s_us + c + resumptions as f64 * (c + d_us)
         };
-
-        // Fixed-point iteration on E = ⌈e'/q⌉. E only ever needs to grow or
-        // stay: start from the uninflated span and increase while the implied
-        // cost spans more quanta. (The paper iterates on e' directly; iterating
-        // on the integer E is equivalent and cannot oscillate.)
-        let mut quanta = (task.wcet_us).div_ceil(q).max(1);
-        let mut iterations = 0u32;
+        let mut big_e = task.wcet_us.div_ceil(q).max(1);
+        let mut iterations = 0;
         loop {
             iterations += 1;
-            if quanta > p_quanta {
-                return Err(InflateError::Overload {
-                    inflated_us: cost(p_quanta.max(1)),
-                });
+            if big_e > big_p {
+                let inflated_us = inflated(big_p.max(1));
+                return Err(InflateError::Overload { inflated_us });
             }
-            let e_prime = cost(quanta);
-            let implied = (e_prime.ceil() as u64).div_ceil(q).max(1);
-            // implied < quanta: cost() is non-monotone in E only through the
-            // preemption term, which can *shrink* as E grows past P/2;
-            // accepting the larger span is the conservative fixed point.
-            if implied <= quanta {
+            let e_prime = inflated(big_e);
+            let next = (e_prime.ceil() as u64).div_ceil(q).max(1);
+            if next <= big_e {
                 return Ok(Pd2FixedPoint {
                     exec_us: e_prime,
-                    quanta,
-                    period_quanta: p_quanta,
+                    quanta: big_e,
+                    period_quanta: big_p,
                     iterations,
                 });
             }
-            quanta = implied;
             if iterations > 10_000 {
                 return Err(InflateError::NoConvergence);
             }
+            big_e = next;
         }
     }
 
@@ -723,7 +714,7 @@ mod tests {
         })
     }
 
-    /// Both fixed points of `task` at `s_us`, `d_us`.
+    /// The fixed point of `task` at `s_us`, `d_us`, and the spec's.
     fn both_fixed_points(
         task: PhysTask,
         params: &OverheadParams,
@@ -732,7 +723,7 @@ mod tests {
     ) -> (FixedPointBits, FixedPointBits) {
         (
             fixed_point_bits(pd2_fixed_point(task, params, s_us, d_us)),
-            fixed_point_bits(parent_pd2_fixed_point(task, params, s_us, d_us)),
+            fixed_point_bits(spec_pd2_fixed_point(task, params, s_us, d_us)),
         )
     }
 
@@ -752,15 +743,15 @@ mod tests {
                 (fp.exec_us, fp.quanta, fp.iterations),
                 ((e * 7) as f64, e, 1)
             );
-            let (new, parent) = both_fixed_points(task, &free, 0.0, 0.0);
-            assert_eq!(new, parent);
+            let (fast, spec) = both_fixed_points(task, &free, 0.0, 0.0);
+            assert_eq!(fast, spec);
             // A quarter µs per quantum puts e' = E·q + E/4 a fraction past
             // the span: ⌈e'⌉ > k, so E grows by one.
             if e <= 3 {
                 let fp = pd2_fixed_point(task, &free, 0.25, 0.0).unwrap();
                 assert_eq!((fp.quanta, fp.iterations), (e + 1, 2));
-                let (new, parent) = both_fixed_points(task, &free, 0.25, 0.0);
-                assert_eq!(new, parent);
+                let (fast, spec) = both_fixed_points(task, &free, 0.25, 0.0);
+                assert_eq!(fast, spec);
             }
         }
         // Integer costs that sum to the span: 5 + 2·1 + 1 + 1·(1 + 1) = 10
@@ -776,8 +767,8 @@ mod tests {
         let task = PhysTask::new(5, 20);
         let fp = pd2_fixed_point(task, &constant, 1.0, 1.0).unwrap();
         assert_eq!((fp.exec_us, fp.quanta), (10.0, 2));
-        let (new, parent) = both_fixed_points(task, &constant, 1.0, 1.0);
-        assert_eq!(new, parent);
+        let (fast, spec) = both_fixed_points(task, &constant, 1.0, 1.0);
+        assert_eq!(fast, spec);
         // Spans past 2⁵³, where `k as f64` may round, and NaN costs take
         // the division; so does a span of exactly 2⁵³, which is exact.
         let wide = OverheadParams {
@@ -792,29 +783,30 @@ mod tests {
             1 << 60,
         ] {
             let task = PhysTask::new(e, 1 << 61);
-            let (new, parent) = both_fixed_points(task, &wide, 0.0, 0.0);
-            assert_eq!(new, parent, "e = {e}");
-            let (new, parent) = both_fixed_points(task, &wide, f64::NAN, 0.0);
-            assert_eq!(new, parent, "NaN cost, e = {e}");
+            let (fast, spec) = both_fixed_points(task, &wide, 0.0, 0.0);
+            assert_eq!(fast, spec, "e = {e}");
+            let (fast, spec) = both_fixed_points(task, &wide, f64::NAN, 0.0);
+            assert_eq!(fast, spec, "NaN cost, e = {e}");
         }
     }
 
     proptest! {
-        /// The division-free exit changes nothing: `e'` to the bit, the
-        /// span, the iteration count and every error equal the parent
-        /// iteration's, under the paper's costs, free inflation, integer
-        /// constant costs (where `e'` often lands on `E·q` exactly) and
-        /// eighths of a µs per quantum (where it lands a fraction past
-        /// it), at q ∈ {1, 7, 1000}, with periods whose spans stay small,
-        /// straddle 2⁵³ or pass it.
+        /// The fixed point is the spec's: `e'` to the bit, the span, the
+        /// iteration count and every error, under the paper's costs, free
+        /// inflation, integer constant costs (where `e'` often lands on
+        /// `E·q` exactly) and eighths of a µs per quantum (where it lands
+        /// a fraction past it), at q ∈ {1, 7, 1000}, with periods whose
+        /// spans stay small, straddle 2⁵³ or pass it, and on free spans
+        /// just past 2⁵³, whose `f64` image may round up past the span.
         #[test]
-        fn prop_fixed_point_matches_the_parents(
+        fn prop_fixed_point_matches_the_spec(
             model in 0u8..4,
             q in prop::sample::select(vec![1u64, 7, 1_000]),
             (scale, period_q) in (0u8..3, 1u64..200),
             wcet_frac in 0.0f64..1.5,
             d_us in 0.0f64..=100.0,
             (m, n, s_int) in (1u32..32, 1usize..500, 0u64..20),
+            past_off in 0u64..64,
         ) {
             let period_q = match scale {
                 0 => period_q,
@@ -843,12 +835,16 @@ mod tests {
                 }
             };
             let task = PhysTask::new(wcet, period);
-            let (new, parent) = both_fixed_points(task, &params, s_us, d_us);
-            prop_assert_eq!(new, parent);
+            let (fast, spec) = both_fixed_points(task, &params, s_us, d_us);
+            prop_assert_eq!(fast, spec);
             // A span of whole quanta: free inflation lands on it exactly.
             let landed = PhysTask::new(wcet.div_ceil(q) * q, period.max(wcet.div_ceil(q) * q));
-            let (new, parent) = both_fixed_points(landed, &params, s_us, d_us);
-            prop_assert_eq!(new, parent);
+            let (fast, spec) = both_fixed_points(landed, &params, s_us, d_us);
+            prop_assert_eq!(fast, spec);
+            let free = OverheadParams { quantum_us: q, ..OverheadParams::zero() };
+            let past = ((1u64 << 53) + past_off).div_ceil(q) * q;
+            let (fast, spec) = both_fixed_points(PhysTask::new(past, 2 * past), &free, 0.0, 0.0);
+            prop_assert_eq!(fast, spec);
         }
     }
 

@@ -7,6 +7,7 @@
 //! on each processor.
 
 use overhead::OverheadParams;
+use pfair_model::rat::gcd_u64;
 use pfair_model::{PhysTask, Rat};
 use uniproc::analysis;
 
@@ -130,7 +131,7 @@ impl CommonDenominator {
         for u in utils {
             // A reduced period: below 2^64.
             let d = u.denom() as u64;
-            den = den.checked_mul(u128::from(d / gcd((den % u128::from(d)) as u64, d)))?;
+            den = den.checked_mul(u128::from(d / gcd_u64((den % u128::from(d)) as u64, d)))?;
             if den > i128::MAX as u128 {
                 return None;
             }
@@ -148,14 +149,6 @@ impl CommonDenominator {
             parts,
         })
     }
-}
-
-/// Greatest common divisor; `gcd(0, b) = b`.
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
 }
 
 /// Processor state of [`EdfUtilization`]: the bin's exact utilization,
@@ -523,117 +516,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// [`EdfOverheadAware::try_add`] as it stood before the full-bin
-    /// filter, verbatim: the oracle for the screen that replaced it.
-    fn parent_try_add(
-        acc: &EdfOverheadAware,
-        state: &EdfOverheadState,
-        task_idx: usize,
-    ) -> Option<EdfOverheadState> {
-        let util = state.util + acc.inflated_util(task_idx, state.max_d_us);
-        (util <= 1.0 + 1e-12).then(|| EdfOverheadState {
-            util,
-            max_d_us: state.max_d_us.max(acc.tasks[task_idx].cache_delay_us),
-        })
-    }
-
-    /// The full-bin filter `try_add` once ran before its division,
-    /// verbatim: the screen must refuse only what it refused.
-    fn filter_refuses(acc: &EdfOverheadAware, state: &EdfOverheadState, task_idx: usize) -> bool {
-        state.max_d_us >= 0.0 && state.util + acc.tasks[task_idx].least_util > 1.0 + 1e-12
-    }
-
-    fn screen_refuses<A: Acceptance>(acc: &A, state: &A::ProcState, task_idx: usize) -> bool {
-        acc.load(state) > acc.room(task_idx).0
-    }
-
-    /// A probe as the packing loop makes it: the screen, then `try_add`.
-    fn screened<A: Acceptance>(
-        acc: &A,
-        state: &A::ProcState,
-        task_idx: usize,
-    ) -> Option<A::ProcState> {
-        if screen_refuses(acc, state, task_idx) {
-            None
-        } else {
-            acc.try_add(state, task_idx)
-        }
-    }
-
-    /// A probe's outcome down to the bits.
-    fn probe_bits(s: Option<EdfOverheadState>) -> Option<(u64, u64)> {
-        s.map(|s| (s.util.to_bits(), s.max_d_us.to_bits()))
-    }
-
     proptest! {
-        /// The screened probe answers as the parent's, and the screen
-        /// refuses only what the full-bin filter refused (and, on the
-        /// states a packing builds, all of it but sums within 1e-14 of
-        /// capacity), on every state a first-fit packing builds and on
-        /// hand-built states around the screen's edge: a sum within a few
-        /// ulps of `1 − least_util`, with `max_d_us` negative, NaN, ±0,
-        /// infinite or drawn.
-        #[test]
-        fn prop_try_add_matches_the_parents(
-            raw in prop::collection::vec((1u64..50_000, 1u64..100, 0.0f64..100.0), 1..40),
-            paper in 0u8..2,
-            ulps in -4i32..=4,
-            drawn_d in 0.0f64..200.0,
-        ) {
-            let tasks: Vec<PhysTask> = raw
-                .iter()
-                .map(|&(wcet, period_q, _)| PhysTask::new(wcet, period_q * 1_000))
-                .collect();
-            let d: Vec<f64> = raw.iter().map(|r| r.2).collect();
-            let params = if paper == 1 { OverheadParams::paper2003() } else { OverheadParams::zero() };
-            let acc = EdfOverheadAware::new(&tasks, &d, params);
-            // First fit in decreasing-period order, every probe compared.
-            let mut order: Vec<usize> = (0..tasks.len()).collect();
-            order.sort_by_key(|&i| std::cmp::Reverse(tasks[i].period_us));
-            let mut bins: Vec<EdfOverheadState> = Vec::new();
-            for &i in &order {
-                let mut placed = false;
-                for bin in bins.iter_mut() {
-                    let next = screened(&acc, bin, i);
-                    prop_assert_eq!(probe_bits(next), probe_bits(parent_try_add(&acc, bin, i)));
-                    prop_assert!(!screen_refuses(&acc, bin, i) || filter_refuses(&acc, bin, i));
-                    let over = bin.util + acc.tasks[i].least_util - CAPACITY;
-                    prop_assert!(!filter_refuses(&acc, bin, i) || screen_refuses(&acc, bin, i) || over < 1e-14);
-                    if let Some(next) = next {
-                        *bin = next;
-                        placed = true;
-                        break;
-                    }
-                }
-                if !placed {
-                    let fresh = screened(&acc, &acc.empty(), i);
-                    prop_assert_eq!(probe_bits(fresh), probe_bits(parent_try_add(&acc, &acc.empty(), i)));
-                    bins.extend(fresh);
-                }
-            }
-            // Hand-built states on the screen's edge.
-            for (i, cost) in acc.tasks.iter().enumerate() {
-                let mut util = 1.0 - cost.least_util;
-                for _ in 0..ulps.unsigned_abs() {
-                    util = if ulps < 0 { util.next_down() } else { util.next_up() };
-                }
-                for max_d_us in [-1.0, -0.0, 0.0, f64::NAN, f64::INFINITY, -f64::INFINITY, drawn_d] {
-                    for util in [util, util + 1e-12, 0.5, f64::NAN, f64::INFINITY] {
-                        let state = EdfOverheadState { util, max_d_us };
-                        prop_assert_eq!(
-                            probe_bits(screened(&acc, &state, i)),
-                            probe_bits(parent_try_add(&acc, &state, i)),
-                            "task {} state {:?}", i, state
-                        );
-                        prop_assert!(
-                            !screen_refuses(&acc, &state, i) || filter_refuses(&acc, &state, i),
-                            "task {} state {:?}", i, state
-                        );
-                    }
-                }
-            }
-        }
-
         /// Every screen is sound where the loop reads it: a bin above
         /// `refuse_above` is refused, one at or below `fits_at_or_below`
         /// is accepted, on sums within a few ulps of, and within 1e-9
@@ -671,6 +554,85 @@ mod tests {
                     // The time-demand analysis iterates up to a period's length.
                     if pairs[s].1.max(pairs[t].1) < 1_000 {
                         prop_assert!(screen_holds(&ex, &vec![s], t), "{} on {}", t, s);
+                    }
+                }
+            }
+        }
+
+        /// [`EdfOverheadAware`]'s screened probe answers as its parent,
+        /// the unscreened `try_add`, to the bit: on every state a
+        /// first-fit packing builds, and on hand-built sums within a few
+        /// ulps of `1 − least_util` and of capacity, with `max_d_us`
+        /// negative, NaN, `±0`, `±∞` or drawn. There the screen is also
+        /// tight for every task a bin can hold (`least_util ≤ 1`), as
+        /// [`room`](Acceptance::room) says: a bin more than 1e-14 over
+        /// capacity is refused before the division.
+        #[test]
+        fn prop_try_add_matches_the_parents(
+            overhead in prop::collection::vec((1u64..50_000, 1u64..100, 0.0f64..100.0), 1..40),
+            paper in 0u8..2,
+            ulps in -4i32..=4,
+            drawn_d in 0.0f64..200.0,
+        ) {
+            let tasks: Vec<PhysTask> = overhead
+                .iter()
+                .map(|&(wcet, period_q, _)| PhysTask::new(wcet, period_q * 1_000))
+                .collect();
+            let d: Vec<f64> = overhead.iter().map(|r| r.2).collect();
+            let params = if paper == 1 { OverheadParams::paper2003() } else { OverheadParams::zero() };
+            let acc = EdfOverheadAware::new(&tasks, &d, params);
+            // A probe as the packing loop makes it, the screen then
+            // `try_add`, and the plain `try_add`, down to the bits.
+            let bits = |s: Option<EdfOverheadState>| s.map(|s| (s.util.to_bits(), s.max_d_us.to_bits()));
+            let screened = |state: &EdfOverheadState, i: usize| {
+                if acc.load(state) > acc.room(i).0 { None } else { acc.try_add(state, i) }
+            };
+            // First fit in decreasing-period order, every probe compared.
+            let mut order: Vec<usize> = (0..tasks.len()).collect();
+            order.sort_by_key(|&i| std::cmp::Reverse(tasks[i].period_us));
+            let mut bins: Vec<EdfOverheadState> = Vec::new();
+            for i in order {
+                let mut placed = false;
+                for bin in bins.iter_mut() {
+                    let next = screened(bin, i);
+                    prop_assert_eq!(bits(next), bits(acc.try_add(bin, i)));
+                    if let Some(next) = next {
+                        *bin = next;
+                        placed = true;
+                        break;
+                    }
+                }
+                if !placed {
+                    let fresh = screened(&acc.empty(), i);
+                    prop_assert_eq!(bits(fresh), bits(acc.try_add(&acc.empty(), i)));
+                    bins.extend(fresh);
+                }
+            }
+            // Hand-built states on the screen's edge.
+            let nudge = |mut x: f64| {
+                for _ in 0..ulps.unsigned_abs() {
+                    x = if ulps < 0 { x.next_down() } else { x.next_up() };
+                }
+                x
+            };
+            for (i, cost) in acc.tasks.iter().enumerate() {
+                let (short, full) = (1.0 - cost.least_util, CAPACITY - cost.least_util);
+                let utils = [nudge(short), nudge(full), full + 2e-14, 0.5, f64::NAN, f64::INFINITY];
+                for max_d_us in [-1.0, -0.0, 0.0, f64::NAN, f64::INFINITY, -f64::INFINITY, drawn_d] {
+                    for util in utils {
+                        let state = EdfOverheadState { util, max_d_us };
+                        prop_assert_eq!(
+                            bits(screened(&state, i)),
+                            bits(acc.try_add(&state, i)),
+                            "task {} state {:?}", i, state
+                        );
+                        prop_assert!(screen_holds(&acc, &state, i), "task {} state {:?}", i, state);
+                        let over = util + cost.least_util - CAPACITY;
+                        let tight = cost.least_util <= 1.0 && max_d_us >= 0.0 && over > 1e-14;
+                        prop_assert!(
+                            !tight || acc.load(&state) > acc.room(i).0,
+                            "task {} state {:?}", i, state
+                        );
                     }
                 }
             }

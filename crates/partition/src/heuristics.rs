@@ -725,25 +725,15 @@ mod tests {
         .is_some());
     }
 
-    /// [`ordered_indices`] as it stood before keys were read once,
-    /// verbatim: the oracle for the pair and packed-key sorts. (Its
-    /// `DecreasingUtilization` arm may panic on a NaN key.)
-    fn parent_ordered_indices(
-        n: usize,
-        order: SortOrder,
-        keys: impl Fn(usize) -> (f64, u64),
-    ) -> Vec<usize> {
+    /// The specification of [`ordered_indices`]: a comparator sort on the
+    /// full key, descending utilization under `f64::total_cmp` or
+    /// descending period, ties to the lower index.
+    fn spec_order(n: usize, order: SortOrder, keys: impl Fn(usize) -> (f64, u64)) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..n).collect();
         match order {
             SortOrder::None => {}
             SortOrder::DecreasingUtilization => {
-                idx.sort_by(|&a, &b| {
-                    keys(b)
-                        .0
-                        .partial_cmp(&keys(a).0)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(&b))
-                });
+                idx.sort_by(|&a, &b| keys(b).0.total_cmp(&keys(a).0).then(a.cmp(&b)));
             }
             SortOrder::DecreasingPeriod => {
                 idx.sort_by(|&a, &b| keys(b).1.cmp(&keys(a).1).then(a.cmp(&b)));
@@ -754,11 +744,10 @@ mod tests {
 
     #[test]
     fn nan_utilization_keys_sort_without_panicking() {
-        // A fifth of 250 keys NaN: the parent's `partial_cmp(..)
-        // .unwrap_or(Equal)` is then no total order, and `sort_by` may
-        // panic on it (it did for 1,864 of 2,000 such inputs). NaN keys
-        // sort first, as `total_cmp` ranks them above every number; the
-        // rest keep their order.
+        // A fifth of 250 keys NaN: a `partial_cmp(..).unwrap_or(Equal)`
+        // comparator is then no total order, and `sort_by` may panic on
+        // it (it did for 1,864 of 2,000 such inputs). NaN keys sort
+        // first, as `total_cmp` ranks them above every number.
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..20 {
             let utils: Vec<f64> = (0..250)
@@ -772,15 +761,12 @@ mod tests {
                 .collect();
             let keys = |i: usize| (utils[i], 1_000);
             let order = ordered_indices(250, SortOrder::DecreasingUtilization, keys);
+            assert_eq!(
+                order,
+                spec_order(250, SortOrder::DecreasingUtilization, keys)
+            );
             let nans = utils.iter().filter(|u| u.is_nan()).count();
             assert!(order[..nans].iter().all(|&i| utils[i].is_nan()));
-            assert!(order[..nans].windows(2).all(|w| w[0] < w[1]));
-            let numbers: Vec<usize> = (0..250).filter(|&i| !utils[i].is_nan()).collect();
-            let by_number = |i: usize| (utils[numbers[i]], 1_000);
-            let want =
-                parent_ordered_indices(numbers.len(), SortOrder::DecreasingUtilization, by_number);
-            let want: Vec<usize> = want.into_iter().map(|i| numbers[i]).collect();
-            assert_eq!(order[nans..], want[..]);
             // And FFD packs such a set without panicking.
             let pairs: Vec<(u64, u64)> = (1..=250).map(|i| (1, 40 + i)).collect();
             let acc = EdfUtilization::new(&pairs);
@@ -795,89 +781,75 @@ mod tests {
         }
     }
 
-    /// [`partition_with_obs`] as it stood before the screen, verbatim but
-    /// for the `..` over the counter it did not have: the oracle for the
-    /// screened loop.
-    #[allow(clippy::too_many_arguments)]
-    fn parent_partition_with_obs<A: Acceptance>(
+    /// The specification of [`partition_with_obs`], the paper's packing
+    /// (Section 3): tasks in [`spec_order`], and for each one `try_add`
+    /// on every open bin in bin order. First Fit takes the first bin that
+    /// accepts, Best (Worst) Fit the one with the least (greatest) spare
+    /// after adding, the lowest bin on ties, and Next Fit looks only at
+    /// the bin opened last. A task no bin takes opens a new one, unless
+    /// `max_procs` are open. No screen, no index, no counters. Returns
+    /// the packing and the number of bins looked at.
+    fn spec_partition<A: Acceptance>(
         n: usize,
         acc: &A,
         heuristic: Heuristic,
         order: SortOrder,
         max_procs: u32,
         keys: impl Fn(usize) -> (f64, u64),
-        po: &PartitionObs,
-    ) -> Option<PartitionResult> {
-        let PartitionObs {
-            bins_probed,
-            accept_evals,
-            bins_opened,
-            ..
-        } = po;
-        let idx = ordered_indices(n, order, keys);
-        let mut states: Vec<A::ProcState> = Vec::new();
+    ) -> (Option<PartitionResult>, u64) {
+        let mut bins: Vec<A::ProcState> = Vec::new();
         let mut assignment = vec![u32::MAX; n];
-        let mut next_fit_cursor = 0usize;
-
-        for &task in &idx {
-            // Every probe is one acceptance evaluation of one bin, counted once
-            // per placement: a task may probe every open bin, and a probe the
-            // test refuses with one compare costs less than two counter checks.
-            let (chosen, probed): (Option<usize>, usize) = match heuristic {
-                Heuristic::FirstFit => {
-                    let found = states.iter().position(|s| acc.try_add(s, task).is_some());
-                    (found, found.map_or(states.len(), |p| p + 1))
-                }
-                Heuristic::BestFit | Heuristic::WorstFit => {
-                    let mut best: Option<(usize, f64)> = None;
-                    for (p, state) in states.iter().enumerate() {
-                        if let Some(next) = acc.try_add(state, task) {
-                            let spare = acc.spare(&next);
-                            let better = match best {
-                                None => true,
-                                Some((_, s)) => match heuristic {
-                                    Heuristic::BestFit => spare < s,
-                                    _ => spare > s,
-                                },
-                            };
-                            if better {
-                                best = Some((p, spare));
-                            }
-                        }
-                    }
-                    (best.map(|(p, _)| p), states.len())
-                }
-                Heuristic::NextFit => match states.get(next_fit_cursor) {
-                    Some(state) => (acc.try_add(state, task).map(|_| next_fit_cursor), 1),
-                    None => (None, 0),
-                },
+        let mut looked = 0;
+        for task in spec_order(n, order, keys) {
+            let open = match heuristic {
+                Heuristic::NextFit => bins.len().saturating_sub(1)..bins.len(),
+                _ => 0..bins.len(),
             };
-            bins_probed.add(probed as u64);
-            accept_evals.add(probed as u64);
-            match chosen {
-                Some(p) => {
-                    accept_evals.incr();
-                    states[p] = acc.try_add(&states[p], task).expect("re-check");
-                    assignment[task] = p as u32;
+            let mut pick: Option<(usize, A::ProcState)> = None;
+            for p in open {
+                looked += 1;
+                let Some(next) = acc.try_add(&bins[p], task) else {
+                    continue;
+                };
+                let better = match &pick {
+                    None => true,
+                    Some((_, held)) => match heuristic {
+                        Heuristic::BestFit => acc.spare(&next) < acc.spare(held),
+                        Heuristic::WorstFit => acc.spare(&next) > acc.spare(held),
+                        _ => false,
+                    },
+                };
+                if better {
+                    pick = Some((p, next));
                 }
-                None => {
-                    // Open a new processor.
-                    if states.len() as u32 >= max_procs {
-                        return None;
-                    }
-                    accept_evals.incr();
-                    let fresh = acc.try_add(&acc.empty(), task)?;
-                    bins_opened.incr();
-                    states.push(fresh);
-                    assignment[task] = (states.len() - 1) as u32;
-                    next_fit_cursor = states.len() - 1;
+                if heuristic == Heuristic::FirstFit {
+                    break;
                 }
             }
+            let p = match pick {
+                Some((p, next)) => {
+                    bins[p] = next;
+                    p
+                }
+                None if bins.len() as u32 >= max_procs => return (None, looked),
+                None => match acc.try_add(&acc.empty(), task) {
+                    Some(fresh) => {
+                        bins.push(fresh);
+                        bins.len() - 1
+                    }
+                    None => return (None, looked),
+                },
+            };
+            assignment[task] = p as u32;
         }
-        Some(PartitionResult {
-            assignment,
-            processors: states.len() as u32,
-        })
+        let processors = bins.len() as u32;
+        (
+            Some(PartitionResult {
+                assignment,
+                processors,
+            }),
+            looked,
+        )
     }
 
     /// A task set of one of the shapes on which a screen could go wrong,
@@ -969,59 +941,77 @@ mod tests {
         SortOrder::DecreasingPeriod,
     ];
 
-    /// Requires the screened loop to pack `pairs` as the parent's does
-    /// under `acc`, for every heuristic and order, unbounded and with at
-    /// most `limit` processors.
-    fn packs_as_the_parent<A: Acceptance>(
+    /// Requires `partition_with_obs` under `fast` to pack `pairs` as
+    /// [`spec_partition`] does under `spec`, for every scheme, unbounded
+    /// and with at most `limit` processors.
+    fn packs_as_the_spec<A: Acceptance, S: Acceptance>(
         pairs: &[(u64, u64)],
-        acc: &A,
+        fast: &A,
+        spec: &S,
+        schemes: impl IntoIterator<Item = (Heuristic, SortOrder)>,
         limit: u32,
         name: &str,
     ) -> Result<(), TestCaseError> {
         let off = PartitionObs::new(&obs::Recorder::disabled());
-        for h in Heuristic::ALL {
-            for ord in ORDERS {
-                for max_procs in [u32::MAX, limit] {
-                    let run =
-                        |f: fn(usize, &A, Heuristic, SortOrder, u32, _, &PartitionObs) -> _| {
-                            f(pairs.len(), acc, h, ord, max_procs, keys_for(pairs), &off)
-                        };
-                    prop_assert_eq!(
-                        run(partition_with_obs),
-                        run(parent_partition_with_obs),
-                        "{} {:?} {:?} max_procs {}",
-                        name,
-                        h,
-                        ord,
-                        max_procs
-                    );
-                }
+        for (h, ord) in schemes {
+            for max_procs in [u32::MAX, limit] {
+                let n = pairs.len();
+                prop_assert_eq!(
+                    partition_with_obs(n, fast, h, ord, max_procs, keys_for(pairs), &off),
+                    spec_partition(n, spec, h, ord, max_procs, keys_for(pairs)).0,
+                    "{} {:?} {:?} max_procs {}",
+                    name,
+                    h,
+                    ord,
+                    max_procs
+                );
             }
         }
         Ok(())
     }
 
+    /// Every heuristic in every order.
+    fn all_schemes() -> impl Iterator<Item = (Heuristic, SortOrder)> {
+        Heuristic::ALL
+            .into_iter()
+            .flat_map(|h| ORDERS.map(|ord| (h, ord)))
+    }
+
     proptest! {
-        /// Every acceptance test packs as the parent's loop did, bin for
-        /// bin: small sets, bins landing exactly on 1 and within an ulp
-        /// or 1e-9 of the screen's edges, and runs of identical or
-        /// near-identical tasks.
+        /// Every screened acceptance test packs as its parent, the
+        /// unscreened spec, does, bin for bin: small sets, bins landing
+        /// exactly on 1 and within an ulp or 1e-9 of the screen's edges,
+        /// and runs of identical or near-identical tasks.
+        /// ([`EdfUtilization`] is held to the spec on [`RatSums`] in
+        /// `prop_common_sums_pack_as_rat_sums`.)
         #[test]
         fn prop_screened_packing_matches_the_parents(shape in 0u8..5, seed in 0u64..u64::MAX) {
             let pairs = drawn_set(shape, seed);
             let limit = 1 + (seed % pairs.len() as u64) as u32;
-            packs_as_the_parent(&pairs, &EdfUtilization::new(&pairs), limit, "EDF")?;
-            packs_as_the_parent(&pairs, &RmLiuLayland::new(&pairs), limit, "RM-LL")?;
+            let ll = RmLiuLayland::new(&pairs);
+            packs_as_the_spec(&pairs, &ll, &ll, all_schemes(), limit, "RM-LL")?;
             // The time-demand analysis iterates up to a period's length.
             if pairs.iter().all(|&(_, p)| p < 1_000) {
-                packs_as_the_parent(&pairs, &RmExact::new(&pairs), limit, "RM-exact")?;
+                let ex = RmExact::new(&pairs);
+                packs_as_the_spec(&pairs, &ex, &ex, all_schemes(), limit, "RM-exact")?;
             }
             let phys: Vec<PhysTask> = pairs.iter().map(|&(e, p)| PhysTask::new(e, p)).collect();
             let d: Vec<f64> = (0..pairs.len()).map(|i| (seed >> (i % 32)) as f64 % 100.0).collect();
             for params in [OverheadParams::zero(), OverheadParams::paper2003()] {
                 let acc = EdfOverheadAware::new(&phys, &d, params);
-                packs_as_the_parent(&pairs, &acc, limit, "EDF-overhead")?;
+                packs_as_the_spec(&pairs, &acc, &acc, all_schemes(), limit, "EDF-overhead")?;
             }
+        }
+
+        /// [`EdfUtilization`], its screen and its common sums, packs every
+        /// drawn set as the spec does on [`RatSums`], for every heuristic
+        /// and order, unbounded and with a processor limit.
+        #[test]
+        fn prop_common_sums_pack_as_rat_sums(shape in 0u8..5, seed in 0u64..u64::MAX) {
+            let pairs = drawn_set(shape, seed);
+            let limit = 1 + (seed % pairs.len() as u64) as u32;
+            let edf = EdfUtilization::new(&pairs);
+            packs_as_the_spec(&pairs, &edf, &RatSums::new(&pairs), all_schemes(), limit, "EDF")?;
         }
     }
 
@@ -1029,10 +1019,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases((ProptestConfig::default().cases / 32).max(2)))]
 
         /// The exact test packs 1,000 tasks on the generator's default
-        /// periods as the parent's loop did, bin for bin, though many of
-        /// its bins' exact sums overflow `i128`.
+        /// periods as the spec does, bin for bin, though many of its bins'
+        /// exact sums overflow `i128`.
         #[test]
-        fn prop_screened_packing_matches_the_parents_on_1000_tasks(
+        fn prop_screened_packing_matches_the_spec_on_1000_tasks(
             util in 20.0f64..60.0,
             seed in 0u64..u64::MAX,
         ) {
@@ -1041,7 +1031,26 @@ mod tests {
                 .iter()
                 .map(|t| (t.wcet_us, t.period_us))
                 .collect();
-            packs_as_the_parent(&pairs, &EdfUtilization::new(&pairs), util as u32, "EDF")?;
+            let edf = EdfUtilization::new(&pairs);
+            packs_as_the_spec(&pairs, &edf, &RatSums::new(&pairs), all_schemes(), util as u32, "EDF")?;
+        }
+
+        /// The six packing schemes pack sets of the benchmark's
+        /// `pack_exact` shape, where the common denominator fits, as the
+        /// spec does on `Rat` sums: n = 1,000 at U = 250 on the 5 ms
+        /// period grid.
+        #[test]
+        fn prop_common_sums_pack_as_rat_sums_on_the_5_ms_grid(seed in 0u64..u64::MAX) {
+            let pairs: Vec<(u64, u64)> = workload::TaskSetGenerator::new(1000, 250.0, seed)
+                .with_quantum(5_000)
+                .with_period_range(10_000, 250_000)
+                .generate()
+                .iter()
+                .map(|t| (t.wcet_us, t.period_us))
+                .collect();
+            let edf = EdfUtilization::new(&pairs);
+            let schemes = PACKING_SCHEMES.map(|(h, ord, _)| (h, ord));
+            packs_as_the_spec(&pairs, &edf, &RatSums::new(&pairs), schemes, u32::MAX, "EDF")?;
         }
     }
 
@@ -1080,12 +1089,12 @@ mod tests {
     }
 
     proptest! {
-        /// Every heuristic packs as the parent's loop did, bin for bin,
-        /// where bin loads are NaN, `−0.0`, `+0.0` and negative: for Best
+        /// Every heuristic packs as the spec does, bin for bin, where
+        /// bin loads are NaN, `−0.0`, `+0.0` and negative: for Best
         /// and Worst Fit, the index's side list, its folded zero and the
         /// negative half of its key order all decide picks.
         #[test]
-        fn prop_nan_and_signed_zero_loads_pack_as_the_parents(
+        fn prop_nan_and_signed_zero_loads_pack_as_the_spec(
             shape in prop::sample::select(vec![0u8, 3]),
             seed in 0u64..u64::MAX,
         ) {
@@ -1094,7 +1103,8 @@ mod tests {
             pairs.extend([(1, 2), (1, 4), (1, 4), (1, 2), (2, 4)]);
             let inner = EdfUtilization::new(&pairs);
             let limit = 1 + (seed % pairs.len() as u64) as u32;
-            packs_as_the_parent(&pairs, &Shifted(&inner), limit, "EDF-shifted")?;
+            let shifted = Shifted(&inner);
+            packs_as_the_spec(&pairs, &shifted, &shifted, all_schemes(), limit, "EDF-shifted")?;
         }
     }
 
@@ -1163,14 +1173,11 @@ mod tests {
             let acc = Skewed {
                 tasks: tasks.to_vec(),
             };
-            let off = PartitionObs::new(&obs::Recorder::disabled());
             let keys = |i: usize| (tasks[i].0, 1);
-            let run = |f: fn(usize, &Skewed, Heuristic, SortOrder, u32, _, &PartitionObs) -> _| {
-                f(3, &acc, h, SortOrder::None, u32::MAX, keys, &off)
-            };
-            let r = run(partition_with_obs).unwrap();
+            let r = partition_unbounded(3, &acc, h, SortOrder::None, keys).unwrap();
             assert_eq!(r.assignment, [0, 1, 0], "{h:?}");
-            assert_eq!(Some(r), run(parent_partition_with_obs), "{h:?}");
+            let spec = spec_partition(3, &acc, h, SortOrder::None, u32::MAX, keys).0;
+            assert_eq!(Some(r), spec, "{h:?}");
         }
     }
 
@@ -1206,23 +1213,12 @@ mod tests {
 
     #[test]
     fn signed_zero_loads_are_one_load() {
-        let off = PartitionObs::new(&obs::Recorder::disabled());
+        let keys = |_| (0.0, 1);
         for h in [Heuristic::BestFit, Heuristic::WorstFit] {
-            let run =
-                |f: fn(usize, &SignedZeros, Heuristic, SortOrder, u32, _, &PartitionObs) -> _| {
-                    f(
-                        5,
-                        &SignedZeros,
-                        h,
-                        SortOrder::None,
-                        u32::MAX,
-                        |_| (0.0, 1),
-                        &off,
-                    )
-                };
-            let r = run(partition_with_obs).unwrap();
+            let r = partition_unbounded(5, &SignedZeros, h, SortOrder::None, keys).unwrap();
             assert_eq!(r.processors, 1, "{h:?}");
-            assert_eq!(Some(r), run(parent_partition_with_obs), "{h:?}");
+            let spec = spec_partition(5, &SignedZeros, h, SortOrder::None, u32::MAX, keys).0;
+            assert_eq!(Some(r), spec, "{h:?}");
         }
     }
 
@@ -1274,27 +1270,29 @@ mod tests {
         );
     }
 
-    /// [`EdfUtilization`] as it was before its common denominator: each
-    /// bin's sum is a [`Rat`] in lowest terms, and `load` and `spare` read
-    /// that fraction's `to_f64`. The screen's bounds are the test's own.
-    struct RatSums<'a> {
-        inner: &'a EdfUtilization,
+    /// The EDF test the spec packs with where [`EdfUtilization`] is
+    /// checked: it decides `Σ u ≤ 1` on reduced [`Rat`] sums, with no
+    /// screen. A bin holds its sum in lowest terms and takes a task while
+    /// `u ≤ 1 − Σ`, refusing only a sum past `i128`, and `spare` is `1 −`
+    /// the sum's `to_f64`. (A spare read from a common sum's `f64` images,
+    /// `S as f64 / D as f64`, can be an ulp off it, which once ranked
+    /// `drawn_set`'s near-identical tasks of shape 4 apart.)
+    struct RatSums {
         utils: Vec<Rat>,
     }
 
-    impl<'a> RatSums<'a> {
-        fn new(inner: &'a EdfUtilization, pairs: &[(u64, u64)]) -> Self {
+    impl RatSums {
+        fn new(pairs: &[(u64, u64)]) -> Self {
             let utils = pairs
                 .iter()
                 .map(|&(e, p)| Rat::new(e as i128, p as i128))
                 .collect();
-            RatSums { inner, utils }
+            RatSums { utils }
         }
     }
 
-    impl Acceptance for RatSums<'_> {
+    impl Acceptance for RatSums {
         type ProcState = Rat;
-        const RANK_SLACK: f64 = EdfUtilization::RANK_SLACK;
         fn empty(&self) -> Rat {
             Rat::ZERO
         }
@@ -1307,80 +1305,6 @@ mod tests {
         }
         fn spare(&self, state: &Rat) -> f64 {
             1.0 - state.to_f64()
-        }
-        fn load(&self, state: &Rat) -> f64 {
-            let load = state.to_f64();
-            if (0.0..=1.0).contains(&load) {
-                load
-            } else {
-                f64::NAN
-            }
-        }
-        fn room(&self, task_idx: usize) -> (f64, f64) {
-            self.inner.room(task_idx)
-        }
-    }
-
-    /// Whether every `(heuristic, order)` packs with [`EdfUtilization`],
-    /// through today's loop, as the parent's loop packs with [`RatSums`].
-    /// Where a common denominator `D` fits, `load` reads `S / D` from the
-    /// two numbers' `f64` images, which can be an ulp from the reduced
-    /// fraction's; a `spare` read that way ranked the near-identical
-    /// tasks of `drawn_set`'s shape 4 apart from the `Rat` sums.
-    fn packs_as_rat_sums(
-        pairs: &[(u64, u64)],
-        schemes: impl IntoIterator<Item = (Heuristic, SortOrder)>,
-    ) -> Result<(), TestCaseError> {
-        let acc = EdfUtilization::new(pairs);
-        let spec = RatSums::new(&acc, pairs);
-        let off = PartitionObs::new(&obs::Recorder::disabled());
-        for (h, ord) in schemes {
-            prop_assert_eq!(
-                partition_unbounded_with_obs(pairs.len(), &acc, h, ord, keys_for(pairs), &off),
-                parent_partition_with_obs(
-                    pairs.len(),
-                    &spec,
-                    h,
-                    ord,
-                    u32::MAX,
-                    keys_for(pairs),
-                    &off,
-                ),
-                "{:?} {:?}",
-                h,
-                ord
-            );
-        }
-        Ok(())
-    }
-
-    proptest! {
-        /// The common sums pack every drawn set as the `Rat` sums did,
-        /// for every heuristic and order.
-        #[test]
-        fn prop_common_sums_pack_as_rat_sums(shape in 0u8..5, seed in 0u64..u64::MAX) {
-            let pairs = drawn_set(shape, seed);
-            let all = Heuristic::ALL.iter().flat_map(|&h| ORDERS.map(|ord| (h, ord)));
-            packs_as_rat_sums(&pairs, all)?;
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases((ProptestConfig::default().cases / 32).max(2)))]
-
-        /// The six packing schemes pack sets of the benchmark's
-        /// `pack_exact` shape, where the common denominator fits, as the
-        /// `Rat` sums did: n = 1,000 at U = 250 on the 5 ms period grid.
-        #[test]
-        fn prop_common_sums_pack_as_rat_sums_on_the_5_ms_grid(seed in 0u64..u64::MAX) {
-            let pairs: Vec<(u64, u64)> = workload::TaskSetGenerator::new(1000, 250.0, seed)
-                .with_quantum(5_000)
-                .with_period_range(10_000, 250_000)
-                .generate()
-                .iter()
-                .map(|t| (t.wcet_us, t.period_us))
-                .collect();
-            packs_as_rat_sums(&pairs, PACKING_SCHEMES.map(|(h, ord, _)| (h, ord)))?;
         }
     }
 
@@ -1414,8 +1338,8 @@ mod tests {
     proptest! {
         /// The counters count what happened, for every heuristic and
         /// order: each `try_add` is one acceptance evaluation, every bin
-        /// the parent's loop looked at is still counted as probed, and
-        /// each bin was opened.
+        /// the spec looks at is counted as probed, and each bin was
+        /// opened.
         #[test]
         fn prop_counters_count_every_evaluation(
             raw in prop::collection::vec((1u64..10, 1u64..20), 1..30),
@@ -1429,36 +1353,32 @@ mod tests {
             let r = partition_unbounded_with_obs(
                 tasks.len(), &acc, h, ord, keys_for(&tasks), &PartitionObs::new(&rec),
             ).unwrap();
-            let parent = obs::Recorder::enabled();
-            parent_partition_with_obs(
-                tasks.len(), &inner, h, ord, u32::MAX, keys_for(&tasks), &PartitionObs::new(&parent),
-            );
-            let count = |rec: &obs::Recorder, name: &str| rec.counter(name).get();
-            prop_assert_eq!(count(&rec, "partition.accept_evals"), acc.calls.get());
-            prop_assert_eq!(
-                count(&rec, "partition.bins_probed"),
-                count(&parent, "partition.bins_probed")
-            );
-            prop_assert_eq!(count(&rec, "partition.bins_opened"), u64::from(r.processors));
-            prop_assert_eq!(count(&rec, "partition.inexact_refusals"), 0);
+            let (_, looked) = spec_partition(tasks.len(), &inner, h, ord, u32::MAX, keys_for(&tasks));
+            let count = |name: &str| rec.counter(name).get();
+            prop_assert_eq!(count("partition.accept_evals"), acc.calls.get());
+            prop_assert_eq!(count("partition.bins_probed"), looked);
+            prop_assert_eq!(count("partition.bins_opened"), u64::from(r.processors));
+            prop_assert_eq!(count("partition.inexact_refusals"), 0);
         }
 
-        /// Every order gives the parent's permutation on the keys the
-        /// workspace makes — finite, non-negative, many tied — with
+        /// Every order gives the spec's permutation, on keys with many
+        /// ties, utilizations that are NaN, `±0.0` or infinite, and
         /// periods on either side of the packed key's `2^44` limit.
         #[test]
-        fn prop_ordered_indices_match_the_parents(
-            raw in prop::collection::vec((0u64..8, 0u64..6, 0u8..4), 0..120),
+        fn prop_ordered_indices_match_the_spec(
+            raw in prop::collection::vec((0u64..12, 0u64..6, 0u8..4), 0..120),
         ) {
+            let odd = [f64::NAN, -0.0, f64::INFINITY, -f64::NAN];
             let wide = [0u64, 1 << 20, (1 << PERIOD_BITS) - 1, 1 << PERIOD_BITS, u64::MAX];
             let keys = |i: usize| {
                 let (u, p, w) = raw[i];
-                (u as f64 / 8.0, if w == 0 { wide[p as usize % wide.len()] } else { p * 1_000 })
+                let util = if u < 8 { u as f64 / 8.0 } else { odd[u as usize - 8] };
+                (util, if w == 0 { wide[p as usize % wide.len()] } else { p * 1_000 })
             };
             for order in ORDERS {
                 prop_assert_eq!(
                     ordered_indices(raw.len(), order, keys),
-                    parent_ordered_indices(raw.len(), order, keys),
+                    spec_order(raw.len(), order, keys),
                     "{:?}", order
                 );
             }

@@ -124,3 +124,69 @@ fn sweeps_refuse_counts_they_cannot_run() {
     // 12 sweeps read --sets, 9 --tasks, 4 --cpus and 2 --points.
     assert!(refused >= 27, "only {refused} refusals: the roster shrank");
 }
+
+/// Values each command used to panic on (exit 101 with a backtrace
+/// hint): a `show --tasks` entry that is not a valid `E/P`, an unknown
+/// `--policy` or `--er`, too few `--cpus` for the set, a `--windows` task
+/// it does not have, a `--util` no task set of `--tasks` can have, and a
+/// Dhall `--period` below 3. Each is now refused with the usage line and
+/// exit 2 before anything runs.
+#[test]
+fn values_a_command_cannot_run_with_are_usage_errors() {
+    let cases: [(&str, &[&str], &str); 10] = [
+        (
+            "pfair show",
+            &["--tasks", "x"],
+            "--tasks x: task 'x' is not E/P",
+        ),
+        ("pfair show", &["--tasks", "0/3"], "--tasks 0/3: task 0/3"),
+        (
+            "pfair show",
+            &["--policy", "zz"],
+            "--policy zz: expected pd2|pf|pd|epdf",
+        ),
+        (
+            "pfair show",
+            &["--er", "zz"],
+            "--er zz: expected none|intra|full",
+        ),
+        (
+            "pfair show",
+            &["--cpus", "1"],
+            "--cpus must be between 2 and 1024 (got 1)",
+        ),
+        (
+            "pfair show",
+            &["--windows", "3"],
+            "--windows must be between 0 and 2 (got 3)",
+        ),
+        (
+            "pfair quantum",
+            &["--util", "0"],
+            "--util must be above 0 and at most 50 (got 0)",
+        ),
+        (
+            "pfair faults",
+            &["--util", "0"],
+            "--util must be above 0 and at most 10 (got 0)",
+        ),
+        (
+            "pfair slack",
+            &["--util", "9"],
+            "--util must be above 0 and at most 8 (got 9)",
+        ),
+        (
+            "pfair dhall",
+            &["--period", "2"],
+            "--period must be at least 3 (got 2)",
+        ),
+    ];
+    for (name, argv, refusal) in cases {
+        let out = run(name, pfair(), argv);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name} {argv:?}: {stderr}");
+        assert!(stderr.contains(&format!("{name}: {refusal}")), "{stderr}");
+        assert!(stderr.contains("usage:"), "{name} {argv:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{name} {argv:?} printed output");
+    }
+}

@@ -154,7 +154,7 @@ fn thousand_joins_and_leaves_window_verify() {
 fn protocol_paths_over_the_socket() {
     let (socket, _) = scratch("proto");
     std::fs::remove_file(&socket).ok();
-    let mut child = spawn_admitd(&socket, &["--cpus", "2", "--no-trace"]);
+    let mut child = spawn_admitd(&socket, &["--cpus", "2"]);
     let mut client = connect(&socket);
 
     // Admit: weight and first pseudo-release come back computed.
@@ -204,10 +204,7 @@ fn colliding_nonces_across_clients_route_to_own_connection() {
     let (socket, _) = scratch("nonce");
     std::fs::remove_file(&socket).ok();
     // A long real-time quantum makes both requests land in one batch.
-    let mut child = spawn_admitd(
-        &socket,
-        &["--no-trace", "--pace", "real", "--quantum-us", "50000"],
-    );
+    let mut child = spawn_admitd(&socket, &["--pace", "real", "--quantum-us", "50000"]);
     let mut a = connect(&socket);
     let mut b = connect(&socket);
 
@@ -245,10 +242,7 @@ fn colliding_nonces_across_clients_route_to_own_connection() {
 fn realtime_pace_batches_by_wall_clock() {
     let (socket, _) = scratch("pace");
     std::fs::remove_file(&socket).ok();
-    let mut child = spawn_admitd(
-        &socket,
-        &["--no-trace", "--pace", "real", "--quantum-us", "20000"],
-    );
+    let mut child = spawn_admitd(&socket, &["--pace", "real", "--quantum-us", "20000"]);
     let mut client = connect(&socket);
 
     // 30 light joins (1/100 weight each) at ~1 ms spacing — sustained
@@ -308,10 +302,7 @@ fn sigkill_mid_stream_surfaces_clean_error() {
     std::fs::remove_file(&socket).ok();
     // A 1 ms quantum keeps the real-time pacer off a busy spin (zero
     // overheads alone would mean 1 µs slots).
-    let mut child = spawn_admitd(
-        &socket,
-        &["--no-trace", "--pace", "real", "--quantum-us", "1000"],
-    );
+    let mut child = spawn_admitd(&socket, &["--pace", "real", "--quantum-us", "1000"]);
 
     let mut sub = connect(&socket).subscribe().expect("subscribe");
     let mut client = connect(&socket);
@@ -544,7 +535,7 @@ fn thread_count(pid: u32) -> usize {
 fn daemon_threads_do_not_grow_with_connections() {
     let (socket, _) = scratch("threads");
     std::fs::remove_file(&socket).ok();
-    let mut child = spawn_admitd(&socket, &["--no-trace"]);
+    let mut child = spawn_admitd(&socket, &[]);
     let mut first = connect(&socket);
     first.stats().expect("daemon is up");
     let with_one = thread_count(child.id());
@@ -566,6 +557,24 @@ fn daemon_threads_do_not_grow_with_connections() {
     std::fs::remove_file(&socket).ok();
 }
 
+/// `--no-overhead` charges nothing and, unless `--quantum-us` says
+/// otherwise, runs on `OverheadParams::zero()`'s 1 µs quantum, as its
+/// usage block says: a task of 1 µs per 3 µs is admitted at weight 1/3,
+/// where the paper's 1 ms quantum would refuse its period.
+#[test]
+fn no_overhead_defaults_to_a_1_us_quantum() {
+    let (socket, _) = scratch("quantum");
+    std::fs::remove_file(&socket).ok();
+    let mut child = spawn_admitd(&socket, &[]);
+    let mut client = connect(&socket);
+    let r = client.join(1, 3).expect("join");
+    assert!(matches!(r.status, Status::Admitted), "{:?}", r.error);
+    assert_eq!((r.weight_num, r.weight_den), (Some(1), Some(3)));
+    client.shutdown().expect("shutdown");
+    assert!(child.wait().expect("exit").success());
+    std::fs::remove_file(&socket).ok();
+}
+
 /// The accept loop must back off while idle instead of busy-spinning:
 /// one second of idle daemon may cost at most a few CPU ticks.
 #[cfg(target_os = "linux")]
@@ -573,7 +582,7 @@ fn daemon_threads_do_not_grow_with_connections() {
 fn accept_loop_idles_without_busy_spin() {
     let (socket, _) = scratch("idlecpu");
     std::fs::remove_file(&socket).ok();
-    let mut child = spawn_admitd(&socket, &["--no-trace"]);
+    let mut child = spawn_admitd(&socket, &[]);
     let mut client = connect(&socket);
     client.stats().expect("daemon is up");
 
@@ -601,7 +610,7 @@ fn accept_loop_idles_without_busy_spin() {
 fn stale_socket_from_sigkilled_daemon_is_reclaimed() {
     let (socket, _) = scratch("stale");
     std::fs::remove_file(&socket).ok();
-    let mut first = spawn_admitd(&socket, &["--no-trace"]);
+    let mut first = spawn_admitd(&socket, &[]);
     let mut c = connect(&socket);
     let r = c.join(1_000, 4_000).expect("join");
     assert!(matches!(r.status, Status::Admitted), "{:?}", r.error);
@@ -615,7 +624,7 @@ fn stale_socket_from_sigkilled_daemon_is_reclaimed() {
 
     // Restart on the same path: connect-probe finds nobody home,
     // unlink-then-bind succeeds.
-    let mut second = spawn_admitd(&socket, &["--no-trace"]);
+    let mut second = spawn_admitd(&socket, &[]);
     let mut c2 = connect(&socket);
     let r = c2.join(1_000, 4_000).expect("join after restart");
     assert!(matches!(r.status, Status::Admitted), "{:?}", r.error);
@@ -624,7 +633,7 @@ fn stale_socket_from_sigkilled_daemon_is_reclaimed() {
     let status = Command::new(env!("CARGO_BIN_EXE_admitd"))
         .arg("--socket")
         .arg(&socket)
-        .args(["--cpus", "8", "--no-overhead", "--no-trace"])
+        .args(["--cpus", "8", "--no-overhead"])
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .status()
@@ -648,7 +657,7 @@ fn stale_socket_from_sigkilled_daemon_is_reclaimed() {
 /// loop or other clients.
 #[test]
 fn half_open_tcp_peer_is_reaped_without_wedging_others() {
-    let (mut child, addr) = spawn_admitd_tcp(&["--no-trace", "--idle-timeout-ms", "400"]);
+    let (mut child, addr) = spawn_admitd_tcp(&["--idle-timeout-ms", "400"]);
 
     // Stalled peer: claims a 64-byte frame, sends 3 bytes, goes silent.
     let mut stalled = TcpStream::connect(&addr).expect("connect stalled peer");
@@ -697,7 +706,7 @@ fn half_open_tcp_peer_is_reaped_without_wedging_others() {
 /// close of *that* connection only — other clients keep working.
 #[test]
 fn oversized_frame_rejected_without_tearing_down_other_clients() {
-    let (mut child, addr) = spawn_admitd_tcp(&["--no-trace"]);
+    let (mut child, addr) = spawn_admitd_tcp(&[]);
 
     let mut evil = TcpStream::connect(&addr).expect("connect evil peer");
     evil.set_read_timeout(Some(Duration::from_secs(5)))
@@ -746,7 +755,7 @@ fn nested_frame(head: &str) -> String {
 fn nested_frame_is_refused_without_killing_the_daemon() {
     let (socket, _) = scratch("nested");
     std::fs::remove_file(&socket).ok();
-    let mut child = spawn_admitd(&socket, &["--no-trace"]);
+    let mut child = spawn_admitd(&socket, &[]);
     connect(&socket).list_sets().expect("daemon is up");
 
     let mut evil = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
@@ -980,6 +989,11 @@ fn daemon_binaries_refuse_undeclared_flags() {
     let admitd = Path::new(env!("CARGO_BIN_EXE_admitd"));
     let typo = ["--cpu", "16", "--socket", socket.to_str().unwrap()];
     cli_contract::assert_refused("admitd", admitd, &typo);
+    assert!(!socket.exists(), "a refused command line must not bind");
+    // A trace is recorded only for `--trace-out`, so there is no switch
+    // to turn it off.
+    let no_trace = ["--no-trace", "--socket", socket.to_str().unwrap()];
+    cli_contract::assert_refused("admitd", admitd, &no_trace);
     assert!(!socket.exists(), "a refused command line must not bind");
     // A batch of zero could decide nothing, and zero processors or a
     // zero quantum could admit nothing: each is refused before binding.
