@@ -42,7 +42,6 @@ smoke_args() {
     locking)    echo "--cpus 2 --slots 2000 --seed 3" ;;
     quantum)    echo "--tasks 10 --sets 4 --seed 3" ;;
     rmff)       echo "--cpus 4 --tasks 8 --sets 10 --seed 3" ;;
-    slack)      echo "--tasks 5 --util 1.25 --sets 2 --horizon 400 --seed 3" ;;
     switches)   echo "--tasks 8 --sets 2 --horizon 100000 --seed 3" ;;
     tournament) echo "--cpus 2 --tasks 6 --sets 3 --horizon 720 --seed 3" ;;
     *)          return 1 ;;

@@ -12,6 +12,11 @@
 //! line `--help` prints is built from the same list, and so is the one a
 //! value out of its declared range ([`Args::get_in`]) prints.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::collections::HashMap;
 use std::fmt::Display;
 use std::ops::{Bound, RangeBounds};

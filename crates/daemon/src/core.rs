@@ -27,6 +27,11 @@
 //! batch are charged against the *pre-leave* sum. A join that only fits
 //! after the safe point is rejected now and can simply retry.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::alloc_probe;
 use crate::proto::{Reply, Request, Status, DEFAULT_SET};
 use overhead::{inflate_pd2, InflateError, OverheadParams};

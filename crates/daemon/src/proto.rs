@@ -32,7 +32,8 @@
 //! strings escaped with `\"`, `\\`, `\n`, `\r`, `\t` and `\u00xx` for the
 //! other control characters, every other character raw.
 //!
-//! *Decoding accepts exactly what `serde_json::from_str` accepts*:
+//! *Decoding accepts exactly what `serde_json::from_str` accepts*, save
+//! for nesting depth (below):
 //! - keys in any order, and JSON whitespace (space, tab, CR, LF) around
 //!   every token;
 //! - keys compared after escape decoding (`"n\u006fnce"` is `nonce`);
@@ -53,7 +54,9 @@
 //! the general path, so the accepted set is the same.
 //!
 //! Unknown values are skipped on an explicit stack, never by recursion,
-//! so no nesting depth inside a frame can exhaust the daemon's stack. A
+//! so no nesting depth inside a frame can exhaust the daemon's stack.
+//! The codec therefore accepts an unknown value nested at any depth,
+//! where `serde_json` refuses the 128th level (its `recursion_limit`). A
 //! failure is a [`DecodeError`], `<what> at byte <offset>`; the daemon
 //! answers an undecodable request with an `Error` reply whose `error`
 //! reads `unparsable request: <what> at byte <offset>`, and closes that
@@ -66,6 +69,11 @@
 //! so clients can exit with their documented codes instead of surfacing
 //! `read_exact`'s "failed to fill whole buffer". A [`FrameReader`] keeps
 //! a timed-out frame's partial bytes, so the next read resumes it.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;

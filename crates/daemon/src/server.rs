@@ -39,6 +39,11 @@
 //! requests wait for a `RealTime` edge) keeps its connection until they
 //! are written.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::core::{CoreConfig, SetRegistry, SetReport};
 use crate::poll::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use crate::proto::{

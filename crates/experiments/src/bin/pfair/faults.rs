@@ -33,7 +33,7 @@
 //! 2 usage error, 101 a panicking point (no table printed).
 
 use experiments::{recorder, Args, Flag, SweepDriver, SWEEP_FLAGS};
-use faults::{run_edf, run_pd2, FaultConfig, RecoveryPolicy, SlackPlan};
+use faults::{run_edf, run_pd2, FaultConfig, RecoveryPolicy};
 use stats::Welford;
 use std::ops::Bound::{Excluded, Included};
 use workload::TaskSetGenerator;
@@ -72,6 +72,21 @@ fn config_for(kind: &str, level: f64, seed: u64) -> FaultConfig {
     cfg
 }
 
+/// A `--trace-kind` value: `none` or one of [`KINDS`].
+struct TraceKind(&'static str);
+
+impl std::str::FromStr for TraceKind {
+    type Err = &'static str;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        std::iter::once("none")
+            .chain(KINDS)
+            .find(|kind| *kind == s)
+            .map(TraceKind)
+            .ok_or("expected none|loss|overrun|failstop|burst")
+    }
+}
+
 fn fmt_opt(w: &Welford) -> String {
     if w.count() == 0 {
         "-".to_string()
@@ -103,9 +118,6 @@ pub fn run(argv: Vec<String>) {
     let policy: RecoveryPolicy = args.get_or("recovery", RecoveryPolicy::None);
     let recovery = args.get("recovery").unwrap_or("none");
     let rec = recorder(&args);
-    // The sets run as declared, on their minimum processor count; the
-    // lag-threshold profile is `slack`'s subject and not reported here.
-    let bare = SlackPlan::none(f64::INFINITY);
 
     let driver = SweepDriver::new(&args);
     eprintln!(
@@ -114,12 +126,8 @@ pub fn run(argv: Vec<String>) {
     );
 
     if let Some(tpath) = args.get("trace").map(str::to_string) {
-        let kind: String = args.get_or("trace-kind", "failstop".to_string());
+        let TraceKind(kind) = args.get_or("trace-kind", TraceKind("failstop"));
         let level: f64 = args.get_or("trace-level", 0.25);
-        if kind != "none" && !KINDS.contains(&kind.as_str()) {
-            eprintln!("faults: --trace-kind {kind}: expected none|loss|overrun|failstop|burst");
-            std::process::exit(2);
-        }
         let mut gen = TaskSetGenerator::new(n, util, seed);
         let tasks = match gen.generate().to_quantum_tasks(1_000) {
             Ok(tasks) => tasks,
@@ -128,8 +136,8 @@ pub fn run(argv: Vec<String>) {
                 std::process::exit(2);
             }
         };
-        let cfg = config_for(&kind, level, seed);
-        let out = run_pd2(&tasks, cfg, policy, horizon, bare, true);
+        let cfg = config_for(kind, level, seed);
+        let out = run_pd2(&tasks, cfg, policy, horizon, true);
         let trace = out.trace.expect("a trace was asked for");
         if let Some(v) = out.window_violation {
             rec.counter("faults.window_violations").incr();
@@ -172,7 +180,7 @@ pub fn run(argv: Vec<String>) {
                 continue;
             };
             let cfg = config_for(kind, level, set_seed);
-            let out = run_pd2(&tasks, cfg, policy, horizon, bare, false);
+            let out = run_pd2(&tasks, cfg, policy, horizon, false);
             pd2_miss.push(out.faults.miss_ratio());
             pd2_lag = pd2_lag.max(out.faults.max_app_lag);
             if let Some(r) = out.recovery {
@@ -183,7 +191,7 @@ pub fn run(argv: Vec<String>) {
                 violations.incr();
                 eprintln!("faults: Pfair window violation: {v:?}");
             }
-            match run_edf(&tasks, out.procs, cfg, horizon) {
+            match run_edf(&tasks, tasks.min_processors(), cfg, horizon) {
                 Some(fm) => {
                     edf_miss.push(fm.miss_ratio());
                     edf_lag = edf_lag.max(fm.max_app_lag);

@@ -25,7 +25,6 @@ mod locking;
 mod quantum;
 mod rmff;
 mod show;
-mod slack;
 mod switches;
 mod tournament;
 mod verify_trace;
@@ -49,7 +48,6 @@ const COMMANDS: &[(&str, Run)] = &[
     ("quantum", quantum::run),
     ("rmff", rmff::run),
     ("show", show::run),
-    ("slack", slack::run),
     ("switches", switches::run),
     ("tournament", tournament::run),
     ("verify_trace", verify_trace::run),

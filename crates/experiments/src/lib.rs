@@ -18,9 +18,8 @@
 //! | `switches` | §4        | Preemptions, migrations and context switches per job: EDF-FF vs. PD² |
 //! | `ablation` | §2        | Tie-break ablation: deadline misses of PD², PD, PF and EPDF on feasible sets |
 //! | `locking` | §5.1       | Quantum-boundary ("skip") locking: spin, deferrals, the analytic bound |
-//! | `faults` | §6 (future work) | Degradation under injected faults: PD² (with recovery) vs. partitioned EDF |
+//! | `faults` | §5.4         | Degradation under injected faults: PD² (with recovery) vs. partitioned EDF |
 //! | `tournament` | §3 + PAPERS.md | Multi-criteria scheduler tournament: FF/BF/WF/NF/FFD/BFD vs. PD² vs. exact global EDF |
-//! | `slack` | §6 (future work) | Slack reservation: spare processors / weight margins vs. post-fault lag recovery |
 //! | `show`  | Fig. 1       | One schedule (and a task's subtask windows) drawn in ASCII |
 //! | `verify_trace` | —     | Re-checks a saved schedule trace against its Pfair windows |
 //! | `admitload` | §5.2     | Seeded open-loop join/leave/reweight load against a running `admitd` |

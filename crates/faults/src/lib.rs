@@ -25,10 +25,8 @@
 //!   at every slot boundary), verifies every run against its
 //!   event-adjusted Pfair windows and, asked for a trace, captures a
 //!   [`ScheduleTrace`](sched_sim::ScheduleTrace) that re-verifies
-//!   offline. Its [`SlackPlan`] argument is the slack-reservation
-//!   experiment: spare processors or a weight margin buy headroom against
-//!   structural overruns, and the [`RecoveryProfile`] reports how fast
-//!   application lag re-converges once a fault window closes.
+//!   offline. It runs exactly the set it is given, on its minimum
+//!   processor count.
 //!
 //! Determinism contract: every fault decision is a hash of the seed and
 //! the decision's coordinates, never of simulation history. Two
@@ -48,4 +46,4 @@ pub mod runner;
 
 pub use plan::{FaultConfig, FaultPlan};
 pub use recovery::{RecoveryController, RecoveryPolicy, RecoveryStats};
-pub use runner::{run_edf, run_pd2, DegradationOutcome, RecoveryProfile, SlackPlan};
+pub use runner::{run_edf, run_pd2, DegradationOutcome};

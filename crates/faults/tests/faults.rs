@@ -2,9 +2,7 @@
 //! inert, per-task misses add up to the run's under any plan, and
 //! processor fail + rejoin leaves application lag bounded.
 
-use faults::{
-    run_edf, run_pd2, FaultConfig, FaultPlan, RecoveryController, RecoveryPolicy, SlackPlan,
-};
+use faults::{run_edf, run_pd2, FaultConfig, FaultPlan, RecoveryController, RecoveryPolicy};
 use pfair_core::SchedConfig;
 use pfair_model::{TaskId, TaskSet};
 use proptest::prelude::*;
@@ -16,13 +14,20 @@ fn ts(pairs: &[(u64, u64)]) -> TaskSet {
 
 /// Drives `sim` to `horizon` with `ctl` applied at every slot boundary —
 /// the shape of [`run_pd2`]'s loop, for tests that need the controller
-/// and the simulator back afterwards.
-fn drive(sim: &mut MultiSim, ctl: &mut RecoveryController, horizon: u64) -> FaultMetrics {
+/// and the simulator back afterwards. Returns the run's metrics and the
+/// maximum application lag after each slot.
+fn drive(
+    sim: &mut MultiSim,
+    ctl: &mut RecoveryController,
+    horizon: u64,
+) -> (FaultMetrics, Vec<f64>) {
+    let mut lag = Vec::with_capacity(horizon as usize);
     for t in 0..horizon {
         ctl.before_slot(sim, t);
         sim.step();
+        lag.push(sim.current_max_app_lag());
     }
-    sim.finalize_faults()
+    (sim.finalize_faults(), lag)
 }
 
 proptest! {
@@ -131,7 +136,7 @@ fn fail_and_rejoin_leaves_lag_bounded() {
     let mut sim = MultiSim::new(&set, SchedConfig::pd2(2));
     sim.set_fault_hook(Box::new(plan.clone()));
     let mut ctl = RecoveryController::new(plan, &set, 2, RecoveryPolicy::Full);
-    let fin = drive(&mut sim, &mut ctl, 200);
+    let (fin, _) = drive(&mut sim, &mut ctl, 200);
     let stats = ctl.stats();
 
     assert_eq!(fin.dead_proc_quanta, 10, "{fin:?}");
@@ -171,7 +176,7 @@ fn catchup_reconverges_after_loss_window() {
     sim.set_fault_hook(Box::new(plan.clone()));
     let mut ctl =
         RecoveryController::new(plan, &set, 2, RecoveryPolicy::CatchUp).with_watchdog(1.5, 2, 1.0);
-    let fin = drive(&mut sim, &mut ctl, 400);
+    let (fin, _) = drive(&mut sim, &mut ctl, 400);
     let stats = ctl.stats();
 
     assert!(fin.wasted_quanta > 0, "{fin:?}");
@@ -185,12 +190,59 @@ fn catchup_reconverges_after_loss_window() {
     );
 }
 
+/// PD² is not work-conserving: it keeps serving exactly the declared
+/// weights, so a spare processor alone never drains the lag a fault storm
+/// leaves behind, while ERfair catch-up (§2: a subtask is eligible as soon
+/// as its predecessor is scheduled) turns the spare capacity into
+/// recovery. One overrun-and-outage storm over slots [0, 200) on
+/// `min_processors() + 1`, 600 slots, each way.
+#[test]
+fn spare_processor_needs_catchup_to_drain() {
+    let set = ts(&[(1, 2), (1, 3), (2, 5), (1, 4), (3, 7)]);
+    let storm = FaultConfig {
+        overrun_rate: 0.5,
+        overrun_max: 2,
+        fail_every: 50,
+        fail_duration: 25,
+        max_down: 1,
+        window_start: 0,
+        window_end: 200,
+        ..FaultConfig::none(11)
+    };
+    let m = set.min_processors() + 1;
+    let lag_under = |policy| {
+        let plan = FaultPlan::new(storm);
+        let mut sim = MultiSim::new(&set, SchedConfig::pd2(m));
+        sim.set_fault_hook(Box::new(plan.clone()));
+        let mut ctl = RecoveryController::new(plan, &set, m, policy);
+        drive(&mut sim, &mut ctl, 600).1
+    };
+
+    // A spare processor alone: once the storm pushes lag above 1, it
+    // stays above 1 to the horizon, 400 slots after the faults stop.
+    let passive = lag_under(RecoveryPolicy::None);
+    let hurt = passive.iter().position(|&l| l > 1.0);
+    let hurt = hurt.expect("the storm must push lag above 1");
+    assert!(hurt < 200, "lag first above 1 at slot {hurt}");
+    let drained = passive[hurt..].iter().position(|&l| l <= 1.0);
+    assert_eq!(
+        drained, None,
+        "lag above 1 from slot {hurt} drained unaided"
+    );
+
+    // The same spare processor with catch-up: lag goes above 1 and comes
+    // back under before the horizon, for good.
+    let caught = lag_under(RecoveryPolicy::CatchUp);
+    let last = caught.iter().rposition(|&l| l > 1.0);
+    let last = last.expect("the storm must push lag above 1");
+    assert!(last + 1 < caught.len(), "lag never drained under catch-up");
+}
+
 /// Pinned outcomes of the degradation runners, recorded from the code as
 /// it stood before the fault layer was folded into one job ledger and the
-/// runners into one: one
-/// five-task set under one mixed plan (loss + overrun + fail-stop inside a
-/// window + bursts) for PD² under every recovery policy and for EDF, and
-/// one margin-0.25 slack run. Any drift in what a fault does to a job's
+/// runners into one: one five-task set under one mixed plan (loss +
+/// overrun + fail-stop inside a window + bursts) for PD² under every
+/// recovery policy and for EDF. Any drift in what a fault does to a job's
 /// progress, in what recovery does about it, or in the schedule PD²
 /// produces under the plan's delays shows up here as a changed line.
 #[test]
@@ -216,7 +268,7 @@ fn degradation_outcomes_are_pinned() {
         RecoveryPolicy::CatchUp,
         RecoveryPolicy::Full,
     ] {
-        let out = run_pd2(&set, mixed, policy, 420, SlackPlan::none(1.0), false);
+        let out = run_pd2(&set, mixed, policy, 420, false);
         assert!(out.window_violation.is_none(), "{policy:?}");
         got.push(format!(
             "pd2 {policy:?}: {:?} {:?} {:?}",
@@ -225,34 +277,13 @@ fn degradation_outcomes_are_pinned() {
     }
     let edf = run_edf(&set, set.min_processors(), mixed, 420).expect("the set first-fits onto 2");
     got.push(format!("edf: {edf:?}"));
-    let storm = FaultConfig {
-        overrun_rate: 0.5,
-        overrun_max: 2,
-        fail_every: 50,
-        fail_duration: 25,
-        max_down: 1,
-        window_end: 200,
-        ..FaultConfig::none(11)
-    };
-    let slack = SlackPlan {
-        spare_procs: 0,
-        margin: 0.25,
-        lag_threshold: 1.0,
-    };
-    let out = run_pd2(&set, storm, RecoveryPolicy::CatchUp, 600, slack, false);
-    assert!(out.window_violation.is_none());
-    got.push(format!(
-        "slack: procs={} {:?} {:?} {:?} {:?}",
-        out.procs, out.faults, out.run, out.recovery, out.profile
-    ));
     assert_eq!(got, PINNED);
 }
 
-const PINNED: [&str; 6] = [
+const PINNED: [&str; 5] = [
     "pd2 None: FaultMetrics { wasted_quanta: 42, dropped_quanta: 47, dead_proc_quanta: 56, overruns: 19, overrun_quanta: 27, jobs_completed: 123, jobs_due: 143, job_misses: 136, max_tardiness: 91, max_app_lag: 27.571428571428555 } RunMetrics { slots: 420, allocated_quanta: 735, idle_quanta: 49, preemptions: 596, migrations: 157, context_switches: 732, misses: 0 } None",
     "pd2 Shed: FaultMetrics { wasted_quanta: 42, dropped_quanta: 0, dead_proc_quanta: 56, overruns: 20, overrun_quanta: 33, jobs_completed: 113, jobs_due: 131, job_misses: 97, max_tardiness: 60, max_app_lag: 14.333333333333329 } RunMetrics { slots: 420, allocated_quanta: 744, idle_quanta: 40, preemptions: 604, migrations: 153, context_switches: 740, misses: 0 } Some(RecoveryStats { capacity_changes: 14, shed_events: 7, tasks_shed: 14, rejoin_attempts: 14, rejoins: 14, catchup_trips: 0, catchup_slots: 0 })",
     "pd2 CatchUp: FaultMetrics { wasted_quanta: 43, dropped_quanta: 55, dead_proc_quanta: 56, overruns: 20, overrun_quanta: 29, jobs_completed: 128, jobs_due: 143, job_misses: 136, max_tardiness: 76, max_app_lag: 20.5 } RunMetrics { slots: 420, allocated_quanta: 779, idle_quanta: 5, preemptions: 601, migrations: 162, context_switches: 734, misses: 0 } Some(RecoveryStats { capacity_changes: 0, shed_events: 0, tasks_shed: 0, rejoin_attempts: 0, rejoins: 0, catchup_trips: 1, catchup_slots: 376 })",
     "pd2 Full: FaultMetrics { wasted_quanta: 43, dropped_quanta: 0, dead_proc_quanta: 56, overruns: 20, overrun_quanta: 33, jobs_completed: 118, jobs_due: 131, job_misses: 89, max_tardiness: 65, max_app_lag: 12.666666666666657 } RunMetrics { slots: 420, allocated_quanta: 778, idle_quanta: 6, preemptions: 580, migrations: 161, context_switches: 717, misses: 0 } Some(RecoveryStats { capacity_changes: 14, shed_events: 7, tasks_shed: 14, rejoin_attempts: 14, rejoins: 14, catchup_trips: 1, catchup_slots: 370 })",
     "edf: FaultMetrics { wasted_quanta: 43, dropped_quanta: 0, dead_proc_quanta: 56, overruns: 21, overrun_quanta: 30, jobs_completed: 132, jobs_due: 143, job_misses: 126, max_tardiness: 47, max_app_lag: 26.0 }",
-    "slack: procs=3 FaultMetrics { wasted_quanta: 0, dropped_quanta: 67, dead_proc_quanta: 75, overruns: 39, overrun_quanta: 54, jobs_completed: 213, jobs_due: 213, job_misses: 30, max_tardiness: 14, max_app_lag: 4.0 } RunMetrics { slots: 600, allocated_quanta: 1693, idle_quanta: 32, preemptions: 884, migrations: 445, context_switches: 1038, misses: 0 } Some(RecoveryStats { capacity_changes: 0, shed_events: 0, tasks_shed: 0, rejoin_attempts: 0, rejoins: 0, catchup_trips: 1, catchup_slots: 22 }) RecoveryProfile { degraded_slots: 26, episodes: 2, longest_episode: 25, first_degraded: Some(63), last_recovery: Some(91), degraded_at_end: false }",
 ];

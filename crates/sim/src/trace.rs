@@ -17,6 +17,11 @@
 //!   deserialize — the field defaults to empty — and verify exactly as
 //!   before.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::engine::{MultiSim, RunMetrics};
 use pfair_model::{Slot, Task, TaskId, TaskSet};
 use serde::{Deserialize, Serialize};
@@ -365,6 +370,9 @@ impl ScheduleTrace {
     }
 
     /// Serializes to pretty JSON.
+    // The writer's one error is a non-finite float, and a trace holds
+    // integers only.
+    #[allow(clippy::expect_used)]
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("trace serialization cannot fail")
     }

@@ -44,7 +44,7 @@ fn refused_with_the_command_list(argv: &[&str]) -> Vec<String> {
 /// Every command `pfair` runs, as it lists them.
 fn roster() -> Vec<String> {
     let roster = refused_with_the_command_list(&[]);
-    assert!(roster.len() >= 18, "roster went missing: {roster:?}");
+    assert!(roster.len() >= 17, "roster went missing: {roster:?}");
     roster
 }
 
@@ -121,8 +121,8 @@ fn sweeps_refuse_counts_they_cannot_run() {
             refused += 1;
         }
     }
-    // 12 sweeps read --sets, 9 --tasks, 4 --cpus and 2 --points.
-    assert!(refused >= 27, "only {refused} refusals: the roster shrank");
+    // 11 sweeps read --sets, 8 --tasks, 4 --cpus and 2 --points.
+    assert!(refused >= 25, "only {refused} refusals: the roster shrank");
 }
 
 /// Values each command used to panic on (exit 101 with a backtrace
@@ -130,10 +130,11 @@ fn sweeps_refuse_counts_they_cannot_run() {
 /// `--policy` or `--er`, too few `--cpus` for the set, a `--windows` task
 /// it does not have, a `--util` no task set of `--tasks` can have, and a
 /// Dhall `--period` below 3. Each is now refused with the usage line and
-/// exit 2 before anything runs.
+/// exit 2 before anything runs, as are a `faults --recovery` policy and
+/// `--trace-kind` it does not know.
 #[test]
 fn values_a_command_cannot_run_with_are_usage_errors() {
-    let cases: [(&str, &[&str], &str); 10] = [
+    let cases: [(&str, &[&str], &str); 11] = [
         (
             "pfair show",
             &["--tasks", "x"],
@@ -171,9 +172,14 @@ fn values_a_command_cannot_run_with_are_usage_errors() {
             "--util must be above 0 and at most 10 (got 0)",
         ),
         (
-            "pfair slack",
-            &["--util", "9"],
-            "--util must be above 0 and at most 8 (got 9)",
+            "pfair faults",
+            &["--recovery", "bogus"],
+            "--recovery bogus: expected none|shed|catchup|full",
+        ),
+        (
+            "pfair faults",
+            &["--trace", "/tmp/x.json", "--trace-kind", "bogus"],
+            "--trace-kind bogus: expected none|loss|overrun|failstop|burst",
         ),
         (
             "pfair dhall",

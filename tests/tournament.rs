@@ -1,8 +1,7 @@
-//! Tournament + slack sweep gate (CI): the scorecard (and a `fig3` panel)
-//! must be byte-identical at any `--threads`, the scorecard's CSV must
-//! carry the documented schema, a slack-reservation run traced under
-//! a fault storm must re-verify offline through `verify_trace`, and
-//! `verify_trace` answers a damaged trace with exit 1, never a panic.
+//! Tournament sweep gate (CI): the scorecard (and a `fig3` panel) must be
+//! byte-identical at any `--threads`, the scorecard's CSV must carry the
+//! documented schema, and `verify_trace` answers a damaged trace with
+//! exit 1, never a panic.
 //!
 //! Exercises the full command surface through `pfair` itself: set
 //! generation from `(seed, set index)`, the exact global-EDF test inside
@@ -33,20 +32,6 @@ const TOURNAMENT: [&str; 11] = [
 
 const FIG3: [&str; 9] = [
     "--tasks", "8", "--sets", "2", "--points", "3", "--seed", "3", "--csv",
-];
-
-const SLACK: [&str; 11] = [
-    "--tasks",
-    "5",
-    "--util",
-    "1.25",
-    "--sets",
-    "2",
-    "--horizon",
-    "400",
-    "--seed",
-    "3",
-    "--csv",
 ];
 
 /// Runs `pfair <command> args… extra…`.
@@ -119,71 +104,22 @@ fn tournament_csv_schema_and_scorecard_sanity() {
     assert_eq!(gedf_rows, 8);
 }
 
-#[test]
-fn slack_is_byte_identical_across_threads() {
-    let t1 = stdout_of(&run("slack", &SLACK, &["--threads", "1"]));
-    let t4 = stdout_of(&run("slack", &SLACK, &["--threads", "4"]));
-    assert_eq!(t4, t1);
-    let mut lines = t1.lines();
-    assert_eq!(
-        lines.next().unwrap(),
-        "fault,strategy,procs,degraded,recover,worst,stuck,miss,viol"
-    );
-    // 3 fault kinds × 4 reservation strategies; violations always 0 —
-    // every run is verified against the declared set's windows.
-    let rows: Vec<&str> = lines.collect();
-    assert_eq!(rows.len(), 12);
-    for row in &rows {
-        assert_eq!(row.split(',').next_back().unwrap(), "0", "row {row}");
-    }
-}
-
-#[test]
-fn slack_faulted_trace_reverifies_offline() {
-    let (tr, tr_str) = temp_path("trace.json");
-    let _ = std::fs::remove_file(&tr);
-    let out = run(
-        "slack",
-        &SLACK,
-        &[
-            "--threads",
-            "1",
-            "--trace",
-            &tr_str,
-            "--trace-kind",
-            "mixed",
-            "--trace-strategy",
-            "margin25",
-        ],
-    );
-    stdout_of(&out);
-    assert!(tr.exists(), "trace file must be written");
-
-    let verified = run("verify_trace", &["--input", &tr_str], &[]);
-    assert!(
-        verified.status.success(),
-        "faulted slack trace failed offline verification: {}",
-        String::from_utf8_lossy(&verified.stderr)
-    );
-    let _ = std::fs::remove_file(&tr);
-}
-
+/// A recovery policy or trace fault kind `pfair faults` does not know is a
+/// usage error (exit 2), refused before any sweep runs or trace is written.
 #[test]
 fn bad_flags_exit_two() {
-    let out = run("slack", &["--recovery", "bogus"], &[]);
+    let out = run("faults", &["--recovery", "bogus"], &[]);
     assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let (tr, tr_str) = temp_path("bad-flags.json");
     let out = run(
-        "slack",
-        &["--trace", "/tmp/x.json", "--trace-kind", "bogus"],
+        "faults",
+        &["--trace", &tr_str, "--trace-kind", "bogus"],
         &[],
     );
     assert_eq!(out.status.code(), Some(2));
-    let out = run(
-        "slack",
-        &["--trace", "/tmp/x.json", "--trace-strategy", "bogus"],
-        &[],
-    );
-    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    assert!(!tr.exists(), "a refused run must not write its trace");
 }
 
 /// A valid trace of a fault-stop run with full recovery (CI's faulted
@@ -316,4 +252,18 @@ proptest! {
             ),
         }
     }
+}
+
+/// A trace file nested deeper than any trace can be (200,000 `[`) is
+/// refused with a message and exit 1; parsing it must not recurse once
+/// per level and overflow the stack, which aborts the process.
+#[test]
+fn verify_trace_refuses_deep_nesting_without_overflowing() {
+    let (tr, tr_str) = temp_path("nested.json");
+    std::fs::write(&tr, "[".repeat(200_000)).unwrap();
+    let out = run("verify_trace", &["--input", &tr_str], &[]);
+    let _ = std::fs::remove_file(&tr);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{:?}: {stderr}", out.status);
+    assert!(stderr.contains("recursion limit exceeded"), "{stderr}");
 }
